@@ -58,9 +58,7 @@ pub fn cc_lp<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId
                 });
             }
         });
-        label.reduce_sync(ctx);
-        label.broadcast_sync(ctx);
-        if !label.is_updated(ctx) {
+        if !label.sync_round(ctx) {
             break;
         }
     }
@@ -100,9 +98,7 @@ fn hook<M: NodePropMap<u64>>(
                 });
             }
         });
-        parent.reduce_sync(ctx);
-        parent.broadcast_sync(ctx);
-        if !parent.is_updated(ctx) {
+        if !parent.sync_round(ctx) {
             break;
         }
     }
@@ -137,9 +133,7 @@ pub(crate) fn shortcut<M: NodePropMap<u64>>(parent: &mut M, dg: &DistGraph, ctx:
                 }
             }
         });
-        parent.reduce_sync(ctx);
-        parent.broadcast_sync(ctx);
-        if !parent.is_updated(ctx) {
+        if !parent.sync_round(ctx) {
             break;
         }
     }
@@ -202,9 +196,7 @@ pub fn cc_sclp<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(Node
                 });
             }
         });
-        label.reduce_sync(ctx);
-        label.broadcast_sync(ctx);
-        let lp_updated = label.is_updated(ctx);
+        let lp_updated = label.sync_round(ctx);
         label.unpin_mirrors();
 
         // Shortcut sweep: one pointer jump per outer round.

@@ -49,9 +49,7 @@ pub fn bfs<B: MapBuilder>(
                 }
             }
         });
-        dist.reduce_sync(ctx);
-        dist.broadcast_sync(ctx);
-        if !dist.is_updated(ctx) {
+        if !dist.sync_round(ctx) {
             break;
         }
     }
@@ -98,9 +96,7 @@ pub fn sssp<B: MapBuilder>(
                 }
             }
         });
-        dist.reduce_sync(ctx);
-        dist.broadcast_sync(ctx);
-        if !dist.is_updated(ctx) {
+        if !dist.sync_round(ctx) {
             break;
         }
     }

@@ -6,7 +6,10 @@
 //! the damaged or missing chunks ([`RetxRequest`]) from the sender's
 //! retained outbox, so a [`crate::FaultPlan`] dropping, duplicating,
 //! delaying, or corrupting frames is survived transparently (visible only
-//! in [`HostStats::retransmits`]). Exchanges are split-phase: payloads can
+//! in [`HostStats::retransmits`]). On a carrier that cannot lose frames
+//! ([`Transport::lossless`]) with no fault plan installed, the same
+//! exchange skips the checksums, the outbox and the loss agreement — one
+//! rendezvous instead of two. Exchanges are split-phase: payloads can
 //! be posted chunk-by-chunk while compute continues
 //! ([`HostCtx::exchange_start`] / [`ExchangeTicket::post`] /
 //! [`HostCtx::exchange_finish`]), overlapping serialization and wire I/O
@@ -35,7 +38,10 @@ use crate::transport::inproc::{InProcFabric, InProcTransport};
 use crate::transport::sim::{SimFabric, SimTransport, TraceSink};
 use crate::transport::tcp::TcpTransport;
 use crate::transport::{Backoff, Deadline, RetxRequest, Transport, TransportConfig};
-use crate::wire::{encode_slice, frame_chunk, parse_chunk, Wire, CHUNK_PAYLOAD};
+use crate::wire::{
+    encode_slice, frame_chunk, frame_chunk_unchecked, parse_chunk, parse_chunk_unchecked, Wire,
+    CHUNK_HEADER, CHUNK_PAYLOAD,
+};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -111,9 +117,9 @@ pub struct HostStats {
     /// grown membership (engines report these via
     /// [`HostCtx::add_grow_resharded_keys`]).
     pub grow_resharded_keys: u64,
-    /// Physical chunk frames sent to other hosts (data chunks plus one
-    /// stream terminator per destination per exchange; first transmissions
-    /// only — re-sends count in `chunk_retransmits`).
+    /// Physical chunk frames sent to other hosts (data chunks, plus one
+    /// header-only frame per destination whose payload is empty; first
+    /// transmissions only — re-sends count in `chunk_retransmits`).
     pub chunks_sent: u64,
     /// Chunk frames re-sent after a receiver reported loss or corruption.
     pub chunk_retransmits: u64,
@@ -415,6 +421,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "host closure panicked".to_string()
     }
+}
+
+/// Concatenates the payloads of a complete, index-ordered run of chunk
+/// frames.
+fn join_chunks(frames: &mut [Option<Vec<u8>>]) -> Vec<u8> {
+    if let [only] = frames {
+        // One chunk: strip the header in place rather than copy out.
+        let mut buf = only.take().expect("chunk checked present");
+        buf.drain(..CHUNK_HEADER);
+        return buf;
+    }
+    fn body(f: &Option<Vec<u8>>) -> &[u8] {
+        &f.as_ref().expect("chunk checked present")[CHUNK_HEADER..]
+    }
+    let mut buf = Vec::with_capacity(frames.iter().map(|f| body(f).len()).sum());
+    for f in frames.iter() {
+        buf.extend_from_slice(body(f));
+    }
+    buf
 }
 
 /// Which transport backend a [`Cluster`] runs its hosts over.
@@ -734,12 +759,14 @@ where
         host,
         num_hosts,
         initial_members: num_hosts - latent.len(),
+        lossless: transport.lossless() && faults.is_empty(),
         transport,
         faults,
         pool: WorkerPool::new(threads),
         stats: StatCells::default(),
         outbox: (0..num_hosts).map(|_| Mutex::new(Vec::new())).collect(),
         delayed: (0..num_hosts).map(|_| Mutex::new(Vec::new())).collect(),
+        early: (0..num_hosts).map(|_| Mutex::new(Vec::new())).collect(),
         send_seq: (0..num_hosts).map(|_| AtomicU64::new(0)).collect(),
         recv_seq: (0..num_hosts).map(|_| AtomicU64::new(0)).collect(),
         round: AtomicU64::new(0),
@@ -802,15 +829,25 @@ pub struct HostCtx<'a> {
     initial_members: usize,
     transport: &'a dyn Transport,
     faults: Arc<FaultState>,
+    /// Whether exchanges may trust the carrier: the transport cannot lose
+    /// or corrupt frames and no fault plan is installed. Derived once at
+    /// start; see [`HostCtx::try_exchange`].
+    lossless: bool,
     pool: WorkerPool,
     stats: StatCells,
     /// `outbox[to]`: the chunk frames of the last exchange sent to `to`
-    /// (indexed by chunk, terminator last), retained for retransmission.
+    /// (indexed by chunk), retained for retransmission. Stays empty on a
+    /// lossless exchange.
     outbox: Vec<Mutex<Vec<Vec<u8>>>>,
     /// `delayed[to]`: frames a `DelayFrame` fault held back; flushed to the
     /// transport at the start of this host's next exchange, where their
     /// stale sequence numbers get them ignored.
     delayed: Vec<Mutex<Vec<Vec<u8>>>>,
+    /// `early[from]`: frames of `from`'s *next* exchange that a lossless
+    /// exchange drained while finishing the current one. Without the
+    /// loss-agreement rendezvous a peer may leave an exchange, and post the
+    /// next, before this host has drained; its frames wait here.
+    early: Vec<Mutex<Vec<Vec<u8>>>>,
     /// Next sequence number per destination.
     send_seq: Vec<AtomicU64>,
     /// `recv_seq[from]`: the sequence number this host will accept next.
@@ -1154,8 +1191,10 @@ impl<'a> HostCtx<'a> {
     ///
     /// This is the collective underlying the paper's request-sync and
     /// reduce-sync phases: exactly one message between every pair of hosts.
-    /// Empty payloads still travel as (header-only) frames so loss is
-    /// detectable, but are not counted in the traffic stats.
+    /// The final chunk of each payload carries the end-of-stream flag; an
+    /// empty payload still travels as one header-only frame so the
+    /// receiver can tell "nothing" from "lost", but is not counted in the
+    /// traffic stats.
     ///
     /// # Panics
     ///
@@ -1180,6 +1219,12 @@ impl<'a> HostCtx<'a> {
     /// hosts read the same missing-flags snapshot), so either every host
     /// completes the exchange or every host returns the same
     /// [`CommError::FrameLoss`].
+    ///
+    /// When the transport is [`Transport::lossless`] and the run has no
+    /// [`FaultPlan`], none of that can trigger, so the same routine frames
+    /// without a CRC, retains nothing, and returns after the one barrier
+    /// that orders sends before drains — a frame missing at that point is a
+    /// [`CommError::Protocol`] bug, not a loss to repair.
     pub fn try_exchange(&self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CommError> {
         self.try_exchange_by(outgoing, &self.deadline())
     }
@@ -1210,6 +1255,62 @@ impl<'a> HostCtx<'a> {
         self.try_exchange_finish_by(ticket, deadline)
     }
 
+    /// All-to-all exchange that also agrees one bit: returns the received
+    /// buffers plus the OR of every host's `vote`. The bit rides each remote
+    /// payload as one trailing byte, so a BSP round's broadcast and its
+    /// quiescence check ([`HostCtx::all_reduce_or`]) cost one collective
+    /// instead of two, for the same bytes on the wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outgoing.len() != num_hosts()`, and with a recoverable
+    /// [`CrashSignal`] on communication failure (see
+    /// [`HostCtx::try_exchange_or`] for the non-panicking form).
+    pub fn exchange_or(&self, outgoing: Vec<Vec<u8>>, vote: bool) -> (Vec<Vec<u8>>, bool) {
+        assert_eq!(outgoing.len(), self.num_hosts(), "one buffer per host");
+        let r = self.try_exchange_or(outgoing, vote);
+        self.unwrap_comm(r)
+    }
+
+    /// Failure-aware form of [`HostCtx::exchange_or`] (under the ambient
+    /// deadline). A peer buffer too short to hold the vote byte is a
+    /// [`CommError::Protocol`].
+    pub fn try_exchange_or(
+        &self,
+        mut outgoing: Vec<Vec<u8>>,
+        vote: bool,
+    ) -> Result<(Vec<Vec<u8>>, bool), CommError> {
+        let me = self.host();
+        for (h, buf) in outgoing.iter_mut().enumerate() {
+            if h != me {
+                vote.write(buf);
+            }
+        }
+        let mut received = self.try_exchange(outgoing)?;
+        let mut any = vote;
+        for (h, buf) in received.iter_mut().enumerate() {
+            if h == me {
+                continue;
+            }
+            // An empty buffer leaves nothing to read: `Truncated`.
+            let at = buf.len().saturating_sub(bool::SIZE);
+            any |= bool::try_read(&buf[at..]).map_err(|e| CommError::Protocol {
+                detail: format!("exchange_or: vote from host {h}: {e}"),
+            })?;
+            buf.truncate(at);
+        }
+        Ok((received, any))
+    }
+
+    /// Escalates a malformed peer payload found by a protocol layered on
+    /// [`HostCtx::exchange`] (a map decoding its key/value pairs, say)
+    /// exactly as the infallible collectives escalate their own
+    /// [`CommError::Protocol`]: this host is marked failed and unwinds with
+    /// a recoverable [`CrashSignal`].
+    pub fn protocol_violation(&self, detail: String) -> ! {
+        self.fail_with(CrashSignal::Comm(CommError::Protocol { detail }))
+    }
+
     /// Opens a split-phase all-to-all exchange: returns a ticket that
     /// accepts per-destination payloads ([`ExchangeTicket::post`]) while
     /// this host keeps computing, and is completed by
@@ -1218,8 +1319,8 @@ impl<'a> HostCtx<'a> {
     /// overlaps whatever runs between `post` and `finish`.
     ///
     /// Every host must pair each `exchange_start` with exactly one
-    /// `exchange_finish` (the finish contains barriers), and no other
-    /// collective may run between them.
+    /// `exchange_finish` (the finish is a rendezvous of all hosts), and no
+    /// other collective may run between them.
     ///
     /// # Panics
     ///
@@ -1270,18 +1371,16 @@ impl<'a> HostCtx<'a> {
             inner: Mutex::new(TicketInner {
                 result: vec![Vec::new(); k],
                 posted: vec![false; k],
-                data_chunks: vec![0; k],
                 first_post_nanos: None,
             }),
         })
     }
 
     /// Completes a split-phase exchange under the ambient deadline: sends
-    /// each destination's stream terminator, then blocks until every
-    /// host's chunks have arrived (or the collective fails as a unit).
-    /// Returns the buffers received from every member host (indexed by
-    /// logical rank), empty buffers included; destinations never posted
-    /// send an empty payload.
+    /// an empty stream to every destination never posted, then blocks until
+    /// every host's chunks have arrived (or the collective fails as a
+    /// unit). Returns the buffers received from every member host (indexed
+    /// by logical rank), empty buffers included.
     ///
     /// # Panics
     ///
@@ -1316,10 +1415,10 @@ impl<'a> HostCtx<'a> {
         let round = ticket.round;
         let members = ticket.members;
         let k = members.len();
+        let lossless = self.lossless;
         let TicketInner {
             mut result,
             posted,
-            data_chunks,
             first_post_nanos,
         } = ticket.inner.into_inner();
         if ticket.track_overlap {
@@ -1330,34 +1429,24 @@ impl<'a> HostCtx<'a> {
             }
         }
 
-        // Terminators: one empty LAST chunk per remote destination, closing
-        // the stream (and implicitly sending an empty payload to any
-        // destination never posted). This is also where the per-exchange
-        // sequence number is consumed.
+        // Close every remote stream: a destination never posted gets an
+        // empty payload. This is also where the per-exchange sequence
+        // number is consumed.
         for (li, &to) in members.iter().enumerate() {
             if to == me {
                 continue;
             }
-            let seq = self.send_seq[to].fetch_add(1, Ordering::Relaxed);
-            let term = data_chunks[li];
-            let frame = frame_chunk(seq, term, true, &[]);
-            {
-                let mut ob = self.outbox[to].lock();
-                if !posted[li] {
-                    // Never posted: drop the previous exchange's retained
-                    // chunks so retransmit indices match this stream.
-                    ob.clear();
-                }
-                ob.push(frame.clone());
+            if !posted[li] {
+                self.send_stream(to, round, &[]);
             }
-            self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
-            self.transmit(to, round, seq, term, 0, frame);
+            self.send_seq[to].fetch_add(1, Ordering::Relaxed);
         }
 
+        // Every member's sends for this exchange precede its arrival here.
         self.note_err(self.transport.barrier(deadline))?;
 
-        // Reassembly state per source: chunks by index, and the terminator
-        // index once seen.
+        // Reassembly state per source: whole frames by chunk index, and the
+        // final chunk's index once seen.
         let mut got: Vec<bool> = members.iter().map(|&from| from == me).collect();
         let mut parts: Vec<Vec<Option<Vec<u8>>>> = vec![Vec::new(); k];
         let mut last_idx: Vec<Option<u32>> = vec![None; k];
@@ -1366,29 +1455,43 @@ impl<'a> HostCtx<'a> {
         let mut backoff = Backoff::retransmit(me);
         loop {
             // Drain everything that arrived; accept only chunks of the
-            // expected sequence number with a valid checksum.
+            // expected sequence number (with a valid checksum, unless the
+            // carrier makes one pointless).
             for (li, &from) in members.iter().enumerate() {
                 if from == me {
                     continue;
                 }
+                let early = std::mem::take(&mut *self.early[from].lock());
                 let arrived = self.transport.drain(from);
                 if got[li] {
                     continue;
                 }
                 let want = self.recv_seq[from].load(Ordering::Relaxed);
-                for frame in &arrived {
-                    match parse_chunk(frame) {
-                        Ok((h, payload)) if h.seq == want => {
+                for frame in early.into_iter().chain(arrived) {
+                    let header = if lossless {
+                        parse_chunk_unchecked(&frame)
+                    } else {
+                        parse_chunk(&frame)
+                    }
+                    .map(|(h, _)| h);
+                    match header {
+                        Ok(h) if h.seq == want => {
                             let idx = h.chunk as usize;
                             if parts[li].len() <= idx {
                                 parts[li].resize_with(idx + 1, || None);
                             }
-                            if parts[li][idx].is_none() {
-                                parts[li][idx] = Some(payload.to_vec());
-                            }
                             if h.last {
                                 last_idx[li] = Some(h.chunk);
                             }
+                            if parts[li][idx].is_none() {
+                                parts[li][idx] = Some(frame);
+                            }
+                        }
+                        // With no second rendezvous the sender may already
+                        // be one exchange ahead (never two: its next finish
+                        // needs this host at the barrier).
+                        Ok(h) if lossless && h.seq == want + 1 => {
+                            self.early[from].lock().push(frame);
                         }
                         Ok(_) => {} // duplicate or stale: ignore
                         Err(_) => {
@@ -1396,28 +1499,27 @@ impl<'a> HostCtx<'a> {
                         }
                     }
                 }
-                // Complete when the terminator index is known and every
+                // Complete when the final chunk's index is known and every
                 // chunk up to it is present; concatenate in index order.
                 if let Some(last) = last_idx[li] {
                     let last = last as usize;
                     if parts[li].len() > last
                         && parts[li][..=last].iter().all(|c| c.is_some())
                     {
-                        let total = parts[li][..=last]
-                            .iter()
-                            .map(|c| c.as_ref().map_or(0, Vec::len))
-                            .sum();
-                        let mut buf = Vec::with_capacity(total);
-                        for c in parts[li][..=last].iter_mut() {
-                            buf.append(c.as_mut().expect("chunk checked present"));
-                        }
-                        result[li] = buf;
+                        result[li] = join_chunks(&mut parts[li][..=last]);
                         got[li] = true;
                     }
                 }
                 if !got[li] {
+                    if lossless {
+                        return Err(CommError::Protocol {
+                            detail: format!(
+                                "lossless carrier delivered an incomplete stream from host {from}"
+                            ),
+                        });
+                    }
                     // Ask for exactly what is missing — everything while
-                    // the terminator is unknown, else the index gaps.
+                    // the final chunk is unknown, else the index gaps.
                     let req = match last_idx[li] {
                         None => RetxRequest::All,
                         Some(last) => RetxRequest::Chunks(
@@ -1432,6 +1534,10 @@ impl<'a> HostCtx<'a> {
                     };
                     self.transport.request_retx(from, req);
                 }
+            }
+            if lossless {
+                // Nothing can be missing, so there is no verdict to agree.
+                break;
             }
             let still_missing = !got.iter().all(|&g| g);
             let flags = self.note_err(self.transport.sync_missing(still_missing, deadline))?;
@@ -1493,6 +1599,36 @@ impl<'a> HostCtx<'a> {
         }
         self.add_comm_nanos(clock::now_nanos().saturating_sub(t));
         Ok(result)
+    }
+
+    /// Sends `payload` to physical host `to` as one chunk stream of the
+    /// current exchange: bounded frames, the final one flagged LAST (an
+    /// empty payload is a single header-only LAST frame). The frames are
+    /// retained for retransmission unless the exchange is lossless.
+    fn send_stream(&self, to: usize, round: u64, payload: &[u8]) {
+        let seq = self.send_seq[to].load(Ordering::Relaxed);
+        let n_chunks = payload.len().div_ceil(CHUNK_PAYLOAD).max(1);
+        let mut retained = (!self.lossless).then(|| self.outbox[to].lock());
+        if let Some(ob) = &mut retained {
+            ob.clear();
+        }
+        self.stats
+            .chunks_sent
+            .fetch_add(n_chunks as u64, Ordering::Relaxed);
+        for idx in 0..n_chunks {
+            let lo = idx * CHUNK_PAYLOAD;
+            let body = &payload[lo..(lo + CHUNK_PAYLOAD).min(payload.len())];
+            let last = idx + 1 == n_chunks;
+            let frame = if self.lossless {
+                frame_chunk_unchecked(seq, idx as u32, last, body)
+            } else {
+                frame_chunk(seq, idx as u32, last, body)
+            };
+            if let Some(ob) = &mut retained {
+                ob.push(frame.clone());
+            }
+            self.transmit(to, round, seq, idx as u32, 0, frame);
+        }
     }
 
     /// Whether engines should pipeline reduce-sync (overlap serialization
@@ -1608,6 +1744,22 @@ impl<'a> HostCtx<'a> {
         Ok(out)
     }
 
+    /// Clears this host's exchange-protocol state — retained, delayed and
+    /// early frames, sequence numbers, the published round — and the
+    /// transport's in-flight state. Every recovery flavour runs this
+    /// between its stop gate and its heal gate, while no host is sending.
+    fn reset_protocol_state(&self) {
+        for h in 0..self.num_hosts {
+            self.outbox[h].lock().clear();
+            self.delayed[h].lock().clear();
+            self.early[h].lock().clear();
+            self.send_seq[h].store(0, Ordering::Relaxed);
+            self.recv_seq[h].store(0, Ordering::Relaxed);
+        }
+        self.round.store(0, Ordering::Relaxed);
+        self.transport.recover_reset();
+    }
+
     /// Realigns all live hosts after a recoverable failure and heals the
     /// transport: pending frames, delayed frames, retransmission flags, and
     /// sequence numbers are reset, and the failed barrier is restored.
@@ -1623,14 +1775,7 @@ impl<'a> HostCtx<'a> {
         self.transport.gate_align(&unbounded)?;
         // Phase 2: each host clears its own protocol state and tells the
         // transport to drop everything in flight; no host is sending.
-        for h in 0..self.num_hosts {
-            self.outbox[h].lock().clear();
-            self.delayed[h].lock().clear();
-            self.send_seq[h].store(0, Ordering::Relaxed);
-            self.recv_seq[h].store(0, Ordering::Relaxed);
-        }
-        self.round.store(0, Ordering::Relaxed);
-        self.transport.recover_reset();
+        self.reset_protocol_state();
         // Phase 3: wait for every host to finish resetting, then heal the
         // failure state so collectives work again.
         self.transport.gate_heal(&unbounded)
@@ -1727,14 +1872,7 @@ impl<'a> HostCtx<'a> {
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.membership_changes.fetch_add(1, Ordering::Relaxed);
         // Phase 2: clear this host's protocol state, like recover_align.
-        for h in 0..self.num_hosts {
-            self.outbox[h].lock().clear();
-            self.delayed[h].lock().clear();
-            self.send_seq[h].store(0, Ordering::Relaxed);
-            self.recv_seq[h].store(0, Ordering::Relaxed);
-        }
-        self.round.store(0, Ordering::Relaxed);
-        self.transport.recover_reset();
+        self.reset_protocol_state();
         // Phase 3: heal the failure state over the survivors.
         self.transport.shrink_heal(&unbounded)?;
         let departed = verdict
@@ -1797,14 +1935,7 @@ impl<'a> HostCtx<'a> {
             .fetch_add(verdict.joined.len() as u64, Ordering::Relaxed);
         // Clear protocol state exactly like a shrink: sequence numbers and
         // retained outboxes restart from zero on the new membership.
-        for h in 0..self.num_hosts {
-            self.outbox[h].lock().clear();
-            self.delayed[h].lock().clear();
-            self.send_seq[h].store(0, Ordering::Relaxed);
-            self.recv_seq[h].store(0, Ordering::Relaxed);
-        }
-        self.round.store(0, Ordering::Relaxed);
-        self.transport.recover_reset();
+        self.reset_protocol_state();
         self.transport.grow_heal(&Deadline::none())?;
         Ok(GrowOutcome {
             joined: verdict.joined,
@@ -2082,9 +2213,7 @@ struct TicketInner {
     result: Vec<Vec<u8>>,
     /// Which logical ranks have been posted (each at most once).
     posted: Vec<bool>,
-    /// Data chunks posted per logical rank — the terminator's index.
-    data_chunks: Vec<u32>,
-    /// When the first remote chunk hit the wire, for overlap accounting.
+    /// When the first remote payload hit the wire, for overlap accounting.
     first_post_nanos: Option<u64>,
 }
 
@@ -2095,9 +2224,10 @@ impl ExchangeTicket<'_, '_> {
     }
 
     /// Posts the payload destined for logical rank `to`: serializes it
-    /// into bounded chunk frames and hands them to the transport
-    /// immediately, so the bytes travel while the caller keeps computing.
-    /// Destinations not posted before finish send an empty payload.
+    /// into bounded chunk frames — the final one closing the stream — and
+    /// hands them to the transport immediately, so the bytes travel while
+    /// the caller keeps computing. Destinations not posted before finish
+    /// send an empty payload.
     /// Callable from worker-pool threads.
     ///
     /// # Panics
@@ -2122,41 +2252,15 @@ impl ExchangeTicket<'_, '_> {
                 return;
             }
         }
-        // Traffic stats count the logical payload once, not its chunks, so
-        // the fault-free volume stays comparable across chunk sizes.
+        ctx.send_stream(dest, self.round, &payload);
         if !payload.is_empty() {
+            // Traffic stats count the logical payload once, not its chunks,
+            // so the fault-free volume stays comparable across chunk sizes.
             ctx.stats.messages.fetch_add(1, Ordering::Relaxed);
             ctx.stats
                 .bytes
                 .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        }
-        let seq = ctx.send_seq[dest].load(Ordering::Relaxed);
-        let n_chunks = payload.len().div_ceil(CHUNK_PAYLOAD) as u32;
-        let mut frames = Vec::with_capacity(n_chunks as usize);
-        for idx in 0..n_chunks {
-            let lo = idx as usize * CHUNK_PAYLOAD;
-            let hi = (lo + CHUNK_PAYLOAD).min(payload.len());
-            frames.push(frame_chunk(seq, idx, false, &payload[lo..hi]));
-        }
-        {
-            // Retain for retransmission; the terminator is appended by
-            // finish.
-            let mut ob = ctx.outbox[dest].lock();
-            ob.clear();
-            ob.extend(frames.iter().cloned());
-        }
-        ctx.stats
-            .chunks_sent
-            .fetch_add(n_chunks as u64, Ordering::Relaxed);
-        for (idx, frame) in frames.into_iter().enumerate() {
-            ctx.transmit(dest, self.round, seq, idx as u32, 0, frame);
-        }
-        {
-            let mut inner = self.inner.lock();
-            inner.data_chunks[to] = n_chunks;
-            if n_chunks > 0 && inner.first_post_nanos.is_none() {
-                inner.first_post_nanos = Some(t);
-            }
+            self.inner.lock().first_post_nanos.get_or_insert(t);
         }
         ctx.add_comm_nanos(clock::now_nanos().saturating_sub(t));
     }
@@ -2365,18 +2469,176 @@ mod tests {
         for (before, s) in stats {
             assert_eq!(before, 0, "blocking exchange must not count overlap");
             assert!(s.overlap_nanos > 0, "split-phase exchange must count overlap");
-            // 2 exchanges x 1 remote dest x (1 data chunk + terminator).
-            assert_eq!(s.chunks_sent, 4);
+            // 2 exchanges x 1 remote dest x 1 chunk (LAST rides the data).
+            assert_eq!(s.chunks_sent, 2);
             assert_eq!(s.chunk_retransmits, 0);
         }
     }
 
+    // ----- lossless carriers -----------------------------------------------
+
+    /// A plan whose only fault addresses a round no test reaches: non-empty
+    /// (so the full protocol runs) yet never firing.
+    fn never_firing_plan() -> FaultPlan {
+        FaultPlan::new().drop_frame(0, 1, u64::MAX)
+    }
+
+    #[test]
+    fn lossless_is_derived_from_carrier_and_plan() {
+        let flag = |c: Cluster, plan: FaultPlan| c.run_with_faults(plan, |ctx| ctx.lossless);
+        assert_eq!(flag(Cluster::new(2), FaultPlan::new()), vec![true, true]);
+        assert_eq!(flag(Cluster::new(2), never_firing_plan()), vec![false, false]);
+        assert_eq!(flag(Cluster::new(2).tcp(), FaultPlan::new()), vec![false, false]);
+        assert_eq!(flag(Cluster::new(2).sim(1), FaultPlan::new()), vec![false, false]);
+    }
+
+    #[test]
+    fn lossless_exchange_matches_full_protocol() {
+        // The same exchange sequence — blocking, then split-phase, at every
+        // chunk-boundary size — with and without the integrity machinery.
+        const C: usize = crate::wire::CHUNK_PAYLOAD;
+        let sizes = [0, 1, C - 1, C, C + 1, 3 * C];
+        let run = |plan: FaultPlan| {
+            Cluster::new(3).run_with_faults(plan, move |ctx| {
+                let payload = |step: usize, to: usize| {
+                    let len = sizes[(step + to + ctx.host()) % sizes.len()];
+                    (0..len)
+                        .map(|i| (i * 31 + step * 7 + ctx.host() * 16 + to) as u8)
+                        .collect::<Vec<u8>>()
+                };
+                let mut seen = Vec::new();
+                for step in 0..sizes.len() {
+                    seen.push(ctx.exchange((0..3).map(|to| payload(step, to)).collect()));
+                    let ticket = ctx.exchange_start();
+                    for to in 0..3 {
+                        ticket.post(to, payload(step + 3, to));
+                    }
+                    seen.push(ctx.exchange_finish(ticket));
+                }
+                (seen, ctx.stats())
+            })
+        };
+        let lossless = run(FaultPlan::new());
+        let full = run(never_firing_plan());
+        for (l, f) in lossless.iter().zip(&full) {
+            assert_eq!(l.0, f.0, "lossless and full-protocol buffers differ");
+            // Same streams on the wire either way; only the checks differ.
+            assert_eq!(l.1.chunks_sent, f.1.chunks_sent);
+            assert_eq!((l.1.messages, l.1.bytes), (f.1.messages, f.1.bytes));
+            assert_eq!(l.1.retransmits + f.1.retransmits, 0);
+        }
+    }
+
+    #[test]
+    fn a_peer_running_one_exchange_ahead_is_stashed_not_lost() {
+        // Host 0 dawdles before every finish, so it is the last to reach
+        // the rendezvous and the first to leave it: its next exchange's
+        // frames land while host 1 is still waking up to drain this one.
+        // Barriers and all-reduces interleave so the stash also has to stay
+        // out of their way.
+        let ok = Cluster::new(2).run(|ctx| {
+            assert!(ctx.lossless);
+            let peer = 1 - ctx.host();
+            for i in 0..1000u64 {
+                let ticket = ctx.exchange_start();
+                ticket.post(peer, encode_slice(&[i, ctx.host() as u64]));
+                if ctx.host() == 0 {
+                    std::thread::sleep(Duration::from_micros(20));
+                }
+                let got = ctx.exchange_finish(ticket);
+                if decode_slice::<u64>(&got[peer]) != vec![i, peer as u64] {
+                    return false;
+                }
+                if i % 7 == 0 {
+                    ctx.barrier();
+                }
+                if i % 5 == 0 && ctx.all_reduce_u64(i, |a, b| a + b) != 2 * i {
+                    return false;
+                }
+            }
+            // Nothing lingers once both hosts are past the last exchange.
+            ctx.barrier();
+            ctx.early.iter().all(|e| e.lock().is_empty())
+        });
+        assert_eq!(ok, vec![true, true]);
+    }
+
+    #[test]
+    fn recovery_clears_the_early_frame_stash() {
+        // Attempt 0 ends with host 0 holding a frame of host 1's *next*
+        // exchange (planted, as if host 1 had run ahead before it crashed).
+        // Recovery restarts sequence numbers, so a stash that survived it
+        // would be mistaken for attempt 1's second exchange.
+        let res = Cluster::new(2).run(|ctx| {
+            let attempt = std::cell::Cell::new(0u64);
+            ctx.run_recovering(|ctx| {
+                let n = attempt.replace(attempt.get() + 1);
+                let round = |tag: u64| {
+                    let got = ctx.exchange(vec![encode_slice(&[n, tag]); 2]);
+                    decode_slice::<u64>(&got[1 - ctx.host()])
+                };
+                let first = round(1);
+                if n == 0 {
+                    if ctx.host() == 0 {
+                        let stale = frame_chunk_unchecked(1, 0, true, &encode_slice(&[0u64, 2]));
+                        ctx.early[1].lock().push(stale);
+                    } else {
+                        ctx.fail_with(CrashSignal::Injected { host: 1, round: 0 });
+                    }
+                }
+                (first, round(2), ctx.early.iter().all(|e| e.lock().is_empty()))
+            })
+        });
+        for r in res {
+            assert_eq!(r, (vec![1, 1], vec![1, 2], true));
+        }
+    }
+
+    #[test]
+    fn exchange_or_agrees_the_vote_for_the_price_of_the_all_reduce() {
+        let res = Cluster::new(3).run(|ctx| {
+            let payload = |to: usize| vec![(ctx.host() * 16 + to) as u8; to];
+            let t0 = ctx.stats().bytes;
+            let (bufs, any) = ctx.exchange_or((0..3).map(payload).collect(), ctx.host() == 2);
+            let t1 = ctx.stats().bytes;
+            // The two collectives it replaces, for the byte comparison.
+            let plain = ctx.exchange((0..3).map(payload).collect());
+            ctx.all_reduce_or(ctx.host() == 2);
+            let t2 = ctx.stats().bytes;
+            let (_, none) = ctx.exchange_or(vec![Vec::new(); 3], false);
+            (bufs == plain, any, none, t1 - t0, t2 - t1)
+        });
+        for (same, any, none, fused_bytes, split_bytes) in res {
+            assert!(same, "the vote byte must not leak into the buffers");
+            assert!(any && !none);
+            assert_eq!(fused_bytes, split_bytes);
+        }
+    }
+
+    #[test]
+    fn exchange_or_reports_a_missing_vote_as_protocol_error() {
+        let res = Cluster::new(2).run(|ctx| {
+            if ctx.host() == 0 {
+                ctx.try_exchange_or(vec![Vec::new(); 2], true).map(|_| ())
+            } else {
+                // A peer speaking plain exchange: no trailing vote byte.
+                ctx.try_exchange(vec![Vec::new(); 2]).map(|_| ())
+            }
+        });
+        match &res[0] {
+            Err(CommError::Protocol { detail }) => assert!(detail.contains("vote from host 1")),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(res[1], Ok(()));
+    }
+
     #[test]
     fn multi_chunk_payloads_survive_chunk_targeted_drops() {
-        // Drop the k-th chunk of a 3-chunk payload (plus its terminator on
-        // another link) and make sure reassembly re-requests exactly them.
-        let len = 2 * crate::wire::CHUNK_PAYLOAD + 100; // chunks 0,1,2 + term 3
-        let plan = FaultPlan::new().drop_chunk(0, 1, 0, 1).drop_chunk(1, 2, 0, 3);
+        // Drop a middle chunk of a 3-chunk payload (plus the final, LAST-
+        // carrying chunk on another link) and make sure reassembly
+        // re-requests them: the gap exactly, the unknown extent in full.
+        let len = 2 * crate::wire::CHUNK_PAYLOAD + 100; // chunks 0,1,2 (2 = LAST)
+        let plan = FaultPlan::new().drop_chunk(0, 1, 0, 1).drop_chunk(1, 2, 0, 2);
         let res = Cluster::new(3).run_with_faults(plan, move |ctx| {
             let outgoing = (0..3)
                 .map(|to| vec![(ctx.host() * 16 + to) as u8; len])
@@ -2390,9 +2652,9 @@ mod tests {
         assert!(res.iter().all(|r| r.0));
         let retx: u64 = res.iter().map(|r| r.1.chunk_retransmits).sum();
         assert!(retx >= 2, "both dropped chunks should be re-sent, got {retx}");
-        // The re-requests are chunk-precise: far fewer frames re-sent than
-        // the 4-frame streams they repair.
-        assert!(retx <= 6, "retransmission should not resend whole streams");
+        // One frame for the gap, the 3-frame stream whose end was lost: far
+        // fewer than the 18 frames the exchange carried.
+        assert!(retx <= 6, "retransmission should not resend every stream");
     }
 
     // ----- fault tolerance ------------------------------------------------

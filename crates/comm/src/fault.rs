@@ -65,7 +65,8 @@ pub struct Fault {
     pub round: Option<u64>,
     /// Chunk index within the exchange payload to fire on; `None` matches
     /// any chunk. Lets plans target a specific chunk boundary (e.g. drop
-    /// only the k-th chunk of a large payload, or the stream terminator).
+    /// only the k-th chunk of a large payload, or its final, stream-closing
+    /// chunk).
     pub chunk: Option<u32>,
     /// How many times the fault fires before it is spent.
     pub times: u32,
@@ -322,6 +323,12 @@ impl FaultState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         let fired = plan.faults.iter().map(|_| AtomicU32::new(0)).collect();
         FaultState { plan, fired }
+    }
+
+    /// True if the plan schedules nothing at all: no fault, no background
+    /// rate and no latent joiner.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.plan.is_empty() && self.plan.joins.is_empty()
     }
 
     /// The plan's declared join delay for `host` (see

@@ -750,6 +750,12 @@ impl Transport for InProcTransport {
         self.fabric.hosts
     }
 
+    fn lossless(&self) -> bool {
+        // A mailbox push under a mutex: nothing between `send` and `drain`
+        // can drop, reorder or alter a frame.
+        true
+    }
+
     fn send(&self, to: usize, frame: Vec<u8>) {
         self.fabric.mailboxes[to][self.host].lock().push(frame);
     }

@@ -215,8 +215,8 @@ impl TransportConfig {
 ///
 /// With chunked payloads the retransmit granularity is per chunk: a
 /// receiver that knows exactly which chunk indices it is missing asks for
-/// just those, and a receiver that has not yet seen the stream terminator
-/// (so cannot know the full extent) asks for everything.
+/// just those, and a receiver that has not yet seen the stream's final
+/// chunk (so cannot know the full extent) asks for everything.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RetxRequest {
     /// Re-send every retained chunk of the current exchange.
@@ -278,6 +278,17 @@ pub trait Transport: Sync {
 
     /// Number of hosts in the mesh.
     fn num_hosts(&self) -> usize;
+
+    /// Whether this carrier delivers every frame handed to
+    /// [`Transport::send`] intact, in order, and visible to the receiver's
+    /// [`Transport::drain`] once both hosts have passed a
+    /// [`Transport::barrier`] the send preceded. The exchange protocol
+    /// drops its integrity machinery (CRC, retained outbox, the
+    /// loss-agreement rendezvous) on such a carrier when no fault plan is
+    /// installed. Default: `false` — a carrier must opt in.
+    fn lossless(&self) -> bool {
+        false
+    }
 
     /// Queues one raw frame for delivery to `to`. Best-effort: loss is
     /// detected (and repaired) by the generic retransmission layer, and

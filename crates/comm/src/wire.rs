@@ -305,15 +305,16 @@ pub const CHUNK_PAYLOAD: usize = 16 * 1024;
 pub const CHUNK_FLAG_LAST: u32 = 1;
 
 /// A parsed chunk frame: which exchange it belongs to (`seq`), its index
-/// within that exchange's stream to one destination, and whether it is the
-/// stream terminator.
+/// within that exchange's stream to one destination, and whether it closes
+/// the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkHeader {
     /// Exchange sequence number (shared by every chunk of one exchange).
     pub seq: u64,
     /// Zero-based chunk index within the per-destination stream.
     pub chunk: u32,
-    /// True for the stream-terminating chunk (highest index).
+    /// True for the stream's final chunk (highest index): the last data
+    /// chunk, or a header-only frame when the payload is empty.
     pub last: bool,
 }
 
@@ -321,22 +322,51 @@ pub struct ChunkHeader {
 /// exchange sequence number, chunk index, flags, payload length, and a
 /// CRC32 over everything except the CRC field.
 pub fn frame_chunk(seq: u64, chunk: u32, last: bool, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CHUNK_HEADER + payload.len());
-    FRAME_MAGIC.write(&mut buf);
-    CHUNK_VERSION.write(&mut buf);
-    seq.write(&mut buf);
-    chunk.write(&mut buf);
-    (if last { CHUNK_FLAG_LAST } else { 0 }).write(&mut buf);
-    (payload.len() as u32).write(&mut buf);
+    let mut buf = chunk_header(seq, chunk, last, payload.len());
     let crc = !crc32_update(crc32_update(!0, &buf), payload);
     crc.write(&mut buf);
     buf.extend_from_slice(payload);
     buf
 }
 
+/// [`frame_chunk`] for a carrier that can neither lose nor corrupt frames:
+/// the same layout with the CRC field left zero, so framing costs one copy
+/// and no checksum pass. Only [`parse_chunk_unchecked`] accepts the result.
+pub fn frame_chunk_unchecked(seq: u64, chunk: u32, last: bool, payload: &[u8]) -> Vec<u8> {
+    let mut buf = chunk_header(seq, chunk, last, payload.len());
+    0u32.write(&mut buf);
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// The chunk header up to (not including) the CRC field, in a buffer sized
+/// for the whole frame.
+fn chunk_header(seq: u64, chunk: u32, last: bool, len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(CHUNK_HEADER + len);
+    FRAME_MAGIC.write(&mut buf);
+    CHUNK_VERSION.write(&mut buf);
+    seq.write(&mut buf);
+    chunk.write(&mut buf);
+    (if last { CHUNK_FLAG_LAST } else { 0 }).write(&mut buf);
+    (len as u32).write(&mut buf);
+    buf
+}
+
 /// Validates a frame produced by [`frame_chunk`], returning its header and
 /// payload.
 pub fn parse_chunk(frame: &[u8]) -> Result<(ChunkHeader, &[u8]), FrameError> {
+    let (header, payload) = parse_chunk_unchecked(frame)?;
+    let stored = u32::read(&frame[24..]);
+    let computed = !crc32_update(crc32_update(!0, &frame[..24]), payload);
+    if stored != computed {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok((header, payload))
+}
+
+/// Reads a chunk frame's header and payload, checking magic, version and
+/// length but not the CRC: the receive half of [`frame_chunk_unchecked`].
+pub fn parse_chunk_unchecked(frame: &[u8]) -> Result<(ChunkHeader, &[u8]), FrameError> {
     if frame.len() < CHUNK_HEADER {
         return Err(FrameError::Truncated);
     }
@@ -349,14 +379,6 @@ pub fn parse_chunk(frame: &[u8]) -> Result<(ChunkHeader, &[u8]), FrameError> {
     let len = u32::read(&frame[20..]) as usize;
     if frame.len().checked_sub(CHUNK_HEADER) != Some(len) {
         return Err(FrameError::LengthMismatch);
-    }
-    let stored = u32::read(&frame[24..]);
-    let computed = !crc32_update(
-        crc32_update(!0, &frame[..24]),
-        &frame[CHUNK_HEADER..],
-    );
-    if stored != computed {
-        return Err(FrameError::ChecksumMismatch);
     }
     Ok((
         ChunkHeader {
@@ -488,6 +510,28 @@ mod tests {
         let (h, body) = parse_chunk(&term).unwrap();
         assert_eq!(h, ChunkHeader { seq: 9, chunk: 4, last: true });
         assert!(body.is_empty());
+    }
+
+    #[test]
+    fn unchecked_chunks_skip_only_the_crc() {
+        let frame = frame_chunk_unchecked(9, 3, true, b"tail chunk");
+        assert_eq!(frame.len(), CHUNK_HEADER + 10);
+        let (h, body) = parse_chunk_unchecked(&frame).unwrap();
+        assert_eq!(h, ChunkHeader { seq: 9, chunk: 3, last: true });
+        assert_eq!(body, b"tail chunk");
+        // The checked parser refuses the zeroed CRC field; the unchecked
+        // parser reads a checked frame and still validates shape.
+        assert_eq!(parse_chunk(&frame), Err(FrameError::ChecksumMismatch));
+        let checked = frame_chunk(9, 3, true, b"tail chunk");
+        assert_eq!(parse_chunk_unchecked(&checked).unwrap(), (h, body));
+        assert_eq!(parse_chunk_unchecked(&frame[..10]), Err(FrameError::Truncated));
+        assert_eq!(
+            parse_chunk_unchecked(&frame[..frame.len() - 1]),
+            Err(FrameError::LengthMismatch)
+        );
+        let mut bad = frame;
+        bad[0] ^= 0xFF;
+        assert_eq!(parse_chunk_unchecked(&bad), Err(FrameError::BadMagic));
     }
 
     #[test]

@@ -666,20 +666,29 @@ impl<'g> Engine<'g> {
 
         let t = clock::now_nanos();
         ctx.set_deadline(Deadline::maybe("reduce_sync", timeout));
-        for m in &l.reduce_maps {
-            self.maps[*m].reduce_sync(ctx);
-        }
-        for m in &l.broadcast_maps {
-            self.maps[*m].broadcast_sync(ctx);
-        }
-        ctx.add_phase_nanos(SyncPhase::ReduceSync, clock::now_nanos().saturating_sub(t));
-
-        ctx.set_deadline(Deadline::maybe("quiesce", timeout));
-        let done = !repeat || !self.maps[l.quiesce_map].is_updated(ctx);
+        // When the whole tail concerns the quiescence map alone (every
+        // adjacent-vertex loop), its reduce, broadcast and quiescence check
+        // go through the map's fused entry point.
+        let q = l.quiesce_map;
+        let updated = if repeat && l.reduce_maps == [q] && l.broadcast_maps == [q] {
+            let updated = self.maps[q].sync_round(ctx);
+            ctx.add_phase_nanos(SyncPhase::ReduceSync, clock::now_nanos().saturating_sub(t));
+            updated
+        } else {
+            for m in &l.reduce_maps {
+                self.maps[*m].reduce_sync(ctx);
+            }
+            for m in &l.broadcast_maps {
+                self.maps[*m].broadcast_sync(ctx);
+            }
+            ctx.add_phase_nanos(SyncPhase::ReduceSync, clock::now_nanos().saturating_sub(t));
+            ctx.set_deadline(Deadline::maybe("quiesce", timeout));
+            repeat && self.maps[q].is_updated(ctx)
+        };
         // The loop may be followed by non-engine collectives (stats
         // gathers, result merges) that should not inherit a stale bound.
         ctx.set_deadline(Deadline::none());
-        done
+        !updated
     }
 
     /// Builds the active set for one round of `l` from the changed-key

@@ -64,10 +64,12 @@ pub fn chunk_drop(seed: u64, hosts: usize) -> Option<(usize, usize, u64, u32)> {
         let from = (splitmix(&mut z) as usize) % hosts;
         let to = (from + 1 + (splitmix(&mut z) as usize) % (hosts - 1)) % hosts;
         let round = 1 + splitmix(&mut z) % 3;
-        // Low indices hit both the first data chunk and the stream's
-        // terminator chunk on small payloads; an index past the stream
-        // end is a harmless no-op, preserving plan determinism.
-        let chunk = (splitmix(&mut z) % 4) as u32;
+        // Index 0 is a small payload's only chunk (data and LAST flag in
+        // one frame, so the receiver must re-request the whole stream);
+        // index 1 is a gap or a lost stream end in a multi-chunk payload.
+        // An index past the stream end is a harmless no-op, preserving
+        // plan determinism.
+        let chunk = (splitmix(&mut z) % 2) as u32;
         Some((from, to, round, chunk))
     } else {
         None
@@ -326,7 +328,7 @@ mod tests {
             if let Some((from, to, round, chunk)) = chunk_drop(seed, 4) {
                 assert!(from < 4 && to < 4 && from != to);
                 assert!((1..=3).contains(&round));
-                assert!(chunk < 4);
+                assert!(chunk < 2);
             }
         }
         assert_eq!(chunk_drop(7, 1), None, "no peers, no chunk faults");

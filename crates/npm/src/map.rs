@@ -135,8 +135,8 @@ pub enum ChangedKeys<'a> {
 ///
 /// `read`/`reduce`/`set` are the developer API; the remaining methods are
 /// the low-level API driven by compiler-generated code. All `*_sync`
-/// methods, `pin_mirrors`, and `is_updated` are **collectives**: every host
-/// must call them in the same order.
+/// methods, `sync_round`, `pin_mirrors`, and `is_updated` are
+/// **collectives**: every host must call them in the same order.
 pub trait NodePropMap<T: PropValue>: Send + Sync {
     /// Initializes every master property via `f(global_id)` (the paper's
     /// `Set` loop, e.g. `parent_npm.Set(node, node)` in Fig. 4).
@@ -212,6 +212,16 @@ pub trait NodePropMap<T: PropValue>: Send + Sync {
     /// Collective: `true` if any host's canonical value changed in the last
     /// `reduce_sync` — the quiescence condition of `KimbapWhile`.
     fn is_updated(&self, ctx: &HostCtx) -> bool;
+
+    /// Collective: the tail of one BSP round — `reduce_sync`, then
+    /// `broadcast_sync`, then `is_updated` — returning the agreed
+    /// quiescence flag. Map state and result are exactly those of the three
+    /// calls; an implementation may spend fewer collectives on them.
+    fn sync_round(&mut self, ctx: &HostCtx) -> bool {
+        self.reduce_sync(ctx);
+        self.broadcast_sync(ctx);
+        self.is_updated(ctx)
+    }
 }
 
 /// A copy of a map's canonical (master) state, taken by [`Npm::snapshot`]
@@ -1126,6 +1136,68 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         }
     }
 
+    /// The GAR broadcast over pinned mirrors: one exchange pushing master
+    /// values to the hosts that mirror them. With a `vote`, the same
+    /// exchange carries every host's bit and the agreed OR is returned
+    /// (without one the result is `false`).
+    fn broadcast_pinned(&mut self, ctx: &HostCtx, vote: Option<bool>) -> bool {
+        let all = self.broadcast_all;
+        self.broadcast_all = false;
+        let outgoing: Vec<Vec<u8>> = if self.mirror_sync == MirrorSync::ResetToIdentity && !all {
+            // Structural-invariant elision: push-style programs under an
+            // outgoing edge-cut never semantically read mirror values, so
+            // reinitialize them locally instead of communicating. (The
+            // initial materialization after pin_mirrors still broadcasts
+            // so that the very first reads are exact.) The local
+            // reinitialization is an untracked mirror mutation.
+            self.delta_tracked = false;
+            self.mirror_vals.fill(self.op.identity());
+            // Peers may still be broadcasting to us this round; stay in the
+            // collective but send nothing.
+            vec![Vec::new(); self.num_hosts]
+        } else {
+            // One-way push of master values to mirror hosts. The temporal
+            // invariant (partitions don't change) lets us send only values
+            // updated by the last reduce_sync — except right after pinning,
+            // when mirrors hold no values yet.
+            let updated = match &self.canonical {
+                Canonical::Dense { updated, .. } => updated,
+                Canonical::Sharded { .. } => unreachable!("GAR is dense"),
+            };
+            (0..self.num_hosts)
+                .map(|peer| {
+                    let mut buf = Vec::new();
+                    if peer != self.host {
+                        for &g in self.dg.mirrors_on_peer(peer) {
+                            if all || updated.get(self.key_own.master_offset(g)) {
+                                (g, self.canonical_get(g)).write(&mut buf);
+                            }
+                        }
+                    }
+                    buf
+                })
+                .collect()
+        };
+        let (received, any) = match vote {
+            Some(v) => ctx.exchange_or(outgoing, v),
+            None => (ctx.exchange(outgoing), false),
+        };
+        for (from, buf) in received.iter().enumerate() {
+            // A peer buffer that is not whole pairs is a protocol
+            // violation to escalate, not an assertion to trip.
+            if buf.len() % <(NodeId, T)>::SIZE != 0 {
+                ctx.protocol_violation(format!(
+                    "broadcast from host {from}: {} bytes is not whole (key, value) pairs",
+                    buf.len()
+                ));
+            }
+            for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
+                self.mirror_store(k, v);
+            }
+        }
+        any
+    }
+
     /// Stores a broadcast value into the mirror table if `key`'s mirror is
     /// materialized (GAR receive path), recording actual changes in the
     /// remote delta.
@@ -1421,60 +1493,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             self.broadcast_all = false;
             return;
         }
-        if !self.pinned {
-            return;
-        }
-
-        // Structural-invariant elision: push-style programs under an
-        // outgoing edge-cut never semantically read mirror values, so
-        // reinitialize them locally instead of communicating. (The initial
-        // materialization after pin_mirrors still broadcasts so that the
-        // very first reads are exact.)
-        if self.mirror_sync == MirrorSync::ResetToIdentity && !self.broadcast_all {
-            // The local reinitialization is an untracked mirror mutation.
-            self.delta_tracked = false;
-            self.mirror_vals.fill(self.op.identity());
-            // Peers may still be broadcasting to us this round; stay in the
-            // collective but send nothing.
-            let received = ctx.exchange(vec![Vec::new(); self.num_hosts]);
-            for buf in &received {
-                for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                    self.mirror_store(k, v);
-                }
-            }
-            return;
-        }
-
-        // GAR: one-way push of master values to mirror hosts. The temporal
-        // invariant (partitions don't change) lets us send only values
-        // updated by the last reduce_sync — except right after pinning,
-        // when mirrors hold no values yet.
-        let all = self.broadcast_all;
-        self.broadcast_all = false;
-        let outgoing: Vec<Vec<u8>> = (0..self.num_hosts)
-            .map(|peer| {
-                if peer == self.host {
-                    return Vec::new();
-                }
-                let mut buf = Vec::new();
-                let updated = match &self.canonical {
-                    Canonical::Dense { updated, .. } => updated,
-                    Canonical::Sharded { .. } => unreachable!("GAR is dense"),
-                };
-                for &g in self.dg.mirrors_on_peer(peer) {
-                    let off = self.key_own.master_offset(g);
-                    if all || updated.get(off) {
-                        (g, self.canonical_get(g)).write(&mut buf);
-                    }
-                }
-                buf
-            })
-            .collect();
-        let received = ctx.exchange(outgoing);
-        for buf in &received {
-            for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                self.mirror_store(k, v);
-            }
+        if self.pinned {
+            self.broadcast_pinned(ctx, None);
         }
     }
 
@@ -1560,6 +1580,18 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
 
     fn is_updated(&self, ctx: &HostCtx) -> bool {
         ctx.all_reduce_or(self.updated.load(Ordering::Relaxed))
+    }
+
+    fn sync_round(&mut self, ctx: &HostCtx) -> bool {
+        self.reduce_sync(ctx);
+        if self.variant.partition_aware() && self.pinned {
+            // The broadcast is one exchange among all hosts: let it carry
+            // the quiescence bits too.
+            self.broadcast_pinned(ctx, Some(self.updated.load(Ordering::Relaxed)))
+        } else {
+            self.broadcast_sync(ctx);
+            self.is_updated(ctx)
+        }
     }
 }
 
@@ -1696,6 +1728,97 @@ mod tests {
             });
             assert!(out.iter().all(|&b| b), "variant {variant:?} failed");
         }
+    }
+
+    /// A few label-propagation-like rounds over pinned mirrors, with the
+    /// round tail fused or spelled out; returns the per-round agreed flags,
+    /// every readable value at the end, and the chunk frames sent per round.
+    fn lp_rounds(
+        variant: Variant,
+        mirror_sync: MirrorSync,
+        fused: bool,
+    ) -> Vec<(Vec<bool>, Vec<u64>, Vec<u64>)> {
+        with_cluster(2, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
+            let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+            npm.set_mirror_sync(mirror_sync);
+            npm.init_masters(&|g| g as u64 + 100);
+            npm.pin_mirrors(ctx);
+            let (mut flags, mut chunks) = (Vec::new(), Vec::new());
+            // Rounds 0-2 lower some labels (round 1 only on host 0's side),
+            // round 3 changes nothing: the flag must turn false everywhere.
+            for round in 0..4u64 {
+                npm.reset_updated();
+                if round < 3 && (round != 1 || ctx.host() == 0) {
+                    for key in [3u32, 20, 33] {
+                        npm.reduce(0, key, 50 - 2 * round - ctx.host() as u64);
+                    }
+                }
+                let before = ctx.stats().chunks_sent;
+                flags.push(if fused {
+                    npm.sync_round(ctx)
+                } else {
+                    npm.reduce_sync(ctx);
+                    npm.broadcast_sync(ctx);
+                    npm.is_updated(ctx)
+                });
+                chunks.push(ctx.stats().chunks_sent - before);
+            }
+            let readable = (0..dg.num_local_nodes() as u32)
+                .map(|l| npm.read(dg.local_to_global(l)))
+                .collect();
+            (flags, readable, chunks)
+        })
+    }
+
+    #[test]
+    fn sync_round_equals_the_three_call_tail() {
+        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+            for mirror_sync in [MirrorSync::Broadcast, MirrorSync::ResetToIdentity] {
+                let fused = lp_rounds(variant, mirror_sync, true);
+                let split = lp_rounds(variant, mirror_sync, false);
+                for (f, s) in fused.iter().zip(&split) {
+                    assert_eq!(f.0, s.0, "{variant} {mirror_sync:?}: agreed flags differ");
+                    assert_eq!(f.1, s.1, "{variant} {mirror_sync:?}: readable values differ");
+                    assert_eq!(f.0, vec![true, true, true, false]);
+                }
+                assert_eq!(fused[0].0, fused[1].0, "hosts disagree on the flag");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_round_on_pinned_gar_hosts_is_two_exchanges() {
+        // On two hosts every exchange is one chunk frame per host (payloads
+        // here are far below a chunk), so frames sent count exchanges.
+        for (fused, per_round) in [(true, 2), (false, 3)] {
+            for host in lp_rounds(Variant::SgrCfGar, MirrorSync::Broadcast, fused) {
+                assert_eq!(host.2, vec![per_round; 4], "fused={fused}");
+            }
+        }
+    }
+
+    #[test]
+    fn misaligned_broadcast_buffer_is_a_protocol_violation() {
+        let g = gen::grid_road(6, 6, 3);
+        let parts = partition(&g, Policy::EdgeCutBlocked, 2);
+        let res = Cluster::new(2).try_run(|ctx| {
+            let mut npm: Npm<u64, Min> = Npm::new(&parts[ctx.host()], ctx, Min);
+            npm.init_masters(&|g| g as u64);
+            npm.pin_mirrors(ctx);
+            if ctx.host() == 0 {
+                npm.broadcast_sync(ctx);
+            } else {
+                // A peer that sends 5 bytes where (u32, u64) pairs belong
+                // (and may then see host 0 fail, or not: it is not judged).
+                let _ = ctx.try_exchange(vec![vec![0xAB; 5]; 2]);
+            }
+        });
+        let err = res[0].as_ref().unwrap_err();
+        assert!(
+            err.message.contains("protocol violation") && err.message.contains("5 bytes"),
+            "host 0 reported: {}",
+            err.message
+        );
     }
 
     #[test]

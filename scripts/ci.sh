@@ -2,7 +2,8 @@
 # Tier-1 CI gate: build, full test suite, lints, the fixed-seed
 # fault-injection matrix (3 plans x 4 algorithms on the simulation
 # backend; see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke),
-# and a seed-replayable simulation fuzz smoke.
+# seed-replayable simulation fuzz smokes, and the benchmark package's own
+# tests and smoke run (benchmark/run.sh is the performance gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,5 +132,11 @@ awk -v r="$ratio" 'BEGIN { exit !(r != "" && r >= 2.5) }' \
 
 echo "==> bench harness smoke (tiny graph, JSON records)"
 scripts/bench.sh --smoke
+
+echo "==> benchmark package (BENCHMARK.json gate) builds, tests and smokes against this tree"
+# benchmark/ is a package of its own with path deps on crates/*: a product
+# API change that breaks it must fail here, not at the bench gate.
+cargo test -q --manifest-path benchmark/Cargo.toml --offline
+benchmark/run.sh --smoke
 
 echo "==> CI green"
