@@ -210,6 +210,9 @@ struct Parser {
     vars: HashMap<String, usize>,
     num_vars: usize,
     name: String,
+    /// Inside a `for edges` block: `dst` and `weight` mean something, and
+    /// another `for edges` does not.
+    in_edges: bool,
 }
 
 impl Parser {
@@ -359,6 +362,9 @@ impl Parser {
             let name = self.ident()?;
             let map = self.map_id(&name)?;
             self.expect_sym("=")?;
+            // An initializer sees the node and constants only: no
+            // operator's variables are in scope here.
+            self.vars.clear();
             let value = self.parse_expr()?;
             self.expect_sym(";")?;
             return Ok(TopStmt::InitMap { map, value });
@@ -469,9 +475,15 @@ impl Parser {
             return Ok(Stmt::If { cond, then });
         }
         if self.eat_kw("for") {
+            if self.in_edges {
+                self.lx.pos -= 1;
+                return self.err("'for edges' cannot be nested in another 'for edges'");
+            }
             self.expect_kw("edges")?;
-            let body = self.parse_block()?;
-            return Ok(Stmt::ForEdges { body });
+            self.in_edges = true;
+            let body = self.parse_block();
+            self.in_edges = false;
+            return Ok(Stmt::ForEdges { body: body? });
         }
         // `name[key] <- value;` (map reduce) or `name += value;` (scalar).
         let name = self.ident()?;
@@ -543,6 +555,10 @@ impl Parser {
             Some(Tok::Num(n)) => Ok(Expr::Const(n)),
             Some(Tok::Ident(s)) => match s.as_str() {
                 "node" => Ok(Expr::Node),
+                "dst" | "weight" if !self.in_edges => {
+                    self.lx.pos -= 1;
+                    self.err(format!("'{s}' is only defined inside 'for edges'"))
+                }
                 "dst" => Ok(Expr::EdgeDst),
                 "weight" => Ok(Expr::EdgeWeight),
                 "min" => {
@@ -575,7 +591,10 @@ impl Parser {
 /// # Errors
 ///
 /// Returns a [`ParseError`] with position information on malformed input,
-/// unknown maps/reducers/variables, or invalid reduction names.
+/// unknown maps/reducers/variables, invalid reduction names, `dst` or
+/// `weight` outside a `for edges` block (map initializers included), and a
+/// `for edges` nested in another — the shapes [`crate::lower`] would
+/// otherwise panic on inside [`crate::compile`].
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let lx = lex(src)?;
     let mut p = Parser {
@@ -586,6 +605,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         vars: HashMap::new(),
         num_vars: 0,
         name: String::new(),
+        in_edges: false,
     };
     p.parse_program()
 }
@@ -712,6 +732,57 @@ mod tests {
         let err =
             parse("program x { map m : min; parfor { m[node] <- ghost; } }").unwrap_err();
         assert!(err.message.contains("unknown variable"), "{err}");
+    }
+
+    #[test]
+    fn dst_and_weight_outside_an_edge_loop_are_errors() {
+        let err = parse(
+            "program x {\n  map m : min;\n  parfor {\n    m[node] <- dst;\n  }\n}",
+        )
+        .unwrap_err();
+        assert_eq!((err.line, err.col), (4, 16), "{err}");
+        assert!(err.message.contains("'dst' is only defined inside 'for edges'"), "{err}");
+        // After the loop closes they are undefined again, and a map
+        // initializer never sees an edge.
+        let err = parse(
+            "program x { map m : sum; parfor { for edges { m[dst] <- weight; } m[node] <- weight; } }",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("'weight' is only defined"), "{err}");
+        let err = parse("program x { map m : min; init m = dst; }").unwrap_err();
+        assert!(err.message.contains("'dst' is only defined"), "{err}");
+    }
+
+    #[test]
+    fn nested_edge_loops_are_an_error() {
+        let err = parse(
+            "program x {\n map m : min;\n parfor {\n  for edges {\n   for edges { m[dst] <- 1; }\n  }\n }\n}",
+        )
+        .unwrap_err();
+        assert_eq!((err.line, err.col), (5, 4), "{err}");
+        assert!(err.message.contains("cannot be nested"), "{err}");
+        // Two loops side by side are fine.
+        parse("program x { map m : min; parfor { for edges { m[dst] <- 1; } for edges { m[node] <- 2; } } }")
+            .unwrap();
+    }
+
+    #[test]
+    fn initializers_do_not_see_operator_variables() {
+        let err = parse(
+            "program x { map m : min; parfor { let a = m[node]; m[node] <- a; } init m = a; }",
+        )
+        .unwrap_err();
+        assert!(err.message.contains("unknown variable 'a'"), "{err}");
+    }
+
+    #[test]
+    fn whatever_parses_also_compiles() {
+        for src in [CC_SV_SOURCE, CC_SCLP_SOURCE] {
+            let program = parse(src).unwrap();
+            for opt in [crate::OptLevel::Full, crate::OptLevel::None] {
+                crate::compile(&program, opt);
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! The underlying control-flow machinery (statement-level CFG, dominator
 //! and post-dominator trees, §2.3) lives in [`mod@cfg`] and [`dom`];
 //! [`classify`] reproduces Table 2's adjacent/trans-vertex classification;
-//! [`programs`] contains the paper's applications in IR form. The compiled
-//! plans execute on the `kimbap` crate's engine.
+//! [`programs`] contains the paper's applications in IR form. Every
+//! operator body is finally lowered to flat register code ([`lower`]),
+//! which is what the `kimbap` crate's engine executes.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@ pub mod dom;
 pub mod domain;
 pub mod frontend;
 pub mod ir;
+pub mod lower;
 pub mod programs;
 pub mod transform;
 

@@ -31,6 +31,7 @@
 use crate::classify::{classify_map_reads, ReadDep};
 use crate::domain::ValueDomain;
 use crate::ir::{Expr, KimbapWhile, MapDecl, MapId, NodeIterator, Program, Stmt, TopStmt, Var};
+use crate::lower::{lower, lower_value, Code};
 use kimbap_npm::DynReduceOp;
 use std::collections::{HashMap, HashSet};
 
@@ -51,6 +52,8 @@ pub enum OptLevel {
 pub struct RequestPhase {
     /// The sliced ParFor body.
     pub body: Vec<Stmt>,
+    /// `body` lowered to register code — what the engine executes.
+    pub code: Code,
     /// Maps to `RequestSync()` after the ParFor.
     pub sync_maps: Vec<MapId>,
 }
@@ -80,6 +83,8 @@ pub struct CompiledLoop {
     pub request_phases: Vec<RequestPhase>,
     /// The reduce-compute operator body.
     pub body: Vec<Stmt>,
+    /// `body` lowered to register code — what the engine executes.
+    pub code: Code,
     /// Maps to `ReduceSync()` after the body.
     pub reduce_maps: Vec<MapId>,
     /// Maps to `BroadcastSync()` after reduce-sync (pinned ∩ reduced).
@@ -97,6 +102,9 @@ pub enum CompiledTop {
         map: MapId,
         /// Value per node.
         value: Expr,
+        /// `value` lowered to register code (see
+        /// [`crate::lower::lower_value`]).
+        code: Code,
     },
     /// Reset a map to its identity (per-round scratch maps).
     ResetMap {
@@ -145,6 +153,14 @@ pub struct CompiledProgram {
 }
 
 /// Compiles a program (see the [module docs](self) for the pipeline).
+///
+/// # Panics
+///
+/// Panics on IR no front end produces: an operator that uses
+/// [`Expr::EdgeDst`] or [`Expr::EdgeWeight`] outside a `ForEdges` or nests
+/// one `ForEdges` in another, or a map initializer that mentions an edge
+/// or a variable (see [`crate::lower`]). [`crate::frontend::parse`]
+/// reports all of these as [`crate::frontend::ParseError`]s.
 pub fn compile(p: &Program, opt: OptLevel) -> CompiledProgram {
     CompiledProgram {
         name: p.name,
@@ -163,6 +179,7 @@ fn compile_tops(tops: &[TopStmt], maps: &[MapDecl], opt: OptLevel) -> Vec<Compil
             TopStmt::InitMap { map, value } => CompiledTop::InitMap {
                 map: *map,
                 value: value.clone(),
+                code: lower_value(value),
             },
             TopStmt::SetScalar { reducer, value } => CompiledTop::SetScalar {
                 reducer: *reducer,
@@ -512,7 +529,12 @@ fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel) -> CompiledLo
             let body = slice_requests(&w.body, level, &facts, &skip);
             let sync_maps = requested_maps(&body);
             if !sync_maps.is_empty() {
-                request_phases.push(RequestPhase { body, sync_maps });
+                let code = lower(&body);
+                request_phases.push(RequestPhase {
+                    body,
+                    code,
+                    sync_maps,
+                });
             }
         }
     }
@@ -539,6 +561,7 @@ fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel) -> CompiledLo
         pinned_maps,
         request_phases,
         body: w.body.clone(),
+        code: lower(&w.body),
         reduce_maps: facts.reduced_maps.clone(),
         broadcast_maps,
         sparse,

@@ -630,6 +630,51 @@ mod tests {
     }
 
     #[test]
+    fn local_ids_are_master_offsets_then_mirror_slots() {
+        // What the node-property map's local-id accessors and the engine's
+        // frontier build index by: a master's local id is its offset in
+        // the ownership's dense master range, and mirror slot `s` is local
+        // id `num_masters + s` — under blocked and hashed ownership, hub
+        // splitting included.
+        let g = gen::rmat(7, 4, 6);
+        let mut partitions = Vec::new();
+        for policy in [
+            Policy::EdgeCutBlocked,
+            Policy::EdgeCutHashed,
+            Policy::CartesianVertexCut,
+        ] {
+            for hosts in [1, 3, 4] {
+                partitions.push(partition(&g, policy, hosts));
+            }
+        }
+        partitions.push(partition_cfg(
+            &g,
+            &PartitionCfg {
+                hub_degree_threshold: Some(8),
+                compressed: true,
+                ..PartitionCfg::new(Policy::EdgeCutHashed, 3)
+            },
+        ));
+        for parts in &partitions {
+            for p in parts {
+                let own = p.ownership();
+                assert_eq!(p.num_masters(), own.num_masters(p.host()));
+                for l in p.master_nodes() {
+                    let gid = p.local_to_global(l);
+                    assert_eq!(gid, own.master_at(p.host(), l as usize));
+                    assert_eq!(own.master_offset(gid), l as usize);
+                    assert_eq!(p.mirror_slot(gid), None);
+                }
+                for s in 0..p.num_mirrors() as u32 {
+                    let gid = p.local_to_global(p.num_masters() as LocalId + s);
+                    assert_eq!(p.mirror_slot(gid), Some(s));
+                    assert_ne!(own.owner(gid), p.host());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn iec_mirrors_have_no_in_edges() {
         let g = gen::rmat(7, 4, 4);
         for p in partition(&g, Policy::EdgeCutIncoming, 4) {

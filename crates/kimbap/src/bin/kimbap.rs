@@ -1418,10 +1418,34 @@ fn cmd_compile(args: &[String]) -> CliResult {
     );
     let plan = compile(&prog, opt);
     println!("compiled at {opt:?}: {} top-level steps", plan.body.len());
-    for (i, top) in plan.body.iter().enumerate() {
-        println!("  [{i}] {}", describe(top));
-    }
+    list_steps(&plan.body, 1);
     Ok(())
+}
+
+/// Prints one line per step, nested steps and each operator's lowered
+/// register code (what the engine executes) indented beneath it.
+fn list_steps(steps: &[kimbap_compiler::transform::CompiledTop], depth: usize) {
+    use kimbap_compiler::transform::CompiledTop as T;
+    let pad = "  ".repeat(depth);
+    let code = |title: &str, code: &kimbap_compiler::lower::Code| {
+        println!("{pad}    {title}:");
+        for line in code.to_string().lines() {
+            println!("{pad}      {line}");
+        }
+    };
+    for (i, top) in steps.iter().enumerate() {
+        println!("{pad}[{i}] {}", describe(top));
+        match top {
+            T::Loop(l) | T::Once(l) => {
+                for (k, phase) in l.request_phases.iter().enumerate() {
+                    code(&format!("request phase {k}"), &phase.code);
+                }
+                code("operator", &l.code);
+            }
+            T::DoWhileScalar { body, .. } => list_steps(body, depth + 1),
+            T::InitMap { .. } | T::ResetMap { .. } | T::SetScalar { .. } => {}
+        }
+    }
 }
 
 fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {

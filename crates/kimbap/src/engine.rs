@@ -1,15 +1,18 @@
 //! Execution engine for compiler-generated BSP plans.
 //!
 //! The paper's compiler emits C++; this reproduction's compiler emits a
-//! [`CompiledProgram`] that this engine interprets against the real
-//! node-property map runtime — every `Request`, `RequestSync`,
-//! `ReduceSync`, `BroadcastSync`, and `PinMirrors` in the plan turns into
-//! the corresponding [`NodePropMap`] call, so compiled programs exercise
-//! exactly the same distributed machinery as the hand-written algorithms
-//! in `kimbap-algos` (whose outputs they are tested to match).
+//! [`CompiledProgram`] whose operator bodies are lowered to flat register
+//! code ([`kimbap_compiler::lower`]), and this engine executes that code
+//! against the real node-property map runtime — every `Request`,
+//! `RequestSync`, `ReduceSync`, `BroadcastSync`, and `PinMirrors` in the
+//! plan turns into the corresponding [`NodePropMap`] call, so compiled
+//! programs exercise exactly the same distributed machinery as the
+//! hand-written algorithms in `kimbap-algos` (whose outputs they are
+//! tested to match).
 
 use kimbap_comm::{clock, CrashSignal, Deadline, HostCtx, SyncPhase};
-use kimbap_compiler::ir::{BinOp, Expr, NodeIterator, Stmt};
+use kimbap_compiler::ir::NodeIterator;
+use kimbap_compiler::lower::{apply_bin, Code, Op, Test};
 use kimbap_compiler::transform::{CompiledLoop, CompiledProgram, CompiledTop};
 use kimbap_compiler::ReadDep;
 use kimbap_dist::{DistGraph, LocalId};
@@ -19,6 +22,9 @@ use kimbap_npm::{
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
+
+#[cfg(test)]
+mod reference;
 
 /// Crash recoveries per compiled loop before the failure is propagated.
 const MAX_RECOVERIES: u32 = 8;
@@ -248,39 +254,30 @@ pub struct EngineOutput {
     pub activity: Vec<RoundActivity>,
 }
 
-/// Evaluation context for one statement application.
-#[derive(Debug, Clone, Copy)]
-struct EvalCtx {
-    /// Active node's global id.
-    node: u64,
-    /// Current edge `(destination global id, weight)`, inside `ForEdges`.
-    edge: Option<(u64, u64)>,
-}
+/// Frames of at most this many registers live on the executing thread's
+/// stack; a body the lowering pass sized larger gets a heap frame.
+const INLINE_REGS: usize = 16;
 
-fn eval(e: &Expr, c: EvalCtx, env: &[u64]) -> u64 {
-    match e {
-        Expr::Const(x) => *x,
-        Expr::Var(v) => env[*v],
-        Expr::Node => c.node,
-        Expr::EdgeDst => c.edge.expect("EdgeDst outside ForEdges").0,
-        Expr::EdgeWeight => c.edge.expect("EdgeWeight outside ForEdges").1,
-        Expr::Bin(op, a, b) => {
-            let (a, b) = (eval(a, c, env), eval(b, c, env));
-            match op {
-                BinOp::Lt => (a < b) as u64,
-                BinOp::Gt => (a > b) as u64,
-                BinOp::Ne => (a != b) as u64,
-                BinOp::Eq => (a == b) as u64,
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Min => a.min(b),
-            }
-        }
+/// Runs `f` over a fresh frame for `code`: zeroed registers with the
+/// constants loaded.
+#[inline]
+fn with_frame<R>(code: &Code, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    let n = code.num_regs();
+    let mut inline = [0u64; INLINE_REGS];
+    let mut spill = Vec::new();
+    let regs = if n <= INLINE_REGS {
+        &mut inline[..n]
+    } else {
+        spill.resize(n, 0);
+        &mut spill[..]
+    };
+    for &(r, v) in code.consts() {
+        regs[r as usize] = v;
     }
+    f(regs)
 }
 
-/// The plan interpreter: owns one node-property map per program map and
+/// The plan executor: owns one node-property map per program map and
 /// one scalar reducer per program reducer.
 pub struct Engine<'g> {
     dg: &'g DistGraph,
@@ -297,6 +294,11 @@ pub struct Engine<'g> {
     /// directly under the program body (nested bodies clear it): the
     /// resume point a [`ShrinkSignal`] reports.
     top_cursor: Option<usize>,
+    /// When set, operator bodies run through the tree-walking
+    /// [`reference`] interpreter instead of the lowered code, and the
+    /// counter records how many `ParFor`s did.
+    #[cfg(test)]
+    reference: Option<std::sync::atomic::AtomicU64>,
 }
 
 impl<'g> Engine<'g> {
@@ -341,6 +343,8 @@ impl<'g> Engine<'g> {
             activity: Vec::new(),
             replica: None,
             top_cursor: None,
+            #[cfg(test)]
+            reference: None,
         }
     }
 
@@ -365,12 +369,20 @@ impl<'g> Engine<'g> {
     /// run; the [`ShrinkSignal`]'s resume point after [`Engine::adopt`]
     /// installed re-sharded state on a shrunk membership. Collective.
     pub fn run_from(mut self, ctx: &HostCtx, start: usize) -> EngineOutput {
-        let body = self.plan.body.clone();
-        for (i, t) in body.iter().enumerate().skip(start) {
+        self.exec_from(ctx, start);
+        self.into_output()
+    }
+
+    fn exec_from(&mut self, ctx: &HostCtx, start: usize) {
+        let plan: &'g CompiledProgram = self.plan;
+        for (i, t) in plan.body.iter().enumerate().skip(start) {
             self.top_cursor = Some(i);
             self.exec_top(ctx, t);
         }
         self.top_cursor = None;
+    }
+
+    fn into_output(self) -> EngineOutput {
         let map_values = self
             .maps
             .iter()
@@ -401,34 +413,41 @@ impl<'g> Engine<'g> {
     }
 
     fn exec_top(&mut self, ctx: &HostCtx, t: &CompiledTop) {
-        {
-            match t {
-                CompiledTop::InitMap { map, value } => {
-                    let value = value.clone();
-                    self.maps[*map].init_masters(&move |g| {
-                        eval(
-                            &value,
-                            EvalCtx {
-                                node: g as u64,
-                                edge: None,
-                            },
-                            &[],
-                        )
-                    });
-                }
-                CompiledTop::ResetMap { map } => self.maps[*map].reset_values(ctx),
-                CompiledTop::SetScalar { reducer, value } => self.reducers[*reducer].set(*value),
-                CompiledTop::Loop(l) => self.exec_loop(ctx, l, true),
-                CompiledTop::Once(l) => self.exec_loop(ctx, l, false),
-                CompiledTop::DoWhileScalar { body, reducer } => loop {
-                    self.exec_tops(ctx, body);
-                    if self.reducers[*reducer].read(ctx) == 0 {
-                        break;
-                    }
-                    // Reset for the next iteration happens via the body's
-                    // leading SetScalar, as in the source program.
-                },
+        match t {
+            #[cfg(test)]
+            CompiledTop::InitMap { map, value, .. } if self.reference.is_some() => {
+                self.maps[*map].init_masters(&|g| reference::eval_initializer(value, g));
             }
+            CompiledTop::InitMap { map, code, .. } => {
+                // An initializer is `let v0 = <value>` over the node's
+                // global id alone: it runs against no map, and the local
+                // id handed to the executor is never looked at.
+                let exec = Exec {
+                    dg: self.dg,
+                    maps: &[],
+                };
+                with_frame(code, |regs| {
+                    let regs = std::cell::RefCell::new(regs);
+                    self.maps[*map].init_masters(&|g| {
+                        let regs = &mut **regs.borrow_mut();
+                        regs[code.node_reg() as usize] = g as u64;
+                        exec.node_ops(code, regs, 0, 0);
+                        regs[0]
+                    });
+                });
+            }
+            CompiledTop::ResetMap { map } => self.maps[*map].reset_values(ctx),
+            CompiledTop::SetScalar { reducer, value } => self.reducers[*reducer].set(*value),
+            CompiledTop::Loop(l) => self.exec_loop(ctx, l, true),
+            CompiledTop::Once(l) => self.exec_loop(ctx, l, false),
+            CompiledTop::DoWhileScalar { body, reducer } => loop {
+                self.exec_tops(ctx, body);
+                if self.reducers[*reducer].read(ctx) == 0 {
+                    break;
+                }
+                // Reset for the next iteration happens via the body's
+                // leading SetScalar, as in the source program.
+            },
         }
     }
 
@@ -641,7 +660,7 @@ impl<'g> Engine<'g> {
         // quiescence check sit outside the four phases.
         for phase in &l.request_phases {
             let t = clock::now_nanos();
-            self.exec_parfor(ctx, l.iterator, &phase.body, None);
+            self.exec_parfor(ctx, l.iterator, &phase.code, None);
             ctx.add_phase_nanos(SyncPhase::RequestCompute, clock::now_nanos().saturating_sub(t));
             let t = clock::now_nanos();
             ctx.set_deadline(Deadline::maybe("request_sync", timeout));
@@ -652,7 +671,7 @@ impl<'g> Engine<'g> {
         }
 
         let t = clock::now_nanos();
-        let (active, total) = self.exec_parfor(ctx, l.iterator, &l.body, frontier.as_ref());
+        let (active, total) = self.exec_parfor(ctx, l.iterator, &l.code, frontier.as_ref());
         let reduce_compute_nanos = clock::now_nanos().saturating_sub(t);
         ctx.add_phase_nanos(SyncPhase::ReduceCompute, reduce_compute_nanos);
         ctx.add_parfor_activity(active, total, frontier.is_some());
@@ -766,95 +785,246 @@ impl<'g> Engine<'g> {
         })
     }
 
-    /// Runs `body` over the iterator's extent — dense, or restricted to
-    /// `active` — and returns `(nodes executed, dense extent)`.
+    /// Runs `code` over the iterator's extent — dense, or restricted to
+    /// `active` — and returns `(nodes executed, dense extent)`. Every
+    /// chunk runs in its own frame, whose scalar-reducer accumulators are
+    /// flushed when the chunk retires.
     fn exec_parfor(
         &self,
         ctx: &HostCtx,
         iterator: NodeIterator,
-        body: &[Stmt],
+        code: &Code,
         active: Option<&ActiveSet>,
     ) -> (u64, u64) {
+        #[cfg(test)]
+        if let Some(walked) = &self.reference {
+            return reference::exec_parfor(self, walked, ctx, iterator, code, active);
+        }
         let n = match iterator {
             NodeIterator::AllNodes => self.dg.num_local_nodes(),
             NodeIterator::Masters => self.dg.num_masters(),
         };
-        let num_vars = self.plan.num_vars;
-        let run_one = |lid: LocalId, tid: usize, env: &mut Vec<u64>| {
-            let c = EvalCtx {
-                node: self.dg.local_to_global(lid) as u64,
-                edge: None,
-            };
-            self.exec_stmts(body, lid, tid, c, env);
+        let exec = Exec {
+            dg: self.dg,
+            maps: &self.maps,
         };
         match active {
             None => {
                 ctx.par_for(0..n, |tid, range| {
-                    let mut env = vec![0u64; num_vars];
-                    for l in range {
-                        run_one(l as LocalId, tid, &mut env);
-                    }
+                    self.exec_chunk(&exec, code, tid, range.map(|l| l as LocalId));
                 });
                 (n as u64, n as u64)
             }
             Some(ActiveSet::List(list)) => {
                 ctx.par_for(0..list.len(), |tid, range| {
-                    let mut env = vec![0u64; num_vars];
-                    for i in range {
-                        run_one(list[i], tid, &mut env);
-                    }
+                    self.exec_chunk(&exec, code, tid, list[range].iter().copied());
                 });
                 (list.len() as u64, n as u64)
             }
             Some(ActiveSet::Bits { words, count }) => {
                 ctx.par_for(0..words.len(), |tid, wrange| {
-                    let mut env = vec![0u64; num_vars];
-                    for w in wrange {
+                    let nodes = wrange.flat_map(|w| {
                         let mut bits = words[w];
-                        while bits != 0 {
-                            let lid = (w * 64 + bits.trailing_zeros() as usize) as LocalId;
-                            bits &= bits - 1;
-                            run_one(lid, tid, &mut env);
-                        }
-                    }
+                        std::iter::from_fn(move || {
+                            (bits != 0).then(|| {
+                                let lid = (w * 64 + bits.trailing_zeros() as usize) as LocalId;
+                                bits &= bits - 1;
+                                lid
+                            })
+                        })
+                    });
+                    self.exec_chunk(&exec, code, tid, nodes);
                 });
                 (*count as u64, n as u64)
             }
         }
     }
 
-    fn exec_stmts(&self, stmts: &[Stmt], lid: LocalId, tid: usize, c: EvalCtx, env: &mut [u64]) {
-        for s in stmts {
-            match s {
-                Stmt::Let { dst, value } => env[*dst] = eval(value, c, env),
-                Stmt::Read { dst, map, key } => {
-                    env[*dst] = self.maps[*map].read(eval(key, c, env) as NodeId);
-                }
-                Stmt::Reduce { map, key, value } => {
-                    self.maps[*map].reduce(tid, eval(key, c, env) as NodeId, eval(value, c, env));
-                }
-                Stmt::Request { map, key } => {
-                    self.maps[*map].request(eval(key, c, env) as NodeId);
-                }
-                Stmt::ReduceScalar { reducer, value } => {
-                    self.reducers[*reducer].reduce(eval(value, c, env));
-                }
-                Stmt::If { cond, then } => {
-                    if eval(cond, c, env) != 0 {
-                        self.exec_stmts(then, lid, tid, c, env);
-                    }
-                }
-                Stmt::ForEdges { body } => {
-                    for (dst, w) in self.dg.edges(lid) {
-                        let ec = EvalCtx {
-                            node: c.node,
-                            edge: Some((self.dg.local_to_global(dst) as u64, w)),
-                        };
-                        self.exec_stmts(body, lid, tid, ec, env);
-                    }
-                }
+    /// Runs `code` on one chunk of nodes in a frame of its own, then
+    /// flushes the frame's scalar-reducer accumulators: one
+    /// [`SumReducer::reduce`] per reducer per chunk instead of one per
+    /// firing statement.
+    #[inline]
+    fn exec_chunk(
+        &self,
+        exec: &Exec<'_, 'g>,
+        code: &Code,
+        tid: usize,
+        nodes: impl Iterator<Item = LocalId>,
+    ) {
+        with_frame(code, |regs| {
+            for lid in nodes {
+                exec.node(code, regs, tid, lid);
+            }
+            for &(reducer, acc) in code.scalars() {
+                self.reducers[reducer].reduce(regs[acc as usize]);
+            }
+        });
+    }
+}
+
+/// An edge body's opening [`Op::ReadDstSkipUnless`], decoded.
+#[derive(Clone, Copy)]
+struct EdgeHead<'a, 'g> {
+    map: &'a Npm<'g, u64, DynReduceOp>,
+    dst: usize,
+    test: Test,
+}
+
+/// Evaluates `test`: how many ops to skip — none when it holds, after its
+/// folded-in scalar contribution has been counted.
+#[inline(always)]
+fn skip_of(test: Test, regs: &mut [u64]) -> usize {
+    if !test.cmp.test(regs[test.a as usize], regs[test.b as usize]) {
+        return test.skip as usize;
+    }
+    if let Some((acc, val)) = test.count {
+        regs[acc as usize] = regs[acc as usize].wrapping_add(regs[val as usize]);
+    }
+    0
+}
+
+/// What lowered code runs against: this host's partition and the program's
+/// maps. The one executor of operator bodies — dense rounds, all three
+/// frontier shapes, request phases and map initializers go through
+/// [`Exec::node`] / [`Exec::node_ops`].
+struct Exec<'a, 'g> {
+    dg: &'g DistGraph,
+    maps: &'a [Npm<'g, u64, DynReduceOp>],
+}
+
+impl Exec<'_, '_> {
+    /// Applies `code` to the proxy with local id `lid`.
+    #[inline]
+    fn node(&self, code: &Code, regs: &mut [u64], tid: usize, lid: LocalId) {
+        if code.uses_node() {
+            regs[code.node_reg() as usize] = self.dg.local_to_global(lid) as u64;
+        }
+        self.node_ops(code, regs, tid, lid);
+    }
+
+    /// The node-level op loop; the caller has filled the node register.
+    #[inline]
+    fn node_ops(&self, code: &Code, regs: &mut [u64], tid: usize, lid: LocalId) {
+        let ops = code.ops();
+        let mut pc = 0;
+        while pc < ops.len() {
+            if let Op::ForEdges { len } = ops[pc] {
+                let end = pc + 1 + len as usize;
+                self.for_edges(code, &ops[pc + 1..end], regs, tid, lid);
+                pc = end;
+            } else {
+                // Outside an edge body no op looks at the destination.
+                pc += 1 + self.step(ops[pc], regs, tid, lid, lid);
             }
         }
+    }
+
+    /// Runs the edge body `body` once per out-edge of `lid`.
+    #[inline]
+    fn for_edges(&self, code: &Code, body: &[Op], regs: &mut [u64], tid: usize, lid: LocalId) {
+        // The fused opening "read the neighbour, test it" is decoded here,
+        // once per node: an edge that fails the test dispatches no op.
+        let (head, rest) = match body.split_first() {
+            Some((&Op::ReadDstSkipUnless { dst, map, test }, rest)) => (
+                Some(EdgeHead {
+                    map: &self.maps[map as usize],
+                    dst: dst as usize,
+                    test,
+                }),
+                rest,
+            ),
+            _ => (None, body),
+        };
+        let dst_reg = code.uses_dst().then(|| code.dst_reg() as usize);
+        // `fold` with a force-inlined closure, not `for_each`: the
+        // compressed tier's `fold` applies its closure at two sites, and
+        // left to itself LLVM outlines a closure this size rather than
+        // copy it — a call per edge, worth 1.5 ns where a dense hook edge
+        // costs 12.6 (EXPERIMENTS.md "PR 17").
+        if code.uses_weight() {
+            let weight_reg = code.weight_reg() as usize;
+            self.dg.edges(lid).fold(
+                (),
+                #[inline(always)]
+                move |(), (dst, w)| {
+                    regs[weight_reg] = w;
+                    self.edge(head, rest, regs, tid, lid, dst, dst_reg);
+                },
+            );
+        } else {
+            self.dg.targets(lid).fold(
+                (),
+                #[inline(always)]
+                move |(), dst| self.edge(head, rest, regs, tid, lid, dst, dst_reg),
+            );
+        }
+    }
+
+    /// Applies an edge body (`head`, if it opened with the fused read and
+    /// test, then `rest`) to the edge `lid -> dst`. A leaf: edge bodies
+    /// hold no `ForEdges`, so this inlines into the edge iterator's fold.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn edge(
+        &self,
+        head: Option<EdgeHead<'_, '_>>,
+        rest: &[Op],
+        regs: &mut [u64],
+        tid: usize,
+        lid: LocalId,
+        dst: LocalId,
+        dst_reg: Option<usize>,
+    ) {
+        if let Some(r) = dst_reg {
+            regs[r] = self.dg.local_to_global(dst) as u64;
+        }
+        let mut pc = 0;
+        if let Some(h) = head {
+            regs[h.dst] = h.map.read_local(dst);
+            pc = skip_of(h.test, regs);
+        }
+        while pc < rest.len() {
+            pc += 1 + self.step(rest[pc], regs, tid, lid, dst);
+        }
+    }
+
+    /// Executes one op other than `ForEdges`; returns how many following
+    /// ops to skip.
+    #[inline(always)]
+    fn step(&self, op: Op, regs: &mut [u64], tid: usize, lid: LocalId, dst: LocalId) -> usize {
+        let r = |regs: &[u64], i: u32| regs[i as usize];
+        match op {
+            Op::Bin { op, dst, a, b } => regs[dst as usize] = apply_bin(op, r(regs, a), r(regs, b)),
+            Op::Mov { dst, src } => regs[dst as usize] = r(regs, src),
+            Op::ReadNode { dst, map } => regs[dst as usize] = self.maps[map as usize].read_local(lid),
+            Op::ReadDst { dst: d, map } => regs[d as usize] = self.maps[map as usize].read_local(dst),
+            Op::ReadAt { dst, map, key } => {
+                regs[dst as usize] = self.maps[map as usize].read(r(regs, key) as NodeId);
+            }
+            Op::ReduceNode { map, val } => {
+                self.maps[map as usize].reduce_local(tid, lid, r(regs, val));
+            }
+            Op::ReduceDst { map, val } => {
+                self.maps[map as usize].reduce_local(tid, dst, r(regs, val));
+            }
+            Op::ReduceAt { map, key, val } => {
+                self.maps[map as usize].reduce(tid, r(regs, key) as NodeId, r(regs, val));
+            }
+            Op::RequestNode { map } => self.maps[map as usize].request_local(lid),
+            Op::RequestDst { map } => self.maps[map as usize].request_local(dst),
+            Op::RequestAt { map, key } => self.maps[map as usize].request(r(regs, key) as NodeId),
+            Op::Acc { acc, val } => {
+                regs[acc as usize] = r(regs, acc).wrapping_add(r(regs, val));
+            }
+            Op::SkipUnless(test) => return skip_of(test, regs),
+            Op::ReadDstSkipUnless { dst: d, map, test } => {
+                regs[d as usize] = self.maps[map as usize].read_local(dst);
+                return skip_of(test, regs);
+            }
+            Op::ForEdges { .. } => unreachable!("edge bodies hold no ForEdges"),
+        }
+        0
     }
 }
 

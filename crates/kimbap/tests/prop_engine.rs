@@ -2,110 +2,56 @@
 //! well-formed vertex programs, the optimized and unoptimized plans must
 //! produce identical results on random graphs — the §5.2 elisions are
 //! semantics-preserving by construction, and this hunts for counterexamples.
+//!
+//! The programs come from `common/random_programs.rs`: nested arithmetic,
+//! `Let`, scalar reductions inside and outside edge loops, `dst` and
+//! `weight` used as values, nested guards, reduce keys that are the node,
+//! the edge destination or computed, `Masters` and `AllNodes` iterators —
+//! restricted here to idempotent (`Min` / `Max`) maps, whose final values
+//! cannot depend on how many proxies a node has. The same generator, with
+//! `Sum` maps as well, drives the lowered-executor vs tree-walk-reference
+//! differential inside the `kimbap` crate (`src/engine/reference.rs`),
+//! which compares scalar reducers and per-round activity too.
+
+#[path = "common/random_programs.rs"]
+mod random_programs;
 
 use kimbap::engine::Engine;
 use kimbap_comm::Cluster;
-use kimbap_compiler::ir::{
-    BinOp, Expr, KimbapWhile, MapDecl, NodeIterator, Program, Stmt, TopStmt,
-};
+use kimbap_compiler::ir::Program;
 use kimbap_compiler::{compile, OptLevel};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::builder::from_edges;
-use kimbap_npm::DynReduceOp;
 use proptest::prelude::*;
-
-/// A random monotone operator: reads chained up to depth 2, a guarded
-/// min-reduce to either an adjacent or a computed key. Monotone (min with
-/// quiescence) so every generated program terminates.
-fn operator_strategy() -> impl Strategy<Value = Vec<Stmt>> {
-    // Key of the final reduce: node, edge dst, or the value read at v0.
-    let reduce_key = prop_oneof![
-        Just(Expr::Node),
-        Just(Expr::EdgeDst),
-        Just(Expr::Var(0)),
-    ];
-    // Guard comparing the two reads.
-    let guard = prop_oneof![
-        Just(Expr::bin(BinOp::Gt, Expr::Var(0), Expr::Var(1))),
-        Just(Expr::bin(BinOp::Ne, Expr::Var(0), Expr::Var(1))),
-        Just(Expr::bin(BinOp::Lt, Expr::Var(1), Expr::Var(0))),
-    ];
-    // Whether the second read is chained (trans-vertex) or adjacent.
-    (reduce_key, guard, prop::bool::ANY, prop::bool::ANY).prop_map(
-        |(rkey, cond, chained, reduce_min_of_both)| {
-            let second_read_key = if chained { Expr::Var(0) } else { Expr::EdgeDst };
-            let reduce_value = if reduce_min_of_both {
-                Expr::bin(BinOp::Min, Expr::Var(0), Expr::Var(1))
-            } else {
-                Expr::Var(1)
-            };
-            vec![
-                Stmt::Read {
-                    dst: 0,
-                    map: 0,
-                    key: Expr::Node,
-                },
-                Stmt::ForEdges {
-                    body: vec![
-                        Stmt::Read {
-                            dst: 1,
-                            map: 0,
-                            key: second_read_key,
-                        },
-                        Stmt::If {
-                            cond,
-                            then: vec![Stmt::Reduce {
-                                map: 0,
-                                key: rkey,
-                                value: reduce_value,
-                            }],
-                        },
-                    ],
-                },
-            ]
-        },
-    )
-}
+use random_programs::{random_edges, random_program};
 
 fn program_strategy() -> impl Strategy<Value = Program> {
-    prop::collection::vec(operator_strategy(), 1..3).prop_map(|ops| Program {
-        name: "random",
-        maps: vec![MapDecl {
-            op: DynReduceOp::Min,
-            name: "m",
-        }],
-        num_reducers: 0,
-        num_vars: 2,
-        body: std::iter::once(TopStmt::InitMap {
-            map: 0,
-            value: Expr::Node,
-        })
-        .chain(ops.into_iter().map(|body| {
-            TopStmt::While(KimbapWhile {
-                quiesce_map: 0,
-                iterator: NodeIterator::AllNodes,
-                body,
-            })
-        }))
-        .collect(),
-    })
+    (0u64..u64::MAX).prop_map(|seed| random_program(seed, false))
 }
 
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
-    prop::collection::vec((0u32..24, 0u32..24, Just(1u64)), 1..60)
+    (0u64..u64::MAX).prop_map(|seed| random_edges(seed, 24, 60))
 }
 
-fn run(program: &Program, opt: OptLevel, edges: &[(u32, u32, u64)], hosts: usize) -> Vec<u64> {
+/// Every map's merged master values.
+fn run(
+    program: &Program,
+    opt: OptLevel,
+    edges: &[(u32, u32, u64)],
+    hosts: usize,
+) -> Vec<Vec<u64>> {
     let g = from_edges(edges.iter().copied());
     let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
     let plan = compile(program, opt);
     let outs = Cluster::new(hosts).run(|ctx| {
         Engine::new(&parts[ctx.host()], ctx, &plan).run(ctx)
     });
-    let mut vals = vec![0u64; g.num_nodes()];
+    let mut vals = vec![vec![0u64; g.num_nodes()]; program.maps.len()];
     for o in outs {
-        for (gid, v) in &o.map_values[0] {
-            vals[*gid as usize] = *v;
+        for (map, values) in o.map_values.iter().enumerate() {
+            for (gid, v) in values {
+                vals[map][*gid as usize] = *v;
+            }
         }
     }
     vals

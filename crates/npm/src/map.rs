@@ -7,7 +7,7 @@ use crate::table::{MapLayout, ValueTable, WordValue};
 use crate::value::PropValue;
 use kimbap_comm::wire::{decode_slice, encode_slice, iter_decoded};
 use kimbap_comm::HostCtx;
-use kimbap_dist::{DistGraph, Ownership};
+use kimbap_dist::{DistGraph, LocalId, Ownership};
 use kimbap_graph::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -592,6 +592,89 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             reduce_calls: self.reduce_calls.load(Ordering::Relaxed),
             requested_keys: self.requested_keys.load(Ordering::Relaxed),
         }
+    }
+
+    // Local-id accessors: what compiler-lowered operator code calls for
+    // keys it knows positionally (the active node, an edge destination).
+
+    /// [`NodePropMap::read`] of the proxy with local id `lid`, without the
+    /// trip through its global id: under the partition-aware
+    /// representation a master's table offset *is* its local id and mirror
+    /// slot `s` is local id `num_masters + s`, so the dense tables are
+    /// indexed directly. Same value, same counters and — for a mirror that
+    /// was neither requested nor pinned — the same panic as `read`; the
+    /// other variants translate and call it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lid` is not a local id of the map's partition, or where
+    /// `read(local_to_global(lid))` would.
+    #[inline]
+    pub fn read_local(&self, lid: LocalId) -> T {
+        if let Canonical::Dense { vals, .. } = &self.canonical {
+            let l = lid as usize;
+            match l.checked_sub(self.dg.num_masters()) {
+                None => {
+                    if self.count_reads {
+                        self.master_reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return vals.get(l);
+                }
+                Some(slot) if self.mirror_has[slot] => {
+                    if self.count_reads {
+                        self.remote_reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return self.mirror_vals.get(slot);
+                }
+                // An unmaterialized mirror: `read` owns the miss.
+                Some(_) => {}
+            }
+        }
+        self.read(self.dg.local_to_global(lid))
+    }
+
+    /// [`NodePropMap::reduce`] into the proxy with local id `lid`: under
+    /// the partition-aware representation a master's partial lands in the
+    /// calling thread's dense buffer at offset `lid`, with no ownership
+    /// test. Exactly the state `reduce(tid, local_to_global(lid), value)`
+    /// leaves; the other variants translate and call it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lid` is not a local id of the map's partition.
+    #[inline]
+    pub fn reduce_local(&self, tid: usize, lid: LocalId, value: T) {
+        if !self.variant.partition_aware() {
+            return self.reduce(tid, self.dg.local_to_global(lid), value);
+        }
+        if self.count_reads {
+            self.reduce_calls.fetch_add(1, Ordering::Relaxed);
+        }
+        let op = self.op;
+        // SAFETY: `tid` is the caller's pool thread id; WorkerPool hands
+        // each worker a distinct dense id, so no two concurrent callers
+        // share a slot.
+        let buf = unsafe { self.tls.slot(tid) };
+        if (lid as usize) < self.dg.num_masters() {
+            buf.reduce_local(lid, value, |a, b| op.combine(a, b));
+        } else {
+            buf.reduce_remote(self.dg.local_to_global(lid), value, |a, b| op.combine(a, b));
+        }
+    }
+
+    /// [`NodePropMap::request`] of the proxy with local id `lid`: under
+    /// the partition-aware representation masters need no request and the
+    /// ownership test is one comparison.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lid` is not a local id of the map's partition.
+    #[inline]
+    pub fn request_local(&self, lid: LocalId) {
+        if self.variant.partition_aware() && (lid as usize) < self.dg.num_masters() {
+            return;
+        }
+        self.requests.set(self.dg.local_to_global(lid) as usize);
     }
 
     /// The value canonical storage holds for an owned `key` (identity if

@@ -1,6 +1,7 @@
 //! The compiler pipeline, end to end: write CC-SV once (the paper's
 //! Fig. 4), compile it with and without the §5.2 optimizations, inspect the
-//! generated BSP structure (Fig. 8), and execute both plans on a cluster.
+//! generated BSP structure (Fig. 8) and the register code the hook is
+//! lowered to, and execute both plans on a cluster.
 //!
 //! Run with: `cargo run --release --example compiler_pipeline`
 
@@ -34,6 +35,13 @@ fn main() {
         if let CompiledTop::DoWhileScalar { body, .. } = &plan.body[1] {
             if let CompiledTop::Loop(hook) = &body[1] {
                 describe("hook    ", hook);
+                if opt == OptLevel::Full {
+                    // What the engine executes for the hook: flat register
+                    // ops, adjacent keys resolved to local ids.
+                    for line in hook.code.to_string().lines() {
+                        println!("      {line}");
+                    }
+                }
             }
             if let CompiledTop::Loop(shortcut) = &body[2] {
                 describe("shortcut", shortcut);

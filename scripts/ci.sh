@@ -2,8 +2,10 @@
 # Tier-1 CI gate: build, full test suite, lints, the fixed-seed
 # fault-injection matrix (3 plans x 4 algorithms on the simulation
 # backend; see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke),
-# seed-replayable simulation fuzz smokes, and the benchmark package's own
-# tests and smoke run (benchmark/run.sh is the performance gate).
+# seed-replayable simulation fuzz smokes, label diffs across transports,
+# storage tiers and executors (compiled plan vs hand-written loop), and the
+# benchmark package's own tests and smoke run (benchmark/run.sh is the
+# performance gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,6 +119,35 @@ diff "$SMOKE_DIR/sim-cc-comp.txt" "$SMOKE_DIR/sim-cc-raw.txt"
     --out "$SMOKE_DIR/sim-lv-raw.txt"
 diff "$SMOKE_DIR/sim-lv-comp.txt" "$SMOKE_DIR/sim-lv-raw.txt"
 echo "    compressed and raw storage tiers produce identical outputs"
+
+echo "==> compiled-vs-hand-written smoke (cc-sv: serve runs the plan, run the hand-written loop)"
+./target/release/kimbap serve "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
+    --job cc-sv --out-dir "$SMOKE_DIR/serve-out"
+./target/release/kimbap run cc-sv "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
+    --out "$SMOKE_DIR/ccsv-hand.txt"
+diff "$SMOKE_DIR/serve-out/job0-cc-sv.txt" "$SMOKE_DIR/ccsv-hand.txt"
+echo "    compiled plan and hand-written cc-sv labels identical"
+
+echo "==> compile smoke (an ill-formed .kv is a positioned error, not a panic)"
+cat > "$SMOKE_DIR/bad.kv" <<'KV'
+program bad {
+    map m : min;
+    init m = node;
+    while updated(m) {
+        let a = m[node];
+        m[dst] <- a;
+    }
+}
+KV
+status=0
+./target/release/kimbap compile "$SMOKE_DIR/bad.kv" 2> "$SMOKE_DIR/bad.err" || status=$?
+if [ "$status" -ne 1 ] || grep -q panicked "$SMOKE_DIR/bad.err" \
+    || ! grep -q "parse error at 6:11" "$SMOKE_DIR/bad.err"; then
+    echo "kimbap compile on 'dst' outside 'for edges': exit $status, stderr:" >&2
+    cat "$SMOKE_DIR/bad.err" >&2
+    exit 1
+fi
+echo "    $(cat "$SMOKE_DIR/bad.err")"
 
 echo "==> bytes-per-edge budget (unit-weight R-MAT must compress < 4 B/edge)"
 ./target/release/kimbap gen --kind rmat --scale 10 --ef 8 --seed 7 \
