@@ -107,26 +107,6 @@ fn bench(name: &str, app: &str, g: &Graph, hosts: usize) {
         row(label, s.secs, s.comp_secs(), s.comm_secs, false);
         json::record("fig11_runtime_variants", &case, system, hosts, &s);
     }
-
-    // Pipelining ablation on the flagship variant: the identical workload
-    // with split-phase reduce-sync disabled (the CLI's --no-pipeline).
-    // Diffing this record against sgr_cf_gar above isolates the overlap
-    // win; the pipelined record's overlap_secs says how much wire time
-    // ran under compute.
-    let b = NpmBuilder::new(Variant::SgrCfGar);
-    let (_, s) = run_timed(&ec, threads, |dg, ctx| {
-        ctx.set_pipelined(false);
-        match app {
-            "LV" => {
-                algos::louvain(dg, ctx, &b, &cfg);
-            }
-            _ => {
-                algos::cc::cc_sv(dg, ctx, &b);
-            }
-        }
-    });
-    row("GAR/serial", s.secs, s.comp_secs(), s.comm_secs, false);
-    json::record("fig11_runtime_variants", &case, "sgr_cf_gar_nopipe", hosts, &s);
 }
 
 fn main() {

@@ -50,10 +50,6 @@ pub struct RunStats {
     pub reduce_compute_secs: f64,
     /// Seconds in reduce-sync/broadcast-sync collectives (max over hosts).
     pub reduce_sync_secs: f64,
-    /// Seconds of compute/communication overlap won by split-phase
-    /// collectives: time between a ticket's first posted chunk and its
-    /// finish call (max over hosts; zero when pipelining is off).
-    pub overlap_secs: f64,
     /// Wire chunks sent by the chunked framing layer (sum over hosts).
     pub chunks_sent: u64,
     /// Individual chunks re-sent on targeted retransmit requests (sum
@@ -147,7 +143,6 @@ pub fn run_timed<R: Send>(
         stats.reduce_compute_secs =
             stats.reduce_compute_secs.max(s.reduce_compute_nanos as f64 / 1e9);
         stats.reduce_sync_secs = stats.reduce_sync_secs.max(s.reduce_sync_nanos as f64 / 1e9);
-        stats.overlap_secs = stats.overlap_secs.max(s.overlap_nanos as f64 / 1e9);
         stats.chunks_sent += s.chunks_sent;
         stats.chunk_retransmits += s.chunk_retransmits;
         stats.cache_hits += s.cache_hits;

@@ -47,7 +47,7 @@ fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize
                 "\"joins\":{},\"grow_resharded_keys\":{},",
                 "\"request_compute_secs\":{:.6},\"request_sync_secs\":{:.6},",
                 "\"reduce_compute_secs\":{:.6},\"reduce_sync_secs\":{:.6},",
-                "\"overlap_secs\":{:.6},\"chunks_sent\":{},\"chunk_retransmits\":{},",
+                "\"chunks_sent\":{},\"chunk_retransmits\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
                 "\"graph_bytes\":{},\"max_host_graph_bytes\":{},",
                 "\"peak_rss_bytes\":{}}}"
@@ -73,7 +73,6 @@ fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize
             s.request_sync_secs,
             s.reduce_compute_secs,
             s.reduce_sync_secs,
-            s.overlap_secs,
             s.chunks_sent,
             s.chunk_retransmits,
             s.cache_hits,
@@ -245,7 +244,6 @@ mod tests {
             joins: 1,
             grow_resharded_keys: 64,
             reduce_sync_secs: 0.125,
-            overlap_secs: 0.0625,
             chunks_sent: 96,
             chunk_retransmits: 2,
             cache_hits: 7,
@@ -307,8 +305,7 @@ mod tests {
             .contains("\"membership_changes\":1,\"degraded_rounds\":5,\"resharded_keys\":128"));
         assert!(lines[0].contains("\"joins\":1,\"grow_resharded_keys\":64"));
         assert!(lines[0].contains("\"reduce_sync_secs\":0.125000"));
-        assert!(lines[0]
-            .contains("\"overlap_secs\":0.062500,\"chunks_sent\":96,\"chunk_retransmits\":2"));
+        assert!(lines[0].contains("\"chunks_sent\":96,\"chunk_retransmits\":2"));
         assert!(lines[0].contains("\"cache_hits\":7,\"cache_misses\":3,\"cache_evictions\":1"));
         assert!(lines[0].contains(
             "\"graph_bytes\":4096,\"max_host_graph_bytes\":1536,\"peak_rss_bytes\":65536"

@@ -9,11 +9,7 @@
 //! in [`HostStats::retransmits`]). On a carrier that cannot lose frames
 //! ([`Transport::lossless`]) with no fault plan installed, the same
 //! exchange skips the checksums, the outbox and the loss agreement — one
-//! rendezvous instead of two. Exchanges are split-phase: payloads can
-//! be posted chunk-by-chunk while compute continues
-//! ([`HostCtx::exchange_start`] / [`ExchangeTicket::post`] /
-//! [`HostCtx::exchange_finish`]), overlapping serialization and wire I/O
-//! with the round body. Host crashes are survived too: a panicking
+//! rendezvous instead of two. Host crashes are survived too: a panicking
 //! host marks itself failed so sibling hosts observe
 //! [`CommError::HostFailure`] instead of deadlocking, and
 //! [`HostCtx::run_recovering`] restarts all hosts from a consistent state.
@@ -123,10 +119,8 @@ pub struct HostStats {
     pub chunks_sent: u64,
     /// Chunk frames re-sent after a receiver reported loss or corruption.
     pub chunk_retransmits: u64,
-    /// Nanoseconds a split-phase exchange had chunks on the wire while the
-    /// host kept computing (from the first [`ExchangeTicket::post`] to the
-    /// matching [`HostCtx::exchange_finish`]); zero for blocking
-    /// [`HostCtx::exchange`] calls.
+    /// Always 0 since PR 20 (nothing writes it); kept only because
+    /// `benchmark/` reads it — retire together with `comm.overlap_share`.
     pub overlap_nanos: u64,
     /// Serve-layer result-cache lookups answered from the cache (schedulers
     /// report these via [`HostCtx::add_cache_events`]; zero if no serving
@@ -188,9 +182,7 @@ impl HostStats {
         // once: max. Grow re-shard keys are per-host transfer work: sum.
         self.joins = self.joins.max(other.joins);
         self.grow_resharded_keys += other.grow_resharded_keys;
-        // Chunk frames are traffic: sum. Overlap, like the phase times,
-        // answers "how long did the cluster hide wire I/O behind compute"
-        // — the slowest host gates the round, so max.
+        // Chunk frames are traffic: sum.
         self.chunks_sent += other.chunks_sent;
         self.chunk_retransmits += other.chunk_retransmits;
         self.overlap_nanos = self.overlap_nanos.max(other.overlap_nanos);
@@ -770,7 +762,6 @@ where
         send_seq: (0..num_hosts).map(|_| AtomicU64::new(0)).collect(),
         recv_seq: (0..num_hosts).map(|_| AtomicU64::new(0)).collect(),
         round: AtomicU64::new(0),
-        pipelined: std::sync::atomic::AtomicBool::new(true),
         deadline: Mutex::new(Deadline::none()),
         job_deadline: Mutex::new(None),
         member_mask: AtomicU64::new(init_mask),
@@ -845,7 +836,7 @@ pub struct HostCtx<'a> {
     delayed: Vec<Mutex<Vec<Vec<u8>>>>,
     /// `early[from]`: frames of `from`'s *next* exchange that a lossless
     /// exchange drained while finishing the current one. Without the
-    /// loss-agreement rendezvous a peer may leave an exchange, and post the
+    /// loss-agreement rendezvous a peer may leave an exchange, and send the
     /// next, before this host has drained; its frames wait here.
     early: Vec<Mutex<Vec<Vec<u8>>>>,
     /// Next sequence number per destination.
@@ -854,10 +845,6 @@ pub struct HostCtx<'a> {
     recv_seq: Vec<AtomicU64>,
     /// This host's published BSP round (for fault matching).
     round: AtomicU64,
-    /// Whether engines should overlap reduce-sync with compute (see
-    /// [`HostCtx::pipelined`]); advisory — the split-phase collectives
-    /// themselves always work.
-    pipelined: std::sync::atomic::AtomicBool,
     /// Ambient phase deadline applied by the unsuffixed collectives; the
     /// engine re-stamps it each phase from `EngineConfig::phase_timeout`.
     deadline: Mutex<Deadline>,
@@ -903,7 +890,6 @@ struct StatCells {
     grow_resharded_keys: AtomicU64,
     chunks_sent: AtomicU64,
     chunk_retransmits: AtomicU64,
-    overlap_nanos: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
@@ -1235,11 +1221,12 @@ impl<'a> HostCtx<'a> {
         outgoing: Vec<Vec<u8>>,
         deadline: &Deadline,
     ) -> Result<Vec<Vec<u8>>, CommError> {
-        // The blocking exchange is the degenerate split-phase one: post
-        // everything, then finish immediately. The wire streams are
-        // identical by construction, which is what the pipelined-vs-serial
-        // differential tests pin down.
-        let k = self.num_hosts();
+        // Buffers, results, and indices are all **logical**: position `r`
+        // talks to the host of logical rank `r` in the current membership.
+        // The physical arrays (outbox, sequence numbers, transport sends)
+        // keep their launch-time indexing underneath.
+        let members = self.members();
+        let k = members.len();
         if outgoing.len() != k {
             return Err(CommError::Protocol {
                 detail: format!(
@@ -1248,107 +1235,11 @@ impl<'a> HostCtx<'a> {
                 ),
             });
         }
-        let ticket = self.start_ticket(false)?;
-        for (li, payload) in outgoing.into_iter().enumerate() {
-            ticket.post(li, payload);
-        }
-        self.try_exchange_finish_by(ticket, deadline)
-    }
-
-    /// All-to-all exchange that also agrees one bit: returns the received
-    /// buffers plus the OR of every host's `vote`. The bit rides each remote
-    /// payload as one trailing byte, so a BSP round's broadcast and its
-    /// quiescence check ([`HostCtx::all_reduce_or`]) cost one collective
-    /// instead of two, for the same bytes on the wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outgoing.len() != num_hosts()`, and with a recoverable
-    /// [`CrashSignal`] on communication failure (see
-    /// [`HostCtx::try_exchange_or`] for the non-panicking form).
-    pub fn exchange_or(&self, outgoing: Vec<Vec<u8>>, vote: bool) -> (Vec<Vec<u8>>, bool) {
-        assert_eq!(outgoing.len(), self.num_hosts(), "one buffer per host");
-        let r = self.try_exchange_or(outgoing, vote);
-        self.unwrap_comm(r)
-    }
-
-    /// Failure-aware form of [`HostCtx::exchange_or`] (under the ambient
-    /// deadline). A peer buffer too short to hold the vote byte is a
-    /// [`CommError::Protocol`].
-    pub fn try_exchange_or(
-        &self,
-        mut outgoing: Vec<Vec<u8>>,
-        vote: bool,
-    ) -> Result<(Vec<Vec<u8>>, bool), CommError> {
-        let me = self.host();
-        for (h, buf) in outgoing.iter_mut().enumerate() {
-            if h != me {
-                vote.write(buf);
-            }
-        }
-        let mut received = self.try_exchange(outgoing)?;
-        let mut any = vote;
-        for (h, buf) in received.iter_mut().enumerate() {
-            if h == me {
-                continue;
-            }
-            // An empty buffer leaves nothing to read: `Truncated`.
-            let at = buf.len().saturating_sub(bool::SIZE);
-            any |= bool::try_read(&buf[at..]).map_err(|e| CommError::Protocol {
-                detail: format!("exchange_or: vote from host {h}: {e}"),
-            })?;
-            buf.truncate(at);
-        }
-        Ok((received, any))
-    }
-
-    /// Escalates a malformed peer payload found by a protocol layered on
-    /// [`HostCtx::exchange`] (a map decoding its key/value pairs, say)
-    /// exactly as the infallible collectives escalate their own
-    /// [`CommError::Protocol`]: this host is marked failed and unwinds with
-    /// a recoverable [`CrashSignal`].
-    pub fn protocol_violation(&self, detail: String) -> ! {
-        self.fail_with(CrashSignal::Comm(CommError::Protocol { detail }))
-    }
-
-    /// Opens a split-phase all-to-all exchange: returns a ticket that
-    /// accepts per-destination payloads ([`ExchangeTicket::post`]) while
-    /// this host keeps computing, and is completed by
-    /// [`HostCtx::exchange_finish`]. Posted payloads are serialized into
-    /// chunk frames and handed to the transport immediately, so wire I/O
-    /// overlaps whatever runs between `post` and `finish`.
-    ///
-    /// Every host must pair each `exchange_start` with exactly one
-    /// `exchange_finish` (the finish is a rendezvous of all hosts), and no
-    /// other collective may run between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a recoverable [`CrashSignal`] on communication failure
-    /// (see [`HostCtx::try_exchange_start`] for the non-panicking form).
-    pub fn exchange_start(&self) -> ExchangeTicket<'_, 'a> {
-        let r = self.try_exchange_start();
-        self.unwrap_comm(r)
-    }
-
-    /// Failure-aware form of [`HostCtx::exchange_start`].
-    pub fn try_exchange_start(&self) -> Result<ExchangeTicket<'_, 'a>, CommError> {
-        self.start_ticket(true)
-    }
-
-    /// Shared ticket construction; `track_overlap` distinguishes genuinely
-    /// split-phase callers from the blocking wrapper so
-    /// [`HostStats::overlap_nanos`] measures only real overlap.
-    fn start_ticket(&self, track_overlap: bool) -> Result<ExchangeTicket<'_, 'a>, CommError> {
-        // Buffers, results, and indices are all **logical**: position `r`
-        // talks to the host of logical rank `r` in the current membership.
-        // The physical arrays (outbox, sequence numbers, transport sends)
-        // keep their launch-time indexing underneath.
-        let members = self.members();
-        let k = members.len();
         self.check_faults();
         let t = clock::now_nanos();
         let me = self.host;
+        let round = self.current_round();
+        let lossless = self.lossless;
 
         // Flush frames a DelayFrame fault held back from an earlier
         // exchange. Their sequence numbers are stale by now, so receivers
@@ -1362,82 +1253,25 @@ impl<'a> HostCtx<'a> {
                 self.transport.send(to, frame);
             }
         }
-        self.add_comm_nanos(clock::now_nanos().saturating_sub(t));
-        Ok(ExchangeTicket {
-            ctx: self,
-            members,
-            round: self.current_round(),
-            track_overlap,
-            inner: Mutex::new(TicketInner {
-                result: vec![Vec::new(); k],
-                posted: vec![false; k],
-                first_post_nanos: None,
-            }),
-        })
-    }
 
-    /// Completes a split-phase exchange under the ambient deadline: sends
-    /// an empty stream to every destination never posted, then blocks until
-    /// every host's chunks have arrived (or the collective fails as a
-    /// unit). Returns the buffers received from every member host (indexed
-    /// by logical rank), empty buffers included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ticket came from a different [`HostCtx`], and with a
-    /// recoverable [`CrashSignal`] on communication failure (see
-    /// [`HostCtx::try_exchange_finish`] for the non-panicking form).
-    pub fn exchange_finish(&self, ticket: ExchangeTicket<'_, '_>) -> Vec<Vec<u8>> {
-        let r = self.try_exchange_finish(ticket);
-        self.unwrap_comm(r)
-    }
-
-    /// Failure-aware form of [`HostCtx::exchange_finish`].
-    pub fn try_exchange_finish(
-        &self,
-        ticket: ExchangeTicket<'_, '_>,
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        self.try_exchange_finish_by(ticket, &self.deadline())
-    }
-
-    /// [`HostCtx::try_exchange_finish`] with an explicit [`Deadline`].
-    pub fn try_exchange_finish_by(
-        &self,
-        ticket: ExchangeTicket<'_, '_>,
-        deadline: &Deadline,
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        assert!(
-            std::ptr::eq(ticket.ctx as *const HostCtx, self as *const HostCtx),
-            "exchange_finish called with a ticket from a different host context"
-        );
-        let t = clock::now_nanos();
-        let me = self.host;
-        let round = ticket.round;
-        let members = ticket.members;
-        let k = members.len();
-        let lossless = self.lossless;
-        let TicketInner {
-            mut result,
-            posted,
-            first_post_nanos,
-        } = ticket.inner.into_inner();
-        if ticket.track_overlap {
-            if let Some(t0) = first_post_nanos {
-                self.stats
-                    .overlap_nanos
-                    .fetch_add(t.saturating_sub(t0), Ordering::Relaxed);
-            }
-        }
-
-        // Close every remote stream: a destination never posted gets an
-        // empty payload. This is also where the per-exchange sequence
-        // number is consumed.
-        for (li, &to) in members.iter().enumerate() {
+        // One chunk stream per remote member, in rank order; this is also
+        // where the per-exchange sequence number is consumed.
+        let mut result = vec![Vec::new(); k];
+        for ((slot, payload), &to) in result.iter_mut().zip(outgoing).zip(&members) {
             if to == me {
+                // Self-delivery is a local memcpy: no frames, no stats.
+                *slot = payload;
                 continue;
             }
-            if !posted[li] {
-                self.send_stream(to, round, &[]);
+            self.send_stream(to, round, &payload);
+            if !payload.is_empty() {
+                // Traffic stats count the logical payload once, not its
+                // chunks, so the fault-free volume stays comparable across
+                // chunk sizes.
+                self.stats.messages.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .bytes
+                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
             }
             self.send_seq[to].fetch_add(1, Ordering::Relaxed);
         }
@@ -1488,7 +1322,7 @@ impl<'a> HostCtx<'a> {
                             }
                         }
                         // With no second rendezvous the sender may already
-                        // be one exchange ahead (never two: its next finish
+                        // be one exchange ahead (never two: its next exchange
                         // needs this host at the barrier).
                         Ok(h) if lossless && h.seq == want + 1 => {
                             self.early[from].lock().push(frame);
@@ -1601,6 +1435,62 @@ impl<'a> HostCtx<'a> {
         Ok(result)
     }
 
+    /// All-to-all exchange that also agrees one bit: returns the received
+    /// buffers plus the OR of every host's `vote`. The bit rides each remote
+    /// payload as one trailing byte, so a BSP round's broadcast and its
+    /// quiescence check ([`HostCtx::all_reduce_or`]) cost one collective
+    /// instead of two, for the same bytes on the wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outgoing.len() != num_hosts()`, and with a recoverable
+    /// [`CrashSignal`] on communication failure (see
+    /// [`HostCtx::try_exchange_or`] for the non-panicking form).
+    pub fn exchange_or(&self, outgoing: Vec<Vec<u8>>, vote: bool) -> (Vec<Vec<u8>>, bool) {
+        assert_eq!(outgoing.len(), self.num_hosts(), "one buffer per host");
+        let r = self.try_exchange_or(outgoing, vote);
+        self.unwrap_comm(r)
+    }
+
+    /// Failure-aware form of [`HostCtx::exchange_or`] (under the ambient
+    /// deadline). A peer buffer too short to hold the vote byte is a
+    /// [`CommError::Protocol`].
+    pub fn try_exchange_or(
+        &self,
+        mut outgoing: Vec<Vec<u8>>,
+        vote: bool,
+    ) -> Result<(Vec<Vec<u8>>, bool), CommError> {
+        let me = self.host();
+        for (h, buf) in outgoing.iter_mut().enumerate() {
+            if h != me {
+                vote.write(buf);
+            }
+        }
+        let mut received = self.try_exchange(outgoing)?;
+        let mut any = vote;
+        for (h, buf) in received.iter_mut().enumerate() {
+            if h == me {
+                continue;
+            }
+            // An empty buffer leaves nothing to read: `Truncated`.
+            let at = buf.len().saturating_sub(bool::SIZE);
+            any |= bool::try_read(&buf[at..]).map_err(|e| CommError::Protocol {
+                detail: format!("exchange_or: vote from host {h}: {e}"),
+            })?;
+            buf.truncate(at);
+        }
+        Ok((received, any))
+    }
+
+    /// Escalates a malformed peer payload found by a protocol layered on
+    /// [`HostCtx::exchange`] (a map decoding its key/value pairs, say)
+    /// exactly as the infallible collectives escalate their own
+    /// [`CommError::Protocol`]: this host is marked failed and unwinds with
+    /// a recoverable [`CrashSignal`].
+    pub fn protocol_violation(&self, detail: String) -> ! {
+        self.fail_with(CrashSignal::Comm(CommError::Protocol { detail }))
+    }
+
     /// Sends `payload` to physical host `to` as one chunk stream of the
     /// current exchange: bounded frames, the final one flagged LAST (an
     /// empty payload is a single header-only LAST frame). The frames are
@@ -1629,19 +1519,6 @@ impl<'a> HostCtx<'a> {
             }
             self.transmit(to, round, seq, idx as u32, 0, frame);
         }
-    }
-
-    /// Whether engines should pipeline reduce-sync (overlap serialization
-    /// and wire I/O with compute) on this host. Defaults to `true`; the
-    /// engine clears it for rounds that must replay bit-identically from a
-    /// checkpoint (see `--no-pipeline`).
-    pub fn pipelined(&self) -> bool {
-        self.pipelined.load(Ordering::Relaxed)
-    }
-
-    /// Sets the advisory pipelining flag read by [`HostCtx::pipelined`].
-    pub fn set_pipelined(&self, on: bool) {
-        self.pipelined.store(on, Ordering::Relaxed);
     }
 
     /// All-reduce over one wire value per host: every host receives
@@ -2088,7 +1965,7 @@ impl<'a> HostCtx<'a> {
             grow_resharded_keys: self.stats.grow_resharded_keys.load(Ordering::Relaxed),
             chunks_sent: self.stats.chunks_sent.load(Ordering::Relaxed),
             chunk_retransmits: self.stats.chunk_retransmits.load(Ordering::Relaxed),
-            overlap_nanos: self.stats.overlap_nanos.load(Ordering::Relaxed),
+            overlap_nanos: 0,
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.stats.cache_evictions.load(Ordering::Relaxed),
@@ -2119,7 +1996,6 @@ impl<'a> HostCtx<'a> {
         self.stats.grow_resharded_keys.store(0, Ordering::Relaxed);
         self.stats.chunks_sent.store(0, Ordering::Relaxed);
         self.stats.chunk_retransmits.store(0, Ordering::Relaxed);
-        self.stats.overlap_nanos.store(0, Ordering::Relaxed);
         self.stats.cache_hits.store(0, Ordering::Relaxed);
         self.stats.cache_misses.store(0, Ordering::Relaxed);
         self.stats.cache_evictions.store(0, Ordering::Relaxed);
@@ -2180,98 +2056,6 @@ impl<'a> HostCtx<'a> {
         self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
         self.stats.cache_misses.fetch_add(misses, Ordering::Relaxed);
         self.stats.cache_evictions.fetch_add(evictions, Ordering::Relaxed);
-    }
-}
-
-/// A split-phase all-to-all exchange in flight.
-///
-/// Created by [`HostCtx::exchange_start`], fed by
-/// [`ExchangeTicket::post`] — callable from worker-pool threads, so
-/// per-destination serialization itself runs in parallel — and completed
-/// by [`HostCtx::exchange_finish`]. Between `post` and `finish` the posted
-/// chunks are on the wire while the host computes; that window is
-/// [`HostStats::overlap_nanos`].
-pub struct ExchangeTicket<'c, 'h> {
-    ctx: &'c HostCtx<'h>,
-    /// Physical ids of the membership this exchange runs over (snapshot
-    /// from start, so a logical rank means the same host in post/finish).
-    members: Vec<usize>,
-    /// The BSP round published when the exchange started (for fault
-    /// matching; the whole stream belongs to one round).
-    round: u64,
-    /// False for the blocking [`HostCtx::exchange`] wrapper, whose
-    /// post-to-finish window is not real overlap.
-    track_overlap: bool,
-    inner: Mutex<TicketInner>,
-}
-
-/// Mutable ticket state, behind one mutex so `post` is callable
-/// concurrently from pool workers.
-struct TicketInner {
-    /// Self-delivered payloads by logical rank (remote slots are filled by
-    /// finish).
-    result: Vec<Vec<u8>>,
-    /// Which logical ranks have been posted (each at most once).
-    posted: Vec<bool>,
-    /// When the first remote payload hit the wire, for overlap accounting.
-    first_post_nanos: Option<u64>,
-}
-
-impl ExchangeTicket<'_, '_> {
-    /// Number of member hosts this exchange spans (one post slot each).
-    pub fn num_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Posts the payload destined for logical rank `to`: serializes it
-    /// into bounded chunk frames — the final one closing the stream — and
-    /// hands them to the transport immediately, so the bytes travel while
-    /// the caller keeps computing. Destinations not posted before finish
-    /// send an empty payload.
-    /// Callable from worker-pool threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is out of range or was already posted.
-    pub fn post(&self, to: usize, payload: Vec<u8>) {
-        let t = clock::now_nanos();
-        let ctx = self.ctx;
-        assert!(
-            to < self.members.len(),
-            "post: rank {to} out of range for {} members",
-            self.members.len()
-        );
-        let dest = self.members[to];
-        {
-            let mut inner = self.inner.lock();
-            assert!(!inner.posted[to], "post: rank {to} posted twice");
-            inner.posted[to] = true;
-            if dest == ctx.host {
-                // Self-delivery is a local memcpy: no frames, no stats.
-                inner.result[to] = payload;
-                return;
-            }
-        }
-        ctx.send_stream(dest, self.round, &payload);
-        if !payload.is_empty() {
-            // Traffic stats count the logical payload once, not its chunks,
-            // so the fault-free volume stays comparable across chunk sizes.
-            ctx.stats.messages.fetch_add(1, Ordering::Relaxed);
-            ctx.stats
-                .bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            self.inner.lock().first_post_nanos.get_or_insert(t);
-        }
-        ctx.add_comm_nanos(clock::now_nanos().saturating_sub(t));
-    }
-}
-
-impl std::fmt::Debug for ExchangeTicket<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExchangeTicket")
-            .field("members", &self.members)
-            .field("round", &self.round)
-            .finish()
     }
 }
 
@@ -2410,71 +2194,6 @@ mod tests {
         assert_eq!(sums, vec![1000, 1000]);
     }
 
-    // ----- split-phase exchange -------------------------------------------
-
-    /// One split-phase exchange per host with per-destination payloads of
-    /// `sizes` bytes, finished after "compute"; returns what each host
-    /// received, flattened to (host, from, len, first_byte).
-    fn split_phase_roundtrip(c: &Cluster, sizes: &[usize]) -> Vec<Vec<Vec<u8>>> {
-        let sizes = sizes.to_vec();
-        c.run(move |ctx| {
-            let ticket = ctx.exchange_start();
-            for to in 0..ctx.num_hosts() {
-                let len = sizes[to % sizes.len()];
-                ticket.post(to, vec![(ctx.host() * 16 + to) as u8; len]);
-            }
-            // Simulated overlapped compute between post and finish.
-            std::hint::black_box((0..1000u64).sum::<u64>());
-            ctx.exchange_finish(ticket)
-        })
-    }
-
-    #[test]
-    fn split_phase_matches_blocking_exchange() {
-        // Payloads straddling every chunk boundary: empty, tiny, one byte
-        // short of a chunk, exactly one chunk, one byte over.
-        let sizes = [
-            0,
-            1,
-            crate::wire::CHUNK_PAYLOAD - 1,
-            crate::wire::CHUNK_PAYLOAD,
-            crate::wire::CHUNK_PAYLOAD + 1,
-            3 * crate::wire::CHUNK_PAYLOAD + 17,
-        ];
-        let blocking = Cluster::new(3).run(|ctx| {
-            let outgoing = (0..ctx.num_hosts())
-                .map(|to| vec![(ctx.host() * 16 + to) as u8; sizes[to % sizes.len()]])
-                .collect();
-            ctx.exchange(outgoing)
-        });
-        for c in [Cluster::new(3), Cluster::new(3).tcp(), Cluster::new(3).sim(3)] {
-            let split = split_phase_roundtrip(&c, &sizes);
-            assert_eq!(split, blocking, "split-phase diverged on {:?}", c.backend());
-        }
-    }
-
-    #[test]
-    fn split_phase_overlap_is_counted_only_for_split_calls() {
-        let stats = Cluster::new(2).run(|ctx| {
-            // Blocking exchange: no overlap window.
-            ctx.exchange((0..2).map(|_| vec![1u8; 64]).collect());
-            let before = ctx.stats().overlap_nanos;
-            let ticket = ctx.exchange_start();
-            for to in 0..2 {
-                ticket.post(to, vec![2u8; 64]);
-            }
-            ctx.exchange_finish(ticket);
-            (before, ctx.stats())
-        });
-        for (before, s) in stats {
-            assert_eq!(before, 0, "blocking exchange must not count overlap");
-            assert!(s.overlap_nanos > 0, "split-phase exchange must count overlap");
-            // 2 exchanges x 1 remote dest x 1 chunk (LAST rides the data).
-            assert_eq!(s.chunks_sent, 2);
-            assert_eq!(s.chunk_retransmits, 0);
-        }
-    }
-
     // ----- lossless carriers -----------------------------------------------
 
     /// A plan whose only fault addresses a round no test reaches: non-empty
@@ -2494,8 +2213,8 @@ mod tests {
 
     #[test]
     fn lossless_exchange_matches_full_protocol() {
-        // The same exchange sequence — blocking, then split-phase, at every
-        // chunk-boundary size — with and without the integrity machinery.
+        // The same exchange sequence, at every chunk-boundary size, with and
+        // without the integrity machinery.
         const C: usize = crate::wire::CHUNK_PAYLOAD;
         let sizes = [0, 1, C - 1, C, C + 1, 3 * C];
         let run = |plan: FaultPlan| {
@@ -2509,11 +2228,6 @@ mod tests {
                 let mut seen = Vec::new();
                 for step in 0..sizes.len() {
                     seen.push(ctx.exchange((0..3).map(|to| payload(step, to)).collect()));
-                    let ticket = ctx.exchange_start();
-                    for to in 0..3 {
-                        ticket.post(to, payload(step + 3, to));
-                    }
-                    seen.push(ctx.exchange_finish(ticket));
                 }
                 (seen, ctx.stats())
             })
@@ -2531,7 +2245,7 @@ mod tests {
 
     #[test]
     fn a_peer_running_one_exchange_ahead_is_stashed_not_lost() {
-        // Host 0 dawdles before every finish, so it is the last to reach
+        // Host 0 dawdles before every exchange, so it is the last to reach
         // the rendezvous and the first to leave it: its next exchange's
         // frames land while host 1 is still waking up to drain this one.
         // Barriers and all-reduces interleave so the stash also has to stay
@@ -2540,12 +2254,12 @@ mod tests {
             assert!(ctx.lossless);
             let peer = 1 - ctx.host();
             for i in 0..1000u64 {
-                let ticket = ctx.exchange_start();
-                ticket.post(peer, encode_slice(&[i, ctx.host() as u64]));
                 if ctx.host() == 0 {
                     std::thread::sleep(Duration::from_micros(20));
                 }
-                let got = ctx.exchange_finish(ticket);
+                let mut outgoing = vec![Vec::new(); 2];
+                outgoing[peer] = encode_slice(&[i, ctx.host() as u64]);
+                let got = ctx.exchange(outgoing);
                 if decode_slice::<u64>(&got[peer]) != vec![i, peer as u64] {
                     return false;
                 }

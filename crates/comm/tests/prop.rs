@@ -171,16 +171,14 @@ proptest! {
         prop_assert!(parse_frame(&garbage).is_err() || garbage == frame);
     }
 
-    /// Differential check for the split-phase collectives: on every
-    /// backend (in-proc, TCP loopback, deterministic sim), an
-    /// `exchange_start`/`post`/`exchange_finish` sequence returns results
-    /// byte-for-byte identical to the blocking `exchange` of the same
-    /// payloads — and both match the independently computed expectation.
-    /// Payload sizes are drawn from the chunk-boundary set
-    /// {0, 1, C−1, C, C+1} (C = [`CHUNK_PAYLOAD`]) so single-chunk,
-    /// exact-fit, and straddling streams are all exercised.
+    /// Differential check for the chunked collective: on every backend
+    /// (in-proc, TCP loopback, deterministic sim), `exchange` returns
+    /// byte-for-byte the independently computed expectation. Payload sizes
+    /// are drawn from the chunk-boundary set {0, 1, C−1, C, C+1}
+    /// (C = [`CHUNK_PAYLOAD`]) so single-chunk, exact-fit, and straddling
+    /// streams are all exercised.
     #[test]
-    fn split_phase_equals_blocking_on_all_backends(
+    fn exchange_reassembles_chunk_boundary_payloads_on_all_backends(
         hosts in 2usize..4,
         pick in prop::collection::vec(0usize..5, 2..4),
         fill in 0u8..=255,
@@ -200,23 +198,14 @@ proptest! {
             Cluster::new(hosts).tcp(),
             Cluster::new(hosts).sim(fill as u64 + 1),
         ] {
-            let blocking = c.run(|ctx| {
+            let received = c.run(|ctx| {
                 let me = ctx.host();
                 let outgoing = (0..hosts)
                     .map(|to| link_payload(me, to, len_for(me, to), fill))
                     .collect();
                 ctx.exchange(outgoing)
             });
-            prop_assert_eq!(&blocking, &expected);
-            let split = c.run(|ctx| {
-                let me = ctx.host();
-                let ticket = ctx.exchange_start();
-                for to in 0..hosts {
-                    ticket.post(to, link_payload(me, to, len_for(me, to), fill));
-                }
-                ctx.exchange_finish(ticket)
-            });
-            prop_assert_eq!(&split, &expected);
+            prop_assert_eq!(&received, &expected);
         }
     }
 

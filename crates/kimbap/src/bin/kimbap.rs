@@ -73,13 +73,12 @@ usage:
   kimbap run <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden> FILE
              [--hosts N] [--threads N] [--transport inproc|tcp]
              [--faults none|drop|corrupt|crash|kill|join] [--seed N]
-             [--allow-shrink] [--allow-grow] [--no-pipeline]
-             [--port-base N] [--out FILE] [--raw] [--hub-threshold N]
+             [--allow-shrink] [--allow-grow] [--port-base N] [--out FILE]
+             [--raw] [--hub-threshold N]
   kimbap sim [--algo <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden>]
              [--seed N] [--seeds N] [--hosts N] [--threads N]
              [--scale N] [--ef N] [--allow-shrink] [--allow-grow]
-             [--no-pipeline] [--trace FILE] [--out FILE] [--raw]
-             [--hub-threshold N]
+             [--trace FILE] [--out FILE] [--raw] [--hub-threshold N]
   kimbap serve FILE [--hosts N] [--threads N] [--jobs FILE] [--job SPEC]...
                [--cache-capacity N] [--out-dir DIR] [--raw]
                [--hub-threshold N]
@@ -103,12 +102,6 @@ same run byte for byte. Each seed must either converge to the fault-free
 reference labels or surface a communication failure — anything else (and
 any divergence) fails with the exact command that replays it. --seeds N
 fuzzes N consecutive seeds; --trace dumps the event schedule as JSONL.
-
-reduce-sync rounds pipeline by default: hosts hand outgoing buffers to
-the wire as they are serialized and overlap local reduction with
-delivery. --no-pipeline falls back to the plain blocking collectives;
-both modes produce byte-identical outputs for the same seed, which the
-CI smoke diffs.
 
 --allow-shrink survives permanent host loss: the survivors agree the dead
 host out of the membership, re-partition over the shrunk cluster, and
@@ -158,6 +151,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Rejects every `--flag` that subcommand `cmd` does not accept, so a typo
+/// fails instead of silently running without the option. `valued` flags
+/// consume the argument after them (never inspected, whatever it looks
+/// like); `switches` stand alone.
+fn check_flags(cmd: &str, args: &[String], valued: &[&str], switches: &[&str]) -> CliResult {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if valued.contains(&a.as_str()) {
+            it.next();
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag '{a}' for 'kimbap {cmd}'"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
@@ -211,6 +220,15 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
+    check_flags(
+        "gen",
+        args,
+        &[
+            "--kind", "--scale", "--ef", "--rows", "--cols", "--nodes", "--edges", "--seed",
+            "--weights", "--out",
+        ],
+        &["--unit-weights"],
+    )?;
     let kind = flag(args, "--kind").ok_or("missing --kind")?;
     let seed = flag_num(args, "--seed", 42u64)?;
     let out = flag(args, "--out").ok_or("missing --out")?;
@@ -252,6 +270,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
 const WEIGHT_SEED_SALT: u64 = 0x5eed;
 
 fn cmd_stats(args: &[String]) -> CliResult {
+    check_flags("stats", args, &[], &[])?;
     let path = args.first().ok_or("missing FILE")?;
     let g = load_graph(path)?;
     println!("{}", GraphStats::of(&g));
@@ -366,7 +385,6 @@ fn run_tcp_cc(
     seed: u64,
     allow_shrink: bool,
     allow_grow: bool,
-    pipelined: bool,
     store: StoreOpts,
 ) -> Result<Vec<Vec<(NodeId, u64)>>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
@@ -397,9 +415,6 @@ fn run_tcp_cc(
         }
         if allow_grow {
             cmd.arg("--allow-grow");
-        }
-        if !pipelined {
-            cmd.arg("--no-pipeline");
         }
         if !store.compressed {
             cmd.arg("--raw");
@@ -449,6 +464,15 @@ fn run_tcp_cc(
 
 /// Hidden subcommand: one TCP host process spawned by [`run_tcp_cc`].
 fn cmd_worker(args: &[String]) -> CliResult {
+    check_flags(
+        "_worker",
+        args,
+        &[
+            "--hosts", "--host", "--threads", "--port-base", "--faults", "--seed", "--out",
+            "--hub-threshold",
+        ],
+        &["--allow-shrink", "--allow-grow", "--raw"],
+    )?;
     let algo = args.first().ok_or("missing algorithm")?.clone();
     let path = args.get(1).ok_or("missing FILE")?.clone();
     let hosts: usize = flag_num(args, "--hosts", 2)?;
@@ -460,7 +484,6 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let out = flag(args, "--out").ok_or("missing --out")?;
     let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
     let allow_grow = args.iter().any(|a| a == "--allow-grow");
-    let pipelined = !args.iter().any(|a| a == "--no-pipeline");
     let store = StoreOpts::parse(args)?;
     let g = load_graph(&path)?;
     let parts = partition_cfg(&g, &store.cfg(Policy::CartesianVertexCut, hosts));
@@ -485,7 +508,6 @@ fn cmd_worker(args: &[String]) -> CliResult {
         Err(e) => return Err(format!("host {host}: bind tcp transport: {e}")),
     };
     let vals = run_transport_host(&transport, threads, plan, |ctx| {
-        ctx.set_pipelined(pipelined);
         if allow_grow {
             // The compiled elastic engine recovers, shrinks, and grows
             // on its own checkpoints — no closure-level retry wrapper.
@@ -555,10 +577,8 @@ fn host_values<R>(res: Vec<Result<R, HostError>>, elastic: bool) -> Result<HostV
 /// re-partitions from the live membership (inside [`HostCtx::run_elastic`])
 /// so a shrink re-converges on the survivors; otherwise the partition is
 /// fixed up front and transient faults recover in place.
-#[allow(clippy::too_many_arguments)]
 fn run_hosts<R: Send>(
     elastic: bool,
-    pipelined: bool,
     g: &Graph,
     policy: Policy,
     store: StoreOpts,
@@ -568,7 +588,6 @@ fn run_hosts<R: Send>(
 ) -> Vec<Result<R, HostError>> {
     if elastic {
         cluster.try_run_with_faults(plan, |ctx| {
-            ctx.set_pipelined(pipelined);
             ctx.run_elastic(|ctx| {
                 let parts = partition_cfg(g, &store.cfg(policy, ctx.num_hosts()));
                 f(&parts[ctx.host()], ctx)
@@ -577,7 +596,6 @@ fn run_hosts<R: Send>(
     } else {
         let parts = partition_cfg(g, &store.cfg(policy, cluster.num_hosts()));
         cluster.try_run_with_faults(plan, |ctx| {
-            ctx.set_pipelined(pipelined);
             ctx.run_recovering(|ctx| f(&parts[ctx.host()], ctx))
         })
     }
@@ -597,14 +615,12 @@ enum SimOutcome {
 /// Structural validity (MIS independence/maximality, community labels)
 /// is checked against the single-threaded reference right here; exact
 /// output equality is the caller's job.
-#[allow(clippy::too_many_arguments)]
 fn sim_outcome(
     algo: &str,
     g: &Graph,
     cluster: &Cluster,
     plan: FaultPlan,
     elastic: bool,
-    pipelined: bool,
     store: StoreOpts,
 ) -> Result<SimOutcome, String> {
     let policy = match algo {
@@ -616,7 +632,7 @@ fn sim_outcome(
     Ok(match algo {
         "cc-sv" | "cc-lp" | "cc-sclp" => {
             match host_values(
-                run_hosts(elastic, pipelined, g, policy, store, cluster, plan, |dg, ctx| {
+                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
                     run_cc(algo, dg, ctx)
                 }),
                 elastic,
@@ -627,7 +643,7 @@ fn sim_outcome(
         }
         "mis" => {
             match host_values(
-                run_hosts(elastic, pipelined, g, policy, store, cluster, plan, |dg, ctx| {
+                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
                     mis(dg, ctx, &b)
                 }),
                 elastic,
@@ -642,7 +658,7 @@ fn sim_outcome(
         }
         "msf" => {
             match host_values(
-                run_hosts(elastic, pipelined, g, policy, store, cluster, plan, |dg, ctx| {
+                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
                     msf(dg, ctx, &b)
                 }),
                 elastic,
@@ -662,7 +678,7 @@ fn sim_outcome(
         "louvain" | "leiden" => {
             let cfg = LouvainConfig::default();
             match host_values(
-                run_hosts(elastic, pipelined, g, policy, store, cluster, plan, |dg, ctx| {
+                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
                     if algo == "louvain" {
                         louvain(dg, ctx, &b, &cfg)
                     } else {
@@ -699,7 +715,6 @@ fn run_sim_seed(
     ef: usize,
     allow_shrink: bool,
     allow_grow: bool,
-    pipelined: bool,
     store: StoreOpts,
     trace_path: Option<&str>,
     out: Option<&str>,
@@ -719,7 +734,6 @@ fn run_sim_seed(
         &Cluster::with_threads(hosts, threads),
         FaultPlan::new(),
         false,
-        pipelined,
         store,
     )? {
         SimOutcome::Labels(l) => l,
@@ -741,7 +755,6 @@ fn run_sim_seed(
             &Cluster::with_threads(hosts - 1, threads),
             FaultPlan::new(),
             false,
-            pipelined,
             store,
         )? {
             SimOutcome::Labels(l) => Some(l),
@@ -769,17 +782,14 @@ fn run_sim_seed(
         .with_trace_sink(sink.clone());
     let outcome = if allow_grow {
         match host_values(
-            cluster.try_run_with_faults(plan, |ctx| {
-                ctx.set_pipelined(pipelined);
-                run_grow_cc(&g, ctx)
-            }),
+            cluster.try_run_with_faults(plan, |ctx| run_grow_cc(&g, ctx)),
             true,
         )? {
             HostValues::Aborted(m) => SimOutcome::Aborted(m),
             HostValues::All(ph) => SimOutcome::Labels(merge_master_values(g.num_nodes(), ph)),
         }
     } else {
-        sim_outcome(algo, &g, &cluster, plan, allow_shrink, pipelined, store)?
+        sim_outcome(algo, &g, &cluster, plan, allow_shrink, store)?
     };
     let trace = std::mem::take(&mut *sink.lock());
     if let Some(path) = trace_path {
@@ -805,6 +815,15 @@ fn run_sim_seed(
 }
 
 fn cmd_sim(args: &[String]) -> CliResult {
+    check_flags(
+        "sim",
+        args,
+        &[
+            "--algo", "--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--trace",
+            "--out", "--hub-threshold",
+        ],
+        &["--allow-shrink", "--allow-grow", "--raw"],
+    )?;
     let algo = flag(args, "--algo").unwrap_or_else(|| "cc-lp".into());
     let hosts: usize = flag_num(args, "--hosts", 3)?;
     // One worker thread per host by default: intra-host pools are real
@@ -817,7 +836,6 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let nseeds: u64 = flag_num(args, "--seeds", 1)?;
     let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
     let allow_grow = args.iter().any(|a| a == "--allow-grow");
-    let pipelined = !args.iter().any(|a| a == "--no-pipeline");
     let store = StoreOpts::parse(args)?;
     let trace_path = flag(args, "--trace");
     let out = flag(args, "--out");
@@ -837,7 +855,6 @@ fn cmd_sim(args: &[String]) -> CliResult {
             ef,
             allow_shrink,
             allow_grow,
-            pipelined,
             store,
             trace_path.as_deref(),
             out.as_deref(),
@@ -1012,6 +1029,15 @@ fn merge_reports(n: usize, per_host: Vec<Vec<JobReport>>) -> Result<Vec<MergedRe
 const SERVE_CACHE_CAPACITY: usize = 32;
 
 fn cmd_serve(args: &[String]) -> CliResult {
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--hosts", "--threads", "--jobs", "--job", "--cache-capacity", "--out-dir",
+            "--hub-threshold",
+        ],
+        &["--raw"],
+    )?;
     let path = args.first().ok_or("missing FILE")?.clone();
     let hosts: usize = flag_num(args, "--hosts", 2)?;
     let threads: usize = flag_num(args, "--threads", 2)?;
@@ -1081,6 +1107,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 }
 
 fn cmd_submit(args: &[String]) -> CliResult {
+    check_flags("submit", args, &["--jobs"], &[])?;
     let jobs = flag(args, "--jobs").ok_or("missing --jobs FILE")?;
     // The SPEC is the one positional argument left after removing the
     // --jobs flag and its value.
@@ -1186,6 +1213,12 @@ fn run_serve_seed(
 }
 
 fn cmd_serve_sim(args: &[String]) -> CliResult {
+    check_flags(
+        "serve-sim",
+        args,
+        &["--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--hub-threshold"],
+        &["--raw"],
+    )?;
     let hosts: usize = flag_num(args, "--hosts", 3)?;
     let threads: usize = flag_num(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
@@ -1233,6 +1266,15 @@ fn write_lines<T: std::fmt::Display>(out: &str, vals: &[T]) -> Result<(), String
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
+    check_flags(
+        "run",
+        args,
+        &[
+            "--hosts", "--threads", "--transport", "--faults", "--seed", "--port-base", "--out",
+            "--hub-threshold",
+        ],
+        &["--allow-shrink", "--allow-grow", "--raw"],
+    )?;
     let algo = args.first().ok_or("missing algorithm")?.clone();
     let path = args.get(1).ok_or("missing FILE")?.clone();
     let hosts: usize = flag_num(args, "--hosts", 2)?;
@@ -1244,7 +1286,6 @@ fn cmd_run(args: &[String]) -> CliResult {
     let out = flag(args, "--out");
     let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
     let allow_grow = args.iter().any(|a| a == "--allow-grow");
-    let pipelined = !args.iter().any(|a| a == "--no-pipeline");
     let store = StoreOpts::parse(args)?;
     let is_cc = matches!(algo.as_str(), "cc-sv" | "cc-lp" | "cc-sclp");
     if !matches!(transport.as_str(), "inproc" | "tcp") {
@@ -1292,14 +1333,12 @@ fn cmd_run(args: &[String]) -> CliResult {
             let per_host = if transport == "tcp" {
                 run_tcp_cc(
                     &algo, &path, capacity, threads, port_base, &faults, seed, allow_shrink,
-                    allow_grow, pipelined, store,
+                    allow_grow, store,
                 )?
             } else if allow_grow {
                 let plan = fault_plan(&faults, seed, capacity)?;
-                let res = Cluster::with_threads(capacity, threads).try_run_with_faults(plan, |ctx| {
-                    ctx.set_pipelined(pipelined);
-                    run_grow_cc(&g, ctx)
-                });
+                let res = Cluster::with_threads(capacity, threads)
+                    .try_run_with_faults(plan, |ctx| run_grow_cc(&g, ctx));
                 let mut per_host = Vec::new();
                 for (h, r) in res.into_iter().enumerate() {
                     match r {
@@ -1314,7 +1353,6 @@ fn cmd_run(args: &[String]) -> CliResult {
             } else if allow_shrink {
                 let plan = fault_plan(&faults, seed, hosts)?;
                 let res = cluster.try_run_with_faults(plan, |ctx| {
-                    ctx.set_pipelined(pipelined);
                     ctx.run_elastic(|ctx| {
                         let parts = partition_cfg(&g, &store.cfg(policy, ctx.num_hosts()));
                         run_cc(&algo, &parts[ctx.host()], ctx)
@@ -1334,7 +1372,6 @@ fn cmd_run(args: &[String]) -> CliResult {
             } else {
                 let plan = fault_plan(&faults, seed, hosts)?;
                 cluster.run_with_faults(plan, |ctx| {
-                    ctx.set_pipelined(pipelined);
                     ctx.run_recovering(|ctx| run_cc(&algo, &parts[ctx.host()], ctx))
                 })
             };
@@ -1348,10 +1385,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             println!("{} components in {:.2?}", comps.len(), t.elapsed());
         }
         "mis" => {
-            let per_host = cluster.run(|ctx| {
-                ctx.set_pipelined(pipelined);
-                mis(&parts[ctx.host()], ctx, &b)
-            });
+            let per_host = cluster.run(|ctx| mis(&parts[ctx.host()], ctx, &b));
             let set = merge_master_values(g.num_nodes(), per_host);
             println!(
                 "independent set of {} nodes in {:.2?}",
@@ -1360,10 +1394,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             );
         }
         "msf" => {
-            let per_host = cluster.run(|ctx| {
-                ctx.set_pipelined(pipelined);
-                msf(&parts[ctx.host()], ctx, &b)
-            });
+            let per_host = cluster.run(|ctx| msf(&parts[ctx.host()], ctx, &b));
             let (edges, total) = kimbap_algos::msf::merge_forest(per_host);
             println!(
                 "forest: {} edges, weight {total}, in {:.2?}",
@@ -1374,7 +1405,6 @@ fn cmd_run(args: &[String]) -> CliResult {
         "louvain" | "leiden" => {
             let cfg = LouvainConfig::default();
             let results = cluster.run(|ctx| {
-                ctx.set_pipelined(pipelined);
                 let dg = &parts[ctx.host()];
                 if algo == "louvain" {
                     louvain(dg, ctx, &b, &cfg)
@@ -1403,6 +1433,7 @@ fn cmd_run(args: &[String]) -> CliResult {
 }
 
 fn cmd_compile(args: &[String]) -> CliResult {
+    check_flags("compile", args, &[], &["--no-opt"])?;
     let path = args.first().ok_or("missing FILE")?;
     let opt = if args.iter().any(|a| a == "--no-opt") {
         OptLevel::None
@@ -1470,5 +1501,35 @@ fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {
         T::DoWhileScalar { body, reducer } => {
             format!("do {{ {} steps }} while reducer {reducer}", body.len())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_flags;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn check_flags_accepts_known_and_names_unknown() {
+        let valued = ["--hosts", "--out"];
+        let switches = ["--raw"];
+        let ok = args(&["cc-lp", "g.kg", "--hosts", "3", "--raw"]);
+        assert_eq!(check_flags("run", &ok, &valued, &switches), Ok(()));
+        let typo = args(&["cc-lp", "g.kg", "--allow-shrnk"]);
+        let err = check_flags("run", &typo, &valued, &switches).unwrap_err();
+        assert!(err.contains("--allow-shrnk") && err.contains("kimbap run"), "{err}");
+    }
+
+    #[test]
+    fn check_flags_never_inspects_a_flag_value() {
+        // `--out`'s value looks like a flag; it is a file name.
+        let a = args(&["g.kg", "--out", "--labels.txt", "--raw"]);
+        assert_eq!(check_flags("run", &a, &["--out"], &["--raw"]), Ok(()));
+        // ...but the same token in flag position is rejected.
+        let b = args(&["g.kg", "--labels.txt"]);
+        assert!(check_flags("run", &b, &["--out"], &["--raw"]).is_err());
     }
 }

@@ -56,13 +56,6 @@ pub struct EngineConfig {
     /// [`crate::elastic::run_plan_elastic`]) at that round boundary so
     /// every member stops at the grow gate together.
     pub allow_grow: bool,
-    /// Overlap reduce-sync serialization and wire I/O with compute via
-    /// split-phase chunked exchanges (on by default; `--no-pipeline` turns
-    /// it off). Pin rounds — the first round and post-recovery replays —
-    /// and checkpoint-replication exchanges always run non-pipelined, so
-    /// recovery replays the simplest possible schedule. Results are
-    /// byte-identical either way.
-    pub pipelined: bool,
     /// Offset added to every round the engine publishes via
     /// [`kimbap_comm::HostCtx::set_round`]. A serving layer sets this to
     /// `job_index * JOB_ROUND_STRIDE` so round-targeted faults and traces
@@ -79,7 +72,6 @@ impl Default for EngineConfig {
             phase_timeout: None,
             allow_shrink: false,
             allow_grow: false,
-            pipelined: true,
             round_base: 0,
         }
     }
@@ -486,9 +478,6 @@ impl<'g> Engine<'g> {
             return;
         }
         ctx.set_deadline(Deadline::maybe("replicate", self.config.phase_timeout));
-        // Checkpoint traffic is durable state: keep it on the plain
-        // blocking schedule regardless of the pipelining config.
-        ctx.set_pipelined(false);
         let me = ctx.host();
         let mut out = vec![Vec::new(); k];
         out[(me + 1) % k] = encode_state(&self.globalize(cp));
@@ -621,10 +610,6 @@ impl<'g> Engine<'g> {
     /// round and after a recovery); returns `true` when the loop is done.
     fn loop_step(&mut self, ctx: &HostCtx, l: &CompiledLoop, repeat: bool, pin: bool) -> bool {
         let timeout = self.config.phase_timeout;
-        // Pin rounds (first round and post-recovery replays) run
-        // non-pipelined: recovery replays the simplest schedule while the
-        // fabric is freshly healed. Steady-state rounds follow the config.
-        ctx.set_pipelined(self.config.pipelined && !pin);
         if pin {
             ctx.set_deadline(Deadline::maybe("pin_mirrors", timeout));
             for m in &l.pinned_maps {

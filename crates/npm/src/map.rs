@@ -1054,29 +1054,11 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         outgoing
     }
 
-    /// Folds the locally retained CF pairs (`local_pairs`) onto canonical
-    /// values — the gather half that needs no network data, so the
-    /// pipelined reduce-sync runs it while posted chunks are still on the
-    /// wire. (SGR variants keep `local_pairs` empty; this is then a cheap
-    /// no-op region.)
-    fn gather_locals(&mut self, ctx: &HostCtx) {
-        self.gather_fold(ctx, &[], true);
-    }
-
-    /// Folds pairs from every received buffer onto canonical values — the
-    /// wire half of the gather.
-    fn gather_received(&mut self, ctx: &HostCtx, received: &[Vec<u8>]) {
-        self.gather_fold(ctx, received, false);
-    }
-
     /// Gather-reduce: threads own disjoint key ranges and fold pairs onto
-    /// canonical values — the locally retained CF pairs when `locals`,
-    /// plus matching pairs from every buffer in `received`. Split in two
-    /// calls so the local half can overlap a split-phase exchange; per key
-    /// the fold order stays locals-then-received-in-host-order, exactly
-    /// like the fused loop it replaced, so pipelining never changes
-    /// results.
-    fn gather_fold(&mut self, ctx: &HostCtx, received: &[Vec<u8>], locals: bool) {
+    /// canonical values — first the locally retained CF pairs
+    /// (`local_pairs`; SGR variants keep them empty), then matching pairs
+    /// from every buffer in `received`, in host order.
+    fn gather_fold(&mut self, ctx: &HostCtx, received: &[Vec<u8>]) {
         let n = self.key_own.num_nodes();
         let op = self.op;
         let threads = self.threads;
@@ -1106,15 +1088,13 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                             }
                         }
                     };
-                    if locals {
-                        // SAFETY: distinct tids per worker.
-                        let mine = unsafe { local_pairs.slot(tid) };
-                        for &(k, v) in mine.iter() {
-                            debug_assert_eq!(range_owner(k, threads, n), tid);
-                            apply(k, v);
-                        }
-                        mine.clear();
+                    // SAFETY: distinct tids per worker.
+                    let mine = unsafe { local_pairs.slot(tid) };
+                    for &(k, v) in mine.iter() {
+                        debug_assert_eq!(range_owner(k, threads, n), tid);
+                        apply(k, v);
                     }
+                    mine.clear();
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
                             if range_owner(k, threads, n) != tid {
@@ -1138,15 +1118,13 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                             updated_any.store(true, Ordering::Relaxed);
                         }
                     };
-                    if locals {
-                        // SAFETY: distinct tids per worker.
-                        let mine = unsafe { local_pairs.slot(tid) };
-                        for &(k, v) in mine.iter() {
-                            debug_assert_eq!(range_owner(k, threads, n), tid);
-                            apply(k, v);
-                        }
-                        mine.clear();
+                    // SAFETY: distinct tids per worker.
+                    let mine = unsafe { local_pairs.slot(tid) };
+                    for &(k, v) in mine.iter() {
+                        debug_assert_eq!(range_owner(k, threads, n), tid);
+                        apply(k, v);
                     }
+                    mine.clear();
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
                             if range_owner(k, threads, n) != tid {
@@ -1509,37 +1487,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             self.shared_scatter(ctx)
         };
 
-        // Pipelined reduce-sync: open a split-phase exchange, post the
-        // per-destination buffers (in parallel — posting serializes into
-        // chunk frames and ships them immediately), fold the locally
-        // retained CF pairs while those chunks travel, and only then block
-        // for the peers' buffers. The serial path runs the same two gather
-        // halves in the same order, so both modes produce byte-identical
-        // results for the same inputs (each key sees local-then-received
-        // folds either way).
-        let received = if ctx.pipelined() {
-            let ticket = ctx.exchange_start();
-            {
-                let per_dest: Vec<Mutex<Option<Vec<u8>>>> =
-                    outgoing.into_iter().map(|b| Mutex::new(Some(b))).collect();
-                let ticket = &ticket;
-                let per_dest = &per_dest;
-                let threads = self.threads;
-                ctx.pool().run(move |tid| {
-                    for to in (tid..per_dest.len()).step_by(threads) {
-                        let payload = per_dest[to].lock().take().expect("dest posted twice");
-                        ticket.post(to, payload);
-                    }
-                });
-            }
-            self.gather_locals(ctx);
-            ctx.exchange_finish(ticket)
-        } else {
-            let received = ctx.exchange(outgoing);
-            self.gather_locals(ctx);
-            received
-        };
-        self.gather_received(ctx, &received);
+        let received = ctx.exchange(outgoing);
+        self.gather_fold(ctx, &received);
 
         // Cached remote properties are now stale: drop them.
         if self.pinned && !self.variant.partition_aware() {

@@ -33,21 +33,9 @@ if [ "$SMOKE" = 1 ]; then
         echo "bench smoke: sparse frontier path not exercised" >&2
         exit 1
     fi
-    # Split-phase collectives: the pipelined fig11 records must show wire
-    # chunks sent and a nonzero overlap window, and the serial ablation
-    # record (sgr_cf_gar_nopipe) must report exactly zero overlap.
+    # Chunked collectives: the fig11 records must show wire chunks sent.
     if ! grep -q '"chunks_sent":[1-9]' "$TMP_JSONL"; then
         echo "bench smoke: no wire chunks recorded" >&2
-        exit 1
-    fi
-    if ! grep '"system":"sgr_cf_gar"' "$TMP_JSONL" \
-            | grep -q '"overlap_secs":[0-9]*\.[0-9]*[1-9]'; then
-        echo "bench smoke: pipelined run recorded no compute/comm overlap" >&2
-        exit 1
-    fi
-    if ! grep '"system":"sgr_cf_gar_nopipe"' "$TMP_JSONL" \
-            | grep -q '"overlap_secs":0\.000000'; then
-        echo "bench smoke: serial ablation should report zero overlap" >&2
         exit 1
     fi
     # Compressed storage tier: every run record must carry the footprint
@@ -88,7 +76,7 @@ if [ "$SMOKE" = 1 ]; then
         echo "bench smoke: no JSON records produced" >&2
         exit 1
     fi
-    echo "bench smoke: $lines JSON record(s) produced OK (sparse + overlap paths exercised)"
+    echo "bench smoke: $lines JSON record(s) produced OK (sparse + chunked paths exercised)"
     exit 0
 fi
 

@@ -56,24 +56,14 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 diff "$SMOKE_DIR/inproc.txt" "$SMOKE_DIR/tcp.txt"
 echo "    in-proc and TCP labels identical"
 
-echo "==> pipelined-vs-serial smoke (same seed, both modes, all three backends)"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --seed 1 --out "$SMOKE_DIR/pipe.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --seed 1 --no-pipeline --out "$SMOKE_DIR/serial.txt"
-diff "$SMOKE_DIR/pipe.txt" "$SMOKE_DIR/serial.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --transport tcp --port-base 47000 --seed 1 --out "$SMOKE_DIR/pipe-tcp.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --transport tcp --port-base 47100 --seed 1 --no-pipeline \
-    --out "$SMOKE_DIR/serial-tcp.txt"
-diff "$SMOKE_DIR/pipe-tcp.txt" "$SMOKE_DIR/serial-tcp.txt"
-./target/release/kimbap sim --algo cc-lp --seed 3 --hosts 4 \
-    --out "$SMOKE_DIR/pipe-sim.txt"
-./target/release/kimbap sim --algo cc-lp --seed 3 --hosts 4 --no-pipeline \
-    --out "$SMOKE_DIR/serial-sim.txt"
-diff "$SMOKE_DIR/pipe-sim.txt" "$SMOKE_DIR/serial-sim.txt"
-echo "    pipelined and --no-pipeline outputs identical (inproc, tcp, sim)"
+echo "==> unknown-flag smoke (a mistyped option must fail, naming the flag)"
+if ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --allow-shrnk \
+        2> "$SMOKE_DIR/flag.err"; then
+    echo "kimbap run accepted an unknown flag" >&2
+    exit 1
+fi
+grep -q -- "--allow-shrnk" "$SMOKE_DIR/flag.err"
+echo "    unknown flag rejected by name"
 
 echo "==> TCP kill smoke (worker 1 killed mid-run; survivors' output diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
