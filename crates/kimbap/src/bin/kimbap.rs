@@ -17,20 +17,21 @@
 //! `127.0.0.1:port_base+host`, and the launcher merges the per-host master
 //! values after all workers exit. The same seeded `--faults` plans run on
 //! either transport and must produce identical labels.
+//!
+//! `run`, `sim` and `_worker` share one host-side launcher ([`run_host`])
+//! over one algorithm table ([`serve::TABLE`]), the one `serve` executes
+//! jobs from.
 
 use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
 use kimbap::engine::EngineConfig;
 use kimbap::prelude::*;
-use kimbap::serve::{self, Algo, HostServer, JobReport, JobSpec, JobStatus};
+use kimbap::serve::{self, Algo, AlgoRow, HostServer, JobOutput, JobReport, JobSpec, JobStatus};
 use kimbap::simfuzz;
-use kimbap_algos::{
-    cc, compose_labels, leiden, louvain, merge_master_values, mis, msf, refcheck, LouvainConfig,
-    NpmBuilder,
-};
 use kimbap_comm::{
     new_trace_sink, run_transport_host, Deadline, HostError, TcpTransport, TransportConfig,
 };
-use kimbap_compiler::{classify_program, compile, frontend, programs, OptLevel};
+use kimbap_compiler::ir::Program;
+use kimbap_compiler::{classify_program, compile, frontend, OptLevel};
 use kimbap_dist::{partition_cfg, PartitionCfg};
 use kimbap_graph::io;
 use std::fs::File;
@@ -89,10 +90,14 @@ usage:
 
 graphs are stored in the kimbap binary format (.kg) or may be text edge
 lists; vertex programs (.kv) use the surface syntax of kimbap-compiler's
-frontend. --transport tcp spawns one worker process per host over TCP
-loopback; --faults (connected-components algorithms only) injects a
-seeded fault plan; --out (cc-* and louvain/leiden) writes one label per
-node for diffing across transports and storage tiers.
+frontend. run, sim, serve and the TCP workers look an algorithm up in
+one table (kimbap::serve::TABLE), so a name picks the same executor
+everywhere: cc-sv is the compiled plan, the rest are hand-written loops.
+--faults injects a seeded fault plan and --out writes the merged output
+one value per line (labels; 0/1 membership for mis; weight, edge count
+and the sorted edges for msf) for diffing across launchers, transports
+and storage tiers. --transport tcp spawns one worker process per host
+over TCP loopback (cc-* only: the workers' file format carries labels).
 
 kimbap sim replays a fully deterministic multi-host schedule on the
 discrete-event simulation backend: the seed fixes the R-MAT input graph,
@@ -209,6 +214,37 @@ impl StoreOpts {
     }
 }
 
+/// Looks an algorithm name up in [`serve::TABLE`] — before any I/O, so a
+/// typo fails fast — and names the valid spellings when it is not there.
+fn parse_algo(name: &str) -> Result<&'static AlgoRow, String> {
+    Algo::parse(name).map(Algo::row).ok_or_else(|| {
+        let valid = Algo::ALL.map(Algo::name).join(", ");
+        format!("unknown algorithm '{name}' (valid: {valid})")
+    })
+}
+
+/// The membership switches shared by `run`, `sim`, and the TCP workers.
+#[derive(Clone, Copy)]
+struct Elastic {
+    /// `--allow-shrink`.
+    shrink: bool,
+    /// `--allow-grow`: the vertex program the elastic engine runs.
+    grow: Option<fn() -> Program>,
+}
+
+impl Elastic {
+    fn parse(args: &[String], row: &AlgoRow) -> Result<Self, String> {
+        let grow = if args.iter().any(|a| a == "--allow-grow") {
+            let only = "--allow-grow runs the compiled elastic engine: cc-lp only";
+            Some(row.grow_plan.ok_or(only)?)
+        } else {
+            None
+        };
+        let shrink = args.iter().any(|a| a == "--allow-shrink");
+        Ok(Elastic { shrink, grow })
+    }
+}
+
 fn load_graph(path: &str) -> Result<Graph, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mut r = BufReader::new(f);
@@ -317,53 +353,52 @@ fn fault_plan(name: &str, seed: u64, hosts: usize) -> Result<FaultPlan, String> 
     })
 }
 
-/// Runs the compiled cc-lp program on the elastic engine from one host's
-/// context — the `--allow-grow` path shared by the in-proc, TCP-worker,
-/// and sim launchers. Members enter through [`run_plan_elastic`] with
-/// join detection armed; a latent host sleeps out its declared delay and
-/// knocks through [`join_plan_elastic`]. A joiner that gives up (the
-/// members finished first) contributes no masters, which is benign: the
-/// members' outputs still cover every node.
-fn run_grow_cc(g: &Graph, ctx: &HostCtx) -> Vec<(NodeId, u64)> {
-    let prog = compile(&programs::cc_lp(), OptLevel::Full);
-    let config = EngineConfig {
-        allow_grow: true,
-        ..EngineConfig::default()
-    };
-    let out = if ctx.is_member() {
-        Some(run_plan_elastic(
-            g,
-            Policy::EdgeCutBlocked,
-            &prog,
-            config,
-            ctx,
-        ))
+/// The one host-side entry point: runs `row`'s algorithm from one host's
+/// context, whichever launcher (in-proc `run`, the TCP worker, `sim`) and
+/// backend carries it. Fixed membership recovers transient faults in
+/// place on the up-front `parts`; `--allow-shrink` re-partitions from the
+/// live membership on every attempt, so after a shrink the survivors
+/// cover all nodes; `--allow-grow` hands the row's vertex program to the
+/// elastic engine, which recovers, shrinks, and grows on its own
+/// checkpoints. There a latent host sleeps out its declared delay and
+/// knocks; a joiner that gives up (the members finished first)
+/// contributes no masters, which is benign: the members' outputs still
+/// cover every node.
+fn run_host(
+    row: &AlgoRow,
+    g: &Graph,
+    parts: &[DistGraph],
+    store: StoreOpts,
+    elastic: Elastic,
+    ctx: &HostCtx,
+) -> JobOutput {
+    if let Some(program) = elastic.grow {
+        let prog = compile(&program(), OptLevel::Full);
+        let policy = Policy::EdgeCutBlocked;
+        let config = EngineConfig {
+            allow_grow: true,
+            ..EngineConfig::default()
+        };
+        let out = if ctx.is_member() {
+            Some(run_plan_elastic(g, policy, &prog, config, ctx))
+        } else {
+            let deadline = Deadline::after("join", Duration::from_secs(10));
+            join_plan_elastic(g, policy, &prog, config, ctx, &deadline)
+        };
+        JobOutput::Masters(match out {
+            Some(o) => o.map_values.into_iter().next().unwrap_or_default(),
+            None => {
+                println!("joiner gave up: the members finished before admission");
+                Vec::new()
+            }
+        })
+    } else if elastic.shrink {
+        ctx.run_elastic(|ctx| {
+            let parts = partition_cfg(g, &store.cfg(row.policy, ctx.num_hosts()));
+            (row.run)(&parts[ctx.host()], ctx, 0)
+        })
     } else {
-        join_plan_elastic(
-            g,
-            Policy::EdgeCutBlocked,
-            &prog,
-            config,
-            ctx,
-            &Deadline::after("join", Duration::from_secs(10)),
-        )
-    };
-    match out {
-        Some(o) => o.map_values.into_iter().next().unwrap_or_default(),
-        None => {
-            println!("joiner gave up: the members finished before admission");
-            Vec::new()
-        }
-    }
-}
-
-/// Runs one cc-family algorithm SPMD on the calling host's context.
-fn run_cc(algo: &str, dg: &kimbap_dist::DistGraph, ctx: &HostCtx) -> Vec<(NodeId, u64)> {
-    let b = NpmBuilder::default();
-    match algo {
-        "cc-sv" => cc::cc_sv(dg, ctx, &b),
-        "cc-lp" => cc::cc_lp(dg, ctx, &b),
-        _ => cc::cc_sclp(dg, ctx, &b),
+        ctx.run_recovering(|ctx| (row.run)(&parts[ctx.host()], ctx, 0))
     }
 }
 
@@ -383,8 +418,7 @@ fn run_tcp_cc(
     port_base: u16,
     faults: &str,
     seed: u64,
-    allow_shrink: bool,
-    allow_grow: bool,
+    elastic: Elastic,
     store: StoreOpts,
 ) -> Result<Vec<Vec<(NodeId, u64)>>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
@@ -410,10 +444,10 @@ fn run_tcp_cc(
             .args(["--faults", faults])
             .args(["--seed", &seed.to_string()])
             .args(["--out", part.to_str().ok_or("non-UTF-8 temp dir")?]);
-        if allow_shrink {
+        if elastic.shrink {
             cmd.arg("--allow-shrink");
         }
-        if allow_grow {
+        if elastic.grow.is_some() {
             cmd.arg("--allow-grow");
         }
         if !store.compressed {
@@ -429,7 +463,7 @@ fn run_tcp_cc(
     let mut killed = vec![false; hosts];
     for (h, mut child) in children {
         let status = child.wait().map_err(|e| format!("wait worker {h}: {e}"))?;
-        if allow_shrink && status.code() == Some(kimbap_comm::KILLED_EXIT_CODE) {
+        if elastic.shrink && status.code() == Some(kimbap_comm::KILLED_EXIT_CODE) {
             killed[h] = true;
             println!("worker {h} was killed; survivors shrank past it");
         } else if !status.success() {
@@ -473,7 +507,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
         ],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
-    let algo = args.first().ok_or("missing algorithm")?.clone();
+    let row = parse_algo(args.first().ok_or("missing algorithm")?)?;
     let path = args.get(1).ok_or("missing FILE")?.clone();
     let hosts: usize = flag_num(args, "--hosts", 2)?;
     let host: usize = flag_num(args, "--host", 0)?;
@@ -482,11 +516,10 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let faults = flag(args, "--faults").unwrap_or_else(|| "none".into());
     let seed: u64 = flag_num(args, "--seed", 1)?;
     let out = flag(args, "--out").ok_or("missing --out")?;
-    let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
-    let allow_grow = args.iter().any(|a| a == "--allow-grow");
+    let elastic = Elastic::parse(args, row)?;
     let store = StoreOpts::parse(args)?;
     let g = load_graph(&path)?;
-    let parts = partition_cfg(&g, &store.cfg(Policy::CartesianVertexCut, hosts));
+    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
     let plan = fault_plan(&faults, seed, hosts)?;
     let latent = plan.latent_hosts();
     let transport = match TcpTransport::bind_with_latent(
@@ -507,24 +540,13 @@ fn cmd_worker(args: &[String]) -> CliResult {
         }
         Err(e) => return Err(format!("host {host}: bind tcp transport: {e}")),
     };
-    let vals = run_transport_host(&transport, threads, plan, |ctx| {
-        if allow_grow {
-            // The compiled elastic engine recovers, shrinks, and grows
-            // on its own checkpoints — no closure-level retry wrapper.
-            run_grow_cc(&g, ctx)
-        } else if allow_shrink {
-            // Elastic: re-partition from the live membership on every
-            // attempt, so after a shrink the survivors cover all nodes.
-            ctx.run_elastic(|ctx| {
-                let parts =
-                    partition_cfg(&g, &store.cfg(Policy::CartesianVertexCut, ctx.num_hosts()));
-                run_cc(&algo, &parts[ctx.host()], ctx)
-            })
-        } else {
-            ctx.run_recovering(|ctx| run_cc(&algo, &parts[ctx.host()], ctx))
-        }
+    let partial = run_transport_host(&transport, threads, plan, |ctx| {
+        run_host(row, &g, &parts, store, elastic, ctx)
     })
     .map_err(|e| format!("host {host}: {e}"))?;
+    let JobOutput::Masters(vals) = partial else {
+        return Err("the TCP worker's file format carries cc-* labels only".into());
+    };
     let f = File::create(&out).map_err(|e| format!("create {out}: {e}"))?;
     let mut w = BufWriter::new(f);
     for (node, label) in vals {
@@ -533,18 +555,21 @@ fn cmd_worker(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Per-host values from a faulted run: either every host finished, or at
-/// least one aborted with a *communication-rooted* error. Faults must
-/// surface as timeouts / failed peers — a non-communication panic is a
-/// bug and fails the run.
-enum HostValues<R> {
-    /// Every host returned a value.
-    All(Vec<R>),
+/// How a launch under faults ended: every host finished, or at least one
+/// aborted with a *communication-rooted* error. Faults must surface as
+/// timeouts / failed peers — a non-communication panic is a bug and fails
+/// the run.
+enum Outcome<T> {
+    /// Every host finished; what they produced.
+    Done(T),
     /// A host aborted cleanly on a communication failure (its message).
     Aborted(String),
 }
 
-fn host_values<R>(res: Vec<Result<R, HostError>>, elastic: bool) -> Result<HostValues<R>, String> {
+fn host_values<R>(
+    res: Vec<Result<R, HostError>>,
+    elastic: bool,
+) -> Result<Outcome<Vec<R>>, String> {
     let mut vals = Vec::with_capacity(res.len());
     let mut aborted = None;
     for r in res {
@@ -567,207 +592,77 @@ fn host_values<R>(res: Vec<Result<R, HostError>>, elastic: bool) -> Result<HostV
         }
     }
     match aborted {
-        Some(m) => Ok(HostValues::Aborted(m)),
-        None if vals.is_empty() => Ok(HostValues::Aborted("every host was killed".into())),
-        None => Ok(HostValues::All(vals)),
+        Some(m) => Ok(Outcome::Aborted(m)),
+        None if vals.is_empty() => Ok(Outcome::Aborted("every host was killed".into())),
+        None => Ok(Outcome::Done(vals)),
     }
 }
 
-/// Runs `f` once per host under `plan`. In elastic mode each attempt
-/// re-partitions from the live membership (inside [`HostCtx::run_elastic`])
-/// so a shrink re-converges on the survivors; otherwise the partition is
-/// fixed up front and transient faults recover in place.
-fn run_hosts<R: Send>(
-    elastic: bool,
+/// Runs `row` through [`run_host`] on every host of `cluster` under `plan`
+/// and merges the partials into the canonical `u64` fingerprint (see
+/// [`serve::merge_job_outputs`]). `parts` is the up-front partition fixed
+/// membership computes on.
+fn run_cluster(
+    row: &AlgoRow,
     g: &Graph,
-    policy: Policy,
-    store: StoreOpts,
+    parts: &[DistGraph],
     cluster: &Cluster,
     plan: FaultPlan,
-    f: impl Fn(&kimbap_dist::DistGraph, &HostCtx) -> R + Sync,
-) -> Vec<Result<R, HostError>> {
-    if elastic {
-        cluster.try_run_with_faults(plan, |ctx| {
-            ctx.run_elastic(|ctx| {
-                let parts = partition_cfg(g, &store.cfg(policy, ctx.num_hosts()));
-                f(&parts[ctx.host()], ctx)
-            })
-        })
-    } else {
-        let parts = partition_cfg(g, &store.cfg(policy, cluster.num_hosts()));
-        cluster.try_run_with_faults(plan, |ctx| {
-            ctx.run_recovering(|ctx| f(&parts[ctx.host()], ctx))
-        })
-    }
-}
-
-/// What one simulated run produced.
-enum SimOutcome {
-    /// Converged: a canonical `u64` fingerprint of the merged output
-    /// (labels for cc/louvain, membership for MIS, the sorted forest and
-    /// total weight for MSF).
-    Labels(Vec<u64>),
-    /// Surfaced a communication failure instead of converging.
-    Aborted(String),
-}
-
-/// Runs `algo` on `cluster` under `plan` and canonicalizes the output.
-/// Structural validity (MIS independence/maximality, community labels)
-/// is checked against the single-threaded reference right here; exact
-/// output equality is the caller's job.
-fn sim_outcome(
-    algo: &str,
-    g: &Graph,
-    cluster: &Cluster,
-    plan: FaultPlan,
-    elastic: bool,
     store: StoreOpts,
-) -> Result<SimOutcome, String> {
-    let policy = match algo {
-        "louvain" | "leiden" => Policy::EdgeCutBlocked,
-        _ => Policy::CartesianVertexCut,
-    };
-    let b = NpmBuilder::default();
-    let n = g.num_nodes();
-    Ok(match algo {
-        "cc-sv" | "cc-lp" | "cc-sclp" => {
-            match host_values(
-                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
-                    run_cc(algo, dg, ctx)
-                }),
-                elastic,
-            )? {
-                HostValues::Aborted(m) => SimOutcome::Aborted(m),
-                HostValues::All(ph) => SimOutcome::Labels(merge_master_values(n, ph)),
-            }
+    elastic: Elastic,
+) -> Result<Outcome<Vec<u64>>, String> {
+    let res = cluster.try_run_with_faults(plan, |ctx| run_host(row, g, parts, store, elastic, ctx));
+    Ok(match host_values(res, elastic.shrink || elastic.grow.is_some())? {
+        Outcome::Aborted(m) => Outcome::Aborted(m),
+        Outcome::Done(outs) => {
+            Outcome::Done(serve::merge_job_outputs(row.algo, g.num_nodes(), outs))
         }
-        "mis" => {
-            match host_values(
-                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
-                    mis(dg, ctx, &b)
-                }),
-                elastic,
-            )? {
-                HostValues::Aborted(m) => SimOutcome::Aborted(m),
-                HostValues::All(ph) => {
-                    let set = merge_master_values(n, ph);
-                    refcheck::check_mis(g, &set).map_err(|e| format!("invalid MIS: {e}"))?;
-                    SimOutcome::Labels(set.into_iter().map(u64::from).collect())
-                }
-            }
-        }
-        "msf" => {
-            match host_values(
-                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
-                    msf(dg, ctx, &b)
-                }),
-                elastic,
-            )? {
-                HostValues::Aborted(m) => SimOutcome::Aborted(m),
-                HostValues::All(ph) => {
-                    let (mut edges, total) = kimbap_algos::msf::merge_forest(ph);
-                    edges.sort_unstable();
-                    let mut fp = vec![total, edges.len() as u64];
-                    for (u, v, w) in edges {
-                        fp.extend([u as u64, v as u64, w]);
-                    }
-                    SimOutcome::Labels(fp)
-                }
-            }
-        }
-        "louvain" | "leiden" => {
-            let cfg = LouvainConfig::default();
-            match host_values(
-                run_hosts(elastic, g, policy, store, cluster, plan, |dg, ctx| {
-                    if algo == "louvain" {
-                        louvain(dg, ctx, &b, &cfg)
-                    } else {
-                        leiden(dg, ctx, &b, &cfg)
-                    }
-                }),
-                elastic,
-            )? {
-                HostValues::Aborted(m) => SimOutcome::Aborted(m),
-                HostValues::All(ph) => {
-                    let labels = compose_labels(n, &ph);
-                    refcheck::check_communities(g, &labels)
-                        .map_err(|e| format!("invalid communities: {e}"))?;
-                    SimOutcome::Labels(labels.into_iter().map(u64::from).collect())
-                }
-            }
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
     })
 }
 
 /// Runs one seed end-to-end: generate the graph, compute the fault-free
 /// reference, replay the seeded faulty schedule on the sim backend, dump
 /// the trace (before verdicts, so a failing seed leaves its schedule on
-/// disk), and check convergence. Returns the outcome plus the trace
-/// length.
+/// disk), and check convergence. Either verdict names the trace length.
 #[allow(clippy::too_many_arguments)]
 fn run_sim_seed(
-    algo: &str,
+    row: &AlgoRow,
     seed: u64,
     hosts: usize,
     threads: usize,
     scale: u32,
     ef: usize,
-    allow_shrink: bool,
-    allow_grow: bool,
+    elastic: Elastic,
     store: StoreOpts,
     trace_path: Option<&str>,
     out: Option<&str>,
-) -> Result<(SimOutcome, usize), String> {
-    if allow_grow && algo != "cc-lp" {
-        return Err("--allow-grow runs the compiled elastic engine: cc-lp only".into());
-    }
+) -> Result<Outcome<String>, String> {
     let mut g = gen::rmat(scale, ef, seed);
-    if algo == "msf" {
+    if row.weighted {
         g = gen::with_random_weights(&g, 1 << 16, seed ^ WEIGHT_SEED_SALT);
     }
     // Fault-free reference on the in-proc backend (a standing one-seed
-    // conformance check between the two local backends).
-    let baseline = match sim_outcome(
-        algo,
-        &g,
-        &Cluster::with_threads(hosts, threads),
-        FaultPlan::new(),
-        false,
-        store,
-    )? {
-        SimOutcome::Labels(l) => l,
-        SimOutcome::Aborted(m) => return Err(format!("fault-free baseline aborted: {m}")),
+    // conformance check between the two local backends), validated by the
+    // row's structural check against the single-threaded reference.
+    let reference = |hosts: usize| -> Result<Vec<u64>, String> {
+        let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
+        let cluster = Cluster::with_threads(hosts, threads);
+        let labels = serve::serial_reference(g.num_nodes(), &parts, &cluster, row.algo);
+        (row.check)(&g, &labels).map(|()| labels)
     };
-    if matches!(algo, "cc-sv" | "cc-lp" | "cc-sclp")
-        && baseline != refcheck::connected_components(&g)
-    {
-        return Err("in-proc labels diverge from the single-threaded reference".into());
-    }
+    let baseline = reference(hosts)?;
     // A fired kill makes the survivors finish on the shrunk membership.
     // Algorithms whose output depends on the partition (louvain/leiden)
     // then legitimately converge to the fault-free output of a cluster
     // one host smaller, so that baseline is accepted too.
-    let shrunk_baseline = if allow_shrink && simfuzz::kill_victim(seed, hosts).is_some() {
-        match sim_outcome(
-            algo,
-            &g,
-            &Cluster::with_threads(hosts - 1, threads),
-            FaultPlan::new(),
-            false,
-            store,
-        )? {
-            SimOutcome::Labels(l) => Some(l),
-            SimOutcome::Aborted(m) => {
-                return Err(format!("fault-free shrunk baseline aborted: {m}"))
-            }
-        }
+    let shrunk_baseline = if elastic.shrink && simfuzz::kill_victim(seed, hosts).is_some() {
+        Some(reference(hosts - 1)?)
     } else {
         None
     };
-    let plan = if allow_grow {
+    let plan = if elastic.grow.is_some() {
         simfuzz::random_churn_plan(seed, hosts)
-    } else if allow_shrink {
+    } else if elastic.shrink {
         simfuzz::random_kill_plan(seed, hosts)
     } else {
         simfuzz::random_fault_plan(seed, hosts)
@@ -780,38 +675,58 @@ fn run_sim_seed(
         .sim(seed)
         .with_transport_config(simfuzz::sim_transport_config())
         .with_trace_sink(sink.clone());
-    let outcome = if allow_grow {
-        match host_values(
-            cluster.try_run_with_faults(plan, |ctx| run_grow_cc(&g, ctx)),
-            true,
-        )? {
-            HostValues::Aborted(m) => SimOutcome::Aborted(m),
-            HostValues::All(ph) => SimOutcome::Labels(merge_master_values(g.num_nodes(), ph)),
-        }
-    } else {
-        sim_outcome(algo, &g, &cluster, plan, allow_shrink, store)?
-    };
+    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
+    let outcome = run_cluster(row, &g, &parts, &cluster, plan, store, elastic)?;
     let trace = std::mem::take(&mut *sink.lock());
     if let Some(path) = trace_path {
-        let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let mut w = BufWriter::new(f);
-        for ev in &trace {
-            writeln!(w, "{}", ev.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-        }
+        let events: Vec<String> = trace.iter().map(|ev| ev.to_json()).collect();
+        write_lines(path, &events)?;
     }
-    if let SimOutcome::Labels(labels) = &outcome {
-        if *labels != baseline && shrunk_baseline.as_deref() != Some(labels.as_slice()) {
-            return Err("labels diverge from the fault-free baseline".into());
+    let events = trace.len();
+    Ok(match outcome {
+        Outcome::Aborted(m) => Outcome::Aborted(format!("{m} ({events} events)")),
+        Outcome::Done(labels) => {
+            if labels != baseline && shrunk_baseline.as_ref() != Some(&labels) {
+                return Err("labels diverge from the fault-free baseline".into());
+            }
+            if let Some(path) = out {
+                write_lines(path, &labels)?;
+            }
+            Outcome::Done(format!("{events} events"))
         }
-        if let Some(path) = out {
-            let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-            let mut w = BufWriter::new(f);
-            for label in labels {
-                writeln!(w, "{label}").map_err(|e| format!("write {path}: {e}"))?;
+    })
+}
+
+/// The seed loop `sim` and `serve-sim` share: runs `one` on `--seeds`
+/// consecutive seeds from `--seed` and prints each verdict. A seed must
+/// converge or surface a communication failure; anything else fails the
+/// command with the `replay` invocation that reproduces it.
+fn fuzz_seeds(
+    args: &[String],
+    replay: impl Fn(u64) -> String,
+    one: impl Fn(u64) -> Result<Outcome<String>, String>,
+) -> CliResult {
+    let seed: u64 = flag_num(args, "--seed", 1)?;
+    let nseeds: u64 = flag_num(args, "--seeds", 1)?;
+    let t = Instant::now();
+    let (mut converged, mut aborted) = (0u64, 0u64);
+    for s in seed..seed.saturating_add(nseeds) {
+        match one(s).map_err(|e| format!("seed {s}: {e}\nreplay: {}", replay(s)))? {
+            Outcome::Done(detail) => {
+                converged += 1;
+                println!("seed {s}: converged ({detail})");
+            }
+            Outcome::Aborted(m) => {
+                aborted += 1;
+                println!("seed {s}: surfaced failure: {m}");
             }
         }
     }
-    Ok((outcome, trace.len()))
+    println!(
+        "{nseeds} seed(s) in {:.2?}: {converged} converged, {aborted} surfaced failures, 0 diverged",
+        t.elapsed()
+    );
+    Ok(())
 }
 
 fn cmd_sim(args: &[String]) -> CliResult {
@@ -824,7 +739,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
         ],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
-    let algo = flag(args, "--algo").unwrap_or_else(|| "cc-lp".into());
+    let row = parse_algo(flag(args, "--algo").as_deref().unwrap_or("cc-lp"))?;
     let hosts: usize = flag_num(args, "--hosts", 3)?;
     // One worker thread per host by default: intra-host pools are real
     // threads even under simulation, and single-threaded hosts keep the
@@ -832,50 +747,29 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let threads: usize = flag_num(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
-    let seed: u64 = flag_num(args, "--seed", 1)?;
-    let nseeds: u64 = flag_num(args, "--seeds", 1)?;
-    let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
-    let allow_grow = args.iter().any(|a| a == "--allow-grow");
+    let elastic = Elastic::parse(args, row)?;
     let store = StoreOpts::parse(args)?;
     let trace_path = flag(args, "--trace");
     let out = flag(args, "--out");
-    let t = Instant::now();
-    let (mut converged, mut aborted) = (0u64, 0u64);
-    for s in seed..seed.saturating_add(nseeds) {
-        let replay = format!(
-            "replay: {}",
-            simfuzz::replay_command(&algo, s, hosts, threads, scale, ef, allow_shrink, allow_grow)
-        );
-        let (outcome, events) = run_sim_seed(
-            &algo,
-            s,
-            hosts,
-            threads,
-            scale,
-            ef,
-            allow_shrink,
-            allow_grow,
-            store,
-            trace_path.as_deref(),
-            out.as_deref(),
-        )
-        .map_err(|e| format!("seed {s}: {e}\n{replay}"))?;
-        match outcome {
-            SimOutcome::Labels(_) => {
-                converged += 1;
-                println!("seed {s}: converged ({events} events)");
-            }
-            SimOutcome::Aborted(m) => {
-                aborted += 1;
-                println!("seed {s}: surfaced failure ({events} events): {m}");
-            }
-        }
-    }
-    println!(
-        "{nseeds} seed(s) in {:.2?}: {converged} converged, {aborted} surfaced failures, 0 diverged",
-        t.elapsed()
-    );
-    Ok(())
+    let (shrink, grow) = (elastic.shrink, elastic.grow.is_some());
+    fuzz_seeds(
+        args,
+        |s| simfuzz::replay_command(row.name, s, hosts, threads, scale, ef, shrink, grow),
+        |s| {
+            run_sim_seed(
+                row,
+                s,
+                hosts,
+                threads,
+                scale,
+                ef,
+                elastic,
+                store,
+                trace_path.as_deref(),
+                out.as_deref(),
+            )
+        },
+    )
 }
 
 /// Every occurrence of a repeated flag, in order (`--job` may be given
@@ -893,8 +787,7 @@ fn flag_all(args: &[String], name: &str) -> Vec<String> {
 fn parse_job_spec(s: &str) -> Result<(Option<usize>, JobSpec), String> {
     let mut fields = s.split(',');
     let algo_name = fields.next().ok_or_else(|| format!("empty job spec '{s}'"))?;
-    let algo =
-        Algo::parse(algo_name).ok_or_else(|| format!("unknown algorithm '{algo_name}' in '{s}'"))?;
+    let algo = parse_algo(algo_name).map_err(|e| format!("{e} in '{s}'"))?.algo;
     let mut spec = JobSpec::new(algo);
     let mut host = None;
     for field in fields {
@@ -959,27 +852,6 @@ fn admission_queues(
         queues[h].push(spec);
     }
     Ok(queues)
-}
-
-/// One line summarizing a merged job output, in the algorithm's terms.
-fn describe_output(algo: Algo, merged: &[u64]) -> String {
-    match algo {
-        Algo::Msf => format!(
-            "forest: {} edges, weight {}",
-            merged.get(1).copied().unwrap_or(0),
-            merged.first().copied().unwrap_or(0)
-        ),
-        Algo::Mis => format!(
-            "independent set of {} nodes",
-            merged.iter().filter(|&&x| x == 1).count()
-        ),
-        _ => {
-            let mut comps = merged.to_vec();
-            comps.sort_unstable();
-            comps.dedup();
-            format!("{} components", comps.len())
-        }
-    }
 }
 
 /// One agreed job with its cross-host-merged canonical fingerprint
@@ -1078,7 +950,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             (JobStatus::DeadlineMissed, _) => "deadline missed".to_string(),
             (JobStatus::Completed { cached }, Some(fp)) => format!(
                 "{}{}",
-                describe_output(spec.algo, fp),
+                (spec.algo.row().describe)(&g, fp),
                 if *cached { " (cached)" } else { "" }
             ),
             (JobStatus::Completed { .. }, None) => unreachable!("completed jobs carry output"),
@@ -1132,15 +1004,6 @@ fn cmd_submit(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// What one simulated serve seed produced.
-enum ServeSimOutcome {
-    /// Converged: per-job verdicts all checked out. Carries
-    /// `(computed, cached, missed)` counts.
-    Converged(usize, usize, usize),
-    /// Surfaced a communication failure instead of converging.
-    Aborted(String),
-}
-
 /// Runs one serve fuzz seed end-to-end: seed-derived graph, job mix, and
 /// fault plan; serial fault-free baselines per distinct query; then the
 /// faulted scheduled run on the sim backend, diffing every completed
@@ -1152,7 +1015,7 @@ fn run_serve_seed(
     scale: u32,
     ef: usize,
     store: StoreOpts,
-) -> Result<ServeSimOutcome, String> {
+) -> Result<Outcome<String>, String> {
     let g = gen::rmat(scale, ef, seed);
     let n = g.num_nodes();
     let parts = partition_cfg(&g, &store.cfg(Policy::EdgeCutBlocked, hosts));
@@ -1181,8 +1044,8 @@ fn run_serve_seed(
         server.serve_batch(ctx, &p[ctx.host()], &q[ctx.host()])
     });
     match host_values(res, false)? {
-        HostValues::Aborted(m) => Ok(ServeSimOutcome::Aborted(m)),
-        HostValues::All(per_host) => {
+        Outcome::Aborted(m) => Ok(Outcome::Aborted(m)),
+        Outcome::Done(per_host) => {
             let merged = merge_reports(n, per_host)?;
             let (mut computed, mut cached, mut missed) = (0, 0, 0);
             for (k, (report, fp)) in merged.iter().enumerate() {
@@ -1207,7 +1070,9 @@ fn run_serve_seed(
                     }
                 }
             }
-            Ok(ServeSimOutcome::Converged(computed, cached, missed))
+            Ok(Outcome::Done(format!(
+                "{computed} computed, {cached} cached, {missed} missed"
+            )))
         }
     }
 }
@@ -1223,36 +1088,12 @@ fn cmd_serve_sim(args: &[String]) -> CliResult {
     let threads: usize = flag_num(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
-    let seed: u64 = flag_num(args, "--seed", 1)?;
-    let nseeds: u64 = flag_num(args, "--seeds", 1)?;
     let store = StoreOpts::parse(args)?;
-    let t = Instant::now();
-    let (mut converged, mut aborted) = (0u64, 0u64);
-    for s in seed..seed.saturating_add(nseeds) {
-        let replay = format!(
-            "replay: {}",
-            simfuzz::serve_replay_command(s, hosts, threads, scale, ef)
-        );
-        let outcome = run_serve_seed(s, hosts, threads, scale, ef, store)
-            .map_err(|e| format!("seed {s}: {e}\n{replay}"))?;
-        match outcome {
-            ServeSimOutcome::Converged(computed, cached, missed) => {
-                converged += 1;
-                println!(
-                    "seed {s}: converged ({computed} computed, {cached} cached, {missed} missed)"
-                );
-            }
-            ServeSimOutcome::Aborted(m) => {
-                aborted += 1;
-                println!("seed {s}: surfaced failure: {m}");
-            }
-        }
-    }
-    println!(
-        "{nseeds} seed(s) in {:.2?}: {converged} converged, {aborted} surfaced failures, 0 diverged",
-        t.elapsed()
-    );
-    Ok(())
+    fuzz_seeds(
+        args,
+        |s| simfuzz::serve_replay_command(s, hosts, threads, scale, ef),
+        |s| run_serve_seed(s, hosts, threads, scale, ef, store),
+    )
 }
 
 /// Writes one value per line (the diffable label dump behind `--out`).
@@ -1275,7 +1116,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         ],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
-    let algo = args.first().ok_or("missing algorithm")?.clone();
+    let row = parse_algo(args.first().ok_or("missing algorithm")?)?;
     let path = args.get(1).ok_or("missing FILE")?.clone();
     let hosts: usize = flag_num(args, "--hosts", 2)?;
     let threads: usize = flag_num(args, "--threads", 2)?;
@@ -1284,151 +1125,52 @@ fn cmd_run(args: &[String]) -> CliResult {
     let seed: u64 = flag_num(args, "--seed", 1)?;
     let port_base: u16 = flag_num(args, "--port-base", 46000)?;
     let out = flag(args, "--out");
-    let allow_shrink = args.iter().any(|a| a == "--allow-shrink");
-    let allow_grow = args.iter().any(|a| a == "--allow-grow");
+    let elastic = Elastic::parse(args, row)?;
     let store = StoreOpts::parse(args)?;
-    let is_cc = matches!(algo.as_str(), "cc-sv" | "cc-lp" | "cc-sclp");
     if !matches!(transport.as_str(), "inproc" | "tcp") {
         return Err(format!("unknown transport '{transport}'"));
     }
-    if (transport == "tcp" || faults != "none" || allow_shrink) && !is_cc {
-        return Err(
-            "--transport tcp, --faults, and --allow-shrink support cc-* algorithms only".into(),
-        );
+    if transport == "tcp" && !row.tcp {
+        return Err("--transport tcp supports cc-* algorithms only".into());
     }
-    if out.is_some() && !is_cc && !matches!(algo.as_str(), "louvain" | "leiden") {
-        return Err("--out supports cc-* and louvain/leiden only".into());
-    }
-    if faults == "kill" && !allow_shrink {
+    if faults == "kill" && !elastic.shrink {
         return Err("--faults kill is only survivable with --allow-shrink".into());
     }
-    if allow_grow && algo != "cc-lp" {
-        return Err("--allow-grow runs the compiled elastic engine: cc-lp only".into());
-    }
-    if faults == "join" && !allow_grow {
+    if faults == "join" && elastic.grow.is_none() {
         return Err("--faults join is only admittable with --allow-grow".into());
     }
     // The join plan's latent host occupies one capacity slot past the
     // requested member count: the cluster starts computing on --hosts
     // members and grows into the spare when the joiner knocks.
     let capacity = if faults == "join" { hosts + 1 } else { hosts };
+    let plan = fault_plan(&faults, seed, capacity)?;
     let g = load_graph(&path)?;
     println!("input: {}", GraphStats::of(&g));
-
-    let policy = match algo.as_str() {
-        "louvain" | "leiden" => Policy::EdgeCutBlocked,
-        _ => Policy::CartesianVertexCut,
-    };
-    let parts = partition_cfg(&g, &store.cfg(policy, hosts));
+    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
     println!(
         "storage: {} ({} local bytes over {hosts} host(s))",
         if store.compressed { "compressed" } else { "raw" },
         parts.iter().map(|p| p.size_bytes()).sum::<usize>()
     );
-    let b = NpmBuilder::default();
-    let cluster = Cluster::with_threads(hosts, threads);
     let t = Instant::now();
-    match algo.as_str() {
-        "cc-sv" | "cc-lp" | "cc-sclp" => {
-            let per_host = if transport == "tcp" {
-                run_tcp_cc(
-                    &algo, &path, capacity, threads, port_base, &faults, seed, allow_shrink,
-                    allow_grow, store,
-                )?
-            } else if allow_grow {
-                let plan = fault_plan(&faults, seed, capacity)?;
-                let res = Cluster::with_threads(capacity, threads)
-                    .try_run_with_faults(plan, |ctx| run_grow_cc(&g, ctx));
-                let mut per_host = Vec::new();
-                for (h, r) in res.into_iter().enumerate() {
-                    match r {
-                        Ok(v) => per_host.push(v),
-                        Err(e) if e.message.starts_with("permanent host loss") => {
-                            println!("host {h} was killed; survivors shrank past it");
-                        }
-                        Err(e) => return Err(format!("host {h}: {e}")),
-                    }
-                }
-                per_host
-            } else if allow_shrink {
-                let plan = fault_plan(&faults, seed, hosts)?;
-                let res = cluster.try_run_with_faults(plan, |ctx| {
-                    ctx.run_elastic(|ctx| {
-                        let parts = partition_cfg(&g, &store.cfg(policy, ctx.num_hosts()));
-                        run_cc(&algo, &parts[ctx.host()], ctx)
-                    })
-                });
-                let mut per_host = Vec::new();
-                for (h, r) in res.into_iter().enumerate() {
-                    match r {
-                        Ok(v) => per_host.push(v),
-                        Err(e) if e.message.starts_with("permanent host loss") => {
-                            println!("host {h} was killed; survivors shrank past it");
-                        }
-                        Err(e) => return Err(format!("host {h}: {e}")),
-                    }
-                }
-                per_host
-            } else {
-                let plan = fault_plan(&faults, seed, hosts)?;
-                cluster.run_with_faults(plan, |ctx| {
-                    ctx.run_recovering(|ctx| run_cc(&algo, &parts[ctx.host()], ctx))
-                })
-            };
-            let labels = merge_master_values(g.num_nodes(), per_host);
-            if let Some(out) = &out {
-                write_lines(out, &labels)?;
-            }
-            let mut comps = labels;
-            comps.sort_unstable();
-            comps.dedup();
-            println!("{} components in {:.2?}", comps.len(), t.elapsed());
+    let merged = if transport == "tcp" {
+        let per_host = run_tcp_cc(
+            row.name, &path, capacity, threads, port_base, &faults, seed, elastic, store,
+        )?;
+        let outs = per_host.into_iter().map(JobOutput::Masters).collect();
+        serve::merge_job_outputs(row.algo, g.num_nodes(), outs)
+    } else {
+        let cluster = Cluster::with_threads(capacity, threads);
+        match run_cluster(row, &g, &parts, &cluster, plan, store, elastic)? {
+            Outcome::Done(merged) => merged,
+            Outcome::Aborted(m) => return Err(format!("run aborted: {m}")),
         }
-        "mis" => {
-            let per_host = cluster.run(|ctx| mis(&parts[ctx.host()], ctx, &b));
-            let set = merge_master_values(g.num_nodes(), per_host);
-            println!(
-                "independent set of {} nodes in {:.2?}",
-                set.iter().filter(|&&x| x).count(),
-                t.elapsed()
-            );
-        }
-        "msf" => {
-            let per_host = cluster.run(|ctx| msf(&parts[ctx.host()], ctx, &b));
-            let (edges, total) = kimbap_algos::msf::merge_forest(per_host);
-            println!(
-                "forest: {} edges, weight {total}, in {:.2?}",
-                edges.len(),
-                t.elapsed()
-            );
-        }
-        "louvain" | "leiden" => {
-            let cfg = LouvainConfig::default();
-            let results = cluster.run(|ctx| {
-                let dg = &parts[ctx.host()];
-                if algo == "louvain" {
-                    louvain(dg, ctx, &b, &cfg)
-                } else {
-                    leiden(dg, ctx, &b, &cfg)
-                }
-            });
-            let labels = compose_labels(g.num_nodes(), &results);
-            if let Some(out) = &out {
-                write_lines(out, &labels)?;
-            }
-            let mut comms = labels.clone();
-            comms.sort_unstable();
-            comms.dedup();
-            println!(
-                "q={:.4}, {} communities, {} levels, in {:.2?}",
-                results[0].modularity,
-                comms.len(),
-                results[0].levels,
-                t.elapsed()
-            );
-        }
-        other => return Err(format!("unknown algorithm '{other}'")),
+    };
+    let elapsed = t.elapsed();
+    if let Some(out) = &out {
+        write_lines(out, &merged)?;
     }
+    println!("{} in {elapsed:.2?}", (row.describe)(&g, &merged));
     Ok(())
 }
 

@@ -46,26 +46,26 @@ use crate::engine::{Engine, EngineConfig};
 use kimbap_algos::louvain::CommunityResult;
 use kimbap_algos::msf::MsfHostResult;
 use kimbap_algos::{
-    cc, compose_labels, leiden, louvain, merge_master_values, mis, msf, LouvainConfig, NpmBuilder,
+    cc, compose_labels, leiden, louvain, merge_master_values, mis, msf, refcheck, LouvainConfig,
+    NpmBuilder,
 };
 use kimbap_comm::{Cluster, Deadline, HostCtx, JOB_ROUND_STRIDE};
+use kimbap_compiler::ir::Program;
 use kimbap_compiler::{compile, programs, CompiledProgram, OptLevel};
-use kimbap_dist::DistGraph;
-use kimbap_graph::NodeId;
+use kimbap_dist::{DistGraph, Policy};
+use kimbap_graph::{Graph, NodeId};
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// The analytics algorithms a serve job can request.
-///
-/// All of them run on the server's single resident partition (the serve
-/// CLI partitions with [`kimbap_dist::Policy::EdgeCutBlocked`], the one
-/// policy every algorithm accepts), so switching algorithms never
-/// repartitions the graph. `cc-sv` runs through the compiled-plan engine
-/// — exercising the engine's job-context plumbing ([`EngineConfig::round_base`])
-/// — the rest through the hand-written implementations.
+/// The seven analytics algorithms, as every launcher (`kimbap run`, `sim`,
+/// the TCP worker, `serve`) names them. Everything that differs per
+/// algorithm — spelling, wire id, partition policy, executor, validity
+/// check, summary line — is one [`AlgoRow`] of [`TABLE`]; the methods here
+/// are lookups into it, so one name means one executor whichever
+/// subcommand runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
     /// Connected components, Shiloach–Vishkin (compiled engine plan).
@@ -84,59 +84,214 @@ pub enum Algo {
     Leiden,
 }
 
+/// One algorithm's row of [`TABLE`]: plain data and `fn` pointers.
+pub struct AlgoRow {
+    /// The variant this row describes (`TABLE[algo as usize].algo == algo`).
+    pub algo: Algo,
+    /// The CLI spelling; also part of `serve --out-dir` file names.
+    pub name: &'static str,
+    /// Stable wire/cache id (the 32-byte job records and cache keys).
+    pub id: u64,
+    /// Partition policy of single-algorithm launches (`kimbap run`, `sim`,
+    /// the TCP worker). `serve` keeps one resident
+    /// [`Policy::EdgeCutBlocked`] partition, which every row accepts.
+    pub policy: Policy,
+    /// Runs the algorithm on this host's partition and returns its
+    /// partial. The `u64` is the job's round band: the compiled plan takes
+    /// it as [`EngineConfig::round_base`]; the hand-written loops advance
+    /// rounds relatively (`set_round(current_round() + 1)`), so the band
+    /// the caller pre-stamped carries through on its own.
+    pub run: fn(&DistGraph, &HostCtx, u64) -> JobOutput,
+    /// Checks a merged fingerprint (see [`merge_job_outputs`]) against the
+    /// single-threaded references in [`refcheck`].
+    pub check: fn(&Graph, &[u64]) -> Result<(), String>,
+    /// One line summarizing a merged fingerprint in the algorithm's terms.
+    pub describe: fn(&Graph, &[u64]) -> String,
+    /// Whether the partial is [`JobOutput::Masters`], the only shape the
+    /// TCP worker's `node label` file format carries.
+    pub tcp: bool,
+    /// Whether the fingerprint is unique only under distinct edge weights
+    /// (a forest's edge list, under ties): `sim` draws random weights for
+    /// such inputs, and diffs across partitions need a weighted graph.
+    pub weighted: bool,
+    /// The vertex program `--allow-grow` runs on the elastic engine, for
+    /// the algorithms that have one.
+    pub grow_plan: Option<fn() -> Program>,
+}
+
+/// The algorithm table, in wire-id order.
+pub const TABLE: [AlgoRow; 7] = [
+    AlgoRow {
+        algo: Algo::CcSv,
+        name: "cc-sv",
+        id: 0,
+        policy: Policy::CartesianVertexCut,
+        run: run_cc_sv_plan,
+        check: check_components,
+        describe: describe_components,
+        tcp: true,
+        weighted: false,
+        grow_plan: None,
+    },
+    AlgoRow {
+        algo: Algo::CcLp,
+        name: "cc-lp",
+        id: 1,
+        policy: Policy::CartesianVertexCut,
+        run: |dg, ctx, _| JobOutput::Masters(cc::cc_lp(dg, ctx, &NpmBuilder::default())),
+        check: check_components,
+        describe: describe_components,
+        tcp: true,
+        weighted: false,
+        grow_plan: Some(programs::cc_lp),
+    },
+    AlgoRow {
+        algo: Algo::CcSclp,
+        name: "cc-sclp",
+        id: 2,
+        policy: Policy::CartesianVertexCut,
+        run: |dg, ctx, _| JobOutput::Masters(cc::cc_sclp(dg, ctx, &NpmBuilder::default())),
+        check: check_components,
+        describe: describe_components,
+        tcp: true,
+        weighted: false,
+        grow_plan: None,
+    },
+    AlgoRow {
+        algo: Algo::Mis,
+        name: "mis",
+        id: 3,
+        policy: Policy::CartesianVertexCut,
+        run: |dg, ctx, _| JobOutput::MisSet(mis(dg, ctx, &NpmBuilder::default())),
+        check: |g, set| {
+            let set: Vec<bool> = set.iter().map(|&x| x == 1).collect();
+            refcheck::check_mis(g, &set).map_err(|e| format!("invalid MIS: {e}"))
+        },
+        describe: |_, set| {
+            let members = set.iter().filter(|&&x| x == 1).count();
+            format!("independent set of {members} nodes")
+        },
+        tcp: false,
+        weighted: false,
+        grow_plan: None,
+    },
+    AlgoRow {
+        algo: Algo::Msf,
+        name: "msf",
+        id: 4,
+        policy: Policy::CartesianVertexCut,
+        run: |dg, ctx, _| JobOutput::Forest(msf(dg, ctx, &NpmBuilder::default())),
+        check: |g, fp| {
+            let want = [refcheck::msf_weight(g), refcheck::msf_edge_count(g) as u64];
+            if fp.get(..2) == Some(&want[..]) {
+                Ok(())
+            } else {
+                Err("forest weight / edge count diverge from Kruskal".into())
+            }
+        },
+        describe: |_, fp| format!("forest: {} edges, weight {}", fp[1], fp[0]),
+        tcp: false,
+        weighted: true,
+        grow_plan: None,
+    },
+    AlgoRow {
+        algo: Algo::Louvain,
+        name: "louvain",
+        id: 5,
+        policy: Policy::EdgeCutBlocked,
+        run: |dg, ctx, _| {
+            JobOutput::Communities(louvain(
+                dg,
+                ctx,
+                &NpmBuilder::default(),
+                &LouvainConfig::default(),
+            ))
+        },
+        check: check_communities,
+        describe: describe_communities,
+        tcp: false,
+        weighted: false,
+        grow_plan: None,
+    },
+    AlgoRow {
+        algo: Algo::Leiden,
+        name: "leiden",
+        id: 6,
+        policy: Policy::EdgeCutBlocked,
+        run: |dg, ctx, _| {
+            JobOutput::Communities(leiden(
+                dg,
+                ctx,
+                &NpmBuilder::default(),
+                &LouvainConfig::default(),
+            ))
+        },
+        check: check_communities,
+        describe: describe_communities,
+        tcp: false,
+        weighted: false,
+        grow_plan: None,
+    },
+];
+
 impl Algo {
-    /// Parses the CLI spelling (the same names `kimbap run` accepts).
+    /// Every algorithm, in [`TABLE`] (wire-id) order.
+    pub const ALL: [Algo; 7] = {
+        use Algo::*;
+        [CcSv, CcLp, CcSclp, Mis, Msf, Louvain, Leiden]
+    };
+
+    /// This algorithm's table row.
+    pub fn row(self) -> &'static AlgoRow {
+        &TABLE[self as usize]
+    }
+
+    /// Parses the CLI spelling.
     pub fn parse(s: &str) -> Option<Algo> {
-        Some(match s {
-            "cc-sv" => Algo::CcSv,
-            "cc-lp" => Algo::CcLp,
-            "cc-sclp" => Algo::CcSclp,
-            "mis" => Algo::Mis,
-            "msf" => Algo::Msf,
-            "louvain" => Algo::Louvain,
-            "leiden" => Algo::Leiden,
-            _ => return None,
-        })
+        TABLE.iter().find(|r| r.name == s).map(|r| r.algo)
     }
 
     /// The CLI spelling.
     pub fn name(self) -> &'static str {
-        match self {
-            Algo::CcSv => "cc-sv",
-            Algo::CcLp => "cc-lp",
-            Algo::CcSclp => "cc-sclp",
-            Algo::Mis => "mis",
-            Algo::Msf => "msf",
-            Algo::Louvain => "louvain",
-            Algo::Leiden => "leiden",
-        }
-    }
-
-    /// Stable wire/cache id.
-    fn id(self) -> u64 {
-        match self {
-            Algo::CcSv => 0,
-            Algo::CcLp => 1,
-            Algo::CcSclp => 2,
-            Algo::Mis => 3,
-            Algo::Msf => 4,
-            Algo::Louvain => 5,
-            Algo::Leiden => 6,
-        }
+        self.row().name
     }
 
     fn from_id(id: u64) -> Option<Algo> {
-        Some(match id {
-            0 => Algo::CcSv,
-            1 => Algo::CcLp,
-            2 => Algo::CcSclp,
-            3 => Algo::Mis,
-            4 => Algo::Msf,
-            5 => Algo::Louvain,
-            6 => Algo::Leiden,
-            _ => return None,
-        })
+        TABLE.iter().find(|r| r.id == id).map(|r| r.algo)
     }
+}
+
+fn distinct(labels: &[u64]) -> usize {
+    let mut l = labels.to_vec();
+    l.sort_unstable();
+    l.dedup();
+    l.len()
+}
+
+fn check_components(g: &Graph, labels: &[u64]) -> Result<(), String> {
+    if labels == refcheck::connected_components(g) {
+        Ok(())
+    } else {
+        Err("labels diverge from the single-threaded reference".into())
+    }
+}
+
+fn describe_components(_: &Graph, labels: &[u64]) -> String {
+    format!("{} components", distinct(labels))
+}
+
+fn community_ids(labels: &[u64]) -> Vec<NodeId> {
+    labels.iter().map(|&l| l as NodeId).collect()
+}
+
+fn check_communities(g: &Graph, labels: &[u64]) -> Result<(), String> {
+    refcheck::check_communities(g, &community_ids(labels))
+        .map_err(|e| format!("invalid communities: {e}"))
+}
+
+fn describe_communities(g: &Graph, labels: &[u64]) -> String {
+    let q = refcheck::modularity(g, &community_ids(labels));
+    format!("q={q:.4}, {} communities", distinct(labels))
 }
 
 /// One submitted analytics job, as it sits in a host's admission queue.
@@ -356,7 +511,6 @@ impl HostServer {
         // purge them up front and count them as evictions.
         let purged = cache.purge_epochs_before(epoch);
         ctx.add_cache_events(0, 0, purged);
-        let b = NpmBuilder::default();
         // Jobs (by schedule index) whose deadline the hosts agreed was
         // missed, and the job the current attempt is executing. Both live
         // outside the recovery closure so state survives replays.
@@ -420,7 +574,7 @@ impl HostServer {
                     .map(|budget| Deadline::after("job", budget));
                 in_flight.set(Some((k, dl.unwrap_or_else(Deadline::none))));
                 ctx.set_job_deadline(dl);
-                let out = exec_algo(job.spec.algo, dg, ctx, &b, band);
+                let out = (job.spec.algo.row().run)(dg, ctx, band);
                 ctx.set_job_deadline(None);
                 in_flight.set(None);
                 let evicted = cache.insert(key, out.clone());
@@ -455,6 +609,7 @@ fn agree_schedule(ctx: &HostCtx, local: &[JobSpec]) -> Vec<ScheduledJob> {
             local.to_vec()
         } else {
             decode_jobs(buf)
+                .unwrap_or_else(|e| ctx.protocol_violation(format!("job queue from host {h}: {e}")))
         };
         for (seq, spec) in specs.into_iter().enumerate() {
             all.push(ScheduledJob {
@@ -476,13 +631,12 @@ fn agree_schedule(ctx: &HostCtx, local: &[JobSpec]) -> Vec<ScheduledJob> {
 }
 
 /// Fixed-size wire records for the admission exchange: four `u64` words
-/// per job. CRC framing below already guards the bytes, so decode treats
-/// malformation as a protocol bug, not recoverable input.
+/// per job.
 fn encode_jobs(jobs: &[JobSpec]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(jobs.len() * 32);
     for j in jobs {
         for w in [
-            j.algo.id(),
+            j.algo.row().id,
             u64::from(j.priority),
             j.params,
             j.deadline_ms().unwrap_or(u64::MAX),
@@ -493,50 +647,43 @@ fn encode_jobs(jobs: &[JobSpec]) -> Vec<u8> {
     buf
 }
 
-fn decode_jobs(buf: &[u8]) -> Vec<JobSpec> {
-    assert!(buf.len().is_multiple_of(32), "malformed job-queue payload");
+/// Decodes a peer's queue payload. CRC framing below already guards the
+/// bytes, so a malformed payload is a peer's protocol bug; the caller
+/// escalates the `Err` through [`HostCtx::protocol_violation`].
+fn decode_jobs(buf: &[u8]) -> Result<Vec<JobSpec>, String> {
+    if !buf.len().is_multiple_of(32) {
+        return Err(format!(
+            "{} bytes is not whole 32-byte job records",
+            buf.len()
+        ));
+    }
     buf.chunks_exact(32)
         .map(|c| {
             let w = |i: usize| u64::from_le_bytes(c[i * 8..(i + 1) * 8].try_into().unwrap());
-            JobSpec {
-                algo: Algo::from_id(w(0)).expect("malformed job algo id"),
+            Ok(JobSpec {
+                algo: Algo::from_id(w(0)).ok_or_else(|| format!("unknown algo id {}", w(0)))?,
                 priority: w(1) as u8,
                 params: w(2),
                 deadline: match w(3) {
                     u64::MAX => None,
                     ms => Some(Duration::from_millis(ms)),
                 },
-            }
+            })
         })
         .collect()
 }
 
-/// The compiled CC-SV plan, shared by every serve job that requests it.
+/// The compiled CC-SV plan, shared by every job that requests it.
 static CC_SV_PLAN: OnceLock<CompiledProgram> = OnceLock::new();
 
-/// Runs one algorithm on this host's resident partition. `cc-sv` goes
-/// through the compiled-plan engine with [`EngineConfig::round_base`] set
-/// to the job's round band; the hand-written algorithms advance rounds
-/// relatively (`set_round(current_round() + 1)`), so the band the caller
-/// pre-stamped carries through on its own.
-fn exec_algo(algo: Algo, dg: &DistGraph, ctx: &HostCtx, b: &NpmBuilder, band: u64) -> JobOutput {
-    match algo {
-        Algo::CcSv => {
-            let plan = CC_SV_PLAN.get_or_init(|| compile(&programs::cc_sv(), OptLevel::Full));
-            let cfg = EngineConfig {
-                round_base: band,
-                ..EngineConfig::default()
-            };
-            let out = Engine::with_config(dg, ctx, plan, cfg).run(ctx);
-            JobOutput::Masters(out.map_values.into_iter().next().unwrap_or_default())
-        }
-        Algo::CcLp => JobOutput::Masters(cc::cc_lp(dg, ctx, b)),
-        Algo::CcSclp => JobOutput::Masters(cc::cc_sclp(dg, ctx, b)),
-        Algo::Mis => JobOutput::MisSet(mis(dg, ctx, b)),
-        Algo::Msf => JobOutput::Forest(msf(dg, ctx, b)),
-        Algo::Louvain => JobOutput::Communities(louvain(dg, ctx, b, &LouvainConfig::default())),
-        Algo::Leiden => JobOutput::Communities(leiden(dg, ctx, b, &LouvainConfig::default())),
-    }
+fn run_cc_sv_plan(dg: &DistGraph, ctx: &HostCtx, band: u64) -> JobOutput {
+    let plan = CC_SV_PLAN.get_or_init(|| compile(&programs::cc_sv(), OptLevel::Full));
+    let cfg = EngineConfig {
+        round_base: band,
+        ..EngineConfig::default()
+    };
+    let out = Engine::with_config(dg, ctx, plan, cfg).run(ctx);
+    JobOutput::Masters(out.map_values.into_iter().next().unwrap_or_default())
 }
 
 /// Merges one job's per-host output partials into the canonical `u64`
@@ -545,56 +692,41 @@ fn exec_algo(algo: Algo, dg: &DistGraph, ctx: &HostCtx, b: &NpmBuilder, band: u6
 /// `[total weight, edge count, (u, v, w)...]` with sorted edges for MSF.
 /// `n` is the graph's node count.
 pub fn merge_job_outputs(algo: Algo, n: usize, outs: Vec<JobOutput>) -> Vec<u64> {
-    match algo {
-        Algo::CcSv | Algo::CcLp | Algo::CcSclp => {
-            let ph = outs
-                .into_iter()
-                .map(|o| match o {
-                    JobOutput::Masters(v) => v,
-                    other => panic!("cc job produced {other:?}"),
-                })
-                .collect();
-            merge_master_values(n, ph)
+    // Dispatch on the partials' shape, not on `algo`: sort them by shape,
+    // then merge the one shape every host must have produced.
+    let hosts = outs.len();
+    let (mut masters, mut sets, mut forests, mut comms) = (vec![], vec![], vec![], vec![]);
+    for o in outs {
+        match o {
+            JobOutput::Masters(v) => masters.push(v),
+            JobOutput::MisSet(v) => sets.push(v),
+            JobOutput::Forest(f) => forests.push(f),
+            JobOutput::Communities(c) => comms.push(c),
         }
-        Algo::Mis => {
-            let ph = outs
-                .into_iter()
-                .map(|o| match o {
-                    JobOutput::MisSet(v) => v,
-                    other => panic!("mis job produced {other:?}"),
-                })
-                .collect();
-            merge_master_values(n, ph)
-                .into_iter()
-                .map(u64::from)
-                .collect()
+    }
+    assert!(
+        [masters.len(), sets.len(), forests.len(), comms.len()].contains(&hosts),
+        "{} job produced partials of mixed shapes",
+        algo.name()
+    );
+    if !sets.is_empty() {
+        let set = merge_master_values(n, sets);
+        set.into_iter().map(u64::from).collect()
+    } else if !forests.is_empty() {
+        let (mut edges, total) = msf::merge_forest(forests);
+        edges.sort_unstable();
+        let mut fp = vec![total, edges.len() as u64];
+        for (u, v, w) in edges {
+            fp.extend([u as u64, v as u64, w]);
         }
-        Algo::Msf => {
-            let ph = outs
-                .into_iter()
-                .map(|o| match o {
-                    JobOutput::Forest(f) => f,
-                    other => panic!("msf job produced {other:?}"),
-                })
-                .collect();
-            let (mut edges, total) = msf::merge_forest(ph);
-            edges.sort_unstable();
-            let mut fp = vec![total, edges.len() as u64];
-            for (u, v, w) in edges {
-                fp.extend([u as u64, v as u64, w]);
-            }
-            fp
-        }
-        Algo::Louvain | Algo::Leiden => {
-            let ph: Vec<CommunityResult> = outs
-                .into_iter()
-                .map(|o| match o {
-                    JobOutput::Communities(c) => c,
-                    other => panic!("community job produced {other:?}"),
-                })
-                .collect();
-            compose_labels(n, &ph).into_iter().map(u64::from).collect()
-        }
+        fp
+    } else if !comms.is_empty() {
+        compose_labels(n, &comms)
+            .into_iter()
+            .map(u64::from)
+            .collect()
+    } else {
+        merge_master_values(n, masters)
     }
 }
 
@@ -605,7 +737,7 @@ pub fn merge_job_outputs(algo: Algo, n: usize, outs: Vec<JobOutput>) -> Vec<u64>
 /// partition-dependent outputs (Louvain's merge order) are comparable.
 pub fn serial_reference(n: usize, parts: &[DistGraph], cluster: &Cluster, algo: Algo) -> Vec<u64> {
     let outs = cluster.run(|ctx| {
-        ctx.run_recovering(|ctx| exec_algo(algo, &parts[ctx.host()], ctx, &NpmBuilder::default(), 0))
+        ctx.run_recovering(|ctx| (algo.row().run)(&parts[ctx.host()], ctx, 0))
     });
     merge_job_outputs(algo, n, outs)
 }
@@ -613,6 +745,8 @@ pub fn serial_reference(n: usize, parts: &[DistGraph], cluster: &Cluster, algo: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kimbap_dist::partition;
+    use kimbap_graph::gen;
 
     fn key(params: u64) -> CacheKey {
         CacheKey {
@@ -674,26 +808,116 @@ mod tests {
                 deadline: None,
             },
         ];
-        assert_eq!(decode_jobs(&encode_jobs(&jobs)), jobs);
-        assert_eq!(decode_jobs(&[]), vec![]);
+        assert_eq!(decode_jobs(&encode_jobs(&jobs)), Ok(jobs));
+        assert_eq!(decode_jobs(&[]), Ok(vec![]));
     }
 
     #[test]
-    fn algo_ids_roundtrip() {
-        for algo in [
-            Algo::CcSv,
-            Algo::CcLp,
-            Algo::CcSclp,
-            Algo::Mis,
-            Algo::Msf,
-            Algo::Louvain,
-            Algo::Leiden,
-        ] {
-            assert_eq!(Algo::from_id(algo.id()), Some(algo));
+    fn table_is_pinned() {
+        // Wire ids and names are persistent (cache keys, 32-byte job
+        // records, `serve --out-dir` file names): ALL, TABLE and the enum
+        // discriminants all follow wire-id order 0..=6.
+        for (i, algo) in Algo::ALL.into_iter().enumerate() {
+            let row = algo.row();
+            assert_eq!((row.algo, row.id, algo as usize), (algo, i as u64, i));
             assert_eq!(Algo::parse(algo.name()), Some(algo));
+            assert_eq!(Algo::from_id(row.id), Some(algo));
         }
+        let names = Algo::ALL.map(Algo::name);
+        assert_eq!(names, ["cc-sv", "cc-lp", "cc-sclp", "mis", "msf", "louvain", "leiden"]);
         assert_eq!(Algo::from_id(7), None);
-        assert_eq!(Algo::parse("bogus"), None);
+        assert_eq!(Algo::parse("cc"), None);
+    }
+
+    #[test]
+    fn malformed_job_payloads_are_typed_errors() {
+        let err = decode_jobs(&[0u8; 31]).unwrap_err();
+        assert!(err.contains("31 bytes"), "{err}");
+        let mut record = encode_jobs(&[JobSpec::new(Algo::Leiden)]);
+        record[0] = 7;
+        let err = decode_jobs(&record).unwrap_err();
+        assert!(err.contains("unknown algo id 7"), "{err}");
+    }
+
+    #[test]
+    fn malformed_peer_queue_is_a_protocol_violation() {
+        let res = Cluster::new(2).try_run(|ctx| {
+            if ctx.host() == 0 {
+                agree_schedule(ctx, &[JobSpec::new(Algo::CcLp)]);
+            } else {
+                // A peer whose queue payload is one byte short of a record
+                // (it may then see host 0 fail, or not: it is not judged).
+                let _ = ctx.try_exchange(vec![vec![0u8; 31]; 2]);
+            }
+        });
+        let err = res[0].as_ref().unwrap_err();
+        assert!(
+            err.message.contains("protocol violation") && err.message.contains("31 bytes"),
+            "host 0 reported: {}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn every_row_passes_its_check_and_the_references() {
+        // Each row, on a power-law and a high-diameter input, on the
+        // in-proc and the simulation backend: the row's own structural
+        // check must pass, and so must the reference it stands for, spelled
+        // out here independently of the table.
+        let rmat = gen::with_random_weights(&gen::rmat(6, 4, 11), 1 << 16, 5);
+        for g in [rmat, gen::grid_road(7, 9, 3)] {
+            let n = g.num_nodes();
+            for row in &TABLE {
+                let parts = partition(&g, row.policy, 3);
+                let clusters = [Cluster::with_threads(3, 1), Cluster::with_threads(3, 1).sim(7)];
+                for cluster in &clusters {
+                    let fp = serial_reference(n, &parts, cluster, row.algo);
+                    assert_eq!((row.check)(&g, &fp), Ok(()), "{}", row.name);
+                    assert!(!(row.describe)(&g, &fp).is_empty());
+                    use Algo::*;
+                    match row.algo {
+                        CcSv | CcLp | CcSclp => {
+                            assert_eq!(fp, refcheck::connected_components(&g), "{}", row.name)
+                        }
+                        Mis => {
+                            let set: Vec<bool> = fp.iter().map(|&x| x == 1).collect();
+                            refcheck::check_mis(&g, &set).unwrap();
+                        }
+                        Msf => {
+                            assert_eq!(fp[0], refcheck::msf_weight(&g));
+                            assert_eq!(fp[1], refcheck::msf_edge_count(&g) as u64);
+                            assert_eq!(fp.len(), 2 + 3 * fp[1] as usize);
+                        }
+                        Louvain | Leiden => {
+                            let labels: Vec<NodeId> = fp.iter().map(|&l| l as NodeId).collect();
+                            refcheck::check_communities(&g, &labels).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checks_reject_wrong_fingerprints() {
+        let g = gen::grid_road(4, 4, 1);
+        // No component, set, forest or community is labelled past `n`.
+        let wrong = vec![g.num_nodes() as u64 + 5; g.num_nodes()];
+        for row in &TABLE {
+            assert!((row.check)(&g, &wrong).is_err(), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn merge_dispatches_on_shape_and_rejects_a_mix() {
+        let masters = |v: u64| JobOutput::Masters(vec![(v as NodeId, v)]);
+        let merged = merge_job_outputs(Algo::CcLp, 2, vec![masters(0), masters(1)]);
+        assert_eq!(merged, vec![0, 1]);
+        let sets = vec![JobOutput::MisSet(vec![(0, true)]), JobOutput::MisSet(vec![(1, false)])];
+        assert_eq!(merge_job_outputs(Algo::Mis, 2, sets), vec![1, 0]);
+        let mixed = vec![masters(0), JobOutput::MisSet(vec![(1, true)])];
+        let res = std::panic::catch_unwind(|| merge_job_outputs(Algo::CcLp, 2, mixed));
+        assert!(res.is_err(), "mixed shapes must not merge");
     }
 
     #[test]

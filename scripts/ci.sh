@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, full test suite, lints, the fixed-seed
-# fault-injection matrix (3 plans x 4 algorithms on the simulation
-# backend; see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke),
-# seed-replayable simulation fuzz smokes, label diffs across transports,
-# storage tiers and executors (compiled plan vs hand-written loop), and the
-# benchmark package's own tests and smoke run (benchmark/run.sh is the
-# performance gate).
+# fault-injection matrix (3 plans x 4 algorithms -- cc-lp, louvain, msf,
+# mis -- on the simulation backend; see
+# crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
+# cross-backend fault matrix, seed-replayable simulation fuzz smokes
+# (fixed, shrinking and growing membership; hand-written loops and the
+# compiled cc-sv plan), output diffs across transports, storage tiers and
+# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms), and
+# the benchmark package's own tests and smoke run (benchmark/run.sh is
+# the performance gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,9 +36,13 @@ cargo test --release -q -p kimbap --test transport_robustness
 echo "==> simulation fuzz smoke (seed-replayable; failures print a replay cmd)"
 ./target/release/kimbap sim --algo cc-lp --seeds 50
 ./target/release/kimbap sim --algo msf --seeds 50
+./target/release/kimbap sim --algo mis --seeds 25
+./target/release/kimbap sim --algo cc-sv --seeds 25
 
 echo "==> elastic fuzz smoke (kill-bearing plans; survivors must shrink+converge)"
 ./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink
+# The compiled plan under run_elastic: only the launcher combines them.
+./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --allow-shrink
 
 echo "==> churn fuzz smoke (seeded join/kill plans; every interleaving must converge)"
 ./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink --allow-grow
@@ -110,13 +117,27 @@ diff "$SMOKE_DIR/sim-cc-comp.txt" "$SMOKE_DIR/sim-cc-raw.txt"
 diff "$SMOKE_DIR/sim-lv-comp.txt" "$SMOKE_DIR/sim-lv-raw.txt"
 echo "    compressed and raw storage tiers produce identical outputs"
 
-echo "==> compiled-vs-hand-written smoke (cc-sv: serve runs the plan, run the hand-written loop)"
-./target/release/kimbap serve "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --job cc-sv --out-dir "$SMOKE_DIR/serve-out"
-./target/release/kimbap run cc-sv "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --out "$SMOKE_DIR/ccsv-hand.txt"
-diff "$SMOKE_DIR/serve-out/job0-cc-sv.txt" "$SMOKE_DIR/ccsv-hand.txt"
-echo "    compiled plan and hand-written cc-sv labels identical"
+echo "==> run-vs-serve smoke (one table, one executor per name: outputs diffed)"
+# msf's edge list is unique only under distinct weights, and run
+# partitions it differently from serve's resident EdgeCutBlocked.
+./target/release/kimbap gen --kind rmat --scale 8 --ef 4 --seed 9 \
+    --weights 65536 --out "$SMOKE_DIR/w.kg"
+for algo in cc-sv cc-lp cc-sclp mis msf louvain leiden; do
+    g="$SMOKE_DIR/g.kg"
+    [ "$algo" = msf ] && g="$SMOKE_DIR/w.kg"
+    ./target/release/kimbap run "$algo" "$g" --hosts 3 --threads 2 \
+        --out "$SMOKE_DIR/run-$algo.txt"
+    ./target/release/kimbap serve "$g" --hosts 3 --threads 2 \
+        --job "$algo" --out-dir "$SMOKE_DIR/serve-$algo"
+    diff "$SMOKE_DIR/run-$algo.txt" "$SMOKE_DIR/serve-$algo/job0-$algo.txt"
+done
+echo "    kimbap run and kimbap serve outputs identical for all seven"
+
+echo "==> in-proc fault smoke beyond cc-* (mis under a crash plan, diffed)"
+./target/release/kimbap run mis "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
+    --faults crash --seed 1 --out "$SMOKE_DIR/mis-crash.txt"
+diff "$SMOKE_DIR/run-mis.txt" "$SMOKE_DIR/mis-crash.txt"
+echo "    faulted and fault-free mis outputs identical"
 
 echo "==> compile smoke (an ill-formed .kv is a positioned error, not a panic)"
 cat > "$SMOKE_DIR/bad.kv" <<'KV'
