@@ -95,6 +95,12 @@ impl DistGraph {
         self.store.num_edges()
     }
 
+    /// This host's share of the work the partitioner balances: one unit per
+    /// local edge plus [`NODE_WEIGHT`] per master (see [`ownership_for`]).
+    pub fn load_weight(&self) -> u64 {
+        self.num_local_edges() as u64 + NODE_WEIGHT * self.num_masters as u64
+    }
+
     /// `true` if the local CSR is stored on the compressed tier.
     pub fn is_compressed(&self) -> bool {
         self.store.is_compressed()
@@ -298,6 +304,39 @@ impl PartitionCfg {
     }
 }
 
+/// What owning one node costs a host, in edge visits, on top of the node's
+/// edges: per-master phases (CC-SV's shortcut and request loops, Louvain's
+/// per-node bookkeeping) run whether or not the node has neighbors. Flat
+/// between 4 and 16 on the R-MAT workloads (EXPERIMENTS.md "PR 22").
+const NODE_WEIGHT: u64 = 8;
+
+/// The node-ownership map [`partition_cfg`] builds `graph`'s partitions
+/// over, without building them. Blocked policies cut the id space where
+/// the prefix sum of `degree(u) + NODE_WEIGHT` crosses each host's equal
+/// share, so hosts own equal *work*, not equal node counts; the hashed
+/// policy needs no table.
+///
+/// A pure function of the graph's degrees and `hosts` — storage tier and
+/// hub threshold play no part — so every host, every TCP worker and every
+/// shrink / grow re-partition derives the same boundaries with no
+/// communication.
+///
+/// # Panics
+///
+/// Panics if `hosts == 0`.
+pub fn ownership_for(graph: &Graph, policy: Policy, hosts: usize) -> Ownership {
+    match policy {
+        Policy::EdgeCutHashed => Ownership::hashed(graph.num_nodes(), hosts),
+        Policy::EdgeCutBlocked | Policy::EdgeCutIncoming | Policy::CartesianVertexCut => {
+            let weights: Vec<u64> = graph
+                .nodes()
+                .map(|u| graph.degree(u) as u64 + NODE_WEIGHT)
+                .collect();
+            Ownership::blocked_by_weight(&weights, hosts)
+        }
+    }
+}
+
 /// Partitions `graph` across `num_hosts` hosts under `policy`, producing one
 /// [`DistGraph`] per host (indexed by host id). Raw storage, no hub
 /// splitting; see [`partition_cfg`] for the knobs.
@@ -322,9 +361,7 @@ pub fn partition(graph: &Graph, policy: Policy, num_hosts: usize) -> Vec<DistGra
 /// Panics if `cfg.hosts == 0`.
 pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
     let (policy, num_hosts) = (cfg.policy, cfg.hosts);
-    assert!(num_hosts > 0, "need at least one host");
-    let n = graph.num_nodes();
-    let mut own = policy.ownership(n, num_hosts);
+    let mut own = ownership_for(graph, policy, num_hosts);
     if let Some(thresh) = cfg.hub_degree_threshold {
         if policy.splits_hubs() && num_hosts > 1 {
             let hubs: Vec<NodeId> = graph
@@ -334,18 +371,29 @@ pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
             own = own.with_hubs(hubs);
         }
     }
+    partition_over(graph, &own, policy, cfg.compressed)
+}
+
+/// Builds every host's [`DistGraph`] of `graph` over a given ownership.
+fn partition_over(
+    graph: &Graph,
+    own: &Ownership,
+    policy: Policy,
+    compressed: bool,
+) -> Vec<DistGraph> {
+    let num_hosts = own.num_hosts();
 
     // Pass 1: assign every directed edge to a host.
     let mut host_edges: Vec<Vec<(NodeId, NodeId, Weight)>> = vec![Vec::new(); num_hosts];
     for (u, v, w) in graph.all_edges() {
-        host_edges[policy.assign(&own, u, v)].push((u, v, w));
+        host_edges[policy.assign(own, u, v)].push((u, v, w));
     }
 
     // Pass 2: build each host's local graph.
     let mut parts: Vec<DistGraph> = host_edges
         .into_iter()
         .enumerate()
-        .map(|(h, edges)| build_part(h, &own, policy, &edges, cfg.compressed))
+        .map(|(h, edges)| build_part(h, own, policy, &edges, compressed))
         .collect();
 
     // Pass 3: tell each owner which peers mirror its masters (in a real
@@ -741,11 +789,14 @@ mod tests {
     #[test]
     fn assemble_matches_partition() {
         // Distribute edge production arbitrarily across hosts; the
-        // assembled DistGraphs must match the global partitioner's output.
+        // assembled DistGraphs must match the global partitioner's output
+        // over the ownership assembly uses (no host sees the degrees, so
+        // its blocks are uniform).
         let g = gen::rmat(6, 4, 11);
         let hosts = 3;
         for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
-            let reference = partition(&g, policy, hosts);
+            let own = policy.ownership(g.num_nodes(), hosts);
+            let reference = partition_over(&g, &own, policy, false);
             let assembled = kimbap_comm::Cluster::new(hosts).run(|ctx| {
                 // Host h contributes every third edge, offset by h.
                 let produced: Vec<_> = g
@@ -757,6 +808,7 @@ mod tests {
                 assemble_dist_graph(ctx, g.num_nodes(), policy, produced)
             });
             for (a, r) in assembled.iter().zip(&reference) {
+                assert_eq!(a.ownership(), r.ownership());
                 assert_eq!(a.num_masters(), r.num_masters());
                 assert_eq!(a.num_mirrors(), r.num_mirrors());
                 assert_eq!(a.num_local_edges(), r.num_local_edges());
@@ -813,6 +865,54 @@ mod tests {
                 assert_eq!(r.mirrors_on_peer, c.mirrors_on_peer);
                 assert!(c.size_bytes() < r.size_bytes());
             }
+        }
+    }
+
+    #[test]
+    fn blocked_partitions_balance_work_on_power_law_graphs() {
+        // R-MAT's hubs have the lowest ids. Cut by node count, host 0 of 2
+        // held 74% of the edges of either graph.
+        for scale in [14, 15] {
+            let g = gen::rmat(scale, 16, 42);
+            for hosts in [2, 4] {
+                let own = ownership_for(&g, Policy::EdgeCutBlocked, hosts);
+                let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
+                let loads: Vec<u64> = parts.iter().map(|p| p.load_weight()).collect();
+                let max = *loads.iter().max().unwrap() as f64;
+                let mean = loads.iter().sum::<u64>() as f64 / hosts as f64;
+                assert!(
+                    max / mean <= 1.05,
+                    "rmat({scale},16) on {hosts} hosts: loads {loads:?}"
+                );
+                let share = parts[0].num_local_edges() as f64 / g.num_edges() as f64;
+                assert!(share < 0.6, "host 0 holds {share:.2} of the edges");
+                assert!(parts.iter().all(|p| p.ownership() == &own));
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_degrees_keep_uniform_blocks() {
+        // A grid's degrees are symmetric about its middle row, so the
+        // weighted cut falls exactly where the node-count cut does.
+        let g = gen::grid_road(120, 120, 42);
+        for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
+            assert_eq!(ownership_for(&g, policy, 2), Ownership::blocked(14_400, 2));
+        }
+    }
+
+    #[test]
+    fn ownership_ignores_storage_tier_and_hub_threshold() {
+        let g = gen::rmat(8, 8, 4);
+        let plain = ownership_for(&g, Policy::EdgeCutBlocked, 3);
+        let cfg = PartitionCfg {
+            compressed: true,
+            hub_degree_threshold: Some(16),
+            ..PartitionCfg::new(Policy::EdgeCutBlocked, 3)
+        };
+        for p in partition_cfg(&g, &cfg) {
+            assert!(p.has_split_hubs());
+            assert_eq!(p.ownership().scheme(), plain.scheme());
         }
     }
 
@@ -873,6 +973,9 @@ mod tests {
     #[test]
     fn hub_split_reduces_max_host_edges() {
         // A star graph: one hub, everything at its owner without splitting.
+        // Block boundaries cannot help — the hub alone is half of all
+        // edges, and a cut never divides a node — so its owner keeps at
+        // least the whole adjacency until the edge list itself is split.
         let mut b = kimbap_graph::GraphBuilder::new();
         for v in 1..200u32 {
             b.add_edge(0, v, 1);
@@ -883,6 +986,7 @@ mod tests {
         let max_edges = |ps: &[DistGraph]| {
             ps.iter().map(|p| p.num_local_edges()).max().unwrap()
         };
+        assert!(max_edges(&no_hub) >= g.degree(0));
         assert!(
             max_edges(&hub) * 2 < max_edges(&no_hub),
             "hub {} vs no-hub {}",

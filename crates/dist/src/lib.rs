@@ -8,10 +8,13 @@
 //!
 //! This crate provides:
 //!
-//! * [`Ownership`] — the node → owning-host map (blocked or hashed), with
-//!   O(1) arithmetic from a global node id to its owner and to its dense
-//!   *master offset* on that owner. This arithmetic is what makes the
-//!   node-property map's graph-partition-aware representation (GAR) cheap.
+//! * [`Ownership`] — the node → owning-host map: contiguous blocks behind a
+//!   `hosts + 1` boundary table, or a modulus. A global node id resolves to
+//!   its owner and to its dense *master offset* on that owner without any
+//!   per-node table, which is what makes the node-property map's
+//!   graph-partition-aware representation (GAR) cheap. [`ownership_for`]
+//!   picks a graph's block boundaries so that hosts carry equal work
+//!   (edges plus a per-node term), not equal node counts.
 //! * [`Policy`] — edge-assignment policies: outgoing edge-cut (blocked or
 //!   hashed) and the 2-D Cartesian vertex-cut used by the paper for CC,
 //!   MSF, and MIS.
@@ -42,7 +45,8 @@ pub mod ownership;
 pub mod policy;
 
 pub use dist_graph::{
-    assemble_dist_graph, partition, partition_cfg, DistGraph, LocalId, PartitionCfg,
+    assemble_dist_graph, ownership_for, partition, partition_cfg, DistGraph, LocalId,
+    PartitionCfg,
 };
 pub use ownership::{Ownership, Scheme};
 pub use policy::Policy;

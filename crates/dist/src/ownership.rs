@@ -3,19 +3,20 @@
 use kimbap_graph::NodeId;
 use std::sync::Arc;
 
-/// The arithmetic half of an [`Ownership`]: how global ids map to hosts.
+/// The id → host half of an [`Ownership`].
 ///
-/// Both variants are pure arithmetic — no lookup tables — which is what lets
-/// the node-property map locate any master property with one division
-/// (the locality half of the paper's GAR optimization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Neither variant stores anything per node: blocked ownership is a
+/// `hosts + 1` boundary table, hashed ownership is a modulus. That is what
+/// lets the node-property map locate any master property with a
+/// subtraction or a division (the locality half of the paper's GAR
+/// optimization).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Scheme {
-    /// Contiguous blocks of `ceil(n / hosts)` nodes per host.
+    /// Contiguous blocks: host `h` owns `bounds[h] .. bounds[h + 1]`.
     Blocked {
-        /// Total node count.
-        n: usize,
-        /// Number of hosts.
-        hosts: usize,
+        /// `hosts + 1` ascending boundaries, from `0` to the node count.
+        /// Equal neighbors mean an empty host.
+        bounds: Arc<[NodeId]>,
     },
     /// Node `g` is owned by host `g % hosts` (the distribution used by the
     /// memcached and SGR-only runtime variants, which hash keys instead of
@@ -34,10 +35,10 @@ pub enum Scheme {
 /// hosts (PowerLyra-style hybrid cut) instead of concentrating on the
 /// master's host.
 ///
-/// The hub table does **not** change `owner`/`master_offset` arithmetic —
+/// The hub table does **not** change `owner`/`master_offset` —
 /// hubs keep their master where the scheme says — it only changes where
-/// edges land (see `Policy::assign`). Cloning is cheap: the table is shared
-/// behind an `Arc`.
+/// edges land (see `Policy::assign`). Cloning is cheap: both tables are
+/// shared behind an `Arc`.
 ///
 /// # Example
 ///
@@ -50,6 +51,11 @@ pub enum Scheme {
 /// assert_eq!(own.num_masters(2), 2);
 /// assert_eq!(own.master_at(1, 1), 5);
 /// assert!(!own.has_hubs());
+///
+/// // Blocks cut by weight instead of by count: node 0 outweighs the rest.
+/// let own = Ownership::blocked_by_weight(&[6, 1, 1, 1, 1, 1, 1], 2);
+/// assert_eq!(own.num_masters(0), 1);
+/// assert_eq!(own.owner(1), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ownership {
@@ -59,15 +65,50 @@ pub struct Ownership {
 }
 
 impl Ownership {
-    /// Blocked ownership over `n` nodes and `hosts` hosts.
+    /// Blocked ownership over `n` nodes and `hosts` hosts, `ceil(n / hosts)`
+    /// nodes per block.
     ///
     /// # Panics
     ///
-    /// Panics if `hosts == 0`.
+    /// Panics if `hosts == 0` or `n` does not fit a [`NodeId`].
     pub fn blocked(n: usize, hosts: usize) -> Self {
         assert!(hosts > 0, "need at least one host");
+        let block = n.div_ceil(hosts);
+        Self::from_bounds((0..=hosts).map(|h| (h * block).min(n)))
+    }
+
+    /// Blocked ownership over `weights.len()` nodes whose blocks carry
+    /// equal shares of the total weight: block `h` starts at the first
+    /// node where the weight before it reaches `h / hosts` of the total.
+    /// No block exceeds its share by more than one node's weight; a host
+    /// is left empty when a single node spans its whole share (or when
+    /// there are fewer nodes than hosts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts == 0` or `weights.len()` does not fit a [`NodeId`].
+    pub fn blocked_by_weight(weights: &[u64], hosts: usize) -> Self {
+        assert!(hosts > 0, "need at least one host");
+        let total: u128 = weights.iter().map(|&w| w as u128).sum();
+        let mut bounds = vec![0];
+        let (mut k, mut before) = (0, 0u128);
+        for h in 1..hosts {
+            while k < weights.len() && before * (hosts as u128) < total * h as u128 {
+                before += weights[k] as u128;
+                k += 1;
+            }
+            bounds.push(k);
+        }
+        bounds.push(weights.len());
+        Self::from_bounds(bounds.into_iter())
+    }
+
+    fn from_bounds(bounds: impl Iterator<Item = usize>) -> Self {
+        let bounds = bounds
+            .map(|b| NodeId::try_from(b).expect("node count exceeds the NodeId range"))
+            .collect();
         Ownership {
-            scheme: Scheme::Blocked { n, hosts },
+            scheme: Scheme::Blocked { bounds },
             hubs: Arc::from([]),
         }
     }
@@ -101,14 +142,14 @@ impl Ownership {
             );
         }
         Ownership {
-            scheme: self.scheme,
+            scheme: self.scheme.clone(),
             hubs: hubs.into(),
         }
     }
 
-    /// The arithmetic id→host scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
+    /// The id→host scheme.
+    pub fn scheme(&self) -> &Scheme {
+        &self.scheme
     }
 
     /// `true` if any node is marked as a hub.
@@ -128,36 +169,33 @@ impl Ownership {
 
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
-        match self.scheme {
-            Scheme::Blocked { n, .. } | Scheme::Hashed { n, .. } => n,
+        match &self.scheme {
+            Scheme::Blocked { bounds } => bounds[bounds.len() - 1] as usize,
+            Scheme::Hashed { n, .. } => *n,
         }
     }
 
     /// Number of hosts.
     pub fn num_hosts(&self) -> usize {
-        match self.scheme {
-            Scheme::Blocked { hosts, .. } | Scheme::Hashed { hosts, .. } => hosts,
+        match &self.scheme {
+            Scheme::Blocked { bounds } => bounds.len() - 1,
+            Scheme::Hashed { hosts, .. } => *hosts,
         }
     }
 
-    fn block(&self) -> usize {
-        match self.scheme {
-            Scheme::Blocked { n, hosts } => n.div_ceil(hosts).max(1),
-            Scheme::Hashed { .. } => unreachable!("hashed ownership has no block"),
-        }
-    }
-
-    /// Host owning node `g`.
+    /// Host owning node `g`: a search of at most `hosts` boundaries under
+    /// blocked ownership, one modulus under hashed.
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range.
     pub fn owner(&self, g: NodeId) -> usize {
-        let g = g as usize;
-        assert!(g < self.num_nodes(), "node {g} out of range");
-        match self.scheme {
-            Scheme::Blocked { .. } => g / self.block(),
-            Scheme::Hashed { hosts, .. } => g % hosts,
+        assert!((g as usize) < self.num_nodes(), "node {g} out of range");
+        match &self.scheme {
+            // The last block starting at or before `g`; empty blocks
+            // sharing that start sort before it.
+            Scheme::Blocked { bounds } => bounds[1..].partition_point(|&b| b <= g),
+            Scheme::Hashed { hosts, .. } => g as usize % hosts,
         }
     }
 
@@ -168,11 +206,12 @@ impl Ownership {
     ///
     /// Panics if `g` is out of range.
     pub fn master_offset(&self, g: NodeId) -> usize {
-        let g = g as usize;
-        assert!(g < self.num_nodes(), "node {g} out of range");
-        match self.scheme {
-            Scheme::Blocked { .. } => g % self.block(),
-            Scheme::Hashed { hosts, .. } => g / hosts,
+        match &self.scheme {
+            Scheme::Blocked { bounds } => (g - bounds[self.owner(g)]) as usize,
+            Scheme::Hashed { n, hosts } => {
+                assert!((g as usize) < *n, "node {g} out of range");
+                g as usize / hosts
+            }
         }
     }
 
@@ -183,11 +222,8 @@ impl Ownership {
     /// Panics if `h >= num_hosts()`.
     pub fn num_masters(&self, h: usize) -> usize {
         assert!(h < self.num_hosts(), "host {h} out of range");
-        match self.scheme {
-            Scheme::Blocked { n, .. } => {
-                let b = self.block();
-                n.saturating_sub(h * b).min(b)
-            }
+        match &self.scheme {
+            Scheme::Blocked { bounds } => (bounds[h + 1] - bounds[h]) as usize,
             Scheme::Hashed { n, hosts } => {
                 if h < n % hosts {
                     n / hosts + 1
@@ -206,8 +242,8 @@ impl Ownership {
     /// Panics if `h` or `i` is out of range.
     pub fn master_at(&self, h: usize, i: usize) -> NodeId {
         assert!(i < self.num_masters(h), "master index {i} out of range");
-        match self.scheme {
-            Scheme::Blocked { .. } => (h * self.block() + i) as NodeId,
+        match &self.scheme {
+            Scheme::Blocked { bounds } => bounds[h] + i as NodeId,
             Scheme::Hashed { hosts, .. } => (i * hosts + h) as NodeId,
         }
     }
@@ -222,7 +258,7 @@ impl Ownership {
 mod tests {
     use super::*;
 
-    fn check_consistency(own: Ownership) {
+    fn check_consistency(own: &Ownership) {
         let n = own.num_nodes();
         let hosts = own.num_hosts();
         // Every node is owned by exactly one host, offsets are dense.
@@ -241,17 +277,86 @@ mod tests {
         assert_eq!(total, n);
     }
 
+    /// Blocked ownership on top: every block is one contiguous id range
+    /// and the blocks tile `0..n` in host order.
+    fn check_contiguous(own: &Ownership) {
+        let mut next = 0;
+        for h in 0..own.num_hosts() {
+            for g in own.masters(h) {
+                assert_eq!(g, next, "host {h} breaks the tiling");
+                next += 1;
+            }
+        }
+        assert_eq!(next as usize, own.num_nodes());
+    }
+
     #[test]
     fn blocked_consistent() {
         for (n, h) in [(10, 3), (10, 1), (1, 4), (16, 4), (7, 8), (0, 2)] {
-            check_consistency(Ownership::blocked(n, h));
+            let own = Ownership::blocked(n, h);
+            check_consistency(&own);
+            check_contiguous(&own);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn weighted_blocks_are_consistent_and_balanced(
+            weights in proptest::collection::vec(0u64..1000, 0..200),
+            hosts in 1usize..=8,
+        ) {
+            let own = Ownership::blocked_by_weight(&weights, hosts);
+            proptest::prop_assert_eq!(own.num_hosts(), hosts);
+            proptest::prop_assert_eq!(own.num_nodes(), weights.len());
+            check_consistency(&own);
+            check_contiguous(&own);
+            let total: u64 = weights.iter().sum();
+            let heaviest = weights.iter().copied().max().unwrap_or(0);
+            for h in 0..hosts {
+                let block: u64 = own.masters(h).map(|g| weights[g as usize]).sum();
+                proptest::prop_assert!(
+                    block <= total / hosts as u64 + heaviest,
+                    "host {} carries {} of {} over {} hosts (heaviest node {})",
+                    h, block, total, hosts, heaviest
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_blocks_leave_hosts_empty_rather_than_split_a_node() {
+        // Fewer nodes than hosts.
+        let own = Ownership::blocked_by_weight(&[5, 5], 4);
+        check_consistency(&own);
+        let sizes: Vec<_> = (0..4).map(|h| own.num_masters(h)).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 2);
+        assert_eq!(sizes.iter().filter(|&&m| m == 0).count(), 2);
+        // One node outweighs a whole share: the host after it is empty,
+        // and `owner` skips the empty block.
+        let own = Ownership::blocked_by_weight(&[100, 1, 1], 3);
+        check_consistency(&own);
+        assert_eq!(
+            (0..3).map(|h| own.num_masters(h)).collect::<Vec<_>>(),
+            vec![1, 0, 2]
+        );
+        assert_eq!(own.owner(1), 2);
+    }
+
+    #[test]
+    fn uniform_weights_on_two_hosts_cut_where_blocked_does() {
+        for n in [0, 1, 2, 9, 10, 14_400] {
+            assert_eq!(
+                Ownership::blocked_by_weight(&vec![12; n], 2),
+                Ownership::blocked(n, 2),
+                "n = {n}"
+            );
         }
     }
 
     #[test]
     fn hashed_consistent() {
         for (n, h) in [(10, 3), (10, 1), (1, 4), (16, 4), (7, 8), (0, 2)] {
-            check_consistency(Ownership::hashed(n, h));
+            check_consistency(&Ownership::hashed(n, h));
         }
     }
 

@@ -44,7 +44,10 @@ pub enum Policy {
 
 impl Policy {
     /// The node-ownership map this policy uses for `n` nodes on `hosts`
-    /// hosts.
+    /// hosts when no degree sequence is at hand: uniform blocks (or the
+    /// modulus). `assemble_dist_graph` builds coarse graphs over it;
+    /// partitioning a whole graph cuts the blocks by weight instead (see
+    /// [`ownership_for`](crate::ownership_for)).
     pub fn ownership(&self, n: usize, hosts: usize) -> Ownership {
         match self {
             Policy::EdgeCutBlocked | Policy::EdgeCutIncoming | Policy::CartesianVertexCut => {

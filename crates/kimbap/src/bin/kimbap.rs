@@ -70,7 +70,7 @@ usage:
   kimbap gen --kind <rmat|grid|er> [--scale N] [--ef N] [--rows N] [--cols N]
              [--nodes N] [--edges N] [--seed N] [--weights MAX]
              [--unit-weights] --out FILE
-  kimbap stats FILE
+  kimbap stats FILE [--hosts N]
   kimbap run <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden> FILE
              [--hosts N] [--threads N] [--transport inproc|tcp]
              [--faults none|drop|corrupt|crash|kill|join] [--seed N]
@@ -89,7 +89,10 @@ usage:
   kimbap compile FILE.kv [--no-opt]
 
 graphs are stored in the kimbap binary format (.kg) or may be text edge
-lists; vertex programs (.kv) use the surface syntax of kimbap-compiler's
+lists; stats --hosts N also partitions the graph under the default policy
+and prints each host's masters, mirrors, edges and weight (edges plus a
+per-master term: what the partitioner balances) with their max/mean;
+vertex programs (.kv) use the surface syntax of kimbap-compiler's
 frontend. run, sim, serve and the TCP workers look an algorithm up in
 one table (kimbap::serve::TABLE), so a name picks the same executor
 everywhere: cc-sv is the compiled plan, the rest are hand-written loops.
@@ -306,8 +309,9 @@ fn cmd_gen(args: &[String]) -> CliResult {
 const WEIGHT_SEED_SALT: u64 = 0x5eed;
 
 fn cmd_stats(args: &[String]) -> CliResult {
-    check_flags("stats", args, &[], &[])?;
+    check_flags("stats", args, &["--hosts"], &[])?;
     let path = args.first().ok_or("missing FILE")?;
+    let hosts: usize = flag_num(args, "--hosts", 0)?;
     let g = load_graph(path)?;
     println!("{}", GraphStats::of(&g));
     println!("symmetric: {}", g.is_symmetric());
@@ -318,6 +322,28 @@ fn cmd_stats(args: &[String]) -> CliResult {
             c.size_bytes,
             c.bytes_per_edge(),
             GraphStats::of(&g).size_bytes as f64 / c.size_bytes as f64
+        );
+    }
+    if hosts > 0 {
+        let policy = Policy::default();
+        let parts = partition(&g, policy, hosts);
+        println!("partition: {policy}, {hosts} hosts");
+        println!("  host    masters    mirrors      edges     weight");
+        for p in &parts {
+            println!(
+                "  {:>4} {:>10} {:>10} {:>10} {:>10}",
+                p.host(),
+                p.num_masters(),
+                p.num_mirrors(),
+                p.num_local_edges(),
+                p.load_weight()
+            );
+        }
+        let loads: Vec<u64> = parts.iter().map(|p| p.load_weight()).collect();
+        let (max, total) = (loads.iter().max().unwrap_or(&0), loads.iter().sum::<u64>());
+        println!(
+            "balance: {:.3} max/mean host weight",
+            (max * hosts as u64) as f64 / total.max(1) as f64
         );
     }
     Ok(())

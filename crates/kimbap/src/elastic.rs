@@ -46,7 +46,7 @@ use crate::engine::{
 };
 use kimbap_comm::{clock, Deadline, GrowOutcome, HostCtx, ShrinkOutcome};
 use kimbap_compiler::transform::CompiledProgram;
-use kimbap_dist::{partition, Policy};
+use kimbap_dist::{ownership_for, partition, Policy};
 use kimbap_graph::{Graph, NodeId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -234,7 +234,7 @@ fn reshard(
 
     // Route every contributed pair to its owner under the re-partitioned
     // graph. Pairs are `(map, key, value)` triples of little-endian u64s.
-    let own = partition(g, policy, new_n)[me].ownership().clone();
+    let own = ownership_for(g, policy, new_n);
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); new_n];
     let encode = |state: &DurableState, out: &mut Vec<Vec<u8>>| {
         for (m, pairs) in state.maps.iter().enumerate() {
@@ -344,7 +344,7 @@ fn grow_reshard(
 
     // Route every master pair to its owner under the expanded partition
     // through one exchange — same triple encoding as the shrink re-shard.
-    let own = partition(g, policy, new_n)[me].ownership().clone();
+    let own = ownership_for(g, policy, new_n);
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); new_n];
     if let Some(s) = member {
         for (m, pairs) in s.state.maps.iter().enumerate() {
@@ -398,6 +398,22 @@ mod tests {
     use kimbap_compiler::{compile, programs, OptLevel};
     use kimbap_graph::gen;
 
+    /// Every host of the final membership must have re-partitioned over the
+    /// same boundary table, the one `ownership_for` derives from the graph
+    /// and the new host count alone: host `rank`'s output lists exactly
+    /// that table's masters for `rank`.
+    fn assert_final_ownership(g: &Graph, outs: &[&EngineOutput]) {
+        let own = ownership_for(g, Policy::EdgeCutBlocked, outs.len());
+        for (rank, out) in outs.iter().enumerate() {
+            let keys: Vec<NodeId> = out.map_values[0].iter().map(|&(k, _)| k).collect();
+            assert_eq!(
+                keys,
+                own.masters(rank).collect::<Vec<_>>(),
+                "rank {rank} finished on different block boundaries"
+            );
+        }
+    }
+
     fn merged_map0(n: usize, outs: &[&EngineOutput]) -> Vec<u64> {
         let mut out = vec![0; n];
         for o in outs {
@@ -442,6 +458,7 @@ mod tests {
             expected,
             "degraded output diverged from the fault-free labels"
         );
+        assert_final_ownership(&g, &outs);
         for (_, stats) in &survivors {
             assert_eq!(stats.membership_changes, 1);
             assert!(stats.degraded_rounds >= 1, "no degraded rounds counted");
@@ -496,6 +513,7 @@ mod tests {
             expected,
             "grown output diverged from the fault-free labels"
         );
+        assert_final_ownership(&g, &outs);
         for (h, (_, stats)) in hosts.iter().enumerate() {
             assert_eq!(stats.joins, 1, "host {h} counted the wrong join total");
             assert_eq!(stats.membership_changes, 1);

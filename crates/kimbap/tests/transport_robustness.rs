@@ -23,7 +23,8 @@ use kimbap::engine::{Engine, EngineConfig};
 use kimbap_algos::merge_master_values;
 use kimbap_comm::{Cluster, FaultPlan, HeartbeatConfig, TransportConfig};
 use kimbap_compiler::{compile, programs, OptLevel};
-use kimbap_dist::{partition, Policy};
+use kimbap_comm::wire::encode_slice;
+use kimbap_dist::{ownership_for, partition, partition_cfg, PartitionCfg, Policy, Scheme};
 use kimbap_graph::gen;
 use std::time::Duration;
 
@@ -115,6 +116,51 @@ fn engine_cc_sv(
         outs.into_iter().map(|(o, _, _)| o.map_values[0].clone()).collect(),
     );
     (labels, timeouts, suspicions)
+}
+
+/// What `kimbap _worker` does: every host partitions the graph *on its
+/// own*, from nothing but the graph and the host count — here each on a
+/// different storage tier too. The block boundaries each host derived are
+/// exchanged over the transport and must be byte-equal everywhere, and
+/// the compiled cc-sv run over those private partitions must produce the
+/// shared-partition labels.
+#[test]
+fn every_host_derives_the_same_block_boundaries() {
+    let g = gen::rmat(7, 4, 31);
+    let (baseline, _, _) = engine_cc_sv(
+        &g,
+        &Cluster::with_threads(HOSTS, 2),
+        FaultPlan::new(),
+        EngineConfig::default(),
+    );
+    let compiled = compile(&programs::cc_sv(), OptLevel::Full);
+    for (name, cluster) in backends() {
+        let outs = cluster.run(|ctx| {
+            let cfg = PartitionCfg {
+                compressed: ctx.host() % 2 == 0,
+                ..PartitionCfg::new(Policy::EdgeCutBlocked, ctx.num_hosts())
+            };
+            let parts = partition_cfg(&g, &cfg);
+            let dg = &parts[ctx.host()];
+            let Scheme::Blocked { bounds } = dg.ownership().scheme() else {
+                panic!("edge-cut (blocked) must use blocked ownership");
+            };
+            assert_eq!(
+                dg.ownership(),
+                &ownership_for(&g, Policy::EdgeCutBlocked, ctx.num_hosts())
+            );
+            let mine = encode_slice(&bounds[..]);
+            for (peer, theirs) in ctx.exchange(vec![mine.clone(); HOSTS]).iter().enumerate() {
+                assert_eq!(theirs, &mine, "host {peer} cut different blocks on {name}");
+            }
+            Engine::new(dg, ctx, &compiled).run(ctx)
+        });
+        let labels = merge_master_values(
+            g.num_nodes(),
+            outs.into_iter().map(|o| o.map_values[0].clone()).collect(),
+        );
+        assert_eq!(labels, baseline, "private partitions diverged on {name}");
+    }
 }
 
 /// A host that stalls mid-round is flagged by the phase deadline; every

@@ -257,21 +257,15 @@ enum Canonical<T: PropValue> {
     Sharded { shards: Vec<Mutex<HashMap<NodeId, T>>> },
 }
 
-/// Disjoint-range assignment of global keys to `parts` workers.
-#[inline]
-fn range_owner(key: NodeId, parts: usize, n: usize) -> usize {
-    debug_assert!((key as usize) < n.max(1));
-    ((key as u64 * parts as u64) / n.max(1) as u64) as usize
-}
-
 /// Precomputed is-mine test for this host's key-distribution map.
 ///
-/// [`Ownership`]'s arithmetic answers "who owns key `k`" for *any* host,
-/// with asserted bounds checks — fine for collectives, too slow for the
-/// per-call `reduce`/`read` fast paths, which only ever ask "is `k` mine,
-/// and at which master offset". `FastOwn` pre-resolves this host's block
-/// bounds (blocked ownership) or modulus residue (hashed ownership) into
-/// two branch-light operations.
+/// [`Ownership`] answers "who owns key `k`" for *any* host — a search of
+/// its boundary table or a modulus, with asserted bounds checks — fine
+/// for collectives, too slow for the per-call `reduce`/`read` fast paths,
+/// which only ever ask "is `k` mine, and at which master offset".
+/// `FastOwn` pre-resolves this host's row of the boundary table (blocked
+/// ownership) or modulus residue (hashed ownership) into two branch-light
+/// operations.
 #[derive(Debug, Clone, Copy)]
 enum FastOwn {
     /// Blocked ownership: this host owns the contiguous range
@@ -283,20 +277,13 @@ enum FastOwn {
 
 impl FastOwn {
     fn new(own: &Ownership, host: usize) -> Self {
-        let len = own.num_masters(host) as u32;
         match own.scheme() {
-            kimbap_dist::Scheme::Blocked { .. } => {
-                let lo = if len == 0 {
-                    // A host past the end of a short node space owns
-                    // nothing; any `lo` works with `len == 0`.
-                    0
-                } else {
-                    own.master_at(host, 0)
-                };
-                FastOwn::Block { lo, len }
-            }
+            kimbap_dist::Scheme::Blocked { bounds } => FastOwn::Block {
+                lo: bounds[host],
+                len: bounds[host + 1] - bounds[host],
+            },
             kimbap_dist::Scheme::Hashed { hosts, .. } => FastOwn::Mod {
-                hosts: hosts as u32,
+                hosts: *hosts as u32,
                 host: host as u32,
             },
         }
@@ -314,6 +301,23 @@ impl FastOwn {
                 (key % hosts == host).then(|| key / hosts)
             }
         }
+    }
+
+    /// The pool thread (of `threads`) that combines and gathers `key`:
+    /// disjoint ascending ranges. A blocked host's own keys are split by
+    /// master offset, so every thread gets an equal slice of the host's
+    /// block wherever the block lies in the id space; remote keys, and
+    /// hashed ownership (whose owned keys stride the whole space), are
+    /// split over the `n` global ids. The scatter, the gather and the
+    /// sharded canonical store must all agree on it.
+    #[inline]
+    fn shard(self, key: NodeId, threads: usize, n: usize) -> usize {
+        let (pos, span) = match self {
+            FastOwn::Block { lo, len } if key.wrapping_sub(lo) < len => (key - lo, len as usize),
+            _ => (key, n.max(1)),
+        };
+        debug_assert!((pos as usize) < span);
+        (pos as u64 * threads as u64 / span as u64) as usize
     }
 
     /// Inverse of [`FastOwn::local_offset`]: the global key at master
@@ -684,7 +688,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         match &self.canonical {
             Canonical::Dense { vals, .. } => vals.get(self.key_own.master_offset(key)),
             Canonical::Sharded { shards } => {
-                let shard = range_owner(key, self.threads, self.key_own.num_nodes());
+                let shard = self.fast_own.shard(key, self.threads, self.key_own.num_nodes());
                 shards[shard]
                     .lock()
                     .get(&key)
@@ -701,7 +705,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 vals.set(self.key_own.master_offset(key), value);
             }
             Canonical::Sharded { shards } => {
-                let shard = range_owner(key, self.threads, self.key_own.num_nodes());
+                let shard = self.fast_own.shard(key, self.threads, self.key_own.num_nodes());
                 shards[shard].get_mut().insert(key, value);
             }
         }
@@ -967,7 +971,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// (Fig. 7), and serializes remote-owned pairs per destination host.
     ///
     /// The combine touches each entry exactly twice — once when its source
-    /// thread buckets it by `range_owner` (region A), once when its
+    /// thread buckets it by [`FastOwn::shard`] (region A), once when its
     /// destination thread folds the bucket into its own emptied buffer
     /// (region B) — O(entries) total, instead of the previous
     /// all-threads-rescan-everything O(threads × entries).
@@ -1001,10 +1005,10 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 let mut row: Vec<_> = cells[tid].iter().map(|c| c.lock()).collect();
                 buf.drain_local(|off, v| {
                     let k = fast.key_at(off);
-                    row[range_owner(k, threads, n)].push((k, v));
+                    row[fast.shard(k, threads, n)].push((k, v));
                 });
                 buf.drain_remote(|k, v| {
-                    row[range_owner(k, threads, n)].push((k, v));
+                    row[fast.shard(k, threads, n)].push((k, v));
                 });
             });
             let tls = &self.tls;
@@ -1091,13 +1095,13 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                     // SAFETY: distinct tids per worker.
                     let mine = unsafe { local_pairs.slot(tid) };
                     for &(k, v) in mine.iter() {
-                        debug_assert_eq!(range_owner(k, threads, n), tid);
+                        debug_assert_eq!(fast.shard(k, threads, n), tid);
                         apply(k, v);
                     }
                     mine.clear();
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if range_owner(k, threads, n) != tid {
+                            if fast.shard(k, threads, n) != tid {
                                 continue;
                             }
                             apply(k, v);
@@ -1121,13 +1125,13 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                     // SAFETY: distinct tids per worker.
                     let mine = unsafe { local_pairs.slot(tid) };
                     for &(k, v) in mine.iter() {
-                        debug_assert_eq!(range_owner(k, threads, n), tid);
+                        debug_assert_eq!(fast.shard(k, threads, n), tid);
                         apply(k, v);
                     }
                     mine.clear();
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if range_owner(k, threads, n) != tid {
+                            if fast.shard(k, threads, n) != tid {
                                 continue;
                             }
                             apply(k, v);
@@ -1655,6 +1659,34 @@ mod tests {
         let g = gen::grid_road(6, 6, 3);
         let parts = partition(&g, policy, hosts);
         Cluster::with_threads(hosts, threads).run(|ctx| f(ctx, &parts[ctx.host()]))
+    }
+
+    #[test]
+    fn gather_shards_tile_each_hosts_block() {
+        // 2 hosts x 4 threads, with blocks of very different widths (one
+        // hub-heavy node range, one long tail): every thread must get a
+        // non-empty contiguous slice of its host's masters. Splitting over
+        // the global id space instead left threads 2-3 of host 0 and
+        // threads 0-1 of host 1 without gather work.
+        let weights: Vec<u64> = (0..100).map(|g| if g < 10 { 90 } else { 10 }).collect();
+        let own = Ownership::blocked_by_weight(&weights, 2);
+        assert!(own.num_masters(0) < own.num_masters(1) / 4);
+        let threads = 4;
+        for h in 0..2 {
+            let fast = FastOwn::new(&own, h);
+            let shards: Vec<usize> = own
+                .masters(h)
+                .map(|g| fast.shard(g, threads, own.num_nodes()))
+                .collect();
+            assert!(shards.windows(2).all(|w| w[0] <= w[1]), "host {h}: not ranges");
+            for t in 0..threads {
+                assert!(shards.contains(&t), "host {h}: thread {t} has no masters");
+            }
+            // Keys of the other host still land on a valid thread.
+            for g in own.masters(1 - h) {
+                assert!(fast.shard(g, threads, own.num_nodes()) < threads);
+            }
+        }
     }
 
     #[test]

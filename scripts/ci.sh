@@ -6,9 +6,9 @@
 # cross-backend fault matrix, seed-replayable simulation fuzz smokes
 # (fixed, shrinking and growing membership; hand-written loops and the
 # compiled cc-sv plan), output diffs across transports, storage tiers and
-# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms), and
-# the benchmark package's own tests and smoke run (benchmark/run.sh is
-# the performance gate).
+# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms), the
+# partitioner's host-balance budget, and the benchmark package's own
+# tests and smoke run (benchmark/run.sh is the performance gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -171,6 +171,18 @@ awk -v b="$bpe" 'BEGIN { exit !(b != "" && b < 4.0) }' \
     || { echo "bytes/edge budget blown: $bpe >= 4.0" >&2; exit 1; }
 awk -v r="$ratio" 'BEGIN { exit !(r != "" && r >= 2.5) }' \
     || { echo "compression ratio too low: ${ratio}x < 2.5x" >&2; exit 1; }
+
+echo "==> host balance (power-law graph: max/mean host weight <= 1.05)"
+./target/release/kimbap gen --kind rmat --scale 12 --ef 16 --seed 42 \
+    --out "$SMOKE_DIR/skew.kg"
+for hosts in 2 4; do
+    ./target/release/kimbap stats "$SMOKE_DIR/skew.kg" --hosts "$hosts" \
+        > "$SMOKE_DIR/balance.txt"
+    sed -n '/^partition:/,$p' "$SMOKE_DIR/balance.txt" | sed 's/^/    /'
+    bal=$(sed -n 's/^balance: \([0-9.]*\) .*/\1/p' "$SMOKE_DIR/balance.txt")
+    awk -v b="$bal" 'BEGIN { exit !(b != "" && b <= 1.05) }' \
+        || { echo "hosts are skewed: max/mean weight $bal > 1.05" >&2; exit 1; }
+done
 
 echo "==> bench harness smoke (tiny graph, JSON records)"
 scripts/bench.sh --smoke
