@@ -22,6 +22,7 @@
 //! the paper's "five node property maps for cluster and subcluster
 //! information".
 
+use crate::accum::{DecisionScratch, NeighborWeights};
 use crate::builder::MapBuilder;
 use crate::louvain::{
     aggregate, local_moving, modularity_of, CommunityResult, LouvainConfig,
@@ -30,7 +31,6 @@ use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
 use kimbap_graph::NodeId;
 use kimbap_npm::{Min, NodePropMap, Sum, SumReducer};
-use std::collections::HashMap;
 
 /// Maximum refinement (merge) rounds per level.
 const MAX_REFINE_ROUNDS: usize = 10;
@@ -122,6 +122,86 @@ pub fn leiden<B: MapBuilder>(
     result
 }
 
+/// What a merge decision reads: the level's graph, the pinned community
+/// and subcommunity maps, and the requested community totals.
+struct Refine<'a, C, S, T> {
+    cur: &'a DistGraph,
+    comm: &'a C,
+    sub_map: &'a S,
+    comm_tot: &'a T,
+    gamma: f64,
+    m_total: f64,
+}
+
+impl<C: NodePropMap<u64>, S: NodePropMap<u64>, T: NodePropMap<i64>> Refine<'_, C, S, T> {
+    /// The subcommunity the singleton master `lid` (community `my_comm`,
+    /// weighted degree `k_u`) joins: the best-connected one with a smaller
+    /// id inside its community, ties to the smallest id; `None` if it is
+    /// not well connected to the community or has no such neighbor.
+    #[inline]
+    fn target(&self, lid: u32, my_comm: u64, k_u: u64, w_to: &mut NeighborWeights) -> Option<u64> {
+        let cur = self.cur;
+        let g = cur.local_to_global(lid) as u64;
+        let mut w_in_comm = 0u64;
+        w_to.clear();
+        cur.edges(lid).for_each(|(dst, w)| {
+            if dst != lid && self.comm.read_local(cur, dst) == my_comm {
+                w_in_comm += w;
+                let s = self.sub_map.read_local(cur, dst);
+                if s < g {
+                    w_to.add(s, w);
+                }
+            }
+        });
+        self.choose(my_comm, k_u, w_in_comm, w_to.iter())
+    }
+
+    /// The well-connectedness gate, then the choice among `(subcommunity,
+    /// weight from u)` candidates — a total order, so any iteration order
+    /// picks the same one.
+    #[inline]
+    fn choose(
+        &self,
+        my_comm: u64,
+        k_u: u64,
+        w_in_comm: u64,
+        candidates: impl Iterator<Item = (u64, u64)>,
+    ) -> Option<u64> {
+        let tot_c = self.comm_tot.read(my_comm as NodeId) as f64;
+        let gate = self.gamma * k_u as f64 * (tot_c - k_u as f64) / self.m_total;
+        if (w_in_comm as f64) < gate {
+            return None; // not well connected: stays singleton
+        }
+        candidates
+            .max_by_key(|&(s, w)| (w, std::cmp::Reverse(s)))
+            .map(|(s, _)| s)
+    }
+
+    /// [`Refine::target`] as it was before the accumulator: a `HashMap`
+    /// probe and two global-id reads per edge.
+    #[cfg(test)]
+    fn target_reference(&self, lid: u32, my_comm: u64, k_u: u64) -> Option<u64> {
+        let cur = self.cur;
+        let g = cur.local_to_global(lid) as u64;
+        let mut w_in_comm = 0u64;
+        let mut w_to: std::collections::HashMap<u64, u64> = Default::default();
+        for (dst, w) in cur.edges(lid) {
+            let gv = cur.local_to_global(dst);
+            if gv as u64 == g {
+                continue;
+            }
+            if self.comm.read(gv) == my_comm {
+                w_in_comm += w;
+                let s = self.sub_map.read(gv);
+                if s < g {
+                    *w_to.entry(s).or_default() += w;
+                }
+            }
+        }
+        self.choose(my_comm, k_u, w_in_comm, w_to.into_iter())
+    }
+}
+
 /// One Leiden level: local moving → subcommunity refinement → aggregation
 /// by subcommunity. Returns `(mapping, coarse_edges, n_coarse, modularity,
 /// improved, init_pairs)` where `init_pairs` project communities onto
@@ -178,6 +258,7 @@ fn run_level<B: MapBuilder>(
 
     let mut sub_size = b.build::<u64, Sum>(cur, ctx, Sum);
     let merges = SumReducer::new();
+    let mut scratch = DecisionScratch::per_thread(ctx.threads());
 
     for _round in 0..MAX_REFINE_ROUNDS {
         // Subcommunity sizes (a singleton has size 1).
@@ -206,61 +287,48 @@ fn run_level<B: MapBuilder>(
 
         // Merge decisions.
         merges.set(0);
-        let decisions: Vec<parking_lot::Mutex<Vec<(usize, u64)>>> =
-            (0..ctx.threads()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
         {
-            let (sm, ss, cm, ct) = (&sub_map, &sub_size, comm, &comm_tot);
+            let refine = Refine {
+                cur,
+                comm,
+                sub_map: &sub_map,
+                comm_tot: &comm_tot,
+                gamma: cfg.resolution,
+                m_total,
+            };
+            let ss = &sub_size;
             let sb = &sub;
-            let decisions = &decisions;
+            let scratch = &scratch;
             let merges = &merges;
-            let gamma = cfg.resolution;
             ctx.par_for(0..masters, |tid, range| {
-                let mut w_to: HashMap<u64, u64> = HashMap::new();
+                let DecisionScratch { w_to, decided } = &mut *scratch[tid].lock();
                 for m in range {
                     let lid = m as u32;
-                    let g = cur.local_to_global(lid) as u64;
+                    let g = cur.local_to_global(lid);
                     // Merge-only: still a singleton?
-                    if sb[m] != g || ss.read(g as NodeId) != 1 || k[m] == 0 {
+                    if sb[m] != g as u64 || ss.read(g) != 1 || k[m] == 0 {
                         continue;
                     }
-                    // Well-connected to the community?
-                    let my_comm = cur_comm[m];
-                    let mut w_in_comm = 0u64;
-                    w_to.clear();
-                    for (dst, w) in cur.edges(lid) {
-                        let gv = cur.local_to_global(dst);
-                        if gv as u64 == g {
-                            continue;
-                        }
-                        if cm.read(gv) == my_comm {
-                            w_in_comm += w;
-                            let s = sm.read(gv);
-                            if s < g {
-                                *w_to.entry(s).or_default() += w;
-                            }
-                        }
-                    }
-                    let tot_c = ct.read(my_comm as NodeId) as f64;
-                    let gate = gamma * k[m] as f64 * (tot_c - k[m] as f64) / m_total;
-                    if (w_in_comm as f64) < gate {
-                        continue; // not well connected: stays singleton
-                    }
-                    // Join the best-connected smaller subcommunity.
-                    if let Some((&best, _)) = w_to
-                        .iter()
-                        .max_by_key(|&(&s, &w)| (w, std::cmp::Reverse(s)))
-                    {
-                        decisions[tid].lock().push((m, best));
+                    #[cfg(test)]
+                    let target = if cfg.reference_kernel {
+                        refine.target_reference(lid, cur_comm[m], k[m])
+                    } else {
+                        refine.target(lid, cur_comm[m], k[m], w_to)
+                    };
+                    #[cfg(not(test))]
+                    let target = refine.target(lid, cur_comm[m], k[m], w_to);
+                    if let Some(best) = target {
+                        decided.push((m, best));
                         merges.reduce(1);
                     }
                 }
             });
         }
         sub_map.reset_updated();
-        for d in decisions {
-            for (m, s) in d.into_inner() {
-                sub[m] = s;
-                sub_map.set(cur.local_to_global(m as u32), s);
+        for s in &mut scratch {
+            for (m, sc) in s.get_mut().decided.drain(..) {
+                sub[m] = sc;
+                sub_map.set(cur.local_to_global(m as u32), sc);
             }
         }
         sub_map.broadcast_sync(ctx);
@@ -276,16 +344,14 @@ fn run_level<B: MapBuilder>(
         aggregate(cur, ctx, b, &sub, &sub_map);
 
     // Project communities to coarse space: community label = smallest
-    // coarse id of any member subcommunity.
+    // coarse id of any member subcommunity (`mapping[m].1` is master
+    // `m`'s).
     let mut comm_label = b.build::<u64, Min>(cur, ctx, Min);
-    let coarse_of: HashMap<NodeId, NodeId> = mapping.iter().copied().collect();
     {
-        let cl = &comm_label;
+        let (cl, mapping) = (&comm_label, &mapping);
         ctx.par_for(0..masters, |tid, range| {
             for m in range {
-                let g = cur.local_to_global(m as u32);
-                let coarse = coarse_of[&g];
-                cl.reduce(tid, cur_comm[m] as NodeId, coarse as u64);
+                cl.reduce(tid, cur_comm[m] as NodeId, mapping[m].1 as u64);
             }
         });
     }
@@ -302,13 +368,7 @@ fn run_level<B: MapBuilder>(
 
     // (coarse id of u's subcommunity, coarse label of u's community).
     let mut init_pairs: Vec<(NodeId, NodeId)> = (0..masters)
-        .map(|m| {
-            let g = cur.local_to_global(m as u32);
-            (
-                coarse_of[&g],
-                comm_label.read(cur_comm[m] as NodeId) as NodeId,
-            )
-        })
+        .map(|m| (mapping[m].1, comm_label.read(cur_comm[m] as NodeId) as NodeId))
         .collect();
     init_pairs.sort_unstable();
     init_pairs.dedup();
@@ -332,6 +392,7 @@ mod tests {
     use kimbap_comm::Cluster;
     use kimbap_dist::partition;
     use kimbap_graph::{builder::from_edges, gen, Graph};
+    use std::collections::HashMap;
 
     fn run_leiden(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
         let parts = partition(g, Policy::EdgeCutBlocked, hosts);

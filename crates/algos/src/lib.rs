@@ -37,9 +37,12 @@
 //! assert!(labels.iter().all(|&l| l == 0));
 //! ```
 
+pub mod accum;
 pub mod builder;
 pub mod cc;
 pub mod extra;
+#[cfg(test)]
+mod kernel_diff;
 pub mod leiden;
 pub mod louvain;
 pub mod mis;

@@ -22,11 +22,13 @@
 //! uses the same edge-cut for Kimbap and Vite), so a master holds all of
 //! its node's edges and can decide moves locally.
 
+use crate::accum::{DecisionScratch, NeighborWeights};
 use crate::builder::MapBuilder;
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
 use kimbap_graph::{NodeId, Weight};
 use kimbap_npm::{Max, Min, NodePropMap, Sum, SumReducer};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Tuning knobs for Louvain/Leiden.
@@ -40,6 +42,10 @@ pub struct LouvainConfig {
     pub min_move_fraction: f64,
     /// Resolution parameter γ of the modularity objective.
     pub resolution: f64,
+    /// Decide moves and merges with the `HashMap` + global-id reference
+    /// kernels the differential tests compare the product ones against.
+    #[cfg(test)]
+    pub(crate) reference_kernel: bool,
 }
 
 impl Default for LouvainConfig {
@@ -49,6 +55,8 @@ impl Default for LouvainConfig {
             max_rounds: 48,
             min_move_fraction: 0.005,
             resolution: 1.0,
+            #[cfg(test)]
+            reference_kernel: false,
         }
     }
 }
@@ -110,6 +118,81 @@ pub(crate) struct MovingOutcome<'g, B: MapBuilder + 'g> {
     pub(crate) comm: B::Map<'g, u64, Min>,
     /// Weighted degree of each master.
     pub(crate) k: Vec<u64>,
+}
+
+/// What a move decision reads: the level's graph, the pinned community
+/// map and the community totals requested for this round.
+struct Gain<'a, C, T> {
+    cur: &'a DistGraph,
+    comm: &'a C,
+    comm_tot: &'a T,
+    resolution: f64,
+    m_total: f64,
+}
+
+impl<C: NodePropMap<u64>, T: NodePropMap<i64>> Gain<'_, C, T> {
+    /// The community master `lid` (now in `my_comm`, weighted degree `k_u`)
+    /// gains most by joining: ties go to the smallest community id, and
+    /// only a strict improvement beats staying. Neighbors' communities are
+    /// read by local id and summed in `w_to`; candidates are scored in the
+    /// order the edge list first names them.
+    #[inline]
+    fn best(&self, lid: u32, my_comm: u64, k_u: u64, w_to: &mut NeighborWeights) -> u64 {
+        w_to.clear();
+        self.cur.edges(lid).for_each(|(dst, w)| {
+            if dst != lid {
+                // self-loops stay internal anywhere
+                w_to.add(self.comm.read_local(self.cur, dst), w);
+            }
+        });
+        self.pick(my_comm, k_u, w_to.get(my_comm), w_to.iter())
+    }
+
+    /// The decision rule over `(community, weight from u)` candidates.
+    #[inline]
+    fn pick(
+        &self,
+        my_comm: u64,
+        k_u: u64,
+        stay_w: u64,
+        candidates: impl Iterator<Item = (u64, u64)>,
+    ) -> u64 {
+        let ku = k_u as f64;
+        let penalty = |tot: f64| self.resolution * tot * ku / self.m_total;
+        // Score of staying (community totals exclude u itself).
+        let stay_tot = (self.comm_tot.read(my_comm as NodeId) - k_u as i64) as f64;
+        let mut best_score = stay_w as f64 - penalty(stay_tot);
+        let mut best_comm = my_comm;
+        for (c, w_uc) in candidates {
+            if c == my_comm {
+                continue;
+            }
+            let score = w_uc as f64 - penalty(self.comm_tot.read(c as NodeId) as f64);
+            let eps = 1e-12;
+            if score > best_score + eps || (score > best_score - eps && c < best_comm) {
+                best_score = score;
+                best_comm = c;
+            }
+        }
+        best_comm
+    }
+
+    /// [`Gain::best`] as it was before the accumulator: a `HashMap` probe
+    /// and a global-id read per edge, candidates in the map's order.
+    #[cfg(test)]
+    fn best_reference(&self, lid: u32, my_comm: u64, k_u: u64) -> u64 {
+        let cur = self.cur;
+        let mut w_to: HashMap<u64, u64> = HashMap::new();
+        let gu = cur.local_to_global(lid);
+        cur.edges(lid).for_each(|(dst, w)| {
+            let gv = cur.local_to_global(dst);
+            if gv != gu {
+                *w_to.entry(self.comm.read(gv)).or_default() += w;
+            }
+        });
+        let stay_w = *w_to.get(&my_comm).unwrap_or(&0);
+        self.pick(my_comm, k_u, stay_w, w_to.iter().map(|(&c, &w)| (c, w)))
+    }
 }
 
 /// Runs deterministic Louvain; returns this host's [`CommunityResult`].
@@ -214,6 +297,7 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
 
     let mut comm_tot = b.build::<i64, Sum>(cur, ctx, Sum);
     let moves = SumReducer::new();
+    let mut scratch = DecisionScratch::per_thread(ctx.threads());
 
     for round in 0..cfg.max_rounds {
         // Publish the BSP round so fault plans can target it.
@@ -248,7 +332,7 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
                     let c = if l < masters {
                         cc[l]
                     } else {
-                        cm.read(cur.local_to_global(l as u32))
+                        cm.read_local(cur, l as u32)
                     };
                     ct.request(c as NodeId);
                 }
@@ -262,22 +346,23 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
         // its gain estimate is an approximation (community totals and the
         // reported modularity stay exact).
         moves.set(0);
-        let decisions: Vec<parking_lot::Mutex<Vec<(usize, u64)>>> =
-            (0..ctx.threads()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
         {
-            let (ct, cm) = (&comm_tot, &comm);
+            let gain = Gain {
+                cur,
+                comm: &comm,
+                comm_tot: &comm_tot,
+                resolution: cfg.resolution,
+                m_total,
+            };
             let cc = &cur_comm;
             let kk = &k;
-            let decisions = &decisions;
+            let scratch = &scratch;
             let moves = &moves;
-            let res = cfg.resolution;
             ctx.par_for(0..masters, |tid, range| {
-                let mut w_to: HashMap<u64, u64> = HashMap::new();
-                let mut out = Vec::new();
+                let DecisionScratch { w_to, decided } = &mut *scratch[tid].lock();
                 for m in range {
                     let lid = m as u32;
-                    let edges = cur.edges(lid);
-                    if edges.len() == 0 || kk[m] == 0 {
+                    if cur.degree(lid) == 0 || kk[m] == 0 {
                         continue;
                     }
                     // Only a deterministic pseudo-random half of the nodes
@@ -288,56 +373,29 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
                     // moves damps the overshoot while staying deterministic
                     // and partition-independent (Vite gets the same effect
                     // from intra-host serialization of its atomic updates).
-                    let g = cur.local_to_global(lid) as u64;
-                    if move_gate(g, round) {
+                    if move_gate(cur.local_to_global(lid) as u64, round) {
                         continue;
                     }
-                    let my_comm = cc[m];
-                    let ku = kk[m] as f64;
-                    w_to.clear();
-                    let gu = cur.local_to_global(lid);
-                    edges.for_each(|(dst, w)| {
-                        let gv = cur.local_to_global(dst);
-                        if gv != gu {
-                            // self-loops stay internal anywhere
-                            *w_to.entry(cm.read(gv)).or_default() += w;
-                        }
-                    });
-                    // Score of staying (community totals exclude u itself).
-                    let stay_w = *w_to.get(&my_comm).unwrap_or(&0) as f64;
-                    let stay_tot = (ct.read(my_comm as NodeId) - kk[m] as i64) as f64;
-                    let stay_score = stay_w - res * stay_tot * ku / m_total;
-                    let mut best_score = stay_score;
-                    let mut best_comm = my_comm;
-                    for (&c, &w_uc) in w_to.iter() {
-                        if c == my_comm {
-                            continue;
-                        }
-                        let tot_c = ct.read(c as NodeId) as f64;
-                        let score = w_uc as f64 - res * tot_c * ku / m_total;
-                        let eps = 1e-12;
-                        if score > best_score + eps
-                            || (score > best_score - eps && c < best_comm)
-                        {
-                            best_score = score;
-                            best_comm = c;
-                        }
-                    }
-                    if best_comm != my_comm {
-                        out.push((m, best_comm));
+                    #[cfg(test)]
+                    let best = if cfg.reference_kernel {
+                        gain.best_reference(lid, cc[m], kk[m])
+                    } else {
+                        gain.best(lid, cc[m], kk[m], w_to)
+                    };
+                    #[cfg(not(test))]
+                    let best = gain.best(lid, cc[m], kk[m], w_to);
+                    if best != cc[m] {
+                        decided.push((m, best));
                         moves.reduce(1);
                     }
-                }
-                if !out.is_empty() {
-                    decisions[tid].lock().extend(out);
                 }
             });
         }
 
         // Apply decisions and publish them to mirrors.
         comm.reset_updated();
-        for d in decisions {
-            for (m, c) in d.into_inner() {
+        for s in &mut scratch {
+            for (m, c) in s.get_mut().decided.drain(..) {
                 cur_comm[m] = c;
                 comm.set(cur.local_to_global(m as u32), c);
             }
@@ -405,16 +463,21 @@ pub(crate) fn modularity_of<B: MapBuilder>(
                 let cu = if l < masters {
                     cc[l]
                 } else {
-                    cm.read(cur.local_to_global(lid))
+                    cm.read_local(cur, lid)
                 };
-                let gu = cur.local_to_global(lid);
+                // One reduction per node, not per edge: `Sum` is
+                // associative, and a node with no internal edge must
+                // leave no partial behind (as when each edge reduced).
+                let (mut w_in, mut any) = (0u64, false);
                 edges.for_each(|(dst, w)| {
-                    let gv = cur.local_to_global(dst);
-                    let cv = if gv == gu { cu } else { cm.read(gv) };
-                    if cv == cu {
-                        int.reduce(tid, cu as NodeId, w);
+                    if dst == lid || cm.read_local(cur, dst) == cu {
+                        w_in += w;
+                        any = true;
                     }
                 });
+                if any {
+                    int.reduce(tid, cu as NodeId, w_in);
+                }
             }
         });
     }
@@ -523,18 +586,17 @@ pub(crate) fn aggregate<B: MapBuilder>(
         ctx.par_for(0..span, |_tid, range| {
             for l in range {
                 let lid = l as u32;
-                let edges = cur.edges(lid);
-                if l >= masters && edges.len() == 0 {
+                if l >= masters && cur.degree(lid) == 0 {
                     continue;
                 }
                 let cu = if l < masters {
                     cc[l]
                 } else {
-                    cm.read(cur.local_to_global(lid))
+                    cm.read_local(cur, lid)
                 };
                 ni.request(cu as NodeId);
-                for (dst, _) in edges {
-                    ni.request(cm.read(cur.local_to_global(dst)) as NodeId);
+                for dst in cur.targets(lid) {
+                    ni.request(cm.read_local(cur, dst) as NodeId);
                 }
             }
         });
@@ -551,14 +613,16 @@ pub(crate) fn aggregate<B: MapBuilder>(
         })
         .collect();
 
-    let agg: parking_lot::Mutex<HashMap<(NodeId, NodeId), Weight>> =
-        parking_lot::Mutex::new(HashMap::new());
+    // Each thread sums its own coarse pairs, keyed `cu << 32 | cv` so one
+    // word hashes and the key order is the `(cu, cv)` order.
+    let per_thread: Vec<Mutex<NeighborWeights>> =
+        (0..ctx.threads()).map(|_| Mutex::default()).collect();
     {
         let (ni, cm) = (&newid, comm);
         let cc = cur_comm;
-        let agg = &agg;
-        ctx.par_for(0..span, |_tid, range| {
-            let mut local: HashMap<(NodeId, NodeId), Weight> = HashMap::new();
+        let per_thread = &per_thread;
+        ctx.par_for(0..span, |tid, range| {
+            let mut local = per_thread[tid].lock();
             for l in range {
                 let lid = l as u32;
                 let edges = cur.edges(lid);
@@ -568,37 +632,39 @@ pub(crate) fn aggregate<B: MapBuilder>(
                 let cu_comm = if l < masters {
                     cc[l]
                 } else {
-                    cm.read(cur.local_to_global(lid))
+                    cm.read_local(cur, lid)
                 };
-                let cu = ni.read(cu_comm as NodeId) as NodeId;
-                for (dst, w) in edges {
-                    let gv = cur.local_to_global(dst);
-                    let cv_comm = if gv == cur.local_to_global(lid) {
+                let cu = ni.read(cu_comm as NodeId);
+                edges.for_each(|(dst, w)| {
+                    let cv_comm = if dst == lid {
                         cu_comm
                     } else {
-                        cm.read(gv)
+                        cm.read_local(cur, dst)
                     };
-                    let cv = ni.read(cv_comm as NodeId) as NodeId;
-                    *local.entry((cu, cv)).or_default() += w;
-                }
-            }
-            if !local.is_empty() {
-                let mut g = agg.lock();
-                for (k, w) in local {
-                    *g.entry(k).or_default() += w;
-                }
+                    local.add(cu << 32 | ni.read(cv_comm as NodeId), w);
+                });
             }
         });
     }
-    // Sort: HashMap iteration order is per-process random, and these
-    // edges go over the wire — unsorted they break byte-level replay
-    // determinism on the simulation backend.
-    let mut coarse_edges: Vec<(NodeId, NodeId, Weight)> = agg
-        .into_inner()
+    // The edges go over the wire, so their order must not depend on which
+    // thread met which pair: concatenate, sort, and sum the pairs two
+    // threads both saw.
+    let mut pairs: Vec<(u64, Weight)> = Vec::new();
+    for local in per_thread {
+        pairs.extend(local.into_inner().iter());
+    }
+    pairs.sort_unstable_by_key(|&(pair, _)| pair);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    let coarse_edges: Vec<(NodeId, NodeId, Weight)> = pairs
         .into_iter()
-        .map(|((u, v), w)| (u, v, w))
+        .map(|(pair, w)| ((pair >> 32) as NodeId, pair as NodeId, w))
         .collect();
-    coarse_edges.sort_unstable();
 
     // Improvement check: did anyone leave its singleton?
     let moved_local = mapping_changes_anything(cur, cur_comm);

@@ -467,6 +467,44 @@ mod tests {
         assert_eq!(merge_master_values(g.num_nodes(), per_host), expected);
     }
 
+    /// Louvain and Leiden read neighbors' communities through
+    /// `NodePropMap::read_local`. MC-KV inherits the translating default
+    /// and the non-GAR variants translate inside `Npm`, so every backend
+    /// must reproduce the default map's run exactly: the same per-level
+    /// mappings, modularity bits, levels and rounds — raw and compressed,
+    /// with and without split hubs.
+    #[test]
+    fn community_detection_agrees_across_backends() {
+        use kimbap_algos::{leiden, louvain, CommunityResult, LouvainConfig, MapBuilder, NpmBuilder};
+        use kimbap_dist::{partition_cfg, DistGraph, PartitionCfg};
+        use kimbap_npm::Variant;
+
+        fn run<B: MapBuilder>(parts: &[DistGraph], b: &B) -> Vec<(CommunityResult, CommunityResult, u64)> {
+            let cfg = LouvainConfig::default();
+            Cluster::with_threads(parts.len(), 2).run(|ctx| {
+                let dg = &parts[ctx.host()];
+                (louvain(dg, ctx, b, &cfg), leiden(dg, ctx, b, &cfg), ctx.current_round())
+            })
+        }
+        let hosts = 3;
+        for g in [gen::with_random_weights(&gen::rmat(6, 4, 31), 5, 2), gen::grid_road(6, 5, 3)] {
+            for (compressed, hub_degree_threshold) in [(false, None), (true, None), (true, Some(10))] {
+                let pcfg = PartitionCfg {
+                    compressed,
+                    hub_degree_threshold,
+                    ..PartitionCfg::new(Policy::EdgeCutBlocked, hosts)
+                };
+                let parts = partition_cfg(&g, &pcfg);
+                let want = run(&parts, &NpmBuilder::default());
+                assert!(want[0].0.modularity > 0.0 && want[0].2 > 0);
+                assert_eq!(run(&parts, &McBuilder::new(hosts)), want, "mc {pcfg:?}");
+                for variant in [Variant::SgrOnly, Variant::SgrCf] {
+                    assert_eq!(run(&parts, &NpmBuilder::new(variant)), want, "{variant} {pcfg:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn mc_counts_remote_traffic() {
         let g = gen::grid_road(4, 4, 0);

@@ -17,11 +17,11 @@
 //! termination* heuristic (§6.2): a node stable for 4 consecutive rounds
 //! is skipped with 75% probability (deterministic hash here).
 
+use kimbap_algos::accum::{DecisionScratch, MulHashMap};
 use kimbap_comm::wire::{encode_slice, iter_decoded};
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
 use kimbap_graph::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Configuration for the Vite baseline.
@@ -137,12 +137,13 @@ fn run_level(
         .collect();
     let mut stable = vec![0u8; masters];
     let mut any_move = false;
+    let mut scratch = DecisionScratch::per_thread(ctx.threads());
 
     for round in 0..cfg.max_rounds {
         // --- Inspection phase (§6.4): ONE thread walks the local graph
         // and constructs the single shared map — an O(E) serial pass that
         // is Vite's main bottleneck on big graphs. ------------------------
-        let mut shared: HashMap<u64, AtomicI64> = HashMap::new();
+        let mut shared: MulHashMap<u64, AtomicI64> = MulHashMap::default();
         for m in 0..masters {
             shared.entry(comm_local[m]).or_insert_with(|| AtomicI64::new(0));
             for (dst, _) in cur.edges(m as u32) {
@@ -177,7 +178,7 @@ fn run_level(
             }
         }
         let received = exchange_pairs(ctx, contrib);
-        let mut shared: HashMap<u64, AtomicI64> = HashMap::new();
+        let mut shared: MulHashMap<u64, AtomicI64> = MulHashMap::default();
         for &(c, _) in &received {
             shared.entry(c).or_insert_with(|| AtomicI64::new(0));
         }
@@ -221,7 +222,7 @@ fn run_level(
             .collect();
         let answered = ctx.exchange(answers);
         // Single-threaded: build the local tot map.
-        let mut tot: HashMap<u64, i64> = HashMap::new();
+        let mut tot: MulHashMap<u64, i64> = MulHashMap::default();
         for (h, buf) in answered.iter().enumerate() {
             let _ = h;
             for (c, t) in iter_decoded::<(u64, i64)>(buf) {
@@ -237,14 +238,12 @@ fn run_level(
 
         // --- Parallel move decisions. -----------------------------------
         let moves = AtomicU64::new(0);
-        let decisions: Vec<parking_lot::Mutex<Vec<(usize, u64)>>> =
-            (0..ctx.threads()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
         {
             let (tot, cl, kk, stable) = (&tot, &comm_local, &k, &stable);
-            let decisions = &decisions;
+            let scratch = &scratch;
             let moves = &moves;
             ctx.par_for(0..masters, |tid, range| {
-                let mut w_to: HashMap<u64, u64> = HashMap::new();
+                let DecisionScratch { w_to, decided } = &mut *scratch[tid].lock();
                 for m in range {
                     let lid = m as u32;
                     if cur.degree(lid) == 0 || kk[m] == 0 {
@@ -264,18 +263,19 @@ fn run_level(
                     }
                     let my_comm = cl[m];
                     let ku = kk[m] as f64;
+                    // The same accumulator as Kimbap's Louvain, so the
+                    // comparison measures the runtimes, not the hash.
                     w_to.clear();
-                    for (dst, w) in cur.edges(lid) {
-                        if dst == lid {
-                            continue;
+                    cur.edges(lid).for_each(|(dst, w)| {
+                        if dst != lid {
+                            w_to.add(cl[dst as usize], w);
                         }
-                        *w_to.entry(cl[dst as usize]).or_default() += w;
-                    }
-                    let stay_w = *w_to.get(&my_comm).unwrap_or(&0) as f64;
+                    });
+                    let stay_w = w_to.get(my_comm) as f64;
                     let stay_tot = (tot.get(&my_comm).copied().unwrap_or(0) - kk[m] as i64) as f64;
                     let mut best_score = stay_w - stay_tot * ku / m_total;
                     let mut best_comm = my_comm;
-                    for (&c, &w_uc) in w_to.iter() {
+                    for (c, w_uc) in w_to.iter() {
                         if c == my_comm {
                             continue;
                         }
@@ -289,15 +289,15 @@ fn run_level(
                         }
                     }
                     if best_comm != my_comm {
-                        decisions[tid].lock().push((m, best_comm));
+                        decided.push((m, best_comm));
                         moves.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             });
         }
         let mut moved_here = vec![false; masters];
-        for d in decisions {
-            for (m, c) in d.into_inner() {
+        for s in &mut scratch {
+            for (m, c) in s.get_mut().decided.drain(..) {
                 comm_local[m] = c;
                 moved_here[m] = true;
                 any_move = true;
@@ -341,8 +341,8 @@ fn run_level(
     }
 
     // --- Modularity: per-community internal weight and totals at owners.
-    let mut in_contrib: HashMap<u64, i64> = HashMap::new();
-    let mut tot_contrib: HashMap<u64, i64> = HashMap::new();
+    let mut in_contrib: MulHashMap<u64, i64> = MulHashMap::default();
+    let mut tot_contrib: MulHashMap<u64, i64> = MulHashMap::default();
     for m in 0..masters {
         let lid = m as u32;
         if k[m] > 0 {
@@ -354,18 +354,18 @@ fn run_level(
             }
         }
     }
-    let route = |m: HashMap<u64, i64>| -> Vec<Vec<(u64, i64)>> {
+    let route = |m: MulHashMap<u64, i64>| -> Vec<Vec<(u64, i64)>> {
         let mut out = vec![Vec::new(); hosts];
         for (c, v) in m {
             out[own.owner(c as NodeId)].push((c, v));
         }
         out
     };
-    let mut in_c: HashMap<u64, i64> = HashMap::new();
+    let mut in_c: MulHashMap<u64, i64> = MulHashMap::default();
     for (c, v) in exchange_pairs(ctx, route(in_contrib)) {
         *in_c.entry(c).or_default() += v;
     }
-    let mut tot_c: HashMap<u64, i64> = HashMap::new();
+    let mut tot_c: MulHashMap<u64, i64> = MulHashMap::default();
     for (c, v) in exchange_pairs(ctx, route(tot_contrib)) {
         *tot_c.entry(c).or_default() += v;
     }
@@ -397,7 +397,7 @@ fn run_level(
     let counts = ctx.all_gather(owned_used.len() as u64);
     let offset: u64 = counts[..ctx.host()].iter().sum();
     let n_coarse: u64 = counts.iter().sum();
-    let newid: HashMap<u64, u64> = owned_used
+    let newid: MulHashMap<u64, u64> = owned_used
         .iter()
         .enumerate()
         .map(|(i, &c)| (c, offset + i as u64))
@@ -422,7 +422,7 @@ fn run_level(
         })
         .collect();
     let answered = ctx.exchange(answers);
-    let mut resolve: HashMap<u64, u64> = HashMap::new();
+    let mut resolve: MulHashMap<u64, u64> = MulHashMap::default();
     for buf in &answered {
         for (c, id) in iter_decoded::<(u64, u64)>(buf) {
             resolve.insert(c, id);
@@ -433,7 +433,7 @@ fn run_level(
     }
 
     // Coarse edge aggregation, single-threaded.
-    let mut agg: HashMap<(NodeId, NodeId), u64> = HashMap::new();
+    let mut agg: MulHashMap<(NodeId, NodeId), u64> = MulHashMap::default();
     for m in 0..masters {
         let lid = m as u32;
         let cu = resolve[&comm_local[m]] as NodeId;

@@ -128,9 +128,10 @@ every interleaving converges to the fault-free labels.
 runs are read-only over the graph, so each host stores its local CSR on
 the compressed tier (delta+varint neighbor blocks) by default; --raw
 keeps the uncompressed arrays. --hub-threshold N splits the edge lists
-of nodes with degree > N across hosts on hub-splitting policies. Both
-knobs change only memory/traffic, never outputs: the CI smoke diffs
-compressed against raw labels.
+of nodes with degree > N across hosts; only the blocked edge cut honours
+it, so run and sim accept it for louvain and leiden and reject it for
+the vertex-cut rows. Both knobs change only memory/traffic, never
+outputs: the CI smoke diffs compressed against raw labels.
 
 kimbap serve keeps one partitioned graph resident and runs a whole batch
 of analytics jobs over it. A job SPEC is
@@ -205,6 +206,28 @@ impl StoreOpts {
                 ),
             },
         })
+    }
+
+    /// [`StoreOpts::parse`] for a command that runs one algorithm: a
+    /// `--hub-threshold` its row's policy would silently ignore is a usage
+    /// error naming the rows that honour it.
+    fn parse_for(args: &[String], row: &AlgoRow) -> Result<Self, String> {
+        let store = Self::parse(args)?;
+        if store.hub_threshold.is_some() && !row.policy.splits_hubs() {
+            let honoured: Vec<&str> = serve::TABLE
+                .iter()
+                .filter(|r| r.policy.splits_hubs())
+                .map(|r| r.name)
+                .collect();
+            return Err(format!(
+                "--hub-threshold has no effect on '{}': it is partitioned under {:?}, \
+                 which never splits hubs (honoured by: {})",
+                row.name,
+                row.policy,
+                honoured.join(", ")
+            ));
+        }
+        Ok(store)
     }
 
     fn cfg(self, policy: Policy, hosts: usize) -> PartitionCfg {
@@ -543,7 +566,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let seed: u64 = flag_num(args, "--seed", 1)?;
     let out = flag(args, "--out").ok_or("missing --out")?;
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse(args)?;
+    let store = StoreOpts::parse_for(args, row)?;
     let g = load_graph(&path)?;
     let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
     let plan = fault_plan(&faults, seed, hosts)?;
@@ -774,7 +797,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse(args)?;
+    let store = StoreOpts::parse_for(args, row)?;
     let trace_path = flag(args, "--trace");
     let out = flag(args, "--out");
     let (shrink, grow) = (elastic.shrink, elastic.grow.is_some());
@@ -1152,7 +1175,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let port_base: u16 = flag_num(args, "--port-base", 46000)?;
     let out = flag(args, "--out");
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse(args)?;
+    let store = StoreOpts::parse_for(args, row)?;
     if !matches!(transport.as_str(), "inproc" | "tcp") {
         return Err(format!("unknown transport '{transport}'"));
     }
@@ -1274,7 +1297,7 @@ fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::check_flags;
+    use super::{check_flags, parse_algo, StoreOpts};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -1299,5 +1322,24 @@ mod tests {
         // ...but the same token in flag position is rejected.
         let b = args(&["g.kg", "--labels.txt"]);
         assert!(check_flags("run", &b, &["--out"], &["--raw"]).is_err());
+    }
+
+    #[test]
+    fn hub_threshold_is_rejected_where_the_policy_ignores_it() {
+        let a = args(&["g.kg", "--hub-threshold", "16"]);
+        for name in ["louvain", "leiden"] {
+            let store = StoreOpts::parse_for(&a, parse_algo(name).unwrap()).unwrap();
+            assert_eq!(store.hub_threshold, Some(16), "{name}");
+        }
+        for name in ["cc-sv", "cc-lp", "cc-sclp", "mis", "msf"] {
+            let row = parse_algo(name).unwrap();
+            let err = StoreOpts::parse_for(&a, row).err().expect(name);
+            assert!(
+                err.contains("--hub-threshold") && err.contains(name) && err.contains("louvain, leiden"),
+                "{err}"
+            );
+            // Without the knob the row parses as before.
+            assert!(StoreOpts::parse_for(&args(&["g.kg", "--raw"]), row).is_ok());
+        }
     }
 }

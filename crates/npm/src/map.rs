@@ -154,6 +154,17 @@ pub trait NodePropMap<T: PropValue>: Send + Sync {
     /// Panics if `key` is a remote node that was never requested.
     fn read(&self, key: NodeId) -> T;
 
+    /// [`NodePropMap::read`] of the proxy whose local id in `dg` — the
+    /// partition the map was built over — is `lid`: what a hand-written
+    /// operator calls for a key it holds positionally (an edge's `dst`).
+    /// The default translates and calls `read`; a backend whose tables are
+    /// indexed by local id ([`Npm`]) skips the trip through the global id.
+    /// Same value and same panic as `read(dg.local_to_global(lid))`.
+    #[inline]
+    fn read_local(&self, dg: &DistGraph, lid: LocalId) -> T {
+        self.read(dg.local_to_global(lid))
+    }
+
     /// Assigns `value` to `key`. For initialization only (§3.1): applied
     /// only on `key`'s owner host, not synchronized, no race detection.
     fn set(&mut self, key: NodeId, value: T);
@@ -1365,6 +1376,12 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             }
         }
         self.read_miss(key)
+    }
+
+    #[inline]
+    fn read_local(&self, dg: &DistGraph, lid: LocalId) -> T {
+        debug_assert!(std::ptr::eq(dg, self.dg), "a map reads the partition it was built over");
+        Npm::read_local(self, lid)
     }
 
     fn set(&mut self, key: NodeId, value: T) {

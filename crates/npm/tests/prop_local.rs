@@ -3,7 +3,10 @@
 //! `read`, `reduce` and `request` on the proxy's global id — same values,
 //! same canonical state after the sync, same traffic — for every local id,
 //! under every runtime variant, table layout, pinning mode and partition
-//! policy.
+//! policy. `read_local` is checked twice: the inherent accessor compiled
+//! plans call and the trait-level `NodePropMap::read_local` hand-written
+//! operators call (the translating default other backends inherit is
+//! pinned by `kimbap-baselines`' `community_detection_agrees_across_backends`).
 
 use kimbap_comm::Cluster;
 use kimbap_dist::{partition, Policy};
@@ -70,7 +73,11 @@ fn run(
                 dg.num_masters()
             };
             (0..n as u32)
-                .map(|l| (by_key.read(dg.local_to_global(l)), by_lid.read_local(l)))
+                .map(|l| {
+                    let by_trait = NodePropMap::read_local(by_lid, dg, l);
+                    assert_eq!(by_trait, by_lid.read_local(l), "lid {l}: trait vs inherent");
+                    (by_key.read(dg.local_to_global(l)), by_trait)
+                })
                 .collect::<Vec<_>>()
         };
         let before = read_all(&by_key, &by_lid, true);
@@ -138,42 +145,52 @@ proptest! {
     }
 }
 
-/// An unpinned, unrequested mirror is unreadable through either accessor,
-/// with the same message.
+/// An unpinned, unrequested mirror reads the same through every accessor
+/// on every variant: the same value where proxies stay resident, the same
+/// panic message where they do not.
 #[test]
 fn read_local_of_an_unrequested_mirror_panics_like_read() {
     let g = from_edges((0..12u32).map(|i| (i, (i + 1) % 12, 1)));
     let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-    let messages = Cluster::new(2).run(|ctx| {
-        let dg = &parts[ctx.host()];
-        let mut m: Npm<u64, Min> = Npm::new(dg, ctx, Min);
-        m.init_masters(&|g| g as u64);
-        let mirror = dg
-            .mirror_nodes()
-            .next()
-            .expect("a ring partition has mirrors");
-        let message = |r: std::thread::Result<u64>| {
-            let payload = r.expect_err("an unmaterialized mirror must not be readable");
-            payload
-                .downcast_ref::<String>()
-                .expect("panic message")
-                .clone()
-        };
-        let catch = |f: &dyn Fn() -> u64| {
-            message(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)))
-        };
-        let by_lid = catch(&|| m.read_local(mirror));
-        let by_key = catch(&|| m.read(dg.local_to_global(mirror)));
-        // Masters stay readable, and so does the mirror once requested.
-        assert_eq!(m.read_local(0), dg.local_to_global(0) as u64);
-        m.request_local(mirror);
-        m.request_sync(ctx);
-        assert_eq!(m.read_local(mirror), dg.local_to_global(mirror) as u64);
-        (by_lid, by_key)
-    });
-    for (by_lid, by_key) in messages {
-        assert_eq!(by_lid, by_key);
-        assert!(by_lid.contains("neither requested nor pinned"), "{by_lid}");
+    for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+        let outcomes = Cluster::new(2).run(|ctx| {
+            let dg = &parts[ctx.host()];
+            let mut m: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+            m.init_masters(&|g| g as u64);
+            let mirror = dg
+                .mirror_nodes()
+                .next()
+                .expect("a ring partition has mirrors");
+            let catch = |f: &dyn Fn() -> u64| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .expect("panic message")
+                        .clone()
+                })
+            };
+            let by_key = catch(&|| m.read(dg.local_to_global(mirror)));
+            let by_lid = catch(&|| m.read_local(mirror));
+            let by_trait = catch(&|| NodePropMap::read_local(&m, dg, mirror));
+            // Masters stay readable, and so does the mirror once requested.
+            assert_eq!(NodePropMap::read_local(&m, dg, 0), dg.local_to_global(0) as u64);
+            m.request_local(mirror);
+            m.request_sync(ctx);
+            assert_eq!(NodePropMap::read_local(&m, dg, mirror), dg.local_to_global(mirror) as u64);
+            [by_key, by_lid, by_trait]
+        });
+        for [by_key, by_lid, by_trait] in outcomes {
+            assert_eq!(by_lid, by_key, "{variant}");
+            assert_eq!(by_trait, by_key, "{variant}");
+            match by_key {
+                // Only the partition-aware map drops unrequested mirrors.
+                Err(message) => {
+                    assert_eq!(variant, Variant::SgrCfGar);
+                    assert!(message.contains("neither requested nor pinned"), "{message}");
+                }
+                Ok(_) => assert_ne!(variant, Variant::SgrCfGar),
+            }
+        }
     }
 }
 

@@ -6,8 +6,9 @@
 # cross-backend fault matrix, seed-replayable simulation fuzz smokes
 # (fixed, shrinking and growing membership; hand-written loops and the
 # compiled cc-sv plan), output diffs across transports, storage tiers and
-# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms), the
-# partitioner's host-balance budget, and the benchmark package's own
+# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms),
+# Louvain / Leiden across thread counts and repeats, the partitioner's
+# host-balance budget, and the benchmark package's own
 # tests and smoke run (benchmark/run.sh is the performance gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -116,6 +117,24 @@ diff "$SMOKE_DIR/sim-cc-comp.txt" "$SMOKE_DIR/sim-cc-raw.txt"
     --out "$SMOKE_DIR/sim-lv-raw.txt"
 diff "$SMOKE_DIR/sim-lv-comp.txt" "$SMOKE_DIR/sim-lv-raw.txt"
 echo "    compressed and raw storage tiers produce identical outputs"
+
+echo "==> louvain / leiden determinism (threads 1 vs 3, and a repeat: modularity, counts, labels diffed)"
+# Candidate communities are scored in edge-list order and coarse edges are
+# sorted, so neither the thread count nor the run may move a label.
+for algo in louvain leiden; do
+    for run in t1:1 t3:3 t3again:3; do
+        ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 3 \
+            --threads "${run#*:}" --out "$SMOKE_DIR/det-$algo-${run%:*}.txt" \
+            | sed -n 's/^\(q=.* communities\) in .*/\1/p' \
+            > "$SMOKE_DIR/det-$algo-${run%:*}.q"
+        grep -q '^q=' "$SMOKE_DIR/det-$algo-${run%:*}.q"
+    done
+    for other in t3 t3again; do
+        diff "$SMOKE_DIR/det-$algo-t1.q" "$SMOKE_DIR/det-$algo-$other.q"
+        diff "$SMOKE_DIR/det-$algo-t1.txt" "$SMOKE_DIR/det-$algo-$other.txt"
+    done
+    echo "    $algo: $(cat "$SMOKE_DIR/det-$algo-t1.q") at 1 and 3 threads, twice"
+done
 
 echo "==> run-vs-serve smoke (one table, one executor per name: outputs diffed)"
 # msf's edge list is unique only under distinct weights, and run
