@@ -4,7 +4,7 @@
 //! global-id reference kernels they replaced
 //! (`LouvainConfig::reference_kernel`) — the same per-level mappings, the
 //! same modularity bits, the same level and round counts — on every input
-//! shape, host and thread count, storage tier and hub-splitting mode.
+//! shape, host and thread count and storage tier.
 
 use crate::builder::NpmBuilder;
 use crate::louvain::{compose_labels, louvain, CommunityResult, LouvainConfig};
@@ -89,17 +89,15 @@ proptest! {
         hosts in 1usize..5,
         threads in 1usize..4,
         compressed in prop::bool::ANY,
-        split_hubs in prop::bool::ANY,
     ) {
         let g = input(kind, seed);
         let mut pcfg = PartitionCfg::new(Policy::EdgeCutBlocked, hosts);
         pcfg.compressed = compressed;
-        pcfg.hub_degree_threshold = split_hubs.then_some(12);
         let parts = partition_cfg(&g, &pcfg);
         let algos: [(&str, Algo); 2] = [("louvain", louvain), ("leiden", leiden)];
         for (name, algo) in algos {
             let what = format!(
-                "{name} kind {kind} seed {seed} {hosts}x{threads} compressed={compressed} hubs={split_hubs}"
+                "{name} kind {kind} seed {seed} {hosts}x{threads} compressed={compressed}"
             );
             let new = run(&parts, threads, algo, false);
             let reference = run(&parts, threads, algo, true);
@@ -131,16 +129,13 @@ proptest! {
 }
 
 /// The inputs above do reach what they are for: a node with more neighbor
-/// communities than the accumulator's first table holds, and split hubs.
+/// communities than the accumulator's first table holds.
 #[test]
-fn hub_inputs_outgrow_the_first_table_and_split() {
+fn hub_inputs_outgrow_the_first_table() {
     let g = input(2, 7);
     let max_degree = (0..g.num_nodes() as u32)
         .map(|u| g.degree(u))
         .max()
         .unwrap();
     assert!(max_degree > 16, "hub degree {max_degree}");
-    let mut pcfg = PartitionCfg::new(Policy::EdgeCutBlocked, 3);
-    pcfg.hub_degree_threshold = Some(12);
-    assert!(partition_cfg(&g, &pcfg)[0].has_split_hubs());
 }

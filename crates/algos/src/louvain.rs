@@ -255,32 +255,11 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
     let n = cur.num_global_nodes();
     let masters = cur.num_masters();
 
-    // k[u]: weighted degree of each master. Pure OEC stores all of a
-    // node's edges at its master, so a local sum suffices; with split
-    // hubs the fragments live on other hosts, so recover the full value
-    // with a Sum reduction over every proxy's local fragment, keyed by
-    // global id (one extra collective, only in hub mode).
-    let k: Vec<u64> = if cur.has_split_hubs() {
-        let kmap = b.build::<u64, Sum>(cur, ctx, Sum);
-        {
-            let km = &kmap;
-            ctx.par_for(0..cur.num_local_nodes(), |tid, range| {
-                for l in range {
-                    let w = cur.weighted_degree(l as u32);
-                    if w > 0 {
-                        km.reduce(tid, cur.local_to_global(l as u32), w);
-                    }
-                }
-            });
-        }
-        let mut kmap = kmap;
-        kmap.reduce_sync(ctx);
-        (0..masters)
-            .map(|m| kmap.read(cur.local_to_global(m as u32)))
-            .collect()
-    } else {
-        (0..masters as u32).map(|m| cur.weighted_degree(m)).collect()
-    };
+    // k[u]: weighted degree of each master. The edge-cut stores all of a
+    // node's edges at its master, so a local sum suffices.
+    let k: Vec<u64> = (0..masters as u32)
+        .map(|m| cur.weighted_degree(m))
+        .collect();
 
     // Current community of each master, host-local; mirrored through the
     // `comm` map for neighbor reads.
@@ -341,10 +320,8 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
         comm_tot.request_sync(ctx);
 
         // (3) Decide moves: best modularity gain, ties to the smallest
-        // community id; strict improvement required. Masters decide; with
-        // split hubs a hub master sees only its local edge fragment, so
-        // its gain estimate is an approximation (community totals and the
-        // reported modularity stay exact).
+        // community id; strict improvement required. Masters decide, each
+        // over its node's whole edge list.
         moves.set(0);
         {
             let gain = Gain {
@@ -439,37 +416,22 @@ pub(crate) fn modularity_of<B: MapBuilder>(
     }
     comm_tot.reduce_sync(ctx);
 
-    // Internal weight per community (for modularity). Every local edge is
-    // stored at exactly one proxy, so summing over masters covers all
-    // edges under pure OEC; with split hubs the mirror fragments carry
-    // edges too, so the loop widens to every proxy (a mirror's community
-    // is its pinned broadcast value).
-    let span = if cur.has_split_hubs() {
-        cur.num_local_nodes()
-    } else {
-        masters
-    };
+    // Internal weight per community (for modularity). Under the edge-cut
+    // every local edge is stored at its source's master, so summing over
+    // masters covers all edges.
     let mut internal = b.build::<u64, Sum>(cur, ctx, Sum);
     {
         let (cm, int) = (&comm, &internal);
         let cc = &cur_comm;
-        ctx.par_for(0..span, |tid, range| {
-            for l in range {
-                let lid = l as u32;
-                let edges = cur.edges(lid);
-                if l >= masters && edges.len() == 0 {
-                    continue;
-                }
-                let cu = if l < masters {
-                    cc[l]
-                } else {
-                    cm.read_local(cur, lid)
-                };
+        ctx.par_for(0..masters, |tid, range| {
+            for m in range {
+                let lid = m as u32;
+                let cu = cc[m];
                 // One reduction per node, not per edge: `Sum` is
                 // associative, and a node with no internal edge must
                 // leave no partial behind (as when each edge reduced).
                 let (mut w_in, mut any) = (0u64, false);
-                edges.for_each(|(dst, w)| {
+                cur.edges(lid).for_each(|(dst, w)| {
                     if dst == lid || cm.read_local(cur, dst) == cu {
                         w_in += w;
                         any = true;
@@ -571,30 +533,15 @@ pub(crate) fn aggregate<B: MapBuilder>(
         newid.set(g, offset + rank as u64);
     }
 
-    // Every proxy with local edges needs the coarse id of its own
-    // community and of each neighbor's community. Under pure OEC only
-    // masters carry edges; with split hubs the mirror fragments do too —
-    // skipping them would drop their edges from the coarse graph.
-    let span = if cur.has_split_hubs() {
-        cur.num_local_nodes()
-    } else {
-        masters
-    };
+    // Every master needs the coarse id of its own community and of each
+    // neighbor's community (under the edge-cut only masters carry edges).
     {
         let (ni, cm) = (&newid, comm);
         let cc = cur_comm;
-        ctx.par_for(0..span, |_tid, range| {
-            for l in range {
-                let lid = l as u32;
-                if l >= masters && cur.degree(lid) == 0 {
-                    continue;
-                }
-                let cu = if l < masters {
-                    cc[l]
-                } else {
-                    cm.read_local(cur, lid)
-                };
-                ni.request(cu as NodeId);
+        ctx.par_for(0..masters, |_tid, range| {
+            for m in range {
+                let lid = m as u32;
+                ni.request(cc[m] as NodeId);
                 for dst in cur.targets(lid) {
                     ni.request(cm.read_local(cur, dst) as NodeId);
                 }
@@ -621,21 +568,13 @@ pub(crate) fn aggregate<B: MapBuilder>(
         let (ni, cm) = (&newid, comm);
         let cc = cur_comm;
         let per_thread = &per_thread;
-        ctx.par_for(0..span, |tid, range| {
+        ctx.par_for(0..masters, |tid, range| {
             let mut local = per_thread[tid].lock();
-            for l in range {
-                let lid = l as u32;
-                let edges = cur.edges(lid);
-                if l >= masters && edges.len() == 0 {
-                    continue;
-                }
-                let cu_comm = if l < masters {
-                    cc[l]
-                } else {
-                    cm.read_local(cur, lid)
-                };
+            for m in range {
+                let lid = m as u32;
+                let cu_comm = cc[m];
                 let cu = ni.read(cu_comm as NodeId);
-                edges.for_each(|(dst, w)| {
+                cur.edges(lid).for_each(|(dst, w)| {
                     let cv_comm = if dst == lid {
                         cu_comm
                     } else {
@@ -698,7 +637,7 @@ mod tests {
     use crate::builder::NpmBuilder;
     use crate::refcheck;
     use kimbap_comm::Cluster;
-    use kimbap_dist::partition;
+    use kimbap_dist::{partition, partition_cfg, PartitionCfg};
     use kimbap_graph::{builder::from_edges, gen, Graph};
 
     fn run_louvain(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
@@ -766,12 +705,10 @@ mod tests {
 
     #[test]
     fn deterministic_across_hosts() {
-        let g = gen::rmat(7, 4, 13);
-        let (l1, q1) = run_louvain(&g, 1, 1);
-        let (l2, q2) = run_louvain(&g, 4, 2);
+        // Nothing in the partition steers a move, so Louvain and Leiden
+        // find the same communities on any host count and storage tier.
         // Labels are coarse ids whose numbering depends on host count, but
         // the partition structure and modularity must agree.
-        assert!((q1 - q2).abs() < 1e-9, "q1={q1} q2={q2}");
         let canon = |ls: &[NodeId]| {
             let mut seen = HashMap::new();
             ls.iter()
@@ -781,7 +718,33 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(canon(&l1), canon(&l2));
+        type Algo = fn(&DistGraph, &HostCtx, &NpmBuilder, &LouvainConfig) -> CommunityResult;
+        let algos: [(&str, Algo); 2] = [("louvain", louvain), ("leiden", crate::leiden)];
+        let unit = gen::with_unit_weights(&gen::rmat(7, 4, 13));
+        let weighted = gen::with_random_weights(&unit, 9, 13);
+        let (b, cfg) = (NpmBuilder::default(), LouvainConfig::default());
+        for (name, algo) in algos {
+            for g in [&unit, &weighted] {
+                let mut first: Option<(Vec<NodeId>, f64)> = None;
+                for hosts in 1..=4 {
+                    for compressed in [false, true] {
+                        let pcfg = PartitionCfg {
+                            compressed,
+                            ..PartitionCfg::new(Policy::EdgeCutBlocked, hosts)
+                        };
+                        let parts = partition_cfg(g, &pcfg);
+                        let results = Cluster::with_threads(hosts, 2)
+                            .run(|ctx| algo(&parts[ctx.host()], ctx, &b, &cfg));
+                        let labels = canon(&compose_labels(g.num_nodes(), &results));
+                        let q = results[0].modularity;
+                        let (l1, q1) = first.get_or_insert_with(|| (labels.clone(), q));
+                        let what = format!("{name} on {hosts} hosts, compressed={compressed}");
+                        assert!((*q1 - q).abs() < 1e-9, "{what}: q={q} vs {q1}");
+                        assert_eq!(l1, &labels, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -792,29 +755,6 @@ mod tests {
         assert!((q - q_ref).abs() < 1e-9);
         // Better than the trivial all-singleton partition (Q < 0) and the
         // one-community partition (Q = 0 at best).
-        assert!(q > 0.0, "q = {q}");
-    }
-
-    #[test]
-    fn hub_split_louvain_reports_exact_modularity() {
-        // Partition with hub splitting: mirrors carry hub edge fragments,
-        // exercising the widened k / modularity / aggregation paths. The
-        // reported modularity must still match a single-machine reference
-        // computation on the composed labels.
-        let g = gen::rmat(7, 8, 13);
-        let hosts = 4;
-        let mut pcfg = kimbap_dist::PartitionCfg::new(Policy::EdgeCutBlocked, hosts);
-        pcfg.hub_degree_threshold = Some(16);
-        let parts = kimbap_dist::partition_cfg(&g, &pcfg);
-        assert!(parts[0].has_split_hubs(), "test graph must have hubs");
-        let b = NpmBuilder::default();
-        let cfg = LouvainConfig::default();
-        let results = Cluster::with_threads(hosts, 2)
-            .run(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg));
-        let labels = compose_labels(g.num_nodes(), &results);
-        let q = results[0].modularity;
-        let q_ref = refcheck::modularity(&g, &labels);
-        assert!((q - q_ref).abs() < 1e-9, "q={q} ref={q_ref}");
         assert!(q > 0.0, "q = {q}");
     }
 

@@ -471,8 +471,7 @@ mod tests {
     /// `NodePropMap::read_local`. MC-KV inherits the translating default
     /// and the non-GAR variants translate inside `Npm`, so every backend
     /// must reproduce the default map's run exactly: the same per-level
-    /// mappings, modularity bits, levels and rounds — raw and compressed,
-    /// with and without split hubs.
+    /// mappings, modularity bits, levels and rounds — raw and compressed.
     #[test]
     fn community_detection_agrees_across_backends() {
         use kimbap_algos::{leiden, louvain, CommunityResult, LouvainConfig, MapBuilder, NpmBuilder};
@@ -488,10 +487,9 @@ mod tests {
         }
         let hosts = 3;
         for g in [gen::with_random_weights(&gen::rmat(6, 4, 31), 5, 2), gen::grid_road(6, 5, 3)] {
-            for (compressed, hub_degree_threshold) in [(false, None), (true, None), (true, Some(10))] {
+            for compressed in [false, true] {
                 let pcfg = PartitionCfg {
                     compressed,
-                    hub_degree_threshold,
                     ..PartitionCfg::new(Policy::EdgeCutBlocked, hosts)
                 };
                 let parts = partition_cfg(&g, &pcfg);

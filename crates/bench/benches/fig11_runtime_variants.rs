@@ -43,7 +43,6 @@ fn bench(name: &str, app: &str, g: &Graph, hosts: usize) {
             policy: Policy::EdgeCutBlocked,
             hosts,
             compressed: std::env::var("KIMBAP_BENCH_RAW").is_err(),
-            hub_degree_threshold: None,
         },
     );
 

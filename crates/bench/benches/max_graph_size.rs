@@ -8,10 +8,7 @@
 //!    ≥ 2.5x below raw — ci.sh asserts this via `kimbap stats`).
 //! 2. A capacity ladder: unit-weight R-MAT at growing scales, with process
 //!    peak RSS, showing how much further the same memory goes.
-//! 3. Hub splitting on the 4-host social/LV partition (EdgeCutBlocked, the
-//!    policy LV runs): max-per-host bytes with and without splitting the
-//!    power-law hubs' edge lists.
-//! 4. Runtime parity: CC-LP over raw vs compressed partitions, so the
+//! 3. Runtime parity: CC-LP over raw vs compressed partitions, so the
 //!    footprint win is shown not to cost wall-clock.
 
 use kimbap_algos::{cc, NpmBuilder};
@@ -61,46 +58,6 @@ fn size_case(case: &str, g: &Graph) {
     }
 }
 
-/// The 4-host social/LV partition with and without hub splitting: the
-/// interesting number is the *max* per-host bytes a power-law hub pins.
-fn hub_split_case(g: &Graph, hosts: usize) {
-    let avg_deg = g.num_edges() / g.num_nodes().max(1);
-    for (system, threshold) in [("no_hub", None), ("hub_split", Some(4 * avg_deg))] {
-        let parts = partition_cfg(
-            g,
-            &PartitionCfg {
-                policy: Policy::EdgeCutBlocked,
-                hosts,
-                compressed: true,
-                hub_degree_threshold: threshold,
-            },
-        );
-        let per_host: Vec<u64> = parts.iter().map(|p| p.size_bytes() as u64).collect();
-        let total: u64 = per_host.iter().sum();
-        let max = per_host.iter().copied().max().unwrap_or(0);
-        print_row(&[
-            "social/LV".into(),
-            system.into(),
-            hosts.to_string(),
-            fmt_bytes(total),
-            fmt_bytes(max),
-            format!("{:.2}", max as f64 / (total / hosts as u64).max(1) as f64),
-        ]);
-        json::record_size(
-            "max_graph_size",
-            "social/LV_partition",
-            system,
-            &json::SizeRecord {
-                hosts,
-                num_edges: g.num_edges() as u64,
-                graph_bytes: total,
-                max_host_graph_bytes: max,
-                peak_rss_bytes: peak_rss_bytes(),
-            },
-        );
-    }
-}
-
 /// CC-LP on raw vs compressed partitions: same labels, same ballpark
 /// seconds, a fraction of the bytes.
 fn runtime_parity(g: &Graph, hosts: usize) {
@@ -114,7 +71,6 @@ fn runtime_parity(g: &Graph, hosts: usize) {
                 policy: Policy::CartesianVertexCut,
                 hosts,
                 compressed,
-                hub_degree_threshold: None,
             },
         );
         let (outs, s) = run_timed(&parts, threads, |dg, ctx| cc::cc_lp(dg, ctx, &b));
@@ -135,7 +91,7 @@ fn runtime_parity(g: &Graph, hosts: usize) {
 
 fn main() {
     print_title(
-        "max_graph_size: compressed-tier capacity (bytes/edge, hub splitting)",
+        "max_graph_size: compressed-tier capacity (bytes/edge)",
         "unit-weight inputs store no weight array at all on the compressed tier",
     );
     print_row(&[
@@ -143,14 +99,13 @@ fn main() {
         "system".into(),
         "hosts".into(),
         "bytes".into(),
-        "B/edge|max-host".into(),
-        "ratio".into(),
+        "B/edge|secs".into(),
+        "ratio|rss".into(),
     ]);
 
     let social_unit = gen::with_unit_weights(&Inputs::social());
     size_case("social_unit", &social_unit);
     if smoke() {
-        hub_split_case(&social_unit, 4);
         runtime_parity(&social_unit, 2);
         return;
     }
@@ -171,6 +126,5 @@ fn main() {
         size_case(&format!("rmat_s{scale}"), &g);
     }
 
-    hub_split_case(&social_unit, 4);
     runtime_parity(&social_unit, 4);
 }

@@ -66,8 +66,9 @@ pub struct RunStats {
     /// Local graph storage, summed over hosts (raw CSR arrays or the
     /// compressed tier's blocks — whatever the partitions carry).
     pub graph_bytes: u64,
-    /// The largest single host's local graph storage — the number hub
-    /// splitting is meant to cap on power-law inputs.
+    /// The largest single host's local graph storage — the number the
+    /// weighted block cut (`kimbap_dist::ownership_for`) keeps down on
+    /// power-law inputs.
     pub max_host_graph_bytes: u64,
     /// Peak resident set of the bench process (`VmHWM`), in bytes; 0 on
     /// platforms without `/proc`. All simulated hosts share the process,

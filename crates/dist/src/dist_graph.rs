@@ -106,13 +106,6 @@ impl DistGraph {
         self.store.is_compressed()
     }
 
-    /// `true` if this partition split any hub's edge list across hosts —
-    /// when set, mirrors may carry out-edges and algorithms that assumed
-    /// the pure edge-cut invariant must consult all proxies' edges.
-    pub fn has_split_hubs(&self) -> bool {
-        self.policy.splits_hubs() && self.ownership.has_hubs()
-    }
-
     /// In-memory bytes of this host's partition: the local CSR store plus
     /// the transpose, id maps, and mirror metadata.
     pub fn size_bytes(&self) -> usize {
@@ -277,7 +270,9 @@ impl fmt::Debug for DistGraph {
     }
 }
 
-/// Storage and placement knobs for [`partition_cfg`].
+/// What [`partition_cfg`] builds: the policy, the host count and the
+/// storage tier. The placement itself takes no knob — [`ownership_for`]
+/// cuts the blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionCfg {
     /// Edge-assignment policy.
@@ -286,20 +281,15 @@ pub struct PartitionCfg {
     pub hosts: usize,
     /// Store each host's local CSR on the compressed tier.
     pub compressed: bool,
-    /// Split the edge lists of nodes with degree above this threshold
-    /// across hosts (only for policies where [`Policy::splits_hubs`]).
-    /// `None` = no hub splitting.
-    pub hub_degree_threshold: Option<usize>,
 }
 
 impl PartitionCfg {
-    /// Raw storage, no hub splitting — the classic [`partition`] behavior.
+    /// Raw storage — the classic [`partition`] behavior.
     pub fn new(policy: Policy, hosts: usize) -> Self {
         PartitionCfg {
             policy,
             hosts,
             compressed: false,
-            hub_degree_threshold: None,
         }
     }
 }
@@ -316,10 +306,9 @@ const NODE_WEIGHT: u64 = 8;
 /// share, so hosts own equal *work*, not equal node counts; the hashed
 /// policy needs no table.
 ///
-/// A pure function of the graph's degrees and `hosts` — storage tier and
-/// hub threshold play no part — so every host, every TCP worker and every
-/// shrink / grow re-partition derives the same boundaries with no
-/// communication.
+/// A pure function of the graph's degrees and `hosts` — the storage tier
+/// plays no part — so every host, every TCP worker and every shrink / grow
+/// re-partition derives the same boundaries with no communication.
 ///
 /// # Panics
 ///
@@ -338,8 +327,8 @@ pub fn ownership_for(graph: &Graph, policy: Policy, hosts: usize) -> Ownership {
 }
 
 /// Partitions `graph` across `num_hosts` hosts under `policy`, producing one
-/// [`DistGraph`] per host (indexed by host id). Raw storage, no hub
-/// splitting; see [`partition_cfg`] for the knobs.
+/// [`DistGraph`] per host (indexed by host id) on raw storage; see
+/// [`partition_cfg`] for the compressed tier.
 ///
 /// Construction is deterministic. Like the paper, partitioning time is not
 /// part of any measured experiment, so this single-pass global construction
@@ -353,25 +342,15 @@ pub fn partition(graph: &Graph, policy: Policy, num_hosts: usize) -> Vec<DistGra
     partition_cfg(graph, &PartitionCfg::new(policy, num_hosts))
 }
 
-/// [`partition`] with storage/placement knobs: compressed local CSRs
-/// and/or degree-aware hub splitting.
+/// [`partition`] on the storage tier `cfg` names: every host's local CSR
+/// raw or compressed, over the same [`ownership_for`] blocks either way.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.hosts == 0`.
 pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
-    let (policy, num_hosts) = (cfg.policy, cfg.hosts);
-    let mut own = ownership_for(graph, policy, num_hosts);
-    if let Some(thresh) = cfg.hub_degree_threshold {
-        if policy.splits_hubs() && num_hosts > 1 {
-            let hubs: Vec<NodeId> = graph
-                .nodes()
-                .filter(|&u| graph.degree(u) > thresh)
-                .collect();
-            own = own.with_hubs(hubs);
-        }
-    }
-    partition_over(graph, &own, policy, cfg.compressed)
+    let own = ownership_for(graph, cfg.policy, cfg.hosts);
+    partition_over(graph, &own, cfg.policy, cfg.compressed)
 }
 
 /// Builds every host's [`DistGraph`] of `graph` over a given ownership.
@@ -572,8 +551,8 @@ pub fn assemble_dist_graph(
         }
     });
 
-    // Coarse/assembled graphs stay on the raw tier with no hub table:
-    // they are rebuilt every level and read once.
+    // Coarse/assembled graphs stay on the raw tier: they are rebuilt every
+    // level and read once.
     let mut dg = build_part(host, &own, policy, &my_edges, false);
 
     // Mirror-list exchange: tell each node's owner that we mirror it.
@@ -682,8 +661,8 @@ mod tests {
         // What the node-property map's local-id accessors and the engine's
         // frontier build index by: a master's local id is its offset in
         // the ownership's dense master range, and mirror slot `s` is local
-        // id `num_masters + s` — under blocked and hashed ownership, hub
-        // splitting included.
+        // id `num_masters + s` — under blocked and hashed ownership, on
+        // either storage tier.
         let g = gen::rmat(7, 4, 6);
         let mut partitions = Vec::new();
         for policy in [
@@ -698,7 +677,6 @@ mod tests {
         partitions.push(partition_cfg(
             &g,
             &PartitionCfg {
-                hub_degree_threshold: Some(8),
                 compressed: true,
                 ..PartitionCfg::new(Policy::EdgeCutHashed, 3)
             },
@@ -740,10 +718,21 @@ mod tests {
 
     #[test]
     fn oec_mirrors_have_no_out_edges() {
+        // Unconditional: nothing scatters a node's out-edges off its owner.
         let g = gen::rmat(7, 4, 4);
-        for p in partition(&g, Policy::EdgeCutBlocked, 4) {
-            for m in p.mirror_nodes() {
-                assert_eq!(p.degree(m), 0, "OEC mirror with out-edges");
+        for policy in [Policy::EdgeCutBlocked, Policy::EdgeCutHashed] {
+            for hosts in 1..=4 {
+                for compressed in [false, true] {
+                    let cfg = PartitionCfg {
+                        compressed,
+                        ..PartitionCfg::new(policy, hosts)
+                    };
+                    for p in partition_cfg(&g, &cfg) {
+                        for m in p.mirror_nodes() {
+                            assert_eq!(p.degree(m), 0, "{policy} x{hosts}: mirror with out-edges");
+                        }
+                    }
+                }
             }
         }
     }
@@ -902,105 +891,17 @@ mod tests {
     }
 
     #[test]
-    fn ownership_ignores_storage_tier_and_hub_threshold() {
+    fn ownership_ignores_storage_tier() {
         let g = gen::rmat(8, 8, 4);
         let plain = ownership_for(&g, Policy::EdgeCutBlocked, 3);
         let cfg = PartitionCfg {
             compressed: true,
-            hub_degree_threshold: Some(16),
             ..PartitionCfg::new(Policy::EdgeCutBlocked, 3)
         };
         for p in partition_cfg(&g, &cfg) {
-            assert!(p.has_split_hubs());
-            assert_eq!(p.ownership().scheme(), plain.scheme());
+            assert!(p.is_compressed());
+            assert_eq!(p.ownership(), &plain);
         }
-    }
-
-    fn hub_cfg(hosts: usize, thresh: usize) -> PartitionCfg {
-        let mut cfg = PartitionCfg::new(Policy::EdgeCutBlocked, hosts);
-        cfg.hub_degree_threshold = Some(thresh);
-        cfg
-    }
-
-    #[test]
-    fn hub_split_conserves_edges_and_masters() {
-        let g = gen::rmat(8, 8, 4);
-        let parts = partition_cfg(&g, &hub_cfg(4, 32));
-        assert!(parts[0].has_split_hubs());
-        let total: usize = parts.iter().map(|p| p.num_local_edges()).sum();
-        assert_eq!(total, g.num_edges());
-        let total_masters: usize = parts.iter().map(|p| p.num_masters()).sum();
-        assert_eq!(total_masters, g.num_nodes());
-        // Every local edge still mirrors a real global edge.
-        for p in &parts {
-            for l in p.local_nodes() {
-                for (t, w) in p.edges(l) {
-                    let (gu, gv) = (p.local_to_global(l), p.local_to_global(t));
-                    assert!(g.edges(gu).any(|(x, xw)| x == gv && xw == w));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hub_split_scatters_hub_edges_to_neighbor_owners() {
-        let g = gen::rmat(8, 8, 4);
-        let thresh = 32;
-        let parts = partition_cfg(&g, &hub_cfg(4, thresh));
-        let own = parts[0].ownership().clone();
-        for p in &parts {
-            for l in p.local_nodes() {
-                let gu = p.local_to_global(l);
-                if own.is_hub(gu) {
-                    // Every stored out-edge of a hub ends at a locally
-                    // owned master.
-                    for (t, _) in p.edges(l) {
-                        let gv = p.local_to_global(t);
-                        assert_eq!(
-                            own.owner(gv),
-                            p.host(),
-                            "hub {gu} edge to {gv} on wrong host"
-                        );
-                    }
-                } else if !p.is_master(l) {
-                    // Non-hub mirrors keep the OEC invariant.
-                    assert_eq!(p.degree(l), 0, "non-hub OEC mirror with out-edges");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hub_split_reduces_max_host_edges() {
-        // A star graph: one hub, everything at its owner without splitting.
-        // Block boundaries cannot help — the hub alone is half of all
-        // edges, and a cut never divides a node — so its owner keeps at
-        // least the whole adjacency until the edge list itself is split.
-        let mut b = kimbap_graph::GraphBuilder::new();
-        for v in 1..200u32 {
-            b.add_edge(0, v, 1);
-        }
-        let g = b.symmetric(true).build();
-        let no_hub = partition(&g, Policy::EdgeCutBlocked, 4);
-        let hub = partition_cfg(&g, &hub_cfg(4, 16));
-        let max_edges = |ps: &[DistGraph]| {
-            ps.iter().map(|p| p.num_local_edges()).max().unwrap()
-        };
-        assert!(max_edges(&no_hub) >= g.degree(0));
-        assert!(
-            max_edges(&hub) * 2 < max_edges(&no_hub),
-            "hub {} vs no-hub {}",
-            max_edges(&hub),
-            max_edges(&no_hub)
-        );
-    }
-
-    #[test]
-    fn single_host_never_splits_hubs() {
-        let g = gen::rmat(7, 8, 4);
-        let parts = partition_cfg(&g, &hub_cfg(1, 4));
-        assert!(!parts[0].has_split_hubs());
-        assert_eq!(parts[0].num_local_edges(), g.num_edges());
     }
 
     #[test]

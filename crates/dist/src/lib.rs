@@ -48,5 +48,5 @@ pub use dist_graph::{
     assemble_dist_graph, ownership_for, partition, partition_cfg, DistGraph, LocalId,
     PartitionCfg,
 };
-pub use ownership::{Ownership, Scheme};
+pub use ownership::Ownership;
 pub use policy::Policy;

@@ -3,15 +3,34 @@
 use kimbap_graph::NodeId;
 use std::sync::Arc;
 
-/// The id → host half of an [`Ownership`].
+/// Maps every global node id to the host that owns its master proxy, and to
+/// a dense per-host *master offset*.
 ///
 /// Neither variant stores anything per node: blocked ownership is a
 /// `hosts + 1` boundary table, hashed ownership is a modulus. That is what
 /// lets the node-property map locate any master property with a
 /// subtraction or a division (the locality half of the paper's GAR
-/// optimization).
+/// optimization). Cloning is cheap: the boundary table is shared behind an
+/// `Arc`.
+///
+/// # Example
+///
+/// ```
+/// use kimbap_dist::Ownership;
+///
+/// let own = Ownership::blocked(10, 3); // hosts own [0,4) [4,8) [8,10)
+/// assert_eq!(own.owner(5), 1);
+/// assert_eq!(own.master_offset(5), 1);
+/// assert_eq!(own.num_masters(2), 2);
+/// assert_eq!(own.master_at(1, 1), 5);
+///
+/// // Blocks cut by weight instead of by count: node 0 outweighs the rest.
+/// let own = Ownership::blocked_by_weight(&[6, 1, 1, 1, 1, 1, 1], 2);
+/// assert_eq!(own.num_masters(0), 1);
+/// assert_eq!(own.owner(1), 1);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Scheme {
+pub enum Ownership {
     /// Contiguous blocks: host `h` owns `bounds[h] .. bounds[h + 1]`.
     Blocked {
         /// `hosts + 1` ascending boundaries, from `0` to the node count.
@@ -27,41 +46,6 @@ pub enum Scheme {
         /// Number of hosts.
         hosts: usize,
     },
-}
-
-/// Maps every global node id to the host that owns its master proxy, and to
-/// a dense per-host *master offset*, plus an optional *hub table*: a sorted
-/// list of high-degree nodes whose edge lists the partitioner splits across
-/// hosts (PowerLyra-style hybrid cut) instead of concentrating on the
-/// master's host.
-///
-/// The hub table does **not** change `owner`/`master_offset` —
-/// hubs keep their master where the scheme says — it only changes where
-/// edges land (see `Policy::assign`). Cloning is cheap: both tables are
-/// shared behind an `Arc`.
-///
-/// # Example
-///
-/// ```
-/// use kimbap_dist::Ownership;
-///
-/// let own = Ownership::blocked(10, 3); // hosts own [0,4) [4,8) [8,10)
-/// assert_eq!(own.owner(5), 1);
-/// assert_eq!(own.master_offset(5), 1);
-/// assert_eq!(own.num_masters(2), 2);
-/// assert_eq!(own.master_at(1, 1), 5);
-/// assert!(!own.has_hubs());
-///
-/// // Blocks cut by weight instead of by count: node 0 outweighs the rest.
-/// let own = Ownership::blocked_by_weight(&[6, 1, 1, 1, 1, 1, 1], 2);
-/// assert_eq!(own.num_masters(0), 1);
-/// assert_eq!(own.owner(1), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ownership {
-    scheme: Scheme,
-    /// Sorted global ids of hub nodes; empty = no hub splitting.
-    hubs: Arc<[NodeId]>,
 }
 
 impl Ownership {
@@ -107,10 +91,7 @@ impl Ownership {
         let bounds = bounds
             .map(|b| NodeId::try_from(b).expect("node count exceeds the NodeId range"))
             .collect();
-        Ownership {
-            scheme: Scheme::Blocked { bounds },
-            hubs: Arc::from([]),
-        }
+        Ownership::Blocked { bounds }
     }
 
     /// Modulo-hashed ownership over `n` nodes and `hosts` hosts.
@@ -120,66 +101,22 @@ impl Ownership {
     /// Panics if `hosts == 0`.
     pub fn hashed(n: usize, hosts: usize) -> Self {
         assert!(hosts > 0, "need at least one host");
-        Ownership {
-            scheme: Scheme::Hashed { n, hosts },
-            hubs: Arc::from([]),
-        }
-    }
-
-    /// This ownership with `hubs` marked for edge-list splitting. The list
-    /// is sorted and deduplicated here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any hub id is out of range.
-    pub fn with_hubs(&self, mut hubs: Vec<NodeId>) -> Self {
-        hubs.sort_unstable();
-        hubs.dedup();
-        if let Some(&last) = hubs.last() {
-            assert!(
-                (last as usize) < self.num_nodes(),
-                "hub id {last} out of range"
-            );
-        }
-        Ownership {
-            scheme: self.scheme.clone(),
-            hubs: hubs.into(),
-        }
-    }
-
-    /// The id→host scheme.
-    pub fn scheme(&self) -> &Scheme {
-        &self.scheme
-    }
-
-    /// `true` if any node is marked as a hub.
-    pub fn has_hubs(&self) -> bool {
-        !self.hubs.is_empty()
-    }
-
-    /// The sorted hub table.
-    pub fn hubs(&self) -> &[NodeId] {
-        &self.hubs
-    }
-
-    /// `true` if `g` is in the hub table.
-    pub fn is_hub(&self, g: NodeId) -> bool {
-        self.hubs.binary_search(&g).is_ok()
+        Ownership::Hashed { n, hosts }
     }
 
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
-        match &self.scheme {
-            Scheme::Blocked { bounds } => bounds[bounds.len() - 1] as usize,
-            Scheme::Hashed { n, .. } => *n,
+        match self {
+            Ownership::Blocked { bounds } => bounds[bounds.len() - 1] as usize,
+            Ownership::Hashed { n, .. } => *n,
         }
     }
 
     /// Number of hosts.
     pub fn num_hosts(&self) -> usize {
-        match &self.scheme {
-            Scheme::Blocked { bounds } => bounds.len() - 1,
-            Scheme::Hashed { hosts, .. } => *hosts,
+        match self {
+            Ownership::Blocked { bounds } => bounds.len() - 1,
+            Ownership::Hashed { hosts, .. } => *hosts,
         }
     }
 
@@ -191,11 +128,11 @@ impl Ownership {
     /// Panics if `g` is out of range.
     pub fn owner(&self, g: NodeId) -> usize {
         assert!((g as usize) < self.num_nodes(), "node {g} out of range");
-        match &self.scheme {
+        match self {
             // The last block starting at or before `g`; empty blocks
             // sharing that start sort before it.
-            Scheme::Blocked { bounds } => bounds[1..].partition_point(|&b| b <= g),
-            Scheme::Hashed { hosts, .. } => g as usize % hosts,
+            Ownership::Blocked { bounds } => bounds[1..].partition_point(|&b| b <= g),
+            Ownership::Hashed { hosts, .. } => g as usize % hosts,
         }
     }
 
@@ -206,9 +143,9 @@ impl Ownership {
     ///
     /// Panics if `g` is out of range.
     pub fn master_offset(&self, g: NodeId) -> usize {
-        match &self.scheme {
-            Scheme::Blocked { bounds } => (g - bounds[self.owner(g)]) as usize,
-            Scheme::Hashed { n, hosts } => {
+        match self {
+            Ownership::Blocked { bounds } => (g - bounds[self.owner(g)]) as usize,
+            Ownership::Hashed { n, hosts } => {
                 assert!((g as usize) < *n, "node {g} out of range");
                 g as usize / hosts
             }
@@ -222,9 +159,9 @@ impl Ownership {
     /// Panics if `h >= num_hosts()`.
     pub fn num_masters(&self, h: usize) -> usize {
         assert!(h < self.num_hosts(), "host {h} out of range");
-        match &self.scheme {
-            Scheme::Blocked { bounds } => (bounds[h + 1] - bounds[h]) as usize,
-            Scheme::Hashed { n, hosts } => {
+        match self {
+            Ownership::Blocked { bounds } => (bounds[h + 1] - bounds[h]) as usize,
+            Ownership::Hashed { n, hosts } => {
                 if h < n % hosts {
                     n / hosts + 1
                 } else {
@@ -242,9 +179,9 @@ impl Ownership {
     /// Panics if `h` or `i` is out of range.
     pub fn master_at(&self, h: usize, i: usize) -> NodeId {
         assert!(i < self.num_masters(h), "master index {i} out of range");
-        match &self.scheme {
-            Scheme::Blocked { bounds } => bounds[h] + i as NodeId,
-            Scheme::Hashed { hosts, .. } => (i * hosts + h) as NodeId,
+        match self {
+            Ownership::Blocked { bounds } => bounds[h] + i as NodeId,
+            Ownership::Hashed { hosts, .. } => (i * hosts + h) as NodeId,
         }
     }
 
@@ -371,25 +308,6 @@ mod tests {
     fn hashed_strides() {
         let own = Ownership::hashed(10, 3);
         assert_eq!(own.masters(1).collect::<Vec<_>>(), vec![1, 4, 7]);
-    }
-
-    #[test]
-    fn hub_table_is_sorted_and_queryable() {
-        let own = Ownership::blocked(10, 3).with_hubs(vec![7, 2, 7]);
-        assert!(own.has_hubs());
-        assert_eq!(own.hubs(), &[2, 7]);
-        assert!(own.is_hub(2));
-        assert!(own.is_hub(7));
-        assert!(!own.is_hub(3));
-        // Masters/offsets are untouched by the hub table.
-        assert_eq!(own.owner(7), Ownership::blocked(10, 3).owner(7));
-        assert_eq!(own.master_offset(7), Ownership::blocked(10, 3).master_offset(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "hub id 10 out of range")]
-    fn hub_out_of_range_panics() {
-        Ownership::blocked(10, 3).with_hubs(vec![10]);
     }
 
     #[test]

@@ -69,24 +69,12 @@ impl Policy {
 
     /// Host that stores directed edge `(u, v)`.
     ///
-    /// When the ownership carries a hub table and this policy splits hubs
-    /// (see [`Policy::splits_hubs`]), an out-edge of a hub `u` is stored at
-    /// `owner(v)` instead of `owner(u)`: the hub's edge list is scattered
-    /// across the hosts owning its neighbors (PowerLyra-style hybrid cut),
-    /// so no single host holds a power-law hub's entire adjacency.
-    ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is outside the ownership range.
     pub fn assign(&self, own: &Ownership, u: NodeId, v: NodeId) -> usize {
         match self {
-            Policy::EdgeCutBlocked | Policy::EdgeCutHashed => {
-                if own.has_hubs() && own.is_hub(u) {
-                    own.owner(v)
-                } else {
-                    own.owner(u)
-                }
-            }
+            Policy::EdgeCutBlocked | Policy::EdgeCutHashed => own.owner(u),
             Policy::EdgeCutIncoming => own.owner(v),
             Policy::CartesianVertexCut => {
                 let hosts = own.num_hosts();
@@ -96,28 +84,6 @@ impl Policy {
                 row * pc + col
             }
         }
-    }
-
-    /// `true` for policies that honor the ownership's hub table in
-    /// [`Policy::assign`]. The incoming edge-cut and the Cartesian
-    /// vertex-cut already scatter high-degree adjacencies by construction
-    /// and ignore hubs.
-    pub fn splits_hubs(&self) -> bool {
-        matches!(self, Policy::EdgeCutBlocked | Policy::EdgeCutHashed)
-    }
-
-    /// `true` for policies where mirrors never carry outgoing edges (the
-    /// structural invariant used by broadcast elision for push-style
-    /// operators). Holds only when no hub table is in play — a split hub's
-    /// fragments are mirrors *with* out-edges.
-    pub fn mirrors_have_no_out_edges(&self) -> bool {
-        matches!(self, Policy::EdgeCutBlocked | Policy::EdgeCutHashed)
-    }
-
-    /// `true` for policies where mirrors never carry incoming edges (the
-    /// dual invariant, for pull-style operators).
-    pub fn mirrors_have_no_in_edges(&self) -> bool {
-        matches!(self, Policy::EdgeCutIncoming)
     }
 }
 
@@ -161,8 +127,6 @@ mod tests {
         let own = p.ownership(8, 2);
         assert_eq!(p.assign(&own, 1, 7), 1);
         assert_eq!(p.assign(&own, 7, 1), 0);
-        assert!(p.mirrors_have_no_in_edges());
-        assert!(!p.mirrors_have_no_out_edges());
     }
 
     #[test]

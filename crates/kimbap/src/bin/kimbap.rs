@@ -39,24 +39,32 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+/// A subcommand's entry point: its arguments after the subcommand name.
+type Command = fn(&[String]) -> CliResult;
+
+/// Every subcommand, by the name `main` dispatches on.
+const COMMANDS: [(&str, Command); 9] = [
+    ("gen", cmd_gen),
+    ("stats", cmd_stats),
+    ("run", cmd_run),
+    ("sim", cmd_sim),
+    ("serve", cmd_serve),
+    ("submit", cmd_submit),
+    ("serve-sim", cmd_serve_sim),
+    ("_worker", cmd_worker),
+    ("compile", cmd_compile),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("sim") => cmd_sim(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("serve-sim") => cmd_serve_sim(&args[1..]),
-        Some("_worker") => cmd_worker(&args[1..]),
-        Some("compile") => cmd_compile(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let Some((_, cmd)) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|(n, _)| n == name))
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    match result {
+    match cmd(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -75,17 +83,16 @@ usage:
              [--hosts N] [--threads N] [--transport inproc|tcp]
              [--faults none|drop|corrupt|crash|kill|join] [--seed N]
              [--allow-shrink] [--allow-grow] [--port-base N] [--out FILE]
-             [--raw] [--hub-threshold N]
+             [--raw]
   kimbap sim [--algo <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden>]
              [--seed N] [--seeds N] [--hosts N] [--threads N]
              [--scale N] [--ef N] [--allow-shrink] [--allow-grow]
-             [--trace FILE] [--out FILE] [--raw] [--hub-threshold N]
+             [--trace FILE] [--out FILE] [--raw]
   kimbap serve FILE [--hosts N] [--threads N] [--jobs FILE] [--job SPEC]...
                [--cache-capacity N] [--out-dir DIR] [--raw]
-               [--hub-threshold N]
   kimbap submit --jobs FILE SPEC
   kimbap serve-sim [--seed N] [--seeds N] [--hosts N] [--threads N]
-                   [--scale N] [--ef N] [--raw] [--hub-threshold N]
+                   [--scale N] [--ef N] [--raw]
   kimbap compile FILE.kv [--no-opt]
 
 graphs are stored in the kimbap binary format (.kg) or may be text edge
@@ -127,11 +134,10 @@ every interleaving converges to the fault-free labels.
 
 runs are read-only over the graph, so each host stores its local CSR on
 the compressed tier (delta+varint neighbor blocks) by default; --raw
-keeps the uncompressed arrays. --hub-threshold N splits the edge lists
-of nodes with degree > N across hosts; only the blocked edge cut honours
-it, so run and sim accept it for louvain and leiden and reject it for
-the vertex-cut rows. Both knobs change only memory/traffic, never
-outputs: the CI smoke diffs compressed against raw labels.
+keeps the uncompressed arrays. --raw changes only memory, never
+outputs: the CI smoke diffs compressed against raw labels. Where the
+blocks fall takes no flag: the partitioner cuts them so that hosts carry
+equal work.
 
 kimbap serve keeps one partitioned graph resident and runs a whole batch
 of analytics jobs over it. A job SPEC is
@@ -185,59 +191,21 @@ fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Re
     }
 }
 
-/// Graph-storage knobs shared by `run`, `sim`, and the TCP workers:
-/// compressed local CSRs (the default — every run is read-only over the
-/// graph) and degree-aware hub splitting.
-#[derive(Clone, Copy)]
-struct StoreOpts {
-    compressed: bool,
-    hub_threshold: Option<usize>,
+/// Local CSRs are compressed (every run is read-only over the graph)
+/// unless `--raw` is given.
+fn is_compressed(args: &[String]) -> bool {
+    !args.iter().any(|a| a == "--raw")
 }
 
-impl StoreOpts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        Ok(StoreOpts {
-            compressed: !args.iter().any(|a| a == "--raw"),
-            hub_threshold: match flag(args, "--hub-threshold") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("bad value for --hub-threshold: {v}"))?,
-                ),
-            },
-        })
-    }
-
-    /// [`StoreOpts::parse`] for a command that runs one algorithm: a
-    /// `--hub-threshold` its row's policy would silently ignore is a usage
-    /// error naming the rows that honour it.
-    fn parse_for(args: &[String], row: &AlgoRow) -> Result<Self, String> {
-        let store = Self::parse(args)?;
-        if store.hub_threshold.is_some() && !row.policy.splits_hubs() {
-            let honoured: Vec<&str> = serve::TABLE
-                .iter()
-                .filter(|r| r.policy.splits_hubs())
-                .map(|r| r.name)
-                .collect();
-            return Err(format!(
-                "--hub-threshold has no effect on '{}': it is partitioned under {:?}, \
-                 which never splits hubs (honoured by: {})",
-                row.name,
-                row.policy,
-                honoured.join(", ")
-            ));
-        }
-        Ok(store)
-    }
-
-    fn cfg(self, policy: Policy, hosts: usize) -> PartitionCfg {
-        PartitionCfg {
-            policy,
-            hosts,
-            compressed: self.compressed,
-            hub_degree_threshold: self.hub_threshold,
-        }
-    }
+/// Partitions `g` under `policy` over `hosts` hosts on the chosen tier.
+fn partition_tier(g: &Graph, policy: Policy, hosts: usize, compressed: bool) -> Vec<DistGraph> {
+    partition_cfg(
+        g,
+        &PartitionCfg {
+            compressed,
+            ..PartitionCfg::new(policy, hosts)
+        },
+    )
 }
 
 /// Looks an algorithm name up in [`serve::TABLE`] — before any I/O, so a
@@ -417,7 +385,7 @@ fn run_host(
     row: &AlgoRow,
     g: &Graph,
     parts: &[DistGraph],
-    store: StoreOpts,
+    compressed: bool,
     elastic: Elastic,
     ctx: &HostCtx,
 ) -> JobOutput {
@@ -443,7 +411,7 @@ fn run_host(
         })
     } else if elastic.shrink {
         ctx.run_elastic(|ctx| {
-            let parts = partition_cfg(g, &store.cfg(row.policy, ctx.num_hosts()));
+            let parts = partition_tier(g, row.policy, ctx.num_hosts(), compressed);
             (row.run)(&parts[ctx.host()], ctx, 0)
         })
     } else {
@@ -468,7 +436,7 @@ fn run_tcp_cc(
     faults: &str,
     seed: u64,
     elastic: Elastic,
-    store: StoreOpts,
+    compressed: bool,
 ) -> Result<Vec<Vec<(NodeId, u64)>>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
     let dir = std::env::temp_dir().join(format!("kimbap-tcp-{}", std::process::id()));
@@ -499,11 +467,8 @@ fn run_tcp_cc(
         if elastic.grow.is_some() {
             cmd.arg("--allow-grow");
         }
-        if !store.compressed {
+        if !compressed {
             cmd.arg("--raw");
-        }
-        if let Some(t) = store.hub_threshold {
-            cmd.args(["--hub-threshold", &t.to_string()]);
         }
         let child = cmd.spawn().map_err(|e| format!("spawn worker {h}: {e}"))?;
         children.push((h, child));
@@ -550,10 +515,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
     check_flags(
         "_worker",
         args,
-        &[
-            "--hosts", "--host", "--threads", "--port-base", "--faults", "--seed", "--out",
-            "--hub-threshold",
-        ],
+        &["--hosts", "--host", "--threads", "--port-base", "--faults", "--seed", "--out"],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
     let row = parse_algo(args.first().ok_or("missing algorithm")?)?;
@@ -566,9 +528,9 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let seed: u64 = flag_num(args, "--seed", 1)?;
     let out = flag(args, "--out").ok_or("missing --out")?;
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse_for(args, row)?;
+    let compressed = is_compressed(args);
     let g = load_graph(&path)?;
-    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
+    let parts = partition_tier(&g, row.policy, hosts, compressed);
     let plan = fault_plan(&faults, seed, hosts)?;
     let latent = plan.latent_hosts();
     let transport = match TcpTransport::bind_with_latent(
@@ -590,7 +552,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
         Err(e) => return Err(format!("host {host}: bind tcp transport: {e}")),
     };
     let partial = run_transport_host(&transport, threads, plan, |ctx| {
-        run_host(row, &g, &parts, store, elastic, ctx)
+        run_host(row, &g, &parts, compressed, elastic, ctx)
     })
     .map_err(|e| format!("host {host}: {e}"))?;
     let JobOutput::Masters(vals) = partial else {
@@ -657,10 +619,12 @@ fn run_cluster(
     parts: &[DistGraph],
     cluster: &Cluster,
     plan: FaultPlan,
-    store: StoreOpts,
+    compressed: bool,
     elastic: Elastic,
 ) -> Result<Outcome<Vec<u64>>, String> {
-    let res = cluster.try_run_with_faults(plan, |ctx| run_host(row, g, parts, store, elastic, ctx));
+    let res = cluster.try_run_with_faults(plan, |ctx| {
+        run_host(row, g, parts, compressed, elastic, ctx)
+    });
     Ok(match host_values(res, elastic.shrink || elastic.grow.is_some())? {
         Outcome::Aborted(m) => Outcome::Aborted(m),
         Outcome::Done(outs) => {
@@ -682,7 +646,7 @@ fn run_sim_seed(
     scale: u32,
     ef: usize,
     elastic: Elastic,
-    store: StoreOpts,
+    compressed: bool,
     trace_path: Option<&str>,
     out: Option<&str>,
 ) -> Result<Outcome<String>, String> {
@@ -694,7 +658,7 @@ fn run_sim_seed(
     // conformance check between the two local backends), validated by the
     // row's structural check against the single-threaded reference.
     let reference = |hosts: usize| -> Result<Vec<u64>, String> {
-        let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
+        let parts = partition_tier(&g, row.policy, hosts, compressed);
         let cluster = Cluster::with_threads(hosts, threads);
         let labels = serve::serial_reference(g.num_nodes(), &parts, &cluster, row.algo);
         (row.check)(&g, &labels).map(|()| labels)
@@ -724,8 +688,8 @@ fn run_sim_seed(
         .sim(seed)
         .with_transport_config(simfuzz::sim_transport_config())
         .with_trace_sink(sink.clone());
-    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
-    let outcome = run_cluster(row, &g, &parts, &cluster, plan, store, elastic)?;
+    let parts = partition_tier(&g, row.policy, hosts, compressed);
+    let outcome = run_cluster(row, &g, &parts, &cluster, plan, compressed, elastic)?;
     let trace = std::mem::take(&mut *sink.lock());
     if let Some(path) = trace_path {
         let events: Vec<String> = trace.iter().map(|ev| ev.to_json()).collect();
@@ -784,7 +748,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
         args,
         &[
             "--algo", "--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--trace",
-            "--out", "--hub-threshold",
+            "--out",
         ],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
@@ -797,7 +761,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse_for(args, row)?;
+    let compressed = is_compressed(args);
     let trace_path = flag(args, "--trace");
     let out = flag(args, "--out");
     let (shrink, grow) = (elastic.shrink, elastic.grow.is_some());
@@ -813,7 +777,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
                 scale,
                 ef,
                 elastic,
-                store,
+                compressed,
                 trace_path.as_deref(),
                 out.as_deref(),
             )
@@ -953,10 +917,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     check_flags(
         "serve",
         args,
-        &[
-            "--hosts", "--threads", "--jobs", "--job", "--cache-capacity", "--out-dir",
-            "--hub-threshold",
-        ],
+        &["--hosts", "--threads", "--jobs", "--job", "--cache-capacity", "--out-dir"],
         &["--raw"],
     )?;
     let path = args.first().ok_or("missing FILE")?.clone();
@@ -964,7 +925,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let threads: usize = flag_num(args, "--threads", 2)?;
     let capacity: usize = flag_num(args, "--cache-capacity", SERVE_CACHE_CAPACITY)?;
     let out_dir = flag(args, "--out-dir");
-    let store = StoreOpts::parse(args)?;
+    let compressed = is_compressed(args);
     let jobs = collect_jobs(args)?;
     if jobs.is_empty() {
         return Err("no jobs: give --jobs FILE and/or --job SPEC".into());
@@ -975,7 +936,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     println!("input: {}", GraphStats::of(&g));
     // One resident partition serves every algorithm, so the policy must
     // be one they all accept: edge-cut with blocked ownership.
-    let parts = partition_cfg(&g, &store.cfg(Policy::EdgeCutBlocked, hosts));
+    let parts = partition_tier(&g, Policy::EdgeCutBlocked, hosts, compressed);
     println!(
         "resident: {} local bytes over {hosts} host(s), cache capacity {capacity}",
         parts.iter().map(|p| p.size_bytes()).sum::<usize>()
@@ -1063,11 +1024,11 @@ fn run_serve_seed(
     threads: usize,
     scale: u32,
     ef: usize,
-    store: StoreOpts,
+    compressed: bool,
 ) -> Result<Outcome<String>, String> {
     let g = gen::rmat(scale, ef, seed);
     let n = g.num_nodes();
-    let parts = partition_cfg(&g, &store.cfg(Policy::EdgeCutBlocked, hosts));
+    let parts = partition_tier(&g, Policy::EdgeCutBlocked, hosts, compressed);
     let mix = simfuzz::serve_job_mix(seed, hosts);
     let mut queues = vec![Vec::new(); hosts];
     for &(h, spec) in &mix {
@@ -1130,18 +1091,18 @@ fn cmd_serve_sim(args: &[String]) -> CliResult {
     check_flags(
         "serve-sim",
         args,
-        &["--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--hub-threshold"],
+        &["--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef"],
         &["--raw"],
     )?;
     let hosts: usize = flag_num(args, "--hosts", 3)?;
     let threads: usize = flag_num(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
-    let store = StoreOpts::parse(args)?;
+    let compressed = is_compressed(args);
     fuzz_seeds(
         args,
         |s| simfuzz::serve_replay_command(s, hosts, threads, scale, ef),
-        |s| run_serve_seed(s, hosts, threads, scale, ef, store),
+        |s| run_serve_seed(s, hosts, threads, scale, ef, compressed),
     )
 }
 
@@ -1159,10 +1120,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     check_flags(
         "run",
         args,
-        &[
-            "--hosts", "--threads", "--transport", "--faults", "--seed", "--port-base", "--out",
-            "--hub-threshold",
-        ],
+        &["--hosts", "--threads", "--transport", "--faults", "--seed", "--port-base", "--out"],
         &["--allow-shrink", "--allow-grow", "--raw"],
     )?;
     let row = parse_algo(args.first().ok_or("missing algorithm")?)?;
@@ -1175,7 +1133,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let port_base: u16 = flag_num(args, "--port-base", 46000)?;
     let out = flag(args, "--out");
     let elastic = Elastic::parse(args, row)?;
-    let store = StoreOpts::parse_for(args, row)?;
+    let compressed = is_compressed(args);
     if !matches!(transport.as_str(), "inproc" | "tcp") {
         return Err(format!("unknown transport '{transport}'"));
     }
@@ -1195,22 +1153,22 @@ fn cmd_run(args: &[String]) -> CliResult {
     let plan = fault_plan(&faults, seed, capacity)?;
     let g = load_graph(&path)?;
     println!("input: {}", GraphStats::of(&g));
-    let parts = partition_cfg(&g, &store.cfg(row.policy, hosts));
+    let parts = partition_tier(&g, row.policy, hosts, compressed);
     println!(
         "storage: {} ({} local bytes over {hosts} host(s))",
-        if store.compressed { "compressed" } else { "raw" },
+        if compressed { "compressed" } else { "raw" },
         parts.iter().map(|p| p.size_bytes()).sum::<usize>()
     );
     let t = Instant::now();
     let merged = if transport == "tcp" {
         let per_host = run_tcp_cc(
-            row.name, &path, capacity, threads, port_base, &faults, seed, elastic, store,
+            row.name, &path, capacity, threads, port_base, &faults, seed, elastic, compressed,
         )?;
         let outs = per_host.into_iter().map(JobOutput::Masters).collect();
         serve::merge_job_outputs(row.algo, g.num_nodes(), outs)
     } else {
         let cluster = Cluster::with_threads(capacity, threads);
-        match run_cluster(row, &g, &parts, &cluster, plan, store, elastic)? {
+        match run_cluster(row, &g, &parts, &cluster, plan, compressed, elastic)? {
             Outcome::Done(merged) => merged,
             Outcome::Aborted(m) => return Err(format!("run aborted: {m}")),
         }
@@ -1297,7 +1255,7 @@ fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_flags, parse_algo, StoreOpts};
+    use super::{check_flags, COMMANDS};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -1325,21 +1283,14 @@ mod tests {
     }
 
     #[test]
-    fn hub_threshold_is_rejected_where_the_policy_ignores_it() {
-        let a = args(&["g.kg", "--hub-threshold", "16"]);
-        for name in ["louvain", "leiden"] {
-            let store = StoreOpts::parse_for(&a, parse_algo(name).unwrap()).unwrap();
-            assert_eq!(store.hub_threshold, Some(16), "{name}");
-        }
-        for name in ["cc-sv", "cc-lp", "cc-sclp", "mis", "msf"] {
-            let row = parse_algo(name).unwrap();
-            let err = StoreOpts::parse_for(&a, row).err().expect(name);
-            assert!(
-                err.contains("--hub-threshold") && err.contains(name) && err.contains("louvain, leiden"),
-                "{err}"
+    fn every_subcommand_rejects_the_hub_threshold() {
+        // A removed flag must fail loudly, not be silently ignored.
+        let a = args(&["cc-lp", "g.kg", "--hub-threshold", "8"]);
+        for (name, cmd) in COMMANDS {
+            assert_eq!(
+                cmd(&a),
+                Err(format!("unknown flag '--hub-threshold' for 'kimbap {name}'"))
             );
-            // Without the knob the row parses as before.
-            assert!(StoreOpts::parse_for(&args(&["g.kg", "--raw"]), row).is_ok());
         }
     }
 }

@@ -31,8 +31,8 @@
 //! 1. agrees the grow with the other members ([`HostCtx::recover_grow`]),
 //!    admitting the knockers and bumping the membership generation, while
 //!    the joiner sits in [`join_plan_elastic`] / [`HostCtx::join_cluster`];
-//! 2. recomputes the partition over the expanded host set (hub splitting
-//!    and all — the policy sees only the new host count);
+//! 2. recomputes the partition over the expanded host set (the weighted
+//!    block cut sees only the graph and the new host count);
 //! 3. re-shards the members' checkpoint shards onto the new ownership in
 //!    one routed exchange ([`grow_reshard`] — the joiner contributes
 //!    nothing and adopts whatever now lands on its shard);

@@ -24,7 +24,7 @@ use kimbap_algos::merge_master_values;
 use kimbap_comm::{Cluster, FaultPlan, HeartbeatConfig, TransportConfig};
 use kimbap_compiler::{compile, programs, OptLevel};
 use kimbap_comm::wire::encode_slice;
-use kimbap_dist::{ownership_for, partition, partition_cfg, PartitionCfg, Policy, Scheme};
+use kimbap_dist::{ownership_for, partition, partition_cfg, Ownership, PartitionCfg, Policy};
 use kimbap_graph::gen;
 use std::time::Duration;
 
@@ -142,7 +142,7 @@ fn every_host_derives_the_same_block_boundaries() {
             };
             let parts = partition_cfg(&g, &cfg);
             let dg = &parts[ctx.host()];
-            let Scheme::Blocked { bounds } = dg.ownership().scheme() else {
+            let Ownership::Blocked { bounds } = dg.ownership() else {
                 panic!("edge-cut (blocked) must use blocked ownership");
             };
             assert_eq!(

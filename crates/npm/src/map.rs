@@ -288,12 +288,12 @@ enum FastOwn {
 
 impl FastOwn {
     fn new(own: &Ownership, host: usize) -> Self {
-        match own.scheme() {
-            kimbap_dist::Scheme::Blocked { bounds } => FastOwn::Block {
+        match own {
+            Ownership::Blocked { bounds } => FastOwn::Block {
                 lo: bounds[host],
                 len: bounds[host + 1] - bounds[host],
             },
-            kimbap_dist::Scheme::Hashed { hosts, .. } => FastOwn::Mod {
+            Ownership::Hashed { hosts, .. } => FastOwn::Mod {
                 hosts: *hosts as u32,
                 host: host as u32,
             },

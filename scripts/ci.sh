@@ -71,7 +71,16 @@ if ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --allow-shrnk \
     exit 1
 fi
 grep -q -- "--allow-shrnk" "$SMOKE_DIR/flag.err"
-echo "    unknown flag rejected by name"
+# Hub splitting is gone; serve was the last place its knob reached cc-sv.
+status=0
+./target/release/kimbap serve "$SMOKE_DIR/g.kg" --job cc-sv --hub-threshold 8 \
+    2> "$SMOKE_DIR/flag.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q -- "unknown flag '--hub-threshold'" "$SMOKE_DIR/flag.err"; then
+    echo "kimbap serve --hub-threshold: exit $status, stderr:" >&2
+    cat "$SMOKE_DIR/flag.err" >&2
+    exit 1
+fi
+echo "    unknown flags rejected by name"
 
 echo "==> TCP kill smoke (worker 1 killed mid-run; survivors' output diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
@@ -118,9 +127,10 @@ diff "$SMOKE_DIR/sim-cc-comp.txt" "$SMOKE_DIR/sim-cc-raw.txt"
 diff "$SMOKE_DIR/sim-lv-comp.txt" "$SMOKE_DIR/sim-lv-raw.txt"
 echo "    compressed and raw storage tiers produce identical outputs"
 
-echo "==> louvain / leiden determinism (threads 1 vs 3, and a repeat: modularity, counts, labels diffed)"
+echo "==> louvain / leiden determinism (threads 1 vs 3, a repeat, hosts 1 vs 4: modularity, counts, labels diffed)"
 # Candidate communities are scored in edge-list order and coarse edges are
-# sorted, so neither the thread count nor the run may move a label.
+# sorted, so neither the thread count nor the run may move a label; and no
+# partition knob steers a move, so neither may the host count.
 for algo in louvain leiden; do
     for run in t1:1 t3:3 t3again:3; do
         ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 3 \
@@ -133,7 +143,12 @@ for algo in louvain leiden; do
         diff "$SMOKE_DIR/det-$algo-t1.q" "$SMOKE_DIR/det-$algo-$other.q"
         diff "$SMOKE_DIR/det-$algo-t1.txt" "$SMOKE_DIR/det-$algo-$other.txt"
     done
-    echo "    $algo: $(cat "$SMOKE_DIR/det-$algo-t1.q") at 1 and 3 threads, twice"
+    for hosts in 1 4; do
+        ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts "$hosts" \
+            --threads 2 --out "$SMOKE_DIR/det-$algo-h$hosts.txt" > /dev/null
+    done
+    diff "$SMOKE_DIR/det-$algo-h1.txt" "$SMOKE_DIR/det-$algo-h4.txt"
+    echo "    $algo: $(cat "$SMOKE_DIR/det-$algo-t1.q") at 1 and 3 threads, twice; same labels on 1 and 4 hosts"
 done
 
 echo "==> run-vs-serve smoke (one table, one executor per name: outputs diffed)"
