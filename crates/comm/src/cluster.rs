@@ -16,12 +16,14 @@
 //!
 //! The bytes themselves move through a pluggable
 //! [`Transport`](crate::transport::Transport): the default in-proc fabric
-//! (shared memory, deterministic, zero configuration) or a TCP mesh
+//! (shared memory, zero configuration), a TCP mesh
 //! ([`Backend::TcpLoopback`] in-process, or true multi-process via
-//! `kimbap run --transport tcp`). The exchange protocol — sequencing,
-//! CRC validation, fault injection, retransmission, the collective retry
-//! verdict — lives here, above the trait, so both backends share it
-//! verbatim. Robustness is layered the same way: phase
+//! `kimbap run --transport tcp`), or the deterministic simulation. The
+//! exchange protocol — sequencing, CRC validation, fault injection,
+//! retransmission, the collective retry verdict — lives here, and the
+//! membership protocol under it in [`crate::transport::membership`], both
+//! above the trait, so every backend shares them verbatim. Robustness is
+//! layered the same way: phase
 //! [`Deadline`]s turn hung peers into [`CommError::Timeout`], the optional
 //! heartbeat detector turns silent peers into [`CommError::PeerDown`], and
 //! retries back off with seeded decorrelated jitter
@@ -33,7 +35,7 @@ use crate::pool::WorkerPool;
 use crate::transport::inproc::{InProcFabric, InProcTransport};
 use crate::transport::sim::{SimFabric, SimTransport, TraceSink};
 use crate::transport::tcp::TcpTransport;
-use crate::transport::{Backoff, Deadline, RetxRequest, Transport, TransportConfig};
+use crate::transport::{membership, Backoff, Deadline, RetxRequest, Transport, TransportConfig};
 use crate::wire::{
     encode_slice, frame_chunk, frame_chunk_unchecked, parse_chunk, parse_chunk_unchecked, Wire,
     CHUNK_HEADER, CHUNK_PAYLOAD,
@@ -610,7 +612,7 @@ impl Cluster {
         let faults = Arc::new(FaultState::new(plan));
         match self.backend {
             Backend::InProc => {
-                let fabric = Arc::new(InProcFabric::new_with_latent(
+                let fabric = Arc::new(InProcFabric::new(
                     self.num_hosts,
                     self.transport_cfg.clone(),
                     &latent,
@@ -655,7 +657,7 @@ impl Cluster {
                             std::thread::Builder::new()
                                 .name(format!("kimbap-host-{host}"))
                                 .spawn_scoped(scope, move || {
-                                    let transport = TcpTransport::with_listener_with_latent(
+                                    let transport = TcpTransport::with_listener(
                                         host, num_hosts, listener, &ports, cfg, &latent,
                                     )
                                     .expect("failed to build tcp loopback mesh");
@@ -671,7 +673,7 @@ impl Cluster {
                 })
             }
             Backend::Sim { seed } => {
-                let fabric = Arc::new(SimFabric::new_with_latent(
+                let fabric = Arc::new(SimFabric::new(
                     self.num_hosts,
                     self.transport_cfg.clone(),
                     seed,
@@ -740,7 +742,7 @@ where
     // agreement. `initial_members` is the degradation baseline — a cluster
     // launched with latent capacity is not "degraded" merely because the
     // capacity has not joined yet.
-    let latent = transport.latent_hosts();
+    let latent = membership::latent_hosts(transport);
     let mut init_mask = full_mask(num_hosts);
     for &h in &latent {
         if h < 64 {
@@ -772,12 +774,12 @@ where
         Ok(v) => {
             // A departed host can never rejoin a recovery alignment; make
             // that a reported failure, not a deadlock.
-            transport.mark_departed();
+            membership::mark_departed(transport);
             Ok(v)
         }
         Err(payload) => {
-            transport.mark_failed();
-            transport.mark_departed();
+            membership::mark_failed(transport);
+            membership::mark_departed(transport);
             Err(HostError {
                 host,
                 message: panic_message(&*payload),
@@ -943,7 +945,7 @@ impl<'a> HostCtx<'a> {
     /// excluded by a shrink verdict. Non-empty exactly when the next
     /// recovery must shrink the membership instead of realigning it.
     pub fn pending_departures(&self) -> Vec<usize> {
-        self.transport.departed_hosts()
+        membership::departed_hosts(self.transport)
     }
 
     /// Whether the membership has shrunk below the launch-time member
@@ -1036,7 +1038,7 @@ impl<'a> HostCtx<'a> {
     /// than deadlock) and panics with a [`CrashSignal`], which
     /// [`HostCtx::run_recovering`] knows how to catch.
     fn fail_with(&self, signal: CrashSignal) -> ! {
-        self.transport.mark_failed();
+        membership::mark_failed(self.transport);
         // resume_unwind skips the panic hook: injected crashes and comm
         // failures are expected control flow (recovered or reported as
         // CommError), so they must not spray backtraces on stderr.
@@ -1061,12 +1063,12 @@ impl<'a> HostCtx<'a> {
             // The sleep runs on the ambient clock: virtual (and instant in
             // wall time) under the simulation backend.
             self.transport
-                .note("stall", format!("round={round} millis={}", stall.as_millis()));
+                .note("stall", format_args!("round={round} millis={}", stall.as_millis()));
             self.transport.silence(stall);
             clock::sleep(stall);
         }
         if self.faults.kill_due(self.host, round) {
-            self.transport.note("kill", format!("round={round}"));
+            self.transport.note("kill", format_args!("round={round}"));
             if PROCESS_PER_HOST.load(Ordering::Relaxed) {
                 // A multi-process worker dies for real: peers see EOF on
                 // every connection, exactly like a machine loss.
@@ -1078,7 +1080,7 @@ impl<'a> HostCtx<'a> {
             });
         }
         if self.faults.crash_due(self.host, round) {
-            self.transport.note("crash", format!("round={round}"));
+            self.transport.note("crash", format_args!("round={round}"));
             self.fail_with(CrashSignal::Injected {
                 host: self.host,
                 round,
@@ -1114,13 +1116,13 @@ impl<'a> HostCtx<'a> {
             SendAction::Drop => {
                 self.transport.note(
                     "fault_drop",
-                    format!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
+                    format_args!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
                 );
             }
             SendAction::Duplicate => {
                 self.transport.note(
                     "fault_dup",
-                    format!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
+                    format_args!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
                 );
                 self.transport.send(to, frame.clone());
                 self.transport.send(to, frame);
@@ -1128,14 +1130,14 @@ impl<'a> HostCtx<'a> {
             SendAction::Delay => {
                 self.transport.note(
                     "fault_delay",
-                    format!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
+                    format_args!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
                 );
                 self.delayed[to].lock().push(frame);
             }
             SendAction::Corrupt => {
                 self.transport.note(
                     "fault_corrupt",
-                    format!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
+                    format_args!("to={to} seq={seq} chunk={chunk} attempt={attempt}"),
                 );
                 self.transport.send(to, frame);
             }
@@ -1166,7 +1168,7 @@ impl<'a> HostCtx<'a> {
     pub fn try_barrier_by(&self, deadline: &Deadline) -> Result<(), CommError> {
         self.check_faults();
         let t = clock::now_nanos();
-        let r = self.note_err(self.transport.barrier(deadline));
+        let r = self.note_err(membership::barrier(self.transport, deadline));
         self.add_comm_nanos(clock::now_nanos().saturating_sub(t));
         r
     }
@@ -1277,7 +1279,7 @@ impl<'a> HostCtx<'a> {
         }
 
         // Every member's sends for this exchange precede its arrival here.
-        self.note_err(self.transport.barrier(deadline))?;
+        self.note_err(membership::barrier(self.transport, deadline))?;
 
         // Reassembly state per source: whole frames by chunk index, and the
         // final chunk's index once seen.
@@ -1366,7 +1368,7 @@ impl<'a> HostCtx<'a> {
                                 .collect(),
                         ),
                     };
-                    self.transport.request_retx(from, req);
+                    membership::request_retx(self.transport, from, req);
                 }
             }
             if lossless {
@@ -1374,7 +1376,11 @@ impl<'a> HostCtx<'a> {
                 break;
             }
             let still_missing = !got.iter().all(|&g| g);
-            let flags = self.note_err(self.transport.sync_missing(still_missing, deadline))?;
+            let flags = self.note_err(membership::sync_missing(
+                self.transport,
+                still_missing,
+                deadline,
+            ))?;
 
             // All missing flags are in the snapshot; every host computes
             // the same verdict from the same generation. Flags left behind
@@ -1393,7 +1399,7 @@ impl<'a> HostCtx<'a> {
             }
             attempt += 1;
             backoff.sleep();
-            for (requester, req) in self.transport.take_retx_requests() {
+            for (requester, req) in membership::take_retx(self.transport) {
                 let seq = self.send_seq[requester]
                     .load(Ordering::Relaxed)
                     .wrapping_sub(1);
@@ -1423,7 +1429,7 @@ impl<'a> HostCtx<'a> {
             }
             // Barrier before re-draining: retransmissions are complete
             // everywhere before any host re-checks its inbox.
-            self.note_err(self.transport.barrier(deadline))?;
+            self.note_err(membership::barrier(self.transport, deadline))?;
         }
 
         for &from in &members {
@@ -1622,9 +1628,10 @@ impl<'a> HostCtx<'a> {
     }
 
     /// Clears this host's exchange-protocol state — retained, delayed and
-    /// early frames, sequence numbers, the published round — and the
-    /// transport's in-flight state. Every recovery flavour runs this
-    /// between its stop gate and its heal gate, while no host is sending.
+    /// early frames, sequence numbers, the published round — and its
+    /// membership view's per-round state and in-flight frames. Every
+    /// recovery flavour runs this between its stop gate and its heal gate,
+    /// while no host is sending.
     fn reset_protocol_state(&self) {
         for h in 0..self.num_hosts {
             self.outbox[h].lock().clear();
@@ -1634,12 +1641,12 @@ impl<'a> HostCtx<'a> {
             self.recv_seq[h].store(0, Ordering::Relaxed);
         }
         self.round.store(0, Ordering::Relaxed);
-        self.transport.recover_reset();
+        membership::reset(self.transport);
     }
 
     /// Realigns all live hosts after a recoverable failure and heals the
     /// transport: pending frames, delayed frames, retransmission flags, and
-    /// sequence numbers are reset, and the failed barrier is restored.
+    /// sequence numbers are reset, and the failure state is healed.
     ///
     /// Must be called by **every** live host (it contains barriers).
     /// [`HostCtx::run_recovering`] calls it automatically.
@@ -1649,13 +1656,13 @@ impl<'a> HostCtx<'a> {
         self.set_deadline(Deadline::none());
         let unbounded = Deadline::none();
         // Phase 1: every live host stops issuing traffic.
-        self.transport.gate_align(&unbounded)?;
+        membership::align(self.transport, &unbounded)?;
         // Phase 2: each host clears its own protocol state and tells the
         // transport to drop everything in flight; no host is sending.
         self.reset_protocol_state();
         // Phase 3: wait for every host to finish resetting, then heal the
         // failure state so collectives work again.
-        self.transport.gate_heal(&unbounded)
+        membership::heal(self.transport, &unbounded)
     }
 
     /// Runs `f`, restarting it after recoverable host failures (injected
@@ -1695,7 +1702,7 @@ impl<'a> HostCtx<'a> {
                     }
                     recoveries += 1;
                     if self.recover_align().is_err() {
-                        let departed = self.transport.departed_hosts();
+                        let departed = membership::departed_hosts(self.transport);
                         if !departed.is_empty() {
                             // A host departed for good: surface the typed
                             // verdict so callers can shrink
@@ -1734,8 +1741,8 @@ impl<'a> HostCtx<'a> {
         let my_old_rank = self.host();
         // Phase 1: every survivor stops at the shrink gate and agrees the
         // verdict — the set of permanently departed hosts, excluded from
-        // the transport's collectives atomically with the agreement.
-        let verdict = self.transport.gate_shrink(&unbounded)?;
+        // every later collective as the gate completes.
+        let verdict = membership::shrink(self.transport, &unbounded)?;
         if verdict.is_empty() {
             return Err(CommError::Protocol {
                 detail: "shrink gate agreed an empty departure set".to_string(),
@@ -1751,7 +1758,7 @@ impl<'a> HostCtx<'a> {
         // Phase 2: clear this host's protocol state, like recover_align.
         self.reset_protocol_state();
         // Phase 3: heal the failure state over the survivors.
-        self.transport.shrink_heal(&unbounded)?;
+        membership::shrink_heal(self.transport, &unbounded)?;
         let departed = verdict
             .iter()
             .map(|&h| {
@@ -1788,7 +1795,7 @@ impl<'a> HostCtx<'a> {
     /// poll this (cheap, lock-only) once per round to decide when to stop
     /// at a grow gate.
     pub fn pending_joins(&self) -> Vec<usize> {
-        self.transport.pending_joiners()
+        membership::pending_joiners(self.transport)
     }
 
     /// Applies an agreed grow verdict to this host's membership view and
@@ -1813,7 +1820,7 @@ impl<'a> HostCtx<'a> {
         // Clear protocol state exactly like a shrink: sequence numbers and
         // retained outboxes restart from zero on the new membership.
         self.reset_protocol_state();
-        self.transport.grow_heal(&Deadline::none())?;
+        membership::grow_heal(self.transport, &Deadline::none())?;
         Ok(GrowOutcome {
             joined: verdict.joined,
             my_old_rank,
@@ -1845,7 +1852,7 @@ impl<'a> HostCtx<'a> {
         let my_old_rank = self.host();
         let old_count = self.num_hosts();
         let deadline = Deadline::after("grow", std::time::Duration::from_secs(30));
-        let verdict = self.transport.gate_grow(&deadline, self.generation())?;
+        let verdict = membership::grow(self.transport, &deadline, self.generation())?;
         self.apply_grow_verdict(verdict, my_old_rank, old_count)
     }
 
@@ -1878,7 +1885,7 @@ impl<'a> HostCtx<'a> {
                 Some(rem) => Deadline::after("join", window.min(rem)),
                 None => Deadline::after("join", window),
             };
-            match self.transport.gate_grow(&attempt, 0) {
+            match membership::grow(self.transport, &attempt, 0) {
                 Ok(verdict) => {
                     // The joiner owned nothing before: its "old rank" is
                     // one past the old membership, which had
@@ -2396,7 +2403,7 @@ mod tests {
         });
         for survivor in [0, 2] {
             match &res[survivor] {
-                Ok(Err(CommError::HostFailure { hosts })) => assert!(hosts.contains(&1)),
+                Ok(Err(CommError::HostFailure { hosts })) => assert!(hosts.contains(&1), "{hosts:?}"),
                 other => panic!("survivor {survivor} got {other:?}"),
             }
         }

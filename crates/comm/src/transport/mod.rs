@@ -1,42 +1,51 @@
-//! The pluggable host-to-host transport behind the cluster's collectives.
+//! The carrier contract behind the cluster's collectives.
 //!
 //! [`crate::HostCtx`]'s exchange protocol — framing, sequencing, CRC
 //! validation, fault injection, retransmission from the retained outbox,
-//! and the collective retry verdict — is backend-agnostic; everything that
-//! actually moves bytes between hosts sits behind the [`Transport`] trait.
-//! Two backends implement it:
+//! and the collective retry verdict — lives in `cluster.rs`; the
+//! membership protocol — barriers, loss agreement, recovery alignment,
+//! shrink and grow — lives once in [`membership`], over one per-host
+//! [`membership::Membership`] view. A [`Transport`] is only the carrier
+//! underneath: it moves frames, delivers [`membership::Ctrl`] messages to
+//! a peer's view in per-link FIFO order, and blocks on its own host's
+//! view. Three carriers implement it:
 //!
-//! * [`inproc::InProcTransport`] — the original in-memory fabric (shared
-//!   mailboxes, a failure-aware barrier, a recovery gate), the default and
-//!   the deterministic test backend;
+//! * [`inproc::InProcTransport`] — shared-memory mailboxes; a post applies
+//!   the message straight to the peer's mutex-guarded view. The default,
+//!   and the only lossless carrier.
 //! * [`tcp::TcpTransport`] — a real TCP mesh (one connection per host
-//!   pair) for multi-process runs via `kimbap run --transport tcp`.
+//!   pair, one writer thread per peer); each connection's reader thread
+//!   feeds the view. Used by `kimbap run --transport tcp`.
+//! * [`sim::SimTransport`] — the deterministic simulation: hosts run one
+//!   at a time under a seeded scheduler on a virtual clock, and a host
+//!   blocked on its view is re-run whenever a post changes it.
 //!
-//! Robustness is layered on the trait boundary, not per backend: phase
-//! [`Deadline`]s bound every blocking wait (a hung peer surfaces as
-//! [`crate::CommError::Timeout`] instead of wedging the round), an
-//! optional heartbeat failure detector turns silent peers into
-//! [`crate::CommError::PeerDown`], and retries use [`Backoff`] with
-//! exponential growth and decorrelated jitter.
+//! Robustness is layered above the carrier: phase [`Deadline`]s bound
+//! every blocking wait (a hung peer surfaces as
+//! [`crate::CommError::Timeout`] instead of wedging the round), each
+//! carrier's optional heartbeat detector marks silent peers suspected in
+//! its own view ([`crate::CommError::PeerDown`]), and retries use
+//! [`Backoff`] with exponential growth and decorrelated jitter.
 
-use crate::cluster::CommError;
 use crate::fault::mix;
+pub use membership::{Ctrl, Membership};
 use std::time::Duration;
 
 pub mod inproc;
+pub mod membership;
 pub mod sim;
 pub mod tcp;
 
 /// A phase deadline carried into every blocking transport wait.
 ///
-/// `Deadline::none()` (the default) waits forever — exactly the pre-PR
-/// behavior. A bounded deadline makes the wait return
-/// [`CommError::Timeout`] naming the phase and the laggard hosts.
+/// `Deadline::none()` (the default) waits forever. A bounded deadline
+/// makes the wait return [`crate::CommError::Timeout`] naming the phase
+/// and the laggard hosts.
 ///
 /// Expiry is stored as nanoseconds on the ambient [`crate::clock::Clock`]
 /// rather than an `Instant`, so a deadline stamped inside the simulation
 /// backend expires in virtual time — microseconds of wall time — while a
-/// deadline stamped on a real run behaves exactly as before.
+/// deadline stamped on a real run expires in wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     at: Option<u64>,
@@ -79,7 +88,7 @@ impl Deadline {
         }
     }
 
-    /// The phase label used in [`CommError::Timeout`].
+    /// The phase label used in [`crate::CommError::Timeout`].
     pub fn phase(&self) -> &'static str {
         if self.phase.is_empty() {
             "collective"
@@ -177,7 +186,7 @@ pub struct HeartbeatConfig {
     /// How often each host announces liveness.
     pub interval: Duration,
     /// Silence longer than this marks the peer suspected
-    /// ([`CommError::PeerDown`]).
+    /// ([`crate::CommError::PeerDown`]).
     pub suspect_after: Duration,
 }
 
@@ -190,7 +199,7 @@ impl Default for HeartbeatConfig {
     }
 }
 
-/// Transport-level options, shared by both backends.
+/// Transport-level options, shared by every carrier.
 ///
 /// The default disables the heartbeat detector: no extra threads, no
 /// timing sensitivity, bit-identical behavior to the pre-transport
@@ -261,31 +270,27 @@ pub struct GrowVerdict {
     pub generation: u64,
 }
 
-/// Moves framed bytes between hosts and implements the collective
-/// synchronization primitives the exchange protocol is built on.
+/// Moves frames and [`Ctrl`] messages between hosts and blocks on this
+/// host's [`Membership`] view.
 ///
 /// One instance exists per host (it knows its own identity). Methods are
 /// called from the host's main thread; implementations must be `Sync`
 /// because [`crate::HostCtx`] is shared with intra-host worker closures.
-///
-/// The generic layer in `cluster.rs` owns everything above this trait:
-/// sequence numbers, the retained outbox, delayed-frame buffers, CRC
-/// validation, fault injection, and the retry loop. Implementations only
-/// move bytes and synchronize.
+/// Every collective is written once over these methods (see
+/// [`membership`]); an implementation only carries.
 pub trait Transport: Sync {
     /// This host's id in `0..num_hosts`.
     fn host(&self) -> usize;
 
-    /// Number of hosts in the mesh.
+    /// Number of host slots in the mesh, latent capacity included.
     fn num_hosts(&self) -> usize;
 
     /// Whether this carrier delivers every frame handed to
     /// [`Transport::send`] intact, in order, and visible to the receiver's
-    /// [`Transport::drain`] once both hosts have passed a
-    /// [`Transport::barrier`] the send preceded. The exchange protocol
-    /// drops its integrity machinery (CRC, retained outbox, the
-    /// loss-agreement rendezvous) on such a carrier when no fault plan is
-    /// installed. Default: `false` — a carrier must opt in.
+    /// [`Transport::drain`] once the receiver has seen a barrier arrival
+    /// the send preceded. The exchange protocol drops its integrity
+    /// machinery (CRC, retained outbox, the loss-agreement rendezvous) on
+    /// such a carrier when no fault plan is installed. Default: `false`.
     fn lossless(&self) -> bool {
         false
     }
@@ -298,125 +303,31 @@ pub trait Transport: Sync {
     /// Takes every frame that has arrived from `from`.
     fn drain(&self, from: usize) -> Vec<Vec<u8>>;
 
-    /// Asks `from` to re-send retained chunks of its current exchange
-    /// payload for this host. Requests accumulate on the sender side via
-    /// [`RetxRequest::merge`] until collected.
-    fn request_retx(&self, from: usize, req: RetxRequest);
+    /// Delivers `msg` to `to`'s view, after everything this host sent or
+    /// posted to `to` before it, and wakes `to` if it is waiting.
+    fn post(&self, to: usize, msg: Ctrl);
 
-    /// The peers that asked this host to re-send since the last call,
-    /// with their merged requests (clearing the requests).
-    fn take_retx_requests(&self) -> Vec<(usize, RetxRequest)>;
+    /// Runs `step(view, expired)` on this host's view under its lock —
+    /// again each time the view changes — until it returns `true`. Once
+    /// `deadline` has passed, `step` is called with `expired` set and must
+    /// return `true`.
+    fn wait(&self, deadline: &Deadline, step: &mut dyn FnMut(&mut Membership, bool) -> bool);
 
-    /// Failure-aware barrier over all hosts, bounded by `deadline`.
-    fn barrier(&self, deadline: &Deadline) -> Result<(), CommError>;
-
-    /// Collective missing-flag sync: publishes this host's flag, waits for
-    /// every host's, and returns the host-indexed snapshot (own flag
-    /// included). Doubles as a barrier: every host sees the same snapshot.
-    fn sync_missing(&self, missing: bool, deadline: &Deadline) -> Result<Vec<bool>, CommError>;
-
-    /// Marks this host failed, waking every peer's collective waits with
-    /// [`CommError::HostFailure`]. Idempotent.
-    fn mark_failed(&self);
-
-    /// Marks this host as permanently gone (closure finished or died
-    /// unrecoverably); recovery alignment reports it instead of hanging.
-    /// Idempotent.
-    fn mark_departed(&self);
-
-    /// Recovery alignment, phase 1: waits until every non-departed host
-    /// has stopped issuing traffic and entered recovery.
-    fn gate_align(&self, deadline: &Deadline) -> Result<(), CommError>;
-
-    /// Recovery alignment, phase 2: discards this host's transport-side
-    /// state (undelivered frames, retransmission requests, barrier
-    /// progress). Called between [`Transport::gate_align`] and
-    /// [`Transport::gate_heal`], when no host is sending.
-    fn recover_reset(&self);
-
-    /// Recovery alignment, phase 3: waits for every non-departed host to
-    /// finish resetting, then heals the failure state so collectives work
-    /// again.
-    fn gate_heal(&self, deadline: &Deadline) -> Result<(), CommError>;
-
-    /// Membership shrink, phase 1: waits until every *survivor* — every
-    /// host that is neither permanently departed nor already excluded by an
-    /// earlier shrink — has entered the shrink gate, then agrees on the
-    /// verdict: the set of departed-but-not-yet-excluded hosts. Those hosts
-    /// are excluded from every future collective (barriers, gates,
-    /// heartbeats) and the sorted verdict is returned identically on every
-    /// survivor. Backends that cannot shrink return
-    /// [`CommError::Protocol`].
-    fn gate_shrink(&self, _deadline: &Deadline) -> Result<Vec<usize>, CommError> {
-        Err(CommError::Protocol {
-            detail: "transport does not support membership shrink".to_string(),
-        })
-    }
-
-    /// Membership shrink, phase 2: waits for every survivor to finish
-    /// resetting its protocol state, then heals the failure machinery for
-    /// the reduced membership. Called after [`Transport::gate_shrink`] and
-    /// [`Transport::recover_reset`].
-    fn shrink_heal(&self, _deadline: &Deadline) -> Result<(), CommError> {
-        Ok(())
-    }
-
-    /// Hosts currently known to be permanently departed but not yet
-    /// excluded by a shrink verdict — the casualties a
-    /// [`CommError::MembershipLost`] should name. Empty when recovery is
-    /// still possible within the current membership.
-    fn departed_hosts(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Membership grow, phase 1: a generation-stamped agreement admitting
-    /// latent hosts. Members call it with their current membership
-    /// generation at a round boundary; a latent host calls it (with
-    /// generation 0) to knock — the call *is* its admission request. The
-    /// gate completes when every member has arrived and at least one
-    /// candidate is knocking; the identical [`GrowVerdict`] is returned to
-    /// every participant. Error paths (deadline expiry, a member dying
-    /// mid-wait) withdraw the caller's gate arrival so a crash during a
-    /// join cannot wedge the remaining participants. Backends that cannot
-    /// grow return [`CommError::Protocol`].
-    fn gate_grow(&self, _deadline: &Deadline, _my_generation: u64) -> Result<GrowVerdict, CommError> {
-        Err(CommError::Protocol {
-            detail: "transport does not support membership grow".to_string(),
-        })
-    }
-
-    /// Membership grow, phase 2: waits for every post-grow member (old
-    /// members plus the admitted joiners) to finish resetting its protocol
-    /// state, then heals the failure machinery for the expanded
-    /// membership. Called after [`Transport::gate_grow`] and
-    /// [`Transport::recover_reset`].
-    fn grow_heal(&self, _deadline: &Deadline) -> Result<(), CommError> {
-        Ok(())
-    }
-
-    /// Latent hosts currently knocking at the grow gate — what a member's
-    /// per-round grow vote observes. Empty on backends without grow
-    /// support.
-    fn pending_joiners(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Hosts configured as latent capacity: part of the mesh's address
-    /// space but not members until a grow admits them. Empty on backends
-    /// without grow support.
-    fn latent_hosts(&self) -> Vec<usize> {
-        Vec::new()
-    }
+    /// Drops this host's undelivered frames and refreshes its liveness
+    /// bookkeeping. Recovery calls it between the align and heal gates,
+    /// when no member is sending.
+    fn reset(&self);
 
     /// Test hook: suppresses this host's heartbeats for `d`, simulating a
     /// host that has gone silent without crashing.
     fn silence(&self, d: Duration);
 
-    /// Trace hook: the generic layer reports decisions it made above the
-    /// transport (fault-injection verdicts, injected crashes and stalls)
-    /// so a recording backend can linearize them into its event trace.
-    /// Default: ignored — only the simulation backend records.
-    fn note(&self, _kind: &'static str, _detail: String) {}
+    /// Trace hook: the generic layers report protocol steps and the
+    /// decisions they made above the carrier (fault-injection verdicts,
+    /// injected crashes and stalls) so a recording carrier can linearize
+    /// them into its event trace. Default: ignored — only the simulation
+    /// records.
+    fn note(&self, _kind: &'static str, _detail: std::fmt::Arguments<'_>) {}
 }
 
 #[cfg(test)]

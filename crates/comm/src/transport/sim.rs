@@ -27,12 +27,20 @@
 //! # Heartbeats and deadlines without threads
 //!
 //! The real backends run detector threads; here both are timer events.
-//! A heartbeat tick refreshes every live, unsilenced host's beat and
-//! suspects peers silent past `suspect_after` — identical semantics to
-//! the in-proc detector, minus the races. A phase deadline is registered
-//! when a host blocks and fires only if that host is still blocked on the
-//! same barrier generation, withdrawing its arrival exactly like the
-//! in-proc barrier does.
+//! A heartbeat tick refreshes every live, unsilenced host's beat and has
+//! every host suspect, in its own view, the peers silent past
+//! `suspect_after` — identical semantics to the in-proc detector, minus
+//! the races.
+//!
+//! # Collectives
+//!
+//! The membership protocol is the shared one in [`super::membership`]:
+//! each host has its own view, a post applies a message to the peer's view
+//! instantly, and a host whose wait step is not yet satisfied blocks *on
+//! its view*. Any post into a blocked host's view makes it runnable again
+//! (it re-runs its step when scheduled); a bounded wait registers one
+//! deadline timer, which fires only if the host is still blocked in that
+//! same wait.
 //!
 //! # The trace
 //!
@@ -42,9 +50,8 @@
 //! same seed produce identical traces; a diff of two traces is a diff of
 //! two schedules.
 
-use super::{Deadline, GrowVerdict, RetxRequest, Transport, TransportConfig};
+use super::{Ctrl, Deadline, Membership, Transport, TransportConfig};
 use crate::clock::Clock;
-use crate::cluster::CommError;
 use crate::fault::mix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,9 +77,9 @@ pub struct TraceEvent {
     pub host: usize,
     /// Event kind: `schedule`, `send`, `barrier_arrive`,
     /// `barrier_complete`, `sync_missing`, `sleep`, `timeout`, `suspect`,
-    /// `mark_failed`, `departed`, `gate_*`, `heal`, `silence`,
-    /// `recover_reset`, `retx_request`, `fault_*`, `crash`, `stall`,
-    /// `finish`, `deadlock`.
+    /// `mark_failed`, `departed`, `gate_*`, `join`, `heal`, `silence`,
+    /// `recover_reset`, `retx_request`, `fault_*`, `kill`, `crash`,
+    /// `stall`, `finish`, `deadlock`.
     pub kind: &'static str,
     /// Kind-specific detail, deterministic for a given schedule.
     pub detail: String,
@@ -110,14 +117,8 @@ pub fn new_trace_sink() -> TraceSink {
 /// What a blocked host is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Blocked {
-    /// In the failure-aware barrier, generation `gen`.
-    Barrier { gen: u64 },
-    /// In the recovery gate, generation `gen`.
-    Gate { gen: u64 },
-    /// In the membership shrink gate, generation `gen`.
-    Shrink { gen: u64 },
-    /// In the membership grow gate, generation `gen`.
-    Grow { gen: u64 },
+    /// Wait `id` on its membership view (distinguishes stale deadlines).
+    View { id: u64 },
     /// Virtual sleep `id` (distinguishes stale wake timers).
     Sleep { id: u64 },
 }
@@ -142,30 +143,8 @@ enum Status {
 enum TimerKind {
     /// End of a virtual sleep.
     Wake { host: usize, id: u64 },
-    /// Phase deadline for a host blocked in barrier generation `gen`.
-    BarrierDeadline {
-        host: usize,
-        gen: u64,
-        phase: &'static str,
-    },
-    /// Phase deadline for a host blocked in gate generation `gen`.
-    GateDeadline {
-        host: usize,
-        gen: u64,
-        phase: &'static str,
-    },
-    /// Phase deadline for a host blocked in shrink generation `gen`.
-    ShrinkDeadline {
-        host: usize,
-        gen: u64,
-        phase: &'static str,
-    },
-    /// Phase deadline for a host blocked in grow generation `gen`.
-    GrowDeadline {
-        host: usize,
-        gen: u64,
-        phase: &'static str,
-    },
+    /// Deadline of view wait `id`.
+    Deadline { host: usize, id: u64 },
     /// Global heartbeat tick: refresh beats, suspect the silent.
     HeartbeatTick,
 }
@@ -199,8 +178,8 @@ struct SimState {
     timer_seq: u64,
     /// Next trace sequence.
     trace_seq: u64,
-    /// Next sleep id.
-    sleep_seq: u64,
+    /// Next sleep / view-wait id.
+    block_seq: u64,
     /// Startup latch: hosts registered so far.
     registered: usize,
     /// The host currently holding the run token.
@@ -208,99 +187,20 @@ struct SimState {
     /// Hosts ready to be scheduled.
     runnable: Vec<usize>,
     status: Vec<Status>,
-    /// Result delivered to a woken host (set by `wake`, taken in `block`).
-    wake: Vec<Option<Result<(), CommError>>>,
+    /// Whether a woken host's wait expired (set by `wake`, taken in
+    /// `block`).
+    wake: Vec<Option<bool>>,
     timers: BinaryHeap<Reverse<Timer>>,
     /// `mailboxes[to][from]`: frames in flight (delivery is instantaneous
     /// in virtual time; ordering and interleaving come from the seeded
     /// scheduler, loss/delay/reordering from the fault plan above).
     mailboxes: Vec<Vec<Vec<Vec<u8>>>>,
-    /// `retx[sender][requester]`: merged pending re-send requests.
-    retx: Vec<Vec<Option<RetxRequest>>>,
-    missing: Vec<bool>,
-    // Failure-aware barrier (mirrors the in-proc `FtBarrier`).
-    bar_arrived: usize,
-    bar_gen: u64,
-    live: usize,
-    failed: Vec<bool>,
-    suspected: Vec<bool>,
-    here: Vec<bool>,
-    // Recovery gate (mirrors the in-proc `Gate`).
-    gate_arrived: usize,
-    gate_gen: u64,
-    departed: Vec<bool>,
-    /// Departed hosts not yet excluded by a shrink.
-    ndeparted: usize,
-    gate_here: Vec<bool>,
-    // Membership shrink gate (mirrors the in-proc `Gate::shrink`).
-    /// Hosts excluded by an agreed shrink: they stay departed but no
-    /// longer count as participants anywhere.
-    excluded: Vec<bool>,
-    nexcluded: usize,
-    shrink_arrived: usize,
-    shrink_here: Vec<bool>,
-    shrink_gen: u64,
-    shrink_verdict: Vec<usize>,
-    // Membership grow gate (mirrors the in-proc `Gate::grow`).
-    /// Latent capacity: hosts excluded at construction that become members
-    /// only once a grow verdict admits them.
-    latent: Vec<bool>,
-    grow_here: Vec<bool>,
-    grow_gen: u64,
-    /// Highest membership generation announced by this grow's arrivals.
-    grow_max_gen: u64,
-    grow_verdict: GrowVerdict,
+    /// Each host's membership view.
+    views: Vec<Membership>,
     // Heartbeat ledger, in virtual nanoseconds.
     last_beat: Vec<u64>,
     silence_until: Vec<u64>,
     trace: Vec<TraceEvent>,
-}
-
-impl SimState {
-    /// Barrier participants: launched hosts minus the excluded.
-    fn expected(&self) -> usize {
-        self.failed.len() - self.nexcluded
-    }
-
-    fn any_failed(&self) -> bool {
-        self.live < self.expected()
-    }
-
-    /// The failure verdict (mirrors the in-proc mapping): all-suspected is
-    /// `PeerDown`, anything harder is `HostFailure`.
-    fn failure_error(&self) -> CommError {
-        let failed: Vec<usize> = (0..self.failed.len()).filter(|&h| self.failed[h]).collect();
-        let suspected: Vec<usize> = (0..self.suspected.len())
-            .filter(|&h| self.suspected[h])
-            .collect();
-        if !suspected.is_empty() && suspected.len() == failed.len() {
-            CommError::PeerDown { hosts: suspected }
-        } else {
-            CommError::HostFailure { hosts: failed }
-        }
-    }
-
-    fn departed_error(&self) -> CommError {
-        CommError::HostFailure {
-            hosts: (0..self.departed.len())
-                .filter(|&h| self.departed[h] && !self.excluded[h])
-                .collect(),
-        }
-    }
-
-    /// Member arrivals at the grow gate (latent candidates not counted).
-    fn grow_members_here(&self) -> usize {
-        (0..self.grow_here.len())
-            .filter(|&h| self.grow_here[h] && !self.latent[h])
-            .count()
-    }
-
-    /// Live candidates knocking at the grow gate.
-    fn grow_candidates(&self) -> Vec<usize> {
-        (0..self.grow_here.len())
-            .filter(|&h| self.grow_here[h] && self.latent[h] && !self.departed[h])
-            .collect()
-    }
 }
 
 /// The shared discrete-event fabric behind [`SimTransport`]: the virtual
@@ -311,8 +211,6 @@ pub struct SimFabric {
     cfg: TransportConfig,
     state: StdMutex<SimState>,
     cv: Condvar,
-    /// Hosts configured as latent capacity at construction.
-    initial_latent: Vec<usize>,
 }
 
 impl std::fmt::Debug for SimFabric {
@@ -336,70 +234,31 @@ fn frame_digest(frame: &[u8]) -> u64 {
 }
 
 impl SimFabric {
-    /// Creates the fabric for `hosts` cooperatively scheduled hosts,
-    /// interleaved by `seed`.
-    pub fn new(hosts: usize, cfg: TransportConfig, seed: u64) -> Self {
-        Self::new_with_latent(hosts, cfg, seed, &[])
-    }
-
-    /// Creates the fabric for `hosts` slots of which `latent` start as
-    /// non-member capacity: they take part in no collective until a grow
-    /// gate admits them. Join timing, like everything else here, is a
-    /// pure function of the seed and the hosts' virtual sleeps.
-    pub fn new_with_latent(hosts: usize, cfg: TransportConfig, seed: u64, latent: &[usize]) -> Self {
-        let mut excluded = vec![false; hosts];
-        let mut latent_flags = vec![false; hosts];
-        for &h in latent {
-            excluded[h] = true;
-            latent_flags[h] = true;
-        }
+    /// Creates the fabric for `hosts` cooperatively scheduled slots,
+    /// interleaved by `seed`, of which `latent` start as non-member
+    /// capacity: they take part in no collective until a grow gate admits
+    /// them. Join timing, like everything else here, is a pure function of
+    /// the seed and the hosts' virtual sleeps.
+    pub fn new(hosts: usize, cfg: TransportConfig, seed: u64, latent: &[usize]) -> Self {
         SimFabric {
             hosts,
             cfg,
-            initial_latent: latent.to_vec(),
             state: StdMutex::new(SimState {
                 now: 0,
                 rng: mix(seed ^ 0x73696d_u64),
                 timer_seq: 0,
                 trace_seq: 0,
-                sleep_seq: 0,
+                block_seq: 0,
                 registered: 0,
                 running: None,
                 runnable: Vec::new(),
                 status: vec![Status::Registering; hosts],
-                wake: (0..hosts).map(|_| None).collect(),
+                wake: vec![None; hosts],
                 timers: BinaryHeap::new(),
                 mailboxes: (0..hosts)
                     .map(|_| (0..hosts).map(|_| Vec::new()).collect())
                     .collect(),
-                retx: (0..hosts).map(|_| vec![None; hosts]).collect(),
-                missing: vec![false; hosts],
-                bar_arrived: 0,
-                bar_gen: 0,
-                live: hosts - latent.len(),
-                failed: vec![false; hosts],
-                suspected: vec![false; hosts],
-                here: vec![false; hosts],
-                gate_arrived: 0,
-                gate_gen: 0,
-                departed: vec![false; hosts],
-                ndeparted: 0,
-                gate_here: vec![false; hosts],
-                excluded,
-                nexcluded: latent.len(),
-                shrink_arrived: 0,
-                shrink_here: vec![false; hosts],
-                shrink_gen: 0,
-                shrink_verdict: Vec::new(),
-                latent: latent_flags,
-                grow_here: vec![false; hosts],
-                grow_gen: 0,
-                grow_max_gen: 0,
-                grow_verdict: GrowVerdict {
-                    joined: Vec::new(),
-                    members: 0,
-                    generation: 0,
-                },
+                views: (0..hosts).map(|h| Membership::new(hosts, h, latent)).collect(),
                 last_beat: vec![0; hosts],
                 silence_until: vec![0; hosts],
                 trace: Vec::new(),
@@ -430,39 +289,20 @@ impl SimFabric {
         s.timers.push(Reverse(Timer { at, seq, kind }));
     }
 
-    /// Moves a blocked host back onto the runnable list with `result`
-    /// waiting for it.
-    fn wake(&self, s: &mut SimState, host: usize, result: Result<(), CommError>) {
+    /// Moves a blocked host back onto the runnable list; `expired` tells
+    /// a view wait its deadline passed.
+    fn wake(&self, s: &mut SimState, host: usize, expired: bool) {
         debug_assert!(matches!(s.status[host], Status::Blocked(_)));
         s.status[host] = Status::Ready;
-        s.wake[host] = Some(result);
+        s.wake[host] = Some(expired);
         s.runnable.push(host);
     }
 
-    /// Errors every host blocked in the barrier with the current failure
-    /// verdict (arrivals stay counted — recovery's heal resets them, same
-    /// as the in-proc barrier).
-    fn break_barrier_waiters(&self, s: &mut SimState) {
-        let err = s.failure_error();
-        for h in 0..self.hosts {
-            if matches!(s.status[h], Status::Blocked(Blocked::Barrier { .. })) {
-                self.wake(s, h, Err(err.clone()));
-            }
+    /// Re-runs `host`'s wait step after its view changed.
+    fn poke(&self, s: &mut SimState, host: usize) {
+        if matches!(s.status[host], Status::Blocked(Blocked::View { .. })) {
+            self.wake(s, host, false);
         }
-    }
-
-    /// Records a heartbeat suspicion of `peer` (never downgrades a hard
-    /// failure) and breaks barrier waits. Excluded hosts are no longer
-    /// participants: suspecting one would corrupt the live count forever.
-    fn suspect(&self, s: &mut SimState, peer: usize) {
-        if s.failed[peer] || s.excluded[peer] {
-            return;
-        }
-        s.failed[peer] = true;
-        s.suspected[peer] = true;
-        s.live -= 1;
-        self.trace(s, peer, "suspect", String::new());
-        self.break_barrier_waiters(s);
     }
 
     /// Hands the run token to a seeded-random runnable host; when none is
@@ -507,21 +347,15 @@ impl SimFabric {
     /// failure instead of a wedged process.
     fn break_deadlock(&self, s: &mut SimState, why: &str) {
         self.trace(s, usize::from(self.hosts == 0), "deadlock", why.to_string());
-        let err = CommError::Protocol {
-            detail: format!("sim deadlock at t={}ns: {why}", s.now),
-        };
+        let detail = format!("sim deadlock at t={}ns: {why}", s.now);
         let mut woke = false;
         for h in 0..self.hosts {
-            match s.status[h] {
-                Status::Blocked(Blocked::Sleep { .. }) => {
-                    self.wake(s, h, Ok(()));
-                    woke = true;
+            if let Status::Blocked(b) = s.status[h] {
+                if matches!(b, Blocked::View { .. }) {
+                    s.views[h].wedge(detail.clone());
                 }
-                Status::Blocked(_) => {
-                    self.wake(s, h, Err(err.clone()));
-                    woke = true;
-                }
-                _ => {}
+                self.wake(s, h, false);
+                woke = true;
             }
         }
         assert!(
@@ -536,58 +370,12 @@ impl SimFabric {
         match kind {
             TimerKind::Wake { host, id } => {
                 if s.status[host] == Status::Blocked(Blocked::Sleep { id }) {
-                    self.wake(s, host, Ok(()));
+                    self.wake(s, host, false);
                 }
             }
-            TimerKind::BarrierDeadline { host, gen, phase } => {
-                if s.status[host] == Status::Blocked(Blocked::Barrier { gen }) {
-                    // Withdraw the arrival, exactly like the in-proc wait.
-                    s.bar_arrived -= 1;
-                    s.here[host] = false;
-                    let laggards = (0..self.hosts)
-                        .filter(|&h| h != host && !s.here[h] && !s.failed[h] && !s.excluded[h])
-                        .collect();
-                    self.trace(s, host, "timeout", format!("phase={phase}"));
-                    self.wake(s, host, Err(CommError::Timeout { phase, hosts: laggards }));
-                }
-            }
-            TimerKind::GateDeadline { host, gen, phase } => {
-                if s.status[host] == Status::Blocked(Blocked::Gate { gen }) {
-                    s.gate_arrived -= 1;
-                    s.gate_here[host] = false;
-                    let laggards = (0..self.hosts)
-                        .filter(|&h| h != host && !s.gate_here[h] && !s.departed[h])
-                        .collect();
-                    self.trace(s, host, "timeout", format!("phase={phase} at=gate"));
-                    self.wake(s, host, Err(CommError::Timeout { phase, hosts: laggards }));
-                }
-            }
-            TimerKind::ShrinkDeadline { host, gen, phase } => {
-                if s.status[host] == Status::Blocked(Blocked::Shrink { gen }) {
-                    s.shrink_arrived -= 1;
-                    s.shrink_here[host] = false;
-                    let laggards = (0..self.hosts)
-                        .filter(|&h| {
-                            h != host && !s.shrink_here[h] && !s.departed[h] && !s.excluded[h]
-                        })
-                        .collect();
-                    self.trace(s, host, "timeout", format!("phase={phase} at=shrink"));
-                    self.wake(s, host, Err(CommError::Timeout { phase, hosts: laggards }));
-                }
-            }
-            TimerKind::GrowDeadline { host, gen, phase } => {
-                if s.status[host] == Status::Blocked(Blocked::Grow { gen }) {
-                    // Withdraw the arrival: a stale knock (or member
-                    // arrival) from a host that gave up must not let a
-                    // later grow complete early.
-                    s.grow_here[host] = false;
-                    let laggards = (0..self.hosts)
-                        .filter(|&h| {
-                            h != host && !s.grow_here[h] && !s.departed[h] && !s.excluded[h]
-                        })
-                        .collect();
-                    self.trace(s, host, "timeout", format!("phase={phase} at=grow"));
-                    self.wake(s, host, Err(CommError::Timeout { phase, hosts: laggards }));
+            TimerKind::Deadline { host, id } => {
+                if s.status[host] == Status::Blocked(Blocked::View { id }) {
+                    self.wake(s, host, true);
                 }
             }
             TimerKind::HeartbeatTick => {
@@ -595,17 +383,23 @@ impl SimFabric {
                 // Every live, unsilenced host beats — same as each host's
                 // detector thread on the real backends.
                 for h in 0..self.hosts {
-                    if !s.departed[h] && s.silence_until[h] <= s.now {
+                    if s.status[h] != Status::Done && s.silence_until[h] <= s.now {
                         s.last_beat[h] = s.now;
                     }
                 }
+                // Every live host watches its peers from its own view.
                 let limit = hb.suspect_after.as_nanos() as u64;
-                for peer in 0..self.hosts {
-                    if s.departed[peer] || s.failed[peer] {
+                for h in 0..self.hosts {
+                    if s.status[h] == Status::Done {
                         continue;
                     }
-                    if s.now.saturating_sub(s.last_beat[peer]) > limit {
-                        self.suspect(s, peer);
+                    for peer in 0..self.hosts {
+                        if s.now.saturating_sub(s.last_beat[peer]) > limit
+                            && s.views[h].suspect(peer)
+                        {
+                            self.trace(s, peer, "suspect", format!("by={h}"));
+                            self.poke(s, h);
+                        }
                     }
                 }
                 if s.status.iter().any(|st| *st != Status::Done) {
@@ -653,14 +447,14 @@ impl SimFabric {
         std::mem::take(&mut self.lock().trace)
     }
 
-    /// Parks `host`, hands the token away, and waits to be woken with a
-    /// result.
-    fn block(
-        &self,
-        mut s: MutexGuard<'_, SimState>,
+    /// Parks `host`, hands the token away, and waits to be woken; returns
+    /// the re-locked state and whether the wake was a deadline expiry.
+    fn block<'a>(
+        &'a self,
+        mut s: MutexGuard<'a, SimState>,
         host: usize,
         b: Blocked,
-    ) -> Result<(), CommError> {
+    ) -> (MutexGuard<'a, SimState>, bool) {
         debug_assert_eq!(s.running, Some(host), "blocking without the token");
         s.status[host] = Status::Blocked(b);
         s.running = None;
@@ -668,7 +462,8 @@ impl SimFabric {
         while s.running != Some(host) {
             s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
-        s.wake[host].take().expect("scheduled without a wake result")
+        let expired = s.wake[host].take().expect("scheduled without a wake result");
+        (s, expired)
     }
 
     fn now(&self) -> u64 {
@@ -681,261 +476,43 @@ impl SimFabric {
             return;
         }
         let mut s = self.lock();
-        let id = s.sleep_seq;
-        s.sleep_seq += 1;
+        let id = s.block_seq;
+        s.block_seq += 1;
         let at = s.now.saturating_add(d.as_nanos() as u64);
         self.trace(&mut s, host, "sleep", format!("until={at}"));
         self.push_timer(&mut s, at, TimerKind::Wake { host, id });
-        // A deadlock-break resumes the sleeper early with Ok; either way
-        // there is nothing to propagate from a sleep.
+        // A deadlock-break resumes the sleeper early; either way there is
+        // nothing to propagate from a sleep.
         let _ = self.block(s, host, Blocked::Sleep { id });
     }
 
-    fn barrier(&self, host: usize, deadline: &Deadline) -> Result<(), CommError> {
+    /// A view wait: runs `step` until it returns `true`, blocking on the
+    /// view between tries (see the module docs).
+    fn wait(
+        &self,
+        host: usize,
+        deadline: &Deadline,
+        step: &mut dyn FnMut(&mut Membership, bool) -> bool,
+    ) {
         let mut s = self.lock();
-        if s.any_failed() {
-            return Err(s.failure_error());
+        let at = deadline.at_nanos();
+        let mut expired = at.is_some_and(|at| at <= s.now);
+        if step(&mut s.views[host], expired) {
+            return;
         }
-        s.bar_arrived += 1;
-        s.here[host] = true;
-        let arrive_gen = s.bar_gen;
-        self.trace(&mut s, host, "barrier_arrive", format!("gen={arrive_gen}"));
-        if s.bar_arrived >= s.live {
-            s.bar_arrived = 0;
-            for h in &mut s.here {
-                *h = false;
-            }
-            s.bar_gen += 1;
-            let done_gen = s.bar_gen;
-            self.trace(&mut s, host, "barrier_complete", format!("gen={done_gen}"));
-            for h in 0..self.hosts {
-                if matches!(s.status[h], Status::Blocked(Blocked::Barrier { .. })) {
-                    self.wake(&mut s, h, Ok(()));
-                }
-            }
-            return Ok(());
+        let id = s.block_seq;
+        s.block_seq += 1;
+        if let Some(at) = at {
+            self.push_timer(&mut s, at, TimerKind::Deadline { host, id });
         }
-        let gen = s.bar_gen;
-        if let Some(at) = deadline.at_nanos() {
-            self.push_timer(
-                &mut s,
-                at,
-                TimerKind::BarrierDeadline {
-                    host,
-                    gen,
-                    phase: deadline.phase(),
-                },
-            );
-        }
-        self.block(s, host, Blocked::Barrier { gen })
-    }
-
-    /// Gate arrival + wait; with `heal`, the last arriver restores the
-    /// barrier to all-alive before anyone is released (mirrors the
-    /// in-proc `Gate::wait_then(.., || barrier.heal())`).
-    fn gate(&self, host: usize, deadline: &Deadline, heal: bool) -> Result<(), CommError> {
-        let mut s = self.lock();
-        if s.ndeparted > 0 {
-            return Err(s.departed_error());
-        }
-        s.gate_arrived += 1;
-        s.gate_here[host] = true;
-        let kind = if heal { "gate_heal" } else { "gate_align" };
-        let arrive_gen = s.gate_gen;
-        self.trace(&mut s, host, kind, format!("gen={arrive_gen}"));
-        if s.gate_arrived >= self.hosts - s.nexcluded - s.ndeparted {
-            if heal {
-                s.live = self.hosts - s.nexcluded;
-                for f in &mut s.failed {
-                    *f = false;
-                }
-                for f in &mut s.suspected {
-                    *f = false;
-                }
-                for h in &mut s.here {
-                    *h = false;
-                }
-                s.bar_arrived = 0;
-                self.trace(&mut s, host, "heal", String::new());
-            }
-            s.gate_arrived = 0;
-            for h in &mut s.gate_here {
-                *h = false;
-            }
-            s.gate_gen += 1;
-            for h in 0..self.hosts {
-                if matches!(s.status[h], Status::Blocked(Blocked::Gate { .. })) {
-                    self.wake(&mut s, h, Ok(()));
-                }
-            }
-            return Ok(());
-        }
-        let gen = s.gate_gen;
-        if let Some(at) = deadline.at_nanos() {
-            self.push_timer(
-                &mut s,
-                at,
-                TimerKind::GateDeadline {
-                    host,
-                    gen,
-                    phase: deadline.phase(),
-                },
-            );
-        }
-        self.block(s, host, Blocked::Gate { gen })
-    }
-
-    /// Completes the shrink gate if every survivor has arrived: agrees the
-    /// verdict (departed-but-not-excluded hosts), excludes them from every
-    /// future collective, and releases the waiters. Called on every shrink
-    /// arrival *and* on every departure notification, since either event
-    /// can satisfy the survivor count.
-    fn try_finalize_shrink(&self, s: &mut SimState, actor: usize) -> bool {
-        let survivors = self.hosts - s.nexcluded - s.ndeparted;
-        if s.shrink_arrived == 0 || s.shrink_arrived < survivors {
-            return false;
-        }
-        let verdict: Vec<usize> = (0..self.hosts)
-            .filter(|&h| s.departed[h] && !s.excluded[h])
-            .collect();
-        for &h in &verdict {
-            s.excluded[h] = true;
-            s.nexcluded += 1;
-            if s.failed[h] {
-                // Its failure already decremented `live`; clearing the
-                // flags alongside the exclusion keeps live == expected.
-                s.failed[h] = false;
-                s.suspected[h] = false;
-            } else {
-                s.live -= 1;
+        loop {
+            let (g, woke_expired) = self.block(s, host, Blocked::View { id });
+            s = g;
+            expired |= woke_expired || at.is_some_and(|at| at <= s.now);
+            if step(&mut s.views[host], expired) {
+                return;
             }
         }
-        s.ndeparted = 0;
-        s.shrink_verdict = verdict;
-        s.shrink_arrived = 0;
-        for h in &mut s.shrink_here {
-            *h = false;
-        }
-        s.shrink_gen += 1;
-        self.trace(
-            s,
-            actor,
-            "gate_shrink_complete",
-            format!("gen={} departed={:?}", s.shrink_gen, s.shrink_verdict),
-        );
-        for h in 0..self.hosts {
-            if matches!(s.status[h], Status::Blocked(Blocked::Shrink { .. })) {
-                self.wake(s, h, Ok(()));
-            }
-        }
-        true
-    }
-
-    /// Shrink-gate arrival + wait: returns the agreed departure verdict
-    /// once every survivor has arrived (see
-    /// [`super::Transport::gate_shrink`]).
-    fn shrink(&self, host: usize, deadline: &Deadline) -> Result<Vec<usize>, CommError> {
-        let mut s = self.lock();
-        s.shrink_arrived += 1;
-        s.shrink_here[host] = true;
-        let gen = s.shrink_gen;
-        self.trace(&mut s, host, "gate_shrink", format!("gen={gen}"));
-        if self.try_finalize_shrink(&mut s, host) {
-            return Ok(s.shrink_verdict.clone());
-        }
-        if let Some(at) = deadline.at_nanos() {
-            self.push_timer(
-                &mut s,
-                at,
-                TimerKind::ShrinkDeadline {
-                    host,
-                    gen,
-                    phase: deadline.phase(),
-                },
-            );
-        }
-        self.block(s, host, Blocked::Shrink { gen })?;
-        Ok(self.lock().shrink_verdict.clone())
-    }
-
-    /// Completes the grow gate if every member has arrived and at least
-    /// one live candidate is knocking: admits the candidates into every
-    /// collective, records the verdict, and releases the waiters.
-    fn try_finalize_grow(&self, s: &mut SimState, actor: usize) -> bool {
-        let survivors = self.hosts - s.nexcluded - s.ndeparted;
-        let candidates = s.grow_candidates();
-        if s.grow_members_here() < survivors || candidates.is_empty() {
-            return false;
-        }
-        for &h in &candidates {
-            s.excluded[h] = false;
-            s.nexcluded -= 1;
-            s.latent[h] = false;
-            s.failed[h] = false;
-            s.suspected[h] = false;
-            s.here[h] = false;
-            s.live += 1;
-        }
-        let members = (0..self.hosts)
-            .filter(|&h| !s.excluded[h] && !s.departed[h])
-            .fold(0u64, |m, h| m | (1 << h));
-        s.grow_verdict = GrowVerdict {
-            joined: candidates,
-            members,
-            generation: s.grow_max_gen,
-        };
-        for h in &mut s.grow_here {
-            *h = false;
-        }
-        s.grow_max_gen = 0;
-        s.grow_gen += 1;
-        self.trace(
-            s,
-            actor,
-            "gate_grow_complete",
-            format!(
-                "gen={} joined={:?} members={:#x}",
-                s.grow_gen, s.grow_verdict.joined, members
-            ),
-        );
-        for h in 0..self.hosts {
-            if matches!(s.status[h], Status::Blocked(Blocked::Grow { .. })) {
-                self.wake(s, h, Ok(()));
-            }
-        }
-        true
-    }
-
-    /// Grow-gate arrival + wait: members announce their membership
-    /// generation, latent candidates knock; everyone receives the agreed
-    /// [`GrowVerdict`] once all members and at least one candidate are
-    /// here (see [`super::Transport::gate_grow`]).
-    fn grow(&self, host: usize, deadline: &Deadline, my_gen: u64) -> Result<GrowVerdict, CommError> {
-        let mut s = self.lock();
-        if s.ndeparted > 0 {
-            return Err(s.departed_error());
-        }
-        s.grow_here[host] = true;
-        s.grow_max_gen = s.grow_max_gen.max(my_gen);
-        let gen = s.grow_gen;
-        let kind = if s.latent[host] { "join" } else { "gate_grow" };
-        self.trace(&mut s, host, kind, format!("gen={gen} my_gen={my_gen}"));
-        if self.try_finalize_grow(&mut s, host) {
-            return Ok(s.grow_verdict.clone());
-        }
-        if let Some(at) = deadline.at_nanos() {
-            self.push_timer(
-                &mut s,
-                at,
-                TimerKind::GrowDeadline {
-                    host,
-                    gen,
-                    phase: deadline.phase(),
-                },
-            );
-        }
-        self.block(s, host, Blocked::Grow { gen })?;
-        Ok(self.lock().grow_verdict.clone())
     }
 }
 
@@ -997,153 +574,26 @@ impl Transport for SimTransport {
         std::mem::take(&mut self.fabric.lock().mailboxes[self.host][from])
     }
 
-    fn request_retx(&self, from: usize, req: RetxRequest) {
+    fn post(&self, to: usize, msg: Ctrl) {
         let fab = &self.fabric;
         let mut s = fab.lock();
-        let what = match &req {
-            RetxRequest::All => "all".to_string(),
-            RetxRequest::Chunks(c) => format!("chunks={c:?}"),
-        };
-        fab.trace(
-            &mut s,
-            self.host,
-            "retx_request",
-            format!("from={from} {what}"),
-        );
-        match &mut s.retx[from][self.host] {
-            Some(cur) => cur.merge(req),
-            cell => *cell = Some(req),
-        }
+        s.views[to].apply(self.host, msg);
+        fab.poke(&mut s, to);
     }
 
-    fn take_retx_requests(&self) -> Vec<(usize, RetxRequest)> {
+    fn wait(&self, deadline: &Deadline, step: &mut dyn FnMut(&mut Membership, bool) -> bool) {
+        self.fabric.wait(self.host, deadline, step);
+    }
+
+    fn reset(&self) {
         let mut s = self.fabric.lock();
-        (0..self.fabric.hosts)
-            .filter_map(|r| s.retx[self.host][r].take().map(|req| (r, req)))
-            .collect()
-    }
-
-    fn barrier(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.fabric.barrier(self.host, deadline)
-    }
-
-    fn sync_missing(&self, missing: bool, deadline: &Deadline) -> Result<Vec<bool>, CommError> {
-        let fab = &self.fabric;
-        {
-            let mut s = fab.lock();
-            s.missing[self.host] = missing;
-            fab.trace(&mut s, self.host, "sync_missing", format!("missing={missing}"));
-        }
-        // The barrier below separates this host's publish from every
-        // peer's snapshot read; no host can republish before all reads
-        // because the next publish is itself preceded by a barrier.
-        fab.barrier(self.host, deadline)?;
-        let s = fab.lock();
-        Ok((0..fab.hosts).map(|h| s.missing[h]).collect())
-    }
-
-    fn mark_failed(&self) {
-        let fab = &self.fabric;
-        let mut s = fab.lock();
-        if s.excluded[self.host] {
-            return;
-        }
-        if s.failed[self.host] {
-            s.suspected[self.host] = false;
-            return;
-        }
-        s.failed[self.host] = true;
-        s.live -= 1;
-        fab.trace(&mut s, self.host, "mark_failed", String::new());
-        fab.break_barrier_waiters(&mut s);
-    }
-
-    fn mark_departed(&self) {
-        let fab = &self.fabric;
-        let mut s = fab.lock();
-        if s.departed[self.host] || s.excluded[self.host] {
-            return;
-        }
-        s.departed[self.host] = true;
-        s.ndeparted += 1;
-        fab.trace(&mut s, self.host, "departed", String::new());
-        let err = s.departed_error();
-        for h in 0..fab.hosts {
-            if matches!(s.status[h], Status::Blocked(Blocked::Gate { .. })) {
-                // Withdraw the waiter's arrival along with the error:
-                // a stale count would let the post-shrink heal gate
-                // complete before every survivor has re-arrived.
-                s.gate_arrived -= 1;
-                s.gate_here[h] = false;
-                fab.wake(&mut s, h, Err(err.clone()));
-            }
-        }
-        // A departure can be the event that completes a pending shrink
-        // gate (the survivors were all waiting on this host's verdict).
-        fab.try_finalize_shrink(&mut s, self.host);
-        // Grow waiters abort (withdrawing their arrival): the membership
-        // must shrink before another grow can be agreed.
-        let err = s.departed_error();
-        for h in 0..fab.hosts {
-            if matches!(s.status[h], Status::Blocked(Blocked::Grow { .. })) {
-                s.grow_here[h] = false;
-                fab.wake(&mut s, h, Err(err.clone()));
-            }
-        }
-    }
-
-    fn gate_align(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.fabric.gate(self.host, deadline, false)
-    }
-
-    fn recover_reset(&self) {
-        let fab = &self.fabric;
-        let mut s = fab.lock();
         let me = self.host;
-        for h in 0..fab.hosts {
-            s.mailboxes[me][h].clear();
-            s.retx[me][h] = None;
+        for row in &mut s.mailboxes[me] {
+            row.clear();
         }
-        s.missing[me] = false;
         // A recovering host is alive: refresh its beat so the silence
         // that triggered recovery is not re-flagged after the heal.
         s.last_beat[me] = s.now;
-        fab.trace(&mut s, me, "recover_reset", String::new());
-    }
-
-    fn gate_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.fabric.gate(self.host, deadline, true)
-    }
-
-    fn gate_shrink(&self, deadline: &Deadline) -> Result<Vec<usize>, CommError> {
-        self.fabric.shrink(self.host, deadline)
-    }
-
-    fn shrink_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.fabric.gate(self.host, deadline, true)
-    }
-
-    fn gate_grow(&self, deadline: &Deadline, my_generation: u64) -> Result<GrowVerdict, CommError> {
-        self.fabric.grow(self.host, deadline, my_generation)
-    }
-
-    fn grow_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.fabric.gate(self.host, deadline, true)
-    }
-
-    fn pending_joiners(&self) -> Vec<usize> {
-        self.fabric.lock().grow_candidates()
-    }
-
-    fn latent_hosts(&self) -> Vec<usize> {
-        self.fabric.initial_latent.clone()
-    }
-
-    fn departed_hosts(&self) -> Vec<usize> {
-        let s = self.fabric.lock();
-        (0..self.fabric.hosts)
-            .filter(|&h| s.departed[h] && !s.excluded[h])
-            .collect()
     }
 
     fn silence(&self, d: Duration) {
@@ -1154,10 +604,10 @@ impl Transport for SimTransport {
         fab.trace(&mut s, self.host, "silence", format!("until={until}"));
     }
 
-    fn note(&self, kind: &'static str, detail: String) {
+    fn note(&self, kind: &'static str, detail: std::fmt::Arguments<'_>) {
         let fab = &self.fabric;
         let mut s = fab.lock();
-        fab.trace(&mut s, self.host, kind, detail);
+        fab.trace(&mut s, self.host, kind, detail.to_string());
     }
 }
 

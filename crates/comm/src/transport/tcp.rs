@@ -1,43 +1,20 @@
-//! The TCP transport: a full mesh of host-pair connections carrying the
+//! The TCP carrier: a full mesh of host-pair connections carrying the
 //! same wire-format frames as the in-proc fabric, for multi-process runs.
 //!
-//! # Stream protocol
-//!
-//! Each connection carries tagged messages: `[tag u8][len u32 LE][body]`.
+//! Each connection carries tagged messages `[tag u8][len u32 LE][body]`:
 //! `DATA` bodies are untouched `wire.rs` frames (the generic layer still
-//! validates their CRC); control tags implement the collective primitives:
-//!
-//! * `BARRIER(gen u64)` / `GATE(gen u64)` — generation-highwater barriers:
-//!   arrival `g` broadcasts the generation, completion waits until every
-//!   live peer's announced generation reaches `g`. TCP's per-connection
-//!   ordering makes the highwater monotone per peer.
-//! * `MISSING(gen u64, flag u8)` — the collective retransmission verdict;
-//!   flags are keyed by generation in a per-peer map so a fast host's next
-//!   verdict can never overwrite one a slow host has not read yet.
-//! * `RETX(kind u8, ...)` — peer asks us to re-send retained chunks of the
-//!   current exchange: kind 0 means everything, kind 1 carries an explicit
-//!   `count u32` + `u32` chunk-index list.
-//! * `FAILED(epoch u64)` — sender crashed; stamped with its failure epoch
-//!   so a stale notice cannot re-fail a healed mesh.
-//! * `DEPARTED` — sender finished for good (clean exit or unrecoverable
-//!   death). EOF without `DEPARTED` is treated as process death.
-//! * `HB` — heartbeat; any received message counts as liveness, this one
-//!   just guarantees a minimum rate.
-//!
-//! # Recovery
-//!
-//! `recover_reset` zeroes the barrier/missing generations along with the
-//! inbox: hosts abort a failed round at different collective counts, so
-//! the counters must be realigned, and the three-phase recovery gate
-//! (align → reset → heal) guarantees no live traffic is in flight while
-//! they are. Gate generations are *never* reset — recovery itself
-//! synchronizes on them. Healing bumps the failure epoch, which
-//! invalidates any `FAILED` notice from before the heal.
+//! validates their CRC), `HB` is a heartbeat (any received message counts
+//! as liveness; this one just guarantees a minimum rate), and every other
+//! tag is a [`Ctrl`] in the codec documented in [`super::membership`].
+//! One reader thread per connection applies control messages to this
+//! host's [`Membership`] view; one writer thread per peer drains that
+//! peer's send queue, so per-link FIFO order holds and a slow peer never
+//! stalls the others.
 
-use super::{Backoff, Deadline, GrowVerdict, RetxRequest, Transport, TransportConfig};
+use super::membership::TAG_SHRINK;
+use super::{Backoff, Ctrl, Deadline, Membership, Transport, TransportConfig};
 use crate::clock;
-use crate::cluster::CommError;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,39 +22,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::Duration;
 
 const TAG_DATA: u8 = 1;
-const TAG_BARRIER: u8 = 2;
-const TAG_MISSING: u8 = 3;
-const TAG_RETX: u8 = 4;
 const TAG_HB: u8 = 5;
-const TAG_FAILED: u8 = 6;
-const TAG_DEPARTED: u8 = 7;
-const TAG_GATE: u8 = 8;
-/// Membership-shrink gate arrival (`gen u64`): the sender is a survivor
-/// agreeing to exclude the currently departed hosts. A permanently dead
-/// host never announces, so the verdict is observed symmetrically: every
-/// survivor completes only once it has seen every non-excluded peer
-/// either announce this generation or depart.
-const TAG_SHRINK: u8 = 9;
-/// Join knock from a latent host (`arrival u64`): the sender asks to be
-/// admitted by the next grow gate. `arrival == 0` retracts a pending
-/// knock (sent when the joiner's deadline expires), so a joiner that gave
-/// up cannot be "admitted" in absentia by a later grow.
-const TAG_JOIN: u8 = 10;
-/// Membership-grow gate arrival (`gen u64, ctx_gen u64`): a member agrees
-/// to admit the currently knocking candidates, announcing its own
-/// membership generation so the verdict can carry the maximum. Also used
-/// (with `ctx_gen == 0`) as the post-verdict heal round, mirroring the
-/// two-round `TAG_SHRINK` scheme: grow generations are announced only
-/// from inside the grow path and the heal round has no abort between
-/// reset and announcement, so an announcement of `grow_gen + 1` after a
-/// verdict proves the peer finished its reset.
-const TAG_GROW: u8 = 11;
-/// Grow verdict broadcast by the grow leader — the lowest-id member —
-/// once every member has arrived and at least one candidate is knocking:
-/// `gen u64, joined_mask u64, member_mask u64, max_ctx_gen u64`. A
-/// leader-decided verdict keeps a double-join race from splitting the
-/// verdict across members.
-const TAG_GROW_VERDICT: u8 = 12;
 
 /// Upper bound on a single stream message body; anything larger means a
 /// corrupted length header, and the connection is dropped.
@@ -85,130 +30,6 @@ const MAX_BODY: usize = 1 << 31;
 
 /// How long mesh construction waits for every peer to show up.
 const SETUP_TIMEOUT: Duration = Duration::from_secs(30);
-
-struct State {
-    /// Received data frames, per sending peer.
-    inbox: Vec<Vec<Vec<u8>>>,
-    /// Highest barrier generation announced by each peer.
-    barrier_seen: Vec<u64>,
-    /// Highest gate generation announced by each peer.
-    gate_seen: Vec<u64>,
-    /// Missing-flag announcements per peer, keyed by generation.
-    missing: Vec<BTreeMap<u64, bool>>,
-    /// What each peer asked us to re-send (merged until collected).
-    retx: Vec<Option<RetxRequest>>,
-    failed: Vec<bool>,
-    suspected: Vec<bool>,
-    departed: Vec<bool>,
-    /// Peers excluded by an agreed membership shrink: permanently gone,
-    /// no longer counted by any collective and never written to again.
-    excluded: Vec<bool>,
-    /// Latent capacity: peers that are part of the mesh's address space
-    /// but not members until a grow admits them. Like `excluded` they are
-    /// bystanders to every collective, but they can come back.
-    latent: Vec<bool>,
-    /// Latent peers with an outstanding join knock.
-    join_pending: Vec<bool>,
-    /// Highest shrink generation announced by each peer.
-    shrink_seen: Vec<u64>,
-    /// Highest grow generation announced by each peer.
-    grow_seen: Vec<u64>,
-    /// Highest membership (context) generation announced by each peer's
-    /// grow arrivals.
-    grow_ctx_gen: Vec<u64>,
-    /// The latest grow verdict applied: `(gen, joined_mask, member_mask,
-    /// max_ctx_gen)`.
-    last_verdict: Option<(u64, u64, u64, u64)>,
-    /// Current failure epoch; `FAILED(e)` is honored only if `e >= epoch`.
-    epoch: u64,
-    /// This host's completed barrier generation.
-    bar_gen: u64,
-    /// This host's completed gate generation (never reset).
-    gate_gen: u64,
-    /// This host's completed shrink generation (never reset).
-    shrink_gen: u64,
-    /// This host's completed grow generation (never reset; advanced by
-    /// applied verdicts and heal rounds).
-    grow_gen: u64,
-    /// This host's completed missing-sync generation.
-    miss_gen: u64,
-}
-
-impl State {
-    fn new(hosts: usize, latent: &[usize]) -> Self {
-        let mut latent_flags = vec![false; hosts];
-        for &h in latent {
-            latent_flags[h] = true;
-        }
-        State {
-            inbox: vec![Vec::new(); hosts],
-            barrier_seen: vec![0; hosts],
-            gate_seen: vec![0; hosts],
-            missing: vec![BTreeMap::new(); hosts],
-            retx: vec![None; hosts],
-            failed: vec![false; hosts],
-            suspected: vec![false; hosts],
-            departed: vec![false; hosts],
-            excluded: vec![false; hosts],
-            latent: latent_flags,
-            join_pending: vec![false; hosts],
-            shrink_seen: vec![0; hosts],
-            grow_seen: vec![0; hosts],
-            grow_ctx_gen: vec![0; hosts],
-            last_verdict: None,
-            epoch: 0,
-            bar_gen: 0,
-            gate_gen: 0,
-            shrink_gen: 0,
-            grow_gen: 0,
-            miss_gen: 0,
-        }
-    }
-
-    /// True for peers that take no part in collectives: shrink-excluded
-    /// hosts and latent capacity that has not joined yet.
-    fn bystander(&self, p: usize) -> bool {
-        self.excluded[p] || self.latent[p]
-    }
-
-    /// The failure verdict, if any host has failed: all-suspected maps to
-    /// `PeerDown`, anything harder to `HostFailure`.
-    fn failure(&self) -> Option<CommError> {
-        let failed: Vec<usize> = (0..self.failed.len())
-            .filter(|&h| self.failed[h] && !self.bystander(h))
-            .collect();
-        if failed.is_empty() {
-            return None;
-        }
-        let suspected: Vec<usize> = (0..self.suspected.len())
-            .filter(|&h| self.suspected[h] && !self.bystander(h))
-            .collect();
-        Some(if !suspected.is_empty() && suspected.len() == failed.len() {
-            CommError::PeerDown { hosts: suspected }
-        } else {
-            CommError::HostFailure { hosts: failed }
-        })
-    }
-
-    /// Applies a grow verdict: admits the `joined_mask` hosts into every
-    /// future collective and records the verdict for waiters. Idempotent
-    /// per generation.
-    fn apply_verdict(&mut self, gen: u64, joined_mask: u64, member_mask: u64, max_ctx: u64) {
-        if gen <= self.grow_gen {
-            return;
-        }
-        self.grow_gen = gen;
-        for p in 0..self.latent.len() {
-            if joined_mask & (1 << p) != 0 {
-                self.latent[p] = false;
-                self.join_pending[p] = false;
-                self.failed[p] = false;
-                self.suspected[p] = false;
-            }
-        }
-        self.last_verdict = Some((gen, joined_mask, member_mask, max_ctx));
-    }
-}
 
 /// Outgoing messages for one peer, drained by that peer's writer thread.
 struct SendQueue {
@@ -261,11 +82,11 @@ struct Inner {
     hosts: usize,
     cfg: TransportConfig,
     ports: Vec<u16>,
-    /// Hosts that start latent (join capacity), as passed at construction.
-    initial_latent: Vec<usize>,
-    state: StdMutex<State>,
+    view: StdMutex<Membership>,
     cv: Condvar,
-    /// Per-peer outgoing links, locked independently of `state`: a socket
+    /// Received data frames, per sending peer.
+    inbox: Vec<StdMutex<Vec<Vec<u8>>>>,
+    /// Per-peer outgoing links, locked independently of `view`: a socket
     /// write may block on a full send buffer, and holding the state lock
     /// across it would wedge our readers and deadlock the mesh.
     links: Vec<PeerLink>,
@@ -285,8 +106,14 @@ impl Inner {
         clock::now_nanos()
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Membership> {
+        self.view.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Changes this host's view from a carrier thread and wakes its waits.
+    fn update(&self, f: impl FnOnce(&mut Membership)) {
+        f(&mut self.lock());
+        self.cv.notify_all();
     }
 }
 
@@ -324,128 +151,23 @@ fn reader_loop(inner: Arc<Inner>, peer: usize, mut stream: TcpStream) {
     if inner.shutdown.load(Ordering::Relaxed) {
         return;
     }
-    // EOF without a DEPARTED notice means the peer process died.
-    let mut st = inner.lock();
-    if !st.departed[peer] && !st.failed[peer] {
-        st.failed[peer] = true;
-        st.departed[peer] = true;
-    }
-    drop(st);
-    inner.cv.notify_all();
-}
-
-fn encode_retx(req: &RetxRequest) -> Vec<u8> {
-    match req {
-        RetxRequest::All => vec![0],
-        RetxRequest::Chunks(chunks) => {
-            let mut body = Vec::with_capacity(5 + chunks.len() * 4);
-            body.push(1);
-            body.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-            for c in chunks {
-                body.extend_from_slice(&c.to_le_bytes());
-            }
-            body
-        }
-    }
-}
-
-fn decode_retx(body: &[u8]) -> Option<RetxRequest> {
-    match body.first()? {
-        0 => Some(RetxRequest::All),
-        1 => {
-            let n = u32::from_le_bytes(body.get(1..5)?.try_into().ok()?) as usize;
-            let rest = body.get(5..)?;
-            if rest.len() != n * 4 {
-                return None;
-            }
-            Some(RetxRequest::Chunks(
-                rest.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("sized chunk")))
-                    .collect(),
-            ))
-        }
-        _ => None,
-    }
+    // EOF without a `Departed` notice means the peer process died.
+    inner.update(|v| v.link_lost(peer, true));
 }
 
 fn apply(inner: &Inner, peer: usize, tag: u8, body: Vec<u8>) {
-    let u64_at = |b: &[u8]| -> Option<u64> { Some(u64::from_le_bytes(b.get(..8)?.try_into().ok()?)) };
-    let mut st = inner.lock();
     match tag {
-        TAG_DATA => st.inbox[peer].push(body),
-        TAG_BARRIER => {
-            if let Some(g) = u64_at(&body) {
-                st.barrier_seen[peer] = st.barrier_seen[peer].max(g);
-            }
-        }
-        TAG_GATE => {
-            if let Some(g) = u64_at(&body) {
-                st.gate_seen[peer] = st.gate_seen[peer].max(g);
-            }
-        }
-        TAG_MISSING => {
-            if let (Some(g), Some(&flag)) = (u64_at(&body), body.get(8)) {
-                st.missing[peer].insert(g, flag != 0);
-            }
-        }
-        TAG_RETX => {
-            // A malformed body is treated as "re-send everything": over-asking
-            // is always safe.
-            let req = decode_retx(&body).unwrap_or(RetxRequest::All);
-            match &mut st.retx[peer] {
-                Some(cur) => cur.merge(req),
-                cell => *cell = Some(req),
-            }
-        }
+        TAG_DATA => inner.inbox[peer]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(body),
         TAG_HB => {}
-        TAG_FAILED => {
-            if let Some(e) = u64_at(&body) {
-                if e >= st.epoch && !st.excluded[peer] {
-                    st.failed[peer] = true;
-                    st.suspected[peer] = false;
-                }
+        _ => {
+            if let Some(msg) = Ctrl::decode(tag, &body) {
+                inner.update(|v| v.apply(peer, msg));
             }
         }
-        TAG_DEPARTED => st.departed[peer] = true,
-        TAG_SHRINK => {
-            if let Some(g) = u64_at(&body) {
-                st.shrink_seen[peer] = st.shrink_seen[peer].max(g);
-            }
-        }
-        TAG_JOIN => {
-            if let Some(a) = u64_at(&body) {
-                if a == 0 {
-                    st.join_pending[peer] = false;
-                } else if st.latent[peer] && !st.departed[peer] {
-                    st.join_pending[peer] = true;
-                }
-            }
-        }
-        TAG_GROW => {
-            let ctx = body
-                .get(8..16)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes);
-            if let (Some(g), Some(cg)) = (u64_at(&body), ctx) {
-                st.grow_seen[peer] = st.grow_seen[peer].max(g);
-                st.grow_ctx_gen[peer] = st.grow_ctx_gen[peer].max(cg);
-            }
-        }
-        TAG_GROW_VERDICT => {
-            let field = |i: usize| -> Option<u64> {
-                body.get(i * 8..i * 8 + 8)
-                    .and_then(|b| b.try_into().ok())
-                    .map(u64::from_le_bytes)
-            };
-            if let (Some(g), Some(jm), Some(mm), Some(mc)) = (field(0), field(1), field(2), field(3))
-            {
-                st.apply_verdict(g, jm, mm, mc);
-            }
-        }
-        _ => {}
     }
-    drop(st);
-    inner.cv.notify_all();
 }
 
 fn handshake_connect(inner: &Inner, peer: usize) -> io::Result<TcpStream> {
@@ -522,20 +244,15 @@ fn heartbeat_loop(inner: Arc<Inner>, hb: super::HeartbeatConfig) {
             }
         }
         // Monitor: prolonged silence from a live peer is suspicion.
-        let mut st = inner.lock();
+        let mut view = inner.lock();
         let mut woke = false;
         for peer in 0..inner.hosts {
-            if peer == inner.host || st.failed[peer] || st.departed[peer] || st.latent[peer] {
-                continue;
-            }
             let seen = inner.last_rx[peer].load(Ordering::Relaxed);
             if now.saturating_sub(seen) > limit {
-                st.failed[peer] = true;
-                st.suspected[peer] = true;
-                woke = true;
+                woke |= view.suspect(peer);
             }
         }
-        drop(st);
+        drop(view);
         if woke {
             inner.cv.notify_all();
         }
@@ -552,8 +269,7 @@ fn send_on(inner: &Arc<Inner>, peer: usize, tag: u8, body: &[u8]) {
         // socket burns the whole reconnect budget per message and can
         // re-fail a healed mesh. Latent peers that have not knocked yet
         // are equally unreachable — their process may not even exist.
-        let st = inner.lock();
-        if st.departed[peer] || st.excluded[peer] || (st.latent[peer] && !st.join_pending[peer]) {
+        if !inner.lock().reachable(peer) {
             return;
         }
     }
@@ -654,11 +370,8 @@ fn write_or_revive(inner: &Arc<Inner>, peer: usize, buf: &[u8]) -> bool {
         if inner.shutdown.load(Ordering::Relaxed) {
             return true;
         }
-        {
-            let st = inner.lock();
-            if st.departed[peer] || st.excluded[peer] {
-                return true;
-            }
+        if !inner.lock().reachable(peer) {
+            return true;
         }
         if peer < inner.host {
             // We are the client for this pair: reconnect and re-handshake.
@@ -710,12 +423,7 @@ fn writer_loop(inner: Arc<Inner>, peer: usize) {
             q.dead = true;
             q.pending.clear();
         }
-        let mut st = inner.lock();
-        if !st.failed[peer] {
-            st.failed[peer] = true;
-        }
-        drop(st);
-        inner.cv.notify_all();
+        inner.update(|v| v.link_lost(peer, false));
     }
 }
 
@@ -724,23 +432,13 @@ impl TcpTransport {
     /// full port table (one loopback port per host). Used by the
     /// in-process TCP-loopback cluster mode, where all listeners are bound
     /// on port 0 up front.
+    ///
+    /// `latent` hosts are addressable capacity rather than members: they
+    /// take no part in collectives until a grow admits them. A latent host
+    /// constructing its own transport dials every member up front
+    /// (whatever the id order — it is always the late side of the pair);
+    /// members do not wait for latent peers to show up.
     pub fn with_listener(
-        host: usize,
-        num_hosts: usize,
-        listener: TcpListener,
-        ports: &[u16],
-        cfg: TransportConfig,
-    ) -> io::Result<Self> {
-        TcpTransport::with_listener_with_latent(host, num_hosts, listener, ports, cfg, &[])
-    }
-
-    /// Like [`TcpTransport::with_listener`], but with `latent` hosts that
-    /// are addressable capacity rather than members: they take no part in
-    /// collectives until a grow admits them. A latent host constructing
-    /// its own transport dials every member up front (whatever the id
-    /// order — it is always the late side of the pair); members do not
-    /// wait for latent peers to show up.
-    pub fn with_listener_with_latent(
         host: usize,
         num_hosts: usize,
         listener: TcpListener,
@@ -757,9 +455,9 @@ impl TcpTransport {
             hosts: num_hosts,
             cfg,
             ports: ports.to_vec(),
-            initial_latent: latent.to_vec(),
-            state: StdMutex::new(State::new(num_hosts, latent)),
+            view: StdMutex::new(Membership::new(num_hosts, host, latent)),
             cv: Condvar::new(),
+            inbox: (0..num_hosts).map(|_| StdMutex::new(Vec::new())).collect(),
             links: (0..num_hosts).map(|_| PeerLink::new()).collect(),
             shutdown: AtomicBool::new(false),
             // Seed liveness with "now": the clock epoch is process global,
@@ -858,23 +556,12 @@ impl TcpTransport {
     }
 
     /// Binds `127.0.0.1:port_base + host` (retrying while the port is in
-    /// `TIME_WAIT`) and joins the mesh. Used by `kimbap run _worker`
+    /// `TIME_WAIT`) and joins the mesh with `latent` hosts (see
+    /// [`TcpTransport::with_listener`]). Used by `kimbap run _worker`
     /// multi-process mode, where every worker derives the same port table
-    /// from `port_base`.
+    /// from `port_base`; a late-spawned worker joining a running cluster
+    /// binds its own listener here and dials every member.
     pub fn bind(
-        host: usize,
-        num_hosts: usize,
-        port_base: u16,
-        cfg: TransportConfig,
-    ) -> io::Result<Self> {
-        TcpTransport::bind_with_latent(host, num_hosts, port_base, cfg, &[])
-    }
-
-    /// Like [`TcpTransport::bind`], but with `latent` hosts (see
-    /// [`TcpTransport::with_listener_with_latent`]). A late-spawned
-    /// `_worker` process joining a running cluster binds its own listener
-    /// here and dials every member.
-    pub fn bind_with_latent(
         host: usize,
         num_hosts: usize,
         port_base: u16,
@@ -902,7 +589,7 @@ impl TcpTransport {
                 Err(_) => std::thread::sleep(Duration::from_millis(50)),
             }
         };
-        TcpTransport::with_listener_with_latent(host, num_hosts, listener, &ports, cfg, latent)
+        TcpTransport::with_listener(host, num_hosts, listener, &ports, cfg, latent)
     }
 
     /// Binds one loopback listener per host on ephemeral ports; returns
@@ -971,49 +658,6 @@ impl Drop for TcpTransport {
     }
 }
 
-impl TcpTransport {
-    fn broadcast(&self, tag: u8, body: &[u8]) {
-        for peer in 0..self.inner.hosts {
-            if peer != self.inner.host {
-                send_on(&self.inner, peer, tag, body);
-            }
-        }
-    }
-
-    /// Waits until `done(state)` holds, erroring on failure or deadline.
-    fn wait_for<F, G>(&self, deadline: &Deadline, done: F, laggards: G) -> Result<(), CommError>
-    where
-        F: Fn(&mut State) -> bool,
-        G: Fn(&State) -> Vec<usize>,
-    {
-        let mut st = self.inner.lock();
-        loop {
-            if let Some(err) = st.failure() {
-                return Err(err);
-            }
-            if done(&mut st) {
-                return Ok(());
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards(&st),
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-}
-
 impl Transport for TcpTransport {
     fn host(&self) -> usize {
         self.inner.host
@@ -1028,122 +672,45 @@ impl Transport for TcpTransport {
     }
 
     fn drain(&self, from: usize) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.inner.lock().inbox[from])
+        std::mem::take(&mut *self.inner.inbox[from].lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    fn request_retx(&self, from: usize, req: RetxRequest) {
-        send_on(&self.inner, from, TAG_RETX, &encode_retx(&req));
+    fn post(&self, to: usize, msg: Ctrl) {
+        let (tag, body) = msg.encode();
+        send_on(&self.inner, to, tag, &body);
     }
 
-    fn take_retx_requests(&self) -> Vec<(usize, RetxRequest)> {
-        let mut st = self.inner.lock();
-        (0..self.inner.hosts)
-            .filter_map(|r| st.retx[r].take().map(|req| (r, req)))
-            .collect()
-    }
-
-    fn barrier(&self, deadline: &Deadline) -> Result<(), CommError> {
-        let me = self.inner.host;
-        let arrival = self.inner.lock().bar_gen + 1;
-        self.broadcast(TAG_BARRIER, &arrival.to_le_bytes());
-        self.wait_for(
-            deadline,
-            |st| {
-                let done = (0..st.barrier_seen.len())
-                    .all(|p| p == me || st.bystander(p) || st.barrier_seen[p] >= arrival);
-                if done {
-                    st.bar_gen = arrival;
+    fn wait(&self, deadline: &Deadline, step: &mut dyn FnMut(&mut Membership, bool) -> bool) {
+        let mut view = self.inner.lock();
+        loop {
+            let rem = deadline.remaining();
+            if step(&mut view, rem.is_some_and(|r| r.is_zero())) {
+                return;
+            }
+            view = match rem {
+                None => self.inner.cv.wait(view).unwrap_or_else(|e| e.into_inner()),
+                Some(rem) => {
+                    self.inner
+                        .cv
+                        .wait_timeout(view, rem)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
                 }
-                done
-            },
-            |st| {
-                (0..st.barrier_seen.len())
-                    .filter(|&p| {
-                        p != me && st.barrier_seen[p] < arrival && !st.failed[p] && !st.bystander(p)
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    fn sync_missing(&self, missing: bool, deadline: &Deadline) -> Result<Vec<bool>, CommError> {
-        let me = self.inner.host;
-        let gen = self.inner.lock().miss_gen + 1;
-        let mut body = gen.to_le_bytes().to_vec();
-        body.push(missing as u8);
-        self.broadcast(TAG_MISSING, &body);
-        self.wait_for(
-            deadline,
-            |st| {
-                (0..st.missing.len())
-                    .all(|p| p == me || st.bystander(p) || st.missing[p].contains_key(&gen))
-            },
-            |st| {
-                (0..st.missing.len())
-                    .filter(|&p| {
-                        p != me
-                            && !st.missing[p].contains_key(&gen)
-                            && !st.failed[p]
-                            && !st.bystander(p)
-                    })
-                    .collect()
-            },
-        )?;
-        let mut st = self.inner.lock();
-        let flags = (0..self.inner.hosts)
-            .map(|p| {
-                if p == me {
-                    missing
-                } else if st.bystander(p) {
-                    false
-                } else {
-                    st.missing[p][&gen]
-                }
-            })
-            .collect();
-        // Prune consumed generations; later ones (fast peers) are kept.
-        for p in 0..self.inner.hosts {
-            st.missing[p] = st.missing[p].split_off(&(gen + 1));
+            };
         }
-        st.miss_gen = gen;
-        Ok(flags)
     }
 
-    fn mark_failed(&self) {
-        let epoch = self.inner.lock().epoch;
-        self.broadcast(TAG_FAILED, &epoch.to_le_bytes());
-    }
-
-    fn mark_departed(&self) {
-        self.broadcast(TAG_DEPARTED, &[]);
-    }
-
-    fn gate_align(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.gate_wait(deadline, false)
-    }
-
-    fn recover_reset(&self) {
-        let mut st = self.inner.lock();
-        for row in &mut st.inbox {
-            row.clear();
+    fn reset(&self) {
+        for row in &self.inner.inbox {
+            row.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
-        for m in &mut st.missing {
-            m.clear();
-        }
-        for r in &mut st.retx {
-            *r = None;
-        }
-        st.barrier_seen.iter_mut().for_each(|g| *g = 0);
-        st.bar_gen = 0;
-        st.miss_gen = 0;
-        drop(st);
         // Recovery means no live traffic is in flight: drop stale queued
         // data-path frames and give dead-declared links a fresh chance —
         // the peer may only have stalled, and the heal is about to
-        // re-admit it. Membership agreement frames (shrink/join/grow
-        // announcements and the grow verdict) must survive the purge: the
-        // grow leader resets its own protocol state immediately after
-        // cutting a verdict its peers may not have received yet.
+        // re-admit it. Membership agreement frames (tags from `Shrink` up)
+        // must survive the purge: the grow leader resets its own protocol
+        // state immediately after cutting a verdict its peers may not have
+        // received yet.
         for link in &self.inner.links {
             let mut q = link.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.pending
@@ -1158,418 +725,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn gate_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        self.gate_wait(deadline, true)
-    }
-
-    fn gate_shrink(&self, deadline: &Deadline) -> Result<Vec<usize>, CommError> {
-        let me = self.inner.host;
-        let arrival = self.inner.lock().shrink_gen + 1;
-        self.broadcast(TAG_SHRINK, &arrival.to_le_bytes());
-        let mut st = self.inner.lock();
-        loop {
-            // A dead host never announces a shrink generation, so
-            // completion requires observing its departure locally: with a
-            // single casualty every survivor agrees on exactly that host.
-            // (Simultaneous casualties may split across verdicts; the
-            // stragglers surface as a fresh MembershipLost and shrink in a
-            // following round.)
-            let done = (0..self.inner.hosts).all(|p| {
-                p == me || st.bystander(p) || st.departed[p] || st.shrink_seen[p] >= arrival
-            });
-            if done {
-                let verdict: Vec<usize> = (0..self.inner.hosts)
-                    .filter(|&p| st.departed[p] && !st.bystander(p))
-                    .collect();
-                st.shrink_gen = arrival;
-                for &p in &verdict {
-                    st.excluded[p] = true;
-                    st.failed[p] = false;
-                    st.suspected[p] = false;
-                }
-                return Ok(verdict);
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..self.inner.hosts)
-                        .filter(|&p| {
-                            p != me
-                                && st.shrink_seen[p] < arrival
-                                && !st.departed[p]
-                                && !st.bystander(p)
-                        })
-                        .collect();
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    fn shrink_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        // A second round of the shrink-generation gate, not the recovery
-        // gate: every survivor already announced `gate_gen + 1` during the
-        // alignment attempt that surfaced the departure (the attempt
-        // errored without advancing `gate_gen`), so a gate-based heal
-        // would complete instantly off those stale announcements — before
-        // peers have reset — and frames sent after it could be wiped by a
-        // peer's late `recover_reset`. Shrink generations are announced
-        // only from inside `recover_shrink` and have no abort path, so an
-        // announcement of `shrink_gen + 1` proves the peer finished its
-        // reset and entered the heal.
-        let me = self.inner.host;
-        let arrival = self.inner.lock().shrink_gen + 1;
-        self.broadcast(TAG_SHRINK, &arrival.to_le_bytes());
-        let mut st = self.inner.lock();
-        loop {
-            let done = (0..self.inner.hosts).all(|p| {
-                p == me || st.bystander(p) || st.departed[p] || st.shrink_seen[p] >= arrival
-            });
-            if done {
-                st.shrink_gen = arrival;
-                st.epoch += 1;
-                st.failed.iter_mut().for_each(|f| *f = false);
-                st.suspected.iter_mut().for_each(|f| *f = false);
-                return Ok(());
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..self.inner.hosts)
-                        .filter(|&p| {
-                            p != me
-                                && st.shrink_seen[p] < arrival
-                                && !st.departed[p]
-                                && !st.bystander(p)
-                        })
-                        .collect();
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    fn departed_hosts(&self) -> Vec<usize> {
-        let st = self.inner.lock();
-        (0..self.inner.hosts)
-            .filter(|&p| st.departed[p] && !st.bystander(p))
-            .collect()
-    }
-
-    fn gate_grow(&self, deadline: &Deadline, my_generation: u64) -> Result<GrowVerdict, CommError> {
-        if self.inner.lock().latent[self.inner.host] {
-            self.grow_knock(deadline)
-        } else {
-            self.grow_member(deadline, my_generation)
-        }
-    }
-
-    fn grow_heal(&self, deadline: &Deadline) -> Result<(), CommError> {
-        // A second round of the grow-generation gate, mirroring
-        // `shrink_heal`: grow generations are announced only from inside
-        // the grow path with no abort between reset and announcement, so
-        // an announcement of `grow_gen + 1` proves the peer finished its
-        // reset. The recovery gate cannot be reused here — the joiner's
-        // gate generation starts at zero while members' have advanced, and
-        // stale `TAG_GATE` announcements from the aborted round could
-        // complete a gate-based heal before peers have reset.
-        let me = self.inner.host;
-        let arrival = self.inner.lock().grow_gen + 1;
-        let mut body = arrival.to_le_bytes().to_vec();
-        body.extend_from_slice(&0u64.to_le_bytes());
-        self.broadcast(TAG_GROW, &body);
-        let mut st = self.inner.lock();
-        loop {
-            let done = (0..self.inner.hosts).all(|p| {
-                p == me || st.bystander(p) || st.departed[p] || st.grow_seen[p] >= arrival
-            });
-            if done {
-                st.grow_gen = arrival;
-                st.epoch += 1;
-                st.failed.iter_mut().for_each(|f| *f = false);
-                st.suspected.iter_mut().for_each(|f| *f = false);
-                return Ok(());
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..self.inner.hosts)
-                        .filter(|&p| {
-                            p != me
-                                && st.grow_seen[p] < arrival
-                                && !st.departed[p]
-                                && !st.bystander(p)
-                        })
-                        .collect();
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    fn pending_joiners(&self) -> Vec<usize> {
-        let st = self.inner.lock();
-        (0..self.inner.hosts)
-            .filter(|&p| st.latent[p] && st.join_pending[p] && !st.departed[p])
-            .collect()
-    }
-
-    fn latent_hosts(&self) -> Vec<usize> {
-        self.inner.initial_latent.clone()
-    }
-
     fn silence(&self, d: Duration) {
         let until = self.inner.now_nanos() + d.as_nanos() as u64;
         self.inner.silence_until.store(until, Ordering::Relaxed);
-    }
-}
-
-impl TcpTransport {
-    /// Gate arrival + wait; with `heal`, clears the failure state and bumps
-    /// the epoch once every peer has arrived. Unlike the in-proc gate this
-    /// heals per-host local state, which is sound because each host resets
-    /// *before* announcing its heal-gate arrival: by the time every arrival
-    /// is visible here, every reset has happened, and `FAILED` notices from
-    /// before the heal carry a stale epoch.
-    fn gate_wait(&self, deadline: &Deadline, heal: bool) -> Result<(), CommError> {
-        let me = self.inner.host;
-        let arrival = self.inner.lock().gate_gen + 1;
-        self.broadcast(TAG_GATE, &arrival.to_le_bytes());
-        let mut st = self.inner.lock();
-        loop {
-            let gone: Vec<usize> = (0..self.inner.hosts)
-                .filter(|&p| st.departed[p] && !st.bystander(p))
-                .collect();
-            if !gone.is_empty() {
-                return Err(CommError::HostFailure { hosts: gone });
-            }
-            let done = (0..self.inner.hosts)
-                .all(|p| p == me || st.bystander(p) || st.gate_seen[p] >= arrival);
-            if done {
-                st.gate_gen = arrival;
-                if heal {
-                    st.epoch += 1;
-                    st.failed.iter_mut().for_each(|f| *f = false);
-                    st.suspected.iter_mut().for_each(|f| *f = false);
-                }
-                return Ok(());
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..self.inner.hosts)
-                        .filter(|&p| p != me && st.gate_seen[p] < arrival && !st.bystander(p))
-                        .collect();
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    /// The joiner's side of the grow gate: knock (`TAG_JOIN`) and wait for
-    /// a verdict that admits us. Suspicion accumulated while knocking is
-    /// meaningless (we are not a member yet), so the wait ignores failure
-    /// flags; on timeout the knock is retracted so a later grow cannot
-    /// admit us in absentia.
-    fn grow_knock(&self, deadline: &Deadline) -> Result<GrowVerdict, CommError> {
-        let me = self.inner.host;
-        {
-            let mut st = self.inner.lock();
-            for p in 0..self.inner.hosts {
-                if !st.departed[p] {
-                    st.failed[p] = false;
-                    st.suspected[p] = false;
-                }
-            }
-        }
-        self.broadcast(TAG_JOIN, &1u64.to_le_bytes());
-        let mut st = self.inner.lock();
-        loop {
-            if let Some((_, joined_mask, member_mask, max_ctx)) = st.last_verdict {
-                if joined_mask & (1u64 << me) != 0 {
-                    let joined = (0..self.inner.hosts)
-                        .filter(|&p| joined_mask & (1u64 << p) != 0)
-                        .collect();
-                    return Ok(GrowVerdict {
-                        joined,
-                        members: member_mask,
-                        generation: max_ctx,
-                    });
-                }
-            }
-            // Every member gone means the cluster exited (or died) while
-            // we were knocking: no verdict will ever come.
-            let gone: Vec<usize> = (0..self.inner.hosts)
-                .filter(|&p| p != me && !st.latent[p] && !st.excluded[p] && st.departed[p])
-                .collect();
-            let members_left = (0..self.inner.hosts)
-                .any(|p| p != me && !st.latent[p] && !st.excluded[p] && !st.departed[p]);
-            if !members_left {
-                return Err(CommError::HostFailure { hosts: gone });
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..self.inner.hosts)
-                        .filter(|&p| p != me && !st.bystander(p) && !st.departed[p])
-                        .collect();
-                    drop(st);
-                    self.broadcast(TAG_JOIN, &0u64.to_le_bytes());
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
-    }
-
-    /// The member's side of the grow gate: announce the round, then wait
-    /// for the verdict. The leader — the lowest-id live member — cuts the
-    /// verdict once every member has announced this round, admitting every
-    /// candidate with an unretracted knock (possibly none, so a candidate
-    /// that died or gave up mid-gate cannot wedge the gate), and
-    /// broadcasts it so a double-join race cannot split the verdict.
-    fn grow_member(
-        &self,
-        deadline: &Deadline,
-        my_generation: u64,
-    ) -> Result<GrowVerdict, CommError> {
-        let me = self.inner.host;
-        let hosts = self.inner.hosts;
-        let arrival = self.inner.lock().grow_gen + 1;
-        let mut body = arrival.to_le_bytes().to_vec();
-        body.extend_from_slice(&my_generation.to_le_bytes());
-        self.broadcast(TAG_GROW, &body);
-        let mut st = self.inner.lock();
-        loop {
-            if let Some(err) = st.failure() {
-                return Err(err);
-            }
-            let gone: Vec<usize> = (0..hosts)
-                .filter(|&p| st.departed[p] && !st.bystander(p))
-                .collect();
-            if !gone.is_empty() {
-                return Err(CommError::HostFailure { hosts: gone });
-            }
-            if st.grow_gen >= arrival {
-                // The verdict was applied (leader broadcast reached us).
-                let (_, joined_mask, member_mask, max_ctx) =
-                    st.last_verdict.expect("grow generation without verdict");
-                let joined = (0..hosts)
-                    .filter(|&p| joined_mask & (1u64 << p) != 0)
-                    .collect();
-                return Ok(GrowVerdict {
-                    joined,
-                    members: member_mask,
-                    generation: max_ctx.max(my_generation),
-                });
-            }
-            let leader = (0..hosts).find(|&p| !st.bystander(p) && !st.departed[p]);
-            if leader == Some(me) {
-                let all_in = (0..hosts).all(|p| {
-                    p == me || st.bystander(p) || st.departed[p] || st.grow_seen[p] >= arrival
-                });
-                if all_in {
-                    let joined: Vec<usize> = (0..hosts)
-                        .filter(|&p| st.latent[p] && st.join_pending[p] && !st.departed[p])
-                        .collect();
-                    let joined_mask = joined.iter().fold(0u64, |m, &p| m | (1u64 << p));
-                    let member_mask = (0..hosts)
-                        .filter(|&p| !st.excluded[p] && !st.latent[p] && !st.departed[p])
-                        .fold(joined_mask, |m, p| m | (1u64 << p));
-                    let max_ctx = (0..hosts)
-                        .filter(|&p| p != me && !st.bystander(p) && !st.departed[p])
-                        .map(|p| st.grow_ctx_gen[p])
-                        .max()
-                        .unwrap_or(0)
-                        .max(my_generation);
-                    st.apply_verdict(arrival, joined_mask, member_mask, max_ctx);
-                    drop(st);
-                    let mut vb = Vec::with_capacity(32);
-                    vb.extend_from_slice(&arrival.to_le_bytes());
-                    vb.extend_from_slice(&joined_mask.to_le_bytes());
-                    vb.extend_from_slice(&member_mask.to_le_bytes());
-                    vb.extend_from_slice(&max_ctx.to_le_bytes());
-                    self.broadcast(TAG_GROW_VERDICT, &vb);
-                    return Ok(GrowVerdict {
-                        joined,
-                        members: member_mask,
-                        generation: max_ctx,
-                    });
-                }
-            }
-            st = match deadline.remaining() {
-                None => self.inner.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(rem) if rem.is_zero() => {
-                    let laggards = (0..hosts)
-                        .filter(|&p| {
-                            p != me
-                                && st.grow_seen[p] < arrival
-                                && !st.departed[p]
-                                && !st.bystander(p)
-                        })
-                        .collect();
-                    return Err(CommError::Timeout {
-                        phase: deadline.phase(),
-                        hosts: laggards,
-                    });
-                }
-                Some(rem) => {
-                    self.inner
-                        .cv
-                        .wait_timeout(st, rem)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
     }
 }

@@ -533,7 +533,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
     let parts = partition_tier(&g, row.policy, hosts, compressed);
     let plan = fault_plan(&faults, seed, hosts)?;
     let latent = plan.latent_hosts();
-    let transport = match TcpTransport::bind_with_latent(
+    let transport = match TcpTransport::bind(
         host,
         hosts,
         port_base,

@@ -9,6 +9,10 @@
 //!   cc_lp, louvain, msf) produces bit-identical output on all three
 //!   backends, and the injecting plans actually exercise the repair path
 //!   (nonzero retransmission counters);
+//! * a permanently killed host is shrunk away and a live joiner is
+//!   admitted with the same labels, the same shrink / grow verdicts and
+//!   the same membership counters on every backend — all three run the
+//!   one membership protocol;
 //! * a hung host is flagged — by the phase deadline or by the heartbeat
 //!   failure detector — and checkpoint replay restores the fault-free
 //!   answer. Each detector is checked on the simulation backend (where
@@ -218,4 +222,90 @@ fn engine_hung_host_recovers_via_heartbeat() {
         assert_eq!(labels, baseline, "heartbeat recovery diverged on {name}");
         assert!(suspicions >= 1, "no heartbeat suspicion recorded on {name}");
     }
+}
+
+/// What one elastic conformance run agreed, per surviving host: final
+/// members, membership generation, `membership_changes` and `joins`.
+type Agreement = Vec<(Vec<usize>, u64, u64, u64)>;
+
+/// The elastic compiled cc-lp plan on `cluster` under `plan`: members run
+/// `run_plan_elastic` (`allow_shrink`, plus `allow_grow` when `grow`), a
+/// latent host `join_plan_elastic`. Returns the merged labels and what
+/// every finishing host agreed; the killed host's own abort is skipped.
+fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan, grow: bool) -> (Vec<u64>, Agreement) {
+    use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
+    use kimbap_comm::Deadline;
+    let prog = compile(&programs::cc_lp(), OptLevel::Full);
+    let config = EngineConfig {
+        allow_grow: grow,
+        ..EngineConfig::default()
+    };
+    let res = cluster.try_run_with_faults(plan, |ctx| {
+        let out = if ctx.is_member() {
+            run_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx)
+        } else {
+            let deadline = Deadline::after("join", Duration::from_secs(60));
+            join_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx, &deadline)
+                .expect("the joiner must be admitted")
+        };
+        let s = ctx.stats();
+        let agreed = (ctx.members(), ctx.generation(), s.membership_changes, s.joins);
+        (out.map_values[0].clone(), agreed)
+    });
+    let mut values = Vec::new();
+    let mut agreed = Vec::new();
+    for (h, r) in res.into_iter().enumerate() {
+        match r {
+            Ok((v, a)) => {
+                values.push(v);
+                agreed.push(a);
+            }
+            Err(e) if common::permanent_loss(&e.message) => {}
+            Err(e) => panic!("host {h}: {e}"),
+        }
+    }
+    (merge_master_values(g.num_nodes(), values), agreed)
+}
+
+/// The conformance rows for membership change: elastic cc-lp with host 1
+/// killed mid-run (`allow_shrink`), and cc-lp with a latent host joining
+/// (`allow_grow`). On in-proc, TCP loopback and the simulation, labels
+/// equal the fault-free baseline, and the shrink and grow verdicts — the
+/// final member set, the generation, `membership_changes` and `joins` on
+/// every finishing host — are identical across backends.
+#[test]
+fn kill_and_join_rows_agree_across_backends() {
+    let g = gen::rmat(7, 4, 31);
+    let (baseline, _) = cc_lp_labels(&g, &Cluster::with_threads(HOSTS, 2), FaultPlan::new(), true);
+    let with_joiner = |c: Cluster| -> Cluster {
+        match c.backend() {
+            kimbap_comm::Backend::InProc => Cluster::with_threads(HOSTS + 1, 2),
+            kimbap_comm::Backend::TcpLoopback => Cluster::with_threads(HOSTS + 1, 2).tcp(),
+            kimbap_comm::Backend::Sim { seed } => Cluster::with_threads(HOSTS + 1, 2).sim(seed),
+        }
+    };
+    let mut shrinks = Vec::new();
+    let mut grows = Vec::new();
+    for (name, cluster) in backends() {
+        let (labels, agreed) =
+            elastic_cc_lp(&g, &cluster, FaultPlan::new().kill_host(1, 2), false);
+        assert_eq!(labels, baseline, "kill row diverged on {name}");
+        assert_eq!(agreed.len(), HOSTS - 1, "survivors on {name}");
+        shrinks.push((name, agreed));
+
+        let cluster = with_joiner(cluster);
+        let (labels, agreed) = elastic_cc_lp(&g, &cluster, FaultPlan::new().join_host(HOSTS, 0), true);
+        assert_eq!(labels, baseline, "join row diverged on {name}");
+        assert_eq!(agreed.len(), HOSTS + 1, "members plus joiner on {name}");
+        grows.push((name, agreed));
+    }
+    for rows in [&shrinks, &grows] {
+        let (first, expect) = &rows[0];
+        assert!(expect.windows(2).all(|w| w[0] == w[1]), "hosts disagree on {first}: {expect:?}");
+        for (name, agreed) in rows.iter() {
+            assert_eq!(agreed, expect, "{name} agreed differently from {first}");
+        }
+    }
+    assert_eq!(shrinks[0].1[0], (vec![0, 2], 1, 1, 0), "one shrink removing host 1");
+    assert_eq!(grows[0].1[0], ((0..=HOSTS).collect(), 1, 1, 1), "one grow admitting the joiner");
 }

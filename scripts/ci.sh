@@ -82,16 +82,20 @@ if [ "$status" -ne 1 ] || ! grep -q -- "unknown flag '--hub-threshold'" "$SMOKE_
 fi
 echo "    unknown flags rejected by name"
 
-echo "==> TCP kill smoke (worker 1 killed mid-run; survivors' output diffed)"
+echo "==> kill smoke (worker 1 killed mid-run, TCP and in-proc; survivors' output diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
     --out "$SMOKE_DIR/clean.txt"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
     --transport tcp --port-base 46900 --faults kill --allow-shrink \
     --out "$SMOKE_DIR/degraded.txt"
 diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded.txt"
-echo "    degraded (3-host) and fault-free (4-host) labels identical"
+# In-proc runs the same membership protocol (membership.rs) as TCP.
+./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
+    --faults kill --allow-shrink --out "$SMOKE_DIR/degraded-inproc.txt"
+diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded-inproc.txt"
+echo "    degraded (3-host) and fault-free (4-host) labels identical, TCP and in-proc"
 
-echo "==> TCP grow smoke (a real worker process joins mid-run; output diffed)"
+echo "==> grow smoke (a joiner admitted mid-run, TCP worker process and in-proc; output diffed)"
 # A grid graph's diameter keeps cc-lp running long enough for the
 # late-spawned joiner worker to knock mid-computation.
 ./target/release/kimbap gen --kind grid --rows 150 --cols 150 --seed 9 \
@@ -102,7 +106,10 @@ echo "==> TCP grow smoke (a real worker process joins mid-run; output diffed)"
     --transport tcp --port-base 47200 --faults join --allow-grow \
     --out "$SMOKE_DIR/grid-grown.txt"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown.txt"
-echo "    grown (3 -> 4 host) and fault-free labels identical"
+./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
+    --faults join --allow-grow --out "$SMOKE_DIR/grid-grown-inproc.txt"
+diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown-inproc.txt"
+echo "    grown (3 -> 4 host) and fault-free labels identical, TCP and in-proc"
 
 echo "==> compressed-vs-raw smoke (cc-lp + louvain, inproc and sim, diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
