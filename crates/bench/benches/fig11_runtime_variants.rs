@@ -103,7 +103,7 @@ fn bench(name: &str, app: &str, g: &Graph, hosts: usize) {
                 algos::cc::cc_sv(dg, ctx, &b);
             }
         });
-        row(label, s.secs, s.comp_secs(), s.comm_secs, false);
+        row(label, s.secs, s.comp_secs(), s.comm_secs(), false);
         json::record("fig11_runtime_variants", &case, system, hosts, &s);
     }
 }

@@ -33,11 +33,11 @@ fn bench(name: &str, app: &str, prog: &kimbap_compiler::ir::Program, g: &Graph, 
             hosts.to_string(),
             fmt(s.secs),
             fmt(s.comp_secs()),
-            fmt(s.comm_secs),
-            format!("{}B", s.bytes),
+            fmt(s.comm_secs()),
+            format!("{}B", s.totals.bytes),
             format!("{}rnd", outs[0]),
         ]);
-        measured.push(s.bytes);
+        measured.push(s.totals.bytes);
     }
     assert!(
         measured[1] >= measured[0],

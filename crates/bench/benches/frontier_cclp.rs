@@ -98,7 +98,7 @@ fn main() {
             hosts.to_string(),
             outs[0].rounds.to_string(),
             fmt(s.secs),
-            fmt(s.reduce_compute_secs),
+            fmt(s.totals.reduce_compute_nanos as f64 / 1e9),
             fmt(tail_comp),
             format!("{tail_active}/{tail_total}"),
         ]);

@@ -79,18 +79,19 @@ fn main() {
     }
     // The whole point of serving from residency: repeats never recompute.
     let expected_hits = (jobs.len() - distinct.len()) as u64 * HOSTS as u64;
+    let c = &s.totals;
     assert!(
-        s.cache_hits > 0,
+        c.cache_hits > 0,
         "a stream with {PASSES} passes over the same queries must hit the cache"
     );
     assert_eq!(
-        (s.cache_hits, s.cache_misses),
+        (c.cache_hits, c.cache_misses),
         (expected_hits, distinct.len() as u64 * HOSTS as u64),
         "every repeat cached, every first sight computed, on every host"
     );
 
     let jobs_per_sec = jobs.len() as f64 / s.secs.max(1e-9);
-    let hit_ratio = s.cache_hits as f64 / (s.cache_hits + s.cache_misses).max(1) as f64;
+    let hit_ratio = c.cache_hits as f64 / (c.cache_hits + c.cache_misses).max(1) as f64;
     print_row(&[
         "social/mixed".into(),
         HOSTS.to_string(),
@@ -107,9 +108,9 @@ fn main() {
         s.secs,
         jobs_per_sec,
         hit_ratio,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_evictions,
+        c.cache_hits,
+        c.cache_misses,
+        c.cache_evictions,
     );
     println!("expected shape: hit ratio ~0.67; cached passes cost ~nothing next to pass one.");
 }

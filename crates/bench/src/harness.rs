@@ -1,68 +1,26 @@
 //! Timing and reporting helpers for the figure/table benches.
 
-use kimbap_comm::{Cluster, HostCtx};
+use kimbap_comm::{Cluster, HostCtx, HostStats};
 use kimbap_dist::DistGraph;
 use std::time::Instant;
 
+/// Nanoseconds as seconds.
+pub(crate) fn secs(nanos: u64) -> f64 {
+    nanos as f64 / 1e9
+}
+
 /// One measured run: wall-clock split into computation and communication
-/// (the stacked bars of Figs. 11 and 12), plus traffic counters and the
-/// per-phase breakdown engines report through `HostCtx::add_phase_nanos`.
+/// (the stacked bars of Figs. 11 and 12), plus every host's counters —
+/// traffic, recovery events and the per-phase breakdown engines report
+/// through `HostCtx::add_phase_nanos` — and the graph's footprint.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Total wall-clock seconds (max over hosts, measured inside the SPMD
     /// closure — cluster spawn/teardown is excluded).
     pub secs: f64,
-    /// Seconds inside communication calls (max over hosts).
-    pub comm_secs: f64,
-    /// Messages sent between hosts (sum).
-    pub messages: u64,
-    /// Payload bytes sent between hosts (sum).
-    pub bytes: u64,
-    /// Frames re-sent after loss or corruption (sum over hosts; zero in
-    /// fault-free runs).
-    pub retransmits: u64,
-    /// Received frames rejected by length/CRC validation (sum over hosts).
-    pub crc_rejects: u64,
-    /// Collectives aborted on heartbeat suspicion (sum over hosts).
-    pub heartbeat_suspicions: u64,
-    /// Collectives aborted on a phase deadline (sum over hosts).
-    pub timeout_aborts: u64,
-    /// Membership generations agreed past permanent host loss (max over
-    /// hosts: every survivor of the same shrink counts it once).
-    pub membership_changes: u64,
-    /// BSP rounds executed on a shrunk membership (max over hosts).
-    pub degraded_rounds: u64,
-    /// Master keys received from other hosts by re-shard exchanges after
-    /// a shrink (sum over hosts).
-    pub resharded_keys: u64,
-    /// Hosts admitted into the membership by grow agreements (max over
-    /// hosts: every participant of the same grow counts it once).
-    pub joins: u64,
-    /// Master keys received from other hosts by grow re-shard exchanges
-    /// after a join (sum over hosts).
-    pub grow_resharded_keys: u64,
-    /// Seconds in the request-compute phase (max over hosts; zero unless
-    /// the workload reports phases).
-    pub request_compute_secs: f64,
-    /// Seconds in request-sync collectives (max over hosts).
-    pub request_sync_secs: f64,
-    /// Seconds in the reduce-compute phase (max over hosts).
-    pub reduce_compute_secs: f64,
-    /// Seconds in reduce-sync/broadcast-sync collectives (max over hosts).
-    pub reduce_sync_secs: f64,
-    /// Wire chunks sent by the chunked framing layer (sum over hosts).
-    pub chunks_sent: u64,
-    /// Individual chunks re-sent on targeted retransmit requests (sum
-    /// over hosts; zero in fault-free runs).
-    pub chunk_retransmits: u64,
-    /// Serve-layer result-cache hits (sum over hosts; zero unless a
-    /// serving layer answered queries from its cache).
-    pub cache_hits: u64,
-    /// Serve-layer result-cache misses (sum over hosts).
-    pub cache_misses: u64,
-    /// Serve-layer result-cache evictions, capacity or epoch-purge (sum
-    /// over hosts).
-    pub cache_evictions: u64,
+    /// Every host's counters folded with [`HostStats::merge`]: traffic and
+    /// work sum, times and cluster-wide events take the max.
+    pub totals: HostStats,
     /// Local graph storage, summed over hosts (raw CSR arrays or the
     /// compressed tier's blocks — whatever the partitions carry).
     pub graph_bytes: u64,
@@ -77,9 +35,14 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Seconds inside communication calls (max over hosts).
+    pub fn comm_secs(&self) -> f64 {
+        secs(self.totals.comm_nanos)
+    }
+
     /// Computation seconds (wall minus communication).
     pub fn comp_secs(&self) -> f64 {
-        (self.secs - self.comm_secs).max(0.0)
+        (self.secs - self.comm_secs()).max(0.0)
     }
 }
 
@@ -126,29 +89,7 @@ pub fn run_timed<R: Send>(
     let mut out = Vec::with_capacity(hosts);
     for (r, secs, s) in results {
         stats.secs = stats.secs.max(secs);
-        stats.comm_secs = stats.comm_secs.max(s.comm_nanos as f64 / 1e9);
-        stats.messages += s.messages;
-        stats.bytes += s.bytes;
-        stats.retransmits += s.retransmits;
-        stats.crc_rejects += s.crc_rejects;
-        stats.heartbeat_suspicions += s.heartbeat_suspicions;
-        stats.timeout_aborts += s.timeout_aborts;
-        stats.membership_changes = stats.membership_changes.max(s.membership_changes);
-        stats.degraded_rounds = stats.degraded_rounds.max(s.degraded_rounds);
-        stats.resharded_keys += s.resharded_keys;
-        stats.joins = stats.joins.max(s.joins);
-        stats.grow_resharded_keys += s.grow_resharded_keys;
-        stats.request_compute_secs =
-            stats.request_compute_secs.max(s.request_compute_nanos as f64 / 1e9);
-        stats.request_sync_secs = stats.request_sync_secs.max(s.request_sync_nanos as f64 / 1e9);
-        stats.reduce_compute_secs =
-            stats.reduce_compute_secs.max(s.reduce_compute_nanos as f64 / 1e9);
-        stats.reduce_sync_secs = stats.reduce_sync_secs.max(s.reduce_sync_nanos as f64 / 1e9);
-        stats.chunks_sent += s.chunks_sent;
-        stats.chunk_retransmits += s.chunk_retransmits;
-        stats.cache_hits += s.cache_hits;
-        stats.cache_misses += s.cache_misses;
-        stats.cache_evictions += s.cache_evictions;
+        stats.totals.merge(&s);
         out.push(r);
     }
     stats.graph_bytes = parts.iter().map(|p| p.size_bytes() as u64).sum();

@@ -8,6 +8,7 @@
 //! variable unset, recording is a no-op, so `cargo bench` behaves exactly
 //! as before.
 
+use crate::harness::secs;
 use crate::RunStats;
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -33,7 +34,8 @@ fn append_line(path: &str, line: &str) {
     }
 }
 
-fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize, s: &RunStats) {
+fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize, r: &RunStats) {
+    let s = &r.totals;
     append_line(
         path,
         &format!(
@@ -44,7 +46,7 @@ fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize
                 "\"heartbeat_suspicions\":{},\"timeout_aborts\":{},",
                 "\"membership_changes\":{},\"degraded_rounds\":{},",
                 "\"resharded_keys\":{},",
-                "\"joins\":{},\"grow_resharded_keys\":{},",
+                "\"joins\":{},",
                 "\"request_compute_secs\":{:.6},\"request_sync_secs\":{:.6},",
                 "\"reduce_compute_secs\":{:.6},\"reduce_sync_secs\":{:.6},",
                 "\"chunks_sent\":{},\"chunk_retransmits\":{},",
@@ -56,8 +58,8 @@ fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize
             escape(case),
             escape(system),
             hosts,
-            s.secs,
-            s.comm_secs,
+            r.secs,
+            secs(s.comm_nanos),
             s.messages,
             s.bytes,
             s.retransmits,
@@ -68,19 +70,18 @@ fn record_run_to(path: &str, bench: &str, case: &str, system: &str, hosts: usize
             s.degraded_rounds,
             s.resharded_keys,
             s.joins,
-            s.grow_resharded_keys,
-            s.request_compute_secs,
-            s.request_sync_secs,
-            s.reduce_compute_secs,
-            s.reduce_sync_secs,
+            secs(s.request_compute_nanos),
+            secs(s.request_sync_nanos),
+            secs(s.reduce_compute_nanos),
+            secs(s.reduce_sync_nanos),
             s.chunks_sent,
             s.chunk_retransmits,
             s.cache_hits,
             s.cache_misses,
             s.cache_evictions,
-            s.graph_bytes,
-            s.max_host_graph_bytes,
-            s.peak_rss_bytes,
+            r.graph_bytes,
+            r.max_host_graph_bytes,
+            r.peak_rss_bytes,
         ),
     );
 }
@@ -233,26 +234,27 @@ mod tests {
 
         let stats = RunStats {
             secs: 1.5,
-            comm_secs: 0.25,
-            messages: 42,
-            bytes: 1024,
-            retransmits: 3,
-            crc_rejects: 1,
-            membership_changes: 1,
-            degraded_rounds: 5,
-            resharded_keys: 128,
-            joins: 1,
-            grow_resharded_keys: 64,
-            reduce_sync_secs: 0.125,
-            chunks_sent: 96,
-            chunk_retransmits: 2,
-            cache_hits: 7,
-            cache_misses: 3,
-            cache_evictions: 1,
+            totals: kimbap_comm::HostStats {
+                comm_nanos: 250_000_000,
+                messages: 42,
+                bytes: 1024,
+                retransmits: 3,
+                crc_rejects: 1,
+                membership_changes: 1,
+                degraded_rounds: 5,
+                resharded_keys: 128,
+                joins: 1,
+                reduce_sync_nanos: 125_000_000,
+                chunks_sent: 96,
+                chunk_retransmits: 2,
+                cache_hits: 7,
+                cache_misses: 3,
+                cache_evictions: 1,
+                ..Default::default()
+            },
             graph_bytes: 4096,
             max_host_graph_bytes: 1536,
             peak_rss_bytes: 65536,
-            ..RunStats::default()
         };
         record_run_to(path_s, "fig11", "road/cc_sv", "sgr_cf_gar", 4, &stats);
         record_micro_to(path_s, "micro_npm", "reduce_compute/\"quoted\"", 3524165.0);
@@ -303,7 +305,8 @@ mod tests {
         assert!(lines[0].contains("\"heartbeat_suspicions\":0,\"timeout_aborts\":0"));
         assert!(lines[0]
             .contains("\"membership_changes\":1,\"degraded_rounds\":5,\"resharded_keys\":128"));
-        assert!(lines[0].contains("\"joins\":1,\"grow_resharded_keys\":64"));
+        assert!(lines[0].contains("\"joins\":1,\"request_compute_secs\":0.000000"));
+        assert!(lines[0].contains("\"secs\":1.500000,\"comm_secs\":0.250000"));
         assert!(lines[0].contains("\"reduce_sync_secs\":0.125000"));
         assert!(lines[0].contains("\"chunks_sent\":96,\"chunk_retransmits\":2"));
         assert!(lines[0].contains("\"cache_hits\":7,\"cache_misses\":3,\"cache_evictions\":1"));

@@ -225,8 +225,8 @@ impl FaultPlan {
     /// Declares `host` as a late joiner: the cluster starts with it latent
     /// (reserved capacity, not a member), and the host begins knocking on
     /// the grow gate `delay_ms` after the run starts. Requires the run to
-    /// opt into growing (`EngineConfig::allow_grow` / `--allow-grow`);
-    /// without it the host knocks forever and times out.
+    /// opt into growing (the elastic driver / `--allow-grow`); without it
+    /// the host knocks forever and times out.
     pub fn join_host(mut self, host: usize, delay_ms: u64) -> Self {
         self.joins.push((host, delay_ms));
         self

@@ -39,8 +39,8 @@ pub mod wire;
 
 pub use clock::{Clock, RealClock};
 pub use cluster::{
-    run_transport_host, Backend, Cluster, CommError, CrashSignal, GrowOutcome, HostCtx, HostError,
-    HostStats, ShrinkOutcome, SyncPhase, JOB_ROUND_STRIDE, KILLED_EXIT_CODE,
+    run_transport_host, Backend, Cluster, CommError, CrashSignal, HostCtx, HostError, HostStats,
+    MembershipChange, SyncPhase, JOB_ROUND_STRIDE, KILLED_EXIT_CODE,
 };
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use pool::WorkerPool;

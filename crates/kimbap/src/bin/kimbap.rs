@@ -392,10 +392,7 @@ fn run_host(
     if let Some(program) = elastic.grow {
         let prog = compile(&program(), OptLevel::Full);
         let policy = Policy::EdgeCutBlocked;
-        let config = EngineConfig {
-            allow_grow: true,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig::default();
         let out = if ctx.is_member() {
             Some(run_plan_elastic(g, policy, &prog, config, ctx))
         } else {
@@ -423,7 +420,7 @@ fn run_host(
 /// TCP loopback, waits for all of them, and collects their per-host
 /// master labels. Workers write `node label` lines to per-host files in
 /// a temp directory; any worker exiting non-zero fails the whole run —
-/// except, under `allow_shrink`, a worker dying with
+/// except, under `--allow-shrink`, a worker dying with
 /// [`kimbap_comm::KILLED_EXIT_CODE`]: that is the injected permanent
 /// loss, and the survivors' re-sharded outputs cover every node.
 #[allow(clippy::too_many_arguments)]

@@ -44,18 +44,6 @@ pub struct EngineConfig {
     /// checkpoint replay, instead of wedging the round forever behind a
     /// hung peer. `None` (the default) waits indefinitely.
     pub phase_timeout: Option<Duration>,
-    /// Survive permanent host loss: replicate every checkpoint to the ring
-    /// successor and, when recovery alignment reports permanently departed
-    /// hosts, raise a [`ShrinkSignal`] (caught by
-    /// [`crate::elastic::run_plan_elastic`]) carrying the durable state
-    /// instead of propagating a terminal error.
-    pub allow_shrink: bool,
-    /// Admit latent hosts mid-run: every round the members vote (one
-    /// all-reduce) on whether any latent host is knocking to join, and a
-    /// positive vote raises a [`GrowSignal`] (caught by
-    /// [`crate::elastic::run_plan_elastic`]) at that round boundary so
-    /// every member stops at the grow gate together.
-    pub allow_grow: bool,
     /// Offset added to every round the engine publishes via
     /// [`kimbap_comm::HostCtx::set_round`]. A serving layer sets this to
     /// `job_index * JOB_ROUND_STRIDE` so round-targeted faults and traces
@@ -70,8 +58,6 @@ impl Default for EngineConfig {
             variant: Variant::SgrCfGar,
             sparse: true,
             phase_timeout: None,
-            allow_shrink: false,
-            allow_grow: false,
             round_base: 0,
         }
     }
@@ -121,8 +107,8 @@ struct Checkpoint {
 /// A checkpoint in partition-independent form: explicit master pairs per
 /// map, scalar-reducer locals, and the round counter. This is what one
 /// host ships to its replication ring successor at every checkpoint, and
-/// what a survivor re-shards onto the new ownership after a membership
-/// shrink.
+/// what a member re-shards onto the new ownership after a membership
+/// change.
 #[derive(Debug, Clone)]
 pub struct DurableState {
     /// Per map: `(global id, value)` for every master of the originating
@@ -134,7 +120,7 @@ pub struct DurableState {
     pub rounds: u64,
 }
 
-/// Re-sharded state a survivor installs before resuming on the shrunk
+/// Re-sharded state a member installs before resuming on the changed
 /// membership: the union of surviving shards and adopted replicas, routed
 /// to this host's new masters.
 #[derive(Debug, Clone)]
@@ -149,35 +135,33 @@ pub struct AdoptedState {
     pub rounds: u64,
 }
 
-/// Panic payload raised instead of a terminal error when (with
-/// [`EngineConfig::allow_shrink`]) recovery alignment reports permanently
-/// departed hosts. Carries everything the elastic driver needs to shrink
-/// the membership and resume from the last checkpoint.
-pub struct ShrinkSignal {
+/// Why an elastic engine stopped: it chooses which membership gate the
+/// elastic driver runs, and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MembershipCause {
+    /// Recovery alignment reported permanently departed hosts.
+    Shrink,
+    /// The members' per-round vote saw a latent host knocking to join.
+    Grow,
+}
+
+/// Panic payload an engine run by the elastic driver raises instead of a
+/// terminal error (a permanent loss) or at the round boundary where the
+/// members vote that a latent host is knocking. Carries everything the
+/// driver needs to change the membership and resume from the last
+/// checkpoint.
+pub struct MembershipSignal {
+    /// Which gate the driver runs.
+    pub cause: MembershipCause,
     /// Index of the top-level program item that was executing, when it was
     /// a directly resumable loop; `None` (nested in a `DoWhileScalar`, or
-    /// outside any loop) forces a full restart on the survivors.
+    /// outside any loop) forces a full restart on the new membership.
     pub top_idx: Option<usize>,
     /// This host's own durable state at the last checkpoint.
     pub state: DurableState,
     /// The ring predecessor's durable state from the last replication
     /// exchange, if one completed.
     pub replica: Option<DurableState>,
-}
-
-/// Panic payload raised at a round boundary when (with
-/// [`EngineConfig::allow_grow`]) the members' per-round vote observes a
-/// latent host knocking to join. Carries everything the elastic driver
-/// needs to agree the grow and re-shard the masters onto the expanded
-/// membership. No replica rides along: nobody died, every member
-/// re-shards its own live state.
-pub struct GrowSignal {
-    /// Index of the top-level program item that was executing, when it was
-    /// a directly resumable loop; `None` forces a full restart on the
-    /// grown membership.
-    pub top_idx: Option<usize>,
-    /// This host's own durable state at the last checkpoint.
-    pub state: DurableState,
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -279,12 +263,16 @@ pub struct Engine<'g> {
     rounds: u64,
     config: EngineConfig,
     activity: Vec<RoundActivity>,
+    /// Set by the elastic driver: replicate every checkpoint to the ring
+    /// successor, vote each round on knocking joiners, and raise a
+    /// [`MembershipSignal`] on a permanent loss or a knock.
+    pub(crate) elastic: bool,
     /// The ring predecessor's durable state from the last replication
-    /// exchange (with [`EngineConfig::allow_shrink`]).
+    /// exchange (elastic runs only).
     replica: Option<DurableState>,
     /// Index of the top-level program item currently executing, when it is
     /// directly under the program body (nested bodies clear it): the
-    /// resume point a [`ShrinkSignal`] reports.
+    /// resume point a [`MembershipSignal`] reports.
     top_cursor: Option<usize>,
     /// When set, operator bodies run through the tree-walking
     /// [`reference`] interpreter instead of the lowered code, and the
@@ -333,6 +321,7 @@ impl<'g> Engine<'g> {
             rounds: 0,
             config,
             activity: Vec::new(),
+            elastic: false,
             replica: None,
             top_cursor: None,
             #[cfg(test)]
@@ -358,8 +347,8 @@ impl<'g> Engine<'g> {
     }
 
     /// Runs the program starting at top-level item `start`: 0 for a fresh
-    /// run; the [`ShrinkSignal`]'s resume point after [`Engine::adopt`]
-    /// installed re-sharded state on a shrunk membership. Collective.
+    /// run; the [`MembershipSignal`]'s resume point after [`Engine::adopt`]
+    /// installed re-sharded state on a changed membership. Collective.
     pub fn run_from(mut self, ctx: &HostCtx, start: usize) -> EngineOutput {
         self.exec_from(ctx, start);
         self.into_output()
@@ -486,6 +475,18 @@ impl<'g> Engine<'g> {
         ctx.set_deadline(Deadline::none());
     }
 
+    /// Hands the elastic driver this host's durable state at `cp` plus the
+    /// predecessor's replica. `resume_unwind`, not `panic_any`: this is
+    /// control flow, and the panic hook must not print it.
+    fn raise(&mut self, cause: MembershipCause, cp: &Checkpoint) -> ! {
+        resume_unwind(Box::new(MembershipSignal {
+            cause,
+            top_idx: self.top_cursor,
+            state: self.globalize(cp),
+            replica: self.replica.take(),
+        }))
+    }
+
     /// Installs re-sharded durable state: every map's masters from the
     /// routed tables, the scalar-reducer locals, and the round counter.
     /// The next executed loop pins mirrors and replays from this state
@@ -534,23 +535,18 @@ impl<'g> Engine<'g> {
         // anywhere inside rewinds both the round and the replica exchange
         // together; after a restore it re-ships the restored checkpoint so
         // the successor's replica matches what survivors would replay.
-        let mut replicate_due = self.config.allow_shrink;
+        let mut replicate_due = self.elastic;
         let mut recoveries = 0u32;
         loop {
             let step = catch_unwind(AssertUnwindSafe(|| {
-                if self.config.allow_grow {
+                if self.elastic {
                     // Synchronized join detection: one host acting on its
                     // local view of a knock would desync the collectives,
                     // so every member votes and all stop at the same round
                     // boundary.
                     let knocking = u64::from(!ctx.pending_joins().is_empty());
                     if ctx.all_reduce_u64(knocking, |a, b| a.max(b)) != 0 {
-                        // resume_unwind, not panic_any: this is control
-                        // flow, and the panic hook must not print it.
-                        resume_unwind(Box::new(GrowSignal {
-                            top_idx: self.top_cursor,
-                            state: self.globalize(&cp),
-                        }));
+                        self.raise(MembershipCause::Grow, &cp);
                     }
                 }
                 if replicate_due {
@@ -561,7 +557,7 @@ impl<'g> Engine<'g> {
             match step {
                 Ok(done) => {
                     need_pin = false;
-                    replicate_due = self.config.allow_shrink;
+                    replicate_due = self.elastic;
                     cp = self.checkpoint();
                     if done {
                         break;
@@ -583,21 +579,14 @@ impl<'g> Engine<'g> {
                     }
                     recoveries += 1;
                     if ctx.recover_align().is_err() {
-                        if self.config.allow_shrink && !ctx.pending_departures().is_empty() {
-                            // Permanent loss: hand the elastic driver this
-                            // host's durable state (plus the predecessor's
-                            // replica) to re-shard onto the survivors.
-                            resume_unwind(Box::new(ShrinkSignal {
-                                top_idx: self.top_cursor,
-                                state: self.globalize(&cp),
-                                replica: self.replica.take(),
-                            }));
+                        if self.elastic && !ctx.pending_departures().is_empty() {
+                            self.raise(MembershipCause::Shrink, &cp);
                         }
                         resume_unwind(payload);
                     }
                     self.restore(&cp);
                     need_pin = true;
-                    replicate_due = self.config.allow_shrink;
+                    replicate_due = self.elastic;
                 }
             }
         }

@@ -269,11 +269,11 @@ pub fn replay_command(
     threads: usize,
     scale: u32,
     ef: usize,
-    allow_shrink: bool,
-    allow_grow: bool,
+    shrink: bool,
+    grow: bool,
 ) -> String {
-    let shrink = if allow_shrink { " --allow-shrink" } else { "" };
-    let grow = if allow_grow { " --allow-grow" } else { "" };
+    let shrink = if shrink { " --allow-shrink" } else { "" };
+    let grow = if grow { " --allow-grow" } else { "" };
     format!(
         "kimbap sim --algo {algo} --seed {seed} --hosts {hosts} --threads {threads} \
          --scale {scale} --ef {ef}{shrink}{grow} --trace trace.jsonl"

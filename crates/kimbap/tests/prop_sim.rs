@@ -138,10 +138,7 @@ fn sim_cc_lp_churn(
         .sim(sim_seed)
         .with_transport_config(simfuzz::sim_transport_config());
     let res = cluster.try_run_with_faults(plan, |ctx| {
-        let config = EngineConfig {
-            allow_grow: true,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig::default();
         if ctx.is_member() {
             Some(run_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx))
         } else {

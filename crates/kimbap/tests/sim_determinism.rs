@@ -99,10 +99,7 @@ fn join_during_recovery_replays_byte_identical_trace() {
             .with_transport_config(simfuzz::sim_transport_config())
             .with_trace_sink(sink.clone());
         let res = cluster.try_run_with_faults(plan, |ctx| {
-            let config = EngineConfig {
-                allow_grow: true,
-                ..EngineConfig::default()
-            };
+            let config = EngineConfig::default();
             if ctx.is_member() {
                 Some(run_plan_elastic(&g, Policy::EdgeCutBlocked, &prog, config, ctx))
             } else {

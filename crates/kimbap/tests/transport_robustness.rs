@@ -229,17 +229,14 @@ fn engine_hung_host_recovers_via_heartbeat() {
 type Agreement = Vec<(Vec<usize>, u64, u64, u64)>;
 
 /// The elastic compiled cc-lp plan on `cluster` under `plan`: members run
-/// `run_plan_elastic` (`allow_shrink`, plus `allow_grow` when `grow`), a
-/// latent host `join_plan_elastic`. Returns the merged labels and what
-/// every finishing host agreed; the killed host's own abort is skipped.
-fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan, grow: bool) -> (Vec<u64>, Agreement) {
+/// `run_plan_elastic`, a latent host `join_plan_elastic`. Returns the
+/// merged labels and what every finishing host agreed; the killed host's
+/// own abort is skipped.
+fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<u64>, Agreement) {
     use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
     use kimbap_comm::Deadline;
     let prog = compile(&programs::cc_lp(), OptLevel::Full);
-    let config = EngineConfig {
-        allow_grow: grow,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let res = cluster.try_run_with_faults(plan, |ctx| {
         let out = if ctx.is_member() {
             run_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx)
@@ -268,8 +265,7 @@ fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan, gr
 }
 
 /// The conformance rows for membership change: elastic cc-lp with host 1
-/// killed mid-run (`allow_shrink`), and cc-lp with a latent host joining
-/// (`allow_grow`). On in-proc, TCP loopback and the simulation, labels
+/// killed mid-run, and with a latent host joining. On in-proc, TCP loopback and the simulation, labels
 /// equal the fault-free baseline, and the shrink and grow verdicts — the
 /// final member set, the generation, `membership_changes` and `joins` on
 /// every finishing host — are identical across backends.
@@ -287,14 +283,13 @@ fn kill_and_join_rows_agree_across_backends() {
     let mut shrinks = Vec::new();
     let mut grows = Vec::new();
     for (name, cluster) in backends() {
-        let (labels, agreed) =
-            elastic_cc_lp(&g, &cluster, FaultPlan::new().kill_host(1, 2), false);
+        let (labels, agreed) = elastic_cc_lp(&g, &cluster, FaultPlan::new().kill_host(1, 2));
         assert_eq!(labels, baseline, "kill row diverged on {name}");
         assert_eq!(agreed.len(), HOSTS - 1, "survivors on {name}");
         shrinks.push((name, agreed));
 
         let cluster = with_joiner(cluster);
-        let (labels, agreed) = elastic_cc_lp(&g, &cluster, FaultPlan::new().join_host(HOSTS, 0), true);
+        let (labels, agreed) = elastic_cc_lp(&g, &cluster, FaultPlan::new().join_host(HOSTS, 0));
         assert_eq!(labels, baseline, "join row diverged on {name}");
         assert_eq!(agreed.len(), HOSTS + 1, "members plus joiner on {name}");
         grows.push((name, agreed));

@@ -111,6 +111,13 @@ diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown.txt"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown-inproc.txt"
 echo "    grown (3 -> 4 host) and fault-free labels identical, TCP and in-proc"
 
+echo "==> elastic kill smoke (TCP worker 1 exits; the elastic engine re-shards its replica)"
+./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 4 --threads 2 \
+    --transport tcp --port-base 47500 --faults kill --allow-shrink --allow-grow \
+    --out "$SMOKE_DIR/grid-killed.txt"
+diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-killed.txt"
+echo "    elastic survivors (4 -> 3 host) and fault-free labels identical over TCP"
+
 echo "==> compressed-vs-raw smoke (cc-lp + louvain, inproc and sim, diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
     --seed 1 --out "$SMOKE_DIR/cc-comp.txt"
