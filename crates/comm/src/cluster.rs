@@ -15,7 +15,7 @@
 //! [`HostCtx::run_recovering`] restarts all hosts from a consistent state.
 //!
 //! The bytes themselves move through a pluggable
-//! [`Transport`](crate::transport::Transport): the default in-proc fabric
+//! [`Transport`]: the default in-proc fabric
 //! (shared memory, zero configuration), a TCP mesh
 //! ([`Backend::TcpLoopback`] in-process, or true multi-process via
 //! `kimbap run --transport tcp`), or the deterministic simulation. The

@@ -47,7 +47,7 @@ impl HostCtx<'_> {
     /// # Panics
     ///
     /// Propagates non-[`CrashSignal`] panics (real bugs) unchanged, and
-    /// gives up after [`MAX_RECOVERIES`] restarts.
+    /// gives up after `MAX_RECOVERIES` restarts.
     pub fn run_recovering<F, R>(&self, mut f: F) -> R
     where
         F: FnMut(&HostCtx) -> R,

@@ -171,12 +171,6 @@ pub fn iter_decoded<'a, T: Wire + 'a>(buf: &'a [u8]) -> impl Iterator<Item = T> 
 /// First two bytes of every frame ("KF", Kimbap Frame).
 pub const FRAME_MAGIC: u16 = 0x4B46;
 
-/// Frame format version.
-pub const FRAME_VERSION: u16 = 1;
-
-/// Header size: magic(2) + version(2) + seq(8) + len(4) + crc(4).
-pub const FRAME_HEADER: usize = 20;
-
 /// Why a received frame was rejected.
 ///
 /// Any rejection is treated as frame loss by the collectives, which
@@ -268,22 +262,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
 
-/// Wraps `payload` in a validated frame: magic, version, sequence number,
-/// payload length, and a CRC32 over everything except the CRC field.
-pub fn frame_payload(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    FRAME_MAGIC.write(&mut buf);
-    FRAME_VERSION.write(&mut buf);
-    seq.write(&mut buf);
-    (payload.len() as u32).write(&mut buf);
-    let crc = !crc32_update(crc32_update(!0, &buf), payload);
-    crc.write(&mut buf);
-    buf.extend_from_slice(payload);
-    buf
-}
-
 // ---------------------------------------------------------------------------
-// Chunk frames (format version 2): bounded slices of one logical payload.
+// Chunk frames: bounded slices of one logical payload.
 // ---------------------------------------------------------------------------
 
 /// Chunk-frame format version.
@@ -390,33 +370,6 @@ pub fn parse_chunk_unchecked(frame: &[u8]) -> Result<(ChunkHeader, &[u8]), Frame
     ))
 }
 
-/// Validates a frame produced by [`frame_payload`], returning its sequence
-/// number and payload.
-pub fn parse_frame(frame: &[u8]) -> Result<(u64, &[u8]), FrameError> {
-    if frame.len() < FRAME_HEADER {
-        return Err(FrameError::Truncated);
-    }
-    if u16::read(frame) != FRAME_MAGIC || u16::read(&frame[2..]) != FRAME_VERSION {
-        return Err(FrameError::BadMagic);
-    }
-    let seq = u64::read(&frame[4..]);
-    let len = u32::read(&frame[12..]) as usize;
-    // Checked subtraction: `FRAME_HEADER + len` could overflow on 32-bit
-    // targets for a hostile length field.
-    if frame.len().checked_sub(FRAME_HEADER) != Some(len) {
-        return Err(FrameError::LengthMismatch);
-    }
-    let stored = u32::read(&frame[16..]);
-    let computed = !crc32_update(
-        crc32_update(!0, &frame[..16]),
-        &frame[FRAME_HEADER..],
-    );
-    if stored != computed {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok((seq, &frame[FRAME_HEADER..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,47 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrip() {
-        let payload = b"hello kimbap".to_vec();
-        let frame = frame_payload(42, &payload);
-        assert_eq!(frame.len(), FRAME_HEADER + payload.len());
-        let (seq, got) = parse_frame(&frame).unwrap();
-        assert_eq!(seq, 42);
-        assert_eq!(got, &payload[..]);
-    }
-
-    #[test]
-    fn empty_payload_frames() {
-        let frame = frame_payload(0, &[]);
-        assert_eq!(frame.len(), FRAME_HEADER);
-        assert_eq!(parse_frame(&frame).unwrap(), (0, &[][..]));
-    }
-
-    #[test]
-    fn truncated_and_wrong_magic_rejected() {
-        let frame = frame_payload(1, b"xy");
-        assert_eq!(parse_frame(&frame[..10]), Err(FrameError::Truncated));
-        let mut bad = frame.clone();
-        bad[0] ^= 0xFF;
-        assert_eq!(parse_frame(&bad), Err(FrameError::BadMagic));
-        let mut short = frame;
-        short.pop();
-        assert_eq!(parse_frame(&short), Err(FrameError::LengthMismatch));
-    }
-
-    #[test]
-    fn every_single_bit_flip_detected_small() {
-        // Exhaustive check on a small frame; the proptest in tests/prop.rs
-        // covers random payloads the same way.
-        let frame = frame_payload(7, b"abc");
-        for bit in 0..frame.len() * 8 {
-            let mut f = frame.clone();
-            f[bit / 8] ^= 1 << (bit % 8);
-            assert!(parse_frame(&f).is_err(), "undetected flip at bit {bit}");
-        }
-    }
-
-    #[test]
     fn chunk_roundtrip_and_flags() {
         let frame = frame_chunk(9, 3, false, b"mid chunk");
         assert_eq!(frame.len(), CHUNK_HEADER + 9);
@@ -535,15 +447,14 @@ mod tests {
     }
 
     #[test]
-    fn chunk_and_v1_frames_reject_each_other() {
-        // A v1 frame long enough to carry a full chunk header still fails
-        // the version check; a short one fails the length check first.
-        let v1 = frame_payload(5, &[7u8; 64]);
-        assert_eq!(parse_chunk(&v1), Err(FrameError::BadMagic));
-        let short_v1 = frame_payload(5, b"abc");
-        assert!(parse_chunk(&short_v1).is_err());
-        let v2 = frame_chunk(5, 0, true, b"abc");
-        assert_eq!(parse_frame(&v2), Err(FrameError::BadMagic));
+    fn other_format_versions_rejected() {
+        // Any version but CHUNK_VERSION fails before the CRC is consulted.
+        for version in [0u16, 1, 3] {
+            let mut frame = frame_chunk(5, 0, true, b"abc");
+            frame[2..4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(parse_chunk(&frame), Err(FrameError::BadMagic));
+            assert_eq!(parse_chunk_unchecked(&frame), Err(FrameError::BadMagic));
+        }
     }
 
     #[test]
@@ -594,18 +505,5 @@ mod tests {
         );
         let buf = encode_slice(&[3u64, 4]);
         assert_eq!(try_decode_slice::<u64>(&buf), Ok(vec![3, 4]));
-    }
-
-    #[test]
-    fn parse_frame_rejects_garbage_without_panicking() {
-        // Arbitrary byte soups, including ones that look header-shaped.
-        for n in 0..64usize {
-            let junk: Vec<u8> = (0..n).map(|i| (i * 37 + n) as u8).collect();
-            assert!(parse_frame(&junk).is_err());
-        }
-        // A frame whose header claims more payload than arrived.
-        let mut frame = frame_payload(3, b"abcdef");
-        frame.truncate(FRAME_HEADER + 2);
-        assert!(parse_frame(&frame).is_err());
     }
 }

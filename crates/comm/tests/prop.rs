@@ -1,6 +1,6 @@
 //! Property-based tests for the simulated cluster's collectives.
 
-use kimbap_comm::wire::{decode_slice, encode_slice, frame_payload, parse_frame};
+use kimbap_comm::wire::{decode_slice, encode_slice, frame_chunk, parse_chunk, ChunkHeader};
 use kimbap_comm::{Cluster, FaultPlan, CHUNK_PAYLOAD};
 use proptest::prelude::*;
 
@@ -109,26 +109,28 @@ proptest! {
         prop_assert!(stats.iter().all(|&b| b));
     }
 
-    /// Frame integrity: any single flipped bit anywhere in a framed
-    /// message — header or payload — is detected by `parse_frame`
-    /// (CRC32 detects every single-bit error; length/magic checks catch
-    /// the rest), and an unflipped frame round-trips exactly.
+    /// Frame integrity: any single flipped bit anywhere in a chunk frame
+    /// — header or payload — is detected by `parse_chunk` (CRC32 detects
+    /// every single-bit error; length/magic checks catch the rest), and an
+    /// unflipped frame round-trips exactly.
     #[test]
     fn single_bit_corruption_always_detected(
         seq in 0u64..u64::MAX,
+        chunk in 0u32..u32::MAX,
+        last in prop::bool::ANY,
         payload in prop::collection::vec(0u8..255, 0..64),
         bit_seed in 0u64..1_000_000,
     ) {
-        let frame = frame_payload(seq, &payload);
-        let (got_seq, got_payload) = parse_frame(&frame).expect("clean frame parses");
-        prop_assert_eq!(got_seq, seq);
+        let frame = frame_chunk(seq, chunk, last, &payload);
+        let (header, got_payload) = parse_chunk(&frame).expect("clean frame parses");
+        prop_assert_eq!(header, ChunkHeader { seq, chunk, last });
         prop_assert_eq!(got_payload, &payload[..]);
 
         let bit = (bit_seed % (frame.len() as u64 * 8)) as usize;
         let mut corrupted = frame.clone();
         corrupted[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            parse_frame(&corrupted).is_err(),
+            parse_chunk(&corrupted).is_err(),
             "flip of bit {} went undetected", bit
         );
     }
@@ -142,33 +144,35 @@ proptest! {
     #[test]
     fn parser_survives_truncation_and_garbage(
         seq in 0u64..u64::MAX,
+        chunk in 0u32..u32::MAX,
+        last in prop::bool::ANY,
         payload in prop::collection::vec(0u8..=255, 0..64),
         cut in 0usize..1000,
         flips in prop::collection::vec((0usize..1000, 0u8..=255), 0..8),
         garbage in prop::collection::vec(0u8..=255, 0..96),
     ) {
-        let frame = frame_payload(seq, &payload);
-        prop_assert!(parse_frame(&frame).is_ok());
+        let frame = frame_chunk(seq, chunk, last, &payload);
+        prop_assert!(parse_chunk(&frame).is_ok());
 
         // Truncation at every possible boundary is a parse error, never a
         // panic (the full-length case parses and is checked above).
         let cut = cut % frame.len();
-        prop_assert!(parse_frame(&frame[..cut]).is_err());
+        prop_assert!(parse_chunk(&frame[..cut]).is_err());
 
         // Arbitrary multi-byte mangling either leaves the frame intact
-        // (all masks were zero) or is rejected; parse_frame must not
+        // (all masks were zero) or is rejected; parse_chunk must not
         // panic or mis-accept different bytes.
         let mut mangled = frame.clone();
         for &(pos, mask) in &flips {
             mangled[pos % frame.len()] ^= mask;
         }
-        if let Ok((s, p)) = parse_frame(&mangled) {
-            prop_assert_eq!(s, seq);
+        if let Ok((h, p)) = parse_chunk(&mangled) {
+            prop_assert_eq!(h, ChunkHeader { seq, chunk, last });
             prop_assert_eq!(p, &payload[..]);
         }
 
         // Pure garbage (no magic, random lengths) never panics.
-        prop_assert!(parse_frame(&garbage).is_err() || garbage == frame);
+        prop_assert!(parse_chunk(&garbage).is_err() || garbage == frame);
     }
 
     /// Differential check for the chunked collective: on every backend

@@ -37,7 +37,6 @@
 pub mod cfg;
 pub mod classify;
 pub mod dom;
-pub mod domain;
 pub mod frontend;
 pub mod ir;
 pub mod lower;
@@ -45,6 +44,5 @@ pub mod programs;
 pub mod transform;
 
 pub use classify::{classify_map_reads, classify_operator, classify_program, AppClassification, OperatorKind, ReadDep};
-pub use domain::{certify_domains, ValueDomain};
 pub use frontend::{parse, ParseError};
 pub use transform::{compile, CompiledProgram, OptLevel, SparsePlan};

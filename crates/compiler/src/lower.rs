@@ -7,7 +7,7 @@
 //! [`Code`]: a flat sequence of three-address [`Op`]s whose operands are
 //! all register indices, executed by the `kimbap` engine with no `Expr`
 //! or `Stmt` in sight. The `Stmt` body stays beside it for the analyses
-//! that want the tree (classification, domains, sparse certification).
+//! that want the tree (classification, sparse certification).
 //!
 //! # Register file
 //!

@@ -29,7 +29,6 @@
 //! against them.
 
 use crate::classify::{classify_map_reads, ReadDep};
-use crate::domain::ValueDomain;
 use crate::ir::{Expr, KimbapWhile, MapDecl, MapId, NodeIterator, Program, Stmt, TopStmt, Var};
 use crate::lower::{lower, lower_value, Code};
 use kimbap_npm::DynReduceOp;
@@ -147,9 +146,6 @@ pub struct CompiledProgram {
     pub body: Vec<CompiledTop>,
     /// The optimization level this was compiled with.
     pub opt: OptLevel,
-    /// Certified value domain per map (see [`crate::domain`]): the
-    /// engine's license to back a map with a compact storage layout.
-    pub value_domains: Vec<ValueDomain>,
 }
 
 /// Compiles a program (see the [module docs](self) for the pipeline).
@@ -169,7 +165,6 @@ pub fn compile(p: &Program, opt: OptLevel) -> CompiledProgram {
         num_vars: p.num_vars,
         body: compile_tops(&p.body, &p.maps, opt),
         opt,
-        value_domains: crate::domain::certify_domains(p),
     }
 }
 

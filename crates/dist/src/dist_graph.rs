@@ -96,7 +96,7 @@ impl DistGraph {
     }
 
     /// This host's share of the work the partitioner balances: one unit per
-    /// local edge plus [`NODE_WEIGHT`] per master (see [`ownership_for`]).
+    /// local edge plus `NODE_WEIGHT` per master (see [`ownership_for`]).
     pub fn load_weight(&self) -> u64 {
         self.num_local_edges() as u64 + NODE_WEIGHT * self.num_masters as u64
     }

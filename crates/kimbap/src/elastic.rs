@@ -13,7 +13,7 @@
 //!    [`join_plan_elastic`] / [`HostCtx::join_cluster`]); either compacts
 //!    logical ranks over the new member set and bumps the generation;
 //! 2. recomputes the graph partition over the new host count;
-//! 3. re-shards the durable state ([`reshard`]) — each member contributes
+//! 3. re-shards the durable state (`reshard`) — each member contributes
 //!    its own checkpoint shard plus, when its ring predecessor departed,
 //!    the predecessor's replicated shard; a joiner contributes nothing —
 //!    routing every master pair to its new owner through one exchange;

@@ -17,9 +17,7 @@ use kimbap_compiler::transform::{CompiledLoop, CompiledProgram, CompiledTop};
 use kimbap_compiler::ReadDep;
 use kimbap_dist::{DistGraph, LocalId};
 use kimbap_graph::NodeId;
-use kimbap_npm::{
-    ChangedKeys, DynReduceOp, MapLayout, MapSnapshot, NodePropMap, Npm, SumReducer, Variant,
-};
+use kimbap_npm::{ChangedKeys, DynReduceOp, MapSnapshot, NodePropMap, Npm, SumReducer, Variant};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -295,23 +293,10 @@ impl<'g> Engine<'g> {
         plan: &'g CompiledProgram,
         config: EngineConfig,
     ) -> Self {
-        // Back each map with the tightest storage layout its certified
-        // value domain allows (n is only known here): node-id labels pack
-        // to u32, tiny constant domains bitpack, everything else stays
-        // native. Only the GAR variant has dense tables to pack.
-        let n = dg.num_global_nodes();
         let maps = plan
             .maps
             .iter()
-            .zip(&plan.value_domains)
-            .map(|(d, dom)| {
-                let layout = if config.variant.partition_aware() {
-                    MapLayout::for_bound(dom.bound(n))
-                } else {
-                    MapLayout::Native
-                };
-                Npm::with_layout(dg, ctx, d.op, config.variant, layout)
-            })
+            .map(|d| Npm::with_variant(dg, ctx, d.op, config.variant))
             .collect();
         Engine {
             dg,
@@ -335,13 +320,8 @@ impl<'g> Engine<'g> {
         self.run_from(ctx, 0)
     }
 
-    /// The storage layout chosen for each map (certified-domain packing).
-    pub fn map_layouts(&self) -> Vec<MapLayout> {
-        self.maps.iter().map(|m| m.layout()).collect()
-    }
-
     /// Heap bytes of every map's dense master/mirror value tables on this
-    /// host — the memory the compact layouts shrink.
+    /// host.
     pub fn map_table_bytes(&self) -> usize {
         self.maps.iter().map(|m| m.table_bytes()).sum()
     }
@@ -1166,49 +1146,30 @@ mod tests {
     }
 
     #[test]
-    fn certified_domains_pack_cc_labels() {
-        let g = gen::rmat(7, 4, 31);
-        let expected = kimbap_algos::refcheck::connected_components(&g);
-        let plan = compile(&programs::cc_lp(), OptLevel::Full);
-        let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let outs = Cluster::with_threads(2, 2).run(|ctx| {
-            let dg = &parts[ctx.host()];
-            let eng = Engine::new(dg, ctx, &plan);
-            // 128 node-id labels fit in 8 bits (255 is the sentinel).
-            assert_eq!(eng.map_layouts(), vec![MapLayout::Bits(8)]);
-            let native: Npm<u64, DynReduceOp> = Npm::with_layout(
-                dg,
-                ctx,
-                plan.maps[0].op,
-                EngineConfig::default().variant,
-                MapLayout::Native,
-            );
-            assert!(
-                eng.map_table_bytes() * 4 <= native.table_bytes(),
-                "packed tables ({}B) not 4x under native ({}B)",
-                eng.map_table_bytes(),
-                native.table_bytes()
-            );
-            eng.run(ctx)
-        });
-        // Results through the packed tables match the reference.
-        assert_eq!(merged_map0(g.num_nodes(), &outs), expected);
-    }
-
-    #[test]
-    fn mis_packs_only_the_state_map() {
-        let plan = compile(&programs::mis(), OptLevel::Full);
-        let parts = partition(&gen::rmat(6, 3, 5), Policy::EdgeCutBlocked, 2);
-        Cluster::with_threads(2, 1).run(|ctx| {
-            let eng = Engine::new(&parts[ctx.host()], ctx, &plan);
-            // degree (Sum) and best (arithmetic priorities) stay native;
-            // state ∈ {0, 1, 2} bitpacks.
-            assert_eq!(
-                eng.map_layouts(),
-                vec![MapLayout::Native, MapLayout::Bits(2), MapLayout::Native]
-            );
-            eng.run(ctx)
-        });
+    fn plan_maps_store_one_value_per_slot() {
+        // A compiled plan's maps hold what a hand-built map of the same
+        // value type holds on the same partition: one u64 per master and
+        // mirror slot.
+        let parts = partition(&gen::rmat(7, 4, 31), Policy::EdgeCutBlocked, 2);
+        for prog in [programs::cc_sv(), programs::mis()] {
+            let plan = compile(&prog, OptLevel::Full);
+            Cluster::with_threads(2, 2).run(|ctx| {
+                let dg = &parts[ctx.host()];
+                let eng = Engine::new(dg, ctx, &plan);
+                let hand: usize = plan
+                    .maps
+                    .iter()
+                    .map(|d| Npm::<u64, DynReduceOp>::new(dg, ctx, d.op).table_bytes())
+                    .sum();
+                assert_eq!(eng.map_table_bytes(), hand, "{}", plan.name);
+                assert_eq!(
+                    hand,
+                    plan.maps.len() * (dg.num_masters() + dg.num_mirrors()) * 8,
+                    "{}",
+                    plan.name
+                );
+            });
+        }
     }
 
     #[test]

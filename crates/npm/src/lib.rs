@@ -62,12 +62,10 @@ pub mod map;
 pub mod ops;
 mod partial;
 pub mod reducer;
-pub mod table;
 pub mod value;
 
 pub use bitset::ConcurrentBitset;
 pub use map::{ChangedKeys, MapSnapshot, MirrorSync, NodePropMap, Npm, NpmReadStats, Variant};
 pub use ops::{DynReduceOp, Max, Min, Or, ReduceOp, Sum};
 pub use reducer::{BoolReducer, MinReducer, SumReducer};
-pub use table::{MapLayout, ValueTable, WordValue};
 pub use value::PropValue;

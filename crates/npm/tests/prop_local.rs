@@ -2,8 +2,8 @@
 //! `reduce_local` and `request_local` must be indistinguishable from
 //! `read`, `reduce` and `request` on the proxy's global id — same values,
 //! same canonical state after the sync, same traffic — for every local id,
-//! under every runtime variant, table layout, pinning mode and partition
-//! policy. `read_local` is checked twice: the inherent accessor compiled
+//! under every runtime variant, pinning mode and partition policy.
+//! `read_local` is checked twice: the inherent accessor compiled
 //! plans call and the trait-level `NodePropMap::read_local` hand-written
 //! operators call (the translating default other backends inherit is
 //! pinned by `kimbap-baselines`' `community_detection_agrees_across_backends`).
@@ -11,7 +11,7 @@
 use kimbap_comm::Cluster;
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::builder::from_edges;
-use kimbap_npm::{MapLayout, Min, NodePropMap, Npm, Variant};
+use kimbap_npm::{Min, NodePropMap, Npm, Variant};
 use proptest::prelude::*;
 
 const HOSTS: usize = 3;
@@ -21,7 +21,6 @@ fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
 }
 
 /// Per host: `(pick, value)` reductions; `pick` selects a local id.
-/// Values stay inside the 16-bit layout's domain.
 fn workload() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
     prop::collection::vec(
         prop::collection::vec((0u32..10_000, 0u64..60_000), 0..80),
@@ -42,7 +41,6 @@ fn run(
     loads: &[Vec<(u32, u64)>],
     policy: Policy,
     variant: Variant,
-    layout: MapLayout,
     pinned: bool,
 ) -> Vec<Observed> {
     let g = from_edges(edges.iter().copied());
@@ -50,7 +48,7 @@ fn run(
     Cluster::with_threads(HOSTS, 2).run(|ctx| {
         let dg = &parts[ctx.host()];
         let make = || {
-            let mut m: Npm<u64, Min> = Npm::with_layout(dg, ctx, Min, variant, layout);
+            let mut m: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
             m.init_masters(&|g| 50_000 - g as u64);
             m
         };
@@ -122,21 +120,17 @@ proptest! {
     ) {
         for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
             for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-                for layout in [MapLayout::Native, MapLayout::U32, MapLayout::Bits(16)] {
-                    for pinned in [true, false] {
-                        let what = format!("{policy:?} {variant:?} {layout:?} pinned={pinned}");
-                        for (h, (before, traffic, after)) in
-                            run(&edges, &loads, policy, variant, layout, pinned)
-                                .into_iter()
-                                .enumerate()
-                        {
-                            for (l, (by_key, by_lid)) in before.iter().enumerate() {
-                                prop_assert_eq!(by_key, by_lid, "{}: host {} lid {} before", what, h, l);
-                            }
-                            prop_assert_eq!(traffic[0], traffic[1], "{}: host {} traffic", what, h);
-                            for (l, (by_key, by_lid)) in after.iter().enumerate() {
-                                prop_assert_eq!(by_key, by_lid, "{}: host {} lid {} after", what, h, l);
-                            }
+                for pinned in [true, false] {
+                    let what = format!("{policy:?} {variant:?} pinned={pinned}");
+                    for (h, (before, traffic, after)) in
+                        run(&edges, &loads, policy, variant, pinned).into_iter().enumerate()
+                    {
+                        for (l, (by_key, by_lid)) in before.iter().enumerate() {
+                            prop_assert_eq!(by_key, by_lid, "{}: host {} lid {} before", what, h, l);
+                        }
+                        prop_assert_eq!(traffic[0], traffic[1], "{}: host {} traffic", what, h);
+                        for (l, (by_key, by_lid)) in after.iter().enumerate() {
+                            prop_assert_eq!(by_key, by_lid, "{}: host {} lid {} after", what, h, l);
                         }
                     }
                 }

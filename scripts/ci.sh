@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, full test suite, lints, the fixed-seed
+# Tier-1 CI gate: build, full test suite, lints, rustdoc, the fixed-seed
 # fault-injection matrix (3 plans x 4 algorithms -- cc-lp, louvain, msf,
 # mis -- on the simulation backend; see
 # crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
@@ -24,6 +24,9 @@ cargo clippy --workspace -- -D warnings
 
 echo "==> cargo clippy --workspace --benches --tests -- -D warnings"
 cargo clippy --workspace --benches --tests -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings, e.g. links to renamed or deleted items, fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench -q --workspace --no-run
