@@ -29,7 +29,9 @@
 //! against them.
 
 use crate::classify::{classify_map_reads, ReadDep};
-use crate::ir::{Expr, KimbapWhile, MapDecl, MapId, NodeIterator, Program, Stmt, TopStmt, Var};
+use crate::ir::{
+    BinOp, Expr, KimbapWhile, MapDecl, MapId, NodeIterator, Program, Stmt, TopStmt, Var,
+};
 use crate::lower::{lower, lower_value, Code};
 use kimbap_npm::DynReduceOp;
 use std::collections::{HashMap, HashSet};
@@ -90,6 +92,13 @@ pub struct CompiledLoop {
     pub broadcast_maps: Vec<MapId>,
     /// Sparse-execution certificate, when frontier iteration is sound.
     pub sparse: Option<SparsePlan>,
+    /// Host-local fixpoint certificate: every reduce is `x_t <- op(x_t,
+    /// x_s)` over an edge `(s, t)` into the loop's one pinned `Min` / `Max`
+    /// map, so a host may relax its own masters and mirrors until quiet
+    /// before the round's one exchange and still reach the same final maps
+    /// (DESIGN.md §10, "Host-local fixpoint"). Never set on a one-shot
+    /// `ParFor`.
+    pub local_fixpoint: bool,
 }
 
 /// A compiled top-level statement.
@@ -189,8 +198,9 @@ fn compile_tops(tops: &[TopStmt], maps: &[MapDecl], opt: OptLevel) -> Vec<Compil
                 },
                 maps,
                 opt,
+                false,
             )),
-            TopStmt::While(w) => CompiledTop::Loop(compile_while(w, maps, opt)),
+            TopStmt::While(w) => CompiledTop::Loop(compile_while(w, maps, opt, true)),
             TopStmt::DoWhileScalar { body, reducer } => CompiledTop::DoWhileScalar {
                 body: compile_tops(body, maps, opt),
                 reducer: *reducer,
@@ -484,7 +494,158 @@ fn sparse_plan(
     Some(SparsePlan { read_deps })
 }
 
-fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel) -> CompiledLoop {
+/// Decides whether a loop may repeat its body on each host until the host
+/// is quiet before every global exchange (DESIGN.md §10 "Host-local
+/// fixpoint"). `true` only when:
+///
+/// * the loop has a [`SparsePlan`] — `Full`, no scalar reductions, no
+///   request phases — and `repeat`s (a one-shot `ParFor` runs once);
+/// * it reduces exactly one map, its pinned quiescence map, whose operator
+///   is `Min` or `Max`;
+/// * every `Reduce` into that map is keyed by one endpoint `t` of the
+///   current edge and writes the map's read at the other endpoint `s`, or
+///   the operator applied to the reads at both;
+/// * every guard around a `Reduce` is a strict-improvement test between
+///   the written value and the read at `t` (`Lt` / `Gt` / `Ne`, in the
+///   operator's direction), so it only skips reductions that would change
+///   nothing.
+///
+/// Every reduction is then `x_t <- op(x_t, x_s)`, and any fair schedule of
+/// such relaxations reaches the same single fixpoint.
+fn certify_local_fixpoint(
+    w: &KimbapWhile,
+    repeat: bool,
+    sparse: Option<&SparsePlan>,
+    pinned_maps: &[MapId],
+    reduced_maps: &[MapId],
+    maps: &[MapDecl],
+) -> bool {
+    let q = w.quiesce_map;
+    repeat
+        && sparse.is_some()
+        && reduced_maps == [q]
+        && pinned_maps.contains(&q)
+        && matches!(maps[q].op, DynReduceOp::Min | DynReduceOp::Max)
+        && relaxes_only(&w.body, q, maps[q].op)
+}
+
+/// What a variable or expression holds, as far as [`relaxes_only`] cares:
+/// the quiescence map's read at one endpoint of the current edge, or the
+/// map's operator applied to the reads at both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Relax {
+    At(Endpoint),
+    Both,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    Node,
+    Dst,
+}
+
+impl Endpoint {
+    fn of(key: &Expr) -> Option<Endpoint> {
+        match key {
+            Expr::Node => Some(Endpoint::Node),
+            Expr::EdgeDst => Some(Endpoint::Dst),
+            _ => None,
+        }
+    }
+
+    fn other(self) -> Endpoint {
+        match self {
+            Endpoint::Node => Endpoint::Dst,
+            Endpoint::Dst => Endpoint::Node,
+        }
+    }
+}
+
+/// The body half of [`certify_local_fixpoint`]: every `Reduce` into `q` is a
+/// guarded relaxation along the current edge.
+fn relaxes_only(body: &[Stmt], q: MapId, op: DynReduceOp) -> bool {
+    fn norm(e: &Expr, vars: &HashMap<Var, Relax>, op: DynReduceOp) -> Option<Relax> {
+        match e {
+            Expr::Var(v) => vars.get(v).copied(),
+            Expr::Bin(BinOp::Min, a, b) if op == DynReduceOp::Min => {
+                let ends = (norm(a, vars, op)?, norm(b, vars, op)?);
+                matches!(
+                    ends,
+                    (Relax::At(Endpoint::Node), Relax::At(Endpoint::Dst))
+                        | (Relax::At(Endpoint::Dst), Relax::At(Endpoint::Node))
+                )
+                .then_some(Relax::Both)
+            }
+            _ => None,
+        }
+    }
+    /// Whether `cond` holds whenever writing `val` into the read at `t`
+    /// would change it under `op`.
+    fn improves(
+        cond: &Expr,
+        val: Relax,
+        t: Endpoint,
+        vars: &HashMap<Var, Relax>,
+        op: DynReduceOp,
+    ) -> bool {
+        let Expr::Bin(cmp, a, b) = cond else {
+            return false;
+        };
+        let (a, b) = (norm(a, vars, op), norm(b, vars, op));
+        let (w, tgt) = (Some(val), Some(Relax::At(t)));
+        match (cmp, op) {
+            (BinOp::Ne, _) => (a == w && b == tgt) || (a == tgt && b == w),
+            (BinOp::Lt, DynReduceOp::Min) | (BinOp::Gt, DynReduceOp::Max) => a == w && b == tgt,
+            (BinOp::Gt, DynReduceOp::Min) | (BinOp::Lt, DynReduceOp::Max) => a == tgt && b == w,
+            _ => false,
+        }
+    }
+    fn walk(
+        stmts: &[Stmt],
+        q: MapId,
+        op: DynReduceOp,
+        in_edges: bool,
+        guards: &mut Vec<Expr>,
+        vars: &mut HashMap<Var, Relax>,
+    ) -> bool {
+        stmts.iter().all(|s| match s {
+            Stmt::Let { dst, value } => {
+                if let Some(r) = norm(value, vars, op) {
+                    vars.insert(*dst, r);
+                }
+                true
+            }
+            Stmt::Read { dst, map, key } => {
+                if let (true, Some(end)) = (*map == q, Endpoint::of(key)) {
+                    vars.insert(*dst, Relax::At(end));
+                }
+                true
+            }
+            Stmt::Reduce { map, key, value } => {
+                let Some(t) = Endpoint::of(key).filter(|_| in_edges && *map == q) else {
+                    return false;
+                };
+                let val = match norm(value, vars, op) {
+                    Some(v @ Relax::Both) => v,
+                    Some(v @ Relax::At(s)) if s == t.other() => v,
+                    _ => return false,
+                };
+                guards.iter().all(|g| improves(g, val, t, vars, op))
+            }
+            Stmt::If { cond, then } => {
+                guards.push(cond.clone());
+                let ok = walk(then, q, op, in_edges, guards, vars);
+                guards.pop();
+                ok
+            }
+            Stmt::ForEdges { body } => walk(body, q, op, true, guards, vars),
+            Stmt::ReduceScalar { .. } | Stmt::Request { .. } => false,
+        })
+    }
+    walk(body, q, op, false, &mut Vec::new(), &mut HashMap::new())
+}
+
+fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel, repeat: bool) -> CompiledLoop {
     let facts = gather_facts(&w.body);
 
     // §5.2 master elision: no edge accesses -> masters only.
@@ -550,6 +711,15 @@ fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel) -> CompiledLo
         maps,
     );
 
+    let local_fixpoint = certify_local_fixpoint(
+        w,
+        repeat,
+        sparse.as_ref(),
+        &pinned_maps,
+        &facts.reduced_maps,
+        maps,
+    );
+
     CompiledLoop {
         quiesce_map: w.quiesce_map,
         iterator,
@@ -560,6 +730,7 @@ fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel) -> CompiledLo
         reduce_maps: facts.reduced_maps.clone(),
         broadcast_maps,
         sparse,
+        local_fixpoint,
     }
 }
 
@@ -820,6 +991,147 @@ mod tests {
         };
         assert!(l.request_phases.is_empty(), "adjacent reads are pinned");
         assert_eq!(l.sparse, None);
+    }
+
+    /// CC-LP's loop with its edge body replaced by `edge`.
+    fn lp_with_edge_body(op: kimbap_npm::DynReduceOp, edge: Vec<Stmt>) -> Program {
+        let mut p = programs::cc_lp();
+        p.maps[0].op = op;
+        p.num_vars = 4;
+        let TopStmt::While(w) = &mut p.body[1] else {
+            panic!("cc-lp's second statement is its loop")
+        };
+        w.body = vec![
+            Stmt::Read {
+                dst: 0,
+                map: 0,
+                key: Expr::Node,
+            },
+            Stmt::ForEdges { body: edge },
+        ];
+        p
+    }
+
+    fn certified(p: &Program, opt: OptLevel) -> Vec<bool> {
+        loops_of(&compile(p, opt).body)
+            .iter()
+            .map(|l| l.local_fixpoint)
+            .collect()
+    }
+
+    fn read_dst(dst: usize) -> Stmt {
+        Stmt::Read {
+            dst,
+            map: 0,
+            key: Expr::EdgeDst,
+        }
+    }
+
+    fn guarded(cond: Expr, key: Expr, value: Expr) -> Stmt {
+        Stmt::If {
+            cond,
+            then: vec![Stmt::Reduce { map: 0, key, value }],
+        }
+    }
+
+    #[test]
+    fn local_fixpoint_certifies_cc_lp_under_full_opt_only() {
+        assert_eq!(certified(&programs::cc_lp(), OptLevel::Full), [true]);
+        assert_eq!(certified(&programs::cc_lp(), OptLevel::None), [false]);
+        // A one-shot ParFor never repeats, whatever its body.
+        let (hook, shortcut) = sv_loops(OptLevel::Full);
+        assert!(!hook.local_fixpoint && !shortcut.local_fixpoint);
+    }
+
+    #[test]
+    fn local_fixpoint_refuses_scalar_trans_and_phase_programs() {
+        // CC-SCLP's LP loop counts work in a scalar reducer; its shortcut
+        // reads label(label(n)).
+        assert_eq!(certified(&programs::cc_sclp(), OptLevel::Full), [false, false]);
+        // MIS runs one-shot phases over three maps, one of them Sum.
+        let mis = compile(&programs::mis(), OptLevel::Full);
+        fn any_certified(body: &[CompiledTop]) -> bool {
+            body.iter().any(|t| match t {
+                CompiledTop::Loop(l) | CompiledTop::Once(l) => l.local_fixpoint,
+                CompiledTop::DoWhileScalar { body, .. } => any_certified(body),
+                _ => false,
+            })
+        }
+        assert!(!any_certified(&mis.body));
+    }
+
+    #[test]
+    fn local_fixpoint_accepts_only_improvement_guards() {
+        use kimbap_npm::DynReduceOp::{Max, Min};
+        let lt = |a, b| Expr::bin(BinOp::Lt, Expr::Var(a), Expr::Var(b));
+        let gt = |a, b| Expr::bin(BinOp::Gt, Expr::Var(a), Expr::Var(b));
+        let ne = |a, b| Expr::bin(BinOp::Ne, Expr::Var(a), Expr::Var(b));
+        let push = |cond| vec![read_dst(1), guarded(cond, Expr::EdgeDst, Expr::Var(0))];
+        let pull = |cond| vec![read_dst(1), guarded(cond, Expr::Node, Expr::Var(1))];
+        let cases: Vec<(&str, Program, bool)> = vec![
+            ("push, v0 < v1", lp_with_edge_body(Min, push(lt(0, 1))), true),
+            ("push, v1 > v0", lp_with_edge_body(Min, push(gt(1, 0))), true),
+            ("push, v0 != v1", lp_with_edge_body(Min, push(ne(0, 1))), true),
+            ("push max, v0 > v1", lp_with_edge_body(Max, push(gt(0, 1))), true),
+            ("pull, v1 < v0", lp_with_edge_body(Min, pull(lt(1, 0))), true),
+            (
+                "pull min(v0, v1), unguarded",
+                lp_with_edge_body(
+                    Min,
+                    vec![
+                        read_dst(1),
+                        Stmt::Reduce {
+                            map: 0,
+                            key: Expr::Node,
+                            value: Expr::bin(BinOp::Min, Expr::Var(0), Expr::Var(1)),
+                        },
+                    ],
+                ),
+                true,
+            ),
+            // Wrong direction: skips exactly the reductions that matter.
+            ("push min, v0 > v1", lp_with_edge_body(Min, push(gt(0, 1))), false),
+            ("push max, v0 < v1", lp_with_edge_body(Max, push(lt(0, 1))), false),
+            (
+                "guard v0 == 7",
+                lp_with_edge_body(
+                    Min,
+                    vec![
+                        read_dst(1),
+                        Stmt::If {
+                            cond: Expr::bin(BinOp::Eq, Expr::Var(0), Expr::Const(7)),
+                            then: vec![guarded(lt(0, 1), Expr::EdgeDst, Expr::Var(0))],
+                        },
+                    ],
+                ),
+                false,
+            ),
+            (
+                "writes a constant",
+                lp_with_edge_body(
+                    Min,
+                    vec![read_dst(1), guarded(lt(0, 1), Expr::EdgeDst, Expr::Const(0))],
+                ),
+                false,
+            ),
+            (
+                "writes the target's own read",
+                lp_with_edge_body(
+                    Min,
+                    vec![read_dst(1), guarded(lt(0, 1), Expr::EdgeDst, Expr::Var(1))],
+                ),
+                false,
+            ),
+            (
+                "Sum map",
+                lp_with_edge_body(kimbap_npm::DynReduceOp::Sum, push(lt(0, 1))),
+                false,
+            ),
+        ];
+        for (what, p, want) in cases {
+            assert_eq!(certified(&p, OptLevel::Full), [want], "{what}");
+            assert_eq!(certified(&p, OptLevel::None), [false], "{what} at NO-OPT");
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ per-master term: what the partitioner balances) with their max/mean;
 vertex programs (.kv) use the surface syntax of kimbap-compiler's
 frontend. run, sim, serve and the TCP workers look an algorithm up in
 one table (kimbap::serve::TABLE), so a name picks the same executor
-everywhere: cc-sv is the compiled plan, the rest are hand-written loops.
+everywhere: cc-sv and cc-lp are compiled plans, the rest hand-written loops.
 --faults injects a seeded fault plan and --out writes the merged output
 one value per line (labels; 0/1 membership for mis; weight, edge count
 and the sorted edges for msf) for diffing across launchers, transports
@@ -393,14 +393,20 @@ fn run_host(
         let prog = compile(&program(), OptLevel::Full);
         let policy = Policy::EdgeCutBlocked;
         let config = EngineConfig::default();
-        let out = if ctx.is_member() {
+        let joiner = !ctx.is_member();
+        let out = if !joiner {
             Some(run_plan_elastic(g, policy, &prog, config, ctx))
         } else {
             let deadline = Deadline::after("join", Duration::from_secs(10));
             join_plan_elastic(g, policy, &prog, config, ctx, &deadline)
         };
         JobOutput::Masters(match out {
-            Some(o) => o.map_values.into_iter().next().unwrap_or_default(),
+            Some(o) => {
+                if joiner {
+                    println!("host {} was admitted mid-run", ctx.host());
+                }
+                o.map_values.into_iter().next().unwrap_or_default()
+            }
             None => {
                 println!("joiner gave up: the members finished before admission");
                 Vec::new()
@@ -580,14 +586,16 @@ fn host_values<R>(
 ) -> Result<Outcome<Vec<R>>, String> {
     let mut vals = Vec::with_capacity(res.len());
     let mut aborted = None;
-    for r in res {
+    for (h, r) in res.into_iter().enumerate() {
         match r {
             Ok(v) => vals.push(v),
             // Under --allow-shrink the killed host is an *expected*
             // casualty: it aborts with its own permanent-loss error while
             // the survivors shrink past it, so its result is skipped
             // rather than treated as the run's outcome.
-            Err(e) if elastic && e.message.starts_with("permanent host loss") => {}
+            Err(e) if elastic && e.message.starts_with("permanent host loss") => {
+                println!("host {h} was killed; survivors shrank past it");
+            }
             Err(e)
                 if e.message.starts_with("communication failed")
                     || e.message.starts_with("injected crash")
@@ -1232,11 +1240,12 @@ fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {
         T::ResetMap { map } => format!("reset map {map}"),
         T::SetScalar { reducer, value } => format!("set reducer {reducer} = {value}"),
         T::Loop(l) => format!(
-            "while-updated loop: {:?}, {} request phase(s), pin {:?}, broadcast {:?}",
+            "while-updated loop: {:?}, {} request phase(s), pin {:?}, broadcast {:?}{}",
             l.iterator,
             l.request_phases.len(),
             l.pinned_maps,
-            l.broadcast_maps
+            l.broadcast_maps,
+            if l.local_fixpoint { ", host-local fixpoint" } else { "" }
         ),
         T::Once(l) => format!(
             "parfor: {:?}, {} request phase(s), pin {:?}",

@@ -270,7 +270,9 @@ fn decode_triples(buf: &[u8], nmaps: usize) -> Result<Vec<(usize, NodeId, u64)>,
             if m >= nmaps as u64 {
                 return Err(format!("map index {m} out of range for {nmaps} maps"));
             }
-            Ok((m as usize, word(c, 1) as NodeId, word(c, 2)))
+            let k = word(c, 1);
+            let k = NodeId::try_from(k).map_err(|_| format!("key {k} wider than a node id"))?;
+            Ok((m as usize, k, word(c, 2)))
         })
         .collect()
 }
@@ -392,6 +394,9 @@ mod tests {
         let err = decode_triples(&triple, 2).unwrap_err();
         assert!(err.contains("map index 2"), "{err}");
         assert_eq!(decode_triples(&triple, 3), Ok(vec![(2, 0, 0)]));
+        triple[8..16].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let err = decode_triples(&triple, 3).unwrap_err();
+        assert!(err.contains("key 4294967296"), "{err}");
     }
 
     /// The reference labels a fault-free run would produce.

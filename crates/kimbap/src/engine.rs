@@ -74,6 +74,11 @@ pub struct RoundActivity {
     pub sparse: bool,
     /// Wall-clock time of the reduce-compute phase.
     pub reduce_compute_nanos: u64,
+    /// Passes of the operator the round ran before its exchange: 1 on the
+    /// global schedule; under a host-local fixpoint, until the host was
+    /// quiet. `active` and `sparse` describe the first pass, whose
+    /// frontier the previous exchange decided.
+    pub passes: u32,
 }
 
 /// The nodes a sparse round executes — Ligra's two frontier shapes.
@@ -383,16 +388,17 @@ impl<'g> Engine<'g> {
                 // An initializer is `let v0 = <value>` over the node's
                 // global id alone: it runs against no map, and the local
                 // id handed to the executor is never looked at.
-                let exec = Exec {
+                let exec: Exec<'_, '_, false> = Exec {
                     dg: self.dg,
                     maps: &[],
+                    q: 0,
                 };
                 with_frame(code, |regs| {
                     let regs = std::cell::RefCell::new(regs);
                     self.maps[*map].init_masters(&|g| {
                         let regs = &mut **regs.borrow_mut();
                         regs[code.node_reg() as usize] = g as u64;
-                        exec.node_ops(code, regs, 0, 0);
+                        exec.node_ops(code, regs, &mut Vec::new(), 0, 0);
                         regs[0]
                     });
                 });
@@ -614,7 +620,7 @@ impl<'g> Engine<'g> {
         // quiescence check sit outside the four phases.
         for phase in &l.request_phases {
             let t = clock::now_nanos();
-            self.exec_parfor(ctx, l.iterator, &phase.code, None);
+            self.exec_parfor(ctx, l.iterator, &phase.code, None, None);
             ctx.add_phase_nanos(SyncPhase::RequestCompute, clock::now_nanos().saturating_sub(t));
             let t = clock::now_nanos();
             ctx.set_deadline(Deadline::maybe("request_sync", timeout));
@@ -624,17 +630,38 @@ impl<'g> Engine<'g> {
             ctx.add_phase_nanos(SyncPhase::RequestSync, clock::now_nanos().saturating_sub(t));
         }
 
+        // A certified loop on the GAR map settles this host before the
+        // round's one exchange: after every pass the local combine folds
+        // the pass's partials into the tables, and the next pass runs on
+        // what that changed, until nothing does. A crash anywhere in here
+        // replays the whole round, passes included, from the checkpoint.
+        let q = l.quiesce_map;
+        let local = (repeat && l.local_fixpoint && self.maps[q].variant().partition_aware())
+            .then_some(q);
+        if local.is_some() {
+            self.maps[q].begin_local_passes();
+        }
         let t = clock::now_nanos();
-        let (active, total) = self.exec_parfor(ctx, l.iterator, &l.code, frontier.as_ref());
+        let (active, total) = self.exec_parfor(ctx, l.iterator, &l.code, frontier.as_ref(), local);
+        let (mut executed, mut extent, mut passes) = (active, total, 1);
+        while local.is_some() && self.maps[q].combine_local() {
+            let next = self.build_active_set(l);
+            let (pass_active, pass_total) =
+                self.exec_parfor(ctx, l.iterator, &l.code, next.as_ref(), local);
+            executed += pass_active;
+            extent += pass_total;
+            passes += 1;
+        }
         let reduce_compute_nanos = clock::now_nanos().saturating_sub(t);
         ctx.add_phase_nanos(SyncPhase::ReduceCompute, reduce_compute_nanos);
-        ctx.add_parfor_activity(active, total, frontier.is_some());
+        ctx.add_parfor_activity(executed, extent, frontier.is_some());
         self.activity.push(RoundActivity {
             round: self.rounds,
             active,
             total,
             sparse: frontier.is_some(),
             reduce_compute_nanos,
+            passes,
         });
 
         let t = clock::now_nanos();
@@ -642,7 +669,6 @@ impl<'g> Engine<'g> {
         // When the whole tail concerns the quiescence map alone (every
         // adjacent-vertex loop), its reduce, broadcast and quiescence check
         // go through the map's fused entry point.
-        let q = l.quiesce_map;
         let updated = if repeat && l.reduce_maps == [q] && l.broadcast_maps == [q] {
             let updated = self.maps[q].sync_round(ctx);
             ctx.add_phase_nanos(SyncPhase::ReduceSync, clock::now_nanos().saturating_sub(t));
@@ -742,13 +768,16 @@ impl<'g> Engine<'g> {
     /// Runs `code` over the iterator's extent — dense, or restricted to
     /// `active` — and returns `(nodes executed, dense extent)`. Every
     /// chunk runs in its own frame, whose scalar-reducer accumulators are
-    /// flushed when the chunk retires.
+    /// flushed when the chunk retires. A pass of a host-local fixpoint
+    /// (`local` names its quiescence map) reads and reduces that map
+    /// through the thread-visible accessors; see [`Exec`].
     fn exec_parfor(
         &self,
         ctx: &HostCtx,
         iterator: NodeIterator,
         code: &Code,
         active: Option<&ActiveSet>,
+        local: Option<usize>,
     ) -> (u64, u64) {
         #[cfg(test)]
         if let Some(walked) = &self.reference {
@@ -758,9 +787,25 @@ impl<'g> Engine<'g> {
             NodeIterator::AllNodes => self.dg.num_local_nodes(),
             NodeIterator::Masters => self.dg.num_masters(),
         };
-        let exec = Exec {
+        match local {
+            Some(q) => self.parfor::<true>(ctx, n, code, active, q),
+            None => self.parfor::<false>(ctx, n, code, active, 0),
+        }
+    }
+
+    /// [`Engine::exec_parfor`] over an extent of `n` nodes.
+    fn parfor<const LOCAL: bool>(
+        &self,
+        ctx: &HostCtx,
+        n: usize,
+        code: &Code,
+        active: Option<&ActiveSet>,
+        q: usize,
+    ) -> (u64, u64) {
+        let exec: Exec<'_, 'g, LOCAL> = Exec {
             dg: self.dg,
             maps: &self.maps,
+            q,
         };
         match active {
             None => {
@@ -797,18 +842,27 @@ impl<'g> Engine<'g> {
     /// Runs `code` on one chunk of nodes in a frame of its own, then
     /// flushes the frame's scalar-reducer accumulators: one
     /// [`SumReducer::reduce`] per reducer per chunk instead of one per
-    /// firing statement.
+    /// firing statement. A local pass also runs, depth first after each
+    /// node, every edge destination this thread's own reductions lowered:
+    /// a label then crosses the host's slab in one pass instead of one hop
+    /// per pass.
     #[inline]
-    fn exec_chunk(
+    fn exec_chunk<const LOCAL: bool>(
         &self,
-        exec: &Exec<'_, 'g>,
+        exec: &Exec<'_, 'g, LOCAL>,
         code: &Code,
         tid: usize,
         nodes: impl Iterator<Item = LocalId>,
     ) {
         with_frame(code, |regs| {
+            let mut work = Vec::new();
             for lid in nodes {
-                exec.node(code, regs, tid, lid);
+                exec.node(code, regs, &mut work, tid, lid);
+                if LOCAL {
+                    while let Some(next) = work.pop() {
+                        exec.node(code, regs, &mut work, tid, next);
+                    }
+                }
             }
             for &(reducer, acc) in code.scalars() {
                 self.reducers[reducer].reduce(regs[acc as usize]);
@@ -821,6 +875,9 @@ impl<'g> Engine<'g> {
 #[derive(Clone, Copy)]
 struct EdgeHead<'a, 'g> {
     map: &'a Npm<'g, u64, DynReduceOp>,
+    /// The read goes through [`Npm::read_visible`] (a local pass's read of
+    /// the quiescence map).
+    visible: bool,
     dst: usize,
     test: Test,
 }
@@ -842,47 +899,101 @@ fn skip_of(test: Test, regs: &mut [u64]) -> usize {
 /// maps. The one executor of operator bodies — dense rounds, all three
 /// frontier shapes, request phases and map initializers go through
 /// [`Exec::node`] / [`Exec::node_ops`].
-struct Exec<'a, 'g> {
+///
+/// `LOCAL` marks a host-local fixpoint's pass: reads of the quiescence map
+/// `q` go through [`Npm::read_visible`] and reductions through
+/// [`Npm::reduce_visible`], so a thread sees its own reductions, and an
+/// edge destination whose value a reduction lowered is pushed onto the
+/// thread's worklist (`work`). Elsewhere `work` stays empty.
+struct Exec<'a, 'g, const LOCAL: bool> {
     dg: &'g DistGraph,
     maps: &'a [Npm<'g, u64, DynReduceOp>],
+    q: usize,
 }
 
-impl Exec<'_, '_> {
+impl<const LOCAL: bool> Exec<'_, '_, LOCAL> {
     /// Applies `code` to the proxy with local id `lid`.
     #[inline]
-    fn node(&self, code: &Code, regs: &mut [u64], tid: usize, lid: LocalId) {
+    fn node(
+        &self,
+        code: &Code,
+        regs: &mut [u64],
+        work: &mut Vec<LocalId>,
+        tid: usize,
+        lid: LocalId,
+    ) {
         if code.uses_node() {
             regs[code.node_reg() as usize] = self.dg.local_to_global(lid) as u64;
         }
-        self.node_ops(code, regs, tid, lid);
+        self.node_ops(code, regs, work, tid, lid);
     }
 
     /// The node-level op loop; the caller has filled the node register.
     #[inline]
-    fn node_ops(&self, code: &Code, regs: &mut [u64], tid: usize, lid: LocalId) {
+    fn node_ops(
+        &self,
+        code: &Code,
+        regs: &mut [u64],
+        work: &mut Vec<LocalId>,
+        tid: usize,
+        lid: LocalId,
+    ) {
         let ops = code.ops();
         let mut pc = 0;
         while pc < ops.len() {
             if let Op::ForEdges { len } = ops[pc] {
                 let end = pc + 1 + len as usize;
-                self.for_edges(code, &ops[pc + 1..end], regs, tid, lid);
+                self.for_edges(code, &ops[pc + 1..end], regs, work, tid, lid);
                 pc = end;
             } else {
                 // Outside an edge body no op looks at the destination.
-                pc += 1 + self.step(ops[pc], regs, tid, lid, lid);
+                pc += 1 + self.step(ops[pc], regs, work, tid, lid, lid);
             }
+        }
+    }
+
+    /// `map[lid]` as this thread sees it.
+    #[inline(always)]
+    fn read(&self, map: u32, tid: usize, lid: LocalId) -> u64 {
+        let m = &self.maps[map as usize];
+        if LOCAL && map as usize == self.q {
+            m.read_visible(tid, lid)
+        } else {
+            m.read_local(lid)
+        }
+    }
+
+    /// `map[lid] <- val`; returns whether a local pass's reduction lowered
+    /// the value this thread sees.
+    #[inline(always)]
+    fn reduce(&self, map: u32, tid: usize, lid: LocalId, val: u64) -> bool {
+        let m = &self.maps[map as usize];
+        if LOCAL {
+            m.reduce_visible(tid, lid, val)
+        } else {
+            m.reduce_local(tid, lid, val);
+            false
         }
     }
 
     /// Runs the edge body `body` once per out-edge of `lid`.
     #[inline]
-    fn for_edges(&self, code: &Code, body: &[Op], regs: &mut [u64], tid: usize, lid: LocalId) {
+    fn for_edges(
+        &self,
+        code: &Code,
+        body: &[Op],
+        regs: &mut [u64],
+        work: &mut Vec<LocalId>,
+        tid: usize,
+        lid: LocalId,
+    ) {
         // The fused opening "read the neighbour, test it" is decoded here,
         // once per node: an edge that fails the test dispatches no op.
         let (head, rest) = match body.split_first() {
             Some((&Op::ReadDstSkipUnless { dst, map, test }, rest)) => (
                 Some(EdgeHead {
                     map: &self.maps[map as usize],
+                    visible: LOCAL && map as usize == self.q,
                     dst: dst as usize,
                     test,
                 }),
@@ -903,14 +1014,14 @@ impl Exec<'_, '_> {
                 #[inline(always)]
                 move |(), (dst, w)| {
                     regs[weight_reg] = w;
-                    self.edge(head, rest, regs, tid, lid, dst, dst_reg);
+                    self.edge(head, rest, regs, work, tid, lid, dst, dst_reg);
                 },
             );
         } else {
             self.dg.targets(lid).fold(
                 (),
                 #[inline(always)]
-                move |(), dst| self.edge(head, rest, regs, tid, lid, dst, dst_reg),
+                move |(), dst| self.edge(head, rest, regs, work, tid, lid, dst, dst_reg),
             );
         }
     }
@@ -925,6 +1036,7 @@ impl Exec<'_, '_> {
         head: Option<EdgeHead<'_, '_>>,
         rest: &[Op],
         regs: &mut [u64],
+        work: &mut Vec<LocalId>,
         tid: usize,
         lid: LocalId,
         dst: LocalId,
@@ -935,32 +1047,46 @@ impl Exec<'_, '_> {
         }
         let mut pc = 0;
         if let Some(h) = head {
-            regs[h.dst] = h.map.read_local(dst);
+            regs[h.dst] = if LOCAL && h.visible {
+                h.map.read_visible(tid, dst)
+            } else {
+                h.map.read_local(dst)
+            };
             pc = skip_of(h.test, regs);
         }
         while pc < rest.len() {
-            pc += 1 + self.step(rest[pc], regs, tid, lid, dst);
+            pc += 1 + self.step(rest[pc], regs, work, tid, lid, dst);
         }
     }
 
     /// Executes one op other than `ForEdges`; returns how many following
     /// ops to skip.
     #[inline(always)]
-    fn step(&self, op: Op, regs: &mut [u64], tid: usize, lid: LocalId, dst: LocalId) -> usize {
+    fn step(
+        &self,
+        op: Op,
+        regs: &mut [u64],
+        work: &mut Vec<LocalId>,
+        tid: usize,
+        lid: LocalId,
+        dst: LocalId,
+    ) -> usize {
         let r = |regs: &[u64], i: u32| regs[i as usize];
         match op {
             Op::Bin { op, dst, a, b } => regs[dst as usize] = apply_bin(op, r(regs, a), r(regs, b)),
             Op::Mov { dst, src } => regs[dst as usize] = r(regs, src),
-            Op::ReadNode { dst, map } => regs[dst as usize] = self.maps[map as usize].read_local(lid),
-            Op::ReadDst { dst: d, map } => regs[d as usize] = self.maps[map as usize].read_local(dst),
+            Op::ReadNode { dst, map } => regs[dst as usize] = self.read(map, tid, lid),
+            Op::ReadDst { dst: d, map } => regs[d as usize] = self.read(map, tid, dst),
             Op::ReadAt { dst, map, key } => {
                 regs[dst as usize] = self.maps[map as usize].read(r(regs, key) as NodeId);
             }
             Op::ReduceNode { map, val } => {
-                self.maps[map as usize].reduce_local(tid, lid, r(regs, val));
+                self.reduce(map, tid, lid, r(regs, val));
             }
             Op::ReduceDst { map, val } => {
-                self.maps[map as usize].reduce_local(tid, dst, r(regs, val));
+                if self.reduce(map, tid, dst, r(regs, val)) {
+                    work.push(dst);
+                }
             }
             Op::ReduceAt { map, key, val } => {
                 self.maps[map as usize].reduce(tid, r(regs, key) as NodeId, r(regs, val));
@@ -973,7 +1099,7 @@ impl Exec<'_, '_> {
             }
             Op::SkipUnless(test) => return skip_of(test, regs),
             Op::ReadDstSkipUnless { dst: d, map, test } => {
-                regs[d as usize] = self.maps[map as usize].read_local(dst);
+                regs[d as usize] = self.read(map, tid, dst);
                 return skip_of(test, regs);
             }
             Op::ForEdges { .. } => unreachable!("edge bodies hold no ForEdges"),
@@ -1024,7 +1150,7 @@ impl std::fmt::Display for RoundSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kimbap_comm::Cluster;
+    use kimbap_comm::{Cluster, FaultPlan};
     use kimbap_compiler::{compile, programs, OptLevel};
     use kimbap_dist::{partition, Policy};
     use kimbap_graph::gen;
@@ -1199,27 +1325,39 @@ mod tests {
         assert_eq!(total.reduce_compute_nanos, max_rc);
     }
 
+    /// `plan` with every loop's host-local fixpoint certificate cleared.
+    fn global_schedule(plan: &CompiledProgram) -> CompiledProgram {
+        let mut plan = plan.clone();
+        for t in &mut plan.body {
+            if let CompiledTop::Loop(l) = t {
+                l.local_fixpoint = false;
+            }
+        }
+        plan
+    }
+
     #[test]
     fn cc_lp_runs_sparse_tail_rounds_and_matches_dense() {
         let g = gen::rmat(8, 6, 11);
-        let plan = compile(&programs::cc_lp(), OptLevel::Full);
+        let local = compile(&programs::cc_lp(), OptLevel::Full);
+        let global = global_schedule(&local);
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let run_cfg = |sparse: bool| {
+        let run_cfg = |plan: &CompiledProgram, sparse: bool| {
             Cluster::with_threads(2, 2).run(|ctx| {
                 let cfg = EngineConfig {
                     sparse,
                     ..EngineConfig::default()
                 };
-                Engine::with_config(&parts[ctx.host()], ctx, &plan, cfg).run(ctx)
+                Engine::with_config(&parts[ctx.host()], ctx, plan, cfg).run(ctx)
             })
         };
-        let sparse_outs = run_cfg(true);
-        let dense_outs = run_cfg(false);
-        // Identical results, round for round.
-        assert_eq!(
-            merged_map0(g.num_nodes(), &sparse_outs),
-            merged_map0(g.num_nodes(), &dense_outs)
-        );
+        let expected = kimbap_algos::refcheck::connected_components(&g);
+
+        // The global schedule: identical results, round for round.
+        let sparse_outs = run_cfg(&global, true);
+        let dense_outs = run_cfg(&global, false);
+        assert_eq!(merged_map0(g.num_nodes(), &sparse_outs), expected);
+        assert_eq!(merged_map0(g.num_nodes(), &dense_outs), expected);
         assert_eq!(sparse_outs[0].rounds, dense_outs[0].rounds);
         // The dense run never leaves the dense path…
         assert!(dense_outs.iter().all(|o| o.activity.iter().all(|a| !a.sparse)));
@@ -1228,11 +1366,60 @@ mod tests {
         for o in &sparse_outs {
             let tail: Vec<_> = o.activity.iter().skip(1).collect();
             assert!(!tail.is_empty(), "label propagation needs multiple rounds");
-            assert!(tail.iter().all(|a| a.sparse && a.active <= a.total));
+            assert!(tail.iter().all(|a| a.sparse && a.active <= a.total && a.passes == 1));
             let last = tail.last().unwrap();
             // The final round observed a quiesced frontier-to-be: nothing
             // changed, so the previous delta had shrunk well below dense.
             assert!(last.active < last.total);
+        }
+
+        // The certified schedule: the same final labels in no more rounds.
+        // Passes vary with the frontier, but every round still ends at the
+        // host's one local fixpoint of its start state, so the round count
+        // does not depend on sparse or dense passes.
+        let local_sparse = run_cfg(&local, true);
+        let local_dense = run_cfg(&local, false);
+        assert_eq!(merged_map0(g.num_nodes(), &local_sparse), expected);
+        assert_eq!(merged_map0(g.num_nodes(), &local_dense), expected);
+        assert_eq!(local_sparse[0].rounds, local_dense[0].rounds);
+        assert!(local_sparse[0].rounds <= sparse_outs[0].rounds);
+        for o in &local_sparse {
+            assert!(o.activity.iter().skip(1).all(|a| a.sparse));
+        }
+    }
+
+    #[test]
+    fn certified_grid_settles_each_slab_locally_and_recovers_from_a_crash() {
+        // On a grid each host owns a contiguous block of rows: the global
+        // schedule moves a label one row per round, the certified one
+        // settles a block per round. Under the vertex cut mirrors carry
+        // edges too, so the broadcast must refresh every master a pass
+        // changed, not only those the last pass did.
+        let g = gen::grid_road(30, 30, 5);
+        let expected = kimbap_algos::refcheck::connected_components(&g);
+        let local = compile(&programs::cc_lp(), OptLevel::Full);
+        let global = global_schedule(&local);
+        for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
+            let parts = partition(&g, policy, 2);
+            let run = |plan: &CompiledProgram, faults: FaultPlan| {
+                let outs = Cluster::with_threads(2, 2).run_with_faults(faults, |ctx| {
+                    Engine::new(&parts[ctx.host()], ctx, plan).run(ctx)
+                });
+                (merged_map0(g.num_nodes(), &outs), outs[0].rounds, outs)
+            };
+            let (labels, rounds, outs) = run(&local, FaultPlan::new());
+            let (global_labels, global_rounds, _) = run(&global, FaultPlan::new());
+            assert_eq!(labels, expected, "{policy:?}");
+            assert_eq!(global_labels, expected, "{policy:?}");
+            assert!(rounds <= 4, "{policy:?}: {rounds} rounds on two blocks");
+            assert!(global_rounds >= 30, "{policy:?}: {global_rounds} global rounds");
+            assert!(outs.iter().any(|o| o.activity.iter().any(|a| a.passes > 1)));
+
+            // A crash in round 2 rewinds to the last global checkpoint and
+            // replays the whole round, its local passes included.
+            let (recovered, replayed, _) = run(&local, FaultPlan::new().crash_host(1, 2));
+            assert_eq!(recovered, expected, "{policy:?}");
+            assert_eq!(replayed, rounds, "{policy:?}: replayed rounds were counted twice");
         }
     }
 

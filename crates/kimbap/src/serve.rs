@@ -70,7 +70,9 @@ use std::time::Duration;
 pub enum Algo {
     /// Connected components, Shiloach–Vishkin (compiled engine plan).
     CcSv,
-    /// Connected components, label propagation.
+    /// Connected components, label propagation (compiled engine plan; its
+    /// loop is certified for the host-local fixpoint, so each host settles
+    /// its own slab between exchanges).
     CcLp,
     /// Connected components, short-cutting label propagation.
     CcSclp,
@@ -126,7 +128,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "cc-sv",
         id: 0,
         policy: Policy::CartesianVertexCut,
-        run: run_cc_sv_plan,
+        run: |dg, ctx, band| run_plan(&CC_SV_PLAN, programs::cc_sv, dg, ctx, band),
         check: check_components,
         describe: describe_components,
         tcp: true,
@@ -138,7 +140,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "cc-lp",
         id: 1,
         policy: Policy::CartesianVertexCut,
-        run: |dg, ctx, _| JobOutput::Masters(cc::cc_lp(dg, ctx, &NpmBuilder::default())),
+        run: |dg, ctx, band| run_plan(&CC_LP_PLAN, programs::cc_lp, dg, ctx, band),
         check: check_components,
         describe: describe_components,
         tcp: true,
@@ -405,7 +407,44 @@ struct CacheKey {
 /// to running an algorithm.
 struct ResultCache {
     capacity: usize,
-    entries: Vec<(CacheKey, JobOutput)>,
+    entries: Vec<(CacheKey, Cached)>,
+}
+
+/// One cached output. Per-master labels over a contiguous run of keys —
+/// every cc-* partial on a blocked partition — keep one `u64` per master
+/// instead of a 16-byte `(key, value)` pair, which halves the entries that
+/// dominate a cache of label jobs.
+#[derive(Debug)]
+enum Cached {
+    /// `JobOutput::Masters` with keys `first, first + 1, ...`.
+    Run { first: NodeId, vals: Vec<u64> },
+    /// Any other output, as produced.
+    Output(JobOutput),
+}
+
+impl Cached {
+    fn of(out: &JobOutput) -> Cached {
+        match out {
+            JobOutput::Masters(pairs)
+                if pairs.iter().zip(pairs.first().map_or(0, |p| p.0)..).all(|(p, k)| p.0 == k) =>
+            {
+                Cached::Run {
+                    first: pairs.first().map_or(0, |p| p.0),
+                    vals: pairs.iter().map(|p| p.1).collect(),
+                }
+            }
+            out => Cached::Output(out.clone()),
+        }
+    }
+
+    fn output(&self) -> JobOutput {
+        match self {
+            Cached::Run { first, vals } => {
+                JobOutput::Masters((*first..).zip(vals.iter().copied()).collect())
+            }
+            Cached::Output(out) => out.clone(),
+        }
+    }
 }
 
 impl ResultCache {
@@ -420,18 +459,18 @@ impl ResultCache {
     fn get(&mut self, key: &CacheKey) -> Option<JobOutput> {
         let i = self.entries.iter().position(|(k, _)| k == key)?;
         let e = self.entries.remove(i);
-        let out = e.1.clone();
+        let out = e.1.output();
         self.entries.push(e);
         Some(out)
     }
 
     /// Inserts (or refreshes) `key`, returning how many entries were
     /// evicted to make room.
-    fn insert(&mut self, key: CacheKey, out: JobOutput) -> u64 {
+    fn insert(&mut self, key: CacheKey, out: &JobOutput) -> u64 {
         if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries.remove(i);
         }
-        self.entries.push((key, out));
+        self.entries.push((key, Cached::of(out)));
         let mut evicted = 0;
         while self.entries.len() > self.capacity {
             self.entries.remove(0);
@@ -577,7 +616,7 @@ impl HostServer {
                 let out = (job.spec.algo.row().run)(dg, ctx, band);
                 ctx.set_job_deadline(None);
                 in_flight.set(None);
-                let evicted = cache.insert(key, out.clone());
+                let evicted = cache.insert(key, &out);
                 ctx.add_cache_events(0, 0, evicted);
                 reports.push(JobReport {
                     job,
@@ -673,11 +712,21 @@ fn decode_jobs(buf: &[u8]) -> Result<Vec<JobSpec>, String> {
         .collect()
 }
 
-/// The compiled CC-SV plan, shared by every job that requests it.
+/// The compiled plans of the rows that run one, each compiled once and
+/// shared by every job that requests it.
 static CC_SV_PLAN: OnceLock<CompiledProgram> = OnceLock::new();
+static CC_LP_PLAN: OnceLock<CompiledProgram> = OnceLock::new();
 
-fn run_cc_sv_plan(dg: &DistGraph, ctx: &HostCtx, band: u64) -> JobOutput {
-    let plan = CC_SV_PLAN.get_or_init(|| compile(&programs::cc_sv(), OptLevel::Full));
+/// Runs `program`'s compiled plan (compiled into `plan` on first use) as
+/// one job in round band `band`; the first map's masters are the partial.
+fn run_plan(
+    plan: &'static OnceLock<CompiledProgram>,
+    program: fn() -> Program,
+    dg: &DistGraph,
+    ctx: &HostCtx,
+    band: u64,
+) -> JobOutput {
+    let plan = plan.get_or_init(|| compile(&program(), OptLevel::Full));
     let cfg = EngineConfig {
         round_base: band,
         ..EngineConfig::default()
@@ -763,11 +812,11 @@ mod tests {
     #[test]
     fn cache_is_lru_and_bounded() {
         let mut c = ResultCache::new(2);
-        assert_eq!(c.insert(key(1), out(1)), 0);
-        assert_eq!(c.insert(key(2), out(2)), 0);
+        assert_eq!(c.insert(key(1), &out(1)), 0);
+        assert_eq!(c.insert(key(2), &out(2)), 0);
         // Touch 1 so 2 becomes the eviction victim.
         assert_eq!(c.get(&key(1)), Some(out(1)));
-        assert_eq!(c.insert(key(3), out(3)), 1);
+        assert_eq!(c.insert(key(3), &out(3)), 1);
         assert_eq!(c.get(&key(2)), None, "LRU victim must be gone");
         assert_eq!(c.get(&key(1)), Some(out(1)));
         assert_eq!(c.get(&key(3)), Some(out(3)));
@@ -775,16 +824,31 @@ mod tests {
     }
 
     #[test]
+    fn cached_outputs_come_back_unchanged() {
+        let run = JobOutput::Masters((40..1040).map(|k| (k, u64::from(k) * 3)).collect());
+        let gappy = JobOutput::Masters(vec![(4, 1), (5, 1), (9, 2)]);
+        let set = JobOutput::MisSet(vec![(0, true), (1, false)]);
+        assert!(matches!(Cached::of(&run), Cached::Run { first: 40, .. }));
+        assert!(matches!(Cached::of(&gappy), Cached::Output(_)));
+        let mut c = ResultCache::new(8);
+        let none = JobOutput::Masters(Vec::new());
+        for (p, o) in [&run, &gappy, &set, &none].into_iter().enumerate() {
+            c.insert(key(p as u64), o);
+            assert_eq!(c.get(&key(p as u64)).as_ref(), Some(o));
+        }
+    }
+
+    #[test]
     fn cache_purges_stale_epochs() {
         let mut c = ResultCache::new(8);
-        c.insert(key(1), out(1));
+        c.insert(key(1), &out(1));
         c.insert(
             CacheKey {
                 epoch: 1,
                 algo: Algo::CcLp,
                 params: 1,
             },
-            out(9),
+            &out(9),
         );
         assert_eq!(c.purge_epochs_before(1), 1);
         assert_eq!(c.get(&key(1)), None, "epoch-0 entry must be purged");

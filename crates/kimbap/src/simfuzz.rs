@@ -151,10 +151,11 @@ pub fn random_churn_plan(seed: u64, hosts: usize) -> FaultPlan {
 }
 
 /// The algorithm pool serve fuzz job mixes draw from. Deliberately spans
-/// the execution paths the scheduler multiplexes: hand-written label
-/// propagation, the compiled-plan engine (`cc-sv`), a round-free
-/// algorithm (`mis`, which never advances the job's round band), and the
-/// multi-level Louvain pipeline.
+/// the execution paths the scheduler multiplexes: the compiled-plan
+/// engine on a loop certified for the host-local fixpoint (`cc-lp`) and
+/// on one with request phases (`cc-sv`), a round-free algorithm (`mis`,
+/// which never advances the job's round band), and the multi-level
+/// Louvain pipeline.
 const SERVE_ALGOS: [Algo; 4] = [Algo::CcLp, Algo::CcSv, Algo::Mis, Algo::Louvain];
 
 /// Derives the job mix a serve fuzz run submits for `seed`: 3–8 jobs,

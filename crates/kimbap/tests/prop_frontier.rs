@@ -4,6 +4,14 @@
 //! round count — across every runtime variant and thread count. Sparse
 //! iteration only skips nodes whose read inputs provably did not change,
 //! so any divergence is an engine soundness bug, not a tolerance issue.
+//!
+//! Loops the compiler certifies for the host-local fixpoint
+//! (`CompiledLoop::local_fixpoint`) run a varying number of passes per
+//! round, but each round still ends at the host's one local fixpoint of
+//! the round's start state, so their round counts stay schedule-free; the
+//! global schedule's round-for-round claim is pinned on the same plans
+//! with the certificate cleared. A second property checks that the two
+//! schedules reach the same final maps.
 
 use kimbap::engine::{Engine, EngineConfig, EngineOutput};
 use kimbap_comm::Cluster;
@@ -11,7 +19,7 @@ use kimbap_compiler::ir::{
     BinOp, Expr, KimbapWhile, MapDecl, NodeIterator, Program, Stmt, TopStmt,
 };
 use kimbap_compiler::transform::CompiledTop;
-use kimbap_compiler::{compile, OptLevel};
+use kimbap_compiler::{compile, CompiledProgram, OptLevel};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::builder::from_edges;
 use kimbap_npm::{DynReduceOp, Variant};
@@ -85,6 +93,50 @@ fn program_of(ops: Vec<Vec<Stmt>>) -> Program {
     }
 }
 
+/// A random operator the compiler certifies for the host-local fixpoint:
+/// a push (`m[dst] <- w`) or pull (`m[node] <- w`) relaxation that writes
+/// the other endpoint's read, or the min of both, under one of the three
+/// strict-improvement guards.
+fn certified_operator_strategy() -> impl Strategy<Value = Vec<Stmt>> {
+    (prop::bool::ANY, prop::bool::ANY, 0u32..3).prop_map(|(push, min_of_both, guard)| {
+        let (target, source) = if push { (1, 0) } else { (0, 1) };
+        let written = if min_of_both {
+            Expr::bin(BinOp::Min, Expr::Var(0), Expr::Var(1))
+        } else {
+            Expr::Var(source)
+        };
+        let cond = match guard {
+            0 => Expr::bin(BinOp::Lt, written.clone(), Expr::Var(target)),
+            1 => Expr::bin(BinOp::Gt, Expr::Var(target), written.clone()),
+            _ => Expr::bin(BinOp::Ne, Expr::Var(target), written.clone()),
+        };
+        vec![
+            Stmt::Read {
+                dst: 0,
+                map: 0,
+                key: Expr::Node,
+            },
+            Stmt::ForEdges {
+                body: vec![
+                    Stmt::Read {
+                        dst: 1,
+                        map: 0,
+                        key: Expr::EdgeDst,
+                    },
+                    Stmt::If {
+                        cond,
+                        then: vec![Stmt::Reduce {
+                            map: 0,
+                            key: if push { Expr::EdgeDst } else { Expr::Node },
+                            value: written,
+                        }],
+                    },
+                ],
+            },
+        ]
+    })
+}
+
 fn program_strategy() -> impl Strategy<Value = Program> {
     prop::collection::vec(adjacent_operator_strategy(), 1..3).prop_map(program_of)
 }
@@ -108,11 +160,35 @@ fn run_cfg(
     threads: usize,
     cfg: EngineConfig,
 ) -> (Vec<u64>, Vec<EngineOutput>) {
-    let g = from_edges(edges.iter().copied());
-    let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
     let plan = compile(program, OptLevel::Full);
-    let outs = Cluster::with_threads(hosts, threads)
-        .run(|ctx| Engine::with_config(&parts[ctx.host()], ctx, &plan, cfg).run(ctx));
+    let cluster = Cluster::with_threads(hosts, threads);
+    run_plan(&plan, edges, Policy::EdgeCutBlocked, &cluster, cfg)
+}
+
+/// `plan` with every loop's host-local fixpoint certificate cleared: the
+/// global schedule, one pass of the operator per round.
+fn global_schedule(plan: &CompiledProgram) -> CompiledProgram {
+    let mut plan = plan.clone();
+    for t in &mut plan.body {
+        if let CompiledTop::Loop(l) = t {
+            l.local_fixpoint = false;
+        }
+    }
+    plan
+}
+
+/// Runs a compiled `plan` on `cluster` over `edges` partitioned under
+/// `policy`; returns the merged map 0 and every host's output.
+fn run_plan(
+    plan: &CompiledProgram,
+    edges: &[(u32, u32, u64)],
+    policy: Policy,
+    cluster: &Cluster,
+    cfg: EngineConfig,
+) -> (Vec<u64>, Vec<EngineOutput>) {
+    let g = from_edges(edges.iter().copied());
+    let parts = partition(&g, policy, cluster.num_hosts());
+    let outs = cluster.run(|ctx| Engine::with_config(&parts[ctx.host()], ctx, plan, cfg).run(ctx));
     let mut vals = vec![0u64; g.num_nodes()];
     for o in &outs {
         for (gid, v) in &o.map_values[0] {
@@ -145,8 +221,20 @@ proptest! {
         let dense_cfg = EngineConfig { variant, sparse: false, ..EngineConfig::default() };
         let (sv, souts) = run_cfg(&program, &edges, 2, threads, sparse_cfg);
         let (dv, douts) = run_cfg(&program, &edges, 2, threads, dense_cfg);
-        prop_assert_eq!(sv, dv);
+        prop_assert_eq!(&sv, &dv);
+        // Schedule-free for certified loops too: see the module docs.
         prop_assert_eq!(souts[0].rounds, douts[0].rounds);
+
+        // The global schedule of the same plan, round for round.
+        let global = global_schedule(&compile(&program, OptLevel::Full));
+        let cluster = Cluster::with_threads(2, threads);
+        let (gsv, gsouts) = run_plan(&global, &edges, Policy::EdgeCutBlocked, &cluster, sparse_cfg);
+        let (gdv, gdouts) = run_plan(&global, &edges, Policy::EdgeCutBlocked, &cluster, dense_cfg);
+        prop_assert_eq!(&gsv, &sv);
+        prop_assert_eq!(&gsv, &gdv);
+        prop_assert_eq!(gsouts[0].rounds, gdouts[0].rounds);
+        let single_pass = |o: &EngineOutput| o.activity.iter().all(|a| a.passes == 1);
+        prop_assert!(gsouts.iter().chain(&gdouts).all(single_pass));
 
         // Dense runs, and any run on a non-GAR variant (no changed-key
         // tracking), must never report a sparse round.
@@ -169,6 +257,39 @@ proptest! {
                 prop_assert_eq!(sparse_rounds, o.rounds - pins);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random certified programs reach the same final maps whether their
+    /// loops settle each host locally between exchanges or run the global
+    /// schedule, on the same compiled plan, and never take more rounds.
+    #[test]
+    fn host_local_fixpoint_matches_the_global_schedule(
+        program in prop::collection::vec(certified_operator_strategy(), 1..3).prop_map(program_of),
+        edges in edge_list(),
+        threads in 1usize..=3,
+        vertex_cut in prop::bool::ANY,
+        sim in prop::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let plan = compile(&program, OptLevel::Full);
+        prop_assert!(plan
+            .body
+            .iter()
+            .all(|t| !matches!(t, CompiledTop::Loop(l) if !l.local_fixpoint)));
+        let policy = if vertex_cut { Policy::CartesianVertexCut } else { Policy::EdgeCutBlocked };
+        let cluster = || {
+            let c = Cluster::with_threads(2, threads);
+            if sim { c.sim(seed) } else { c }
+        };
+        let cfg = EngineConfig::default();
+        let (lv, louts) = run_plan(&plan, &edges, policy, &cluster(), cfg);
+        let (gv, gouts) = run_plan(&global_schedule(&plan), &edges, policy, &cluster(), cfg);
+        prop_assert_eq!(lv, gv);
+        prop_assert!(louts[0].rounds <= gouts[0].rounds);
     }
 }
 

@@ -462,8 +462,17 @@ pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     /// values, not just updated ones.
     broadcast_all: bool,
     /// Pinned mirrors whose cached value changed in the last
-    /// `broadcast_sync` — the remote half of [`ChangedKeys::Tracked`].
+    /// `broadcast_sync` or [`Npm::combine_local`] — the remote half of
+    /// [`ChangedKeys::Tracked`].
     changed_remote: Vec<NodeId>,
+    /// Host-local fixpoint state, sized on the first
+    /// [`Npm::begin_local_passes`] and empty otherwise. Each local combine
+    /// restarts the master update bits as the next pass's delta, so the
+    /// masters the round's passes changed are kept here for the broadcast.
+    local_updated: ConcurrentBitset,
+    /// Mirror slots a host-local fixpoint lowered this round: the mirror
+    /// partials the round's one reduce-sync ships.
+    lowered: ConcurrentBitset,
     /// The current delta window is complete: no untracked mutation
     /// (request-sync materialization, value reset, restore) has happened
     /// since the last `reset_updated`. Cleared events force
@@ -569,6 +578,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             pending_sets: Mutex::new(Vec::new()),
             broadcast_all: false,
             changed_remote: Vec::new(),
+            local_updated: ConcurrentBitset::new(0),
+            lowered: ConcurrentBitset::new(0),
             delta_tracked: true,
             updated: AtomicBool::new(false),
             master_reads: AtomicU64::new(0),
@@ -680,15 +691,157 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             self.reduce_calls.fetch_add(1, Ordering::Relaxed);
         }
         let op = self.op;
-        // SAFETY: `tid` is the caller's pool thread id; WorkerPool hands
-        // each worker a distinct dense id, so no two concurrent callers
-        // share a slot.
-        let buf = unsafe { self.tls.slot(tid) };
+        let buf = self.partials(tid);
         if (lid as usize) < self.dg.num_masters() {
             buf.reduce_local(lid, value, |a, b| op.combine(a, b));
         } else {
             buf.reduce_remote(self.dg.local_to_global(lid), value, |a, b| op.combine(a, b));
         }
+    }
+
+    /// The calling pool thread's CF partial buffer.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // one slot per pool thread; see below
+    fn partials(&self, tid: usize) -> &mut PartialBuf<T> {
+        // SAFETY: `tid` is the caller's pool thread id; WorkerPool hands
+        // each worker a distinct dense id, so no two concurrent callers
+        // share a slot, and every caller drops the borrow before returning.
+        unsafe { self.tls.slot(tid) }
+    }
+
+    // Host-local fixpoint (GAR only). A loop the compiler certified
+    // (`CompiledLoop::local_fixpoint`) relaxes this host's masters and
+    // mirrors in place, pass after pass, until the host is quiet, and only
+    // then runs the round's one `sync_round`. Within a pass each thread
+    // sees its own partials; between passes `combine_local` folds them
+    // into the tables.
+
+    /// Sizes the state host-local passes use: every thread's dense partial
+    /// buffer grows to cover mirror slots (local ids past the masters), and
+    /// the lowered-mirror bits to the mirror count. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the map is the partition-aware (GAR) variant.
+    pub fn begin_local_passes(&mut self) {
+        assert!(self.variant.partition_aware(), "host-local passes need the GAR map");
+        let n = self.dg.num_local_nodes();
+        for b in self.tls.iter_mut() {
+            b.ensure_dense(n);
+        }
+        if self.local_updated.len() != self.dg.num_masters() {
+            self.local_updated = ConcurrentBitset::new(self.dg.num_masters());
+        }
+        if self.lowered.len() != self.dg.num_mirrors() {
+            self.lowered = ConcurrentBitset::new(self.dg.num_mirrors());
+        }
+    }
+
+    /// The value of the proxy with local id `lid` as pool thread `tid`
+    /// sees it inside a host-local pass: the table's value combined with
+    /// the thread's own partial, so a thread's reductions are visible to
+    /// its later reads. Requires [`Npm::begin_local_passes`].
+    #[inline]
+    pub fn read_visible(&self, tid: usize, lid: LocalId) -> T {
+        let own = self.partials(tid).local(lid);
+        self.op.combine(self.read_local(lid), own)
+    }
+
+    /// Reduces `value` into the proxy with local id `lid` inside a
+    /// host-local pass and returns whether that lowered (for `Max`,
+    /// raised) the value thread `tid` sees. A reduction that changes
+    /// nothing the thread sees records no partial: the combined tables can
+    /// only have moved further in the operator's direction. Requires
+    /// [`Npm::begin_local_passes`].
+    #[inline]
+    pub fn reduce_visible(&self, tid: usize, lid: LocalId, value: T) -> bool {
+        let op = self.op;
+        let buf = self.partials(tid);
+        let seen = op.combine(self.read_local(lid), buf.local(lid));
+        if op.combine(seen, value) == seen {
+            return false;
+        }
+        buf.reduce_local(lid, value, |a, b| op.combine(a, b));
+        true
+    }
+
+    /// The local combine between two host-local passes (not a collective).
+    /// Drains every thread's partials — those of [`Npm::reduce_visible`]
+    /// and of plain `reduce` / `reduce_local` alike — and
+    ///
+    /// * folds master partials into the master table. The update bits
+    ///   restart as this pass's changes, the next pass's frontier delta
+    ///   ([`NodePropMap::changed_keys`]); the round's changes, which the
+    ///   broadcast needs, accumulate beside them;
+    /// * lowers `mirror_vals` by the mirror partials, listing the lowered
+    ///   mirrors in the delta and keeping them for the round's single
+    ///   reduce-sync, which ships each lowered mirror's value to its owner.
+    ///
+    /// Returns whether any master or mirror changed: `false` means this
+    /// host is quiet. Requires [`Npm::begin_local_passes`].
+    ///
+    /// Shipping a lowered mirror's value instead of its partials is exact
+    /// because a pinned mirror holds its master's value at every round
+    /// start, and a partial that did not lower it cannot lower the master.
+    pub fn combine_local(&mut self) -> bool {
+        let Canonical::Dense { vals, updated } = &mut self.canonical else {
+            panic!("host-local passes need the GAR map");
+        };
+        updated.clear();
+        self.changed_remote.clear();
+        let local_updated = &self.local_updated;
+        let (op, dg) = (self.op, self.dg);
+        let nm = dg.num_masters();
+        let (mirror_vals, lowered, changed_remote) =
+            (&mut self.mirror_vals, &self.lowered, &mut self.changed_remote);
+        let (mut masters, mut mirrors) = (false, false);
+        let mut lower = |slot: usize, v: T| {
+            let new = op.combine(mirror_vals[slot], v);
+            if new != mirror_vals[slot] {
+                mirror_vals[slot] = new;
+                lowered.set(slot);
+                changed_remote.push(dg.mirror_globals()[slot]);
+                mirrors = true;
+            }
+        };
+        for buf in self.tls.iter_mut() {
+            buf.drain_local(|off, v| {
+                let o = off as usize;
+                if o >= nm {
+                    return lower(o - nm, v);
+                }
+                let new = op.combine(vals[o], v);
+                if new != vals[o] {
+                    vals[o] = new;
+                    updated.set(o);
+                    local_updated.set(o);
+                    masters = true;
+                }
+            });
+            buf.drain_remote(|g, v| {
+                let slot = dg.mirror_slot(g).expect("a local pass reduced into a non-proxy");
+                lower(slot as usize, v);
+            });
+        }
+        if masters {
+            self.updated.store(true, Ordering::Relaxed);
+        }
+        masters || mirrors
+    }
+
+    /// Queues every mirror a host-local fixpoint lowered this round as a
+    /// partial for its owner, ahead of the reduce-sync scatter.
+    fn stage_lowered_mirrors(&mut self) {
+        if self.lowered.none_set() {
+            return;
+        }
+        let op = self.op;
+        let buf = self.tls.iter_mut().next().expect("a pool has a thread");
+        for slot in self.lowered.iter_set() {
+            let g = self.dg.mirror_globals()[slot];
+            buf.reduce_remote(g, self.mirror_vals[slot], |a, b| op.combine(a, b));
+        }
+        self.lowered.clear();
     }
 
     /// [`NodePropMap::request`] of the proxy with local id `lid`: under
@@ -939,6 +1092,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         self.pinned = auto_pinned;
         self.broadcast_all = false;
         self.changed_remote.clear();
+        self.local_updated.clear();
+        self.lowered.clear();
         // The rewind is not a tracked mutation; the next round must run
         // dense before delta windows resume.
         self.delta_tracked = false;
@@ -1263,12 +1418,17 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 Canonical::Dense { updated, .. } => updated,
                 Canonical::Sharded { .. } => unreachable!("GAR is dense"),
             };
+            // Under a host-local fixpoint the update bits hold only the
+            // last pass's and the gather's changes; the rest of the
+            // round's are here.
+            let local = (!self.local_updated.is_empty()).then_some(&self.local_updated);
             (0..self.num_hosts)
                 .map(|peer| {
                     let mut buf = Vec::new();
                     if peer != self.host {
                         for &g in self.dg.mirrors_on_peer(peer) {
-                            if all || updated.get(self.key_own.master_offset(g)) {
+                            let off = self.key_own.master_offset(g);
+                            if all || updated.get(off) || local.is_some_and(|l| l.get(off)) {
                                 (g, self.canonical_get(g)).write(&mut buf);
                             }
                         }
@@ -1416,10 +1576,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         }
         if self.variant.conflict_free() {
             let op = self.op;
-            // SAFETY: `tid` is the caller's pool thread id; WorkerPool
-            // hands each worker a distinct dense id, so no two concurrent
-            // callers share a slot.
-            let buf = unsafe { self.tls.slot(tid) };
+            let buf = self.partials(tid);
             match self.fast_own.local_offset(key) {
                 Some(off) => buf.reduce_local(off, value, |a, b| op.combine(a, b)),
                 None => buf.reduce_remote(key, value, |a, b| op.combine(a, b)),
@@ -1505,6 +1662,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
 
     fn reduce_sync(&mut self, ctx: &HostCtx) {
         self.flush_pending_sets(ctx);
+        self.stage_lowered_mirrors();
 
         // Scatter: combine thread partials over disjoint key ranges and
         // serialize (key, value) pairs per owner host.
@@ -1577,6 +1735,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         if !self.variant.partition_aware() {
             return; // resident cache is permanent without GAR
         }
+        debug_assert!(self.lowered.none_set(), "lowered mirrors never shipped");
         self.pinned = false;
         self.mirror_has.fill(false);
         self.cache_keys.clear();
@@ -1589,6 +1748,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             updated.clear();
         }
         self.changed_remote.clear();
+        self.local_updated.clear();
         // A fresh window begins: the per-key delta is complete from here
         // until the next untracked mutation.
         self.delta_tracked = true;
@@ -1613,6 +1773,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         }
         self.updated.store(false, Ordering::Relaxed);
         self.changed_remote.clear();
+        self.local_updated.clear();
+        self.lowered.clear();
         // A wholesale reinitialization changes values without per-key
         // bookkeeping: invalidate the window.
         self.delta_tracked = false;

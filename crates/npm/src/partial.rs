@@ -122,6 +122,23 @@ impl<T: Copy> PartialBuf<T> {
         }
     }
 
+    /// Extends the dense part to cover `len` offsets (a host-local fixpoint
+    /// keeps mirror partials there too, past the master range). Never
+    /// shrinks.
+    pub fn ensure_dense(&mut self, len: usize) {
+        if self.local_vals.len() < len {
+            self.local_vals.resize(len, self.identity);
+            self.local_hit.resize(len, false);
+        }
+    }
+
+    /// The dense partial at offset `off`: the identity when none has been
+    /// recorded since the last drain.
+    #[inline]
+    pub fn local(&self, off: u32) -> T {
+        self.local_vals[off as usize]
+    }
+
     /// `true` if no partial has been recorded since the last drain.
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty() && self.rlive == 0

@@ -57,6 +57,16 @@ echo "==> serve scheduler fuzz smoke (seeded job mixes + banded faults; per-job 
 echo "==> TCP-loopback smoke (multi-process kimbap bin vs in-proc, diffed)"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+# A fault smoke must prove its fault fired: the launcher names every host
+# it saw killed or admitted, and a diff alone passes just as well when the
+# run finished before the fault was due.
+fired() { # fired LOG LINE
+    if ! grep -q -- "$2" "$1"; then
+        echo "no '$2' line: the smoke's fault never fired. Output:" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
 ./target/release/kimbap gen --kind rmat --scale 8 --ef 4 --seed 9 \
     --out "$SMOKE_DIR/g.kg"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
@@ -90,34 +100,42 @@ echo "==> kill smoke (worker 1 killed mid-run, TCP and in-proc; survivors' outpu
     --out "$SMOKE_DIR/clean.txt"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
     --transport tcp --port-base 46900 --faults kill --allow-shrink \
-    --out "$SMOKE_DIR/degraded.txt"
+    --out "$SMOKE_DIR/degraded.txt" | tee "$SMOKE_DIR/degraded.log"
+fired "$SMOKE_DIR/degraded.log" "worker 1 was killed"
 diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded.txt"
 # In-proc runs the same membership protocol (membership.rs) as TCP.
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-    --faults kill --allow-shrink --out "$SMOKE_DIR/degraded-inproc.txt"
+    --faults kill --allow-shrink --out "$SMOKE_DIR/degraded-inproc.txt" \
+    | tee "$SMOKE_DIR/degraded-inproc.log"
+fired "$SMOKE_DIR/degraded-inproc.log" "host 1 was killed"
 diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded-inproc.txt"
 echo "    degraded (3-host) and fault-free (4-host) labels identical, TCP and in-proc"
 
 echo "==> grow smoke (a joiner admitted mid-run, TCP worker process and in-proc; output diffed)"
-# A grid graph's diameter keeps cc-lp running long enough for the
-# late-spawned joiner worker to knock mid-computation.
-./target/release/kimbap gen --kind grid --rows 150 --cols 150 --seed 9 \
+# cc-lp settles each host's slab of the grid in one round, so the job
+# lasts a few rounds whatever the diameter: the grid is large enough that
+# the members are still computing when the late joiner knocks (50 ms in).
+./target/release/kimbap gen --kind grid --rows 400 --cols 400 --seed 9 \
     --out "$SMOKE_DIR/grid.kg"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
     --out "$SMOKE_DIR/grid-clean.txt"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
     --transport tcp --port-base 47200 --faults join --allow-grow \
-    --out "$SMOKE_DIR/grid-grown.txt"
+    --out "$SMOKE_DIR/grid-grown.txt" | tee "$SMOKE_DIR/grid-grown.log"
+fired "$SMOKE_DIR/grid-grown.log" "host 3 was admitted mid-run"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown.txt"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
-    --faults join --allow-grow --out "$SMOKE_DIR/grid-grown-inproc.txt"
+    --faults join --allow-grow --out "$SMOKE_DIR/grid-grown-inproc.txt" \
+    | tee "$SMOKE_DIR/grid-grown-inproc.log"
+fired "$SMOKE_DIR/grid-grown-inproc.log" "host 3 was admitted mid-run"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown-inproc.txt"
 echo "    grown (3 -> 4 host) and fault-free labels identical, TCP and in-proc"
 
 echo "==> elastic kill smoke (TCP worker 1 exits; the elastic engine re-shards its replica)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 4 --threads 2 \
     --transport tcp --port-base 47500 --faults kill --allow-shrink --allow-grow \
-    --out "$SMOKE_DIR/grid-killed.txt"
+    --out "$SMOKE_DIR/grid-killed.txt" | tee "$SMOKE_DIR/grid-killed.log"
+fired "$SMOKE_DIR/grid-killed.log" "worker 1 was killed"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-killed.txt"
 echo "    elastic survivors (4 -> 3 host) and fault-free labels identical over TCP"
 
