@@ -233,13 +233,12 @@ pub fn cc_sclp<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(Node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::NpmBuilder;
+    use crate::builder::{NpmBuilder, ShardedBuilder};
     use crate::merge_master_values;
     use crate::refcheck;
     use kimbap_comm::Cluster;
     use kimbap_dist::{partition, Policy};
     use kimbap_graph::{gen, Graph};
-    use kimbap_npm::Variant;
 
     fn run_cc(
         g: &Graph,
@@ -249,7 +248,7 @@ mod tests {
         algo: impl Fn(&DistGraph, &HostCtx, &NpmBuilder) -> Vec<(NodeId, u64)> + Sync,
     ) -> Vec<u64> {
         let parts = partition(g, policy, hosts);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host =
             Cluster::with_threads(hosts, threads).run(|ctx| algo(&parts[ctx.host()], ctx, &b));
         merge_master_values(g.num_nodes(), per_host)
@@ -316,15 +315,17 @@ mod tests {
 
     #[test]
     fn sv_works_on_all_variants() {
+        fn labels<B: MapBuilder>(g: &Graph, parts: &[DistGraph], b: &B) -> Vec<u64> {
+            let per_host =
+                Cluster::with_threads(3, 2).run(|ctx| cc_sv(&parts[ctx.host()], ctx, b));
+            merge_master_values(g.num_nodes(), per_host)
+        }
         let g = gen::rmat(7, 4, 3);
         let expected = refcheck::connected_components(&g);
-        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-            let parts = partition(&g, Policy::EdgeCutBlocked, 3);
-            let b = NpmBuilder::new(variant);
-            let per_host = Cluster::with_threads(3, 2)
-                .run(|ctx| cc_sv(&parts[ctx.host()], ctx, &b));
-            let labels = merge_master_values(g.num_nodes(), per_host);
-            assert_eq!(labels, expected, "variant {variant} diverged");
+        let parts = partition(&g, Policy::EdgeCutBlocked, 3);
+        for b in [ShardedBuilder::sgr_only(), ShardedBuilder::sgr_cf()] {
+            assert_eq!(labels(&g, &parts, &b), expected, "{b} diverged");
         }
+        assert_eq!(labels(&g, &parts, &NpmBuilder), expected, "SGR+CF+GAR diverged");
     }
 }

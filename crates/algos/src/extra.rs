@@ -246,7 +246,7 @@ mod tests {
     fn bfs_matches_reference() {
         let g = gen::rmat(8, 4, 61);
         let parts = partition(&g, Policy::CartesianVertexCut, 3);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host =
             Cluster::with_threads(3, 2).run(|ctx| bfs(&parts[ctx.host()], ctx, &b, 0));
         assert_eq!(merge_master_values(g.num_nodes(), per_host), ref_bfs(&g, 0));
@@ -260,7 +260,7 @@ mod tests {
         }
         let g = bb.symmetric(true).build();
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host = Cluster::new(2).run(|ctx| bfs(&parts[ctx.host()], ctx, &b, 0));
         let levels = merge_master_values(g.num_nodes(), per_host);
         assert_eq!(levels[50], 50);
@@ -270,7 +270,7 @@ mod tests {
     fn sssp_matches_dijkstra() {
         let g = gen::grid_road(9, 9, 13); // built-in random weights
         let parts = partition(&g, Policy::CartesianVertexCut, 2);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host =
             Cluster::with_threads(2, 2).run(|ctx| sssp(&parts[ctx.host()], ctx, &b, 0));
         assert_eq!(
@@ -285,7 +285,7 @@ mod tests {
         let n = g.num_nodes();
         let run = |hosts: usize| {
             let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
-            let b = NpmBuilder::default();
+            let b = NpmBuilder;
             let per_host = Cluster::with_threads(hosts, 2)
                 .run(|ctx| pagerank(&parts[ctx.host()], ctx, &b, 10));
             merge_master_values(n, per_host)

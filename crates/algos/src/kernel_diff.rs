@@ -68,7 +68,7 @@ fn run(
     algo: Algo,
     reference_kernel: bool,
 ) -> Vec<(CommunityResult, u64)> {
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = LouvainConfig {
         reference_kernel,
         ..LouvainConfig::default()

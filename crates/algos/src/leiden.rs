@@ -396,7 +396,7 @@ mod tests {
 
     fn run_leiden(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
         let parts = partition(g, Policy::EdgeCutBlocked, hosts);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let cfg = LouvainConfig::default();
         let results = Cluster::with_threads(hosts, threads)
             .run(|ctx| leiden(&parts[ctx.host()], ctx, &b, &cfg));
@@ -435,7 +435,7 @@ mod tests {
         let g = gen::rmat(7, 6, 17);
         let (ld_labels, _) = run_leiden(&g, 2, 2);
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let cfg = LouvainConfig::default();
         let lv = Cluster::with_threads(2, 2)
             .run(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg));

@@ -12,8 +12,9 @@
 //! | Maximal independent set | [`fn@mis`] (priority-based) | adjacent |
 //!
 //! Every algorithm is generic over a [`MapBuilder`], so the same source
-//! runs on the default SGR+CF+GAR node-property map, on the §6.4 ablation
-//! variants, and on the memcached-like baseline from `kimbap-baselines`.
+//! runs on the SGR+CF+GAR node-property map, on the §6.4 ablation rows
+//! ([`ShardedBuilder`]), and on the memcached-like baseline from
+//! `kimbap-baselines`.
 //!
 //! [`refcheck`] holds single-threaded reference implementations (union-find
 //! connectivity, Kruskal forests, MIS validity, modularity) used by tests
@@ -30,7 +31,7 @@
 //! let g = gen::grid_road(8, 8, 1);
 //! let parts = partition(&g, Policy::CartesianVertexCut, 2);
 //! let per_host = Cluster::new(2).run(|ctx| {
-//!     cc::cc_sv(&parts[ctx.host()], ctx, &NpmBuilder::default())
+//!     cc::cc_sv(&parts[ctx.host()], ctx, &NpmBuilder)
 //! });
 //! let labels = merge_master_values(g.num_nodes(), per_host);
 //! // A grid is connected: every node ends up labeled 0.
@@ -49,7 +50,7 @@ pub mod mis;
 pub mod msf;
 pub mod refcheck;
 
-pub use builder::{MapBuilder, NpmBuilder};
+pub use builder::{MapBuilder, NpmBuilder, ShardedBuilder};
 pub use extra::{bfs, pagerank, sssp};
 pub use leiden::leiden;
 pub use louvain::{compose_labels, louvain, CommunityResult, LouvainConfig};

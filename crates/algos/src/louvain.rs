@@ -642,7 +642,7 @@ mod tests {
 
     fn run_louvain(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
         let parts = partition(g, Policy::EdgeCutBlocked, hosts);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let cfg = LouvainConfig::default();
         let results = Cluster::with_threads(hosts, threads)
             .run(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg));
@@ -722,7 +722,7 @@ mod tests {
         let algos: [(&str, Algo); 2] = [("louvain", louvain), ("leiden", crate::leiden)];
         let unit = gen::with_unit_weights(&gen::rmat(7, 4, 13));
         let weighted = gen::with_random_weights(&unit, 9, 13);
-        let (b, cfg) = (NpmBuilder::default(), LouvainConfig::default());
+        let (b, cfg) = (NpmBuilder, LouvainConfig::default());
         for (name, algo) in algos {
             for g in [&unit, &weighted] {
                 let mut first: Option<(Vec<NodeId>, f64)> = None;

@@ -165,7 +165,7 @@ mod tests {
 
     fn run_mis(g: &Graph, hosts: usize, threads: usize, policy: Policy) -> Vec<bool> {
         let parts = partition(g, policy, hosts);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host = Cluster::with_threads(hosts, threads)
             .run(|ctx| mis(&parts[ctx.host()], ctx, &b));
         merge_master_values(g.num_nodes(), per_host)

@@ -174,7 +174,7 @@ mod tests {
 
     fn run_msf(g: &Graph, hosts: usize, threads: usize, policy: Policy) -> (usize, u64) {
         let parts = partition(g, policy, hosts);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let per_host = Cluster::with_threads(hosts, threads)
             .run(|ctx| msf(&parts[ctx.host()], ctx, &b));
         let (edges, weight) = merge_forest(per_host);

@@ -2,26 +2,27 @@
 //! must be indistinguishable from `reduce_sync; broadcast_sync; is_updated`
 //! — same labels, same agreed quiescence flag every round (hence the same
 //! round count) — for every hand-written adjacent-vertex loop, on every
-//! map variant, thread count and transport backend.
+//! map (the product `Npm` and the sharded baseline's two rows), thread
+//! count and transport backend.
 
-use kimbap_algos::{bfs, cc, merge_master_values, sssp, MapBuilder, NpmBuilder};
+use kimbap_algos::{bfs, cc, merge_master_values, sssp, MapBuilder, NpmBuilder, ShardedBuilder};
 use kimbap_comm::{Cluster, HostCtx};
 use kimbap_dist::{partition, DistGraph, Policy};
 use kimbap_graph::{gen, Graph, NodeId};
-use kimbap_npm::{ChangedKeys, NodePropMap, Npm, PropValue, ReduceOp, Variant};
+use kimbap_npm::{ChangedKeys, NodePropMap, PropValue, ReduceOp};
 use std::sync::Mutex;
 
 const HOSTS: usize = 3;
 
-/// An [`Npm`] whose round tail is either the map's own `sync_round` or the
+/// A map whose round tail is either the map's own `sync_round` or the
 /// three calls spelled out, and which logs the flag each tail returned.
-struct Tail<'g, M> {
-    inner: M,
+struct Tail<'g, T> {
+    inner: Box<dyn NodePropMap<T> + 'g>,
     fused: bool,
     flags: &'g Mutex<Vec<bool>>,
 }
 
-impl<T: PropValue, M: NodePropMap<T>> NodePropMap<T> for Tail<'_, M> {
+impl<T: PropValue> NodePropMap<T> for Tail<'_, T> {
     fn sync_round(&mut self, ctx: &HostCtx) -> bool {
         let updated = if self.fused {
             self.inner.sync_round(ctx)
@@ -78,15 +79,23 @@ impl<T: PropValue, M: NodePropMap<T>> NodePropMap<T> for Tail<'_, M> {
     }
 }
 
+/// The map a [`TailBuilder`] wraps: the product map, or a row of the
+/// sharded baseline.
+#[derive(Debug, Clone, Copy)]
+enum Inner {
+    Npm,
+    Sharded(ShardedBuilder),
+}
+
 struct TailBuilder {
-    inner: NpmBuilder,
+    inner: Inner,
     fused: bool,
     /// One flag log per host.
     flags: Vec<Mutex<Vec<bool>>>,
 }
 
 impl MapBuilder for TailBuilder {
-    type Map<'g, T: PropValue, Op: ReduceOp<T>> = Tail<'g, Npm<'g, T, Op>>;
+    type Map<'g, T: PropValue, Op: ReduceOp<T>> = Tail<'g, T>;
 
     fn build<'g, T: PropValue, Op: ReduceOp<T>>(
         &'g self,
@@ -94,8 +103,12 @@ impl MapBuilder for TailBuilder {
         ctx: &HostCtx,
         op: Op,
     ) -> Self::Map<'g, T, Op> {
+        let inner: Box<dyn NodePropMap<T> + 'g> = match &self.inner {
+            Inner::Npm => Box::new(NpmBuilder.build(dg, ctx, op)),
+            Inner::Sharded(b) => Box::new(b.build(dg, ctx, op)),
+        };
         Tail {
-            inner: self.inner.build(dg, ctx, op),
+            inner,
             fused: self.fused,
             flags: &self.flags[ctx.host()],
         }
@@ -110,12 +123,12 @@ fn run(
     g: &Graph,
     parts: &[DistGraph],
     cluster: &Cluster,
-    variant: Variant,
+    inner: Inner,
     fused: bool,
     algo: Algo,
 ) -> (Vec<u64>, Vec<Vec<bool>>) {
     let b = TailBuilder {
-        inner: NpmBuilder::new(variant),
+        inner,
         fused,
         flags: (0..HOSTS).map(|_| Mutex::new(Vec::new())).collect(),
     };
@@ -148,11 +161,16 @@ fn fused_tail_equals_three_call_tail_everywhere() {
                 ("tcp", Cluster::with_threads(HOSTS, threads).tcp()),
             ];
             for (backend, cluster) in &backends {
-                for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+                let maps = [
+                    Inner::Sharded(ShardedBuilder::sgr_only()),
+                    Inner::Sharded(ShardedBuilder::sgr_cf()),
+                    Inner::Npm,
+                ];
+                for inner in maps {
                     for (name, algo) in algos {
-                        let what = format!("{name} {variant} x{threads} {backend} {policy:?}");
-                        let fused = run(g, &parts, cluster, variant, true, algo);
-                        let split = run(g, &parts, cluster, variant, false, algo);
+                        let what = format!("{name} {inner:?} x{threads} {backend} {policy:?}");
+                        let fused = run(g, &parts, cluster, inner, true, algo);
+                        let split = run(g, &parts, cluster, inner, false, algo);
                         assert_eq!(fused.0, split.0, "{what}: labels differ");
                         assert_eq!(fused.1, split.1, "{what}: per-round flags differ");
                         assert!(!fused.1[0].is_empty(), "{what}: no round ran");

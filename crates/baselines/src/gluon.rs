@@ -208,7 +208,7 @@ mod tests {
         let g = gen::rmat(7, 3, 23);
         let gluon = run(&g, 3, 1, Policy::CartesianVertexCut);
         let parts = partition(&g, Policy::CartesianVertexCut, 3);
-        let b = kimbap_algos::NpmBuilder::default();
+        let b = kimbap_algos::NpmBuilder;
         let kimbap = merge_master_values(
             g.num_nodes(),
             Cluster::new(3).run(|ctx| kimbap_algos::cc::cc_lp(&parts[ctx.host()], ctx, &b)),

@@ -468,15 +468,16 @@ mod tests {
     }
 
     /// Louvain and Leiden read neighbors' communities through
-    /// `NodePropMap::read_local`. MC-KV inherits the translating default
-    /// and the non-GAR variants translate inside `Npm`, so every backend
+    /// `NodePropMap::read_local`. MC-KV and the sharded baseline inherit
+    /// the translating default, so every backend
     /// must reproduce the default map's run exactly: the same per-level
     /// mappings, modularity bits, levels and rounds — raw and compressed.
     #[test]
     fn community_detection_agrees_across_backends() {
-        use kimbap_algos::{leiden, louvain, CommunityResult, LouvainConfig, MapBuilder, NpmBuilder};
+        use kimbap_algos::{
+            leiden, louvain, CommunityResult, LouvainConfig, MapBuilder, NpmBuilder, ShardedBuilder,
+        };
         use kimbap_dist::{partition_cfg, DistGraph, PartitionCfg};
-        use kimbap_npm::Variant;
 
         fn run<B: MapBuilder>(parts: &[DistGraph], b: &B) -> Vec<(CommunityResult, CommunityResult, u64)> {
             let cfg = LouvainConfig::default();
@@ -493,11 +494,11 @@ mod tests {
                     ..PartitionCfg::new(Policy::EdgeCutBlocked, hosts)
                 };
                 let parts = partition_cfg(&g, &pcfg);
-                let want = run(&parts, &NpmBuilder::default());
+                let want = run(&parts, &NpmBuilder);
                 assert!(want[0].0.modularity > 0.0 && want[0].2 > 0);
                 assert_eq!(run(&parts, &McBuilder::new(hosts)), want, "mc {pcfg:?}");
-                for variant in [Variant::SgrOnly, Variant::SgrCf] {
-                    assert_eq!(run(&parts, &NpmBuilder::new(variant)), want, "{variant} {pcfg:?}");
+                for b in [ShardedBuilder::sgr_only(), ShardedBuilder::sgr_cf()] {
+                    assert_eq!(run(&parts, &b), want, "{b} {pcfg:?}");
                 }
             }
         }

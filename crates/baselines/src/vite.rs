@@ -506,7 +506,7 @@ mod tests {
         let g = gen::rmat(7, 6, 29);
         let vite_q = run(&g, 2, 2, false).modularity;
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let b = kimbap_algos::NpmBuilder::default();
+        let b = kimbap_algos::NpmBuilder;
         let cfg = kimbap_algos::LouvainConfig::default();
         let kimbap = Cluster::with_threads(2, 2)
             .run(|ctx| kimbap_algos::louvain(&parts[ctx.host()], ctx, &b, &cfg));

@@ -30,7 +30,7 @@ fn fmt(secs: f64) -> String {
 
 fn bench_graph(name: &str, g: &Graph, hosts_list: &[usize], run_ld: bool) {
     let threads = threads_per_host();
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = LouvainConfig::default();
     let weighted = Inputs::weighted(g);
 

@@ -9,12 +9,12 @@
 //! inspection).
 
 use kimbap_algos as algos;
-use kimbap_algos::{LouvainConfig, NpmBuilder};
+use kimbap_algos::{LouvainConfig, MapBuilder, NpmBuilder, ShardedBuilder};
 use kimbap_baselines::{mckv::McBuilder, vite};
 use kimbap_bench::{json, print_row, print_title, run_timed, threads_per_host, Inputs};
-use kimbap_dist::{partition_cfg, PartitionCfg, Policy};
+use kimbap_comm::HostCtx;
+use kimbap_dist::{partition_cfg, DistGraph, PartitionCfg, Policy};
 use kimbap_graph::Graph;
-use kimbap_npm::Variant;
 
 fn fmt(secs: f64) -> String {
     format!("{secs:.3}s")
@@ -30,9 +30,20 @@ fn smoke() -> bool {
     std::env::var("KIMBAP_BENCH_SMOKE").is_ok()
 }
 
+/// Runs `app` (LV or CC-SV) on one host with maps from `b`.
+fn run_app<B: MapBuilder>(app: &str, dg: &DistGraph, ctx: &HostCtx, b: &B) {
+    match app {
+        "LV" => {
+            algos::louvain(dg, ctx, b, &LouvainConfig::default());
+        }
+        _ => {
+            algos::cc::cc_sv(dg, ctx, b);
+        }
+    }
+}
+
 fn bench(name: &str, app: &str, g: &Graph, hosts: usize) {
     let threads = threads_per_host();
-    let cfg = LouvainConfig::default();
     // Compressed local CSRs, like the CLI's read-only default: the records'
     // graph_bytes show the footprint win and secs must hold the runtime.
     // KIMBAP_BENCH_RAW keeps the raw arrays for an apples-to-apples
@@ -76,36 +87,22 @@ fn bench(name: &str, app: &str, g: &Graph, hosts: usize) {
     // MC.
     if !skip_mc() {
         let mc = McBuilder::new(hosts);
-        let (_, s) = run_timed(&ec, threads, |dg, ctx| match app {
-            "LV" => {
-                algos::louvain(dg, ctx, &mc, &cfg);
-            }
-            _ => {
-                algos::cc::cc_sv(dg, ctx, &mc);
-            }
-        });
+        let (_, s) = run_timed(&ec, threads, |dg, ctx| run_app(app, dg, ctx, &mc));
         row("MC", s.secs, 0.0, 0.0, true);
         json::record("fig11_runtime_variants", &case, "mc", hosts, &s);
     }
 
-    // The three Kimbap runtime variants.
-    for (label, system, variant) in [
-        ("SGR-only", "sgr_only", Variant::SgrOnly),
-        ("SGR+CF", "sgr_cf", Variant::SgrCf),
-        ("SGR+CF+GAR", "sgr_cf_gar", Variant::SgrCfGar),
-    ] {
-        let b = NpmBuilder::new(variant);
-        let (_, s) = run_timed(&ec, threads, |dg, ctx| match app {
-            "LV" => {
-                algos::louvain(dg, ctx, &b, &cfg);
-            }
-            _ => {
-                algos::cc::cc_sv(dg, ctx, &b);
-            }
-        });
-        row(label, s.secs, s.comp_secs(), s.comm_secs(), false);
+    // The three Kimbap rows: the sharded baseline's two, then the product
+    // map.
+    let sharded = [("sgr_only", ShardedBuilder::sgr_only()), ("sgr_cf", ShardedBuilder::sgr_cf())];
+    for (system, b) in sharded {
+        let (_, s) = run_timed(&ec, threads, |dg, ctx| run_app(app, dg, ctx, &b));
+        row(&b.to_string(), s.secs, s.comp_secs(), s.comm_secs(), false);
         json::record("fig11_runtime_variants", &case, system, hosts, &s);
     }
+    let (_, s) = run_timed(&ec, threads, |dg, ctx| run_app(app, dg, ctx, &NpmBuilder));
+    row("SGR+CF+GAR", s.secs, s.comp_secs(), s.comm_secs(), false);
+    json::record("fig11_runtime_variants", &case, "sgr_cf_gar", hosts, &s);
 }
 
 fn main() {

@@ -14,7 +14,7 @@ use kimbap_graph::Graph;
 
 fn bench_graph(name: &str, g: &Graph, weighted: &Graph, hosts_list: &[usize]) {
     let threads = threads_per_host();
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = LouvainConfig::default();
     let vcfg = vite::ViteConfig::default();
 

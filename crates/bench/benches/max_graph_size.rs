@@ -62,7 +62,7 @@ fn size_case(case: &str, g: &Graph) {
 /// seconds, a fraction of the bytes.
 fn runtime_parity(g: &Graph, hosts: usize) {
     let threads = threads_per_host();
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let mut labels: Vec<Vec<u64>> = Vec::new();
     for compressed in [false, true] {
         let parts = partition_cfg(

@@ -8,7 +8,8 @@ use kimbap_bench::json;
 use kimbap_comm::Cluster;
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::gen;
-use kimbap_npm::{ConcurrentBitset, Min, NodePropMap, Npm, Sum, Variant};
+use kimbap_algos::{MapBuilder, ShardedBuilder};
+use kimbap_npm::{ConcurrentBitset, Min, NodePropMap, Npm, ShardedMap, Sum};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -66,16 +67,17 @@ fn bench_reduce_contention(c: &mut Criterion) {
     let parts = partition(&g, Policy::EdgeCutBlocked, 1);
     let mut group = c.benchmark_group("reduce_contention");
     group.sample_size(10);
-    for (label, variant) in [("cf_thread_local", Variant::SgrCf), ("shared_map", Variant::SgrOnly)]
-    {
+    for (label, row) in [
+        ("cf_thread_local", ShardedBuilder::sgr_cf()),
+        ("shared_map", ShardedBuilder::sgr_only()),
+    ] {
         group.bench_function(label, |b| {
             b.iter_custom(|iters| {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     let parts = &parts;
                     let elapsed = Cluster::with_threads(1, 4).run(|ctx| {
-                        let npm: Npm<u64, Sum> =
-                            Npm::with_variant(&parts[0], ctx, Sum, variant);
+                        let npm: ShardedMap<u64, Sum> = row.build(&parts[0], ctx, Sum);
                         let t = Instant::now();
                         ctx.par_for(0..200_000, |tid, range| {
                             for i in range {
@@ -148,8 +150,7 @@ fn bench_reduce_compute_gar(c: &mut Criterion) {
                 let parts = &parts;
                 let times = Cluster::with_threads(hosts, 4).run(|ctx| {
                     let dg = &parts[ctx.host()];
-                    let npm: Npm<u64, Sum> =
-                        Npm::with_variant(dg, ctx, Sum, Variant::SgrCfGar);
+                    let npm: Npm<u64, Sum> = Npm::new(dg, ctx, Sum);
                     let n = dg.num_global_nodes() as u32;
                     let t = Instant::now();
                     ctx.par_for(0..400_000, |tid, range| {

@@ -28,7 +28,7 @@ fn bench_graph(name: &str, g: &Graph, cluster_hosts: usize) {
     let threads = threads_per_host();
     // Galois gets all the machine parallelism one host would have.
     let galois_threads = threads * cluster_hosts;
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = LouvainConfig::default();
     let weighted = Inputs::weighted(g);
 

@@ -21,8 +21,8 @@
 //!    state, and resumes the program from the loop that was executing.
 //!
 //! When the checkpoint cannot be reconstructed (adjacent departures, a
-//! loss before the first replication, a non-resumable program point, or
-//! a non-partition-aware variant), every member agrees — all inputs to the
+//! loss before the first replication, or a non-resumable program point),
+//! every member agrees — all inputs to the
 //! verdict are all-reduced — to restart the program from scratch on the
 //! new membership instead. Either way the output is the one a fault-free
 //! run on the final membership produces.
@@ -107,7 +107,7 @@ fn run_plan_elastic_from(
             MembershipCause::Grow => ctx.recover_grow(),
         }
         .unwrap_or_else(|e| panic!("membership change failed: {e}"));
-        resume = reshard(ctx, g, policy, plan, &config, Some(&sig), &change);
+        resume = reshard(ctx, g, policy, plan, Some(&sig), &change);
     }
 }
 
@@ -132,7 +132,7 @@ pub fn join_plan_elastic(
     // gate (the run may have finished, or growth is disabled). The joiner
     // simply reports it has nothing.
     let change = ctx.join_cluster(join_deadline).ok()?;
-    let resume = reshard(ctx, g, policy, plan, &config, None, &change);
+    let resume = reshard(ctx, g, policy, plan, None, &change);
     Some(run_plan_elastic_from(g, policy, plan, config, ctx, resume))
 }
 
@@ -148,7 +148,6 @@ fn reshard(
     g: &Graph,
     policy: Policy,
     plan: &CompiledProgram,
-    config: &EngineConfig,
     member: Option<&MembershipSignal>,
     change: &MembershipChange,
 ) -> Option<ResumePoint> {
@@ -171,7 +170,6 @@ fn reshard(
     // so all members reach the identical decision; a joiner votes fit.
     let locally_fit = member.is_none_or(|s| {
         s.top_idx.is_some()
-            && config.variant.partition_aware()
             && s.state.maps.len() == nmaps
             && (!adopter
                 || replica.is_some_and(|r| r.rounds == s.state.rounds && r.maps.len() == nmaps))

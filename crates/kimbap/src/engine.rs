@@ -17,7 +17,7 @@ use kimbap_compiler::transform::{CompiledLoop, CompiledProgram, CompiledTop};
 use kimbap_compiler::ReadDep;
 use kimbap_dist::{DistGraph, LocalId};
 use kimbap_graph::NodeId;
-use kimbap_npm::{ChangedKeys, DynReduceOp, MapSnapshot, NodePropMap, Npm, SumReducer, Variant};
+use kimbap_npm::{ChangedKeys, DynReduceOp, MapSnapshot, NodePropMap, Npm, SumReducer};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -30,8 +30,6 @@ const MAX_RECOVERIES: u32 = 8;
 /// Execution options for [`Engine`], orthogonal to the compiled plan.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Runtime variant backing every program map.
-    pub variant: Variant,
     /// Allow sparse (active-set) rounds for loops the compiler certified
     /// with a [`kimbap_compiler::SparsePlan`]. When false every round runs
     /// dense, regardless of the plan.
@@ -53,7 +51,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            variant: Variant::SgrCfGar,
             sparse: true,
             phase_timeout: None,
             round_base: 0,
@@ -301,7 +298,7 @@ impl<'g> Engine<'g> {
         let maps = plan
             .maps
             .iter()
-            .map(|d| Npm::with_variant(dg, ctx, d.op, config.variant))
+            .map(|d| Npm::new(dg, ctx, d.op))
             .collect();
         Engine {
             dg,
@@ -630,14 +627,13 @@ impl<'g> Engine<'g> {
             ctx.add_phase_nanos(SyncPhase::RequestSync, clock::now_nanos().saturating_sub(t));
         }
 
-        // A certified loop on the GAR map settles this host before the
-        // round's one exchange: after every pass the local combine folds
-        // the pass's partials into the tables, and the next pass runs on
-        // what that changed, until nothing does. A crash anywhere in here
+        // A certified loop settles this host before the round's one
+        // exchange: after every pass the local combine folds the pass's
+        // partials into the tables, and the next pass runs on what that
+        // changed, until nothing does. A crash anywhere in here
         // replays the whole round, passes included, from the checkpoint.
         let q = l.quiesce_map;
-        let local = (repeat && l.local_fixpoint && self.maps[q].variant().partition_aware())
-            .then_some(q);
+        let local = (repeat && l.local_fixpoint).then_some(q);
         if local.is_some() {
             self.maps[q].begin_local_passes();
         }
@@ -1246,7 +1242,7 @@ mod tests {
         // Exactly the same set the native implementation picks (priorities
         // are identical).
         let parts = partition(&g, Policy::CartesianVertexCut, 2);
-        let b = kimbap_algos::NpmBuilder::default();
+        let b = kimbap_algos::NpmBuilder;
         let native = Cluster::with_threads(2, 2)
             .run(|ctx| kimbap_algos::mis(&parts[ctx.host()], ctx, &b));
         let native_set =

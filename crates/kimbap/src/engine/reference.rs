@@ -206,7 +206,6 @@ struct Setup {
     hosts: usize,
     threads: usize,
     compressed: bool,
-    variant: Variant,
     sparse: bool,
 }
 
@@ -221,7 +220,6 @@ fn run(program: &Program, g: &Graph, s: Setup, reference: bool) -> Outcome {
     );
     Cluster::with_threads(s.hosts, s.threads).run(|ctx| {
         let config = EngineConfig {
-            variant: s.variant,
             sparse: s.sparse,
             ..EngineConfig::default()
         };
@@ -245,35 +243,32 @@ fn run(program: &Program, g: &Graph, s: Setup, reference: bool) -> Outcome {
     })
 }
 
-/// Lowered executor ≡ tree walk under every variant, thread count,
-/// frontier setting and store tier; the remaining axes (optimization
-/// level, policy, host count) are drawn from `pick`.
+/// Lowered executor ≡ tree walk under every thread count, frontier
+/// setting and store tier; the remaining axes (optimization level,
+/// policy, host count) are drawn from `pick`.
 fn assert_executors_agree(program: &Program, g: &Graph, pick: &mut Rng) {
-    for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-        for threads in [1, 2, 4] {
-            for sparse in [true, false] {
-                for compressed in [false, true] {
-                    let s = Setup {
-                        opt: if pick.chance(1, 2) {
-                            OptLevel::Full
-                        } else {
-                            OptLevel::None
-                        },
-                        policy: if pick.chance(1, 2) {
-                            Policy::EdgeCutBlocked
-                        } else {
-                            Policy::CartesianVertexCut
-                        },
-                        hosts: 2 + pick.below(2) as usize,
-                        threads,
-                        compressed,
-                        variant,
-                        sparse,
-                    };
-                    let lowered = run(program, g, s, false);
-                    let walked = run(program, g, s, true);
-                    assert_eq!(lowered, walked, "{s:?} on {program:#?}");
-                }
+    for threads in [1, 2, 4] {
+        for sparse in [true, false] {
+            for compressed in [false, true] {
+                let s = Setup {
+                    opt: if pick.chance(1, 2) {
+                        OptLevel::Full
+                    } else {
+                        OptLevel::None
+                    },
+                    policy: if pick.chance(1, 2) {
+                        Policy::EdgeCutBlocked
+                    } else {
+                        Policy::CartesianVertexCut
+                    },
+                    hosts: 2 + pick.below(2) as usize,
+                    threads,
+                    compressed,
+                    sparse,
+                };
+                let lowered = run(program, g, s, false);
+                let walked = run(program, g, s, true);
+                assert_eq!(lowered, walked, "{s:?} on {program:#?}");
             }
         }
     }
@@ -326,7 +321,6 @@ fn lowered_executor_matches_the_tree_walk_on_the_paper_programs() {
             hosts: 2,
             threads: 2,
             compressed: true,
-            variant: Variant::SgrCfGar,
             sparse: true,
         },
         false,

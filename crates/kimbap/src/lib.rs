@@ -45,6 +45,6 @@ pub mod prelude {
     pub use kimbap_dist::{assemble_dist_graph, partition, DistGraph, Policy};
     pub use kimbap_graph::{gen, Graph, GraphBuilder, GraphStats, NodeId, Weight};
     pub use kimbap_npm::{
-        BoolReducer, Max, Min, NodePropMap, Npm, Or, ReduceOp, Sum, SumReducer, Variant,
+        BoolReducer, Max, Min, NodePropMap, Npm, Or, ReduceOp, Sum, SumReducer,
     };
 }

@@ -152,7 +152,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "cc-sclp",
         id: 2,
         policy: Policy::CartesianVertexCut,
-        run: |dg, ctx, _| JobOutput::Masters(cc::cc_sclp(dg, ctx, &NpmBuilder::default())),
+        run: |dg, ctx, _| JobOutput::Masters(cc::cc_sclp(dg, ctx, &NpmBuilder)),
         check: check_components,
         describe: describe_components,
         tcp: true,
@@ -164,7 +164,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "mis",
         id: 3,
         policy: Policy::CartesianVertexCut,
-        run: |dg, ctx, _| JobOutput::MisSet(mis(dg, ctx, &NpmBuilder::default())),
+        run: |dg, ctx, _| JobOutput::MisSet(mis(dg, ctx, &NpmBuilder)),
         check: |g, set| {
             let set: Vec<bool> = set.iter().map(|&x| x == 1).collect();
             refcheck::check_mis(g, &set).map_err(|e| format!("invalid MIS: {e}"))
@@ -182,7 +182,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "msf",
         id: 4,
         policy: Policy::CartesianVertexCut,
-        run: |dg, ctx, _| JobOutput::Forest(msf(dg, ctx, &NpmBuilder::default())),
+        run: |dg, ctx, _| JobOutput::Forest(msf(dg, ctx, &NpmBuilder)),
         check: |g, fp| {
             let want = [refcheck::msf_weight(g), refcheck::msf_edge_count(g) as u64];
             if fp.get(..2) == Some(&want[..]) {
@@ -205,7 +205,7 @@ pub const TABLE: [AlgoRow; 7] = [
             JobOutput::Communities(louvain(
                 dg,
                 ctx,
-                &NpmBuilder::default(),
+                &NpmBuilder,
                 &LouvainConfig::default(),
             ))
         },
@@ -224,7 +224,7 @@ pub const TABLE: [AlgoRow; 7] = [
             JobOutput::Communities(leiden(
                 dg,
                 ctx,
-                &NpmBuilder::default(),
+                &NpmBuilder,
                 &LouvainConfig::default(),
             ))
         },
@@ -411,13 +411,17 @@ struct ResultCache {
 }
 
 /// One cached output. Per-master labels over a contiguous run of keys —
-/// every cc-* partial on a blocked partition — keep one `u64` per master
-/// instead of a 16-byte `(key, value)` pair, which halves the entries that
-/// dominate a cache of label jobs.
+/// every cc-* partial on a blocked partition — keep one `(label, count)`
+/// per run of equal labels instead of a 16-byte `(key, value)` pair per
+/// master: a component's members sit in long runs of one label (a
+/// 120x120 grid's partial is one run, an R-MAT(15, 16) partial about 0.37
+/// runs per master), so the entries that dominate a cache of label jobs
+/// shrink.
 #[derive(Debug)]
 enum Cached {
-    /// `JobOutput::Masters` with keys `first, first + 1, ...`.
-    Run { first: NodeId, vals: Vec<u64> },
+    /// `JobOutput::Masters` with keys `first, first + 1, ...` and values
+    /// run-length encoded.
+    Run { first: NodeId, runs: Vec<(u64, u32)> },
     /// Any other output, as produced.
     Output(JobOutput),
 }
@@ -428,9 +432,19 @@ impl Cached {
             JobOutput::Masters(pairs)
                 if pairs.iter().zip(pairs.first().map_or(0, |p| p.0)..).all(|(p, k)| p.0 == k) =>
             {
+                // Sized exactly: cache entries live long, and growth would
+                // leave freed steps behind.
+                let changes = pairs.windows(2).filter(|w| w[0].1 != w[1].1).count();
+                let mut runs: Vec<(u64, u32)> = Vec::with_capacity(changes + 1);
+                for &(_, v) in pairs {
+                    match runs.last_mut() {
+                        Some((label, n)) if *label == v => *n += 1,
+                        _ => runs.push((v, 1)),
+                    }
+                }
                 Cached::Run {
                     first: pairs.first().map_or(0, |p| p.0),
-                    vals: pairs.iter().map(|p| p.1).collect(),
+                    runs,
                 }
             }
             out => Cached::Output(out.clone()),
@@ -439,8 +453,11 @@ impl Cached {
 
     fn output(&self) -> JobOutput {
         match self {
-            Cached::Run { first, vals } => {
-                JobOutput::Masters((*first..).zip(vals.iter().copied()).collect())
+            Cached::Run { first, runs } => {
+                let mut pairs = Vec::with_capacity(runs.iter().map(|&(_, n)| n as usize).sum());
+                let vals = runs.iter().flat_map(|&(v, n)| std::iter::repeat_n(v, n as usize));
+                pairs.extend((*first..).zip(vals));
+                JobOutput::Masters(pairs)
             }
             Cached::Output(out) => out.clone(),
         }
@@ -826,13 +843,15 @@ mod tests {
     #[test]
     fn cached_outputs_come_back_unchanged() {
         let run = JobOutput::Masters((40..1040).map(|k| (k, u64::from(k) * 3)).collect());
+        let labels = JobOutput::Masters((7..507).map(|k| (k, u64::from(k / 100 % 2))).collect());
         let gappy = JobOutput::Masters(vec![(4, 1), (5, 1), (9, 2)]);
         let set = JobOutput::MisSet(vec![(0, true), (1, false)]);
         assert!(matches!(Cached::of(&run), Cached::Run { first: 40, .. }));
+        assert!(matches!(&Cached::of(&labels), Cached::Run { runs, .. } if runs.len() == 6));
         assert!(matches!(Cached::of(&gappy), Cached::Output(_)));
         let mut c = ResultCache::new(8);
         let none = JobOutput::Masters(Vec::new());
-        for (p, o) in [&run, &gappy, &set, &none].into_iter().enumerate() {
+        for (p, o) in [&run, &labels, &gappy, &set, &none].into_iter().enumerate() {
             c.insert(key(p as u64), o);
             assert_eq!(c.get(&key(p as u64)).as_ref(), Some(o));
         }

@@ -31,7 +31,7 @@ pub fn cc_lp_labels(
     recovering: bool,
 ) -> (Vec<u64>, u64) {
     let parts = partition(g, Policy::EdgeCutBlocked, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let per_host = cluster.run_with_faults(plan, |ctx| {
         let labels = if recovering {
             ctx.run_recovering(|ctx| cc_lp(&parts[ctx.host()], ctx, &b))
@@ -52,7 +52,7 @@ pub fn cc_lp_labels(
 /// (composed labels, modularity bits).
 pub fn louvain_result(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<u32>, u64) {
     let parts = partition(g, Policy::EdgeCutBlocked, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = algos::LouvainConfig::default();
     let results = cluster.run_with_faults(plan, |ctx| {
         ctx.run_recovering(|ctx| algos::louvain(&parts[ctx.host()], ctx, &b, &cfg))
@@ -66,7 +66,7 @@ pub fn louvain_result(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<u32
 /// canonical (sorted edges, total weight) forest.
 pub fn msf_forest(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<(u32, u32, u64)>, u64) {
     let parts = partition(g, Policy::CartesianVertexCut, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let per_host = cluster.run_with_faults(plan, |ctx| {
         ctx.run_recovering(|ctx| algos::msf(&parts[ctx.host()], ctx, &b))
     });
@@ -79,7 +79,7 @@ pub fn msf_forest(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<(u32, u
 /// membership vector.
 pub fn mis_set(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> Vec<bool> {
     let parts = partition(g, Policy::CartesianVertexCut, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let per_host = cluster.run_with_faults(plan, |ctx| {
         ctx.run_recovering(|ctx| algos::mis(&parts[ctx.host()], ctx, &b))
     });

@@ -170,7 +170,7 @@ fn shrink_matrix_smoke() {
     let g = gen::rmat(6, 4, 9);
     let gw = gen::with_random_weights(&g, 1 << 16, 9 ^ 0x5eed);
     let n = g.num_nodes();
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let kill = || FaultPlan::new().kill_host(1, 2);
     let sim = || Cluster::with_threads(HOSTS, 2).sim(SIM_SEED);
 

@@ -1,7 +1,7 @@
 //! Property-based differential test of active-set (frontier) execution:
 //! for random sparse-eligible vertex programs, sparse rounds must be
 //! round-for-round identical to dense execution — same final maps, same
-//! round count — across every runtime variant and thread count. Sparse
+//! round count — across thread counts. Sparse
 //! iteration only skips nodes whose read inputs provably did not change,
 //! so any divergence is an engine soundness bug, not a tolerance issue.
 //!
@@ -22,7 +22,7 @@ use kimbap_compiler::transform::CompiledTop;
 use kimbap_compiler::{compile, CompiledProgram, OptLevel};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::builder::from_edges;
-use kimbap_npm::{DynReduceOp, Variant};
+use kimbap_npm::DynReduceOp;
 use proptest::prelude::*;
 
 /// A random monotone *adjacent-vertex* operator: reads keyed only by the
@@ -145,14 +145,6 @@ fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..24, 0u32..24, Just(1u64)), 1..60)
 }
 
-fn variant_strategy() -> impl Strategy<Value = Variant> {
-    prop_oneof![
-        Just(Variant::SgrOnly),
-        Just(Variant::SgrCf),
-        Just(Variant::SgrCfGar),
-    ]
-}
-
 fn run_cfg(
     program: &Program,
     edges: &[(u32, u32, u64)],
@@ -214,11 +206,10 @@ proptest! {
     fn sparse_execution_matches_dense(
         program in program_strategy(),
         edges in edge_list(),
-        variant in variant_strategy(),
         threads in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
     ) {
-        let sparse_cfg = EngineConfig { variant, sparse: true, ..EngineConfig::default() };
-        let dense_cfg = EngineConfig { variant, sparse: false, ..EngineConfig::default() };
+        let sparse_cfg = EngineConfig { sparse: true, ..EngineConfig::default() };
+        let dense_cfg = EngineConfig { sparse: false, ..EngineConfig::default() };
         let (sv, souts) = run_cfg(&program, &edges, 2, threads, sparse_cfg);
         let (dv, douts) = run_cfg(&program, &edges, 2, threads, dense_cfg);
         prop_assert_eq!(&sv, &dv);
@@ -236,26 +227,20 @@ proptest! {
         let single_pass = |o: &EngineOutput| o.activity.iter().all(|a| a.passes == 1);
         prop_assert!(gsouts.iter().chain(&gdouts).all(single_pass));
 
-        // Dense runs, and any run on a non-GAR variant (no changed-key
-        // tracking), must never report a sparse round.
+        // Dense runs must never report a sparse round; sparse runs take
+        // every certified loop sparse right after its pin round, so only
+        // the per-loop pin rounds stay dense.
         prop_assert!(douts.iter().all(|o| o.activity.iter().all(|a| !a.sparse)));
-        if variant != Variant::SgrCfGar {
-            prop_assert!(souts.iter().all(|o| o.activity.iter().all(|a| !a.sparse)));
-        } else {
-            // Under GAR every certified loop goes sparse right after its
-            // pin round: only the per-loop pin rounds stay dense.
-            let plan = compile(&program, OptLevel::Full);
-            let certified = plan.body.iter().all(|t| match t {
-                CompiledTop::Loop(l) => l.sparse.is_some(),
-                _ => true,
-            });
-            prop_assert!(certified, "adjacent min programs must certify at Full");
-            let pins = num_loops(&program) as u64;
-            for o in &souts {
-                let sparse_rounds =
-                    o.activity.iter().filter(|a| a.sparse).count() as u64;
-                prop_assert_eq!(sparse_rounds, o.rounds - pins);
-            }
+        let plan = compile(&program, OptLevel::Full);
+        let certified = plan.body.iter().all(|t| match t {
+            CompiledTop::Loop(l) => l.sparse.is_some(),
+            _ => true,
+        });
+        prop_assert!(certified, "adjacent min programs must certify at Full");
+        let pins = num_loops(&program) as u64;
+        for o in &souts {
+            let sparse_rounds = o.activity.iter().filter(|a| a.sparse).count() as u64;
+            prop_assert_eq!(sparse_rounds, o.rounds - pins);
         }
     }
 }
@@ -350,7 +335,6 @@ fn trans_vertex_program_falls_back_to_dense() {
         3,
         2,
         EngineConfig {
-            variant: Variant::SgrCfGar,
             sparse: true,
             ..EngineConfig::default()
         },
@@ -361,7 +345,6 @@ fn trans_vertex_program_falls_back_to_dense() {
         3,
         2,
         EngineConfig {
-            variant: Variant::SgrCfGar,
             sparse: false,
             ..EngineConfig::default()
         },

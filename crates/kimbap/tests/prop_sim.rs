@@ -63,7 +63,7 @@ fn sim_cc_lp(
     sim_seed: u64,
 ) -> Result<Option<Vec<u64>>, String> {
     let parts = partition(g, policy, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cluster = Cluster::with_threads(HOSTS, 1)
         .sim(sim_seed)
         .with_transport_config(simfuzz::sim_transport_config());
@@ -93,7 +93,7 @@ fn sim_cc_lp_elastic(
     plan: FaultPlan,
     sim_seed: u64,
 ) -> Result<Option<Vec<u64>>, String> {
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cluster = Cluster::with_threads(HOSTS, 1)
         .sim(sim_seed)
         .with_transport_config(simfuzz::sim_transport_config());

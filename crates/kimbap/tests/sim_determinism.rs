@@ -16,7 +16,7 @@ const HOSTS: usize = 3;
 /// fault plan; returns the merged labels and the JSONL-serialized trace.
 fn traced_run(g: &kimbap_graph::Graph, sim_seed: u64, plan: FaultPlan) -> (Vec<u64>, Vec<String>) {
     let parts = partition(g, Policy::EdgeCutBlocked, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let sink = new_trace_sink();
     let cluster = Cluster::with_threads(HOSTS, 1)
         .sim(sim_seed)
@@ -56,7 +56,7 @@ fn louvain_replays_byte_identical_trace() {
     let g = gen::rmat(6, 4, 9);
     let run = || {
         let parts = partition(&g, Policy::EdgeCutBlocked, HOSTS);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let cfg = LouvainConfig::default();
         let sink = new_trace_sink();
         let cluster = Cluster::with_threads(HOSTS, 1)

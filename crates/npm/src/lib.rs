@@ -9,7 +9,7 @@
 //! [`NodePropMap::reduce_sync`], [`NodePropMap::broadcast_sync`],
 //! [`NodePropMap::pin_mirrors`], …).
 //!
-//! The default backend applies all three of the paper's optimizations:
+//! The map, [`Npm`], applies all three of the paper's optimizations:
 //!
 //! * **GAR** (graph-partition-aware representation): each host owns the
 //!   properties of its master nodes in a dense vector addressed by O(1)
@@ -23,11 +23,10 @@
 //! * **SGR** (scatter-gather-reduce): one message per host pair per round;
 //!   partial values are reduced onto the owner's canonical values.
 //!
-//! [`Variant`] selects the ablation backends of §6.4: `SgrOnly` (a single
-//! shared sharded-lock map instead of thread-local maps, modulo-hashed key
-//! distribution, every read through the cache) and `SgrCf` (thread-local
-//! maps but still no partition-aware representation). The memcached-like
-//! `MC` variant lives in `kimbap-baselines`.
+//! The ablation rows of §6.4 are a separate type, [`ShardedMap`]: modulo-hashed key distribution, every
+//! proxy resident in a sorted cache, and either one shared sharded-lock
+//! map (SGR-only) or the same thread-local partials (SGR+CF) for
+//! reductions. The memcached-like `MC` row lives in `kimbap-baselines`.
 //!
 //! # Example
 //!
@@ -62,10 +61,12 @@ pub mod map;
 pub mod ops;
 mod partial;
 pub mod reducer;
+pub mod sharded;
 pub mod value;
 
 pub use bitset::ConcurrentBitset;
-pub use map::{ChangedKeys, MapSnapshot, MirrorSync, NodePropMap, Npm, NpmReadStats, Variant};
+pub use map::{ChangedKeys, MapSnapshot, NodePropMap, Npm, NpmReadStats};
 pub use ops::{DynReduceOp, Max, Min, Or, ReduceOp, Sum};
 pub use reducer::{BoolReducer, MinReducer, SumReducer};
+pub use sharded::ShardedMap;
 pub use value::PropValue;

@@ -2,90 +2,14 @@
 
 use crate::bitset::ConcurrentBitset;
 use crate::ops::ReduceOp;
-use crate::partial::{PartialBuf, ThreadOwned};
+use crate::partial::{CfPartials, FastOwn, PartialBuf};
 use crate::value::PropValue;
 use kimbap_comm::wire::{encode_slice, iter_decoded};
 use kimbap_comm::{HostCtx, Wire};
 use kimbap_dist::{DistGraph, LocalId, Ownership};
 use kimbap_graph::NodeId;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Which of the paper's runtime designs backs a map (§6.4).
-///
-/// All variants use scatter-gather-reduce (SGR) for distributed reductions;
-/// they differ in how in-memory reductions and reads are organized. The
-/// memcached variant (`MC`), which lacks even SGR, is a separate type in
-/// `kimbap-baselines`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// SGR only: one shared sharded-lock map per host collects partial
-    /// reductions (threads contend on hot keys), keys are distributed by
-    /// modulo hash, and *every* read goes through the remote cache or a
-    /// hash lookup.
-    SgrOnly,
-    /// SGR + conflict-free reductions: per-thread local maps during
-    /// reduce-compute, combined over disjoint key ranges during
-    /// reduce-sync. Keys still modulo-hashed; reads still hash lookups.
-    SgrCf,
-    /// SGR + CF + the graph-partition-aware representation: key ownership
-    /// follows the graph partition, master properties live in a dense
-    /// vector, remote properties in a sorted-vector cache. The default.
-    #[default]
-    SgrCfGar,
-}
-
-impl Variant {
-    /// `true` if this variant uses conflict-free thread-local reductions.
-    pub fn conflict_free(&self) -> bool {
-        !matches!(self, Variant::SgrOnly)
-    }
-
-    /// `true` if this variant uses the graph-partition-aware
-    /// representation.
-    pub fn partition_aware(&self) -> bool {
-        matches!(self, Variant::SgrCfGar)
-    }
-}
-
-impl std::fmt::Display for Variant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Variant::SgrOnly => "SGR-only",
-            Variant::SgrCf => "SGR+CF",
-            Variant::SgrCfGar => "SGR+CF+GAR",
-        })
-    }
-}
-
-/// How pinned mirrors are refreshed after a reduce-sync.
-///
-/// `Broadcast` is the general mechanism. `ResetToIdentity` implements
-/// Gluon's structural-invariant optimization (§2.2): under an outgoing
-/// edge-cut, mirrors of a push-style operator are never *semantically*
-/// read — their cached value only pre-filters redundant reductions — so
-/// instead of shipping the master value, each host locally reinitializes
-/// mirrors to the reduction identity.
-///
-/// In Gluon this is a clear win because mirrors accumulate reductions
-/// in place and only changed values ship. In Kimbap's node-property map
-/// the same trade usually *loses*: identity-valued mirrors disable the
-/// redundancy filter, so more distinct keys enter the thread-local maps
-/// and the reduce-sync ships more pairs than the broadcast saved. This is
-/// why `Broadcast` (plus the temporal invariant of sending only updated
-/// values) is the default and what the paper's pinned mirrors do; the
-/// option exists to measure that design choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MirrorSync {
-    /// Push updated master values to mirrors (the general mechanism).
-    #[default]
-    Broadcast,
-    /// Locally reset mirrors to the reduction identity (OEC push-style
-    /// invariant; no communication).
-    ResetToIdentity,
-}
 
 /// Read-locality counters (the measurement behind §4.2's motivation for
 /// GAR: 50–65% of reads hit master properties).
@@ -107,14 +31,13 @@ pub struct NpmReadStats {
 ///
 /// `Tracked` borrows bookkeeping the map maintains anyway: `masters` is the
 /// per-master update bitset written by `set`/`reduce_sync` (bit index =
-/// master offset in the map's key distribution, which under the
-/// partition-aware representation equals the `DistGraph` local id), and
+/// master offset, which equals the `DistGraph` local id), and
 /// `remote` lists the global ids of pinned mirrors whose cached value
 /// changed in the last `broadcast_sync`. Together they cover every key
 /// whose *readable* value differs from the start of the round.
 ///
 /// `Untracked` means the map cannot vouch for a complete delta — either
-/// the backend keeps no per-key bits (non-partition-aware variants), or an
+/// the backend keeps no per-key bits (the sharded baseline), or an
 /// untracked mutation (a `request_sync` materialization, `reset_values`,
 /// a checkpoint restore) happened inside the window. Callers must then
 /// treat every key as potentially changed.
@@ -237,21 +160,12 @@ pub trait NodePropMap<T: PropValue>: Send + Sync {
 
 /// A copy of a map's canonical (master) state, taken by [`Npm::snapshot`]
 /// and reapplied by [`Npm::restore`] — the per-map payload of the engine's
-/// round-level checkpoints.
+/// round-level checkpoints: the dense master-value vector.
 ///
 /// Only canonical values are captured: caches, pending partials, and
 /// request sets are transient within a BSP round, and a checkpoint is only
 /// taken at round boundaries where they are empty or reconstructible.
-#[derive(Debug, Clone)]
-pub enum MapSnapshot<T> {
-    /// GAR backend: the dense master-value vector.
-    Dense(Vec<T>),
-    /// Non-GAR backends: the sharded canonical hash maps.
-    Sharded(Vec<HashMap<NodeId, T>>),
-}
-
-/// One (source thread, destination thread) spill cell of the CF combine.
-type BucketCell<T> = Mutex<Vec<(NodeId, T)>>;
+pub type MapSnapshot<T> = Vec<T>;
 
 /// A slice that several pool threads write at *disjoint* indices: the
 /// gather-reduce's view of the dense master table, whose key-range
@@ -301,7 +215,7 @@ impl<'a, T: Copy> DisjointSlice<'a, T> {
 /// Escalates a peer buffer that is not a whole number of `W` records as a
 /// protocol violation instead of letting the decoder's assertion trip.
 /// One length check per buffer, before anything is decoded.
-fn check_whole<W: Wire>(ctx: &HostCtx, what: &str, unit: &str, received: &[Vec<u8>]) {
+pub(crate) fn check_whole<W: Wire>(ctx: &HostCtx, what: &str, unit: &str, received: &[Vec<u8>]) {
     for (from, buf) in received.iter().enumerate() {
         if !buf.len().is_multiple_of(W::SIZE) {
             ctx.protocol_violation(format!(
@@ -312,152 +226,40 @@ fn check_whole<W: Wire>(ctx: &HostCtx, what: &str, unit: &str, received: &[Vec<u
     }
 }
 
-/// Canonical (master) property storage.
-enum Canonical<T: PropValue> {
-    /// GAR: dense table indexed by master offset + per-master update bits
-    /// (shared by the broadcast temporal invariant and the frontier delta
-    /// view).
-    Dense {
-        vals: Vec<T>,
-        updated: ConcurrentBitset,
-    },
-    /// Non-GAR: hash maps sharded by disjoint key range (one shard per pool
-    /// thread, so the gather-reduce stays conflict-free).
-    Sharded { shards: Vec<Mutex<HashMap<NodeId, T>>> },
-}
-
-/// Precomputed is-mine test for this host's key-distribution map.
-///
-/// [`Ownership`] answers "who owns key `k`" for *any* host — a search of
-/// its boundary table or a modulus, with asserted bounds checks — fine
-/// for collectives, too slow for the per-call `reduce`/`read` fast paths,
-/// which only ever ask "is `k` mine, and at which master offset".
-/// `FastOwn` pre-resolves this host's row of the boundary table (blocked
-/// ownership) or modulus residue (hashed ownership) into two branch-light
-/// operations.
-#[derive(Debug, Clone, Copy)]
-enum FastOwn {
-    /// Blocked ownership: this host owns the contiguous range
-    /// `lo .. lo + len`.
-    Block { lo: u32, len: u32 },
-    /// Hashed ownership: this host owns keys `≡ host (mod hosts)`.
-    Mod { hosts: u32, host: u32 },
-}
-
-impl FastOwn {
-    fn new(own: &Ownership, host: usize) -> Self {
-        match own {
-            Ownership::Blocked { bounds } => FastOwn::Block {
-                lo: bounds[host],
-                len: bounds[host + 1] - bounds[host],
-            },
-            Ownership::Hashed { hosts, .. } => FastOwn::Mod {
-                hosts: *hosts as u32,
-                host: host as u32,
-            },
-        }
-    }
-
-    /// This host's master offset for `key`, or `None` if `key` is remote.
-    #[inline]
-    fn local_offset(self, key: NodeId) -> Option<u32> {
-        match self {
-            FastOwn::Block { lo, len } => {
-                let d = key.wrapping_sub(lo);
-                (d < len).then_some(d)
-            }
-            FastOwn::Mod { hosts, host } => {
-                (key % hosts == host).then(|| key / hosts)
-            }
-        }
-    }
-
-    /// The pool thread (of `threads`) that combines and gathers `key`:
-    /// disjoint ascending ranges. A blocked host's own keys are split by
-    /// master offset, so every thread gets an equal slice of the host's
-    /// block wherever the block lies in the id space; remote keys, and
-    /// hashed ownership (whose owned keys stride the whole space), are
-    /// split over the `n` global ids. The scatter, the gather and the
-    /// sharded canonical store must all agree on it.
-    #[inline]
-    fn shard(self, key: NodeId, threads: usize, n: usize) -> usize {
-        let (pos, span) = match self {
-            FastOwn::Block { lo, len } if key.wrapping_sub(lo) < len => (key - lo, len as usize),
-            _ => (key, n.max(1)),
-        };
-        debug_assert!((pos as usize) < span);
-        (pos as u64 * threads as u64 / span as u64) as usize
-    }
-
-    /// Inverse of [`FastOwn::local_offset`]: the global key at master
-    /// offset `off`.
-    #[inline]
-    fn key_at(self, off: u32) -> NodeId {
-        match self {
-            FastOwn::Block { lo, .. } => lo + off,
-            FastOwn::Mod { hosts, host } => off * hosts + host,
-        }
-    }
-}
-
 /// The node-property map (see the [crate docs](crate) and
-/// [`NodePropMap`] for semantics).
+/// [`NodePropMap`] for semantics): SGR+CF+GAR.
 pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     dg: &'g DistGraph,
     op: Op,
-    variant: Variant,
     host: usize,
     num_hosts: usize,
-    threads: usize,
-    /// Key-distribution map: the graph's ownership for GAR, modulo hash
-    /// otherwise.
+    /// Key-distribution map: the graph's ownership.
     key_own: Ownership,
     /// Precomputed is-mine test derived from `key_own` for the hot paths.
     fast_own: FastOwn,
-    canonical: Canonical<T>,
-    /// Remote cache: sorted keys + parallel values (paper Fig. 6). Under
-    /// GAR this only spills requested keys that have *no* mirror proxy
-    /// (trans-vertex requests); mirror values live in `mirror_vals`.
+    /// Master values, indexed by master offset (= local id).
+    vals: Vec<T>,
+    /// Per-master update bits, shared by the broadcast's temporal
+    /// invariant and the frontier delta view.
+    updated: ConcurrentBitset,
+    /// Requested keys that have *no* mirror proxy (trans-vertex requests):
+    /// sorted keys + parallel values (paper Fig. 6). Mirror values live in
+    /// `mirror_vals`.
     cache_keys: Vec<NodeId>,
     cache_vals: Vec<T>,
-    /// GAR: dense mirror-value table indexed by the partition's mirror
-    /// slot, with presence bits. O(1) reads for materialized mirrors; the
-    /// paper's sorted-pair form survives only on the wire. Empty without
-    /// GAR.
+    /// Dense mirror-value table indexed by the partition's mirror slot,
+    /// with presence bits. O(1) reads for materialized mirrors; the
+    /// paper's sorted-pair form survives only on the wire.
     mirror_vals: Vec<T>,
     mirror_has: Vec<bool>,
     requests: ConcurrentBitset,
-    /// CF: per-thread lock-free partial buffers (dense local range +
-    /// open-addressed remote table).
-    tls: ThreadOwned<PartialBuf<T>>,
-    /// CF combine: spill cell per (source thread, destination thread).
-    /// Region A of `cf_combine_scatter` fills row `tid`; region B drains
-    /// column `tid`. Uncontended locks by construction.
-    bucket_cells: Vec<Vec<BucketCell<T>>>,
-    /// CF combine: per-destination-thread owned pairs that skip the wire
-    /// and are applied locally after the exchange (self-delivery was
-    /// always an uncounted memcpy).
-    local_pairs: ThreadOwned<Vec<(NodeId, T)>>,
-    /// Bytes serialized to each host by the previous reduce-sync: the
-    /// capacity hint for this round's scatter buffers.
-    prev_out_bytes: Vec<usize>,
-    /// SGR-only: the single shared (sharded-lock) partial map.
-    shared: Vec<Mutex<HashMap<NodeId, T>>>,
+    /// CF: per-thread partial buffers and the combine's state.
+    cf: CfPartials<T>,
     pinned: bool,
-    mirror_sync: MirrorSync,
     /// Read-locality counting is off by default: the per-read atomic
     /// increments contend across threads in the hottest loop of every
     /// algorithm. The locality experiment switches it on.
     count_reads: bool,
-    /// Keys kept resident in the cache while pinned: the graph mirrors
-    /// under GAR; *every* local proxy whose hashed key owner is remote for
-    /// the non-partition-aware variants (they cache "both master and
-    /// remote node properties", §6.4).
-    pin_set: Vec<NodeId>,
-    /// `Set()` calls targeting keys this host does not own (possible only
-    /// without GAR, where key owners ignore the graph partition); shipped
-    /// to owners at the next collective.
-    pending_sets: Mutex<Vec<(NodeId, T)>>,
     /// Pin happened this round: the next broadcast must carry all mirror
     /// values, not just updated ones.
     broadcast_all: bool,
@@ -478,110 +280,43 @@ pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     /// since the last `reset_updated`. Cleared events force
     /// [`ChangedKeys::Untracked`] until the window rolls over.
     delta_tracked: bool,
-    updated: AtomicBool,
+    any_updated: AtomicBool,
     master_reads: AtomicU64,
     remote_reads: AtomicU64,
     reduce_calls: AtomicU64,
     requested_keys: AtomicU64,
 }
 
-/// Number of lock shards in the SGR-only shared map (mirrors the internal
-/// sharding of a concurrent hash map like `phmap::flat_hash_map`).
-const SHARED_SHARDS: usize = 64;
-
 impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
-    /// Creates a map over `dg`'s node space with the default
-    /// (SGR+CF+GAR) backend. Every master property starts at the
-    /// operator's identity.
+    /// Creates a map over `dg`'s node space. Every master property starts
+    /// at the operator's identity.
     pub fn new(dg: &'g DistGraph, ctx: &HostCtx, op: Op) -> Self {
-        Self::with_variant(dg, ctx, op, Variant::SgrCfGar)
-    }
-
-    /// Creates a map with an explicit runtime [`Variant`] (for the §6.4
-    /// ablations).
-    pub fn with_variant(dg: &'g DistGraph, ctx: &HostCtx, op: Op, variant: Variant) -> Self {
-        let n = dg.num_global_nodes();
         let host = ctx.host();
-        let num_hosts = ctx.num_hosts();
-        let threads = ctx.threads();
-        let key_own = if variant.partition_aware() {
-            dg.ownership().clone()
-        } else {
-            Ownership::hashed(n, num_hosts)
-        };
-        let canonical = if variant.partition_aware() {
-            let m = key_own.num_masters(host);
-            Canonical::Dense {
-                vals: vec![op.identity(); m],
-                updated: ConcurrentBitset::new(m),
-            }
-        } else {
-            Canonical::Sharded {
-                shards: (0..threads).map(|_| Mutex::new(HashMap::new())).collect(),
-            }
-        };
-        let pin_set: Vec<NodeId> = if variant.partition_aware() {
-            dg.mirror_globals().to_vec()
-        } else {
-            let mut v: Vec<NodeId> = dg
-                .local_nodes()
-                .map(|l| dg.local_to_global(l))
-                .filter(|&g| key_own.owner(g) != host)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let auto_pinned = !variant.partition_aware();
-        let (cache_keys, cache_vals) = if auto_pinned {
-            (pin_set.clone(), vec![op.identity(); pin_set.len()])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let (mirror_vals, mirror_has) = if variant.partition_aware() {
-            let m = dg.num_mirrors();
-            (vec![op.identity(); m], vec![false; m])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let fast_own = FastOwn::new(&key_own, host);
-        let cf_local = if variant.conflict_free() {
-            key_own.num_masters(host)
-        } else {
-            0
-        };
+        let key_own = dg.ownership().clone();
+        let m = key_own.num_masters(host);
         Npm {
             dg,
             op,
-            variant,
             host,
-            num_hosts,
-            threads,
+            num_hosts: ctx.num_hosts(),
+            fast_own: FastOwn::new(&key_own, host),
+            cf: CfPartials::new(&key_own, host, ctx.threads(), m, op.identity()),
             key_own,
-            fast_own,
-            canonical,
-            cache_keys,
-            cache_vals,
-            mirror_vals,
-            mirror_has,
-            requests: ConcurrentBitset::new(n),
-            tls: ThreadOwned::new(threads, || PartialBuf::new(cf_local, op.identity())),
-            bucket_cells: (0..threads)
-                .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
-                .collect(),
-            local_pairs: ThreadOwned::new(threads, Vec::new),
-            prev_out_bytes: vec![0; num_hosts],
-            shared: (0..SHARED_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            pinned: auto_pinned,
-            mirror_sync: MirrorSync::default(),
+            vals: vec![op.identity(); m],
+            updated: ConcurrentBitset::new(m),
+            cache_keys: Vec::new(),
+            cache_vals: Vec::new(),
+            mirror_vals: vec![op.identity(); dg.num_mirrors()],
+            mirror_has: vec![false; dg.num_mirrors()],
+            requests: ConcurrentBitset::new(dg.num_global_nodes()),
+            pinned: false,
             count_reads: false,
-            pin_set,
-            pending_sets: Mutex::new(Vec::new()),
             broadcast_all: false,
             changed_remote: Vec::new(),
             local_updated: ConcurrentBitset::new(0),
             lowered: ConcurrentBitset::new(0),
             delta_tracked: true,
-            updated: AtomicBool::new(false),
+            any_updated: AtomicBool::new(false),
             master_reads: AtomicU64::new(0),
             remote_reads: AtomicU64::new(0),
             reduce_calls: AtomicU64::new(0),
@@ -589,32 +324,15 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         }
     }
 
-    /// The backend variant.
-    pub fn variant(&self) -> Variant {
-        self.variant
-    }
-
     /// Heap bytes of the dense master and mirror value tables, one `T` per
-    /// entry (capacity-based, like the graph's size accounting). Zero for
-    /// the sharded backends (their canonical bytes live in hash maps).
+    /// entry (capacity-based, like the graph's size accounting).
     pub fn table_bytes(&self) -> usize {
-        let canonical = match &self.canonical {
-            Canonical::Dense { vals, .. } => vals.capacity(),
-            Canonical::Sharded { .. } => 0,
-        };
-        (canonical + self.mirror_vals.capacity()) * std::mem::size_of::<T>()
+        (self.vals.capacity() + self.mirror_vals.capacity()) * std::mem::size_of::<T>()
     }
 
     /// The map's reduction operator.
     pub fn op(&self) -> Op {
         self.op
-    }
-
-    /// Selects how pinned mirrors are refreshed (see [`MirrorSync`]).
-    /// Only meaningful for the partition-aware variant; ignored otherwise
-    /// (non-GAR variants have no broadcast path to elide).
-    pub fn set_mirror_sync(&mut self, mode: MirrorSync) {
-        self.mirror_sync = mode;
     }
 
     /// Enables master/remote read counting (see [`Npm::read_stats`]).
@@ -638,12 +356,11 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     // keys it knows positionally (the active node, an edge destination).
 
     /// [`NodePropMap::read`] of the proxy with local id `lid`, without the
-    /// trip through its global id: under the partition-aware
-    /// representation a master's table offset *is* its local id and mirror
-    /// slot `s` is local id `num_masters + s`, so the dense tables are
-    /// indexed directly. Same value, same counters and — for a mirror that
-    /// was neither requested nor pinned — the same panic as `read`; the
-    /// other variants translate and call it.
+    /// trip through its global id: a master's table offset *is* its local
+    /// id and mirror slot `s` is local id `num_masters + s`, so the dense
+    /// tables are indexed directly. Same value, same counters and — for a
+    /// mirror that was neither requested nor pinned — the same panic as
+    /// `read`.
     ///
     /// # Panics
     ///
@@ -651,47 +368,40 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// `read(local_to_global(lid))` would.
     #[inline]
     pub fn read_local(&self, lid: LocalId) -> T {
-        if let Canonical::Dense { vals, .. } = &self.canonical {
-            let l = lid as usize;
-            match l.checked_sub(self.dg.num_masters()) {
-                None => {
-                    if self.count_reads {
-                        self.master_reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return vals[l];
+        let l = lid as usize;
+        match l.checked_sub(self.dg.num_masters()) {
+            None => {
+                if self.count_reads {
+                    self.master_reads.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(slot) if self.mirror_has[slot] => {
-                    if self.count_reads {
-                        self.remote_reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return self.mirror_vals[slot];
-                }
-                // An unmaterialized mirror: `read` owns the miss.
-                Some(_) => {}
+                self.vals[l]
             }
+            Some(slot) if self.mirror_has[slot] => {
+                if self.count_reads {
+                    self.remote_reads.fetch_add(1, Ordering::Relaxed);
+                }
+                self.mirror_vals[slot]
+            }
+            // An unmaterialized mirror: `read` owns the miss.
+            Some(_) => self.read(self.dg.local_to_global(lid)),
         }
-        self.read(self.dg.local_to_global(lid))
     }
 
-    /// [`NodePropMap::reduce`] into the proxy with local id `lid`: under
-    /// the partition-aware representation a master's partial lands in the
-    /// calling thread's dense buffer at offset `lid`, with no ownership
-    /// test. Exactly the state `reduce(tid, local_to_global(lid), value)`
-    /// leaves; the other variants translate and call it.
+    /// [`NodePropMap::reduce`] into the proxy with local id `lid`: a
+    /// master's partial lands in the calling thread's dense buffer at
+    /// offset `lid`, with no ownership test. Exactly the state
+    /// `reduce(tid, local_to_global(lid), value)` leaves.
     ///
     /// # Panics
     ///
     /// Panics if `lid` is not a local id of the map's partition.
     #[inline]
     pub fn reduce_local(&self, tid: usize, lid: LocalId, value: T) {
-        if !self.variant.partition_aware() {
-            return self.reduce(tid, self.dg.local_to_global(lid), value);
-        }
         if self.count_reads {
             self.reduce_calls.fetch_add(1, Ordering::Relaxed);
         }
         let op = self.op;
-        let buf = self.partials(tid);
+        let buf = self.cf.buf(tid);
         if (lid as usize) < self.dg.num_masters() {
             buf.reduce_local(lid, value, |a, b| op.combine(a, b));
         } else {
@@ -699,17 +409,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         }
     }
 
-    /// The calling pool thread's CF partial buffer.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // one slot per pool thread; see below
-    fn partials(&self, tid: usize) -> &mut PartialBuf<T> {
-        // SAFETY: `tid` is the caller's pool thread id; WorkerPool hands
-        // each worker a distinct dense id, so no two concurrent callers
-        // share a slot, and every caller drops the borrow before returning.
-        unsafe { self.tls.slot(tid) }
-    }
-
-    // Host-local fixpoint (GAR only). A loop the compiler certified
+    // Host-local fixpoint. A loop the compiler certified
     // (`CompiledLoop::local_fixpoint`) relaxes this host's masters and
     // mirrors in place, pass after pass, until the host is quiet, and only
     // then runs the round's one `sync_round`. Within a pass each thread
@@ -719,14 +419,9 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// Sizes the state host-local passes use: every thread's dense partial
     /// buffer grows to cover mirror slots (local ids past the masters), and
     /// the lowered-mirror bits to the mirror count. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the map is the partition-aware (GAR) variant.
     pub fn begin_local_passes(&mut self) {
-        assert!(self.variant.partition_aware(), "host-local passes need the GAR map");
         let n = self.dg.num_local_nodes();
-        for b in self.tls.iter_mut() {
+        for b in self.cf.bufs_mut() {
             b.ensure_dense(n);
         }
         if self.local_updated.len() != self.dg.num_masters() {
@@ -743,7 +438,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// its later reads. Requires [`Npm::begin_local_passes`].
     #[inline]
     pub fn read_visible(&self, tid: usize, lid: LocalId) -> T {
-        let own = self.partials(tid).local(lid);
+        let own = self.cf.buf(tid).local(lid);
         self.op.combine(self.read_local(lid), own)
     }
 
@@ -756,7 +451,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     #[inline]
     pub fn reduce_visible(&self, tid: usize, lid: LocalId, value: T) -> bool {
         let op = self.op;
-        let buf = self.partials(tid);
+        let buf: &mut PartialBuf<T> = self.cf.buf(tid);
         let seen = op.combine(self.read_local(lid), buf.local(lid));
         if op.combine(seen, value) == seen {
             return false;
@@ -784,12 +479,9 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// because a pinned mirror holds its master's value at every round
     /// start, and a partial that did not lower it cannot lower the master.
     pub fn combine_local(&mut self) -> bool {
-        let Canonical::Dense { vals, updated } = &mut self.canonical else {
-            panic!("host-local passes need the GAR map");
-        };
-        updated.clear();
+        self.updated.clear();
         self.changed_remote.clear();
-        let local_updated = &self.local_updated;
+        let (vals, updated, local_updated) = (&mut self.vals, &self.updated, &self.local_updated);
         let (op, dg) = (self.op, self.dg);
         let nm = dg.num_masters();
         let (mirror_vals, lowered, changed_remote) =
@@ -804,7 +496,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 mirrors = true;
             }
         };
-        for buf in self.tls.iter_mut() {
+        for buf in self.cf.bufs_mut() {
             buf.drain_local(|off, v| {
                 let o = off as usize;
                 if o >= nm {
@@ -824,7 +516,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             });
         }
         if masters {
-            self.updated.store(true, Ordering::Relaxed);
+            self.any_updated.store(true, Ordering::Relaxed);
         }
         masters || mirrors
     }
@@ -836,7 +528,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             return;
         }
         let op = self.op;
-        let buf = self.tls.iter_mut().next().expect("a pool has a thread");
+        let buf = self.cf.bufs_mut().next().expect("a pool has a thread");
         for slot in self.lowered.iter_set() {
             let g = self.dg.mirror_globals()[slot];
             buf.reduce_remote(g, self.mirror_vals[slot], |a, b| op.combine(a, b));
@@ -844,47 +536,18 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         self.lowered.clear();
     }
 
-    /// [`NodePropMap::request`] of the proxy with local id `lid`: under
-    /// the partition-aware representation masters need no request and the
-    /// ownership test is one comparison.
+    /// [`NodePropMap::request`] of the proxy with local id `lid`: masters
+    /// need no request and the ownership test is one comparison.
     ///
     /// # Panics
     ///
     /// Panics if `lid` is not a local id of the map's partition.
     #[inline]
     pub fn request_local(&self, lid: LocalId) {
-        if self.variant.partition_aware() && (lid as usize) < self.dg.num_masters() {
+        if (lid as usize) < self.dg.num_masters() {
             return;
         }
         self.requests.set(self.dg.local_to_global(lid) as usize);
-    }
-
-    /// The value canonical storage holds for an owned `key` (identity if
-    /// never written).
-    fn canonical_get(&self, key: NodeId) -> T {
-        debug_assert_eq!(self.key_own.owner(key), self.host);
-        match &self.canonical {
-            Canonical::Dense { vals, .. } => vals[self.key_own.master_offset(key)],
-            Canonical::Sharded { shards } => {
-                let shard = self.fast_own.shard(key, self.threads, self.key_own.num_nodes());
-                shards[shard]
-                    .lock()
-                    .get(&key)
-                    .copied()
-                    .unwrap_or_else(|| self.op.identity())
-            }
-        }
-    }
-
-    fn canonical_set(&mut self, key: NodeId, value: T) {
-        debug_assert_eq!(self.key_own.owner(key), self.host);
-        match &mut self.canonical {
-            Canonical::Dense { vals, .. } => vals[self.key_own.master_offset(key)] = value,
-            Canonical::Sharded { shards } => {
-                let shard = self.fast_own.shard(key, self.threads, self.key_own.num_nodes());
-                shards[shard].get_mut().insert(key, value);
-            }
-        }
     }
 
     fn cache_lookup(&self, key: NodeId) -> Option<T> {
@@ -894,202 +557,38 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             .map(|i| self.cache_vals[i])
     }
 
-    /// Replaces / merges the cache with `pairs` (sorted by key). Entries in
-    /// `pairs` win over existing ones; existing entries are retained only
-    /// when `keep_existing`.
-    fn merge_cache(&mut self, pairs: Vec<(NodeId, T)>, keep_existing: bool) {
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-        if !keep_existing || self.cache_keys.is_empty() {
-            self.cache_keys = pairs.iter().map(|&(k, _)| k).collect();
-            self.cache_vals = pairs.iter().map(|&(_, v)| v).collect();
-            return;
-        }
-        let mut keys = Vec::with_capacity(self.cache_keys.len() + pairs.len());
-        let mut vals = Vec::with_capacity(keys.capacity());
-        let (mut i, mut j) = (0, 0);
-        while i < self.cache_keys.len() || j < pairs.len() {
-            let take_new = j < pairs.len()
-                && (i >= self.cache_keys.len() || pairs[j].0 <= self.cache_keys[i]);
-            if take_new {
-                if i < self.cache_keys.len() && pairs[j].0 == self.cache_keys[i] {
-                    i += 1; // new value supersedes old
-                }
-                keys.push(pairs[j].0);
-                vals.push(pairs[j].1);
-                j += 1;
-            } else {
-                keys.push(self.cache_keys[i]);
-                vals.push(self.cache_vals[i]);
-                i += 1;
-            }
-        }
-        self.cache_keys = keys;
-        self.cache_vals = vals;
-    }
-
-    /// Fetches current canonical values for `keys` (grouped per owner,
-    /// sorted) through the request/response protocol and returns the merged
-    /// sorted pair list. Shared by `request_sync` and the non-GAR
-    /// pin/broadcast fallback.
-    fn fetch_keys(&mut self, ctx: &HostCtx, keys_by_owner: Vec<Vec<NodeId>>) -> Vec<(NodeId, T)> {
-        // Round 1: ship request key lists.
-        let outgoing = keys_by_owner
-            .iter()
-            .enumerate()
-            .map(|(h, keys)| {
-                if h == self.host {
-                    Vec::new()
-                } else {
-                    encode_slice(keys)
-                }
-            })
-            .collect();
-        let incoming = ctx.exchange(outgoing);
-        check_whole::<NodeId>(ctx, "request list", "keys", &incoming);
-
-        // Serve: respond with values in request order.
-        let responses: Vec<Vec<u8>> = incoming
-            .iter()
-            .enumerate()
-            .map(|(h, buf)| {
-                if h == self.host {
-                    return Vec::new();
-                }
-                let mut resp = Vec::with_capacity(buf.len() / NodeId::SIZE * T::SIZE);
-                for key in iter_decoded::<NodeId>(buf) {
-                    self.canonical_get(key).write(&mut resp);
-                }
-                resp
-            })
-            .collect();
-
-        // Round 2: ship responses.
-        let answers = ctx.exchange(responses);
-
-        // Materialize.
-        let mut pairs: Vec<(NodeId, T)> = Vec::new();
-        for (h, keys) in keys_by_owner.iter().enumerate() {
-            if h == self.host {
-                for &k in keys {
-                    pairs.push((k, self.canonical_get(k)));
-                }
-            } else {
-                let answer = &answers[h];
-                if answer.len() != keys.len() * T::SIZE {
-                    ctx.protocol_violation(format!(
-                        "response from host {h}: {} bytes for {} keys",
-                        answer.len(),
-                        keys.len()
-                    ));
-                }
-                pairs.extend(keys.iter().copied().zip(iter_decoded::<T>(answer)));
-            }
-        }
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        pairs
-    }
-
-    /// Ships buffered `Set()` assignments to their key owners and applies
-    /// them. Collective (no-op exchange when nothing is pending anywhere).
-    fn flush_pending_sets(&mut self, ctx: &HostCtx) {
-        if self.variant.partition_aware() {
-            debug_assert!(self.pending_sets.get_mut().is_empty());
-            return;
-        }
-        let pending = std::mem::take(&mut *self.pending_sets.get_mut());
-        let mut per_host: Vec<Vec<u8>> = vec![Vec::new(); self.num_hosts];
-        for (k, v) in pending {
-            (k, v).write(&mut per_host[self.key_own.owner(k)]);
-        }
-        let received = ctx.exchange(per_host);
-        check_whole::<(NodeId, T)>(ctx, "assignments", "(key, value) pairs", &received);
-        for buf in &received {
-            for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                let changed = self.canonical_get(k) != v;
-                self.canonical_set(k, v);
-                if changed {
-                    self.updated.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Re-fetches the values of every resident (pin-set) key through the
-    /// request/response protocol — the broadcast substitute for variants
-    /// without the partition-aware representation. Collective.
-    fn refresh_resident(&mut self, ctx: &HostCtx) {
-        let mut keys_by_owner: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_hosts];
-        for &m in &self.pin_set {
-            keys_by_owner[self.key_own.owner(m)].push(m);
-        }
-        let pairs = self.fetch_keys(ctx, keys_by_owner);
-        // Residents replace the whole cache (ad-hoc requests are stale now).
-        self.merge_cache(pairs, false);
-    }
-
-    /// Captures this host's canonical (master) values for checkpointing.
+    /// Captures this host's master values for checkpointing.
     ///
     /// Call at a BSP round boundary (after `reduce_sync`): the snapshot
-    /// deliberately excludes the remote cache, pending partials, buffered
-    /// `Set()`s, and the request set, which are all empty or
-    /// reconstructible there.
+    /// deliberately excludes the remote cache, pending partials, and the
+    /// request set, which are all empty or reconstructible there.
     pub fn snapshot(&self) -> MapSnapshot<T> {
-        match &self.canonical {
-            Canonical::Dense { vals, .. } => MapSnapshot::Dense(vals.clone()),
-            Canonical::Sharded { shards } => {
-                MapSnapshot::Sharded(shards.iter().map(|s| s.lock().clone()).collect())
-            }
-        }
+        self.vals.clone()
     }
 
-    /// Rewinds this host's map to a [`Npm::snapshot`]: canonical values are
-    /// reapplied and every transient (cache, partials, requests, buffered
-    /// `Set()`s, update flags, pin state) is reset as if the map had just
-    /// reached that round boundary.
+    /// Rewinds this host's map to a [`Npm::snapshot`]: master values are
+    /// reapplied and every transient (cache, partials, requests, update
+    /// flags, pin state) is reset as if the map had just reached that
+    /// round boundary.
     ///
     /// Mirrors are dropped: callers that had mirrors pinned must call
     /// `pin_mirrors` again (the engine's recovery path does), which
-    /// re-materializes them from the restored canonical values. For the
-    /// non-partition-aware variants the always-resident cache is reset to
-    /// identity and likewise refreshed by the next `pin_mirrors` /
-    /// `broadcast_sync`.
+    /// re-materializes them from the restored master values.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot came from a map with a different backend
-    /// [`Variant`] or node space.
+    /// Panics if the snapshot came from a map with a different node space.
     pub fn restore(&mut self, snap: &MapSnapshot<T>) {
-        match (&mut self.canonical, snap) {
-            (Canonical::Dense { vals, updated }, MapSnapshot::Dense(saved)) => {
-                assert_eq!(vals.len(), saved.len(), "snapshot from a different map");
-                vals.copy_from_slice(saved);
-                updated.clear();
-            }
-            (Canonical::Sharded { shards }, MapSnapshot::Sharded(saved)) => {
-                assert_eq!(shards.len(), saved.len(), "snapshot from a different map");
-                for (shard, s) in shards.iter_mut().zip(saved) {
-                    *shard.get_mut() = s.clone();
-                }
-            }
-            _ => panic!("snapshot taken from a different backend variant"),
-        }
-        let auto_pinned = !self.variant.partition_aware();
-        if auto_pinned {
-            self.cache_keys = self.pin_set.clone();
-            self.cache_vals = vec![self.op.identity(); self.pin_set.len()];
-        } else {
-            self.cache_keys.clear();
-            self.cache_vals.clear();
-            self.mirror_vals.fill(self.op.identity());
-            self.mirror_has.fill(false);
-        }
+        assert_eq!(self.vals.len(), snap.len(), "snapshot from a different map");
+        self.vals.copy_from_slice(snap);
+        self.updated.clear();
+        self.cache_keys.clear();
+        self.cache_vals.clear();
+        self.mirror_vals.fill(self.op.identity());
+        self.mirror_has.fill(false);
         self.requests.clear();
-        self.clear_partials();
-        for m in self.shared.iter_mut() {
-            m.get_mut().clear();
-        }
-        self.pending_sets.get_mut().clear();
-        self.pinned = auto_pinned;
+        self.cf.clear();
+        self.pinned = false;
         self.broadcast_all = false;
         self.changed_remote.clear();
         self.local_updated.clear();
@@ -1097,346 +596,85 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         // The rewind is not a tracked mutation; the next round must run
         // dense before delta windows resume.
         self.delta_tracked = false;
-        self.updated.store(false, Ordering::Relaxed);
+        self.any_updated.store(false, Ordering::Relaxed);
     }
 
     /// Expands a snapshot of **this host's** shard into explicit
     /// `(node, value)` pairs — the partition-independent form a host ships
     /// to its replication successor, and the form a survivor re-shards
-    /// under a recomputed ownership after a membership shrink. Dense
-    /// offsets are decoded through the shared ownership; sharded maps are
-    /// flattened. The order is deterministic (ascending node id), so
-    /// replicated payloads are byte-stable across runs.
+    /// under a recomputed ownership after a membership shrink. Offsets are
+    /// decoded through the shared ownership, so the order is deterministic
+    /// (ascending node id) and replicated payloads are byte-stable across
+    /// runs.
     ///
     /// # Panics
     ///
-    /// Panics if a dense snapshot's length does not match this host's
-    /// master count (snapshot from a different shard or node space).
+    /// Panics if the snapshot's length does not match this host's master
+    /// count (snapshot from a different shard or node space).
     pub fn globalize_snapshot(&self, snap: &MapSnapshot<T>) -> Vec<(NodeId, T)> {
-        match snap {
-            MapSnapshot::Dense(vals) => {
-                assert_eq!(
-                    vals.len(),
-                    self.key_own.num_masters(self.host),
-                    "snapshot from a different shard"
-                );
-                self.key_own
-                    .masters(self.host)
-                    .zip(vals.iter().copied())
-                    .collect()
-            }
-            MapSnapshot::Sharded(shards) => {
-                let mut pairs: Vec<(NodeId, T)> = shards
-                    .iter()
-                    .flat_map(|s| s.iter().map(|(&k, &v)| (k, v)))
-                    .collect();
-                pairs.sort_unstable_by_key(|p| p.0);
-                pairs
-            }
-        }
+        assert_eq!(
+            snap.len(),
+            self.key_own.num_masters(self.host),
+            "snapshot from a different shard"
+        );
+        self.key_own
+            .masters(self.host)
+            .zip(snap.iter().copied())
+            .collect()
     }
 
-    /// Resets every CF transient (thread buffers, combine cells, owned
-    /// pairs), keeping allocations.
-    fn clear_partials(&mut self) {
-        for b in self.tls.iter_mut() {
-            b.clear();
-        }
-        for row in self.bucket_cells.iter_mut() {
-            for cell in row.iter_mut() {
-                cell.get_mut().clear();
-            }
-        }
-        for p in self.local_pairs.iter_mut() {
-            p.clear();
-        }
-    }
-
-    /// CF scatter half of reduce-sync: drains every thread's partial
-    /// buffer, combines partials over disjoint destination key ranges
-    /// (Fig. 7), and serializes remote-owned pairs per destination host.
-    ///
-    /// The combine touches each entry exactly twice — once when its source
-    /// thread buckets it by [`FastOwn::shard`] (region A), once when its
-    /// destination thread folds the bucket into its own emptied buffer
-    /// (region B) — O(entries) total, instead of the previous
-    /// all-threads-rescan-everything O(threads × entries).
-    ///
-    /// Keys this host owns never reach the wire: they land in
-    /// `local_pairs` and are folded during the gather. (They were
-    /// previously self-delivered, which the traffic stats never counted,
-    /// so observable message/byte counts are unchanged.)
-    fn cf_combine_scatter(&mut self, ctx: &HostCtx) -> Vec<Vec<u8>> {
-        let n = self.key_own.num_nodes();
-        let threads = self.threads;
-        let op = self.op;
-        let fast = self.fast_own;
-        let key_own = self.key_own.clone();
-        let num_hosts = self.num_hosts;
-        let host = self.host;
-        let prev_bytes = self.prev_out_bytes.clone();
-        let per_host: Vec<Mutex<Vec<u8>>> = prev_bytes
-            .iter()
-            .map(|&b| Mutex::new(Vec::with_capacity(b)))
-            .collect();
-        {
-            let tls = &self.tls;
-            let cells = &self.bucket_cells;
-            // Region A: each thread drains its own buffer, pre-bucketing
-            // every entry by its destination combine thread.
-            ctx.pool().run(|tid| {
-                // SAFETY: WorkerPool hands each worker a distinct dense
-                // thread id, so no two threads share a slot.
-                let buf = unsafe { tls.slot(tid) };
-                let mut row: Vec<_> = cells[tid].iter().map(|c| c.lock()).collect();
-                buf.drain_local(|off, v| {
-                    let k = fast.key_at(off);
-                    row[fast.shard(k, threads, n)].push((k, v));
-                });
-                buf.drain_remote(|k, v| {
-                    row[fast.shard(k, threads, n)].push((k, v));
-                });
-            });
-            let tls = &self.tls;
-            let local_pairs = &self.local_pairs;
-            let per_host = &per_host;
-            let prev_bytes = &prev_bytes;
-            // Region B: each thread folds its incoming buckets into its
-            // own (drained) buffer, then serializes — owned keys into
-            // `local_pairs`, remote keys into per-destination-host wire
-            // buffers.
-            ctx.pool().run(|tid| {
-                // SAFETY: distinct tids per worker; region A's barrier has
-                // passed, so every buffer is drained and reusable as this
-                // thread's combine accumulator.
-                let acc = unsafe { tls.slot(tid) };
-                debug_assert!(acc.is_empty());
-                for src_cells in cells.iter() {
-                    let mut cell = src_cells[tid].lock();
-                    for &(k, v) in cell.iter() {
-                        match fast.local_offset(k) {
-                            Some(off) => acc.reduce_local(off, v, |a, b| op.combine(a, b)),
-                            None => acc.reduce_remote(k, v, |a, b| op.combine(a, b)),
-                        }
-                    }
-                    cell.clear(); // keep capacity for the next round
-                }
-                // SAFETY: distinct tids per worker.
-                let mine = unsafe { local_pairs.slot(tid) };
-                debug_assert!(mine.is_empty());
-                let mut wire: Vec<Vec<u8>> = (0..num_hosts)
-                    .map(|h| Vec::with_capacity(prev_bytes[h] / threads))
-                    .collect();
-                acc.drain_local(|off, v| mine.push((fast.key_at(off), v)));
-                acc.drain_remote(|k, v| (k, v).write(&mut wire[key_own.owner(k)]));
-                for (h, w) in wire.into_iter().enumerate() {
-                    debug_assert!(h != host || w.is_empty(), "owned key serialized");
-                    if !w.is_empty() {
-                        per_host[h].lock().extend_from_slice(&w);
-                    }
-                }
-            });
-        }
-        let outgoing: Vec<Vec<u8>> = per_host.into_iter().map(|m| m.into_inner()).collect();
-        for (prev, out) in self.prev_out_bytes.iter_mut().zip(&outgoing) {
-            *prev = out.len();
-        }
-        outgoing
-    }
-
-    /// Gather-reduce: threads own disjoint key ranges and fold pairs onto
-    /// canonical values — first the locally retained CF pairs
-    /// (`local_pairs`; SGR variants keep them empty), then matching pairs
-    /// from every buffer in `received`, in host order.
+    /// Gather-reduce: folds the combined partials onto the master table
+    /// (see [`CfPartials::gather`]).
     fn gather_fold(&mut self, ctx: &HostCtx, received: &[Vec<u8>]) {
-        // Checked here, on the host thread: the pool threads below decode
-        // without a way to report a peer's bytes.
-        check_whole::<(NodeId, T)>(ctx, "reduce-sync", "(key, value) pairs", received);
-        let n = self.key_own.num_nodes();
-        let op = self.op;
-        let threads = self.threads;
-        let host = self.host;
-        let key_own = self.key_own.clone();
-        let fast = self.fast_own;
-        let updated_any = &self.updated;
-        let local_pairs = &self.local_pairs;
-        match &mut self.canonical {
-            Canonical::Dense { vals, updated } => {
-                let table = DisjointSlice::new(vals);
-                let table = &table;
-                let updated = &*updated;
-                ctx.pool().run(|tid| {
-                    let apply = |k: NodeId, v: T| {
-                        debug_assert_eq!(key_own.owner(k), host);
-                        let off = fast.local_offset(k).expect("gather key not owned") as usize;
-                        // SAFETY: `off` is unique to this thread's key
-                        // range for the duration of this parallel region.
-                        unsafe {
-                            let old = table.get(off);
-                            let new = op.combine(old, v);
-                            if new != old {
-                                table.set(off, new);
-                                updated.set(off);
-                                updated_any.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    };
-                    // SAFETY: distinct tids per worker.
-                    let mine = unsafe { local_pairs.slot(tid) };
-                    for &(k, v) in mine.iter() {
-                        debug_assert_eq!(fast.shard(k, threads, n), tid);
-                        apply(k, v);
-                    }
-                    mine.clear();
-                    for buf in received {
-                        for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if fast.shard(k, threads, n) != tid {
-                                continue;
-                            }
-                            apply(k, v);
-                        }
-                    }
-                });
-            }
-            Canonical::Sharded { shards } => {
-                let shards = &*shards;
-                ctx.pool().run(|tid| {
-                    let mut shard = shards[tid].lock();
-                    let mut apply = |k: NodeId, v: T| {
-                        debug_assert_eq!(key_own.owner(k), host);
-                        let old = shard.get(&k).copied().unwrap_or_else(|| op.identity());
-                        let new = op.combine(old, v);
-                        if new != old {
-                            shard.insert(k, new);
-                            updated_any.store(true, Ordering::Relaxed);
-                        }
-                    };
-                    // SAFETY: distinct tids per worker.
-                    let mine = unsafe { local_pairs.slot(tid) };
-                    for &(k, v) in mine.iter() {
-                        debug_assert_eq!(fast.shard(k, threads, n), tid);
-                        apply(k, v);
-                    }
-                    mine.clear();
-                    for buf in received {
-                        for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if fast.shard(k, threads, n) != tid {
-                                continue;
-                            }
-                            apply(k, v);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// SGR-only scatter half of reduce-sync: the shared sharded map is
-    /// already combined; serialize every pair per owner host (including
-    /// this host — self-delivery is an uncounted memcpy).
-    fn shared_scatter(&mut self, ctx: &HostCtx) -> Vec<Vec<u8>> {
-        let combined: Vec<HashMap<NodeId, T>> = self
-            .shared
-            .iter_mut()
-            .map(|m| std::mem::take(&mut *m.get_mut()))
-            .collect();
-        let per_host: Vec<Mutex<Vec<u8>>> = self
-            .prev_out_bytes
-            .iter()
-            .map(|&b| Mutex::new(Vec::with_capacity(b)))
-            .collect();
-        {
-            let key_own = self.key_own.clone();
-            let threads = self.threads;
-            let combined = &combined;
-            let per_host = &per_host;
-            ctx.pool().run(|tid| {
-                let mut local: Vec<Vec<u8>> = vec![Vec::new(); key_own.num_hosts()];
-                // Combined maps are key-disjoint; distribute them
-                // round-robin over the pool threads.
-                for m in combined.iter().skip(tid).step_by(threads) {
-                    for (&k, &v) in m {
-                        (k, v).write(&mut local[key_own.owner(k)]);
+        let (op, fast) = (self.op, self.fast_own);
+        let table = DisjointSlice::new(&mut self.vals);
+        let (table, updated, any) = (&table, &self.updated, &self.any_updated);
+        self.cf.gather(ctx, received, |_| {
+            move |k: NodeId, v: T| {
+                let off = fast.local_offset(k).expect("gather key not owned") as usize;
+                // SAFETY: `off` is unique to this thread's key range for
+                // the duration of the gather's parallel region.
+                unsafe {
+                    let old = table.get(off);
+                    let new = op.combine(old, v);
+                    if new != old {
+                        table.set(off, new);
+                        updated.set(off);
+                        any.store(true, Ordering::Relaxed);
                     }
                 }
-                for (h, buf) in local.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        per_host[h].lock().extend_from_slice(&buf);
-                    }
-                }
-            });
-        }
-        let outgoing: Vec<Vec<u8>> = per_host.into_iter().map(|m| m.into_inner()).collect();
-        for (prev, out) in self.prev_out_bytes.iter_mut().zip(&outgoing) {
-            *prev = out.len();
-        }
-        outgoing
+            }
+        });
     }
 
-    /// SGR-only reduce path: shard the shared map by key hash; hot keys
-    /// contend (the cost the CF ablation measures).
-    fn reduce_shared(&self, key: NodeId, value: T) {
-        let h = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let slot = (h >> 32) as usize % SHARED_SHARDS;
-        let mut m = self.shared[slot].lock();
-        match m.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let v = self.op.combine(*e.get(), value);
-                e.insert(v);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(value);
-            }
-        }
-    }
-
-    /// The GAR broadcast over pinned mirrors: one exchange pushing master
+    /// The broadcast over pinned mirrors: one exchange pushing master
     /// values to the hosts that mirror them. With a `vote`, the same
     /// exchange carries every host's bit and the agreed OR is returned
     /// (without one the result is `false`).
     fn broadcast_pinned(&mut self, ctx: &HostCtx, vote: Option<bool>) -> bool {
         let all = self.broadcast_all;
         self.broadcast_all = false;
-        let outgoing: Vec<Vec<u8>> = if self.mirror_sync == MirrorSync::ResetToIdentity && !all {
-            // Structural-invariant elision: push-style programs under an
-            // outgoing edge-cut never semantically read mirror values, so
-            // reinitialize them locally instead of communicating. (The
-            // initial materialization after pin_mirrors still broadcasts
-            // so that the very first reads are exact.) The local
-            // reinitialization is an untracked mirror mutation.
-            self.delta_tracked = false;
-            self.mirror_vals.fill(self.op.identity());
-            // Peers may still be broadcasting to us this round; stay in the
-            // collective but send nothing.
-            vec![Vec::new(); self.num_hosts]
-        } else {
-            // One-way push of master values to mirror hosts. The temporal
-            // invariant (partitions don't change) lets us send only values
-            // updated by the last reduce_sync — except right after pinning,
-            // when mirrors hold no values yet.
-            let updated = match &self.canonical {
-                Canonical::Dense { updated, .. } => updated,
-                Canonical::Sharded { .. } => unreachable!("GAR is dense"),
-            };
-            // Under a host-local fixpoint the update bits hold only the
-            // last pass's and the gather's changes; the rest of the
-            // round's are here.
-            let local = (!self.local_updated.is_empty()).then_some(&self.local_updated);
-            (0..self.num_hosts)
-                .map(|peer| {
-                    let mut buf = Vec::new();
-                    if peer != self.host {
-                        for &g in self.dg.mirrors_on_peer(peer) {
-                            let off = self.key_own.master_offset(g);
-                            if all || updated.get(off) || local.is_some_and(|l| l.get(off)) {
-                                (g, self.canonical_get(g)).write(&mut buf);
-                            }
+        // One-way push of master values to mirror hosts. The temporal
+        // invariant (partitions don't change) lets us send only values
+        // updated by the last reduce_sync — except right after pinning,
+        // when mirrors hold no values yet. Under a host-local fixpoint the
+        // update bits hold only the last pass's and the gather's changes;
+        // the rest of the round's are in `local_updated`.
+        let local = (!self.local_updated.is_empty()).then_some(&self.local_updated);
+        let outgoing: Vec<Vec<u8>> = (0..self.num_hosts)
+            .map(|peer| {
+                let mut buf = Vec::new();
+                if peer != self.host {
+                    for &g in self.dg.mirrors_on_peer(peer) {
+                        let off = self.key_own.master_offset(g);
+                        if all || self.updated.get(off) || local.is_some_and(|l| l.get(off)) {
+                            (g, self.vals[off]).write(&mut buf);
                         }
                     }
-                    buf
-                })
-                .collect()
-        };
+                }
+                buf
+            })
+            .collect();
         let (received, any) = match vote {
             Some(v) => ctx.exchange_or(outgoing, v),
             None => (ctx.exchange(outgoing), false),
@@ -1451,8 +689,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     }
 
     /// Stores a broadcast value into the mirror table if `key`'s mirror is
-    /// materialized (GAR receive path), recording actual changes in the
-    /// remote delta.
+    /// materialized, recording actual changes in the remote delta.
     fn mirror_store(&mut self, key: NodeId, value: T) {
         if let Some(slot) = self.dg.mirror_slot(key) {
             let slot = slot as usize;
@@ -1464,17 +701,139 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             }
         }
     }
+}
 
-    /// Read slow path: `key` is remote and was neither requested nor
-    /// pinned.
-    #[cold]
-    #[inline(never)]
-    fn read_miss(&self, key: NodeId) -> ! {
-        panic!(
-            "host {}: read of remote node {} that was neither requested nor pinned",
-            self.host, key
-        );
+/// Read slow path: `key` is remote and was neither requested nor pinned.
+#[cold]
+#[inline(never)]
+pub(crate) fn read_miss(host: usize, key: NodeId) -> ! {
+    panic!("host {host}: read of remote node {key} that was neither requested nor pinned");
+}
+
+/// Replaces / merges a sorted key/value cache with `pairs` (sorted by
+/// key). Entries in `pairs` win over existing ones; existing entries are
+/// retained only when `keep_existing`.
+pub(crate) fn merge_cache<T: Copy>(
+    keys: &mut Vec<NodeId>,
+    vals: &mut Vec<T>,
+    pairs: Vec<(NodeId, T)>,
+    keep_existing: bool,
+) {
+    debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+    if !keep_existing || keys.is_empty() {
+        *keys = pairs.iter().map(|&(k, _)| k).collect();
+        *vals = pairs.iter().map(|&(_, v)| v).collect();
+        return;
     }
+    let mut new_keys = Vec::with_capacity(keys.len() + pairs.len());
+    let mut new_vals = Vec::with_capacity(new_keys.capacity());
+    let (mut i, mut j) = (0, 0);
+    while i < keys.len() || j < pairs.len() {
+        let take_new = j < pairs.len() && (i >= keys.len() || pairs[j].0 <= keys[i]);
+        if take_new {
+            if i < keys.len() && pairs[j].0 == keys[i] {
+                i += 1; // new value supersedes old
+            }
+            new_keys.push(pairs[j].0);
+            new_vals.push(pairs[j].1);
+            j += 1;
+        } else {
+            new_keys.push(keys[i]);
+            new_vals.push(vals[i]);
+            i += 1;
+        }
+    }
+    *keys = new_keys;
+    *vals = new_vals;
+}
+
+/// Fetches current values for `keys` (grouped per owner, sorted) through
+/// the request/response protocol — owners answer with `serve(key)` — and
+/// returns the merged sorted pair list. Collective.
+pub(crate) fn fetch_keys<T: PropValue>(
+    ctx: &HostCtx,
+    keys_by_owner: Vec<Vec<NodeId>>,
+    serve: impl Fn(NodeId) -> T,
+) -> Vec<(NodeId, T)> {
+    let host = ctx.host();
+    // Round 1: ship request key lists.
+    let outgoing = keys_by_owner
+        .iter()
+        .enumerate()
+        .map(|(h, keys)| if h == host { Vec::new() } else { encode_slice(keys) })
+        .collect();
+    let incoming = ctx.exchange(outgoing);
+    check_whole::<NodeId>(ctx, "request list", "keys", &incoming);
+
+    // Serve: respond with values in request order.
+    let responses: Vec<Vec<u8>> = incoming
+        .iter()
+        .enumerate()
+        .map(|(h, buf)| {
+            if h == host {
+                return Vec::new();
+            }
+            let mut resp = Vec::with_capacity(buf.len() / NodeId::SIZE * T::SIZE);
+            for key in iter_decoded::<NodeId>(buf) {
+                serve(key).write(&mut resp);
+            }
+            resp
+        })
+        .collect();
+
+    // Round 2: ship responses.
+    let answers = ctx.exchange(responses);
+
+    // Materialize.
+    let mut pairs: Vec<(NodeId, T)> = Vec::new();
+    for (h, keys) in keys_by_owner.iter().enumerate() {
+        if h == host {
+            pairs.extend(keys.iter().map(|&k| (k, serve(k))));
+        } else {
+            let answer = &answers[h];
+            if answer.len() != keys.len() * T::SIZE {
+                ctx.protocol_violation(format!(
+                    "response from host {h}: {} bytes for {} keys",
+                    answer.len(),
+                    keys.len()
+                ));
+            }
+            pairs.extend(keys.iter().copied().zip(iter_decoded::<T>(answer)));
+        }
+    }
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    pairs
+}
+
+/// The requested keys of `requests`, bucketed per owner host under `own`
+/// and sorted, in parallel over word chunks of the bitset. Chunks are
+/// ascending in key space, and both ownership kinds are monotone within a
+/// chunk, so chunk-order concatenation keeps every per-host list sorted.
+pub(crate) fn requested_by_owner(
+    ctx: &HostCtx,
+    requests: &ConcurrentBitset,
+    own: &Ownership,
+) -> Vec<Vec<NodeId>> {
+    let num_hosts = own.num_hosts();
+    let num_words = requests.num_words();
+    let chunk = num_words.div_ceil(ctx.threads()).max(1);
+    let parts = ctx.pool().run_map(|tid| {
+        let lo = (tid * chunk).min(num_words);
+        let hi = ((tid + 1) * chunk).min(num_words);
+        let mut per: Vec<Vec<NodeId>> = vec![Vec::new(); num_hosts];
+        for k in requests.iter_set_words(lo..hi) {
+            let k = k as NodeId;
+            per[own.owner(k)].push(k);
+        }
+        per
+    });
+    let mut merged: Vec<Vec<NodeId>> = vec![Vec::new(); num_hosts];
+    for per in parts {
+        for (h, mut keys) in per.into_iter().enumerate() {
+            merged[h].append(&mut keys);
+        }
+    }
+    merged
 }
 
 impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
@@ -1483,65 +842,38 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             let g = self.key_own.master_at(self.host, i);
             self.set(g, f(g));
         }
-        if !self.variant.partition_aware() {
-            // The always-resident cache can be primed locally: `f` is the
-            // same pure function on every host.
-            for i in 0..self.cache_keys.len() {
-                self.cache_vals[i] = f(self.cache_keys[i]);
-            }
-        }
     }
 
     #[inline]
     fn read(&self, key: NodeId) -> T {
-        // Under GAR the cache never holds owned keys (requests for them are
-        // elided), so the O(1) master path goes first; without GAR the
-        // resident cache is authoritative for everything fetched.
-        if self.variant.partition_aware() {
-            // Masters: O(1) dense canonical via precomputed ownership.
-            if let Some(off) = self.fast_own.local_offset(key) {
-                if self.count_reads {
-                    self.master_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                return match &self.canonical {
-                    Canonical::Dense { vals, .. } => vals[off as usize],
-                    Canonical::Sharded { .. } => unreachable!("GAR canonical is dense"),
-                };
+        // Masters: O(1) dense table via precomputed ownership. The cache
+        // never holds owned keys (requests for them are elided).
+        if let Some(off) = self.fast_own.local_offset(key) {
+            if self.count_reads {
+                self.master_reads.fetch_add(1, Ordering::Relaxed);
             }
-            // Materialized mirrors: O(1) dense table indexed by the
-            // partition's mirror slot.
-            if let Some(slot) = self.dg.mirror_slot(key) {
-                let slot = slot as usize;
-                if self.mirror_has[slot] {
-                    if self.count_reads {
-                        self.remote_reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return self.mirror_vals[slot];
-                }
-            }
-            // Requested keys without a mirror proxy (trans-vertex
-            // requests): sorted spill, binary search.
-            if let Some(v) = self.cache_lookup(key) {
+            return self.vals[off as usize];
+        }
+        // Materialized mirrors: O(1) dense table indexed by the
+        // partition's mirror slot.
+        if let Some(slot) = self.dg.mirror_slot(key) {
+            let slot = slot as usize;
+            if self.mirror_has[slot] {
                 if self.count_reads {
                     self.remote_reads.fetch_add(1, Ordering::Relaxed);
                 }
-                return v;
-            }
-        } else {
-            if let Some(v) = self.cache_lookup(key) {
-                if self.count_reads {
-                    self.remote_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                return v;
-            }
-            if self.key_own.owner(key) == self.host {
-                if self.count_reads {
-                    self.master_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                return self.canonical_get(key);
+                return self.mirror_vals[slot];
             }
         }
-        self.read_miss(key)
+        // Requested keys without a mirror proxy (trans-vertex requests):
+        // sorted spill, binary search.
+        if let Some(v) = self.cache_lookup(key) {
+            if self.count_reads {
+                self.remote_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            return v;
+        }
+        read_miss(self.host, key)
     }
 
     #[inline]
@@ -1550,21 +882,20 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         Npm::read_local(self, lid)
     }
 
+    /// # Panics
+    ///
+    /// Panics if this host does not own `key`: key owners follow the graph
+    /// partition, so every host initializes exactly its masters.
     fn set(&mut self, key: NodeId, value: T) {
-        if self.key_own.owner(key) != self.host {
-            // Only possible without GAR (key owners ignore the graph
-            // partition): ship the assignment to the owner at the next
-            // collective.
-            self.pending_sets.get_mut().push((key, value));
-            return;
-        }
-        let changed = self.canonical_get(key) != value;
-        self.canonical_set(key, value);
-        if changed {
-            self.updated.store(true, Ordering::Relaxed);
-            if let Canonical::Dense { updated, .. } = &self.canonical {
-                updated.set(self.key_own.master_offset(key));
-            }
+        let Some(off) = self.fast_own.local_offset(key) else {
+            let owner = self.key_own.owner(key);
+            panic!("host {}: set of node {key}, which host {owner} owns", self.host);
+        };
+        let off = off as usize;
+        if self.vals[off] != value {
+            self.vals[off] = value;
+            self.updated.set(off);
+            self.any_updated.store(true, Ordering::Relaxed);
         }
     }
 
@@ -1574,142 +905,73 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         if self.count_reads {
             self.reduce_calls.fetch_add(1, Ordering::Relaxed);
         }
-        if self.variant.conflict_free() {
-            let op = self.op;
-            let buf = self.partials(tid);
-            match self.fast_own.local_offset(key) {
-                Some(off) => buf.reduce_local(off, value, |a, b| op.combine(a, b)),
-                None => buf.reduce_remote(key, value, |a, b| op.combine(a, b)),
-            }
-        } else {
-            self.reduce_shared(key, value);
+        let op = self.op;
+        let buf = self.cf.buf(tid);
+        match self.fast_own.local_offset(key) {
+            Some(off) => buf.reduce_local(off, value, |a, b| op.combine(a, b)),
+            None => buf.reduce_remote(key, value, |a, b| op.combine(a, b)),
         }
     }
 
     fn request(&self, key: NodeId) {
-        if self.variant.partition_aware() && self.key_own.owner(key) == self.host {
-            return; // masters are always materialized under GAR
+        if self.key_own.owner(key) == self.host {
+            return; // masters are always materialized
         }
         self.requests.set(key as usize);
     }
 
     fn request_sync(&mut self, ctx: &HostCtx) {
-        // Without GAR, Set() calls targeting hashed-remote keys are still
-        // buffered; land them before any owner serves reads.
-        self.flush_pending_sets(ctx);
-        // Bucket requested keys per owner host, in parallel over word
-        // chunks of the request bitset. Chunks are ascending in key space,
-        // and both ownership kinds are monotone within a chunk, so
-        // chunk-order concatenation keeps every per-host list sorted.
-        let keys_by_owner: Vec<Vec<NodeId>> = {
-            let requests = &self.requests;
-            let key_own = self.key_own.clone();
-            let num_hosts = self.num_hosts;
-            let num_words = requests.num_words();
-            let chunk = num_words.div_ceil(self.threads).max(1);
-            let parts = ctx.pool().run_map(|tid| {
-                let lo = (tid * chunk).min(num_words);
-                let hi = ((tid + 1) * chunk).min(num_words);
-                let mut per: Vec<Vec<NodeId>> = vec![Vec::new(); num_hosts];
-                for k in requests.iter_set_words(lo..hi) {
-                    let k = k as NodeId;
-                    per[key_own.owner(k)].push(k);
-                }
-                per
-            });
-            let mut merged: Vec<Vec<NodeId>> = vec![Vec::new(); num_hosts];
-            for per in parts {
-                for (h, mut keys) in per.into_iter().enumerate() {
-                    merged[h].append(&mut keys);
-                }
-            }
-            merged
-        };
+        let keys_by_owner = requested_by_owner(ctx, &self.requests, &self.key_own);
         self.requested_keys.fetch_add(
             keys_by_owner.iter().map(|v| v.len() as u64).sum(),
             Ordering::Relaxed,
         );
         self.requests.clear();
-        let pairs = self.fetch_keys(ctx, keys_by_owner);
-        if self.variant.partition_aware() {
-            // Request materialization changes readable values outside the
-            // per-key delta bookkeeping: the current window can no longer
-            // vouch for completeness.
-            if !pairs.is_empty() {
-                self.delta_tracked = false;
-            }
-            // Mirror-proxied keys materialize straight into the dense
-            // mirror table; only trans-vertex requests (no proxy) go to
-            // the sorted spill.
-            let mut spill: Vec<(NodeId, T)> = Vec::new();
-            for (k, v) in pairs {
-                if let Some(slot) = self.dg.mirror_slot(k) {
-                    self.mirror_vals[slot as usize] = v;
-                    self.mirror_has[slot as usize] = true;
-                } else {
-                    spill.push((k, v));
-                }
-            }
-            self.merge_cache(spill, true);
-        } else {
-            // Keep existing entries: a BSP round may chain several
-            // request-compute/request-sync phases (e.g. `parent(parent(n))`),
-            // and earlier phases' values stay valid until reduce-sync drops
-            // them. Fresh responses win on overlap.
-            self.merge_cache(pairs, true);
+        let pairs = fetch_keys(ctx, keys_by_owner, |k| self.vals[self.key_own.master_offset(k)]);
+        // Request materialization changes readable values outside the
+        // per-key delta bookkeeping: the current window can no longer
+        // vouch for completeness.
+        if !pairs.is_empty() {
+            self.delta_tracked = false;
         }
+        // Mirror-proxied keys materialize straight into the dense mirror
+        // table; only trans-vertex requests (no proxy) go to the sorted
+        // spill. Earlier phases' spilled values stay valid until
+        // reduce-sync drops them (a BSP round may chain several
+        // request-compute/request-sync phases, e.g. `parent(parent(n))`).
+        let mut spill: Vec<(NodeId, T)> = Vec::new();
+        for (k, v) in pairs {
+            if let Some(slot) = self.dg.mirror_slot(k) {
+                self.mirror_vals[slot as usize] = v;
+                self.mirror_has[slot as usize] = true;
+            } else {
+                spill.push((k, v));
+            }
+        }
+        merge_cache(&mut self.cache_keys, &mut self.cache_vals, spill, true);
     }
 
     fn reduce_sync(&mut self, ctx: &HostCtx) {
-        self.flush_pending_sets(ctx);
         self.stage_lowered_mirrors();
 
         // Scatter: combine thread partials over disjoint key ranges and
         // serialize (key, value) pairs per owner host.
-        let outgoing = if self.variant.conflict_free() {
-            self.cf_combine_scatter(ctx)
-        } else {
-            self.shared_scatter(ctx)
-        };
-
+        let outgoing = self.cf.combine_scatter(ctx, self.op);
         let received = ctx.exchange(outgoing);
         self.gather_fold(ctx, &received);
 
-        // Cached remote properties are now stale: drop them.
-        if self.pinned && !self.variant.partition_aware() {
-            // Non-partition-aware variants keep every local property
-            // resident; without a broadcast path they must re-fetch it all
-            // through request/response — the communication overhead the
-            // GAR ablation measures.
-            self.refresh_resident(ctx);
-        } else if self.variant.partition_aware() {
-            // GAR: ad-hoc requested (non-mirror) values always drop. The
-            // mirror table stays resident while pinned — its (now stale)
-            // values are refreshed by the following broadcast_sync — and
-            // is invalidated wholesale through the presence bits
-            // otherwise.
-            self.cache_keys.clear();
-            self.cache_vals.clear();
-            if !self.pinned {
-                self.mirror_has.fill(false);
-            }
-        } else {
-            self.cache_keys.clear();
-            self.cache_vals.clear();
+        // Ad-hoc requested (non-mirror) values always drop. The mirror
+        // table stays resident while pinned — its (now stale) values are
+        // refreshed by the following broadcast_sync — and is invalidated
+        // wholesale through the presence bits otherwise.
+        self.cache_keys.clear();
+        self.cache_vals.clear();
+        if !self.pinned {
+            self.mirror_has.fill(false);
         }
     }
 
     fn broadcast_sync(&mut self, ctx: &HostCtx) {
-        if !self.variant.partition_aware() {
-            // Without GAR, key owners do not align with the graph
-            // partition, so there is no one-way broadcast: flush pending
-            // assignments and re-fetch every resident property through
-            // request/response.
-            self.flush_pending_sets(ctx);
-            self.refresh_resident(ctx);
-            self.broadcast_all = false;
-            return;
-        }
         if self.pinned {
             self.broadcast_pinned(ctx, None);
         }
@@ -1717,24 +979,18 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
 
     fn pin_mirrors(&mut self, ctx: &HostCtx) {
         self.pinned = true;
-        if self.variant.partition_aware() {
-            // Materialize the whole mirror table with identity
-            // placeholders (ad-hoc spilled requests are superseded)…
-            self.mirror_vals.fill(self.op.identity());
-            self.mirror_has.fill(true);
-            self.cache_keys.clear();
-            self.cache_vals.clear();
-        }
-        // …then pull in the real values: a full broadcast under GAR, a
-        // request-fetch otherwise.
+        // Materialize the whole mirror table with identity placeholders
+        // (ad-hoc spilled requests are superseded), then pull in the real
+        // values with a full broadcast.
+        self.mirror_vals.fill(self.op.identity());
+        self.mirror_has.fill(true);
+        self.cache_keys.clear();
+        self.cache_vals.clear();
         self.broadcast_all = true;
         self.broadcast_sync(ctx);
     }
 
     fn unpin_mirrors(&mut self) {
-        if !self.variant.partition_aware() {
-            return; // resident cache is permanent without GAR
-        }
         debug_assert!(self.lowered.none_set(), "lowered mirrors never shipped");
         self.pinned = false;
         self.mirror_has.fill(false);
@@ -1743,10 +999,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
     }
 
     fn reset_updated(&mut self) {
-        self.updated.store(false, Ordering::Relaxed);
-        if let Canonical::Dense { updated, .. } = &mut self.canonical {
-            updated.clear();
-        }
+        self.any_updated.store(false, Ordering::Relaxed);
+        self.updated.clear();
         self.changed_remote.clear();
         self.local_updated.clear();
         // A fresh window begins: the per-key delta is complete from here
@@ -1756,22 +1010,10 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
 
     fn reset_values(&mut self, _ctx: &HostCtx) {
         let id = self.op.identity();
-        match &mut self.canonical {
-            Canonical::Dense { vals, updated } => {
-                vals.fill(id);
-                updated.clear();
-            }
-            Canonical::Sharded { shards } => {
-                for s in shards.iter_mut() {
-                    s.get_mut().clear();
-                }
-            }
-        }
-        self.clear_partials();
-        for m in self.shared.iter_mut() {
-            m.get_mut().clear();
-        }
-        self.updated.store(false, Ordering::Relaxed);
+        self.vals.fill(id);
+        self.updated.clear();
+        self.cf.clear();
+        self.any_updated.store(false, Ordering::Relaxed);
         self.changed_remote.clear();
         self.local_updated.clear();
         self.lowered.clear();
@@ -1782,37 +1024,33 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
             // Mirror values are now stale everywhere; the next broadcast
             // must resend everything.
             self.mirror_vals.fill(id);
-            for v in self.cache_vals.iter_mut() {
-                *v = id;
-            }
+            self.cache_vals.fill(id);
             self.broadcast_all = true;
         }
     }
 
     fn changed_keys(&self) -> ChangedKeys<'_> {
-        match &self.canonical {
-            Canonical::Dense { updated, .. } if self.delta_tracked => ChangedKeys::Tracked {
-                masters: updated,
-                remote: &self.changed_remote,
-            },
-            _ => ChangedKeys::Untracked,
+        if !self.delta_tracked {
+            return ChangedKeys::Untracked;
+        }
+        ChangedKeys::Tracked {
+            masters: &self.updated,
+            remote: &self.changed_remote,
         }
     }
 
     fn is_updated(&self, ctx: &HostCtx) -> bool {
-        ctx.all_reduce_or(self.updated.load(Ordering::Relaxed))
+        ctx.all_reduce_or(self.any_updated.load(Ordering::Relaxed))
     }
 
     fn sync_round(&mut self, ctx: &HostCtx) -> bool {
         self.reduce_sync(ctx);
-        if self.variant.partition_aware() && self.pinned {
-            // The broadcast is one exchange among all hosts: let it carry
-            // the quiescence bits too.
-            self.broadcast_pinned(ctx, Some(self.updated.load(Ordering::Relaxed)))
-        } else {
-            self.broadcast_sync(ctx);
-            self.is_updated(ctx)
+        if !self.pinned {
+            return self.is_updated(ctx);
         }
+        // The broadcast is one exchange among all hosts: let it carry the
+        // quiescence bits too.
+        self.broadcast_pinned(ctx, Some(self.any_updated.load(Ordering::Relaxed)))
     }
 }
 
@@ -1820,7 +1058,6 @@ impl<T: PropValue, Op: ReduceOp<T>> std::fmt::Debug for Npm<'_, T, Op> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Npm")
             .field("host", &self.host)
-            .field("variant", &self.variant)
             .field("cached", &self.cache_keys.len())
             .field("pinned", &self.pinned)
             .finish()
@@ -1828,14 +1065,14 @@ impl<T: PropValue, Op: ReduceOp<T>> std::fmt::Debug for Npm<'_, T, Op> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ops::{Min, Sum};
     use kimbap_comm::Cluster;
     use kimbap_dist::{partition, Policy};
     use kimbap_graph::gen;
 
-    fn with_cluster<R: Send>(
+    pub(crate) fn with_cluster<R: Send>(
         hosts: usize,
         threads: usize,
         policy: Policy,
@@ -1846,32 +1083,12 @@ mod tests {
         Cluster::with_threads(hosts, threads).run(|ctx| f(ctx, &parts[ctx.host()]))
     }
 
-    #[test]
-    fn gather_shards_tile_each_hosts_block() {
-        // 2 hosts x 4 threads, with blocks of very different widths (one
-        // hub-heavy node range, one long tail): every thread must get a
-        // non-empty contiguous slice of its host's masters. Splitting over
-        // the global id space instead left threads 2-3 of host 0 and
-        // threads 0-1 of host 1 without gather work.
-        let weights: Vec<u64> = (0..100).map(|g| if g < 10 { 90 } else { 10 }).collect();
-        let own = Ownership::blocked_by_weight(&weights, 2);
-        assert!(own.num_masters(0) < own.num_masters(1) / 4);
-        let threads = 4;
-        for h in 0..2 {
-            let fast = FastOwn::new(&own, h);
-            let shards: Vec<usize> = own
-                .masters(h)
-                .map(|g| fast.shard(g, threads, own.num_nodes()))
-                .collect();
-            assert!(shards.windows(2).all(|w| w[0] <= w[1]), "host {h}: not ranges");
-            for t in 0..threads {
-                assert!(shards.contains(&t), "host {h}: thread {t} has no masters");
-            }
-            // Keys of the other host still land on a valid thread.
-            for g in own.masters(1 - h) {
-                assert!(fast.shard(g, threads, own.num_nodes()) < threads);
-            }
-        }
+    /// Builds one host's `Min` map. The shared checks below take one, so
+    /// the sharded baseline's tests run them on its rows too.
+    pub(crate) type Make = for<'a> fn(&'a DistGraph, &HostCtx) -> Box<dyn NodePropMap<u64> + 'a>;
+
+    pub(crate) fn gar<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn NodePropMap<u64> + 'a> {
+        Box::new(Npm::<u64, Min>::new(dg, ctx, Min))
     }
 
     #[test]
@@ -1952,44 +1169,40 @@ mod tests {
 
     #[test]
     fn pinned_mirrors_follow_broadcast() {
-        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-            let out = with_cluster(3, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
-                let mut npm: Npm<u64, Min> =
-                    Npm::with_variant(dg, ctx, Min, variant);
-                npm.init_masters(&|g| g as u64 + 1000);
-                npm.pin_mirrors(ctx);
-                // All mirror reads now resolve to the owner's canonical.
-                let ok_initial = dg
-                    .mirror_globals()
-                    .iter()
-                    .all(|&m| npm.read(m) == m as u64 + 1000);
-                // Owners update node values; broadcast refreshes mirrors.
-                npm.reset_updated();
-                npm.reduce(0, 7, 3); // min: 3 < 1007
-                npm.reduce_sync(ctx);
-                npm.broadcast_sync(ctx);
-                let ok_after = dg
-                    .mirror_globals()
-                    .iter()
-                    .all(|&m| npm.read(m) == if m == 7 { 3 } else { m as u64 + 1000 });
-                npm.unpin_mirrors();
-                ok_initial && ok_after
-            });
-            assert!(out.iter().all(|&b| b), "variant {variant:?} failed");
-        }
+        pinned_mirrors_follow_broadcast_on("SGR+CF+GAR", gar);
+    }
+
+    pub(crate) fn pinned_mirrors_follow_broadcast_on(what: &str, make: Make) {
+        let out = with_cluster(3, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
+            let mut npm = make(dg, ctx);
+            npm.init_masters(&|g| g as u64 + 1000);
+            npm.pin_mirrors(ctx);
+            // All mirror reads now resolve to the owner's canonical.
+            let ok_initial = dg
+                .mirror_globals()
+                .iter()
+                .all(|&m| npm.read(m) == m as u64 + 1000);
+            // Owners update node values; broadcast refreshes mirrors.
+            npm.reset_updated();
+            npm.reduce(0, 7, 3); // min: 3 < 1007
+            npm.reduce_sync(ctx);
+            npm.broadcast_sync(ctx);
+            let ok_after = dg
+                .mirror_globals()
+                .iter()
+                .all(|&m| npm.read(m) == if m == 7 { 3 } else { m as u64 + 1000 });
+            npm.unpin_mirrors();
+            ok_initial && ok_after
+        });
+        assert!(out.iter().all(|&b| b), "{what} failed");
     }
 
     /// A few label-propagation-like rounds over pinned mirrors, with the
     /// round tail fused or spelled out; returns the per-round agreed flags,
     /// every readable value at the end, and the chunk frames sent per round.
-    fn lp_rounds(
-        variant: Variant,
-        mirror_sync: MirrorSync,
-        fused: bool,
-    ) -> Vec<(Vec<bool>, Vec<u64>, Vec<u64>)> {
+    fn lp_rounds(make: Make, fused: bool) -> Vec<(Vec<bool>, Vec<u64>, Vec<u64>)> {
         with_cluster(2, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
-            let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
-            npm.set_mirror_sync(mirror_sync);
+            let mut npm = make(dg, ctx);
             npm.init_masters(&|g| g as u64 + 100);
             npm.pin_mirrors(ctx);
             let (mut flags, mut chunks) = (Vec::new(), Vec::new());
@@ -2021,18 +1234,18 @@ mod tests {
 
     #[test]
     fn sync_round_equals_the_three_call_tail() {
-        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-            for mirror_sync in [MirrorSync::Broadcast, MirrorSync::ResetToIdentity] {
-                let fused = lp_rounds(variant, mirror_sync, true);
-                let split = lp_rounds(variant, mirror_sync, false);
-                for (f, s) in fused.iter().zip(&split) {
-                    assert_eq!(f.0, s.0, "{variant} {mirror_sync:?}: agreed flags differ");
-                    assert_eq!(f.1, s.1, "{variant} {mirror_sync:?}: readable values differ");
-                    assert_eq!(f.0, vec![true, true, true, false]);
-                }
-                assert_eq!(fused[0].0, fused[1].0, "hosts disagree on the flag");
-            }
+        sync_round_equals_the_three_call_tail_on("SGR+CF+GAR", gar);
+    }
+
+    pub(crate) fn sync_round_equals_the_three_call_tail_on(what: &str, make: Make) {
+        let fused = lp_rounds(make, true);
+        let split = lp_rounds(make, false);
+        for (f, s) in fused.iter().zip(&split) {
+            assert_eq!(f.0, s.0, "{what}: agreed flags differ");
+            assert_eq!(f.1, s.1, "{what}: readable values differ");
+            assert_eq!(f.0, vec![true, true, true, false]);
         }
+        assert_eq!(fused[0].0, fused[1].0, "{what}: hosts disagree on the flag");
     }
 
     #[test]
@@ -2040,7 +1253,7 @@ mod tests {
         // On two hosts every exchange is one chunk frame per host (payloads
         // here are far below a chunk), so frames sent count exchanges.
         for (fused, per_round) in [(true, 2), (false, 3)] {
-            for host in lp_rounds(Variant::SgrCfGar, MirrorSync::Broadcast, fused) {
+            for host in lp_rounds(gar, fused) {
                 assert_eq!(host.2, vec![per_round; 4], "fused={fused}");
             }
         }
@@ -2139,47 +1352,6 @@ mod tests {
             err.contains("protocol violation") && err.contains("reduce-sync from host 1: 5 bytes"),
             "host 0 reported: {err}"
         );
-    }
-
-    #[test]
-    fn variants_agree_on_results() {
-        // The same reduction workload must produce identical values on all
-        // three backends.
-        let reference = run_workload(Variant::SgrCfGar);
-        assert_eq!(run_workload(Variant::SgrOnly), reference);
-        assert_eq!(run_workload(Variant::SgrCf), reference);
-    }
-
-    fn run_workload(variant: Variant) -> Vec<u64> {
-        let g = gen::rmat(6, 4, 9);
-        let n = g.num_nodes();
-        let parts = partition(&g, Policy::EdgeCutBlocked, 3);
-        let mut out = vec![0u64; n];
-        let per_host = Cluster::with_threads(3, 2).run(|ctx| {
-            let dg = &parts[ctx.host()];
-            let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
-            npm.init_masters(&|g| g as u64 + 500);
-            // Deterministic scatter of reduces from every host.
-            ctx.par_for(0..n, |tid, range| {
-                for i in range {
-                    npm.reduce(tid, i as NodeId, ((i * 7 + ctx.host() * 13) % 600) as u64);
-                }
-            });
-            npm.reduce_sync(ctx);
-            // Collect this host's canonical values.
-            (0..npm.key_own.num_masters(ctx.host()))
-                .map(|i| {
-                    let g = npm.key_own.master_at(ctx.host(), i);
-                    (g, npm.canonical_get(g))
-                })
-                .collect::<Vec<_>>()
-        });
-        for host_vals in per_host {
-            for (g, v) in host_vals {
-                out[g as usize] = v;
-            }
-        }
-        out
     }
 
     #[test]
@@ -2305,45 +1477,48 @@ mod tests {
     }
 
     #[test]
-    fn non_gar_variants_report_untracked() {
-        for variant in [Variant::SgrOnly, Variant::SgrCf] {
-            let out = with_cluster(2, 1, Policy::EdgeCutBlocked, move |ctx, dg| {
-                let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
-                npm.init_masters(&|g| g as u64);
-                npm.reset_updated();
-                matches!(npm.changed_keys(), ChangedKeys::Untracked)
-            });
-            assert!(out.iter().all(|&b| b), "variant {variant:?}");
-        }
+    fn snapshot_restore_rewinds_canonical_state() {
+        let out = with_cluster(3, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
+            let mut npm: Npm<u64, Min> = Npm::new(dg, ctx, Min);
+            npm.init_masters(&|g| g as u64 + 50);
+            let snap = npm.snapshot();
+            // Diverge: reductions, requests, and a pin all mutate state.
+            npm.reduce(0, 4, 1);
+            npm.reduce_sync(ctx);
+            npm.pin_mirrors(ctx);
+            npm.restore(&snap);
+            npm.pin_mirrors(ctx); // recovery path: re-materialize mirrors
+            let ok_values = dg
+                .local_nodes()
+                .map(|l| dg.local_to_global(l))
+                .all(|g| npm.read(g) == g as u64 + 50);
+            // The restored map must behave identically going forward.
+            npm.reset_updated();
+            npm.reduce(0, 4, 1);
+            npm.reduce_sync(ctx);
+            npm.request(4);
+            npm.request_sync(ctx);
+            ok_values && npm.read(4) == 1
+        });
+        assert!(out.iter().all(|&b| b));
     }
 
     #[test]
-    fn snapshot_restore_rewinds_canonical_state() {
-        for variant in [Variant::SgrCfGar, Variant::SgrCf, Variant::SgrOnly] {
-            let out = with_cluster(3, 2, Policy::EdgeCutBlocked, move |ctx, dg| {
-                let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
-                npm.init_masters(&|g| g as u64 + 50);
-                let snap = npm.snapshot();
-                // Diverge: reductions, requests, and a pin all mutate state.
-                npm.reduce(0, 4, 1);
-                npm.reduce_sync(ctx);
-                npm.pin_mirrors(ctx);
-                npm.restore(&snap);
-                npm.pin_mirrors(ctx); // recovery path: re-materialize mirrors
-                let ok_values = dg
-                    .local_nodes()
-                    .map(|l| dg.local_to_global(l))
-                    .all(|g| npm.read(g) == g as u64 + 50);
-                // The restored map must behave identically going forward.
-                npm.reset_updated();
-                npm.reduce(0, 4, 1);
-                npm.reduce_sync(ctx);
-                npm.request(4);
-                npm.request_sync(ctx);
-                ok_values && npm.read(4) == 1
-            });
-            assert!(out.iter().all(|&b| b), "variant {variant:?} failed");
-        }
+    #[should_panic(expected = "set of node")]
+    fn set_of_a_key_another_host_owns_panics() {
+        // Under a Cartesian vertex cut most hosts hold mirrors; a `set` of
+        // one names the host and the key at the call, instead of being
+        // buffered and dropped.
+        let g = gen::grid_road(6, 6, 3);
+        let parts = partition(&g, Policy::CartesianVertexCut, 4);
+        assert!(parts.iter().any(|dg| dg.num_mirrors() > 0));
+        Cluster::new(4).run(|ctx| {
+            let dg = &parts[ctx.host()];
+            let mut npm: Npm<u64, Min> = Npm::new(dg, ctx, Min);
+            if let Some(&mirror) = dg.mirror_globals().first() {
+                npm.set(mirror, 1);
+            }
+        });
     }
 
     #[test]

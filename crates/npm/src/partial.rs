@@ -20,9 +20,311 @@
 //! thread, handed out as `&mut` under the invariant that concurrent
 //! callers use distinct thread ids (exactly the guarantee `WorkerPool`
 //! provides).
+//!
+//! [`CfPartials`] owns the whole CF state of one map — the thread buffers
+//! and the combine's spill cells — together with the combine-scatter and
+//! the gather, so the product map and the sharded baseline run the same
+//! reduce-sync.
 
+use crate::map::check_whole;
+use crate::ops::ReduceOp;
+use crate::value::PropValue;
+use kimbap_comm::wire::iter_decoded;
+use kimbap_comm::{HostCtx, Wire};
+use kimbap_dist::Ownership;
 use kimbap_graph::NodeId;
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
+
+/// Precomputed is-mine test for one host's key-distribution map.
+///
+/// [`Ownership`] answers "who owns key `k`" for *any* host — a search of
+/// its boundary table or a modulus, with asserted bounds checks — fine
+/// for collectives, too slow for the per-call `reduce`/`read` fast paths,
+/// which only ever ask "is `k` mine, and at which master offset".
+/// `FastOwn` pre-resolves this host's row of the boundary table (blocked
+/// ownership) or modulus residue (hashed ownership) into two branch-light
+/// operations.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FastOwn {
+    /// Blocked ownership: this host owns the contiguous range
+    /// `lo .. lo + len`.
+    Block { lo: u32, len: u32 },
+    /// Hashed ownership: this host owns keys `≡ host (mod hosts)`.
+    Mod { hosts: u32, host: u32 },
+}
+
+impl FastOwn {
+    pub fn new(own: &Ownership, host: usize) -> Self {
+        match own {
+            Ownership::Blocked { bounds } => FastOwn::Block {
+                lo: bounds[host],
+                len: bounds[host + 1] - bounds[host],
+            },
+            Ownership::Hashed { hosts, .. } => FastOwn::Mod {
+                hosts: *hosts as u32,
+                host: host as u32,
+            },
+        }
+    }
+
+    /// This host's master offset for `key`, or `None` if `key` is remote.
+    #[inline]
+    pub fn local_offset(self, key: NodeId) -> Option<u32> {
+        match self {
+            FastOwn::Block { lo, len } => {
+                let d = key.wrapping_sub(lo);
+                (d < len).then_some(d)
+            }
+            FastOwn::Mod { hosts, host } => {
+                (key % hosts == host).then(|| key / hosts)
+            }
+        }
+    }
+
+    /// The pool thread (of `threads`) that combines and gathers `key`:
+    /// disjoint ascending ranges. A blocked host's own keys are split by
+    /// master offset, so every thread gets an equal slice of the host's
+    /// block wherever the block lies in the id space; remote keys, and
+    /// hashed ownership (whose owned keys stride the whole space), are
+    /// split over the `n` global ids. The scatter, the gather and the
+    /// sharded baseline's canonical store must all agree on it.
+    #[inline]
+    pub fn shard(self, key: NodeId, threads: usize, n: usize) -> usize {
+        let (pos, span) = match self {
+            FastOwn::Block { lo, len } if key.wrapping_sub(lo) < len => (key - lo, len as usize),
+            _ => (key, n.max(1)),
+        };
+        debug_assert!((pos as usize) < span);
+        (pos as u64 * threads as u64 / span as u64) as usize
+    }
+
+    /// Inverse of [`FastOwn::local_offset`]: the global key at master
+    /// offset `off`.
+    #[inline]
+    pub fn key_at(self, off: u32) -> NodeId {
+        match self {
+            FastOwn::Block { lo, .. } => lo + off,
+            FastOwn::Mod { hosts, host } => off * hosts + host,
+        }
+    }
+}
+
+/// One (source thread, destination thread) spill cell of the CF combine.
+type BucketCell<T> = Mutex<Vec<(NodeId, T)>>;
+
+/// One map's conflict-free reduction state: a partial buffer per pool
+/// thread, the combine's spill cells, and the owned pairs the combine keeps
+/// off the wire, all keyed by one key distribution.
+pub(crate) struct CfPartials<T> {
+    /// Who owns each key (the wire destination of a combined pair).
+    own: Ownership,
+    /// This host's row of `own`, for the per-pair tests.
+    fast: FastOwn,
+    /// Per-thread lock-free partial buffers (dense local range +
+    /// open-addressed remote table).
+    tls: ThreadOwned<PartialBuf<T>>,
+    /// Spill cell per (source thread, destination thread). Region A of
+    /// [`CfPartials::combine_scatter`] fills row `tid`; region B drains
+    /// column `tid`. Uncontended locks by construction.
+    bucket_cells: Vec<Vec<BucketCell<T>>>,
+    /// Per-destination-thread owned pairs that skip the wire and are
+    /// applied by the gather (self-delivery was always an uncounted
+    /// memcpy).
+    local_pairs: ThreadOwned<Vec<(NodeId, T)>>,
+    /// Bytes serialized to each host by the previous reduce-sync: the
+    /// capacity hint for this round's scatter buffers.
+    prev_out_bytes: Vec<usize>,
+}
+
+impl<T: PropValue> CfPartials<T> {
+    /// CF state for `host` under `own`, one buffer per `threads` pool
+    /// thread, each with a dense part of `dense_len` master offsets.
+    pub fn new(
+        own: &Ownership,
+        host: usize,
+        threads: usize,
+        dense_len: usize,
+        identity: T,
+    ) -> Self {
+        CfPartials {
+            own: own.clone(),
+            fast: FastOwn::new(own, host),
+            tls: ThreadOwned::new(threads, || PartialBuf::new(dense_len, identity)),
+            bucket_cells: (0..threads)
+                .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
+                .collect(),
+            local_pairs: ThreadOwned::new(threads, Vec::new),
+            prev_out_bytes: vec![0; own.num_hosts()],
+        }
+    }
+
+    /// The calling pool thread's partial buffer.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // one slot per pool thread; see below
+    pub fn buf(&self, tid: usize) -> &mut PartialBuf<T> {
+        // SAFETY: `tid` is the caller's pool thread id; WorkerPool hands
+        // each worker a distinct dense id, so no two concurrent callers
+        // share a slot, and every caller drops the borrow before returning.
+        unsafe { self.tls.slot(tid) }
+    }
+
+    /// Every thread's partial buffer, outside a parallel region.
+    pub fn bufs_mut(&mut self) -> impl Iterator<Item = &mut PartialBuf<T>> {
+        self.tls.iter_mut()
+    }
+
+    /// Resets every transient (thread buffers, combine cells, owned
+    /// pairs), keeping allocations.
+    pub fn clear(&mut self) {
+        for b in self.tls.iter_mut() {
+            b.clear();
+        }
+        for row in self.bucket_cells.iter_mut() {
+            for cell in row.iter_mut() {
+                cell.get_mut().clear();
+            }
+        }
+        for p in self.local_pairs.iter_mut() {
+            p.clear();
+        }
+    }
+
+    /// One empty wire buffer per host, sized by what the previous
+    /// reduce-sync sent there; [`CfPartials::finish_wire`] closes them.
+    pub fn wire_buffers(&self) -> Vec<Mutex<Vec<u8>>> {
+        self.prev_out_bytes
+            .iter()
+            .map(|&b| Mutex::new(Vec::with_capacity(b)))
+            .collect()
+    }
+
+    /// The outgoing buffers of this round's scatter, remembering their
+    /// sizes as the next round's capacity hint.
+    pub fn finish_wire(&mut self, per_host: Vec<Mutex<Vec<u8>>>) -> Vec<Vec<u8>> {
+        let outgoing: Vec<Vec<u8>> = per_host.into_iter().map(|m| m.into_inner()).collect();
+        for (prev, out) in self.prev_out_bytes.iter_mut().zip(&outgoing) {
+            *prev = out.len();
+        }
+        outgoing
+    }
+
+    /// CF scatter half of reduce-sync: drains every thread's partial
+    /// buffer, combines partials over disjoint destination key ranges
+    /// (Fig. 7), and serializes remote-owned pairs per destination host.
+    ///
+    /// The combine touches each entry exactly twice — once when its source
+    /// thread buckets it by [`FastOwn::shard`] (region A), once when its
+    /// destination thread folds the bucket into its own emptied buffer
+    /// (region B) — O(entries) total, instead of the previous
+    /// all-threads-rescan-everything O(threads × entries).
+    ///
+    /// Keys this host owns never reach the wire: they land in
+    /// `local_pairs` and are folded by [`CfPartials::gather`]. (They were
+    /// previously self-delivered, which the traffic stats never counted,
+    /// so observable message/byte counts are unchanged.)
+    pub fn combine_scatter(&mut self, ctx: &HostCtx, op: impl ReduceOp<T>) -> Vec<Vec<u8>> {
+        let n = self.own.num_nodes();
+        let threads = self.bucket_cells.len();
+        let (fast, own, host) = (self.fast, &self.own, ctx.host());
+        let per_host = self.wire_buffers();
+        {
+            let tls = &self.tls;
+            let cells = &self.bucket_cells;
+            // Region A: each thread drains its own buffer, pre-bucketing
+            // every entry by its destination combine thread.
+            ctx.pool().run(|tid| {
+                // SAFETY: WorkerPool hands each worker a distinct dense
+                // thread id, so no two threads share a slot.
+                let buf = unsafe { tls.slot(tid) };
+                let mut row: Vec<_> = cells[tid].iter().map(|c| c.lock()).collect();
+                buf.drain_local(|off, v| {
+                    let k = fast.key_at(off);
+                    row[fast.shard(k, threads, n)].push((k, v));
+                });
+                buf.drain_remote(|k, v| {
+                    row[fast.shard(k, threads, n)].push((k, v));
+                });
+            });
+            let local_pairs = &self.local_pairs;
+            let per_host = &per_host;
+            let prev_bytes = &self.prev_out_bytes;
+            // Region B: each thread folds its incoming buckets into its
+            // own (drained) buffer, then serializes — owned keys into
+            // `local_pairs`, remote keys into per-destination-host wire
+            // buffers.
+            ctx.pool().run(|tid| {
+                // SAFETY: distinct tids per worker; region A's barrier has
+                // passed, so every buffer is drained and reusable as this
+                // thread's combine accumulator.
+                let acc = unsafe { tls.slot(tid) };
+                debug_assert!(acc.is_empty());
+                for src_cells in cells.iter() {
+                    let mut cell = src_cells[tid].lock();
+                    for &(k, v) in cell.iter() {
+                        match fast.local_offset(k) {
+                            Some(off) => acc.reduce_local(off, v, |a, b| op.combine(a, b)),
+                            None => acc.reduce_remote(k, v, |a, b| op.combine(a, b)),
+                        }
+                    }
+                    cell.clear(); // keep capacity for the next round
+                }
+                // SAFETY: distinct tids per worker.
+                let mine = unsafe { local_pairs.slot(tid) };
+                debug_assert!(mine.is_empty());
+                let mut wire: Vec<Vec<u8>> = prev_bytes
+                    .iter()
+                    .map(|&b| Vec::with_capacity(b / threads))
+                    .collect();
+                acc.drain_local(|off, v| mine.push((fast.key_at(off), v)));
+                acc.drain_remote(|k, v| (k, v).write(&mut wire[own.owner(k)]));
+                for (h, w) in wire.into_iter().enumerate() {
+                    debug_assert!(h != host || w.is_empty(), "owned key serialized");
+                    if !w.is_empty() {
+                        per_host[h].lock().extend_from_slice(&w);
+                    }
+                }
+            });
+        }
+        self.finish_wire(per_host)
+    }
+
+    /// Gather half of reduce-sync: pool thread `tid` folds, through the
+    /// sink `sink(tid)` returns, every pair in its key range — first the
+    /// owned pairs the combine kept back, then matching pairs from every
+    /// buffer in `received`, in host order. Key ranges are disjoint, so
+    /// the sinks never touch the same key.
+    pub fn gather<S: FnMut(NodeId, T)>(
+        &self,
+        ctx: &HostCtx,
+        received: &[Vec<u8>],
+        sink: impl Fn(usize) -> S + Sync,
+    ) {
+        // Checked here, on the host thread: the pool threads below decode
+        // without a way to report a peer's bytes.
+        check_whole::<(NodeId, T)>(ctx, "reduce-sync", "(key, value) pairs", received);
+        let n = self.own.num_nodes();
+        let threads = self.bucket_cells.len();
+        let (fast, local_pairs) = (self.fast, &self.local_pairs);
+        ctx.pool().run(|tid| {
+            let mut apply = sink(tid);
+            // SAFETY: distinct tids per worker.
+            let mine = unsafe { local_pairs.slot(tid) };
+            for &(k, v) in mine.iter() {
+                debug_assert_eq!(fast.shard(k, threads, n), tid);
+                apply(k, v);
+            }
+            mine.clear();
+            for buf in received {
+                for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
+                    if fast.shard(k, threads, n) == tid {
+                        apply(k, v);
+                    }
+                }
+            }
+        });
+    }
+}
 
 /// Fixed-size array of per-thread slots, mutable through a shared
 /// reference under a caller-enforced distinct-thread-id discipline.
@@ -283,6 +585,34 @@ mod tests {
             b.reduce_remote(k * 7 + 1, 1, sum);
         }
         assert_eq!(b.rkeys.len(), cap);
+    }
+
+    #[test]
+    fn gather_shards_tile_each_hosts_block() {
+        // 2 hosts x 4 threads, with blocks of very different widths (one
+        // hub-heavy node range, one long tail): every thread must get a
+        // non-empty contiguous slice of its host's masters. Splitting over
+        // the global id space instead left threads 2-3 of host 0 and
+        // threads 0-1 of host 1 without gather work.
+        let weights: Vec<u64> = (0..100).map(|g| if g < 10 { 90 } else { 10 }).collect();
+        let own = Ownership::blocked_by_weight(&weights, 2);
+        assert!(own.num_masters(0) < own.num_masters(1) / 4);
+        let threads = 4;
+        for h in 0..2 {
+            let fast = FastOwn::new(&own, h);
+            let shards: Vec<usize> = own
+                .masters(h)
+                .map(|g| fast.shard(g, threads, own.num_nodes()))
+                .collect();
+            assert!(shards.windows(2).all(|w| w[0] <= w[1]), "host {h}: not ranges");
+            for t in 0..threads {
+                assert!(shards.contains(&t), "host {h}: thread {t} has no masters");
+            }
+            // Keys of the other host still land on a valid thread.
+            for g in own.masters(1 - h) {
+                assert!(fast.shard(g, threads, own.num_nodes()) < threads);
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,28 @@
 //! Property-based tests for node-property map invariants.
 
-use kimbap_comm::Cluster;
-use kimbap_dist::{partition, Policy};
+use kimbap_comm::{Cluster, HostCtx};
+use kimbap_dist::{partition, DistGraph, Policy};
 use kimbap_graph::{builder::from_edges, NodeId};
-use kimbap_npm::{Min, NodePropMap, Npm, Sum, Variant};
+use kimbap_npm::{Min, NodePropMap, Npm, ShardedMap, Sum};
 use proptest::prelude::*;
+
+type Make = for<'a> fn(&'a DistGraph, &HostCtx) -> Box<dyn NodePropMap<u64> + 'a>;
+
+fn sgr_only<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn NodePropMap<u64> + 'a> {
+    Box::new(ShardedMap::new(dg, ctx, Min, false))
+}
+
+fn sgr_cf<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn NodePropMap<u64> + 'a> {
+    Box::new(ShardedMap::new(dg, ctx, Min, true))
+}
+
+fn gar<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn NodePropMap<u64> + 'a> {
+    Box::new(Npm::new(dg, ctx, Min))
+}
+
+/// Fig. 11's three Kimbap rows: the sharded baseline's two and the
+/// product map.
+const ROWS: [(&str, Make); 3] = [("SGR-only", sgr_only), ("SGR+CF", sgr_cf), ("SGR+CF+GAR", gar)];
 
 /// A randomized workload: per host, a list of (key, value) reductions.
 fn workload(n: u32) -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
@@ -22,7 +40,7 @@ fn graph(n: u32) -> kimbap_graph::Graph {
 /// Applies a host-partitioned workload on a chosen backend and returns the
 /// canonical value of every node.
 fn run_min(
-    variant: Variant,
+    make: Make,
     n: u32,
     loads: &[Vec<(u32, u64)>],
     threads: usize,
@@ -31,7 +49,7 @@ fn run_min(
     let parts = partition(&g, Policy::EdgeCutBlocked, loads.len());
     let out = Cluster::with_threads(loads.len(), threads).run(|ctx| {
         let dg = &parts[ctx.host()];
-        let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+        let mut npm = make(dg, ctx);
         npm.init_masters(&|g| g as u64 + 10_000);
         let my = &loads[ctx.host()];
         ctx.par_for(0..my.len(), |tid, range| {
@@ -88,7 +106,7 @@ fn program(n: u32) -> impl Strategy<Value = Vec<Round>> {
 /// sequence on the real backend, and every observed value must equal the
 /// sequential reference model's snapshot at that round. Returns the final
 /// merged canonical values for the end-of-program comparison.
-fn run_program(variant: Variant, n: u32, rounds: &[Round], threads: usize) -> Vec<u64> {
+fn run_program((row, make): (&str, Make), n: u32, rounds: &[Round], threads: usize) -> Vec<u64> {
     // Reference model: per-round snapshots of the canonical values.
     let mut model: Vec<u64> = (0..n as u64).map(|g| g + 10_000).collect();
     let mut snapshots: Vec<Vec<u64>> = Vec::with_capacity(rounds.len());
@@ -106,7 +124,7 @@ fn run_program(variant: Variant, n: u32, rounds: &[Round], threads: usize) -> Ve
     let snaps = &snapshots;
     let out = Cluster::with_threads(3, threads).run(|ctx| {
         let dg = &parts[ctx.host()];
-        let mut npm: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+        let mut npm = make(dg, ctx);
         npm.init_masters(&|g| g as u64 + 10_000);
         for (r, (reduces, requests)) in rounds.iter().enumerate() {
             let my = &reduces[ctx.host()];
@@ -127,7 +145,7 @@ fn run_program(variant: Variant, n: u32, rounds: &[Round], threads: usize) -> Ve
                 assert_eq!(
                     npm.read(k),
                     snaps[r][k as usize],
-                    "{variant}: requested key {k} wrong in round {r}"
+                    "{row}: requested key {k} wrong in round {r}"
                 );
             }
             for m in dg.master_nodes() {
@@ -135,7 +153,7 @@ fn run_program(variant: Variant, n: u32, rounds: &[Round], threads: usize) -> Ve
                 assert_eq!(
                     npm.read(gk),
                     snaps[r][gk as usize],
-                    "{variant}: master {gk} wrong in round {r}"
+                    "{row}: master {gk} wrong in round {r}"
                 );
             }
         }
@@ -161,16 +179,16 @@ proptest! {
     #[test]
     fn all_variants_match_sequential_model(loads in workload(64)) {
         let expected = model_min(64, &loads);
-        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-            let got = run_min(variant, 64, &loads, 2);
-            prop_assert_eq!(&got, &expected, "variant {} diverged", variant);
+        for (row, make) in ROWS {
+            let got = run_min(make, 64, &loads, 2);
+            prop_assert_eq!(&got, &expected, "{} diverged", row);
         }
     }
 
     #[test]
     fn thread_count_does_not_change_results(loads in workload(48)) {
-        let a = run_min(Variant::SgrCfGar, 48, &loads, 1);
-        let b = run_min(Variant::SgrCfGar, 48, &loads, 4);
+        let a = run_min(gar, 48, &loads, 1);
+        let b = run_min(gar, 48, &loads, 4);
         prop_assert_eq!(a, b);
     }
 
@@ -193,9 +211,9 @@ proptest! {
             }
             m
         };
-        for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-            let got = run_program(variant, 56, &rounds, threads);
-            prop_assert_eq!(&got, &expected, "variant {} diverged", variant);
+        for row in ROWS {
+            let got = run_program(row, 56, &rounds, threads);
+            prop_assert_eq!(&got, &expected, "{} diverged", row.0);
         }
     }
 
@@ -261,82 +279,5 @@ proptest! {
             })
         });
         prop_assert!(ok.iter().all(|&b| b));
-    }
-}
-
-mod mirror_reset {
-    use kimbap_comm::Cluster;
-    use kimbap_dist::{partition, Policy};
-    use kimbap_graph::{gen, NodeId};
-    use kimbap_npm::{Min, MirrorSync, NodePropMap, Npm};
-
-    /// Push-style label propagation with mirror reset must produce the
-    /// same labels as broadcast. (Total traffic usually *grows* — the
-    /// disabled redundancy filter inflates reduce-sync — which is exactly
-    /// why broadcast is Kimbap's default; see `MirrorSync` docs.)
-    #[test]
-    fn reset_to_identity_preserves_push_lp() {
-        let g = gen::rmat(7, 4, 77);
-        let hosts = 3;
-        let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
-        let run = |mode: MirrorSync| -> (Vec<u64>, u64) {
-            let out = Cluster::with_threads(hosts, 2).run(|ctx| {
-                let dg = &parts[ctx.host()];
-                let mut label: Npm<u64, Min> = Npm::new(dg, ctx, Min);
-                label.set_mirror_sync(mode);
-                label.init_masters(&|g| g as u64);
-                label.pin_mirrors(ctx);
-                loop {
-                    label.reset_updated();
-                    let l = &label;
-                    ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
-                        for lid in range {
-                            let lid = lid as u32;
-                            if dg.degree(lid) == 0 {
-                                continue;
-                            }
-                            let my = l.read(dg.local_to_global(lid));
-                            for (dst, _) in dg.edges(lid) {
-                                let dst_g = dg.local_to_global(dst);
-                                // Push-style: the mirror read only filters
-                                // redundant reduces; identity (MAX) makes
-                                // the filter pass, which is harmless.
-                                if my < l.read(dst_g) {
-                                    l.reduce(tid, dst_g, my);
-                                }
-                            }
-                        }
-                    });
-                    label.reduce_sync(ctx);
-                    label.broadcast_sync(ctx);
-                    if !label.is_updated(ctx) {
-                        break;
-                    }
-                }
-                let labels: Vec<(NodeId, u64)> = dg
-                    .master_nodes()
-                    .map(|m| {
-                        let gid = dg.local_to_global(m);
-                        (gid, label.read(gid))
-                    })
-                    .collect();
-                (labels, ctx.stats().bytes)
-            });
-            let mut labels = vec![0u64; g.num_nodes()];
-            let mut bytes = 0;
-            for (host_labels, b) in out {
-                bytes += b;
-                for (gid, v) in host_labels {
-                    labels[gid as usize] = v;
-                }
-            }
-            (labels, bytes)
-        };
-        let (broadcast_labels, broadcast_bytes) = run(MirrorSync::Broadcast);
-        let (reset_labels, reset_bytes) = run(MirrorSync::ResetToIdentity);
-        assert_eq!(broadcast_labels, reset_labels);
-        // Both modes must have moved real data; the byte *direction* is a
-        // documented trade-off, not an invariant.
-        assert!(broadcast_bytes > 0 && reset_bytes > 0);
     }
 }

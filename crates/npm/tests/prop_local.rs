@@ -2,19 +2,71 @@
 //! `reduce_local` and `request_local` must be indistinguishable from
 //! `read`, `reduce` and `request` on the proxy's global id — same values,
 //! same canonical state after the sync, same traffic — for every local id,
-//! under every runtime variant, pinning mode and partition policy.
-//! `read_local` is checked twice: the inherent accessor compiled
-//! plans call and the trait-level `NodePropMap::read_local` hand-written
-//! operators call (the translating default other backends inherit is
-//! pinned by `kimbap-baselines`' `community_detection_agrees_across_backends`).
+//! under every pinning mode and partition policy. `read_local` is checked
+//! twice: the inherent accessor compiled plans call and the trait-level
+//! `NodePropMap::read_local` hand-written operators call. The sharded
+//! baseline of Fig. 11's SGR-only and SGR+CF rows has no local-id
+//! accessors; it runs the same cases through the translation it stands
+//! for, which pins the trait's translating default (also pinned by
+//! `kimbap-baselines`' `community_detection_agrees_across_backends`).
 
-use kimbap_comm::Cluster;
-use kimbap_dist::{partition, Policy};
+use kimbap_comm::{Cluster, HostCtx};
+use kimbap_dist::{partition, DistGraph, LocalId, Policy};
 use kimbap_graph::builder::from_edges;
-use kimbap_npm::{Min, NodePropMap, Npm, Variant};
+use kimbap_npm::{Min, NodePropMap, Npm, ShardedMap};
 use proptest::prelude::*;
 
 const HOSTS: usize = 3;
+
+/// The local-id accessors under test.
+trait ByLid: NodePropMap<u64> {
+    fn read_lid(&self, dg: &DistGraph, lid: LocalId) -> u64;
+    fn reduce_lid(&self, dg: &DistGraph, tid: usize, lid: LocalId, value: u64);
+    fn request_lid(&self, dg: &DistGraph, lid: LocalId);
+}
+
+impl ByLid for Npm<'_, u64, Min> {
+    fn read_lid(&self, _: &DistGraph, lid: LocalId) -> u64 {
+        self.read_local(lid)
+    }
+    fn reduce_lid(&self, _: &DistGraph, tid: usize, lid: LocalId, value: u64) {
+        self.reduce_local(tid, lid, value)
+    }
+    fn request_lid(&self, _: &DistGraph, lid: LocalId) {
+        self.request_local(lid)
+    }
+}
+
+impl ByLid for ShardedMap<u64, Min> {
+    fn read_lid(&self, dg: &DistGraph, lid: LocalId) -> u64 {
+        self.read(dg.local_to_global(lid))
+    }
+    fn reduce_lid(&self, dg: &DistGraph, tid: usize, lid: LocalId, value: u64) {
+        self.reduce(tid, dg.local_to_global(lid), value)
+    }
+    fn request_lid(&self, dg: &DistGraph, lid: LocalId) {
+        self.request(dg.local_to_global(lid))
+    }
+}
+
+type Make = for<'a> fn(&'a DistGraph, &HostCtx) -> Box<dyn ByLid + 'a>;
+
+fn sgr_only<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn ByLid + 'a> {
+    Box::new(ShardedMap::new(dg, ctx, Min, false))
+}
+
+fn sgr_cf<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn ByLid + 'a> {
+    Box::new(ShardedMap::new(dg, ctx, Min, true))
+}
+
+fn gar<'a>(dg: &'a DistGraph, ctx: &HostCtx) -> Box<dyn ByLid + 'a> {
+    Box::new(Npm::new(dg, ctx, Min))
+}
+
+/// Fig. 11's three Kimbap rows, and whether each keeps every proxy
+/// resident (only the product map drops unpinned, unrequested mirrors).
+const ROWS: [(&str, Make, bool); 3] =
+    [("SGR-only", sgr_only, true), ("SGR+CF", sgr_cf, true), ("SGR+CF+GAR", gar, false)];
 
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..40, 0u32..40, Just(1u64)), 1..120)
@@ -40,7 +92,7 @@ fn run(
     edges: &[(u32, u32, u64)],
     loads: &[Vec<(u32, u64)>],
     policy: Policy,
-    variant: Variant,
+    (make, resident): (Make, bool),
     pinned: bool,
 ) -> Vec<Observed> {
     let g = from_edges(edges.iter().copied());
@@ -48,7 +100,7 @@ fn run(
     Cluster::with_threads(HOSTS, 2).run(|ctx| {
         let dg = &parts[ctx.host()];
         let make = || {
-            let mut m: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+            let mut m = make(dg, ctx);
             m.init_masters(&|g| 50_000 - g as u64);
             m
         };
@@ -59,12 +111,12 @@ fn run(
         } else {
             for l in dg.local_nodes() {
                 by_key.request(dg.local_to_global(l));
-                by_lid.request_local(l);
+                by_lid.request_lid(dg, l);
             }
             by_key.request_sync(ctx);
             by_lid.request_sync(ctx);
         }
-        let read_all = |by_key: &Npm<u64, Min>, by_lid: &Npm<u64, Min>, mirrors: bool| {
+        let read_all = |by_key: &dyn ByLid, by_lid: &dyn ByLid, mirrors: bool| {
             let n = if mirrors {
                 dg.num_local_nodes()
             } else {
@@ -72,13 +124,13 @@ fn run(
             };
             (0..n as u32)
                 .map(|l| {
-                    let by_trait = NodePropMap::read_local(by_lid, dg, l);
-                    assert_eq!(by_trait, by_lid.read_local(l), "lid {l}: trait vs inherent");
+                    let by_trait = by_lid.read_local(dg, l);
+                    assert_eq!(by_trait, by_lid.read_lid(dg, l), "lid {l}: trait vs inherent");
                     (by_key.read(dg.local_to_global(l)), by_trait)
                 })
                 .collect::<Vec<_>>()
         };
-        let before = read_all(&by_key, &by_lid, true);
+        let before = read_all(&*by_key, &*by_lid, true);
 
         // One thread id per call site keeps the per-thread partial buffers
         // of the two maps in step, so their wire images can be compared.
@@ -86,10 +138,10 @@ fn run(
         for (i, &(pick, v)) in loads[ctx.host()].iter().enumerate() {
             let l = pick % n;
             by_key.reduce(i % 2, dg.local_to_global(l), v);
-            by_lid.reduce_local(i % 2, l, v);
+            by_lid.reduce_lid(dg, i % 2, l, v);
         }
         let mut traffic = [(0, 0); 2];
-        let maps: [&mut Npm<u64, Min>; 2] = [&mut by_key, &mut by_lid];
+        let maps = [&mut by_key, &mut by_lid];
         for (m, t) in maps.into_iter().zip(&mut traffic) {
             let s0 = ctx.stats();
             m.reduce_sync(ctx);
@@ -99,14 +151,9 @@ fn run(
             let s1 = ctx.stats();
             *t = (s1.messages - s0.messages, s1.bytes - s0.bytes);
         }
-        // Unpinned mirrors are dropped by the reduce-sync (for the
-        // partition-aware variant; the others keep every proxy resident).
-        let mirrors_readable = pinned || !variant.partition_aware();
-        (
-            before,
-            traffic,
-            read_all(&by_key, &by_lid, mirrors_readable),
-        )
+        // Unpinned mirrors are dropped by the product map's reduce-sync;
+        // the sharded baseline keeps every proxy resident.
+        (before, traffic, read_all(&*by_key, &*by_lid, pinned || resident))
     })
 }
 
@@ -118,13 +165,15 @@ proptest! {
         edges in edge_list(),
         loads in workload(),
     ) {
-        for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
-            for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+        // `EdgeCutHashed` keeps the product map's modulo-ownership paths
+        // (`FastOwn::Mod`) covered.
+        let policies = [Policy::EdgeCutBlocked, Policy::CartesianVertexCut, Policy::EdgeCutHashed];
+        for policy in policies {
+            for (row, make, resident) in ROWS {
                 for pinned in [true, false] {
-                    let what = format!("{policy:?} {variant:?} pinned={pinned}");
-                    for (h, (before, traffic, after)) in
-                        run(&edges, &loads, policy, variant, pinned).into_iter().enumerate()
-                    {
+                    let what = format!("{policy:?} {row} pinned={pinned}");
+                    let observed = run(&edges, &loads, policy, (make, resident), pinned);
+                    for (h, (before, traffic, after)) in observed.into_iter().enumerate() {
                         for (l, (by_key, by_lid)) in before.iter().enumerate() {
                             prop_assert_eq!(by_key, by_lid, "{}: host {} lid {} before", what, h, l);
                         }
@@ -140,16 +189,16 @@ proptest! {
 }
 
 /// An unpinned, unrequested mirror reads the same through every accessor
-/// on every variant: the same value where proxies stay resident, the same
+/// on every row: the same value where proxies stay resident, the same
 /// panic message where they do not.
 #[test]
 fn read_local_of_an_unrequested_mirror_panics_like_read() {
     let g = from_edges((0..12u32).map(|i| (i, (i + 1) % 12, 1)));
     let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-    for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+    for (row, make, resident) in ROWS {
         let outcomes = Cluster::new(2).run(|ctx| {
             let dg = &parts[ctx.host()];
-            let mut m: Npm<u64, Min> = Npm::with_variant(dg, ctx, Min, variant);
+            let mut m = make(dg, ctx);
             m.init_masters(&|g| g as u64);
             let mirror = dg
                 .mirror_nodes()
@@ -164,25 +213,25 @@ fn read_local_of_an_unrequested_mirror_panics_like_read() {
                 })
             };
             let by_key = catch(&|| m.read(dg.local_to_global(mirror)));
-            let by_lid = catch(&|| m.read_local(mirror));
-            let by_trait = catch(&|| NodePropMap::read_local(&m, dg, mirror));
+            let by_lid = catch(&|| m.read_lid(dg, mirror));
+            let by_trait = catch(&|| m.read_local(dg, mirror));
             // Masters stay readable, and so does the mirror once requested.
-            assert_eq!(NodePropMap::read_local(&m, dg, 0), dg.local_to_global(0) as u64);
-            m.request_local(mirror);
+            assert_eq!(m.read_local(dg, 0), dg.local_to_global(0) as u64);
+            m.request_lid(dg, mirror);
             m.request_sync(ctx);
-            assert_eq!(NodePropMap::read_local(&m, dg, mirror), dg.local_to_global(mirror) as u64);
+            assert_eq!(m.read_local(dg, mirror), dg.local_to_global(mirror) as u64);
             [by_key, by_lid, by_trait]
         });
         for [by_key, by_lid, by_trait] in outcomes {
-            assert_eq!(by_lid, by_key, "{variant}");
-            assert_eq!(by_trait, by_key, "{variant}");
+            assert_eq!(by_lid, by_key, "{row}");
+            assert_eq!(by_trait, by_key, "{row}");
             match by_key {
-                // Only the partition-aware map drops unrequested mirrors.
+                // Only the product map drops unrequested mirrors.
                 Err(message) => {
-                    assert_eq!(variant, Variant::SgrCfGar);
+                    assert!(!resident, "{row}");
                     assert!(message.contains("neither requested nor pinned"), "{message}");
                 }
-                Ok(_) => assert_ne!(variant, Variant::SgrCfGar),
+                Ok(_) => assert!(resident, "{row}"),
             }
         }
     }

@@ -19,7 +19,7 @@ fn main() {
     let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
 
     // Kimbap Louvain.
-    let builder = NpmBuilder::default();
+    let builder = NpmBuilder;
     let cfg = LouvainConfig::default();
     let t = Instant::now();
     let results =

@@ -14,7 +14,7 @@ const HOSTS: usize = 3;
 
 fn run(g: &Graph, plan: FaultPlan, recovering: bool) -> (Vec<u64>, u64) {
     let parts = partition(g, Policy::EdgeCutBlocked, HOSTS);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cluster = Cluster::with_threads(HOSTS, 2);
     let out = cluster.run_with_faults(plan, |ctx| {
         let labels = if recovering {

@@ -23,7 +23,7 @@ fn main() {
     // Partition edges across 2 hosts with a Cartesian vertex-cut (what the
     // paper uses for CC) and run CC-SV on every host, SPMD-style.
     let parts = partition(&g, Policy::CartesianVertexCut, 2);
-    let builder = NpmBuilder::default(); // SGR + CF + GAR
+    let builder = NpmBuilder; // SGR + CF + GAR
     let outputs = Cluster::with_threads(2, 2).run(|ctx| {
         let labels = cc::cc_sv(&parts[ctx.host()], ctx, &builder);
         (labels, ctx.stats())

@@ -16,7 +16,7 @@ fn main() {
     println!("input: {}", GraphStats::of(&g));
 
     let parts = partition(&g, Policy::CartesianVertexCut, hosts);
-    let builder = NpmBuilder::default();
+    let builder = NpmBuilder;
 
     let t = Instant::now();
     let per_host = Cluster::with_threads(hosts, 2).run(|ctx| msf(&parts[ctx.host()], ctx, &builder));

@@ -15,7 +15,7 @@ fn main() {
     let g = gen::rmat(12, 8, 11);
     println!("input: {}", GraphStats::of(&g));
     let parts = partition(&g, Policy::CartesianVertexCut, hosts);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cluster = Cluster::with_threads(hosts, 2);
 
     // BFS levels from node 0.

@@ -24,6 +24,14 @@ export KIMBAP_BENCH_JSON="$TMP_JSONL"
 if [ "$SMOKE" = 1 ]; then
     export KIMBAP_SCALE=tiny KIMBAP_SKIP_MC=1 KIMBAP_HOSTS_MEDIUM=2 KIMBAP_BENCH_SMOKE=1
     cargo bench -q -p kimbap-bench --bench fig11_runtime_variants
+    # The Fig. 11 ablation: each of the three Kimbap rows must have run.
+    for system in sgr_only sgr_cf sgr_cf_gar; do
+        if ! grep '"bench":"fig11_runtime_variants"' "$TMP_JSONL" \
+                | grep -q "\"system\":\"$system\""; then
+            echo "bench smoke: no fig11_runtime_variants record for $system" >&2
+            exit 1
+        fi
+    done
     cargo bench -q -p kimbap-bench --bench max_graph_size
     # The frontier bench asserts internally that rounds after round 2 ran a
     # strict subset of the node space; here we additionally check that its

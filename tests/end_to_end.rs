@@ -6,7 +6,7 @@ use kimbap::prelude::*;
 use kimbap_algos::msf::{merge_forest, msf};
 use kimbap_algos::{
     cc, compose_labels, leiden, louvain, merge_master_values, mis, refcheck, LouvainConfig,
-    NpmBuilder,
+    NpmBuilder, ShardedBuilder,
 };
 use kimbap_baselines::{galois, gluon, mckv::McBuilder, vite};
 use kimbap_compiler::{compile, programs, OptLevel};
@@ -25,7 +25,7 @@ fn all_cc_algorithms_and_runtimes_agree() {
         let expected = refcheck::connected_components(&g);
         for hosts in [1, 3] {
             let parts = partition(&g, Policy::CartesianVertexCut, hosts);
-            let b = NpmBuilder::default();
+            let b = NpmBuilder;
             for (algo_name, labels) in [
                 (
                     "sv",
@@ -65,16 +65,14 @@ fn npm_variants_and_mc_agree_on_cc_sv() {
     let expected = refcheck::connected_components(&g);
     let hosts = 3;
     let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
-    for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
-        let b = NpmBuilder::new(variant);
+    for b in [ShardedBuilder::sgr_only(), ShardedBuilder::sgr_cf()] {
         let labels = Cluster::with_threads(hosts, 2)
             .run(|ctx| cc::cc_sv(&parts[ctx.host()], ctx, &b));
-        assert_eq!(
-            merge_master_values(g.num_nodes(), labels),
-            expected,
-            "variant {variant}"
-        );
+        assert_eq!(merge_master_values(g.num_nodes(), labels), expected, "{b}");
     }
+    let labels = Cluster::with_threads(hosts, 2)
+        .run(|ctx| cc::cc_sv(&parts[ctx.host()], ctx, &NpmBuilder));
+    assert_eq!(merge_master_values(g.num_nodes(), labels), expected, "SGR+CF+GAR");
     let mc = McBuilder::new(hosts);
     let labels =
         Cluster::with_threads(hosts, 2).run(|ctx| cc::cc_sv(&parts[ctx.host()], ctx, &mc));
@@ -88,7 +86,7 @@ fn msf_agrees_across_runtimes() {
     let expected_count = refcheck::msf_edge_count(&g);
 
     let parts = partition(&g, Policy::CartesianVertexCut, 3);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let per_host = Cluster::with_threads(3, 2).run(|ctx| msf(&parts[ctx.host()], ctx, &b));
     let (edges, weight) = merge_forest(per_host);
     assert_eq!((edges.len(), weight), (expected_count, expected_weight));
@@ -101,7 +99,7 @@ fn msf_agrees_across_runtimes() {
 fn mis_valid_on_all_runtimes() {
     let g = gen::rmat(8, 4, 9);
     let parts = partition(&g, Policy::CartesianVertexCut, 2);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let set = merge_master_values(
         g.num_nodes(),
         Cluster::with_threads(2, 2).run(|ctx| mis(&parts[ctx.host()], ctx, &b)),
@@ -120,7 +118,7 @@ fn community_detection_quality_chain() {
     let g = gen::rmat(8, 8, 11);
     let hosts = 2;
     let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
     let cfg = LouvainConfig::default();
 
     let lv = Cluster::with_threads(hosts, 2)
@@ -148,7 +146,7 @@ fn compiled_plans_match_native_algorithms() {
     let g = gen::rmat(7, 4, 13);
     let hosts = 2;
     let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
-    let b = NpmBuilder::default();
+    let b = NpmBuilder;
 
     for (prog, native) in [
         (programs::cc_sv(), {
@@ -188,7 +186,7 @@ fn partitioning_policies_do_not_change_results() {
         Policy::CartesianVertexCut,
     ] {
         let parts = partition(&g, policy, 4);
-        let b = NpmBuilder::default();
+        let b = NpmBuilder;
         let labels = Cluster::with_threads(4, 1)
             .run(|ctx| cc::cc_sv(&parts[ctx.host()], ctx, &b));
         assert_eq!(
