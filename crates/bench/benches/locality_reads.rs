@@ -6,104 +6,122 @@
 //! locality GAR exploits by keeping master properties in a dense local
 //! vector.
 //!
-//! This bench replays the CC-SV access pattern (the paper's running
-//! example) while keeping handles to the maps, then reports the read mix.
+//! This bench runs the library's CC-SV (the paper's running example) on
+//! [`Npm`] maps wrapped by a counting [`MapBuilder`], which classifies
+//! every read by its key's owner, then reports the read mix.
 
-use kimbap_algos::refcheck;
+use kimbap_algos::{cc, merge_master_values, refcheck, MapBuilder};
 use kimbap_bench::{print_row, print_title, threads_per_host, Inputs};
-use kimbap_comm::Cluster;
-use kimbap_dist::{partition, Policy};
+use kimbap_comm::{Cluster, HostCtx};
+use kimbap_dist::{partition, DistGraph, Policy};
 use kimbap_graph::{Graph, NodeId};
-use kimbap_npm::{Min, NodePropMap, Npm, NpmReadStats};
+use kimbap_npm::{NodePropMap, Npm, PropValue, ReduceOp};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// CC-SV with instrumented maps: returns per-host read stats and labels.
-fn cc_sv_instrumented(g: &Graph, hosts: usize) -> (Vec<NpmReadStats>, Vec<u64>) {
-    let parts = partition(g, Policy::CartesianVertexCut, hosts);
-    let out = Cluster::with_threads(hosts, threads_per_host()).run(|ctx| {
-        let dg = &parts[ctx.host()];
-        let mut parent: Npm<u64, Min> = Npm::new(dg, ctx, Min);
-        parent.enable_read_stats();
-        parent.init_masters(&|g| g as u64);
-        let work_done = kimbap_npm::BoolReducer::new();
-        loop {
-            work_done.set(false);
-            // Hook.
-            parent.pin_mirrors(ctx);
-            loop {
-                parent.reset_updated();
-                let p = &parent;
-                ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
-                    for lid in range {
-                        let lid = lid as u32;
-                        if dg.degree(lid) == 0 {
-                            continue;
-                        }
-                        let sp = p.read(dg.local_to_global(lid));
-                        for (dst, _) in dg.edges(lid) {
-                            let dp = p.read(dg.local_to_global(dst));
-                            if sp > dp {
-                                work_done.reduce(true);
-                                p.reduce(tid, sp as NodeId, dp);
-                            }
-                        }
-                    }
-                });
-                parent.reduce_sync(ctx);
-                parent.broadcast_sync(ctx);
-                if !parent.is_updated(ctx) {
-                    break;
-                }
-            }
-            parent.unpin_mirrors();
-            // Shortcut.
-            loop {
-                parent.reset_updated();
-                let p = &parent;
-                ctx.par_for(0..dg.num_masters(), |_t, range| {
-                    for m in range {
-                        let g = dg.local_to_global(m as u32);
-                        p.request(p.read(g) as NodeId);
-                    }
-                });
-                parent.request_sync(ctx);
-                let p = &parent;
-                ctx.par_for(0..dg.num_masters(), |tid, range| {
-                    for m in range {
-                        let g = dg.local_to_global(m as u32);
-                        let par = p.read(g);
-                        let grand = p.read(par as NodeId);
-                        if par != grand {
-                            p.reduce(tid, g, grand);
-                        }
-                    }
-                });
-                parent.reduce_sync(ctx);
-                if !parent.is_updated(ctx) {
-                    break;
-                }
-            }
-            if !work_done.read(ctx) {
-                break;
-            }
-        }
-        let labels: Vec<(NodeId, u64)> = dg
-            .master_nodes()
-            .map(|m| {
-                let g = dg.local_to_global(m);
-                (g, parent.read(g))
-            })
-            .collect();
-        (parent.read_stats(), labels)
-    });
-    let mut stats = Vec::new();
-    let mut labels = vec![0u64; g.num_nodes()];
-    for (s, host_labels) in out {
-        stats.push(s);
-        for (g, v) in host_labels {
-            labels[g as usize] = v;
+/// Builds [`Npm`] maps that count master and remote reads, summed over
+/// every host and thread.
+#[derive(Default)]
+struct CountingBuilder {
+    master: AtomicU64,
+    remote: AtomicU64,
+}
+
+/// An [`Npm`] whose reads are counted: a read of a key this host owns is
+/// a master read, any other is a remote read (a mirror or a requested
+/// key). `read_local` keeps the trait's default, which reads through
+/// `read`.
+struct CountingMap<'g, T: PropValue, Op: ReduceOp<T>> {
+    inner: Npm<'g, T, Op>,
+    dg: &'g DistGraph,
+    counts: &'g CountingBuilder,
+}
+
+impl MapBuilder for CountingBuilder {
+    type Map<'g, T: PropValue, Op: ReduceOp<T>> = CountingMap<'g, T, Op>;
+
+    fn build<'g, T: PropValue, Op: ReduceOp<T>>(
+        &'g self,
+        dg: &'g DistGraph,
+        ctx: &HostCtx,
+        op: Op,
+    ) -> CountingMap<'g, T, Op> {
+        CountingMap {
+            inner: Npm::new(dg, ctx, op),
+            dg,
+            counts: self,
         }
     }
-    (stats, labels)
+}
+
+impl<T: PropValue, Op: ReduceOp<T>> CountingMap<'_, T, Op> {
+    fn count(&self, master: bool) {
+        let c = if master {
+            &self.counts.master
+        } else {
+            &self.counts.remote
+        };
+        c.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl<T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for CountingMap<'_, T, Op> {
+    fn init_masters(&mut self, f: &dyn Fn(NodeId) -> T) {
+        self.inner.init_masters(f)
+    }
+    fn read(&self, key: NodeId) -> T {
+        self.count(self.dg.ownership().owner(key) == self.dg.host());
+        self.inner.read(key)
+    }
+    fn set(&mut self, key: NodeId, value: T) {
+        self.inner.set(key, value)
+    }
+    fn reduce(&self, tid: usize, key: NodeId, value: T) {
+        self.inner.reduce(tid, key, value)
+    }
+    fn request(&self, key: NodeId) {
+        self.inner.request(key)
+    }
+    fn request_sync(&mut self, ctx: &HostCtx) {
+        self.inner.request_sync(ctx)
+    }
+    fn reduce_sync(&mut self, ctx: &HostCtx) {
+        self.inner.reduce_sync(ctx)
+    }
+    fn broadcast_sync(&mut self, ctx: &HostCtx) {
+        self.inner.broadcast_sync(ctx)
+    }
+    fn pin_mirrors(&mut self, ctx: &HostCtx) {
+        self.inner.pin_mirrors(ctx)
+    }
+    fn unpin_mirrors(&mut self) {
+        self.inner.unpin_mirrors()
+    }
+    fn reset_updated(&mut self) {
+        self.inner.reset_updated()
+    }
+    fn reset_values(&mut self, ctx: &HostCtx) {
+        self.inner.reset_values(ctx)
+    }
+    fn is_updated(&self, ctx: &HostCtx) -> bool {
+        self.inner.is_updated(ctx)
+    }
+    fn sync_round(&mut self, ctx: &HostCtx) -> bool {
+        self.inner.sync_round(ctx)
+    }
+}
+
+/// CC-SV on counting maps: (master reads, remote reads) and the labels.
+fn cc_sv_counted(g: &Graph, hosts: usize) -> (u64, u64, Vec<u64>) {
+    let parts = partition(g, Policy::CartesianVertexCut, hosts);
+    let counts = CountingBuilder::default();
+    let out = Cluster::with_threads(hosts, threads_per_host())
+        .run(|ctx| cc::cc_sv(&parts[ctx.host()], ctx, &counts));
+    let labels = merge_master_values(g.num_nodes(), out);
+    (
+        counts.master.into_inner(),
+        counts.remote.into_inner(),
+        labels,
+    )
 }
 
 fn main() {
@@ -120,10 +138,8 @@ fn main() {
     for (name, g) in [("road", Inputs::road()), ("social", Inputs::social())] {
         let expected = refcheck::connected_components(&g);
         for hosts in [2, 4] {
-            let (stats, labels) = cc_sv_instrumented(&g, hosts);
-            assert_eq!(labels, expected, "instrumented CC-SV must stay correct");
-            let master: u64 = stats.iter().map(|s| s.master_reads).sum();
-            let remote: u64 = stats.iter().map(|s| s.remote_reads).sum();
+            let (master, remote, labels) = cc_sv_counted(&g, hosts);
+            assert_eq!(labels, expected, "counted CC-SV must stay correct");
             let pct = 100.0 * master as f64 / (master + remote).max(1) as f64;
             print_row(&[
                 name.into(),

@@ -1,5 +1,5 @@
 //! Table 2: operator types used in each application, derived by running
-//! the Kimbap compiler's classifier over the applications' IR programs.
+//! the Kimbap compiler's classifier over the applications' built-in programs.
 //!
 //! Paper: LV ••, LD ••, MSF (trans only), CC-LP (adjacent only),
 //! CC-SCLP ••, CC-SV (trans only), MIS (adjacent only).

@@ -14,7 +14,8 @@
 //! The underlying control-flow machinery (statement-level CFG, dominator
 //! and post-dominator trees, §2.3) lives in [`mod@cfg`] and [`dom`];
 //! [`classify`] reproduces Table 2's adjacent/trans-vertex classification;
-//! [`programs`] contains the paper's applications in IR form. Every
+//! [`programs`] contains the paper's applications as source text in the
+//! [`frontend`]'s surface syntax, parsed into the IR on first use. Every
 //! operator body is finally lowered to flat register code ([`lower`]),
 //! which is what the `kimbap` crate's engine executes.
 //!

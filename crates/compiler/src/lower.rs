@@ -881,6 +881,37 @@ mod tests {
     }
 
     #[test]
+    fn cc_sclp_lowers_to_the_expected_ops() {
+        let plan = compile(&programs::cc_sclp(), OptLevel::Full);
+        let (lp, shortcut) = (loops(&plan.body)[0], loops(&plan.body)[1]);
+        // Both sweeps count `changed += 1` in their improvement test.
+        assert_eq!(
+            listing(&lp.code),
+            [
+                "frame: 7 regs, r5 = 1, r6 -> reducer 0",
+                "  0: r0 = m0[node]",
+                "  1: for edges (next 2)",
+                "  2:   r1 = m0[dst]; unless r0 < r1 skip 1, counting r6 += r5",
+                "  3:   m0[dst] <- r0",
+            ]
+        );
+        assert_eq!(
+            listing(&shortcut.code),
+            [
+                "frame: 7 regs, r5 = 1, r6 -> reducer 0",
+                "  0: r0 = m0[node]",
+                "  1: r1 = m0[@r0]",
+                "  2: unless r0 != r1 skip 1, counting r6 += r5",
+                "  3: m0[node] <- r1",
+            ]
+        );
+        assert_eq!(
+            listing(&shortcut.request_phases[0].code),
+            ["frame: 4 regs", "  0: r0 = m0[node]", "  1: request m0[@r0]"]
+        );
+    }
+
+    #[test]
     fn mis_lowers_to_the_expected_ops() {
         let plan = compile(&programs::mis(), OptLevel::Full);
         let ls = loops(&plan.body);

@@ -1,4 +1,8 @@
-//! The paper's applications expressed in the vertex-program IR.
+//! The paper's applications, written once as vertex-program source.
+//!
+//! Each program is the [`crate::frontend`] surface syntax below, parsed by
+//! [`parse`] the first time it is asked for and cloned after that, so the
+//! source text is the only definition a plan is compiled from.
 //!
 //! [`cc_sv`], [`cc_lp`], [`cc_sclp`], and [`mis`] are fully executable by
 //! the `kimbap` plan interpreter (tests cross-validate them against the
@@ -7,449 +11,327 @@
 //! operator access patterns for classification (Table 2) — their
 //! performance-grade implementations are native.
 
-use crate::ir::{
-    BinOp, Expr, KimbapWhile, MapDecl, NodeIterator, Program, Stmt, TopStmt,
-};
-use kimbap_npm::DynReduceOp;
+use crate::frontend::parse;
+use crate::ir::Program;
+use std::sync::OnceLock;
 
-fn v(i: usize) -> Expr {
-    Expr::Var(i)
-}
-
-fn c(x: u64) -> Expr {
-    Expr::Const(x)
-}
-
-fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
-    Expr::bin(op, a, b)
-}
-
-fn read(dst: usize, map: usize, key: Expr) -> Stmt {
-    Stmt::Read { dst, map, key }
-}
-
-fn reduce(map: usize, key: Expr, value: Expr) -> Stmt {
-    Stmt::Reduce { map, key, value }
-}
-
-fn iff(cond: Expr, then: Vec<Stmt>) -> Stmt {
-    Stmt::If { cond, then }
-}
-
-fn for_edges(body: Vec<Stmt>) -> Stmt {
-    Stmt::ForEdges { body }
-}
-
-fn while_loop(quiesce_map: usize, body: Vec<Stmt>) -> TopStmt {
-    TopStmt::While(KimbapWhile {
-        quiesce_map,
-        iterator: NodeIterator::AllNodes,
-        body,
-    })
+/// Parses a built-in source on first use; every later call clones the
+/// cached program (the parser leaks its name strings, once per source).
+fn parsed(cell: &OnceLock<Program>, src: &str) -> Program {
+    cell.get_or_init(|| parse(src).unwrap_or_else(|e| panic!("built-in program: {e}")))
+        .clone()
 }
 
 /// Shiloach-Vishkin connected components — the paper's Fig. 4, verbatim.
 pub fn cc_sv() -> Program {
-    let parent = 0;
-    let work_done = 0;
-    let hook = vec![
-        read(0, parent, Expr::Node),
-        for_edges(vec![
-            read(1, parent, Expr::EdgeDst),
-            iff(
-                bin(BinOp::Gt, v(0), v(1)),
-                vec![
-                    Stmt::ReduceScalar {
-                        reducer: work_done,
-                        value: c(1),
-                    },
-                    reduce(parent, v(0), v(1)),
-                ],
-            ),
-        ]),
-    ];
-    let shortcut = vec![
-        read(0, parent, Expr::Node),
-        read(1, parent, v(0)),
-        iff(bin(BinOp::Ne, v(0), v(1)), vec![reduce(parent, Expr::Node, v(1))]),
-    ];
-    Program {
-        name: "cc-sv",
-        maps: vec![MapDecl {
-            op: DynReduceOp::Min,
-            name: "parent",
-        }],
-        num_reducers: 1,
-        num_vars: 2,
-        body: vec![
-            TopStmt::InitMap {
-                map: parent,
-                value: Expr::Node,
-            },
-            TopStmt::DoWhileScalar {
-                body: vec![
-                    TopStmt::SetScalar {
-                        reducer: work_done,
-                        value: 0,
-                    },
-                    while_loop(parent, hook),
-                    while_loop(parent, shortcut),
-                ],
-                reducer: work_done,
-            },
-        ],
-    }
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program cc_sv {
+    map parent : min;
+    reducer work_done;
+
+    init parent = node;
+    do {
+        set work_done = 0;
+        // Hook: min-reduce parent(parent(src)) by parent(dst).
+        while updated(parent) {
+            let src_parent = parent[node];
+            for edges {
+                let dst_parent = parent[dst];
+                if src_parent > dst_parent {
+                    work_done += 1;
+                    parent[src_parent] <- dst_parent;
+                }
+            }
+        }
+        // Shortcut: parent(n) = parent(parent(n)).
+        while updated(parent) {
+            let p = parent[node];
+            let grand = parent[p];
+            if p != grand {
+                parent[node] <- grand;
+            }
+        }
+    } while work_done;
+}
+"#,
+    )
 }
 
 /// Label-propagation connected components (push style, adjacent-vertex).
 pub fn cc_lp() -> Program {
-    let label = 0;
-    Program {
-        name: "cc-lp",
-        maps: vec![MapDecl {
-            op: DynReduceOp::Min,
-            name: "label",
-        }],
-        num_reducers: 0,
-        num_vars: 2,
-        body: vec![
-            TopStmt::InitMap {
-                map: label,
-                value: Expr::Node,
-            },
-            while_loop(
-                label,
-                vec![
-                    read(0, label, Expr::Node),
-                    for_edges(vec![
-                        read(1, label, Expr::EdgeDst),
-                        iff(
-                            bin(BinOp::Lt, v(0), v(1)),
-                            vec![reduce(label, Expr::EdgeDst, v(0))],
-                        ),
-                    ]),
-                ],
-            ),
-        ],
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program cc_lp {
+    map label : min;
+
+    init label = node;
+    while updated(label) {
+        let my = label[node];
+        for edges {
+            let other = label[dst];
+            if my < other {
+                label[dst] <- my;
+            }
+        }
     }
+}
+"#,
+    )
 }
 
 /// Shortcutting label propagation: LP sweeps and pointer-jumping sweeps
 /// alternate until neither makes progress.
 pub fn cc_sclp() -> Program {
-    let label = 0;
-    let changed = 0;
-    let lp = vec![
-        read(0, label, Expr::Node),
-        for_edges(vec![
-            read(1, label, Expr::EdgeDst),
-            iff(
-                bin(BinOp::Lt, v(0), v(1)),
-                vec![
-                    Stmt::ReduceScalar {
-                        reducer: changed,
-                        value: c(1),
-                    },
-                    reduce(label, Expr::EdgeDst, v(0)),
-                ],
-            ),
-        ]),
-    ];
-    let shortcut = vec![
-        read(0, label, Expr::Node),
-        read(1, label, v(0)),
-        iff(
-            bin(BinOp::Ne, v(0), v(1)),
-            vec![
-                Stmt::ReduceScalar {
-                    reducer: changed,
-                    value: c(1),
-                },
-                reduce(label, Expr::Node, v(1)),
-            ],
-        ),
-    ];
-    Program {
-        name: "cc-sclp",
-        maps: vec![MapDecl {
-            op: DynReduceOp::Min,
-            name: "label",
-        }],
-        num_reducers: 1,
-        num_vars: 2,
-        body: vec![
-            TopStmt::InitMap {
-                map: label,
-                value: Expr::Node,
-            },
-            TopStmt::DoWhileScalar {
-                body: vec![
-                    TopStmt::SetScalar {
-                        reducer: changed,
-                        value: 0,
-                    },
-                    while_loop(label, lp),
-                    while_loop(label, shortcut),
-                ],
-                reducer: changed,
-            },
-        ],
-    }
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program cc_sclp {
+    map label : min;
+    reducer changed;
+
+    init label = node;
+    do {
+        set changed = 0;
+        // Label propagation sweep (adjacent-vertex).
+        while updated(label) {
+            let my = label[node];
+            for edges {
+                let other = label[dst];
+                if my < other {
+                    changed += 1;
+                    label[dst] <- my;
+                }
+            }
+        }
+        // Pointer-jumping sweep (trans-vertex).
+        while updated(label) {
+            let p = label[node];
+            let grand = label[p];
+            if p != grand {
+                changed += 1;
+                label[node] <- grand;
+            }
+        }
+    } while changed;
+}
+"#,
+    )
 }
 
 /// Priority-based maximal independent set. States: 0 undecided, 1 in-set,
 /// 2 out. Priority: lower degree wins, node id breaks ties.
 pub fn mis() -> Program {
-    let (deg, state, best) = (0, 1, 2);
-    let active = 0;
-    // priority(d, id) = (0xFFFF_FFFF - d) * 2^32 + id
-    let prio = |d: Expr, id: Expr| {
-        bin(
-            BinOp::Add,
-            bin(
-                BinOp::Mul,
-                bin(BinOp::Sub, c(0xFFFF_FFFF), d),
-                c(0x1_0000_0000),
-            ),
-            id,
-        )
-    };
-    let degree_count = vec![for_edges(vec![reduce(deg, Expr::Node, c(1))])];
-    let phase1 = vec![
-        read(0, state, Expr::Node),
-        iff(
-            bin(BinOp::Eq, v(0), c(0)),
-            vec![for_edges(vec![
-                read(1, state, Expr::EdgeDst),
-                iff(
-                    bin(BinOp::Eq, v(1), c(0)),
-                    vec![
-                        read(2, deg, Expr::EdgeDst),
-                        Stmt::Let {
-                            dst: 3,
-                            value: prio(v(2), Expr::EdgeDst),
-                        },
-                        reduce(best, Expr::Node, v(3)),
-                    ],
-                ),
-            ])],
-        ),
-    ];
-    let phase2 = vec![
-        read(0, state, Expr::Node),
-        iff(
-            bin(BinOp::Eq, v(0), c(0)),
-            vec![
-                read(1, deg, Expr::Node),
-                Stmt::Let {
-                    dst: 2,
-                    value: prio(v(1), Expr::Node),
-                },
-                read(3, best, Expr::Node),
-                iff(
-                    bin(BinOp::Gt, v(2), v(3)),
-                    vec![reduce(state, Expr::Node, c(1))],
-                ),
-            ],
-        ),
-    ];
-    let phase3 = vec![
-        read(0, state, Expr::Node),
-        iff(
-            bin(BinOp::Eq, v(0), c(1)),
-            vec![for_edges(vec![
-                read(1, state, Expr::EdgeDst),
-                iff(
-                    bin(BinOp::Eq, v(1), c(0)),
-                    vec![reduce(state, Expr::EdgeDst, c(2))],
-                ),
-            ])],
-        ),
-    ];
-    let count = vec![
-        read(0, state, Expr::Node),
-        iff(
-            bin(BinOp::Eq, v(0), c(0)),
-            vec![Stmt::ReduceScalar {
-                reducer: active,
-                value: c(1),
-            }],
-        ),
-    ];
-    Program {
-        name: "mis",
-        maps: vec![
-            MapDecl {
-                op: DynReduceOp::Sum,
-                name: "degree",
-            },
-            MapDecl {
-                op: DynReduceOp::Max,
-                name: "state",
-            },
-            MapDecl {
-                op: DynReduceOp::Max,
-                name: "best",
-            },
-        ],
-        num_reducers: 1,
-        num_vars: 4,
-        body: vec![
-            TopStmt::ParForOnce { body: degree_count },
-            TopStmt::DoWhileScalar {
-                body: vec![
-                    TopStmt::SetScalar {
-                        reducer: active,
-                        value: 0,
-                    },
-                    TopStmt::ResetMap { map: best },
-                    TopStmt::ParForOnce { body: phase1 },
-                    TopStmt::ParForOnce { body: phase2 },
-                    TopStmt::ParForOnce { body: phase3 },
-                    TopStmt::ParForOnce { body: count },
-                ],
-                reducer: active,
-            },
-        ],
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program mis {
+    map degree : sum;
+    map state  : max;
+    map best   : max;
+    reducer active;
+
+    // Global degrees: one count per local edge, summed at the owner.
+    parfor {
+        for edges {
+            degree[node] <- 1;
+        }
     }
+
+    do {
+        set active = 0;
+        reset best;
+        // Phase 1: highest undecided-neighbor priority,
+        // (0xFFFF_FFFF - degree) * 2^32 + id.
+        parfor {
+            let s = state[node];
+            if s == 0 {
+                for edges {
+                    let t = state[dst];
+                    if t == 0 {
+                        let d = degree[dst];
+                        let p = (4294967295 - d) * 4294967296 + dst;
+                        best[node] <- p;
+                    }
+                }
+            }
+        }
+        // Phase 2: winners join the set.
+        parfor {
+            let s = state[node];
+            if s == 0 {
+                let d = degree[node];
+                let my = (4294967295 - d) * 4294967296 + node;
+                let top = best[node];
+                if my > top {
+                    state[node] <- 1;
+                }
+            }
+        }
+        // Phase 3: neighbors of winners drop out.
+        parfor {
+            let s = state[node];
+            if s == 1 {
+                for edges {
+                    let t = state[dst];
+                    if t == 0 {
+                        state[dst] <- 2;
+                    }
+                }
+            }
+        }
+        // Quiescence: any undecided node left?
+        parfor {
+            let s = state[node];
+            if s == 0 {
+                active += 1;
+            }
+        }
+    } while active;
+}
+"#,
+    )
 }
 
 /// Louvain's operator access pattern, for classification: the move
 /// operator reads neighboring communities' totals (trans-vertex), while
 /// the modularity/aggregation operator only reads adjacent communities.
 pub fn louvain_sketch() -> Program {
-    let (comm, comm_tot) = (0, 1);
-    let move_op = vec![
-        read(0, comm, Expr::Node),
-        read(1, comm_tot, v(0)), // total of own community: computed key
-        for_edges(vec![
-            read(2, comm, Expr::EdgeDst),
-            read(3, comm_tot, v(2)), // neighbor community total: computed key
-            iff(
-                bin(BinOp::Gt, v(3), v(1)),
-                vec![reduce(comm, Expr::Node, v(2))],
-            ),
-        ]),
-    ];
-    let modularity_op = vec![
-        read(0, comm, Expr::Node),
-        for_edges(vec![
-            read(1, comm, Expr::EdgeDst),
-            iff(
-                bin(BinOp::Eq, v(0), v(1)),
-                vec![Stmt::ReduceScalar {
-                    reducer: 0,
-                    value: Expr::EdgeWeight,
-                }],
-            ),
-        ]),
-    ];
-    Program {
-        name: "louvain",
-        maps: vec![
-            MapDecl {
-                op: DynReduceOp::Min,
-                name: "comm",
-            },
-            MapDecl {
-                op: DynReduceOp::Sum,
-                name: "comm_tot",
-            },
-        ],
-        num_reducers: 1,
-        num_vars: 4,
-        body: vec![
-            TopStmt::InitMap {
-                map: comm,
-                value: Expr::Node,
-            },
-            while_loop(comm, move_op),
-            while_loop(comm, modularity_op),
-        ],
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program louvain {
+    map comm : min;
+    map comm_tot : sum;
+    reducer modularity;
+
+    init comm = node;
+    // Move: own and neighbor community totals at computed keys.
+    while updated(comm) {
+        let c = comm[node];
+        let tot = comm_tot[c];
+        for edges {
+            let nc = comm[dst];
+            let ntot = comm_tot[nc];
+            if ntot > tot {
+                comm[node] <- nc;
+            }
+        }
     }
+    // Modularity: weight of intra-community edges.
+    while updated(comm) {
+        let c = comm[node];
+        for edges {
+            let nc = comm[dst];
+            if c == nc {
+                modularity += weight;
+            }
+        }
+    }
+}
+"#,
+    )
 }
 
 /// Leiden's access pattern: Louvain's operators plus subcommunity
 /// refinement (trans-vertex reads of subcommunity state).
 pub fn leiden_sketch() -> Program {
-    let mut p = louvain_sketch();
-    p.name = "leiden";
-    p.maps.push(MapDecl {
-        op: DynReduceOp::Min,
-        name: "subcomm",
-    });
-    p.maps.push(MapDecl {
-        op: DynReduceOp::Sum,
-        name: "subcomm_tot",
-    });
-    let (subcomm, subcomm_tot) = (2, 3);
-    let refine_op = vec![
-        read(0, subcomm, Expr::Node),
-        read(1, subcomm_tot, v(0)), // computed key: trans
-        for_edges(vec![
-            read(2, subcomm, Expr::EdgeDst),
-            iff(
-                bin(BinOp::Lt, v(2), v(0)),
-                vec![reduce(subcomm, Expr::Node, v(2))],
-            ),
-        ]),
-    ];
-    p.body.push(while_loop(subcomm, refine_op));
-    p
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program leiden {
+    map comm : min;
+    map comm_tot : sum;
+    map subcomm : min;
+    map subcomm_tot : sum;
+    reducer modularity;
+
+    init comm = node;
+    // Louvain's move and modularity operators.
+    while updated(comm) {
+        let c = comm[node];
+        let tot = comm_tot[c];
+        for edges {
+            let nc = comm[dst];
+            let ntot = comm_tot[nc];
+            if ntot > tot {
+                comm[node] <- nc;
+            }
+        }
+    }
+    while updated(comm) {
+        let c = comm[node];
+        for edges {
+            let nc = comm[dst];
+            if c == nc {
+                modularity += weight;
+            }
+        }
+    }
+    // Refinement: the subcommunity total at a computed key.
+    while updated(subcomm) {
+        let s = subcomm[node];
+        let tot = subcomm_tot[s];
+        for edges {
+            let ns = subcomm[dst];
+            if ns < s {
+                subcomm[node] <- ns;
+            }
+        }
+    }
+}
+"#,
+    )
 }
 
 /// Boruvka MSF's access pattern: every operator writes or reads through a
 /// component representative (computed key), so the app is trans-only.
 pub fn msf_sketch() -> Program {
-    let (parent, minedge) = (0, 1);
-    let select_op = vec![
-        read(0, parent, Expr::Node),
-        for_edges(vec![
-            read(1, parent, Expr::EdgeDst),
-            iff(
-                bin(BinOp::Ne, v(0), v(1)),
-                vec![
-                    // Min-reduce the edge weight onto both components.
-                    reduce(minedge, v(0), Expr::EdgeWeight),
-                    reduce(minedge, v(1), Expr::EdgeWeight),
-                ],
-            ),
-        ]),
-    ];
-    let hook_op = vec![
-        read(0, minedge, Expr::Node),
-        read(1, parent, v(0)),
-        reduce(parent, v(1), v(0)),
-    ];
-    let shortcut_op = vec![
-        read(0, parent, Expr::Node),
-        read(1, parent, v(0)),
-        iff(bin(BinOp::Ne, v(0), v(1)), vec![reduce(parent, Expr::Node, v(1))]),
-    ];
-    Program {
-        name: "msf",
-        maps: vec![
-            MapDecl {
-                op: DynReduceOp::Min,
-                name: "parent",
-            },
-            MapDecl {
-                op: DynReduceOp::Min,
-                name: "minedge",
-            },
-        ],
-        num_reducers: 0,
-        num_vars: 2,
-        body: vec![
-            TopStmt::InitMap {
-                map: parent,
-                value: Expr::Node,
-            },
-            while_loop(parent, select_op),
-            while_loop(parent, hook_op),
-            while_loop(parent, shortcut_op),
-        ],
+    static P: OnceLock<Program> = OnceLock::new();
+    parsed(
+        &P,
+        r#"
+program msf {
+    map parent : min;
+    map minedge : min;
+
+    init parent = node;
+    // Select: min-reduce the edge weight onto both components.
+    while updated(parent) {
+        let p = parent[node];
+        for edges {
+            let q = parent[dst];
+            if p != q {
+                minedge[p] <- weight;
+                minedge[q] <- weight;
+            }
+        }
     }
+    // Hook through the lightest edge.
+    while updated(parent) {
+        let e = minedge[node];
+        let p = parent[e];
+        parent[p] <- e;
+    }
+    // Shortcut.
+    while updated(parent) {
+        let p = parent[node];
+        let grand = parent[p];
+        if p != grand {
+            parent[node] <- grand;
+        }
+    }
+}
+"#,
+    )
 }
 
 #[cfg(test)]
@@ -468,20 +350,6 @@ mod tests {
             msf_sketch(),
         ] {
             assert!(!p.maps.is_empty(), "{} has maps", p.name);
-        }
-    }
-
-    #[test]
-    fn cc_sv_matches_fig4_structure() {
-        let p = cc_sv();
-        // Outer do-while on work_done wrapping hook + shortcut whiles.
-        assert_eq!(p.loops().len(), 2);
-        match &p.body[1] {
-            TopStmt::DoWhileScalar { body, reducer } => {
-                assert_eq!(*reducer, 0);
-                assert_eq!(body.len(), 3);
-            }
-            other => panic!("expected do-while, got {other:?}"),
         }
     }
 }

@@ -1134,16 +1134,137 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sketches_compile_without_panic() {
-        for p in [
-            programs::louvain_sketch(),
-            programs::leiden_sketch(),
-            programs::msf_sketch(),
-        ] {
-            let full = compile(&p, OptLevel::Full);
-            let none = compile(&p, OptLevel::None);
-            assert_eq!(full.maps.len(), none.maps.len());
+    /// One line per compiled step: a loop's iterator, its pinned, reduced
+    /// and broadcast maps, its request-phase count and both certificates.
+    fn skeleton(tops: &[CompiledTop], depth: usize, out: &mut Vec<String>) {
+        let pad = "  ".repeat(depth);
+        for t in tops {
+            let line = match t {
+                CompiledTop::InitMap { map, .. } => format!("init m{map}"),
+                CompiledTop::ResetMap { map } => format!("reset m{map}"),
+                CompiledTop::SetScalar { reducer, value } => format!("set s{reducer} = {value}"),
+                CompiledTop::Loop(l) | CompiledTop::Once(l) => {
+                    let head = match t {
+                        CompiledTop::Loop(_) => format!("while m{}", l.quiesce_map),
+                        _ => "once".to_owned(),
+                    };
+                    let sparse = l.sparse.as_ref().map(|s| &s.read_deps);
+                    format!(
+                        "{head} over {:?}: pin {:?}, reduce {:?}, broadcast {:?}, \
+                         {} request phase(s), sparse {sparse:?}, local fixpoint {}",
+                        l.iterator,
+                        l.pinned_maps,
+                        l.reduce_maps,
+                        l.broadcast_maps,
+                        l.request_phases.len(),
+                        l.local_fixpoint,
+                    )
+                }
+                CompiledTop::DoWhileScalar { body, reducer } => {
+                    out.push(format!("{pad}do while s{reducer}"));
+                    skeleton(body, depth + 1, out);
+                    continue;
+                }
+            };
+            out.push(format!("{pad}{line}"));
         }
+    }
+
+    #[test]
+    fn every_built_in_plan_keeps_its_skeleton() {
+        let mut got = Vec::new();
+        for (name, p) in [
+            ("cc-sv", programs::cc_sv()),
+            ("cc-lp", programs::cc_lp()),
+            ("cc-sclp", programs::cc_sclp()),
+            ("mis", programs::mis()),
+            ("louvain", programs::louvain_sketch()),
+            ("leiden", programs::leiden_sketch()),
+            ("msf", programs::msf_sketch()),
+        ] {
+            for opt in [OptLevel::Full, OptLevel::None] {
+                got.push(format!("{name} at {opt:?}"));
+                skeleton(&compile(&p, opt).body, 1, &mut got);
+            }
+        }
+        let want = [
+        "cc-sv at Full",
+        "  init m0",
+        "  do while s0",
+        "    set s0 = 0",
+        "    while m0 over AllNodes: pin [0], reduce [0], broadcast [0], 0 request phase(s), sparse None, local fixpoint false",
+        "    while m0 over Masters: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "cc-sv at None",
+        "  init m0",
+        "  do while s0",
+        "    set s0 = 0",
+        "    while m0 over AllNodes: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "    while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "cc-lp at Full",
+        "  init m0",
+        "  while m0 over AllNodes: pin [0], reduce [0], broadcast [0], 0 request phase(s), sparse Some([(0, Adjacent)]), local fixpoint true",
+        "cc-lp at None",
+        "  init m0",
+        "  while m0 over AllNodes: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "cc-sclp at Full",
+        "  init m0",
+        "  do while s0",
+        "    set s0 = 0",
+        "    while m0 over AllNodes: pin [0], reduce [0], broadcast [0], 0 request phase(s), sparse None, local fixpoint false",
+        "    while m0 over Masters: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "cc-sclp at None",
+        "  init m0",
+        "  do while s0",
+        "    set s0 = 0",
+        "    while m0 over AllNodes: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "    while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "mis at Full",
+        "  once over AllNodes: pin [], reduce [0], broadcast [], 0 request phase(s), sparse None, local fixpoint false",
+        "  do while s0",
+        "    set s0 = 0",
+        "    reset m2",
+        "    once over AllNodes: pin [0, 1], reduce [2], broadcast [], 0 request phase(s), sparse Some([(0, Adjacent), (1, Adjacent)]), local fixpoint false",
+        "    once over Masters: pin [], reduce [1], broadcast [], 0 request phase(s), sparse Some([(0, SelfKey), (1, SelfKey), (2, SelfKey)]), local fixpoint false",
+        "    once over AllNodes: pin [1], reduce [1], broadcast [1], 0 request phase(s), sparse Some([(1, Adjacent)]), local fixpoint false",
+        "    once over Masters: pin [], reduce [], broadcast [], 0 request phase(s), sparse None, local fixpoint false",
+        "mis at None",
+        "  once over AllNodes: pin [], reduce [0], broadcast [], 0 request phase(s), sparse None, local fixpoint false",
+        "  do while s0",
+        "    set s0 = 0",
+        "    reset m2",
+        "    once over AllNodes: pin [], reduce [2], broadcast [], 3 request phase(s), sparse None, local fixpoint false",
+        "    once over AllNodes: pin [], reduce [1], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "    once over AllNodes: pin [], reduce [1], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "    once over AllNodes: pin [], reduce [], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "louvain at Full",
+        "  init m0",
+        "  while m0 over AllNodes: pin [0], reduce [0], broadcast [0], 1 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [0], reduce [], broadcast [], 0 request phase(s), sparse None, local fixpoint false",
+        "louvain at None",
+        "  init m0",
+        "  while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [], reduce [], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "leiden at Full",
+        "  init m0",
+        "  while m0 over AllNodes: pin [0], reduce [0], broadcast [0], 1 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [0], reduce [], broadcast [], 0 request phase(s), sparse None, local fixpoint false",
+        "  while m2 over AllNodes: pin [2], reduce [2], broadcast [2], 1 request phase(s), sparse None, local fixpoint false",
+        "leiden at None",
+        "  init m0",
+        "  while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [], reduce [], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "  while m2 over AllNodes: pin [], reduce [2], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "msf at Full",
+        "  init m0",
+        "  while m0 over AllNodes: pin [0], reduce [1], broadcast [], 0 request phase(s), sparse Some([(0, Adjacent)]), local fixpoint false",
+        "  while m0 over Masters: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over Masters: pin [], reduce [0], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "msf at None",
+        "  init m0",
+        "  while m0 over AllNodes: pin [], reduce [1], broadcast [], 1 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        "  while m0 over AllNodes: pin [], reduce [0], broadcast [], 2 request phase(s), sparse None, local fixpoint false",
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -7,12 +7,10 @@
 //! keeping the two streams separate so weight-blind consumers
 //! ([`CompressedGraph::targets`]) never touch weight bytes. The
 //! unit-weight fast path stores no weight bytes at all and materializes
-//! `1` on read. A sampled offset index (one `u32` byte offset every
-//! `stride` nodes, default [`INDEX_STRIDE`]) gives near-O(1) random
-//! access: locate the sample, then skip at most `stride − 1` blocks
-//! sequentially. The default stride is 1 — direct block starts — because
-//! the BSP hot loops decode every node's block once per round and a skip
-//! multiplies straight into compute time.
+//! `1` on read. A direct offset index (one `u32` block start per node)
+//! gives O(1) random access: the BSP hot loops decode every node's block
+//! once per round, and the index costs 4 bytes per node, half of raw
+//! CSR's 8-byte offsets.
 //!
 //! Raw CSR spends 4 bytes per edge on targets plus 8 on weights plus
 //! 8 per node on offsets; the compressed form typically lands well under
@@ -20,16 +18,6 @@
 //! `max_graph_size` bench and the `ci.sh` bytes-per-edge assertion).
 
 use crate::csr::{NodeId, Weight};
-
-/// Default index stride: one `u32` block-start sample per this many
-/// nodes. Larger strides cost fewer index bytes (4 / stride per node) but
-/// pay a sequential block skip on random access; profile-driven default
-/// is 1 (a direct block-start per node) because the BSP hot loops call
-/// `edges(u)` once per node per round and any skip multiplies straight
-/// into compute time, while the index is ≤ 4 bytes/node — small next to
-/// raw CSR's 8-byte offsets. [`CompressedGraph::from_csr_slices_with_stride`]
-/// takes an explicit stride for memory-tighter, colder data.
-pub const INDEX_STRIDE: usize = 1;
 
 // --- LEB128 varints + zigzag ------------------------------------------------
 
@@ -109,7 +97,7 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 
 // --- The compressed graph ---------------------------------------------------
 
-/// A graph in per-node delta+varint blocks with a sampled offset index.
+/// A graph in per-node delta+varint blocks with a direct offset index.
 ///
 /// Neighbor blocks are sorted ascending (construction sorts each node's
 /// `(target, weight)` pairs if the input CSR was not). All algorithms in
@@ -124,10 +112,8 @@ pub struct CompressedGraph {
     total_weight: u64,
     /// Concatenated per-node blocks.
     data: Vec<u8>,
-    /// Byte offset of the block of node `i * stride`.
+    /// Byte offset of each node's block.
     index: Vec<u32>,
-    /// Nodes per index sample (1 = direct block starts, no skipping).
-    stride: usize,
     /// How many of `data`'s bytes encode weights (0 when unit-weight);
     /// lets size reporting split topology from weight storage honestly.
     weight_data_bytes: usize,
@@ -141,40 +127,20 @@ impl CompressedGraph {
     /// Panics if the encoded data would exceed the `u32` index range
     /// (≈4 GiB of compressed blocks), or if the slices are inconsistent.
     pub fn from_csr_slices(offsets: &[u64], targets: &[NodeId], weights: &[Weight]) -> Self {
-        Self::from_csr_slices_with_stride(offsets, targets, weights, INDEX_STRIDE)
-    }
-
-    /// [`CompressedGraph::from_csr_slices`] with an explicit index
-    /// stride: one `u32` block-start sample every `stride` nodes, the
-    /// other `stride − 1` blocks reached by sequential skip.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `stride == 0`, on inconsistent slices, or if the encoded
-    /// data would exceed the `u32` index range.
-    pub fn from_csr_slices_with_stride(
-        offsets: &[u64],
-        targets: &[NodeId],
-        weights: &[Weight],
-        stride: usize,
-    ) -> Self {
         assert!(!offsets.is_empty(), "offsets must have at least one entry");
         assert_eq!(weights.len(), targets.len(), "one weight per edge");
-        assert!(stride > 0, "index stride must be positive");
         let n = offsets.len() - 1;
         let unit_weights = weights.iter().all(|&w| w == 1);
         let mut data = Vec::with_capacity(targets.len() * 2);
-        let mut index = Vec::with_capacity(n / stride + 1);
+        let mut index = Vec::with_capacity(n);
         let mut weight_data_bytes = 0usize;
         let mut total_weight = 0u64;
         let mut pairs: Vec<(NodeId, Weight)> = Vec::new();
         let mut run: Vec<u8> = Vec::new();
         for u in 0..n {
-            if u % stride == 0 {
-                let off = u32::try_from(data.len())
-                    .expect("compressed graph blocks exceed the u32 index range");
-                index.push(off);
-            }
+            let off = u32::try_from(data.len())
+                .expect("compressed graph blocks exceed the u32 index range");
+            index.push(off);
             let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
             pairs.clear();
             pairs.extend(targets[s..e].iter().copied().zip(weights[s..e].iter().copied()));
@@ -221,7 +187,6 @@ impl CompressedGraph {
             total_weight,
             data,
             index,
-            stride,
             weight_data_bytes,
         }
     }
@@ -252,7 +217,7 @@ impl CompressedGraph {
         self.data.len()
     }
 
-    /// Heap bytes of the sampled offset index.
+    /// Heap bytes of the offset index.
     pub fn index_bytes(&self) -> usize {
         self.index.len() * std::mem::size_of::<u32>()
     }
@@ -262,39 +227,11 @@ impl CompressedGraph {
         self.weight_data_bytes
     }
 
-    /// Byte position of node `u`'s block: jump to the nearest index
-    /// sample, then skip the remaining blocks sequentially.
+    /// Byte position of node `u`'s block.
     fn block_pos(&self, u: NodeId) -> usize {
         let u = u as usize;
         assert!(u < self.num_nodes, "node {u} out of range");
-        if self.stride == 1 {
-            // Direct block starts: the default, skip-free hot path.
-            return self.index[u] as usize;
-        }
-        let mut pos = self.index[u / self.stride] as usize;
-        for _ in 0..(u % self.stride) {
-            self.skip_block(&mut pos);
-        }
-        pos
-    }
-
-    /// Advances `pos` past one whole block.
-    fn skip_block(&self, pos: &mut usize) {
-        let d = get_varint(&self.data, pos) as usize;
-        if d == 0 {
-            return;
-        }
-        if self.unit_weights {
-            for _ in 0..d {
-                skip_varint(&self.data, pos);
-            }
-        } else {
-            let run = get_varint(&self.data, pos) as usize;
-            *pos += run; // the whole target run at once
-            for _ in 0..d {
-                skip_varint(&self.data, pos); // the weight run
-            }
-        }
+        self.index[u] as usize
     }
 
     /// Out-degree of `u`.
@@ -631,41 +568,6 @@ mod tests {
             c.edges(0).collect::<Vec<_>>(),
             vec![(0, 9), (1, 9), (2, 9)]
         );
-    }
-
-    #[test]
-    fn index_skip_crosses_strides() {
-        // Wide strides force the sequential-skip path across several
-        // index samples with mixed degrees; every stride must agree with
-        // the skip-free default.
-        let n = 3 * 8 + 5;
-        let mut offsets = vec![0u64];
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        for u in 0..n {
-            let d = u % 4;
-            for i in 0..d {
-                targets.push(((u + i * 7 + 1) % n) as NodeId);
-                weights.push((u * 31 + i) as u64 + 1);
-            }
-            offsets.push(targets.len() as u64);
-        }
-        roundtrip(offsets.clone(), targets.clone(), weights.clone());
-        let direct = CompressedGraph::from_csr_slices(&offsets, &targets, &weights);
-        for stride in [2, 8, 64] {
-            let sampled = CompressedGraph::from_csr_slices_with_stride(
-                &offsets, &targets, &weights, stride,
-            );
-            assert!(sampled.index_bytes() < direct.index_bytes());
-            for u in 0..n as NodeId {
-                assert_eq!(sampled.degree(u), direct.degree(u), "stride {stride}");
-                assert_eq!(
-                    sampled.edges(u).collect::<Vec<_>>(),
-                    direct.edges(u).collect::<Vec<_>>(),
-                    "stride {stride} node {u}"
-                );
-            }
-        }
     }
 
     #[test]

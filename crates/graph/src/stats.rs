@@ -26,7 +26,7 @@ pub struct GraphStats {
     pub max_degree: usize,
     /// In-memory size in bytes (all components + struct overhead).
     pub size_bytes: usize,
-    /// Bytes in the offsets array (raw) or sampled block index (compressed).
+    /// Bytes in the offsets array (raw) or block index (compressed).
     pub offsets_bytes: usize,
     /// Bytes in the targets array (raw) or topology varints (compressed).
     pub targets_bytes: usize,

@@ -26,17 +26,17 @@ pub enum GraphStore {
         /// One weight per edge, parallel to `targets`.
         weights: Vec<Weight>,
     },
-    /// Delta+varint blocks with a sampled offset index.
+    /// Delta+varint blocks with a per-node offset index.
     Compressed(CompressedGraph),
 }
 
 /// Per-component heap accounting of a [`GraphStore`] (plus the container
 /// struct itself), so compression ratios are honest: for the compressed
-/// tier, `offsets` is the sampled index and `targets`/`weights` split the
+/// tier, `offsets` is the block index and `targets`/`weights` split the
 /// block bytes between topology and weight varints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SizeBreakdown {
-    /// Offsets array (raw) or sampled block index (compressed).
+    /// Offsets array (raw) or block index (compressed).
     pub offsets: usize,
     /// Targets array (raw) or topology varint bytes (compressed).
     pub targets: usize,

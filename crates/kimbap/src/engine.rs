@@ -168,10 +168,12 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = buf.get(*pos..*pos + 8)?;
+fn take_u64(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let b = buf
+        .get(*pos..*pos + 8)
+        .ok_or_else(|| format!("{} bytes end inside the word at byte {pos}", buf.len()))?;
     *pos += 8;
-    Some(u64::from_le_bytes(b.try_into().unwrap()))
+    Ok(u64::from_le_bytes(b.try_into().unwrap()))
 }
 
 fn encode_state(s: &DurableState) -> Vec<u8> {
@@ -192,7 +194,10 @@ fn encode_state(s: &DurableState) -> Vec<u8> {
     buf
 }
 
-fn decode_state(buf: &[u8]) -> Option<DurableState> {
+/// Decodes a ring predecessor's replica. CRC framing below already guards
+/// the bytes, so a malformed payload is a peer's protocol bug; the caller
+/// escalates the `Err` through [`HostCtx::protocol_violation`].
+fn decode_state(buf: &[u8]) -> Result<DurableState, String> {
     let mut pos = 0;
     let rounds = take_u64(buf, &mut pos)?;
     let nred = take_u64(buf, &mut pos)? as usize;
@@ -206,13 +211,19 @@ fn decode_state(buf: &[u8]) -> Option<DurableState> {
         let len = take_u64(buf, &mut pos)? as usize;
         let mut pairs = Vec::with_capacity(len.min(1 << 20));
         for _ in 0..len {
-            let k = take_u64(buf, &mut pos)? as NodeId;
-            let v = take_u64(buf, &mut pos)?;
-            pairs.push((k, v));
+            let k = take_u64(buf, &mut pos)?;
+            let k = NodeId::try_from(k).map_err(|_| format!("key {k} wider than a node id"))?;
+            pairs.push((k, take_u64(buf, &mut pos)?));
         }
         maps.push(pairs);
     }
-    (pos == buf.len()).then_some(DurableState {
+    if pos != buf.len() {
+        return Err(format!(
+            "{} trailing bytes after the state",
+            buf.len() - pos
+        ));
+    }
+    Ok(DurableState {
         maps,
         reducers,
         rounds,
@@ -454,7 +465,10 @@ impl<'g> Engine<'g> {
         let mut out = vec![Vec::new(); k];
         out[(me + 1) % k] = encode_state(&self.globalize(cp));
         let recv = ctx.exchange(out);
-        self.replica = decode_state(&recv[(me + k - 1) % k]);
+        let from = (me + k - 1) % k;
+        let replica = decode_state(&recv[from])
+            .unwrap_or_else(|e| ctx.protocol_violation(format!("replica from host {from}: {e}")));
+        self.replica = Some(replica);
         ctx.set_deadline(Deadline::none());
     }
 
@@ -1163,6 +1177,27 @@ mod tests {
         let parts = partition(g, policy, hosts);
         Cluster::with_threads(hosts, threads)
             .run(|ctx| Engine::new(&parts[ctx.host()], ctx, &plan).run(ctx))
+    }
+
+    #[test]
+    fn replica_payloads_round_trip_and_malformed_ones_are_errors() {
+        let state = DurableState {
+            maps: vec![vec![(3, 7), (9, u64::MAX)], vec![]],
+            reducers: vec![5],
+            rounds: 42,
+        };
+        let buf = encode_state(&state);
+        let back = decode_state(&buf).unwrap();
+        assert_eq!(
+            (back.maps, back.reducers, back.rounds),
+            (state.maps, state.reducers, 42)
+        );
+        let short = decode_state(&buf[..buf.len() - 1]).unwrap_err();
+        assert!(short.contains("end inside the word"), "{short}");
+        let mut padded = buf.clone();
+        padded.extend_from_slice(&0u64.to_le_bytes());
+        let padded = decode_state(&padded).unwrap_err();
+        assert!(padded.contains("8 trailing bytes"), "{padded}");
     }
 
     fn merged_map0(n: usize, outs: &[EngineOutput]) -> Vec<u64> {

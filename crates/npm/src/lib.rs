@@ -65,7 +65,7 @@ pub mod sharded;
 pub mod value;
 
 pub use bitset::ConcurrentBitset;
-pub use map::{ChangedKeys, MapSnapshot, NodePropMap, Npm, NpmReadStats};
+pub use map::{ChangedKeys, MapSnapshot, NodePropMap, Npm};
 pub use ops::{DynReduceOp, Max, Min, Or, ReduceOp, Sum};
 pub use reducer::{BoolReducer, MinReducer, SumReducer};
 pub use sharded::ShardedMap;

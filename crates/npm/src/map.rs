@@ -8,22 +8,8 @@ use kimbap_comm::wire::{encode_slice, iter_decoded};
 use kimbap_comm::{HostCtx, Wire};
 use kimbap_dist::{DistGraph, LocalId, Ownership};
 use kimbap_graph::NodeId;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Read-locality counters (the measurement behind §4.2's motivation for
-/// GAR: 50–65% of reads hit master properties).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NpmReadStats {
-    /// Reads served by this host's own canonical (master) storage.
-    pub master_reads: u64,
-    /// Reads served by the remote-property cache.
-    pub remote_reads: u64,
-    /// Reduce calls issued.
-    pub reduce_calls: u64,
-    /// Keys requested across all request-syncs.
-    pub requested_keys: u64,
-}
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The keys whose readable values changed since the last
 /// [`NodePropMap::reset_updated`] — the per-round delta behind the engine's
@@ -167,51 +153,6 @@ pub trait NodePropMap<T: PropValue>: Send + Sync {
 /// taken at round boundaries where they are empty or reconstructible.
 pub type MapSnapshot<T> = Vec<T>;
 
-/// A slice that several pool threads write at *disjoint* indices: the
-/// gather-reduce's view of the dense master table, whose key-range
-/// partition ([`FastOwn::shard`]) hands every index to exactly one thread.
-struct DisjointSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _borrow: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: `ptr` and `len` describe a slice borrowed exclusively for `'a`;
-// the threads of one parallel region move `T`s in and out of it (hence
-// `T: Send`), and the caller of every `get` / `set` guarantees that no two
-// threads touch the same index.
-unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
-
-impl<'a, T: Copy> DisjointSlice<'a, T> {
-    fn new(vals: &'a mut [T]) -> Self {
-        DisjointSlice {
-            ptr: vals.as_mut_ptr(),
-            len: vals.len(),
-            _borrow: PhantomData,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// No other thread may access `i` during this parallel region.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> T {
-        assert!(i < self.len, "index {i} outside a {}-entry table", self.len);
-        // SAFETY: in bounds (above); the caller excludes other threads.
-        unsafe { *self.ptr.add(i) }
-    }
-
-    /// # Safety
-    ///
-    /// No other thread may access `i` during this parallel region.
-    #[inline]
-    unsafe fn set(&self, i: usize, v: T) {
-        assert!(i < self.len, "index {i} outside a {}-entry table", self.len);
-        // SAFETY: in bounds (above); the caller excludes other threads.
-        unsafe { *self.ptr.add(i) = v }
-    }
-}
-
 /// Escalates a peer buffer that is not a whole number of `W` records as a
 /// protocol violation instead of letting the decoder's assertion trip.
 /// One length check per buffer, before anything is decoded.
@@ -256,10 +197,6 @@ pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     /// CF: per-thread partial buffers and the combine's state.
     cf: CfPartials<T>,
     pinned: bool,
-    /// Read-locality counting is off by default: the per-read atomic
-    /// increments contend across threads in the hottest loop of every
-    /// algorithm. The locality experiment switches it on.
-    count_reads: bool,
     /// Pin happened this round: the next broadcast must carry all mirror
     /// values, not just updated ones.
     broadcast_all: bool,
@@ -281,10 +218,6 @@ pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     /// [`ChangedKeys::Untracked`] until the window rolls over.
     delta_tracked: bool,
     any_updated: AtomicBool,
-    master_reads: AtomicU64,
-    remote_reads: AtomicU64,
-    reduce_calls: AtomicU64,
-    requested_keys: AtomicU64,
 }
 
 impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
@@ -310,17 +243,12 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             mirror_has: vec![false; dg.num_mirrors()],
             requests: ConcurrentBitset::new(dg.num_global_nodes()),
             pinned: false,
-            count_reads: false,
             broadcast_all: false,
             changed_remote: Vec::new(),
             local_updated: ConcurrentBitset::new(0),
             lowered: ConcurrentBitset::new(0),
             delta_tracked: true,
             any_updated: AtomicBool::new(false),
-            master_reads: AtomicU64::new(0),
-            remote_reads: AtomicU64::new(0),
-            reduce_calls: AtomicU64::new(0),
-            requested_keys: AtomicU64::new(0),
         }
     }
 
@@ -335,32 +263,14 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         self.op
     }
 
-    /// Enables master/remote read counting (see [`Npm::read_stats`]).
-    /// Off by default: the counters are shared atomics on the read hot
-    /// path.
-    pub fn enable_read_stats(&mut self) {
-        self.count_reads = true;
-    }
-
-    /// Read-locality counters accumulated so far.
-    pub fn read_stats(&self) -> NpmReadStats {
-        NpmReadStats {
-            master_reads: self.master_reads.load(Ordering::Relaxed),
-            remote_reads: self.remote_reads.load(Ordering::Relaxed),
-            reduce_calls: self.reduce_calls.load(Ordering::Relaxed),
-            requested_keys: self.requested_keys.load(Ordering::Relaxed),
-        }
-    }
-
     // Local-id accessors: what compiler-lowered operator code calls for
     // keys it knows positionally (the active node, an edge destination).
 
     /// [`NodePropMap::read`] of the proxy with local id `lid`, without the
     /// trip through its global id: a master's table offset *is* its local
     /// id and mirror slot `s` is local id `num_masters + s`, so the dense
-    /// tables are indexed directly. Same value, same counters and — for a
-    /// mirror that was neither requested nor pinned — the same panic as
-    /// `read`.
+    /// tables are indexed directly. Same value and — for a mirror that was
+    /// neither requested nor pinned — the same panic as `read`.
     ///
     /// # Panics
     ///
@@ -370,18 +280,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     pub fn read_local(&self, lid: LocalId) -> T {
         let l = lid as usize;
         match l.checked_sub(self.dg.num_masters()) {
-            None => {
-                if self.count_reads {
-                    self.master_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                self.vals[l]
-            }
-            Some(slot) if self.mirror_has[slot] => {
-                if self.count_reads {
-                    self.remote_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                self.mirror_vals[slot]
-            }
+            None => self.vals[l],
+            Some(slot) if self.mirror_has[slot] => self.mirror_vals[slot],
             // An unmaterialized mirror: `read` owns the miss.
             Some(_) => self.read(self.dg.local_to_global(lid)),
         }
@@ -397,9 +297,6 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// Panics if `lid` is not a local id of the map's partition.
     #[inline]
     pub fn reduce_local(&self, tid: usize, lid: LocalId, value: T) {
-        if self.count_reads {
-            self.reduce_calls.fetch_add(1, Ordering::Relaxed);
-        }
         let op = self.op;
         let buf = self.cf.buf(tid);
         if (lid as usize) < self.dg.num_masters() {
@@ -624,24 +521,34 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     }
 
     /// Gather-reduce: folds the combined partials onto the master table
-    /// (see [`CfPartials::gather`]).
+    /// (see [`CfPartials::gather`]). Each pool thread's keys are one
+    /// contiguous run of master offsets ([`FastOwn::shard_offsets`]), so
+    /// the table splits into one `&mut` slice per thread; the lock that
+    /// hands a slice over is taken once per thread and never contended.
     fn gather_fold(&mut self, ctx: &HostCtx, received: &[Vec<u8>]) {
         let (op, fast) = (self.op, self.fast_own);
-        let table = DisjointSlice::new(&mut self.vals);
-        let (table, updated, any) = (&table, &self.updated, &self.any_updated);
-        self.cf.gather(ctx, received, |_| {
+        let bounds = fast.shard_offsets(ctx.threads(), self.key_own.num_nodes(), self.vals.len());
+        let mut rest = &mut self.vals[..];
+        let slices: Vec<Mutex<&mut [T]>> = bounds
+            .windows(2)
+            .map(|w| {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                Mutex::new(mine)
+            })
+            .collect();
+        let (slices, bounds, updated, any) = (&slices, &bounds, &self.updated, &self.any_updated);
+        self.cf.gather(ctx, received, |tid| {
+            let mut table = slices[tid].lock();
+            let base = bounds[tid];
             move |k: NodeId, v: T| {
                 let off = fast.local_offset(k).expect("gather key not owned") as usize;
-                // SAFETY: `off` is unique to this thread's key range for
-                // the duration of the gather's parallel region.
-                unsafe {
-                    let old = table.get(off);
-                    let new = op.combine(old, v);
-                    if new != old {
-                        table.set(off, new);
-                        updated.set(off);
-                        any.store(true, Ordering::Relaxed);
-                    }
+                let slot = &mut table[off - base];
+                let new = op.combine(*slot, v);
+                if new != *slot {
+                    *slot = new;
+                    updated.set(off);
+                    any.store(true, Ordering::Relaxed);
                 }
             }
         });
@@ -849,9 +756,6 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         // Masters: O(1) dense table via precomputed ownership. The cache
         // never holds owned keys (requests for them are elided).
         if let Some(off) = self.fast_own.local_offset(key) {
-            if self.count_reads {
-                self.master_reads.fetch_add(1, Ordering::Relaxed);
-            }
             return self.vals[off as usize];
         }
         // Materialized mirrors: O(1) dense table indexed by the
@@ -859,18 +763,12 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
         if let Some(slot) = self.dg.mirror_slot(key) {
             let slot = slot as usize;
             if self.mirror_has[slot] {
-                if self.count_reads {
-                    self.remote_reads.fetch_add(1, Ordering::Relaxed);
-                }
                 return self.mirror_vals[slot];
             }
         }
         // Requested keys without a mirror proxy (trans-vertex requests):
         // sorted spill, binary search.
         if let Some(v) = self.cache_lookup(key) {
-            if self.count_reads {
-                self.remote_reads.fetch_add(1, Ordering::Relaxed);
-            }
             return v;
         }
         read_miss(self.host, key)
@@ -902,9 +800,6 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
     #[inline]
     fn reduce(&self, tid: usize, key: NodeId, value: T) {
         debug_assert!((key as usize) < self.key_own.num_nodes());
-        if self.count_reads {
-            self.reduce_calls.fetch_add(1, Ordering::Relaxed);
-        }
         let op = self.op;
         let buf = self.cf.buf(tid);
         match self.fast_own.local_offset(key) {
@@ -922,10 +817,6 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> NodePropMap<T> for Npm<'g, T, Op> {
 
     fn request_sync(&mut self, ctx: &HostCtx) {
         let keys_by_owner = requested_by_owner(ctx, &self.requests, &self.key_own);
-        self.requested_keys.fetch_add(
-            keys_by_owner.iter().map(|v| v.len() as u64).sum(),
-            Ordering::Relaxed,
-        );
         self.requests.clear();
         let pairs = fetch_keys(ctx, keys_by_owner, |k| self.vals[self.key_own.master_offset(k)]);
         // Request materialization changes readable values outside the
@@ -1373,29 +1264,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn read_stats_classify_reads() {
-        let out = with_cluster(2, 1, Policy::EdgeCutBlocked, |ctx, dg| {
-            let mut npm: Npm<u64, Min> = Npm::new(dg, ctx, Min);
-            npm.enable_read_stats();
-            npm.init_masters(&|g| g as u64);
-            let my_master = dg.local_to_global(0);
-            npm.read(my_master);
-            npm.read(my_master);
-            // One remote read.
-            let remote = if ctx.host() == 0 { 20 } else { 0 };
-            npm.request(remote);
-            npm.request_sync(ctx);
-            npm.read(remote);
-            npm.read_stats()
-        });
-        for s in out {
-            assert_eq!(s.master_reads, 2);
-            assert_eq!(s.remote_reads, 1);
-            assert_eq!(s.requested_keys, 1);
-        }
-    }
-
-    #[test]
     fn request_dedup_counts_once() {
         let out = with_cluster(2, 2, Policy::EdgeCutBlocked, |ctx, dg| {
             let npm_cell = parking_lot::Mutex::new(Npm::<u64, Min>::new(dg, ctx, Min));
@@ -1406,9 +1274,9 @@ pub(crate) mod tests {
                     npm.request(remote);
                 }
             }
-            let mut npm = npm_cell.into_inner();
-            npm.request_sync(ctx);
-            npm.read_stats().requested_keys
+            let npm = npm_cell.into_inner();
+            let by_owner = requested_by_owner(ctx, &npm.requests, &npm.key_own);
+            by_owner.iter().map(Vec::len).sum::<usize>()
         });
         assert!(out.iter().all(|&c| c == 1));
     }

@@ -99,6 +99,28 @@ impl FastOwn {
         (pos as u64 * threads as u64 / span as u64) as usize
     }
 
+    /// The master offsets each of `threads` pool threads gathers, as
+    /// `threads + 1` ascending bounds over this host's `masters` offsets:
+    /// thread `t` owns `bounds[t]..bounds[t + 1]`. [`FastOwn::shard`] never
+    /// decreases along master offsets (a blocked host splits its own
+    /// offsets; hashed ownership's owned keys ascend with their offsets),
+    /// so each thread's share is one contiguous run, found by bisection.
+    pub fn shard_offsets(self, threads: usize, n: usize, masters: usize) -> Vec<usize> {
+        let first_at_least = |t: usize| {
+            let (mut lo, mut hi) = (0, masters);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.shard(self.key_at(mid as u32), threads, n) < t {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        (0..=threads).map(first_at_least).collect()
+    }
+
     /// Inverse of [`FastOwn::local_offset`]: the global key at master
     /// offset `off`.
     #[inline]
@@ -611,6 +633,29 @@ mod tests {
             // Keys of the other host still land on a valid thread.
             for g in own.masters(1 - h) {
                 assert!(fast.shard(g, threads, own.num_nodes()) < threads);
+            }
+        }
+    }
+
+    #[test]
+    fn shard_offsets_are_each_threads_keys() {
+        let weights: Vec<u64> = (0..100).map(|g| if g < 10 { 90 } else { 10 }).collect();
+        for own in [
+            Ownership::blocked_by_weight(&weights, 3),
+            Ownership::hashed(100, 3),
+            Ownership::hashed(7, 3),
+        ] {
+            for (h, threads) in [(0, 1), (1, 4), (2, 5)] {
+                let fast = FastOwn::new(&own, h);
+                let m = own.num_masters(h);
+                let bounds = fast.shard_offsets(threads, own.num_nodes(), m);
+                assert_eq!((bounds.len(), bounds[0], bounds[threads]), (threads + 1, 0, m));
+                for t in 0..threads {
+                    for off in bounds[t]..bounds[t + 1] {
+                        let k = fast.key_at(off as u32);
+                        assert_eq!(fast.shard(k, threads, own.num_nodes()), t, "{own:?} {k}");
+                    }
+                }
             }
         }
     }

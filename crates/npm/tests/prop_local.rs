@@ -236,28 +236,3 @@ fn read_local_of_an_unrequested_mirror_panics_like_read() {
         }
     }
 }
-
-/// Read counters move the same way through both accessors.
-#[test]
-fn read_local_counts_reads_like_read() {
-    let g = from_edges((0..12u32).map(|i| (i, (i + 1) % 12, 1)));
-    let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-    Cluster::new(2).run(|ctx| {
-        let dg = &parts[ctx.host()];
-        let make = || {
-            let mut m: Npm<u64, Min> = Npm::new(dg, ctx, Min);
-            m.enable_read_stats();
-            m.pin_mirrors(ctx);
-            m
-        };
-        let (by_key, by_lid) = (make(), make());
-        for l in dg.local_nodes() {
-            by_key.read(dg.local_to_global(l));
-            by_lid.read_local(l);
-            by_key.reduce(0, dg.local_to_global(l), 1);
-            by_lid.reduce_local(0, l, 1);
-        }
-        assert_eq!(by_key.read_stats(), by_lid.read_stats());
-        assert!(by_lid.read_stats().remote_reads > 0);
-    });
-}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, full test suite, lints, rustdoc, the fixed-seed
-# fault-injection matrix (3 plans x 4 algorithms -- cc-lp, louvain, msf,
-# mis -- on the simulation backend; see
-# crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
+# Tier-1 CI gate: build, full test suite, lints, rustdoc, the `unsafe`
+# line ratchet, the fixed-seed fault-injection matrix (3 plans x 4
+# algorithms -- cc-lp, louvain, msf, mis -- on the simulation backend;
+# see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
 # cross-backend fault matrix, seed-replayable simulation fuzz smokes
 # (fixed, shrinking and growing membership; hand-written loops and the
 # compiled cc-sv plan), output diffs across transports, storage tiers and
@@ -27,6 +27,16 @@ cargo clippy --workspace --benches --tests -- -D warnings
 
 echo "==> cargo doc (rustdoc warnings, e.g. links to renamed or deleted items, fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "==> unsafe ratchet (non-comment 'unsafe' lines in non-test sources under crates/)"
+UNSAFE_MAX=22
+unsafe_lines=$(grep -rn --include='*.rs' -w unsafe crates | grep -v '/tests/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | wc -l)
+echo "    $unsafe_lines unsafe lines (ratchet: $UNSAFE_MAX)"
+if [ "$unsafe_lines" -gt "$UNSAFE_MAX" ]; then
+    echo "more unsafe lines than the ratchet allows; remove one or justify raising UNSAFE_MAX" >&2
+    exit 1
+fi
 
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench -q --workspace --no-run
