@@ -9,33 +9,34 @@
 //!
 //! 1. agrees the change with the other members — the shrink gate
 //!    ([`HostCtx::recover_shrink`]) or the grow gate
-//!    ([`HostCtx::recover_grow`], while the joiner sits in
-//!    [`join_plan_elastic`] / [`HostCtx::join_cluster`]); either compacts
+//!    ([`HostCtx::recover_grow`], while the joiner knocks in
+//!    [`HostCtx::join_cluster`]); either compacts
 //!    logical ranks over the new member set and bumps the generation;
-//! 2. recomputes the graph partition over the new host count;
+//! 2. recomputes the graph partition over the new host count, under the
+//!    caller's policy and storage tier;
 //! 3. re-shards the durable state (`reshard`) — each member contributes
 //!    its own checkpoint shard plus, when its ring predecessor departed,
 //!    the predecessor's replicated shard; a joiner contributes nothing —
 //!    routing every master pair to its new owner through one exchange;
 //! 4. rebuilds the engine on the new partition, installs the adopted
-//!    state, and resumes the program from the loop that was executing.
+//!    state, and resumes the program from the loop that was executing,
+//!    inside any enclosing `do { .. } while` body.
 //!
 //! When the checkpoint cannot be reconstructed (adjacent departures, a
-//! loss before the first replication, or a non-resumable program point),
-//! every member agrees — all inputs to the
+//! loss before the first replication, or members stopped at different
+//! rounds or loops), every member agrees — all inputs to the
 //! verdict are all-reduced — to restart the program from scratch on the
 //! new membership instead. Either way the output is the one a fault-free
 //! run on the final membership produces.
 
-use crate::engine::{
-    AdoptedState, Engine, EngineConfig, EngineOutput, MembershipCause, MembershipSignal,
-};
+use crate::engine::{AdoptedState, Engine, EngineOutput, MembershipCause, MembershipSignal};
 use kimbap_comm::{clock, Deadline, HostCtx, MembershipChange};
 use kimbap_compiler::transform::CompiledProgram;
-use kimbap_dist::{ownership_for, partition, Policy};
+use kimbap_dist::{ownership_for, partition_cfg, DistGraph, PartitionCfg};
 use kimbap_graph::{Graph, NodeId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 /// Membership changes (shrinks and grows together) tolerated per program
 /// before giving up; bounds a knocker that retracts and re-knocks forever.
@@ -43,56 +44,53 @@ const MAX_MEMBERSHIP_CHANGES: u32 = 16;
 
 /// Re-sharded state plus the program point to resume from.
 struct ResumePoint {
-    top_idx: usize,
+    resume_at: Vec<usize>,
     state: AdoptedState,
 }
 
-/// Runs `plan` to completion on the current membership, surviving
-/// permanent host loss and admitting knocking joiners (see the module
-/// docs). Collective; call from every member.
-///
-/// The partition is computed *inside* the attempt from `ctx.num_hosts()`,
-/// so each retry re-partitions over the membership that is actually
-/// alive.
+/// How long a latent host knocks before giving up on admission.
+const JOIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Runs `plan` to completion, surviving permanent host loss and admitting
+/// knocking joiners (see the module docs). Collective; call from every
+/// host. A latent host waits out its declared join delay, knocks, takes
+/// the re-shard's state for its new shard and runs the rest as a full
+/// member — or, not admitted within 10 s (the members finished first),
+/// gives up benignly and returns `None`. `cfg` names the policy and
+/// storage tier; each attempt partitions over the live membership
+/// ([`live_part`]).
 pub fn run_plan_elastic(
     g: &Graph,
-    policy: Policy,
+    cfg: PartitionCfg,
     plan: &CompiledProgram,
-    config: EngineConfig,
     ctx: &HostCtx,
-) -> EngineOutput {
-    run_plan_elastic_from(g, policy, plan, config, ctx, None)
-}
-
-/// The shared elastic loop: run (or resume) the program, catching
-/// membership signals until it completes. [`run_plan_elastic`] enters
-/// with no resume point, [`join_plan_elastic`] with the state the
-/// re-shard handed the newcomer.
-fn run_plan_elastic_from(
-    g: &Graph,
-    policy: Policy,
-    plan: &CompiledProgram,
-    config: EngineConfig,
-    ctx: &HostCtx,
-    mut resume: Option<ResumePoint>,
-) -> EngineOutput {
+) -> Option<EngineOutput> {
+    let mut resume = None;
+    if !ctx.is_member() {
+        if let Some(d) = ctx.join_delay() {
+            clock::sleep(d);
+        }
+        // A give-up is a typed timeout: the members never stopped at a
+        // grow gate (the run may have finished, or growth is disabled).
+        let change = ctx.join_cluster(&Deadline::after("join", JOIN_DEADLINE)).ok()?;
+        resume = reshard(ctx, g, cfg, plan, None, &change);
+    }
     let mut changes = 0u32;
     loop {
-        let parts = partition(g, policy, ctx.num_hosts());
-        let dg = &parts[ctx.host()];
+        let dg = &live_part(g, cfg, ctx);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut engine = Engine::with_config(dg, ctx, plan, config);
+            let mut engine = Engine::new(dg, ctx, plan);
             engine.elastic = true;
             match resume.take() {
                 Some(rp) => {
                     engine.adopt(&rp.state);
-                    engine.run_from(ctx, rp.top_idx)
+                    engine.run_from(ctx, &rp.resume_at)
                 }
                 None => engine.run(ctx),
             }
         }));
         let sig = match attempt {
-            Ok(out) => return out,
+            Ok(out) => return Some(out),
             Err(payload) => match payload.downcast::<MembershipSignal>() {
                 Ok(sig) => *sig,
                 Err(payload) => resume_unwind(payload),
@@ -107,33 +105,18 @@ fn run_plan_elastic_from(
             MembershipCause::Grow => ctx.recover_grow(),
         }
         .unwrap_or_else(|e| panic!("membership change failed: {e}"));
-        resume = reshard(ctx, g, policy, plan, Some(&sig), &change);
+        resume = reshard(ctx, g, cfg, plan, Some(&sig), &change);
     }
 }
 
-/// Joins a running elastic computation from a latent host: waits out the
-/// fault plan's declared join delay, knocks until admitted (or
-/// `join_deadline` expires — the give-up is benign and returns `None`
-/// without disturbing the members), takes the re-shard's state for its
-/// new shard, and runs the rest of the program as a full member.
-/// Returns the same [`EngineOutput`] every member produces.
-pub fn join_plan_elastic(
-    g: &Graph,
-    policy: Policy,
-    plan: &CompiledProgram,
-    config: EngineConfig,
-    ctx: &HostCtx,
-    join_deadline: &Deadline,
-) -> Option<EngineOutput> {
-    if let Some(d) = ctx.join_delay() {
-        clock::sleep(d);
-    }
-    // A give-up is a typed timeout: the members never stopped at a grow
-    // gate (the run may have finished, or growth is disabled). The joiner
-    // simply reports it has nothing.
-    let change = ctx.join_cluster(join_deadline).ok()?;
-    let resume = reshard(ctx, g, policy, plan, None, &change);
-    Some(run_plan_elastic_from(g, policy, plan, config, ctx, resume))
+/// This host's part of `g` under `cfg`'s policy and storage tier, over
+/// the live membership (`cfg.hosts` is not read).
+pub fn live_part(g: &Graph, cfg: PartitionCfg, ctx: &HostCtx) -> DistGraph {
+    let cfg = PartitionCfg {
+        hosts: ctx.num_hosts(),
+        ..cfg
+    };
+    partition_cfg(g, &cfg).swap_remove(ctx.host())
 }
 
 /// Redistributes the members' checkpoint shards, plus any replica adopted
@@ -146,7 +129,7 @@ pub fn join_plan_elastic(
 fn reshard(
     ctx: &HostCtx,
     g: &Graph,
-    policy: Policy,
+    cfg: PartitionCfg,
     plan: &CompiledProgram,
     member: Option<&MembershipSignal>,
     change: &MembershipChange,
@@ -169,8 +152,7 @@ fn reshard(
     // Agree on resumability. Every input to the verdict is all-reduced,
     // so all members reach the identical decision; a joiner votes fit.
     let locally_fit = member.is_none_or(|s| {
-        s.top_idx.is_some()
-            && s.state.maps.len() == nmaps
+        s.state.maps.len() == nmaps
             && (!adopter
                 || replica.is_some_and(|r| r.rounds == s.state.rounds && r.maps.len() == nmaps))
     });
@@ -179,11 +161,7 @@ fn reshard(
     }
     // Checkpoints are taken at collective round boundaries, so every
     // member's shard must be at the same round to replay together.
-    let r_min = ctx.all_reduce_u64(member.map_or(u64::MAX, |s| s.state.rounds), |a, b| a.min(b));
-    let r_max = ctx.all_reduce_u64(member.map_or(0, |s| s.state.rounds), |a, b| a.max(b));
-    if r_min != r_max {
-        return None;
-    }
+    let rounds = agree(ctx, member.map(|s| s.state.rounds))?;
     // Coverage: members' shards plus adopted replicas must hold every
     // master of every map exactly once.
     for m in 0..nmaps {
@@ -193,18 +171,16 @@ fn reshard(
             return None;
         }
     }
-    // A joiner learns the resume point from the members (all carry the
-    // same index; min over the joiner's neutral MAX picks it).
-    let top = ctx.all_reduce_u64(
-        member.map_or(u64::MAX, |s| {
-            s.top_idx.expect("checked by the fitness vote") as u64
-        }),
-        |a, b| a.min(b),
-    ) as usize;
+    // They must also have stopped in the same loop (its index path); a
+    // joiner learns which one from the members.
+    let depth = agree(ctx, member.map(|s| s.resume_at.len() as u64))?;
+    let resume_at = (0..depth as usize)
+        .map(|d| agree(ctx, member.map(|s| s.resume_at[d] as u64)).map(|i| i as usize))
+        .collect::<Option<Vec<usize>>>()?;
 
     // Route every contributed pair to its owner under the re-partitioned
     // graph. Pairs are `(map, key, value)` triples of little-endian u64s.
-    let own = ownership_for(g, policy, new_n);
+    let own = ownership_for(g, cfg.policy, new_n);
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); new_n];
     for state in member.map(|s| &s.state).into_iter().chain(replica) {
         for (m, pairs) in state.maps.iter().enumerate() {
@@ -244,13 +220,22 @@ fn reshard(
     }
 
     Some(ResumePoint {
-        top_idx: top,
+        resume_at,
         state: AdoptedState {
             maps,
             reducers,
-            rounds: r_min,
+            rounds,
         },
     })
+}
+
+/// Agrees one value over the new membership: `Some(v)` exactly when every
+/// member voted `v`, identically everywhere. A joiner votes `None`, which
+/// is neutral. Collective.
+fn agree(ctx: &HostCtx, mine: Option<u64>) -> Option<u64> {
+    let lo = ctx.all_reduce_u64(mine.unwrap_or(u64::MAX), u64::min);
+    let hi = ctx.all_reduce_u64(mine.unwrap_or(0), u64::max);
+    (lo == hi).then_some(lo)
 }
 
 /// Decodes one peer's re-shard payload into `(map, key, value)` triples.
@@ -279,15 +264,17 @@ fn decode_triples(buf: &[u8], nmaps: usize) -> Result<Vec<(usize, NodeId, u64)>,
 mod tests {
     use super::*;
     use kimbap_comm::{Cluster, FaultPlan, HostStats};
+    use kimbap_compiler::ir::Program;
     use kimbap_compiler::{compile, programs, OptLevel};
+    use kimbap_dist::{partition, Policy};
     use kimbap_graph::gen;
 
     /// Every host of the final membership must have re-partitioned over the
     /// same boundary table, the one `ownership_for` derives from the graph
     /// and the new host count alone: host `rank`'s output lists exactly
     /// that table's masters for `rank`.
-    fn assert_final_ownership(g: &Graph, outs: &[&EngineOutput]) {
-        let own = ownership_for(g, Policy::EdgeCutBlocked, outs.len());
+    fn assert_final_ownership(g: &Graph, policy: Policy, outs: &[&EngineOutput]) {
+        let own = ownership_for(g, policy, outs.len());
         for (rank, out) in outs.iter().enumerate() {
             let keys: Vec<NodeId> = out.map_values[0].iter().map(|&(k, _)| k).collect();
             assert_eq!(
@@ -308,31 +295,29 @@ mod tests {
         out
     }
 
-    /// Elastic cc-lp on a 4-slot sim cluster (seed 11, which pins the
+    /// Elastic `program` ([`run_plan_elastic`] on every host) on a 4-slot
+    /// sim cluster, partitioned under `cfg` (seed 11, which pins the
     /// schedule, so every member catches a loss at the same checkpoint
     /// round and the run deterministically takes the re-shard path rather
-    /// than the agreed full restart). Members run [`run_plan_elastic`], a
-    /// latent host [`join_plan_elastic`]. Asserts that the finishing hosts
+    /// than the agreed full restart). Asserts that the finishing hosts
     /// are exactly `finishers`, that their merged labels equal a fault-free
     /// run's, that they re-partitioned onto one boundary table, and that
     /// the re-shard exchange moved keys. Returns each finisher's stats and
     /// the first round its last attempt ran (a restart from scratch runs
     /// round 1 again).
-    fn elastic_row(faults: FaultPlan, finishers: &[usize]) -> Vec<(HostStats, u64)> {
+    fn elastic_row(
+        program: fn() -> Program,
+        cfg: PartitionCfg,
+        faults: FaultPlan,
+        finishers: &[usize],
+    ) -> Vec<(HostStats, u64)> {
         let g = gen::grid_road(7, 7, 3);
-        let plan = compile(&programs::cc_lp(), OptLevel::Full);
+        let plan = compile(&program(), OptLevel::Full);
         let res = Cluster::with_threads(4, 1)
             .sim(11)
             .try_run_with_faults(faults, |ctx| {
-                let config = EngineConfig::default();
-                let out = if ctx.is_member() {
-                    run_plan_elastic(&g, Policy::EdgeCutBlocked, &plan, config, ctx)
-                } else {
-                    let deadline = Deadline::after("join", std::time::Duration::from_secs(60));
-                    join_plan_elastic(&g, Policy::EdgeCutBlocked, &plan, config, ctx, &deadline)
-                        .expect("joiner gave up before admission")
-                };
-                (out, ctx.stats())
+                let out = run_plan_elastic(&g, cfg, &plan, ctx);
+                (out.expect("joiner gave up before admission"), ctx.stats())
             });
         let done: Vec<usize> = (0..4).filter(|&h| res[h].is_ok()).collect();
         assert_eq!(done, finishers, "wrong hosts finished: {res:?}");
@@ -343,7 +328,7 @@ mod tests {
             free_baseline(&g),
             "elastic output diverged from the fault-free labels"
         );
-        assert_final_ownership(&g, &outs);
+        assert_final_ownership(&g, cfg.policy, &outs);
         assert!(
             hosts.iter().any(|(_, s)| s.resharded_keys > 0),
             "no keys were re-sharded"
@@ -357,14 +342,25 @@ mod tests {
     #[test]
     fn kill_join_and_join_then_kill_resume_from_resharded_state() {
         // Kill host 1: its successor adopts the replicated shard.
-        for (s, first) in elastic_row(FaultPlan::new().kill_host(1, 3), &[0, 2, 3]) {
+        let cfg = PartitionCfg::new(Policy::EdgeCutBlocked, 4);
+        for (s, first) in elastic_row(
+            programs::cc_lp,
+            cfg,
+            FaultPlan::new().kill_host(1, 3),
+            &[0, 2, 3],
+        ) {
             assert_eq!((s.membership_changes, s.joins), (1, 0));
             assert!(s.degraded_rounds >= 1, "no degraded rounds counted");
             assert!(first > 1, "the shrink restarted instead of resuming");
         }
         // Join host 3: capacity 4, the cluster computes on {0,1,2} until
         // host 3 knocks, then finishes four-wide on re-sharded masters.
-        for (s, _) in elastic_row(FaultPlan::new().join_host(3, 0), &[0, 1, 2, 3]) {
+        for (s, _) in elastic_row(
+            programs::cc_lp,
+            cfg,
+            FaultPlan::new().join_host(3, 0),
+            &[0, 1, 2, 3],
+        ) {
             assert_eq!((s.membership_changes, s.joins), (1, 1));
             assert_eq!(
                 s.degraded_rounds, 0,
@@ -374,12 +370,33 @@ mod tests {
         // Join host 3, then kill it after admission: the ring replicated
         // the newcomer's shard to host 0, which recovers it.
         let faults = FaultPlan::new().join_host(3, 0).kill_host(3, 5);
-        for (s, first) in elastic_row(faults, &[0, 1, 2]) {
+        for (s, first) in elastic_row(programs::cc_lp, cfg, faults, &[0, 1, 2]) {
             assert_eq!((s.membership_changes, s.joins), (2, 1));
             assert!(
                 first > 1,
                 "the newcomer's shard was lost: the run restarted"
             );
+        }
+    }
+
+    #[test]
+    fn vertex_cut_on_the_compressed_tier_resumes_after_a_kill_and_a_join() {
+        // The row's own policy and storage tier carry through every
+        // re-partition: the cc rows' Cartesian vertex-cut, compressed.
+        let cfg = PartitionCfg {
+            compressed: true,
+            ..PartitionCfg::new(Policy::CartesianVertexCut, 4)
+        };
+        for program in [programs::cc_lp, programs::cc_sv] {
+            let kill = FaultPlan::new().kill_host(1, 3);
+            for (s, first) in elastic_row(program, cfg, kill, &[0, 2, 3]) {
+                assert_eq!((s.membership_changes, s.joins), (1, 0));
+                assert!(first > 1, "the shrink restarted instead of resuming");
+            }
+            let join = FaultPlan::new().join_host(3, 0);
+            for (s, _) in elastic_row(program, cfg, join, &[0, 1, 2, 3]) {
+                assert_eq!((s.membership_changes, s.joins), (1, 1));
+            }
         }
     }
 

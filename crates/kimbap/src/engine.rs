@@ -153,10 +153,10 @@ pub enum MembershipCause {
 pub struct MembershipSignal {
     /// Which gate the driver runs.
     pub cause: MembershipCause,
-    /// Index of the top-level program item that was executing, when it was
-    /// a directly resumable loop; `None` (nested in a `DoWhileScalar`, or
-    /// outside any loop) forces a full restart on the new membership.
-    pub top_idx: Option<usize>,
+    /// Where the loop that was executing sits in the program: its index
+    /// in the program body, then in each enclosing `DoWhileScalar`'s body
+    /// (outermost first). [`Engine::run_from`] resumes there.
+    pub resume_at: Vec<usize>,
     /// This host's own durable state at the last checkpoint.
     pub state: DurableState,
     /// The ring predecessor's durable state from the last replication
@@ -281,10 +281,9 @@ pub struct Engine<'g> {
     /// The ring predecessor's durable state from the last replication
     /// exchange (elastic runs only).
     replica: Option<DurableState>,
-    /// Index of the top-level program item currently executing, when it is
-    /// directly under the program body (nested bodies clear it): the
-    /// resume point a [`MembershipSignal`] reports.
-    top_cursor: Option<usize>,
+    /// Index path of the program item currently executing, outermost
+    /// first: the resume point a [`MembershipSignal`] reports.
+    cursor: Vec<usize>,
     /// When set, operator bodies run through the tree-walking
     /// [`reference`] interpreter instead of the lowered code, and the
     /// counter records how many `ParFor`s did.
@@ -321,7 +320,7 @@ impl<'g> Engine<'g> {
             activity: Vec::new(),
             elastic: false,
             replica: None,
-            top_cursor: None,
+            cursor: Vec::new(),
             #[cfg(test)]
             reference: None,
         }
@@ -330,7 +329,7 @@ impl<'g> Engine<'g> {
     /// Runs the program to completion and returns the master values of
     /// every map. Collective.
     pub fn run(self, ctx: &HostCtx) -> EngineOutput {
-        self.run_from(ctx, 0)
+        self.run_from(ctx, &[])
     }
 
     /// Heap bytes of every map's dense master/mirror value tables on this
@@ -339,21 +338,24 @@ impl<'g> Engine<'g> {
         self.maps.iter().map(|m| m.table_bytes()).sum()
     }
 
-    /// Runs the program starting at top-level item `start`: 0 for a fresh
-    /// run; the [`MembershipSignal`]'s resume point after [`Engine::adopt`]
-    /// installed re-sharded state on a changed membership. Collective.
-    pub fn run_from(mut self, ctx: &HostCtx, start: usize) -> EngineOutput {
-        self.exec_from(ctx, start);
+    /// Runs the program from `resume_at`: empty for a fresh run; a
+    /// [`MembershipSignal::resume_at`] after [`Engine::adopt`] installed
+    /// re-sharded state on a changed membership. Collective.
+    pub fn run_from(mut self, ctx: &HostCtx, resume_at: &[usize]) -> EngineOutput {
+        let plan: &'g CompiledProgram = self.plan;
+        self.exec_body(ctx, &plan.body, resume_at);
         self.into_output()
     }
 
-    fn exec_from(&mut self, ctx: &HostCtx, start: usize) {
-        let plan: &'g CompiledProgram = self.plan;
-        for (i, t) in plan.body.iter().enumerate().skip(start) {
-            self.top_cursor = Some(i);
-            self.exec_top(ctx, t);
+    /// Executes `body` from the item `resume_at` names (from the top when
+    /// it is empty), tracking the item in [`Engine::cursor`].
+    fn exec_body(&mut self, ctx: &HostCtx, body: &'g [CompiledTop], resume_at: &[usize]) {
+        let (start, inner) = resume_at.split_first().map_or((0, &[][..]), |(&i, r)| (i, r));
+        for (i, t) in body.iter().enumerate().skip(start) {
+            self.cursor.push(i);
+            self.exec_top(ctx, t, if i == start { inner } else { &[] });
+            self.cursor.pop();
         }
-        self.top_cursor = None;
     }
 
     fn into_output(self) -> EngineOutput {
@@ -377,16 +379,7 @@ impl<'g> Engine<'g> {
         }
     }
 
-    fn exec_tops(&mut self, ctx: &HostCtx, tops: &[CompiledTop]) {
-        // Nested bodies (`DoWhileScalar`) are not resumable mid-iteration:
-        // clear the cursor so a shrink inside one forces a full restart.
-        self.top_cursor = None;
-        for t in tops {
-            self.exec_top(ctx, t);
-        }
-    }
-
-    fn exec_top(&mut self, ctx: &HostCtx, t: &CompiledTop) {
+    fn exec_top(&mut self, ctx: &HostCtx, t: &'g CompiledTop, resume_at: &[usize]) {
         match t {
             #[cfg(test)]
             CompiledTop::InitMap { map, value, .. } if self.reference.is_some() => {
@@ -415,14 +408,15 @@ impl<'g> Engine<'g> {
             CompiledTop::SetScalar { reducer, value } => self.reducers[*reducer].set(*value),
             CompiledTop::Loop(l) => self.exec_loop(ctx, l, true),
             CompiledTop::Once(l) => self.exec_loop(ctx, l, false),
-            CompiledTop::DoWhileScalar { body, reducer } => loop {
-                self.exec_tops(ctx, body);
-                if self.reducers[*reducer].read(ctx) == 0 {
-                    break;
+            CompiledTop::DoWhileScalar { body, reducer } => {
+                // A resumed run enters the first pass mid-body. Reset for
+                // the next pass happens via the body's leading SetScalar,
+                // as in the source program.
+                self.exec_body(ctx, body, resume_at);
+                while self.reducers[*reducer].read(ctx) != 0 {
+                    self.exec_body(ctx, body, &[]);
                 }
-                // Reset for the next iteration happens via the body's
-                // leading SetScalar, as in the source program.
-            },
+            }
         }
     }
 
@@ -478,7 +472,7 @@ impl<'g> Engine<'g> {
     fn raise(&mut self, cause: MembershipCause, cp: &Checkpoint) -> ! {
         resume_unwind(Box::new(MembershipSignal {
             cause,
-            top_idx: self.top_cursor,
+            resume_at: self.cursor.clone(),
             state: self.globalize(cp),
             replica: self.replica.take(),
         }))

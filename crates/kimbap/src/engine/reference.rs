@@ -225,7 +225,8 @@ fn run(program: &Program, g: &Graph, s: Setup, reference: bool) -> Outcome {
         };
         let mut engine = Engine::with_config(&parts[ctx.host()], ctx, &plan, config);
         engine.reference = reference.then(AtomicU64::default);
-        engine.exec_from(ctx, 0);
+        let plan = engine.plan;
+        engine.exec_body(ctx, &plan.body, &[]);
         if let Some(walked) = &engine.reference {
             assert!(
                 walked.load(Ordering::Relaxed) > 0,

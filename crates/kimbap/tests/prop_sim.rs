@@ -9,16 +9,14 @@
 mod common;
 
 use common::{comm_rooted, maybe, permanent_loss, HOSTS};
-use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
-use kimbap::engine::EngineConfig;
+use kimbap::elastic::run_plan_elastic;
 use kimbap::simfuzz;
 use kimbap_algos::{cc::cc_lp, merge_master_values, refcheck, NpmBuilder};
-use kimbap_comm::{Cluster, Deadline, FaultPlan};
+use kimbap_comm::{Cluster, FaultPlan};
 use kimbap_compiler::{compile, programs, OptLevel};
-use kimbap_dist::{partition, Policy};
+use kimbap_dist::{partition, PartitionCfg, Policy};
 use kimbap_graph::gen;
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn policies() -> impl Strategy<Value = Policy> {
     prop_oneof![
@@ -133,25 +131,12 @@ fn sim_cc_lp_churn(
     sim_seed: u64,
 ) -> Result<Option<Vec<u64>>, String> {
     let prog = compile(&programs::cc_lp(), OptLevel::Full);
+    let cfg = PartitionCfg::new(Policy::EdgeCutBlocked, HOSTS);
     let capacity = HOSTS + plan.latent_hosts().len();
     let cluster = Cluster::with_threads(capacity, 1)
         .sim(sim_seed)
         .with_transport_config(simfuzz::sim_transport_config());
-    let res = cluster.try_run_with_faults(plan, |ctx| {
-        let config = EngineConfig::default();
-        if ctx.is_member() {
-            Some(run_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx))
-        } else {
-            join_plan_elastic(
-                g,
-                Policy::EdgeCutBlocked,
-                &prog,
-                config,
-                ctx,
-                &Deadline::after("join", Duration::from_secs(30)),
-            )
-        }
-    });
+    let res = cluster.try_run_with_faults(plan, |ctx| run_plan_elastic(g, cfg, &prog, ctx));
     let mut vals = Vec::with_capacity(capacity);
     let mut surfaced = false;
     for r in res {

@@ -82,14 +82,14 @@ fn louvain_replays_byte_identical_trace() {
 /// byte-identical traces and identical labels.
 #[test]
 fn join_during_recovery_replays_byte_identical_trace() {
-    use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
-    use kimbap::engine::EngineConfig;
-    use kimbap_comm::Deadline;
+    use kimbap::elastic::run_plan_elastic;
     use kimbap_compiler::{compile, programs, OptLevel};
+    use kimbap_dist::PartitionCfg;
 
     let g = gen::rmat(6, 4, 9);
     let run = || {
         let prog = compile(&programs::cc_lp(), OptLevel::Full);
+        let cfg = PartitionCfg::new(Policy::EdgeCutBlocked, HOSTS);
         // Host 1 dies at round 2 while the spare slot knocks from the
         // very start: join and shrink recovery race by construction.
         let plan = FaultPlan::new().kill_host(1, 2).join_host(HOSTS, 0);
@@ -98,21 +98,7 @@ fn join_during_recovery_replays_byte_identical_trace() {
             .sim(23)
             .with_transport_config(simfuzz::sim_transport_config())
             .with_trace_sink(sink.clone());
-        let res = cluster.try_run_with_faults(plan, |ctx| {
-            let config = EngineConfig::default();
-            if ctx.is_member() {
-                Some(run_plan_elastic(&g, Policy::EdgeCutBlocked, &prog, config, ctx))
-            } else {
-                join_plan_elastic(
-                    &g,
-                    Policy::EdgeCutBlocked,
-                    &prog,
-                    config,
-                    ctx,
-                    &Deadline::after("join", std::time::Duration::from_secs(30)),
-                )
-            }
-        });
+        let res = cluster.try_run_with_faults(plan, |ctx| run_plan_elastic(&g, cfg, &prog, ctx));
         let mut vals = Vec::new();
         for (h, r) in res.into_iter().enumerate() {
             match r {

@@ -228,23 +228,16 @@ fn engine_hung_host_recovers_via_heartbeat() {
 /// members, membership generation, `membership_changes` and `joins`.
 type Agreement = Vec<(Vec<usize>, u64, u64, u64)>;
 
-/// The elastic compiled cc-lp plan on `cluster` under `plan`: members run
-/// `run_plan_elastic`, a latent host `join_plan_elastic`. Returns the
+/// The elastic compiled cc-lp plan (`run_plan_elastic` on every host,
+/// a latent one joining) on `cluster` under `plan`. Returns the
 /// merged labels and what every finishing host agreed; the killed host's
 /// own abort is skipped.
 fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<u64>, Agreement) {
-    use kimbap::elastic::{join_plan_elastic, run_plan_elastic};
-    use kimbap_comm::Deadline;
+    use kimbap::elastic::run_plan_elastic;
     let prog = compile(&programs::cc_lp(), OptLevel::Full);
-    let config = EngineConfig::default();
+    let cfg = PartitionCfg::new(Policy::EdgeCutBlocked, HOSTS);
     let res = cluster.try_run_with_faults(plan, |ctx| {
-        let out = if ctx.is_member() {
-            run_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx)
-        } else {
-            let deadline = Deadline::after("join", Duration::from_secs(60));
-            join_plan_elastic(g, Policy::EdgeCutBlocked, &prog, config, ctx, &deadline)
-                .expect("the joiner must be admitted")
-        };
+        let out = run_plan_elastic(g, cfg, &prog, ctx).expect("the joiner must be admitted");
         let s = ctx.stats();
         let agreed = (ctx.members(), ctx.generation(), s.membership_changes, s.joins);
         (out.map_values[0].clone(), agreed)

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build, full test suite, lints, rustdoc, the `unsafe`
-# line ratchet, the fixed-seed fault-injection matrix (3 plans x 4
-# algorithms -- cc-lp, louvain, msf, mis -- on the simulation backend;
-# see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
+# line ratchet, the fixed-seed fault-injection matrix (3 plans x the 7
+# rows of the algorithm table, on the simulation backend; see
+# crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), the
 # cross-backend fault matrix, seed-replayable simulation fuzz smokes
-# (fixed, shrinking and growing membership; hand-written loops and the
-# compiled cc-sv plan), output diffs across transports, storage tiers and
-# launchers (`kimbap run` vs `kimbap serve`, all seven algorithms),
+# (fixed, shrinking and growing membership; hand-written loops and both
+# compiled plans), output diffs across transports, fault plans, storage
+# tiers and launchers (`kimbap run` in-proc and over TCP vs `kimbap
+# serve`, all seven algorithms), kill and join smokes on both transports,
 # Louvain / Leiden across thread counts and repeats, the partitioner's
 # host-balance budget, and the benchmark package's own
 # tests and smoke run (benchmark/run.sh is the performance gate).
@@ -54,17 +55,23 @@ echo "==> simulation fuzz smoke (seed-replayable; failures print a replay cmd)"
 ./target/release/kimbap sim --algo cc-sv --seeds 25
 
 echo "==> elastic fuzz smoke (kill-bearing plans; survivors must shrink+converge)"
+# The plan rows resume from re-sharded checkpoints (cc-sv inside its
+# do-while body); the hand-written rows restart on the survivors.
 ./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink
-# The compiled plan under run_elastic: only the launcher combines them.
 ./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --allow-shrink
+./target/release/kimbap sim --algo cc-sclp --seeds 25 --hosts 4 --allow-shrink
 
 echo "==> churn fuzz smoke (seeded join/kill plans; every interleaving must converge)"
 ./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink --allow-grow
+./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --allow-shrink --allow-grow
 
 echo "==> serve scheduler fuzz smoke (seeded job mixes + banded faults; per-job diff vs serial)"
 ./target/release/kimbap serve-sim --seeds 25 --hosts 3
 
 echo "==> TCP-loopback smoke (multi-process kimbap bin vs in-proc, diffed)"
+# Every --port-base below sits under Linux's default ephemeral port range
+# (32768-60999): a listener port that an earlier connection still holds as
+# its local end, even in TIME_WAIT, fails to bind.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 # A fault smoke must prove its fault fired: the launcher names every host
@@ -82,7 +89,7 @@ fired() { # fired LOG LINE
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
     --faults drop --seed 1 --out "$SMOKE_DIR/inproc.txt"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --transport tcp --port-base 46800 --faults drop --seed 1 \
+    --transport tcp --port-base 26800 --faults drop --seed 1 \
     --out "$SMOKE_DIR/tcp.txt"
 diff "$SMOKE_DIR/inproc.txt" "$SMOKE_DIR/tcp.txt"
 echo "    in-proc and TCP labels identical"
@@ -105,45 +112,54 @@ if [ "$status" -ne 1 ] || ! grep -q -- "unknown flag '--hub-threshold'" "$SMOKE_
 fi
 echo "    unknown flags rejected by name"
 
-echo "==> kill smoke (worker 1 killed mid-run, TCP and in-proc; survivors' output diffed)"
+echo "==> kill smoke (host 1 killed mid-run, in-proc and TCP; survivors' output diffed)"
+# Under --allow-shrink the plan rows (cc-sv, cc-lp) resume from re-sharded
+# checkpoints, and cc-sclp, a hand-written loop, restarts on the survivors.
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
     --out "$SMOKE_DIR/clean.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-    --transport tcp --port-base 46900 --faults kill --allow-shrink \
-    --out "$SMOKE_DIR/degraded.txt" | tee "$SMOKE_DIR/degraded.log"
-fired "$SMOKE_DIR/degraded.log" "worker 1 was killed"
-diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded.txt"
-# In-proc runs the same membership protocol (membership.rs) as TCP.
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-    --faults kill --allow-shrink --out "$SMOKE_DIR/degraded-inproc.txt" \
-    | tee "$SMOKE_DIR/degraded-inproc.log"
-fired "$SMOKE_DIR/degraded-inproc.log" "host 1 was killed"
-diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/degraded-inproc.txt"
-echo "    degraded (3-host) and fault-free (4-host) labels identical, TCP and in-proc"
+port=26900
+for algo in cc-sv cc-lp cc-sclp; do
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
+        --faults kill --allow-shrink --out "$SMOKE_DIR/killed-$algo.txt" \
+        | tee "$SMOKE_DIR/killed-$algo.log"
+    fired "$SMOKE_DIR/killed-$algo.log" "host 1 was killed"
+    diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/killed-$algo.txt"
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
+        --transport tcp --port-base "$port" --faults kill --allow-shrink \
+        --out "$SMOKE_DIR/killed-tcp-$algo.txt" | tee "$SMOKE_DIR/killed-tcp-$algo.log"
+    fired "$SMOKE_DIR/killed-tcp-$algo.log" "worker 1 was killed"
+    diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/killed-tcp-$algo.txt"
+    port=$((port + 10))
+done
+echo "    degraded (3-host) and fault-free (4-host) labels identical, in-proc and TCP"
 
-echo "==> grow smoke (a joiner admitted mid-run, TCP worker process and in-proc; output diffed)"
-# cc-lp settles each host's slab of the grid in one round, so the job
-# lasts a few rounds whatever the diameter: the grid is large enough that
-# the members are still computing when the late joiner knocks (50 ms in).
+echo "==> grow smoke (a joiner admitted mid-run, in-proc and a TCP worker process; output diffed)"
+# The grid is large enough that the members are still computing when the
+# late joiner knocks (50 ms in), though cc-lp settles each host's slab in
+# one round.
 ./target/release/kimbap gen --kind grid --rows 400 --cols 400 --seed 9 \
     --out "$SMOKE_DIR/grid.kg"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
     --out "$SMOKE_DIR/grid-clean.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
-    --transport tcp --port-base 47200 --faults join --allow-grow \
-    --out "$SMOKE_DIR/grid-grown.txt" | tee "$SMOKE_DIR/grid-grown.log"
-fired "$SMOKE_DIR/grid-grown.log" "host 3 was admitted mid-run"
-diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
-    --faults join --allow-grow --out "$SMOKE_DIR/grid-grown-inproc.txt" \
-    | tee "$SMOKE_DIR/grid-grown-inproc.log"
-fired "$SMOKE_DIR/grid-grown-inproc.log" "host 3 was admitted mid-run"
-diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown-inproc.txt"
-echo "    grown (3 -> 4 host) and fault-free labels identical, TCP and in-proc"
+port=27200
+for algo in cc-sv cc-lp; do
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
+        --faults join --allow-grow --out "$SMOKE_DIR/grown-$algo.txt" \
+        | tee "$SMOKE_DIR/grown-$algo.log"
+    fired "$SMOKE_DIR/grown-$algo.log" "host 3 was admitted mid-run"
+    diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grown-$algo.txt"
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
+        --transport tcp --port-base "$port" --faults join --allow-grow \
+        --out "$SMOKE_DIR/grown-tcp-$algo.txt" | tee "$SMOKE_DIR/grown-tcp-$algo.log"
+    fired "$SMOKE_DIR/grown-tcp-$algo.log" "host 3 was admitted mid-run"
+    diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grown-tcp-$algo.txt"
+    port=$((port + 10))
+done
+echo "    grown (3 -> 4 host) and fault-free labels identical, in-proc and TCP"
 
-echo "==> elastic kill smoke (TCP worker 1 exits; the elastic engine re-shards its replica)"
+echo "==> churn smoke (TCP worker 1 exits under both switches; survivors re-shard its replica)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 4 --threads 2 \
-    --transport tcp --port-base 47500 --faults kill --allow-shrink --allow-grow \
+    --transport tcp --port-base 27500 --faults kill --allow-shrink --allow-grow \
     --out "$SMOKE_DIR/grid-killed.txt" | tee "$SMOKE_DIR/grid-killed.log"
 fired "$SMOKE_DIR/grid-killed.log" "worker 1 was killed"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-killed.txt"
@@ -196,11 +212,14 @@ for algo in louvain leiden; do
     echo "    $algo: $(cat "$SMOKE_DIR/det-$algo-t1.q") at 1 and 3 threads, twice; same labels on 1 and 4 hosts"
 done
 
-echo "==> run-vs-serve smoke (one table, one executor per name: outputs diffed)"
+echo "==> run-vs-serve smoke (one table, one executor per name, every launcher: outputs diffed)"
 # msf's edge list is unique only under distinct weights, and run
-# partitions it differently from serve's resident EdgeCutBlocked.
+# partitions it differently from serve's resident EdgeCutBlocked. Every
+# row runs in-proc and over TCP, fault-free and under a crash, and must
+# match the in-proc fault-free output byte for byte.
 ./target/release/kimbap gen --kind rmat --scale 8 --ef 4 --seed 9 \
     --weights 65536 --out "$SMOKE_DIR/w.kg"
+port=27800
 for algo in cc-sv cc-lp cc-sclp mis msf louvain leiden; do
     g="$SMOKE_DIR/g.kg"
     [ "$algo" = msf ] && g="$SMOKE_DIR/w.kg"
@@ -209,14 +228,18 @@ for algo in cc-sv cc-lp cc-sclp mis msf louvain leiden; do
     ./target/release/kimbap serve "$g" --hosts 3 --threads 2 \
         --job "$algo" --out-dir "$SMOKE_DIR/serve-$algo"
     diff "$SMOKE_DIR/run-$algo.txt" "$SMOKE_DIR/serve-$algo/job0-$algo.txt"
+    for faults in none crash; do
+        ./target/release/kimbap run "$algo" "$g" --hosts 3 --threads 2 \
+            --faults "$faults" --out "$SMOKE_DIR/run-$algo-$faults.txt" > /dev/null
+        diff "$SMOKE_DIR/run-$algo.txt" "$SMOKE_DIR/run-$algo-$faults.txt"
+        ./target/release/kimbap run "$algo" "$g" --hosts 3 --threads 2 \
+            --transport tcp --port-base "$port" --faults "$faults" \
+            --out "$SMOKE_DIR/tcp-$algo-$faults.txt" > /dev/null
+        diff "$SMOKE_DIR/run-$algo.txt" "$SMOKE_DIR/tcp-$algo-$faults.txt"
+        port=$((port + 10))
+    done
 done
-echo "    kimbap run and kimbap serve outputs identical for all seven"
-
-echo "==> in-proc fault smoke beyond cc-* (mis under a crash plan, diffed)"
-./target/release/kimbap run mis "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --faults crash --seed 1 --out "$SMOKE_DIR/mis-crash.txt"
-diff "$SMOKE_DIR/run-mis.txt" "$SMOKE_DIR/mis-crash.txt"
-echo "    faulted and fault-free mis outputs identical"
+echo "    run (in-proc, TCP; none, crash) and serve outputs identical for all seven"
 
 echo "==> compile smoke (an ill-formed .kv is a positioned error, not a panic)"
 cat > "$SMOKE_DIR/bad.kv" <<'KV'
