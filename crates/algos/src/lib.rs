@@ -53,32 +53,36 @@ pub mod refcheck;
 pub use builder::{MapBuilder, NpmBuilder, ShardedBuilder};
 pub use extra::{bfs, pagerank, sssp};
 pub use leiden::leiden;
-pub use louvain::{compose_labels, louvain, CommunityResult, LouvainConfig};
+pub use louvain::{compose_labels, louvain, try_compose_labels, CommunityResult, LouvainConfig};
 pub use mis::mis;
 pub use msf::msf;
 
 use kimbap_graph::NodeId;
 
+/// [`try_merge_master_values`], panicking on what it rejects.
+pub fn merge_master_values<T: Copy + Default>(n: usize, per_host: Vec<Vec<(NodeId, T)>>) -> Vec<T> {
+    try_merge_master_values(n, per_host).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Merges per-host `(global id, value)` master lists into one dense global
-/// vector.
-///
-/// # Panics
-///
-/// Panics if any node is reported by zero or two hosts — master ownership
-/// must be a partition.
-pub fn merge_master_values<T: Copy + Default>(
+/// vector. A node `>= n`, or one reported by zero or two hosts, is an
+/// `Err`: master ownership must be a partition.
+pub fn try_merge_master_values<T: Copy + Default>(
     n: usize,
     per_host: Vec<Vec<(NodeId, T)>>,
-) -> Vec<T> {
+) -> Result<Vec<T>, String> {
     let mut out = vec![T::default(); n];
     let mut seen = vec![false; n];
-    for host_vals in per_host {
-        for (g, v) in host_vals {
-            assert!(!seen[g as usize], "node {g} reported by two hosts");
-            seen[g as usize] = true;
-            out[g as usize] = v;
+    for (g, v) in per_host.into_iter().flatten() {
+        match seen.get_mut(g as usize) {
+            None => return Err(format!("node {g} out of range for {n} nodes")),
+            Some(true) => return Err(format!("node {g} reported by two hosts")),
+            Some(s) => *s = true,
         }
+        out[g as usize] = v;
     }
-    assert!(seen.iter().all(|&s| s), "some node reported by no host");
-    out
+    match seen.iter().position(|&s| !s) {
+        Some(g) => Err(format!("node {g} reported by no host")),
+        None => Ok(out),
+    }
 }

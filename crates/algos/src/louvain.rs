@@ -76,9 +76,15 @@ pub struct CommunityResult {
     pub final_nodes: usize,
 }
 
+/// [`try_compose_labels`], panicking on what it rejects.
+pub fn compose_labels(n0: usize, per_host: &[CommunityResult]) -> Vec<NodeId> {
+    try_compose_labels(n0, per_host).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Composes per-level, per-host mappings into final community labels for
 /// the original `n0` nodes. Labels are coarse-node ids of the last level.
-pub fn compose_labels(n0: usize, per_host: &[CommunityResult]) -> Vec<NodeId> {
+/// A level whose mapping misses a live node is an `Err`.
+pub fn try_compose_labels(n0: usize, per_host: &[CommunityResult]) -> Result<Vec<NodeId>, String> {
     let levels = per_host.iter().map(|r| r.mappings.len()).max().unwrap_or(0);
     let mut labels: Vec<NodeId> = (0..n0 as NodeId).collect();
     for level in 0..levels {
@@ -90,10 +96,12 @@ pub fn compose_labels(n0: usize, per_host: &[CommunityResult]) -> Vec<NodeId> {
             }
         }
         for l in labels.iter_mut() {
-            *l = *map.get(l).expect("mapping covers every live node");
+            *l = *map
+                .get(l)
+                .ok_or_else(|| format!("level {level}'s mapping misses live node {l}"))?;
         }
     }
-    labels
+    Ok(labels)
 }
 
 /// State carried between levels.
