@@ -41,12 +41,12 @@ pub fn bfs<B: MapBuilder>(
                 if my == UNREACHED {
                     continue;
                 }
-                for dst in targets {
+                targets.for_each(|dst| {
                     let dst_g = dg.local_to_global(dst);
                     if my + 1 < d.read(dst_g) {
                         d.reduce(tid, dst_g, my + 1);
                     }
-                }
+                });
             }
         });
         if !dist.sync_round(ctx) {
@@ -87,13 +87,13 @@ pub fn sssp<B: MapBuilder>(
                 if my == UNREACHED {
                     continue;
                 }
-                for (dst, w) in edges {
+                edges.for_each(|(dst, w)| {
                     let dst_g = dg.local_to_global(dst);
                     let cand = my.saturating_add(w);
                     if cand < d.read(dst_g) {
                         d.reduce(tid, dst_g, cand);
                     }
-                }
+                });
             }
         });
         if !dist.sync_round(ctx) {
@@ -163,9 +163,7 @@ pub fn pagerank<B: MapBuilder>(
                     }
                     let g = dg.local_to_global(lid);
                     let share = r.read(g) / d.read(g).max(1);
-                    for dst in targets {
-                        c.reduce(tid, dg.local_to_global(dst), share);
-                    }
+                    targets.for_each(|dst| c.reduce(tid, dg.local_to_global(dst), share));
                 }
             });
         }

@@ -550,9 +550,8 @@ pub(crate) fn aggregate<B: MapBuilder>(
             for m in range {
                 let lid = m as u32;
                 ni.request(cc[m] as NodeId);
-                for dst in cur.targets(lid) {
-                    ni.request(cm.read_local(cur, dst) as NodeId);
-                }
+                cur.targets(lid)
+                    .for_each(|dst| ni.request(cm.read_local(cur, dst) as NodeId));
             }
         });
     }

@@ -73,12 +73,12 @@ pub fn mis<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, 
                     if s.read(g) != UNDECIDED {
                         continue;
                     }
-                    for dst in targets {
+                    targets.for_each(|dst| {
                         let dst_g = dg.local_to_global(dst);
                         if s.read(dst_g) == UNDECIDED {
                             bm.reduce(tid, g, priority(d.read(dst_g), dst_g));
                         }
-                    }
+                    });
                 }
             });
         }
@@ -114,12 +114,12 @@ pub fn mis<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, 
                     if s.read(dg.local_to_global(lid)) != IN_SET {
                         continue;
                     }
-                    for dst in targets {
+                    targets.for_each(|dst| {
                         let dst_g = dg.local_to_global(dst);
                         if s.read(dst_g) == UNDECIDED {
                             s.reduce(tid, dst_g, OUT);
                         }
-                    }
+                    });
                 }
             });
         }

@@ -71,7 +71,7 @@ pub fn msf<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> MsfHostResult
                     }
                     let gu = dg.local_to_global(lid);
                     let pu = p.read(gu);
-                    for (dst, w) in edges {
+                    edges.for_each(|(dst, w)| {
                         let gv = dg.local_to_global(dst);
                         let pv = p.read(gv);
                         if pu != pv {
@@ -79,7 +79,7 @@ pub fn msf<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> MsfHostResult
                             me.reduce(tid, pu as NodeId, e);
                             me.reduce(tid, pv as NodeId, e);
                         }
-                    }
+                    });
                 }
             });
         }

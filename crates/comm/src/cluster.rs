@@ -45,7 +45,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Retransmission attempts per exchange before the collective fails with
 /// [`CommError::FrameLoss`].
@@ -1005,12 +1004,6 @@ impl<'a> HostCtx<'a> {
         }
     }
 
-    /// Test hook: suppresses this host's heartbeats for `d`, as a hung
-    /// (but not crashed) host would.
-    pub fn silence_for(&self, d: Duration) {
-        self.transport.silence(d);
-    }
-
     /// Escalates a communication error into a recoverable host failure:
     /// marks this host failed (so siblings' collectives error out rather
     /// than deadlock) and panics with a [`CrashSignal`], which
@@ -1752,6 +1745,7 @@ mod tests {
     use crate::fault::{Fault, FaultKind};
     use crate::transport::sim::TraceEvent;
     use crate::wire::decode_slice;
+    use std::time::Duration;
 
     #[test]
     fn run_returns_results_in_host_order() {

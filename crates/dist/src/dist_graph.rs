@@ -202,6 +202,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn edges(&self, l: LocalId) -> EdgeIter<'_> {
         self.store.edges(l)
     }
@@ -212,6 +213,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn targets(&self, l: LocalId) -> TargetIter<'_> {
         self.store.targets(l)
     }

@@ -19,7 +19,7 @@ pub type Weight = u64;
 /// weight per edge.
 ///
 /// The adjacency lives in a [`GraphStore`]: either raw CSR arrays or a
-/// delta+varint compressed tier ([`Graph::compress`]) — every accessor
+/// bit-packed delta compressed tier ([`Graph::compress`]) — every accessor
 /// works identically on both.
 ///
 /// All algorithms in this workspace treat the graph as *symmetric* (every
@@ -79,11 +79,6 @@ impl Graph {
                 weights,
             },
         }
-    }
-
-    /// Wraps an already-validated store.
-    pub fn from_store(store: GraphStore) -> Self {
-        Graph { store }
     }
 
     /// The backing store.

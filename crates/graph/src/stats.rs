@@ -28,9 +28,10 @@ pub struct GraphStats {
     pub size_bytes: usize,
     /// Bytes in the offsets array (raw) or block index (compressed).
     pub offsets_bytes: usize,
-    /// Bytes in the targets array (raw) or topology varints (compressed).
+    /// Bytes in the targets array (raw) or topology: degrees, first
+    /// targets and gap runs (compressed).
     pub targets_bytes: usize,
-    /// Bytes in the weights array (raw) or weight varints (compressed).
+    /// Bytes in the weights array (raw) or weight runs (compressed).
     pub weights_bytes: usize,
     /// Whether the graph is stored on the compressed tier.
     pub compressed: bool,

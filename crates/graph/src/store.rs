@@ -26,21 +26,22 @@ pub enum GraphStore {
         /// One weight per edge, parallel to `targets`.
         weights: Vec<Weight>,
     },
-    /// Delta+varint blocks with a per-node offset index.
+    /// Bit-packed delta blocks with a per-node offset index.
     Compressed(CompressedGraph),
 }
 
 /// Per-component heap accounting of a [`GraphStore`] (plus the container
 /// struct itself), so compression ratios are honest: for the compressed
 /// tier, `offsets` is the block index and `targets`/`weights` split the
-/// block bytes between topology and weight varints.
+/// block bytes between topology and the weight runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SizeBreakdown {
     /// Offsets array (raw) or block index (compressed).
     pub offsets: usize,
-    /// Targets array (raw) or topology varint bytes (compressed).
+    /// Targets array (raw) or topology bytes: degrees, first targets and
+    /// gap runs (compressed).
     pub targets: usize,
-    /// Weights array (raw) or weight varint bytes (compressed; 0 on the
+    /// Weights array (raw) or weight-run bytes (compressed; 0 on the
     /// unit-weight fast path).
     pub weights: usize,
     /// Fixed in-struct overhead of the container itself.
@@ -176,7 +177,7 @@ pub enum EdgeIter<'a> {
         /// Next edge index.
         i: usize,
     },
-    /// Streams varint decodes.
+    /// Streams bit-packed gap and weight decodes.
     Compressed(CompressedEdges<'a>),
 }
 
@@ -227,7 +228,7 @@ impl ExactSizeIterator for EdgeIter<'_> {}
 pub enum TargetIter<'a> {
     /// Walks the raw target slice.
     Raw(std::slice::Iter<'a, NodeId>),
-    /// Streams varint target-delta decodes.
+    /// Streams bit-packed gap decodes.
     Compressed(CompressedTargets<'a>),
 }
 
@@ -351,6 +352,7 @@ impl GraphStore {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn edges(&self, u: NodeId) -> EdgeIter<'_> {
         match self {
             GraphStore::Raw { offsets, targets, weights } => {
@@ -367,12 +369,13 @@ impl GraphStore {
 
     /// Iterates just the targets of `u`'s out-edges. Weight-blind
     /// algorithms should prefer this over [`GraphStore::edges`]: on the
-    /// compressed tier it decodes only the target-delta run and never
+    /// compressed tier it decodes only the gap run and never
     /// touches the weight bytes.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn targets(&self, u: NodeId) -> TargetIter<'_> {
         match self {
             GraphStore::Raw { offsets, targets, .. } => {

@@ -1,11 +1,120 @@
 //! Property-based tests for graph construction invariants.
 
 use kimbap_graph::builder::{from_edges, MergePolicy};
-use kimbap_graph::{gen, GraphBuilder};
+use kimbap_graph::{gen, CompressedGraph, GraphBuilder, NodeId, Weight};
 use proptest::prelude::*;
 
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..64, 0u32..64, 1u64..100), 0..200)
+}
+
+/// splitmix64: expands one generated seed into a block's values.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A raw CSR: `(offsets, targets, weights)`.
+type Csr = (Vec<u64>, Vec<NodeId>, Vec<Weight>);
+
+/// Appends node `u`'s block: `degree` targets starting at a first target
+/// below, at or above `u` (or at 0 / `u32::MAX`), ascending by gaps of
+/// at most `gap_bits` bits (so duplicates when 0, and up to `u32::MAX`
+/// when 32), clamped at `u32::MAX`; weights come from `weight`. Every
+/// other block is handed over in descending order, which compression
+/// must sort.
+fn push_block(
+    csr: &mut Csr,
+    degree: usize,
+    gap_bits: u32,
+    seed: u64,
+    mut weight: impl FnMut(&mut u64) -> Weight,
+) {
+    let u = csr.0.len() as u64 - 1;
+    let mut state = seed;
+    let mut t = match mix(&mut state) % 5 {
+        0 => 0,
+        1 => u.saturating_sub(1),
+        2 => u,
+        3 => u + 1 + mix(&mut state) % 1000,
+        _ => mix(&mut state) >> 33,
+    };
+    let mut block = Vec::with_capacity(degree);
+    for i in 0..degree {
+        if i > 0 {
+            let gap = if gap_bits == 32 && i == 1 {
+                u64::from(u32::MAX) // a full-width gap where it fits
+            } else {
+                mix(&mut state) & ((1u64 << gap_bits) - 1)
+            };
+            t = (t + gap).min(u64::from(u32::MAX));
+        }
+        block.push((t as NodeId, weight(&mut state)));
+    }
+    block.sort_unstable();
+    if seed % 2 == 1 {
+        block.reverse();
+    }
+    for (t, w) in block {
+        csr.1.push(t);
+        csr.2.push(w);
+    }
+    csr.0.push(csr.1.len() as u64);
+}
+
+/// Compresses `csr` and checks every decode path against it: `degree`,
+/// `edges`, `targets`, both `decode_into`s, and `next()` for a prefix
+/// then `fold` over the rest.
+fn assert_compressed_matches_raw((offsets, targets, weights): &Csr) {
+    let c = CompressedGraph::from_csr_slices(offsets, targets, weights);
+    assert_eq!(c.num_nodes(), offsets.len() - 1);
+    assert_eq!(c.num_edges(), targets.len());
+    assert_eq!(c.total_weight(), weights.iter().sum::<u64>());
+    assert_eq!(c.unit_weights(), weights.iter().all(|&w| w == 1));
+    let (mut ts, mut ws) = (Vec::new(), Vec::new());
+    for u in 0..c.num_nodes() {
+        let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
+        let mut raw: Vec<(NodeId, Weight)> = targets[s..e]
+            .iter()
+            .copied()
+            .zip(weights[s..e].iter().copied())
+            .collect();
+        raw.sort_unstable();
+        let raw_targets: Vec<NodeId> = raw.iter().map(|&(t, _)| t).collect();
+        let raw_weights: Vec<Weight> = raw.iter().map(|&(_, w)| w).collect();
+        let u = u as NodeId;
+        assert_eq!(c.degree(u), raw.len());
+        assert_eq!(c.edges(u).collect::<Vec<_>>(), raw, "node {u}");
+        assert_eq!(c.targets(u).collect::<Vec<_>>(), raw_targets, "node {u}");
+        c.decode_into(u, &mut ts, Some(&mut ws));
+        assert_eq!((&ts, &ws), (&raw_targets, &raw_weights), "node {u}");
+        c.decode_into(u, &mut ts, None);
+        assert_eq!(ts, raw_targets, "node {u}");
+        for k in [1, 2, raw.len() / 2, raw.len().saturating_sub(1)] {
+            let k = k.min(raw.len());
+            let mut edges = c.edges(u);
+            let head: Vec<_> = edges.by_ref().take(k).collect();
+            assert_eq!(edges.len(), raw.len() - k);
+            let all = edges.fold(head, |mut v, e| {
+                v.push(e);
+                v
+            });
+            assert_eq!(all, raw, "node {u}: {k} edges by next(), then fold");
+            let mut tgts = c.targets(u);
+            let head: Vec<_> = tgts.by_ref().take(k).collect();
+            let all = tgts.fold(head, |mut v, t| {
+                v.push(t);
+                v
+            });
+            assert_eq!(
+                all, raw_targets,
+                "node {u}: {k} targets by next(), then fold"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -95,7 +204,7 @@ proptest! {
     }
 
     // Weight extremes: u64::MAX weights and a max-degree hub (node 0
-    // linked to everyone) survive the varint roundtrip.
+    // linked to everyone) survive the compression roundtrip.
     #[test]
     fn compressed_survives_hubs_and_weight_extremes(
         n in 2u32..80,
@@ -120,5 +229,57 @@ proptest! {
             );
         }
         prop_assert_eq!(c.total_weight(), g.total_weight());
+    }
+
+    // The bit-packed block layout against raw CSR, block by block:
+    // degrees 0, 1, 2, 3..=20 and 301..=400; gap widths 0 (duplicate
+    // targets) to 32; first targets below and above the node; weights
+    // all 1 (no weight bits), 1..=100, or up to 2^16.
+    #[test]
+    fn compressed_blocks_match_raw_csr(
+        blocks in prop::collection::vec((0u32..5, 0u32..33, 0u64..=u64::MAX, 0u32..4), 1..7),
+    ) {
+        let mut csr: Csr = (vec![0], Vec::new(), Vec::new());
+        for (class, gap_bits, seed, weights) in blocks {
+            let degree = match class {
+                0..=2 => class as usize,
+                3 => 3 + (seed >> 40) as usize % 18,
+                _ => 301 + (seed >> 40) as usize % 100,
+            };
+            push_block(&mut csr, degree, gap_bits, seed, |s| match weights {
+                0 | 1 => 1,
+                2 => 1 + mix(s) % 100,
+                _ => 1 + mix(s) % (1 << 16),
+            });
+        }
+        assert_compressed_matches_raw(&csr);
+    }
+
+    // Weights wider than 56 bits (the decoder's second load) at every bit
+    // offset, and, closing the graph, a block whose weights take the
+    // total to exactly `u64::MAX` — with a weight of `u64::MAX` itself
+    // when nothing came before, or of 0 (stored as `0 − 1`, all ones).
+    #[test]
+    fn compressed_blocks_hold_weights_up_to_u64_max(
+        blocks in prop::collection::vec((0u32..4, 0u64..=u64::MAX), 0..5),
+        last in 0u32..3,
+    ) {
+        let mut csr: Csr = (vec![0], Vec::new(), Vec::new());
+        for (degree, seed) in blocks {
+            // At most 12 edges below 2^60 each: the total cannot overflow.
+            push_block(&mut csr, degree as usize, 32, seed, |s| {
+                1 + (mix(s) >> (4 + mix(s) % 8))
+            });
+        }
+        let rest = u64::MAX - csr.2.iter().sum::<u64>();
+        match last {
+            0 => {}
+            1 => push_block(&mut csr, 1, 0, 2, |_| rest),
+            _ => {
+                let mut ws = [rest, 0].into_iter();
+                push_block(&mut csr, 2, 7, 4, move |_| ws.next().expect("two weights"));
+            }
+        }
+        assert_compressed_matches_raw(&csr);
     }
 }

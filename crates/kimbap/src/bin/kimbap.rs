@@ -14,7 +14,8 @@
 //! `--transport tcp` runs each host as its own OS process connected over
 //! TCP loopback: the launcher re-executes this binary with the hidden
 //! `_worker` subcommand once per host and waits for them; each worker binds
-//! `127.0.0.1:port_base+host`. The same seeded `--faults` plans run on
+//! `127.0.0.1:port_base+host` ([`DEFAULT_PORT_BASE`] unless `--port-base`
+//! says otherwise). The same seeded `--faults` plans run on
 //! either transport and must produce identical outputs.
 //!
 //! `run`, `sim` and `_worker` share one host-side launcher ([`run_host`])
@@ -73,6 +74,13 @@ fn main() -> ExitCode {
     }
 }
 
+/// Where the TCP workers' listener ports start (host `i` binds
+/// `DEFAULT_PORT_BASE + i`): below Linux's default ephemeral port range
+/// (32768-60999), so a port an earlier outgoing connection still holds
+/// cannot make `bind` fail, and clear of the bases `scripts/ci.sh` uses
+/// (26800-27930).
+const DEFAULT_PORT_BASE: u16 = 24000;
+
 const USAGE: &str = "\
 usage:
   kimbap gen --kind <rmat|grid|er> [--scale N] [--ef N] [--rows N] [--cols N]
@@ -107,8 +115,10 @@ everywhere: cc-sv and cc-lp are compiled plans, the rest hand-written loops.
 one value per line (labels; 0/1 membership for mis; weight, edge count
 and the sorted edges for msf) for diffing across launchers, transports
 and storage tiers. --transport tcp spawns one worker process per host
-over TCP loopback; the workers gather their outputs on the first one,
-which writes --out and prints the result.
+over TCP loopback, host i listening on port --port-base + i (default
+24000, below Linux's ephemeral port range 32768-60999); the workers
+gather their outputs on the first one, which writes --out and prints
+the result.
 
 kimbap sim replays a fully deterministic multi-host schedule on the
 discrete-event simulation backend: the seed fixes the R-MAT input graph,
@@ -134,7 +144,7 @@ late. kimbap sim --allow-grow draws seeded churn plans (joins, kills,
 both) and checks every interleaving converges to the fault-free labels.
 
 runs are read-only over the graph, so each host stores its local CSR on
-the compressed tier (delta+varint neighbor blocks) by default; --raw
+the compressed tier (bit-packed delta neighbor blocks) by default; --raw
 keeps the uncompressed arrays. --raw changes only memory, never
 outputs: the CI smoke diffs compressed against raw labels. Where the
 blocks fall takes no flag: the partitioner cuts them so that hosts carry
@@ -513,7 +523,7 @@ fn launch(args: &[String], host: Option<usize>) -> CliResult {
             }
         }
         Some(host) => {
-            let port_base: u16 = flag_num(args, "--port-base", 46000)?;
+            let port_base: u16 = flag_num(args, "--port-base", DEFAULT_PORT_BASE)?;
             let latent = plan.latent_hosts();
             let config = TransportConfig::default();
             let transport = match TcpTransport::bind(host, capacity, port_base, config, &latent) {

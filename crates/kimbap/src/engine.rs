@@ -1007,10 +1007,10 @@ impl<const LOCAL: bool> Exec<'_, '_, LOCAL> {
         };
         let dst_reg = code.uses_dst().then(|| code.dst_reg() as usize);
         // `fold` with a force-inlined closure, not `for_each`: the
-        // compressed tier's `fold` applies its closure at two sites, and
-        // left to itself LLVM outlines a closure this size rather than
-        // copy it — a call per edge, worth 1.5 ns where a dense hook edge
-        // costs 12.6 (EXPERIMENTS.md "PR 17").
+        // compressed tier's `fold` applies its closure at three sites (two
+        // in its paired-load loop, one in its tail), and left to itself
+        // LLVM outlines a closure this size rather than copy it — a call
+        // per edge, worth 1.5 ns where a dense hook edge costs 12.6.
         if code.uses_weight() {
             let weight_reg = code.weight_reg() as usize;
             self.dg.edges(lid).fold(
