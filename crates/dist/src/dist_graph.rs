@@ -126,11 +126,13 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn local_to_global(&self, l: LocalId) -> NodeId {
         self.l2g[l as usize]
     }
 
     /// Local proxy id for global node `g`, if `g` has a proxy here.
+    #[inline]
     pub fn global_to_local(&self, g: NodeId) -> Option<LocalId> {
         if self.ownership.owner(g) == self.host {
             return Some(self.ownership.master_offset(g) as LocalId);
@@ -183,6 +185,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn degree(&self, l: LocalId) -> usize {
         self.store.degree(l)
     }
@@ -193,6 +196,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn neighbors(&self, l: LocalId) -> NeighborsRef<'_> {
         self.store.neighbors(l)
     }
@@ -223,6 +227,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn in_degree(&self, l: LocalId) -> usize {
         let l = l as usize;
         (self.in_offsets[l + 1] - self.in_offsets[l]) as usize
@@ -236,6 +241,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn in_neighbors(&self, l: LocalId) -> &[LocalId] {
         let l = l as usize;
         &self.in_sources[self.in_offsets[l] as usize..self.in_offsets[l + 1] as usize]
@@ -246,6 +252,7 @@ impl DistGraph {
     /// # Panics
     ///
     /// Panics if `l` is out of range.
+    #[inline]
     pub fn weighted_degree(&self, l: LocalId) -> u64 {
         self.store.weighted_degree(l)
     }
@@ -332,10 +339,8 @@ pub fn ownership_for(graph: &Graph, policy: Policy, hosts: usize) -> Ownership {
 /// [`DistGraph`] per host (indexed by host id) on raw storage; see
 /// [`partition_cfg`] for the compressed tier.
 ///
-/// Construction is deterministic. Like the paper, partitioning time is not
-/// part of any measured experiment, so this single-pass global construction
-/// (rather than a distributed streaming partitioner like CuSP) is a faithful
-/// substitution.
+/// Construction is deterministic: every part is [`partition_host`]'s, for
+/// callers that hold all of them in one process.
 ///
 /// # Panics
 ///
@@ -351,125 +356,119 @@ pub fn partition(graph: &Graph, policy: Policy, num_hosts: usize) -> Vec<DistGra
 ///
 /// Panics if `cfg.hosts == 0`.
 pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
-    let own = ownership_for(graph, cfg.policy, cfg.hosts);
-    partition_over(graph, &own, cfg.policy, cfg.compressed)
+    (0..cfg.hosts).map(|h| partition_host(graph, cfg, h)).collect()
 }
 
-/// Builds every host's [`DistGraph`] of `graph` over a given ownership.
-fn partition_over(
-    graph: &Graph,
-    own: &Ownership,
-    policy: Policy,
-    compressed: bool,
-) -> Vec<DistGraph> {
-    let num_hosts = own.num_hosts();
-
-    // Pass 1: assign every directed edge to a host.
-    let mut host_edges: Vec<Vec<(NodeId, NodeId, Weight)>> = vec![Vec::new(); num_hosts];
-    for (u, v, w) in graph.all_edges() {
-        host_edges[policy.assign(own, u, v)].push((u, v, w));
-    }
-
-    // Pass 2: build each host's local graph.
-    let mut parts: Vec<DistGraph> = host_edges
-        .into_iter()
-        .enumerate()
-        .map(|(h, edges)| build_part(h, own, policy, &edges, compressed))
-        .collect();
-
-    // Pass 3: tell each owner which peers mirror its masters (in a real
-    // deployment this is the mirror-list exchange at partitioning time).
-    let all_mirrors: Vec<Vec<NodeId>> = parts
-        .iter()
-        .map(|p| p.mirror_globals().to_vec())
-        .collect();
-    for (peer, mirrored) in all_mirrors.iter().enumerate() {
-        for &g in mirrored {
-            let owner = own.owner(g);
-            parts[owner].mirrors_on_peer[peer].push(g);
+/// Host `host`'s part of `graph` under `cfg`, built without any other
+/// host's and without communication: the one place that decides which
+/// edges and mirror lists a host holds. One scan over all edges counts the
+/// edges `host` keeps and flags each master of `host` that ends an edge a
+/// peer keeps (that peer's broadcast list); a second read of the kept rows
+/// writes them straight into the local CSR.
+///
+/// # Panics
+///
+/// Panics if `host >= cfg.hosts`.
+pub fn partition_host(graph: &Graph, cfg: &PartitionCfg, host: usize) -> DistGraph {
+    let (policy, own) = (cfg.policy, &ownership_for(graph, cfg.policy, cfg.hosts));
+    let (_, cols) = Policy::grid(cfg.hosts);
+    let n = graph.num_nodes();
+    let (mut degree, mut is_target) = (vec![0u32; n], vec![false; n]);
+    // `mirrored[p][o]`: the master at offset `o` has a mirror on peer `p`.
+    let mut mirrored = vec![vec![false; own.num_masters(host)]; cfg.hosts];
+    for u in graph.nodes() {
+        let ou = own.owner(u);
+        for v in graph.store().targets(u) {
+            let ov = own.owner(v);
+            let to = policy.assign_owned(cols, ou, ov);
+            if to == host {
+                degree[u as usize] += 1;
+                is_target[v as usize] = true;
+                continue;
+            }
+            for (x, _) in [(u, ou), (v, ov)].into_iter().filter(|&(_, o)| o == host) {
+                mirrored[to][own.master_offset(x)] = true;
+            }
         }
     }
-    for p in &mut parts {
-        for list in &mut p.mirrors_on_peer {
-            list.sort_unstable();
-        }
+    let row = |u| {
+        let ou = own.owner(u);
+        graph.edges(u).filter(move |&(v, _)| policy.assign_owned(cols, ou, own.owner(v)) == host)
+    };
+    let mut part = build_part(host, own, policy, degree, is_target, row, cfg.compressed);
+    for (list, flags) in part.mirrors_on_peer.iter_mut().zip(&mirrored) {
+        *list = own.masters(host).zip(flags).filter(|(_, &f)| f).map(|(g, _)| g).collect();
     }
-    parts
+    part
 }
 
-/// Builds one host's [`DistGraph`] from the edges assigned to it, *without*
-/// the mirror-list exchange (callers fill `mirrors_on_peer`).
-fn build_part(
+/// Builds host `h`'s [`DistGraph`] without its mirror lists from the edges
+/// assigned to it: `degree[g]` leave global node `g`, `is_target[g]` if any
+/// ends at `g`, and `row(g)` yields `g`'s `(target, weight)` among them.
+fn build_part<R: Iterator<Item = (NodeId, Weight)>>(
     h: usize,
     own: &Ownership,
     policy: Policy,
-    edges: &[(NodeId, NodeId, Weight)],
+    degree: Vec<u32>,
+    is_target: Vec<bool>,
+    row: impl Fn(NodeId) -> R,
     compressed: bool,
 ) -> DistGraph {
-    let num_hosts = own.num_hosts();
     let num_masters = own.num_masters(h);
-    let mut mirrors: Vec<NodeId> = edges
-        .iter()
-        .flat_map(|&(u, v, _)| [u, v])
-        .filter(|&x| own.owner(x) != h)
-        .collect();
-    mirrors.sort_unstable();
-    mirrors.dedup();
-
+    // Mirrors: the endpoints owned elsewhere, slotted by global id.
     let mut l2g: Vec<NodeId> = own.masters(h).collect();
-    l2g.extend_from_slice(&mirrors);
-
-    let to_local = |g: NodeId| -> LocalId {
-        if own.owner(g) == h {
-            own.master_offset(g) as LocalId
-        } else {
-            (num_masters + mirrors.binary_search(&g).unwrap()) as LocalId
+    let mut mirror_slot_of = vec![NO_MIRROR; own.num_nodes()];
+    for g in 0..own.num_nodes() as NodeId {
+        if (degree[g as usize] > 0 || is_target[g as usize]) && own.owner(g) != h {
+            mirror_slot_of[g as usize] = (l2g.len() - num_masters) as u32;
+            l2g.push(g);
         }
+    }
+    l2g.shrink_to_fit(); // pushed one by one; `size_bytes` counts capacity
+    let to_local = |g: NodeId| match mirror_slot_of[g as usize] {
+        NO_MIRROR => own.master_offset(g) as LocalId,
+        s => num_masters as LocalId + s,
     };
 
     let nl = l2g.len();
-    let mut local_edges: Vec<(LocalId, LocalId, Weight)> = edges
-        .iter()
-        .map(|&(u, v, w)| (to_local(u), to_local(v), w))
-        .collect();
-    local_edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
     let mut offsets = vec![0u64; nl + 1];
-    for &(s, _, _) in &local_edges {
-        offsets[s as usize + 1] += 1;
+    for (l, &g) in l2g.iter().enumerate() {
+        offsets[l + 1] = offsets[l] + u64::from(degree[g as usize]);
     }
-    for i in 0..nl {
-        offsets[i + 1] += offsets[i];
-    }
-    let targets: Vec<LocalId> = local_edges.iter().map(|&(_, d, _)| d).collect();
-    let weights = local_edges.iter().map(|&(_, _, w)| w).collect();
-
-    // Transpose CSR: bucket every edge by destination. Scanning edges in
-    // (s, d) order fills each destination's bucket with ascending sources.
+    let mut targets = vec![0 as LocalId; offsets[nl] as usize];
+    let mut weights = vec![0 as Weight; targets.len()];
     let mut in_offsets = vec![0u64; nl + 1];
-    for &(_, d, _) in &local_edges {
-        in_offsets[d as usize + 1] += 1;
+    let mut pairs = Vec::new();
+    for u in (0..own.num_nodes() as NodeId).filter(|&u| degree[u as usize] > 0) {
+        pairs.clear();
+        pairs.extend(row(u).map(|(v, w)| (to_local(v), w)));
+        assert_eq!(pairs.len(), degree[u as usize] as usize, "row {u} changed");
+        pairs.sort_unstable();
+        let at = offsets[to_local(u) as usize] as usize;
+        for (i, &(t, w)) in pairs.iter().enumerate() {
+            (targets[at + i], weights[at + i]) = (t, w);
+            in_offsets[t as usize + 1] += 1;
+        }
     }
+    let store = match (GraphStore::Raw { offsets, targets, weights }) {
+        // The arm drops `raw`, so the transpose below never coexists with it.
+        raw if compressed => raw.compressed(),
+        raw => raw,
+    };
+
+    // Transpose CSR: scanning sources in order fills each destination's
+    // bucket with ascending sources.
     for i in 0..nl {
         in_offsets[i + 1] += in_offsets[i];
     }
-    let mut in_sources = vec![0 as LocalId; targets.len()];
+    let mut in_sources = vec![0 as LocalId; store.num_edges()];
     let mut cursor = in_offsets.clone();
-    for &(s, d, _) in &local_edges {
-        in_sources[cursor[d as usize] as usize] = s;
-        cursor[d as usize] += 1;
+    for s in 0..nl as LocalId {
+        for d in store.targets(s) {
+            in_sources[cursor[d as usize] as usize] = s;
+            cursor[d as usize] += 1;
+        }
     }
-
-    let mut mirror_slot_of = vec![NO_MIRROR; own.num_nodes()];
-    for (slot, &g) in mirrors.iter().enumerate() {
-        mirror_slot_of[g as usize] = slot as u32;
-    }
-
-    let store = GraphStore::Raw {
-        offsets,
-        targets,
-        weights,
-    };
-    let store = if compressed { store.compressed() } else { store };
 
     DistGraph {
         host: h,
@@ -480,7 +479,7 @@ fn build_part(
         store,
         in_offsets,
         in_sources,
-        mirrors_on_peer: vec![Vec::new(); num_hosts],
+        mirrors_on_peer: vec![Vec::new(); own.num_hosts()],
         mirror_slot_of,
     }
 }
@@ -510,6 +509,7 @@ pub fn assemble_dist_graph(
     let num_hosts = ctx.num_hosts();
     let host = ctx.host();
     let own = policy.ownership(n_global, num_hosts);
+    let (_, cols) = Policy::grid(num_hosts);
 
     // Route each produced edge to its assigned host.
     let mut per_host: Vec<Vec<(NodeId, NodeId, Weight)>> = vec![Vec::new(); num_hosts];
@@ -518,7 +518,7 @@ pub fn assemble_dist_graph(
             (u as usize) < n_global && (v as usize) < n_global,
             "edge ({u},{v}) outside node space {n_global}"
         );
-        per_host[policy.assign(&own, u, v)].push((u, v, w));
+        per_host[policy.assign_owned(cols, own.owner(u), own.owner(v))].push((u, v, w));
     }
     let outgoing = per_host
         .iter()
@@ -555,7 +555,16 @@ pub fn assemble_dist_graph(
 
     // Coarse/assembled graphs stay on the raw tier: they are rebuilt every
     // level and read once.
-    let mut dg = build_part(host, &own, policy, &my_edges, false);
+    let (mut degree, mut is_target) = (vec![0u32; n_global], vec![false; n_global]);
+    for &(u, v, _) in &my_edges {
+        degree[u as usize] += 1;
+        is_target[v as usize] = true;
+    }
+    let row = |u| {
+        let at = my_edges.partition_point(|e| e.0 < u);
+        my_edges[at..].iter().take_while(move |e| e.0 == u).map(|&(_, v, w)| (v, w))
+    };
+    let mut dg = build_part(host, &own, policy, degree, is_target, row, false);
 
     // Mirror-list exchange: tell each node's owner that we mirror it.
     let outgoing = (0..num_hosts)
@@ -588,6 +597,183 @@ pub fn assemble_dist_graph(
 mod tests {
     use super::*;
     use kimbap_graph::gen;
+
+    /// The three-pass construction [`partition_host`] replaced, kept as its
+    /// oracle: bucket every edge by host, build every part, then tell each
+    /// owner which peers mirror its masters.
+    fn reference_parts(
+        graph: &Graph,
+        own: &Ownership,
+        policy: Policy,
+        compressed: bool,
+    ) -> Vec<DistGraph> {
+        let mut host_edges = vec![Vec::new(); own.num_hosts()];
+        for (u, v, w) in graph.all_edges() {
+            host_edges[policy.assign(own, u, v)].push((u, v, w));
+        }
+        let mut parts: Vec<DistGraph> = host_edges
+            .iter()
+            .enumerate()
+            .map(|(h, edges)| reference_build_part(h, own, policy, edges, compressed))
+            .collect();
+        let all_mirrors: Vec<Vec<NodeId>> =
+            parts.iter().map(|p| p.mirror_globals().to_vec()).collect();
+        for (peer, mirrored) in all_mirrors.iter().enumerate() {
+            for &g in mirrored {
+                parts[own.owner(g)].mirrors_on_peer[peer].push(g);
+            }
+        }
+        for p in &mut parts {
+            for list in &mut p.mirrors_on_peer {
+                list.sort_unstable();
+            }
+        }
+        parts
+    }
+
+    /// The old per-host build: sort the host's edge list, binary-search
+    /// each mirror's slot, transpose from the sorted list.
+    fn reference_build_part(
+        h: usize,
+        own: &Ownership,
+        policy: Policy,
+        edges: &[(NodeId, NodeId, Weight)],
+        compressed: bool,
+    ) -> DistGraph {
+        let num_hosts = own.num_hosts();
+        let num_masters = own.num_masters(h);
+        let mut mirrors: Vec<NodeId> = edges
+            .iter()
+            .flat_map(|&(u, v, _)| [u, v])
+            .filter(|&x| own.owner(x) != h)
+            .collect();
+        mirrors.sort_unstable();
+        mirrors.dedup();
+
+        let mut l2g: Vec<NodeId> = own.masters(h).collect();
+        l2g.extend_from_slice(&mirrors);
+
+        let to_local = |g: NodeId| -> LocalId {
+            if own.owner(g) == h {
+                own.master_offset(g) as LocalId
+            } else {
+                (num_masters + mirrors.binary_search(&g).unwrap()) as LocalId
+            }
+        };
+
+        let nl = l2g.len();
+        let mut local_edges: Vec<(LocalId, LocalId, Weight)> = edges
+            .iter()
+            .map(|&(u, v, w)| (to_local(u), to_local(v), w))
+            .collect();
+        local_edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let mut offsets = vec![0u64; nl + 1];
+        for &(s, _, _) in &local_edges {
+            offsets[s as usize + 1] += 1;
+        }
+        for i in 0..nl {
+            offsets[i + 1] += offsets[i];
+        }
+        let targets: Vec<LocalId> = local_edges.iter().map(|&(_, d, _)| d).collect();
+        let weights = local_edges.iter().map(|&(_, _, w)| w).collect();
+
+        // Transpose CSR: bucket every edge by destination. Scanning edges in
+        // (s, d) order fills each destination's bucket with ascending sources.
+        let mut in_offsets = vec![0u64; nl + 1];
+        for &(_, d, _) in &local_edges {
+            in_offsets[d as usize + 1] += 1;
+        }
+        for i in 0..nl {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut in_sources = vec![0 as LocalId; targets.len()];
+        let mut cursor = in_offsets.clone();
+        for &(s, d, _) in &local_edges {
+            in_sources[cursor[d as usize] as usize] = s;
+            cursor[d as usize] += 1;
+        }
+
+        let mut mirror_slot_of = vec![NO_MIRROR; own.num_nodes()];
+        for (slot, &g) in mirrors.iter().enumerate() {
+            mirror_slot_of[g as usize] = slot as u32;
+        }
+
+        let store = GraphStore::Raw {
+            offsets,
+            targets,
+            weights,
+        };
+        let store = if compressed { store.compressed() } else { store };
+
+        DistGraph {
+            host: h,
+            ownership: own.clone(),
+            policy,
+            l2g,
+            num_masters,
+            store,
+            in_offsets,
+            in_sources,
+            mirrors_on_peer: vec![Vec::new(); num_hosts],
+            mirror_slot_of,
+        }
+    }
+
+    /// Asserts `a` and `b` agree in every field.
+    fn assert_same_part(a: &DistGraph, b: &DistGraph, what: &str) {
+        assert_eq!(a.host, b.host, "{what}: host");
+        assert_eq!(a.ownership, b.ownership, "{what}: ownership");
+        assert_eq!(a.policy, b.policy, "{what}: policy");
+        assert_eq!(a.l2g, b.l2g, "{what}: l2g");
+        assert_eq!(a.num_masters, b.num_masters, "{what}: num_masters");
+        assert!(a.store == b.store, "{what}: store");
+        assert_eq!(a.in_offsets, b.in_offsets, "{what}: in_offsets");
+        assert_eq!(a.in_sources, b.in_sources, "{what}: in_sources");
+        assert_eq!(a.mirrors_on_peer, b.mirrors_on_peer, "{what}: mirrors_on_peer");
+        assert_eq!(a.mirror_slot_of, b.mirror_slot_of, "{what}: mirror_slot_of");
+    }
+
+    const POLICIES: [Policy; 4] = [
+        Policy::EdgeCutBlocked,
+        Policy::EdgeCutIncoming,
+        Policy::EdgeCutHashed,
+        Policy::CartesianVertexCut,
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn partition_host_matches_the_three_pass_reference(
+            kind in 0u8..3,
+            size in 2usize..9,
+            seed in 0u64..1_000,
+            policy in 0usize..4,
+            hosts in 1usize..=8,
+            compressed in 0u8..2,
+        ) {
+            let g = match kind {
+                0 => gen::rmat(size as u32, 4, seed),
+                1 => gen::grid_road(size, size + 1, seed),
+                // A few edges among many isolated nodes: empty hosts and
+                // masters with no edges at all.
+                _ => {
+                    let mut b = kimbap_graph::GraphBuilder::new();
+                    b.add_edge(0, 1, 1).add_edge(1, size as NodeId, 2);
+                    b.ensure_nodes(size * 4);
+                    b.symmetric(true).build()
+                }
+            };
+            let cfg = PartitionCfg {
+                compressed: compressed == 1,
+                ..PartitionCfg::new(POLICIES[policy], hosts)
+            };
+            let own = ownership_for(&g, cfg.policy, hosts);
+            let reference = reference_parts(&g, &own, cfg.policy, cfg.compressed);
+            for (h, r) in reference.iter().enumerate() {
+                let what = format!("{} x{hosts} host {h} ({cfg:?})", g.num_nodes());
+                assert_same_part(&partition_host(&g, &cfg, h), r, &what);
+            }
+        }
+    }
 
     fn check_partition(g: &Graph, policy: Policy, hosts: usize) {
         let parts = partition(g, policy, hosts);
@@ -787,7 +973,7 @@ mod tests {
         let hosts = 3;
         for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
             let own = policy.ownership(g.num_nodes(), hosts);
-            let reference = partition_over(&g, &own, policy, false);
+            let reference = reference_parts(&g, &own, policy, false);
             let assembled = kimbap_comm::Cluster::new(hosts).run(|ctx| {
                 // Host h contributes every third edge, offset by h.
                 let produced: Vec<_> = g
@@ -798,14 +984,8 @@ mod tests {
                     .collect();
                 assemble_dist_graph(ctx, g.num_nodes(), policy, produced)
             });
-            for (a, r) in assembled.iter().zip(&reference) {
-                assert_eq!(a.ownership(), r.ownership());
-                assert_eq!(a.num_masters(), r.num_masters());
-                assert_eq!(a.num_mirrors(), r.num_mirrors());
-                assert_eq!(a.num_local_edges(), r.num_local_edges());
-                assert_eq!(a.l2g, r.l2g);
-                assert_eq!(a.store, r.store);
-                assert_eq!(a.mirrors_on_peer, r.mirrors_on_peer);
+            for (h, (a, r)) in assembled.iter().zip(&reference).enumerate() {
+                assert_same_part(a, r, &format!("{policy} host {h}"));
             }
         }
     }

@@ -22,9 +22,9 @@
 //!   all masters first (ordered by global id) followed by mirrors, plus the
 //!   mirror lists each host needs to broadcast master values.
 //!
-//! Partitioning happens up front via [`partition`], which builds every
-//! host's `DistGraph` in one pass — the paper likewise excludes graph
-//! loading/partitioning from all measurements.
+//! A host builds its own part with [`partition_host`], without any other
+//! host's and without communication; [`partition`] builds every host's
+//! part, for callers that hold them all in one process.
 //!
 //! # Example
 //!
@@ -45,8 +45,8 @@ pub mod ownership;
 pub mod policy;
 
 pub use dist_graph::{
-    assemble_dist_graph, ownership_for, partition, partition_cfg, DistGraph, LocalId,
-    PartitionCfg,
+    assemble_dist_graph, ownership_for, partition, partition_cfg, partition_host, DistGraph,
+    LocalId, PartitionCfg,
 };
 pub use ownership::Ownership;
 pub use policy::Policy;

@@ -73,16 +73,17 @@ impl Policy {
     ///
     /// Panics if `u` or `v` is outside the ownership range.
     pub fn assign(&self, own: &Ownership, u: NodeId, v: NodeId) -> usize {
+        let (_, cols) = Policy::grid(own.num_hosts());
+        self.assign_owned(cols, own.owner(u), own.owner(v))
+    }
+
+    /// [`Policy::assign`] given the owners `ou` / `ov` of the edge's source
+    /// and target, on a host grid `cols` wide (`Policy::grid(hosts).1`).
+    pub(crate) fn assign_owned(&self, cols: usize, ou: usize, ov: usize) -> usize {
         match self {
-            Policy::EdgeCutBlocked | Policy::EdgeCutHashed => own.owner(u),
-            Policy::EdgeCutIncoming => own.owner(v),
-            Policy::CartesianVertexCut => {
-                let hosts = own.num_hosts();
-                let (_, pc) = Policy::grid(hosts);
-                let row = own.owner(u) / pc;
-                let col = own.owner(v) % pc;
-                row * pc + col
-            }
+            Policy::EdgeCutBlocked | Policy::EdgeCutHashed => ou,
+            Policy::EdgeCutIncoming => ov,
+            Policy::CartesianVertexCut => ou / cols * cols + ov % cols,
         }
     }
 }

@@ -297,6 +297,7 @@ impl GraphStore {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         match self {
             GraphStore::Raw { offsets, .. } => {
@@ -313,6 +314,7 @@ impl GraphStore {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn neighbors(&self, u: NodeId) -> NeighborsRef<'_> {
         match self {
             GraphStore::Raw { offsets, targets, .. } => {
@@ -332,6 +334,7 @@ impl GraphStore {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn edge_weights(&self, u: NodeId) -> WeightsRef<'_> {
         match self {
             GraphStore::Raw { offsets, weights, .. } => {
@@ -392,6 +395,7 @@ impl GraphStore {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     pub fn weighted_degree(&self, u: NodeId) -> u64 {
         match self {
             GraphStore::Raw { offsets, weights, .. } => {

@@ -78,7 +78,7 @@ fn main() -> ExitCode {
 /// `DEFAULT_PORT_BASE + i`): below Linux's default ephemeral port range
 /// (32768-60999), so a port an earlier outgoing connection still holds
 /// cannot make `bind` fail, and clear of the bases `scripts/ci.sh` uses
-/// (26800-27930).
+/// (26800-28117).
 const DEFAULT_PORT_BASE: u16 = 24000;
 
 const USAGE: &str = "\
@@ -382,16 +382,16 @@ fn fault_plan(name: &str, seed: u64, hosts: usize) -> Result<FaultPlan, String> 
 }
 
 /// The one host-side entry point of every launcher (in-proc `run`, the TCP
-/// worker, `sim`): runs `row` and gathers the hosts' outputs on logical
-/// rank 0, which returns the merged fingerprint (other hosts `None`).
-/// Fixed membership recovers in place on the up-front `parts`. Elastic, a
-/// row with a plan resumes from re-sharded checkpoints under `cfg` (a
-/// joiner that gives up returns `None` without joining the gather); a row
-/// without one restarts on a partition over the survivors of a shrink.
+/// worker, `sim`): runs `row` on this host's own part of `g` ([`live_part`])
+/// and gathers the outputs on logical rank 0, which returns the merged
+/// fingerprint (other hosts `None`). Fixed membership builds the part once
+/// and recovers in place on it. Elastic, a row with a plan resumes from
+/// re-sharded checkpoints on a part per attempt (a joiner that gives up
+/// returns `None` without joining the gather); a row without one restarts
+/// on a part over the survivors of a shrink.
 fn run_host(
     row: &AlgoRow,
     g: &Graph,
-    parts: &[DistGraph],
     cfg: PartitionCfg,
     elastic: Elastic,
     ctx: &HostCtx,
@@ -413,7 +413,10 @@ fn run_host(
         _ if elastic.shrink => {
             ctx.run_elastic(|ctx| gather(ctx, (row.run)(&live_part(g, cfg, ctx), ctx, 0)))
         }
-        _ => ctx.run_recovering(|ctx| gather(ctx, (row.run)(&parts[ctx.host()], ctx, 0))),
+        _ => {
+            let part = live_part(g, cfg, ctx);
+            ctx.run_recovering(|ctx| gather(ctx, (row.run)(&part, ctx, 0)))
+        }
     }
 }
 
@@ -501,23 +504,15 @@ fn launch(args: &[String], host: Option<usize>) -> CliResult {
     }
     let cfg = tier_cfg(row.policy, hosts, args);
     let g = load_graph(path)?;
-    // Only fixed membership computes on up-front parts: an elastic run
-    // partitions inside each attempt, over the live membership.
-    let parts = if elastic.any() { Vec::new() } else { partition_cfg(&g, &cfg) };
     if host.unwrap_or(0) == 0 {
         println!("input: {}", GraphStats::of(&g));
-        let tier = if cfg.compressed { "compressed" } else { "raw" };
-        let bytes: usize = parts.iter().map(|p| p.size_bytes()).sum();
-        match parts.len() {
-            0 => println!("storage: {tier} (partitioned per attempt over the live membership)"),
-            n => println!("storage: {tier} ({bytes} local bytes over {n} host(s))"),
-        }
+        println!("storage: {}", if cfg.compressed { "compressed" } else { "raw" });
     }
     let t = Instant::now();
     let merged = match host {
         None => {
             let cluster = Cluster::with_threads(capacity, threads);
-            match run_cluster(row, &g, &parts, cfg, &cluster, plan, elastic)? {
+            match run_cluster(row, &g, cfg, &cluster, plan, elastic)? {
                 Outcome::Done(merged) => Some(merged),
                 Outcome::Aborted(m) => return Err(format!("run aborted: {m}")),
             }
@@ -538,7 +533,7 @@ fn launch(args: &[String], host: Option<usize>) -> CliResult {
                 Err(e) => return Err(format!("host {host}: bind tcp transport: {e}")),
             };
             run_transport_host(&transport, threads, plan, |ctx| {
-                run_host(row, &g, &parts, cfg, elastic, ctx)
+                run_host(row, &g, cfg, elastic, ctx)
             })
             .map_err(|e| format!("host {host}: {e}"))?
         }
@@ -608,18 +603,16 @@ fn host_values<R>(
 
 /// Runs `row` through [`run_host`] on every host of `cluster` under `plan`
 /// and returns the canonical `u64` fingerprint logical rank 0 gathered
-/// (see [`serve::merge_job_outputs`]). `parts` is the up-front partition
-/// fixed membership computes on.
+/// (see [`serve::merge_job_outputs`]).
 fn run_cluster(
     row: &AlgoRow,
     g: &Graph,
-    parts: &[DistGraph],
     cfg: PartitionCfg,
     cluster: &Cluster,
     plan: FaultPlan,
     elastic: Elastic,
 ) -> Result<Outcome<Vec<u64>>, String> {
-    let res = cluster.try_run_with_faults(plan, |ctx| run_host(row, g, parts, cfg, elastic, ctx));
+    let res = cluster.try_run_with_faults(plan, |ctx| run_host(row, g, cfg, elastic, ctx));
     Ok(match host_values(res, elastic.any())? {
         Outcome::Aborted(m) => Outcome::Aborted(m),
         Outcome::Done(outs) => Outcome::Done(
@@ -687,8 +680,7 @@ fn run_sim_seed(
         .sim(seed)
         .with_transport_config(simfuzz::sim_transport_config())
         .with_trace_sink(sink.clone());
-    let parts = if elastic.any() { Vec::new() } else { partition_cfg(&g, &cfg) };
-    let outcome = run_cluster(row, &g, &parts, cfg, &cluster, plan, elastic)?;
+    let outcome = run_cluster(row, &g, cfg, &cluster, plan, elastic)?;
     let trace = std::mem::take(&mut *sink.lock());
     if let Some(path) = trace_path {
         let events: Vec<String> = trace.iter().map(|ev| ev.to_json()).collect();

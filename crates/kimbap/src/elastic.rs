@@ -12,8 +12,8 @@
 //!    ([`HostCtx::recover_grow`], while the joiner knocks in
 //!    [`HostCtx::join_cluster`]); either compacts
 //!    logical ranks over the new member set and bumps the generation;
-//! 2. recomputes the graph partition over the new host count, under the
-//!    caller's policy and storage tier;
+//! 2. builds its own part of the graph over the new host count
+//!    ([`live_part`]), under the caller's policy and storage tier;
 //! 3. re-shards the durable state (`reshard`) — each member contributes
 //!    its own checkpoint shard plus, when its ring predecessor departed,
 //!    the predecessor's replicated shard; a joiner contributes nothing —
@@ -32,7 +32,7 @@
 use crate::engine::{AdoptedState, Engine, EngineOutput, MembershipCause, MembershipSignal};
 use kimbap_comm::{clock, Deadline, HostCtx, MembershipChange};
 use kimbap_compiler::transform::CompiledProgram;
-use kimbap_dist::{ownership_for, partition_cfg, DistGraph, PartitionCfg};
+use kimbap_dist::{ownership_for, partition_host, DistGraph, PartitionCfg};
 use kimbap_graph::{Graph, NodeId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -109,14 +109,10 @@ pub fn run_plan_elastic(
     }
 }
 
-/// This host's part of `g` under `cfg`'s policy and storage tier, over
-/// the live membership (`cfg.hosts` is not read).
+/// This host's part of `g` under `cfg`'s policy and storage tier, over the
+/// live membership (`cfg.hosts` is not read), built alone ([`partition_host`]).
 pub fn live_part(g: &Graph, cfg: PartitionCfg, ctx: &HostCtx) -> DistGraph {
-    let cfg = PartitionCfg {
-        hosts: ctx.num_hosts(),
-        ..cfg
-    };
-    partition_cfg(g, &cfg).swap_remove(ctx.host())
+    partition_host(g, &PartitionCfg { hosts: ctx.num_hosts(), ..cfg }, ctx.host())
 }
 
 /// Redistributes the members' checkpoint shards, plus any replica adopted

@@ -7,7 +7,8 @@
 # (fixed, shrinking and growing membership; hand-written loops and both
 # compiled plans), output diffs across transports, fault plans, storage
 # tiers and launchers (`kimbap run` in-proc and over TCP vs `kimbap
-# serve`, all seven algorithms), kill and join smokes on both transports,
+# serve`, all seven algorithms), an 8-host smoke, kill and join smokes on
+# both transports,
 # Louvain / Leiden across thread counts and repeats, the partitioner's
 # host-balance budget, and the benchmark package's own
 # tests and smoke run (benchmark/run.sh is the performance gate).
@@ -132,6 +133,33 @@ for algo in cc-sv cc-lp cc-sclp; do
     port=$((port + 10))
 done
 echo "    degraded (3-host) and fault-free (4-host) labels identical, in-proc and TCP"
+
+echo "==> 8-host smoke (every host, in-proc and each TCP worker, builds only its own part; output diffed)"
+# Fixed membership and fault-free --allow-shrink, in-proc and over TCP,
+# each against the 2-host in-proc output: eight parts, each built by its
+# own host, must compute what two do.
+./target/release/kimbap gen --kind rmat --scale 12 --ef 16 --seed 9 \
+    --out "$SMOKE_DIR/r12.kg"
+port=28000
+for algo in cc-lp cc-sv; do
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 2 --threads 1 \
+        --out "$SMOKE_DIR/h2-$algo.txt" > /dev/null
+    tcp_port=$port
+    for membership in fixed --allow-shrink; do
+        switch=()
+        [ "$membership" = fixed ] || switch=("$membership")
+        ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 8 --threads 1 \
+            "${switch[@]}" --out "$SMOKE_DIR/h8-$algo-$membership.txt" > /dev/null
+        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-$algo-$membership.txt"
+        ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 8 --threads 1 \
+            --transport tcp --port-base "$tcp_port" "${switch[@]}" \
+            --out "$SMOKE_DIR/h8-tcp-$algo-$membership.txt" > /dev/null
+        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-tcp-$algo-$membership.txt"
+        tcp_port=$((tcp_port + 10))
+    done
+    port=$((port + 100))
+done
+echo "    8-host (fixed and --allow-shrink; in-proc and TCP) and 2-host outputs identical"
 
 echo "==> grow smoke (a joiner admitted mid-run, in-proc and a TCP worker process; output diffed)"
 # The grid is large enough that the members are still computing when the
