@@ -28,6 +28,8 @@ pub fn bfs<B: MapBuilder>(
     dist.init_masters(&|g| if g == source { 0 } else { UNREACHED });
     dist.pin_mirrors(ctx);
     loop {
+        // Publish the BSP round so fault plans can target it.
+        ctx.set_round(ctx.current_round() + 1);
         dist.reset_updated();
         let d = &dist;
         ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
@@ -74,6 +76,8 @@ pub fn sssp<B: MapBuilder>(
     dist.init_masters(&|g| if g == source { 0 } else { UNREACHED });
     dist.pin_mirrors(ctx);
     loop {
+        // Publish the BSP round so fault plans can target it.
+        ctx.set_round(ctx.current_round() + 1);
         dist.reset_updated();
         let d = &dist;
         ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
@@ -150,6 +154,8 @@ pub fn pagerank<B: MapBuilder>(
     let mut contrib = b.build::<u64, Sum>(dg, ctx, Sum);
 
     for _ in 0..iters {
+        // Publish the BSP round so fault plans can target it.
+        ctx.set_round(ctx.current_round() + 1);
         // Scatter: each node sends rank/degree along its edges.
         contrib.reset_values(ctx);
         {

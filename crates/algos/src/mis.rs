@@ -58,7 +58,10 @@ pub fn mis<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, 
 
     let undecided = SumReducer::new();
     loop {
+        // Each phase ends in a reduce-sync, so each is one BSP round and
+        // publishes it for fault plans to target.
         // Phase 1: per-round scratch — highest undecided-neighbor priority.
+        ctx.set_round(ctx.current_round() + 1);
         best.reset_values(ctx);
         {
             let (s, d, bm) = (&state, &degree, &best);
@@ -86,6 +89,7 @@ pub fn mis<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, 
 
         // Phase 2: winners join the set (decided at masters; `best` of a
         // master is a local read under GAR).
+        ctx.set_round(ctx.current_round() + 1);
         state.reset_updated();
         {
             let (s, d, bm) = (&state, &degree, &best);
@@ -102,6 +106,7 @@ pub fn mis<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, 
         state.broadcast_sync(ctx);
 
         // Phase 3: neighbors of winners drop out.
+        ctx.set_round(ctx.current_round() + 1);
         {
             let s = &state;
             ctx.par_for(0..dg.num_local_nodes(), |tid, range| {

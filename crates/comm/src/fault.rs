@@ -35,7 +35,8 @@ pub enum FaultKind {
     CrashHost,
     /// The host is lost permanently on entry to its next collective: it
     /// never participates in recovery alignment again, so survivors must
-    /// either shrink the membership (`--allow-shrink`) or abort with
+    /// either shrink the membership (a run whose plan kills a host does,
+    /// see [`FaultPlan::changes_membership`]) or abort with
     /// `CommError::MembershipLost`. In multi-process mode the worker
     /// process exits instead of panicking, modeling a machine death.
     KillHost,
@@ -224,12 +225,25 @@ impl FaultPlan {
 
     /// Declares `host` as a late joiner: the cluster starts with it latent
     /// (reserved capacity, not a member), and the host begins knocking on
-    /// the grow gate `delay_ms` after the run starts. Requires the run to
-    /// opt into growing (the elastic driver / `--allow-grow`); without it
-    /// the host knocks forever and times out.
+    /// the grow gate `delay_ms` after the run starts. Only an elastic run
+    /// admits it (a launcher runs one for a plan that declares a joiner,
+    /// see [`FaultPlan::changes_membership`]); otherwise the host knocks
+    /// until it times out.
     pub fn join_host(mut self, host: usize, delay_ms: u64) -> Self {
         self.joins.push((host, delay_ms));
         self
+    }
+
+    /// True if the plan kills a host ([`FaultPlan::kill_host`]) or declares
+    /// a joiner ([`FaultPlan::join_host`]): the run's membership may
+    /// change, so it must run elastic. Every other plan keeps the
+    /// fixed-membership path.
+    pub fn changes_membership(&self) -> bool {
+        !self.joins.is_empty()
+            || self
+                .faults
+                .iter()
+                .any(|f| matches!(f.kind, FaultKind::KillHost))
     }
 
     /// The hosts declared latent by [`FaultPlan::join_host`], i.e. the
@@ -549,6 +563,21 @@ mod tests {
         let mut f = vec![0u8; 4];
         let st = FaultState::new(FaultPlan::new().kill_host(0, 0));
         assert_eq!(st.on_send(0, 1, 0, 0, 0, 0, &mut f), SendAction::Deliver);
+    }
+
+    #[test]
+    fn only_kills_and_joins_change_membership() {
+        let fixed = FaultPlan::new()
+            .drop_frame(0, 1, 1)
+            .corrupt_frame(1, 0, 1, 3)
+            .crash_host(1, 2)
+            .stall_host(0, 1, 10)
+            .with_seed(3)
+            .drop_rate(0.1);
+        assert!(!fixed.changes_membership());
+        assert!(!FaultPlan::new().changes_membership());
+        assert!(fixed.clone().kill_host(1, 2).changes_membership());
+        assert!(fixed.join_host(2, 50).changes_membership());
     }
 
     #[test]

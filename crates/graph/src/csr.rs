@@ -190,9 +190,27 @@ impl Graph {
     }
 
     /// Returns `true` if every edge `(u, v, w)` has a reverse `(v, u, w)`.
+    ///
+    /// Copies every row once, sorted by `(target, weight)`, so each reverse
+    /// edge is one binary search away: O(m log d) in all, where scanning
+    /// `v`'s row for every edge into `v` costs Σ deg(v)² on a power-law
+    /// graph. Rows need not be sorted or free of parallel edges.
     pub fn is_symmetric(&self) -> bool {
-        self.all_edges()
-            .all(|(u, v, w)| self.edges(v).any(|(t, tw)| t == u && tw == w))
+        let mut rows: Vec<(NodeId, Weight)> = Vec::with_capacity(self.num_edges());
+        let mut offsets = Vec::with_capacity(self.num_nodes() + 1);
+        offsets.push(0);
+        for u in self.nodes() {
+            let start = rows.len();
+            rows.extend(self.edges(u));
+            rows[start..].sort_unstable();
+            offsets.push(rows.len());
+        }
+        let row = |u: NodeId| &rows[offsets[u as usize]..offsets[u as usize + 1]];
+        self.nodes().all(|u| {
+            row(u)
+                .iter()
+                .all(|&(v, w)| row(v).binary_search(&(u, w)).is_ok())
+        })
     }
 
     /// In-memory size in bytes, including per-component allocations and
@@ -283,6 +301,41 @@ mod tests {
         assert_eq!(g.degree(2), 1);
         assert_eq!(g.edges(2).collect::<Vec<_>>(), vec![(0, 9)]);
         assert!(!g.is_symmetric());
+    }
+
+    #[test]
+    fn symmetry_needs_every_reverse_edge_with_its_weight() {
+        // Hub 0 links to 1..=5 and back, with a parallel pair to 5; the
+        // reverse rows are unsorted.
+        let hub = |w05: Weight, drop_reverse: bool| {
+            let mut rows: Vec<Vec<(NodeId, Weight)>> = vec![
+                vec![(5, 2), (3, 1), (1, 1), (5, 7), (4, 1), (2, 1)],
+                vec![(0, 1)],
+                vec![(0, 1)],
+                vec![(0, 1)],
+                vec![(0, 1)],
+                vec![(0, 7), (0, w05)],
+            ];
+            if drop_reverse {
+                rows[3].clear();
+            }
+            let mut offsets = vec![0];
+            let (mut targets, mut weights) = (Vec::new(), Vec::new());
+            for row in rows {
+                for (t, w) in row {
+                    targets.push(t);
+                    weights.push(w);
+                }
+                offsets.push(targets.len() as u64);
+            }
+            Graph::from_csr(offsets, targets, weights)
+        };
+        assert!(hub(2, false).is_symmetric());
+        assert!(hub(2, false).compress().is_symmetric());
+        // 0 -> 5 weighs 2, but no 5 -> 0 does.
+        assert!(!hub(3, false).is_symmetric());
+        // 0 -> 3 has no reverse edge at all.
+        assert!(!hub(2, true).is_symmetric());
     }
 
     #[test]

@@ -117,7 +117,52 @@ fn assert_compressed_matches_raw((offsets, targets, weights): &Csr) {
     }
 }
 
+/// A raw CSR of `edges` grouped by source, each row in list order:
+/// unsorted, parallel edges kept.
+fn csr_in_list_order(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> kimbap_graph::Graph {
+    let mut offsets = vec![0u64];
+    let (mut targets, mut weights) = (Vec::new(), Vec::new());
+    for u in 0..n as NodeId {
+        for &(_, v, w) in edges.iter().filter(|e| e.0 == u) {
+            targets.push(v);
+            weights.push(w);
+        }
+        offsets.push(targets.len() as u64);
+    }
+    kimbap_graph::Graph::from_csr(offsets, targets, weights)
+}
+
 proptest! {
+    // `is_symmetric` against the per-edge scan it replaced, on rows that
+    // are unsorted and carry parallel edges; mirrored lists (some with
+    // one edge dropped or re-weighted) make both answers common.
+    #[test]
+    fn is_symmetric_agrees_with_the_scan(
+        edges in prop::collection::vec((0u32..8, 0u32..8, 1u64..4), 0..40),
+        mirror in prop::bool::ANY,
+        cut in 0usize..48,
+        reweight in prop::bool::ANY,
+    ) {
+        let mut edges = edges;
+        if mirror {
+            let reversed: Vec<_> = edges.iter().rev().map(|&(u, v, w)| (v, u, w)).collect();
+            edges.extend(reversed);
+            if cut < edges.len() {
+                if reweight {
+                    edges[cut].2 += 1;
+                } else {
+                    edges.remove(cut);
+                }
+            }
+        }
+        let g = csr_in_list_order(8, &edges);
+        let scan = g
+            .all_edges()
+            .all(|(u, v, w)| g.edges(v).any(|(t, tw)| t == u && tw == w));
+        prop_assert_eq!(g.is_symmetric(), scan);
+        prop_assert_eq!(g.compress().is_symmetric(), scan);
+    }
+
     #[test]
     fn built_graphs_are_symmetric(edges in edge_list()) {
         let g = from_edges(edges);

@@ -7,6 +7,7 @@
 //! kimbap stats g.kg
 //! kimbap run cc-sv g.kg --hosts 4 --threads 2
 //! kimbap run cc-lp g.kg --hosts 3 --transport tcp --faults drop --seed 1
+//! kimbap run cc-sv g.kg --hosts 4 --faults kill
 //! kimbap run louvain g.kg --hosts 4
 //! kimbap compile program.kv [--no-opt]
 //! ```
@@ -23,7 +24,10 @@
 //! jobs from. It ends every job by gathering the hosts' outputs on logical
 //! rank 0 ([`serve::gather_job_outputs`]); whichever process holds that
 //! rank — the in-proc or sim launcher, or one TCP worker — reports the
-//! result ([`finish`]).
+//! result ([`finish`]). The fault plan alone decides whether a launch may
+//! change its membership ([`FaultPlan::changes_membership`]: `--faults
+//! kill` or `join`, or `sim --faults kill|churn`); every other plan keeps
+//! the fixed-membership path.
 
 use kimbap::elastic::{live_part, run_plan_elastic};
 use kimbap::prelude::*;
@@ -90,11 +94,10 @@ usage:
   kimbap run <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden> FILE
              [--hosts N] [--threads N] [--transport inproc|tcp]
              [--faults none|drop|corrupt|crash|kill|join] [--seed N]
-             [--allow-shrink] [--allow-grow] [--port-base N] [--out FILE]
-             [--raw]
+             [--port-base N] [--out FILE] [--raw]
   kimbap sim [--algo <cc-sv|cc-lp|cc-sclp|mis|msf|louvain|leiden>]
              [--seed N] [--seeds N] [--hosts N] [--threads N]
-             [--scale N] [--ef N] [--allow-shrink] [--allow-grow]
+             [--scale N] [--ef N] [--faults random|kill|churn]
              [--trace FILE] [--out FILE] [--raw]
   kimbap serve FILE [--hosts N] [--threads N] [--jobs FILE] [--job SPEC]...
                [--cache-capacity N] [--out-dir DIR] [--raw]
@@ -129,19 +132,20 @@ reference labels or surface a communication failure — anything else (and
 any divergence) fails with the exact command that replays it. --seeds N
 fuzzes N consecutive seeds; --trace dumps the event schedule as JSONL.
 
---allow-shrink survives permanent host loss: the survivors agree the dead
-host out of the membership and re-converge, the compiled-plan rows
-(cc-sv, cc-lp) from their last checkpoint re-sharded over the survivors,
-the others by restarting. With --faults kill (or the kill-bearing seeds
-of the sim fuzz plans) the victim exits mid-run and the remaining hosts
-must still produce the fault-free output.
-
---allow-grow (compiled-plan rows) also admits a live host mid-run: the
-members stop at a round boundary, re-shard the master maps over the
-expanded ownership, and resume. --faults join declares one spare host
-that knocks ~50 ms in; on --transport tcp it is a worker process spawned
-late. kimbap sim --allow-grow draws seeded churn plans (joins, kills,
-both) and checks every interleaving converges to the fault-free labels.
+The fault plan decides whether the membership may change; no switch
+does. --faults kill survives permanent host loss: host 1 exits mid-run,
+the survivors agree it out of the membership and re-converge, the
+compiled-plan rows (cc-sv, cc-lp) from their last checkpoint re-sharded
+over the survivors, the others by restarting, and the output must equal
+the fault-free one. --faults join (compiled-plan rows only) admits a
+live host mid-run: one spare host knocks ~50 ms in (on --transport tcp it
+is a worker process spawned late), the members stop at a round boundary,
+re-shard the master maps over the expanded ownership, and resume. Every
+other plan keeps the fixed membership. kimbap sim --faults picks the
+seeded plan family: random (frame noise, crashes, stalls; the default),
+kill (noise plus a permanent kill on ~40% of seeds) or churn (kills plus
+joins, compiled-plan rows only); kill and churn run every seed on the
+elastic path and check each interleaving converges.
 
 runs are read-only over the graph, so each host stores its local CSR on
 the compressed tier (bit-packed delta neighbor blocks) by default; --raw
@@ -221,33 +225,16 @@ fn parse_algo(name: &str) -> Result<&'static AlgoRow, String> {
     })
 }
 
-/// The membership switches shared by `run`, `sim`, and the TCP workers.
-#[derive(Clone, Copy)]
-struct Elastic {
-    /// `--allow-shrink`.
-    shrink: bool,
-    /// `--allow-grow`.
-    grow: bool,
-}
-
-impl Elastic {
-    /// Reads both switches; `--allow-grow` needs a row whose plan the
-    /// elastic engine can resume.
-    fn parse(args: &[String], row: &AlgoRow) -> Result<Self, String> {
-        let grow = args.iter().any(|a| a == "--allow-grow");
-        if grow && row.plan.is_none() {
-            let rows: Vec<_> = TABLE.iter().filter(|r| r.plan.is_some()).map(|r| r.name).collect();
-            let rows = rows.join(", ");
-            return Err(format!("--allow-grow resumes a compiled plan: {rows}, not {}", row.name));
-        }
-        let shrink = args.iter().any(|a| a == "--allow-shrink");
-        Ok(Elastic { shrink, grow })
+/// Fails unless `row` can admit the joiner `--faults FAULTS` declares:
+/// only a compiled plan resumes on re-sharded state.
+fn check_growable(row: &AlgoRow, faults: &str) -> CliResult {
+    if row.plan.is_some() {
+        return Ok(());
     }
-
-    /// Whether the membership may change.
-    fn any(self) -> bool {
-        self.shrink || self.grow
-    }
+    let rows: Vec<_> = TABLE.iter().filter(|r| r.plan.is_some()).map(|r| r.name).collect();
+    let rows = rows.join(", ");
+    let name = row.name;
+    Err(format!("--faults {faults} admits a joiner by resuming a compiled plan: {rows}, not {name}"))
 }
 
 fn load_graph(path: &str) -> Result<Graph, String> {
@@ -370,12 +357,12 @@ fn fault_plan(name: &str, seed: u64, hosts: usize) -> Result<FaultPlan, String> 
             .corrupt_rate(0.02),
         "crash" => FaultPlan::new().crash_host(1, 2),
         // Permanent loss: host 1 dies at round 2 and never comes back —
-        // in process mode the worker exits with KILLED_EXIT_CODE. Only
-        // recoverable under --allow-shrink.
+        // in process mode the worker exits with KILLED_EXIT_CODE; the
+        // survivors shrink past it.
         "kill" => FaultPlan::new().kill_host(1, 2),
         // Live join: the highest capacity slot starts latent and knocks
-        // 50 ms into the run. Only admittable under --allow-grow, where
-        // the launcher sizes the cluster one past --hosts for it.
+        // 50 ms into the run; the launcher sizes the cluster one past
+        // --hosts for it.
         "join" => FaultPlan::new().join_host(hosts - 1, 50),
         other => return Err(format!("unknown fault plan '{other}'")),
     })
@@ -385,20 +372,21 @@ fn fault_plan(name: &str, seed: u64, hosts: usize) -> Result<FaultPlan, String> 
 /// worker, `sim`): runs `row` on this host's own part of `g` ([`live_part`])
 /// and gathers the outputs on logical rank 0, which returns the merged
 /// fingerprint (other hosts `None`). Fixed membership builds the part once
-/// and recovers in place on it. Elastic, a row with a plan resumes from
-/// re-sharded checkpoints on a part per attempt (a joiner that gives up
-/// returns `None` without joining the gather); a row without one restarts
-/// on a part over the survivors of a shrink.
+/// and recovers in place on it. `elastic` (the fault plan may change the
+/// membership): a row with a plan resumes from re-sharded checkpoints on a
+/// part per attempt (a joiner that gives up returns `None` without joining
+/// the gather); a row without one restarts on a part over the survivors of
+/// a shrink.
 fn run_host(
     row: &AlgoRow,
     g: &Graph,
     cfg: PartitionCfg,
-    elastic: Elastic,
+    elastic: bool,
     ctx: &HostCtx,
 ) -> Option<Vec<u64>> {
     let gather = |ctx: &HostCtx, out| serve::gather_job_outputs(ctx, row.algo, g.num_nodes(), out);
     match row.algo.plan() {
-        Some(plan) if elastic.any() => {
+        Some(plan) if elastic => {
             let joiner = !ctx.is_member();
             let Some(out) = run_plan_elastic(g, cfg, plan, ctx) else {
                 println!("joiner gave up: the members finished before admission");
@@ -410,7 +398,7 @@ fn run_host(
             let masters = out.map_values.into_iter().next().unwrap_or_default();
             ctx.run_recovering(|ctx| gather(ctx, JobOutput::Masters(masters.clone())))
         }
-        _ if elastic.shrink => {
+        _ if elastic => {
             ctx.run_elastic(|ctx| gather(ctx, (row.run)(&live_part(g, cfg, ctx), ctx, 0)))
         }
         _ => {
@@ -423,9 +411,9 @@ fn run_host(
 /// Launches one worker process of this same binary per capacity slot,
 /// connected over TCP loopback, each with `run`'s arguments less the
 /// transport plus its `--host`, and waits for them. Any worker exiting
-/// non-zero fails the run — except, under `--allow-shrink`, one dying with
-/// [`kimbap_comm::KILLED_EXIT_CODE`]: the injected permanent loss.
-fn run_tcp(args: &[String], plan: &FaultPlan, capacity: usize, elastic: Elastic) -> CliResult {
+/// non-zero fails the run — except, when `plan` kills a host, one dying
+/// with [`kimbap_comm::KILLED_EXIT_CODE`]: the injected permanent loss.
+fn run_tcp(args: &[String], plan: &FaultPlan, capacity: usize) -> CliResult {
     let exe = std::env::current_exe().map_err(|e| format!("locate own binary: {e}"))?;
     let at = args.iter().position(|a| a == "--transport");
     let forwarded = args.iter().enumerate().filter(|(i, _)| at.is_none_or(|t| *i != t && *i != t + 1));
@@ -449,7 +437,7 @@ fn run_tcp(args: &[String], plan: &FaultPlan, capacity: usize, elastic: Elastic)
     let mut failed = Vec::new();
     for (h, mut child) in children {
         let status = child.wait().map_err(|e| format!("wait worker {h}: {e}"))?;
-        if elastic.shrink && status.code() == Some(kimbap_comm::KILLED_EXIT_CODE) {
+        if plan.changes_membership() && status.code() == Some(kimbap_comm::KILLED_EXIT_CODE) {
             println!("worker {h} was killed; survivors shrank past it");
         } else if !status.success() {
             failed.push(format!("worker {h} exited with {status}"));
@@ -469,7 +457,7 @@ fn cmd_worker(args: &[String]) -> CliResult {
         "_worker",
         args,
         &["--hosts", "--host", "--threads", "--faults", "--seed", "--port-base", "--out"],
-        &["--allow-shrink", "--allow-grow", "--raw"],
+        &["--raw"],
     )?;
     launch(args, Some(flag_num(args, "--host", 0)?))
 }
@@ -484,23 +472,20 @@ fn launch(args: &[String], host: Option<usize>) -> CliResult {
     let transport = flag(args, "--transport").unwrap_or_else(|| "inproc".into());
     let faults = flag(args, "--faults").unwrap_or_else(|| "none".into());
     let seed: u64 = flag_num(args, "--seed", 1)?;
-    let elastic = Elastic::parse(args, row)?;
     if !matches!(transport.as_str(), "inproc" | "tcp") {
         return Err(format!("unknown transport '{transport}'"));
     }
-    if faults == "kill" && !elastic.shrink {
-        return Err("--faults kill is only survivable with --allow-shrink".into());
-    }
-    if faults == "join" && !elastic.grow {
-        return Err("--faults join is only admittable with --allow-grow".into());
+    if faults == "join" {
+        check_growable(row, &faults)?;
     }
     // The join plan's latent host occupies one capacity slot past the
     // requested member count: the cluster starts computing on --hosts
     // members and grows into the spare when the joiner knocks.
     let capacity = if faults == "join" { hosts + 1 } else { hosts };
     let plan = fault_plan(&faults, seed, capacity)?;
+    let elastic = plan.changes_membership();
     if transport == "tcp" && host.is_none() {
-        return run_tcp(args, &plan, capacity, elastic);
+        return run_tcp(args, &plan, capacity);
     }
     let cfg = tier_cfg(row.policy, hosts, args);
     let g = load_graph(path)?;
@@ -576,7 +561,7 @@ fn host_values<R>(
     for (h, r) in res.into_iter().enumerate() {
         match r {
             Ok(v) => vals.push(v),
-            // Under --allow-shrink the killed host is an *expected*
+            // In an elastic run the killed host is an *expected*
             // casualty: it aborts with its own permanent-loss error while
             // the survivors shrink past it, so its result is skipped
             // rather than treated as the run's outcome.
@@ -610,10 +595,10 @@ fn run_cluster(
     cfg: PartitionCfg,
     cluster: &Cluster,
     plan: FaultPlan,
-    elastic: Elastic,
+    elastic: bool,
 ) -> Result<Outcome<Vec<u64>>, String> {
     let res = cluster.try_run_with_faults(plan, |ctx| run_host(row, g, cfg, elastic, ctx));
-    Ok(match host_values(res, elastic.any())? {
+    Ok(match host_values(res, elastic)? {
         Outcome::Aborted(m) => Outcome::Aborted(m),
         Outcome::Done(outs) => Outcome::Done(
             outs.into_iter()
@@ -625,10 +610,10 @@ fn run_cluster(
 }
 
 /// Runs one seed end-to-end on `cfg.hosts` members: generate the graph,
-/// compute the fault-free reference, replay the seeded faulty schedule on
-/// the sim backend, dump the trace (before verdicts, so a failing seed
-/// leaves its schedule on disk), and check convergence. Either verdict
-/// names the trace length.
+/// compute the fault-free reference, replay the schedule `draw` derives
+/// from the seed on the sim backend (on the elastic path if `elastic`),
+/// dump the trace (before verdicts, so a failing seed leaves its schedule
+/// on disk), and check convergence. Either verdict names the trace length.
 #[allow(clippy::too_many_arguments)]
 fn run_sim_seed(
     row: &AlgoRow,
@@ -637,7 +622,8 @@ fn run_sim_seed(
     threads: usize,
     scale: u32,
     ef: usize,
-    elastic: Elastic,
+    draw: simfuzz::DrawPlan,
+    elastic: bool,
     trace_path: Option<&str>,
     out: Option<&str>,
 ) -> Result<Outcome<String>, String> {
@@ -656,21 +642,16 @@ fn run_sim_seed(
         (row.check)(&g, &labels).map(|()| labels)
     };
     let baseline = reference(hosts)?;
+    let plan = draw(seed, hosts);
     // A fired kill makes the survivors finish on the shrunk membership.
     // Algorithms whose output depends on the partition (louvain/leiden)
     // then legitimately converge to the fault-free output of a cluster
     // one host smaller, so that baseline is accepted too.
-    let shrunk_baseline = if elastic.shrink && simfuzz::kill_victim(seed, hosts).is_some() {
+    let killed = plan.changes_membership() && simfuzz::kill_victim(seed, hosts).is_some();
+    let shrunk_baseline = if killed {
         Some(reference(hosts - 1)?)
     } else {
         None
-    };
-    let plan = if elastic.grow {
-        simfuzz::random_churn_plan(seed, hosts)
-    } else if elastic.shrink {
-        simfuzz::random_kill_plan(seed, hosts)
-    } else {
-        simfuzz::random_fault_plan(seed, hosts)
     };
     // A churn plan's joiner occupies one spare capacity slot past the
     // member count; seeds without a join run at plain capacity.
@@ -737,10 +718,10 @@ fn cmd_sim(args: &[String]) -> CliResult {
         "sim",
         args,
         &[
-            "--algo", "--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--trace",
-            "--out",
+            "--algo", "--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef", "--faults",
+            "--trace", "--out",
         ],
-        &["--allow-shrink", "--allow-grow", "--raw"],
+        &["--raw"],
     )?;
     let row = parse_algo(flag(args, "--algo").as_deref().unwrap_or("cc-lp"))?;
     let hosts: usize = flag_num(args, "--hosts", 3)?;
@@ -750,14 +731,27 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let threads: usize = flag_num(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
-    let elastic = Elastic::parse(args, row)?;
+    let faults = flag(args, "--faults").unwrap_or_else(|| "random".into());
+    let Some(&(_, draw)) = simfuzz::PLAN_FAMILIES
+        .iter()
+        .find(|(name, _)| *name == faults)
+    else {
+        let valid = simfuzz::PLAN_FAMILIES.map(|(name, _)| name).join(", ");
+        return Err(format!("unknown fault family '{faults}' (valid: {valid})"));
+    };
+    if faults == "churn" {
+        check_growable(row, &faults)?;
+    }
+    // Every seed of the kill and churn families runs on the elastic
+    // path, one whose draw changes nothing included: the family, not the
+    // seed, picks the path a seed's schedule runs on.
+    let elastic = faults != "random";
     let cfg = tier_cfg(row.policy, hosts, args);
     let trace_path = flag(args, "--trace");
     let out = flag(args, "--out");
-    let Elastic { shrink, grow } = elastic;
     fuzz_seeds(
         args,
-        |s| simfuzz::replay_command(row.name, s, hosts, threads, scale, ef, shrink, grow),
+        |s| simfuzz::replay_command(row.name, s, hosts, threads, scale, ef, &faults),
         |s| {
             run_sim_seed(
                 row,
@@ -766,6 +760,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
                 threads,
                 scale,
                 ef,
+                draw,
                 elastic,
                 trace_path.as_deref(),
                 out.as_deref(),
@@ -1110,7 +1105,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         "run",
         args,
         &["--hosts", "--threads", "--transport", "--faults", "--seed", "--port-base", "--out"],
-        &["--allow-shrink", "--allow-grow", "--raw"],
+        &["--raw"],
     )?;
     launch(args, None)
 }
@@ -1190,7 +1185,7 @@ fn describe(top: &kimbap_compiler::transform::CompiledTop) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_flags, Algo, Elastic, COMMANDS};
+    use super::{check_flags, cmd_run, cmd_sim, COMMANDS};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -1218,24 +1213,44 @@ mod tests {
     }
 
     #[test]
-    fn allow_grow_names_the_rows_with_a_plan() {
-        let grow = args(&["--allow-grow"]);
-        assert!(Elastic::parse(&grow, Algo::CcSv.row()).is_ok());
-        let Err(err) = Elastic::parse(&grow, Algo::Louvain.row()) else {
+    fn a_joiner_names_the_rows_with_a_plan() {
+        // Both checks run before any file is opened (there is none).
+        let join = args(&["louvain", "missing.kg", "--faults", "join"]);
+        let Err(err) = cmd_run(&join) else {
             panic!("louvain has no plan to resume");
         };
-        assert!(err.ends_with("cc-sv, cc-lp, not louvain"), "{err}");
+        let names_plans = |err: &str| err.ends_with("cc-sv, cc-lp, not louvain");
+        assert!(
+            err.starts_with("--faults join ") && names_plans(&err),
+            "{err}"
+        );
+        let churn = args(&["--algo", "louvain", "--faults", "churn"]);
+        let Err(err) = cmd_sim(&churn) else {
+            panic!("louvain has no plan to resume");
+        };
+        assert!(
+            err.starts_with("--faults churn ") && names_plans(&err),
+            "{err}"
+        );
+        // A row with a plan gets past the check to the missing file.
+        let join = args(&["cc-sv", "missing.kg", "--faults", "join"]);
+        assert!(cmd_run(&join).unwrap_err().starts_with("open missing.kg"));
     }
 
     #[test]
     fn every_subcommand_rejects_the_hub_threshold() {
-        // A removed flag must fail loudly, not be silently ignored.
-        let a = args(&["cc-lp", "g.kg", "--hub-threshold", "8"]);
-        for (name, cmd) in COMMANDS {
-            assert_eq!(
-                cmd(&a),
-                Err(format!("unknown flag '--hub-threshold' for 'kimbap {name}'"))
-            );
+        // A removed flag must fail loudly, not be silently ignored: the
+        // hub threshold, and the membership switches the fault plan
+        // replaced.
+        for removed in ["hub-threshold", "allow-shrink", "allow-grow"] {
+            let flag = format!("--{removed}");
+            let a = args(&["cc-lp", "g.kg", &flag, "8"]);
+            for (name, cmd) in COMMANDS {
+                assert_eq!(
+                    cmd(&a),
+                    Err(format!("unknown flag '{flag}' for 'kimbap {name}'"))
+                );
+            }
         }
     }
 }

@@ -18,9 +18,10 @@
 //!    its own checkpoint shard plus, when its ring predecessor departed,
 //!    the predecessor's replicated shard; a joiner contributes nothing —
 //!    routing every master pair to its new owner through one exchange;
-//! 4. rebuilds the engine on the new partition, installs the adopted
-//!    state, and resumes the program from the loop that was executing,
-//!    inside any enclosing `do { .. } while` body.
+//! 4. rebuilds the engine on the new partition, restores the routed
+//!    state the way a crash restores a checkpoint, and resumes the program
+//!    from the loop that was executing, inside any enclosing
+//!    `do { .. } while` body.
 //!
 //! When the checkpoint cannot be reconstructed (adjacent departures, a
 //! loss before the first replication, or members stopped at different
@@ -29,12 +30,12 @@
 //! new membership instead. Either way the output is the one a fault-free
 //! run on the final membership produces.
 
-use crate::engine::{AdoptedState, Engine, EngineOutput, MembershipCause, MembershipSignal};
+use crate::engine::{Checkpoint, Engine, EngineOutput, MembershipCause, MembershipSignal};
 use kimbap_comm::{clock, Deadline, HostCtx, MembershipChange};
 use kimbap_compiler::transform::CompiledProgram;
-use kimbap_dist::{ownership_for, partition_host, DistGraph, PartitionCfg};
+use kimbap_dist::{ownership_for, partition_host, DistGraph, Ownership, PartitionCfg};
 use kimbap_graph::{Graph, NodeId};
-use std::collections::HashMap;
+use kimbap_npm::MapSnapshot;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -45,7 +46,7 @@ const MAX_MEMBERSHIP_CHANGES: u32 = 16;
 /// Re-sharded state plus the program point to resume from.
 struct ResumePoint {
     resume_at: Vec<usize>,
-    state: AdoptedState,
+    state: Checkpoint,
 }
 
 /// How long a latent host knocks before giving up on admission.
@@ -83,7 +84,7 @@ pub fn run_plan_elastic(
             engine.elastic = true;
             match resume.take() {
                 Some(rp) => {
-                    engine.adopt(&rp.state);
+                    engine.restore(&rp.state);
                     engine.run_from(ctx, &rp.resume_at)
                 }
                 None => engine.run(ctx),
@@ -189,19 +190,8 @@ fn reshard(
         }
     }
     let recv = ctx.exchange(out);
-
-    let mut maps: Vec<HashMap<NodeId, u64>> = vec![HashMap::new(); nmaps];
-    let mut moved = 0u64;
-    for (from, buf) in recv.iter().enumerate() {
-        let triples = decode_triples(buf, nmaps)
-            .unwrap_or_else(|e| ctx.protocol_violation(format!("re-shard from host {from}: {e}")));
-        if from != me {
-            moved += triples.len() as u64;
-        }
-        for (m, k, v) in triples {
-            maps[m].insert(k, v);
-        }
-    }
+    let (maps, moved) =
+        install_triples(&own, me, nmaps, &recv).unwrap_or_else(|e| ctx.protocol_violation(e));
     ctx.add_resharded_keys(moved);
 
     // Scalar reducers are global sums of per-host locals: members keep
@@ -217,12 +207,67 @@ fn reshard(
 
     Some(ResumePoint {
         resume_at,
-        state: AdoptedState {
+        state: Checkpoint {
             maps,
             reducers,
             rounds,
+            activity_len: 0,
         },
     })
+}
+
+/// Lays the re-shard exchange's payloads (`recv[from]` from host `from`:
+/// `(map, key, value)` triples of little-endian u64s) out as this host's
+/// master tables under `own`: per map, one value per master of `me`, in
+/// master-offset order, plus the number of keys that came from other
+/// hosts. CRC framing below already guards the bytes, so a payload that is
+/// not whole triples, names a map the program lacks, carries a key `me`
+/// does not own or one twice, or leaves a master without a value is a
+/// peer's protocol bug; the caller escalates the `Err` through
+/// [`HostCtx::protocol_violation`].
+fn install_triples(
+    own: &Ownership,
+    me: usize,
+    nmaps: usize,
+    recv: &[Vec<u8>],
+) -> Result<(Vec<MapSnapshot<u64>>, u64), String> {
+    let mut maps = vec![vec![None; own.num_masters(me)]; nmaps];
+    let mut moved = 0u64;
+    let word = |c: &[u8], i: usize| u64::from_le_bytes(c[i * 8..i * 8 + 8].try_into().unwrap());
+    for (from, buf) in recv.iter().enumerate() {
+        let err = |e: String| Err(format!("re-shard from host {from}: {e}"));
+        if !buf.len().is_multiple_of(24) {
+            return err(format!("{} bytes is not whole 24-byte triples", buf.len()));
+        }
+        for c in buf.chunks_exact(24) {
+            let (m, k) = (word(c, 0), word(c, 1));
+            if m >= nmaps as u64 {
+                return err(format!("map index {m} out of range for {nmaps} maps"));
+            }
+            let Some(k) = NodeId::try_from(k)
+                .ok()
+                .filter(|&k| (k as usize) < own.num_nodes() && own.owner(k) == me)
+            else {
+                return err(format!("key {k} is not a master of host {me}"));
+            };
+            if maps[m as usize][own.master_offset(k)]
+                .replace(word(c, 2))
+                .is_some()
+            {
+                return err(format!("key {k} of map {m} delivered twice"));
+            }
+        }
+        if from != me {
+            moved += (buf.len() / 24) as u64;
+        }
+    }
+    let mut tables = Vec::with_capacity(nmaps);
+    for (m, vals) in maps.into_iter().enumerate() {
+        let table: Option<Vec<u64>> = vals.into_iter().collect();
+        let unset = || format!("re-shard left a master of map {m} without a value");
+        tables.push(table.ok_or_else(unset)?);
+    }
+    Ok((tables, moved))
 }
 
 /// Agrees one value over the new membership: `Some(v)` exactly when every
@@ -232,28 +277,6 @@ fn agree(ctx: &HostCtx, mine: Option<u64>) -> Option<u64> {
     let lo = ctx.all_reduce_u64(mine.unwrap_or(u64::MAX), u64::min);
     let hi = ctx.all_reduce_u64(mine.unwrap_or(0), u64::max);
     (lo == hi).then_some(lo)
-}
-
-/// Decodes one peer's re-shard payload into `(map, key, value)` triples.
-/// CRC framing below already guards the bytes, so a malformed payload is
-/// a peer's protocol bug; the caller escalates the `Err` through
-/// [`HostCtx::protocol_violation`].
-fn decode_triples(buf: &[u8], nmaps: usize) -> Result<Vec<(usize, NodeId, u64)>, String> {
-    if !buf.len().is_multiple_of(24) {
-        return Err(format!("{} bytes is not whole 24-byte triples", buf.len()));
-    }
-    let word = |c: &[u8], i: usize| u64::from_le_bytes(c[i * 8..i * 8 + 8].try_into().unwrap());
-    buf.chunks_exact(24)
-        .map(|c| {
-            let m = word(c, 0);
-            if m >= nmaps as u64 {
-                return Err(format!("map index {m} out of range for {nmaps} maps"));
-            }
-            let k = word(c, 1);
-            let k = NodeId::try_from(k).map_err(|_| format!("key {k} wider than a node id"))?;
-            Ok((m as usize, k, word(c, 2)))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -396,18 +419,80 @@ mod tests {
         }
     }
 
+    /// One `(map, key, value)` triple as the re-shard exchange carries it.
+    fn triple(m: u64, k: u64, v: u64) -> Vec<u8> {
+        [m, k, v].iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn reshard_installs_master_tables_and_rejects_what_it_cannot_place() {
+        // Six nodes in blocks of three: host 1 owns 3, 4 and 5.
+        let own = Ownership::blocked(6, 2);
+        let mut from0 = triple(0, 4, 40);
+        from0.extend(triple(1, 3, 31));
+        let mut from1 = triple(0, 3, 30);
+        from1.extend(triple(0, 5, 50));
+        from1.extend(triple(1, 4, 41));
+        from1.extend(triple(1, 5, 51));
+        let (tables, moved) = install_triples(&own, 1, 2, &[from0.clone(), from1.clone()]).unwrap();
+        assert_eq!(tables, vec![vec![30, 40, 50], vec![31, 41, 51]]);
+        assert_eq!(moved, 2, "only host 0's two keys moved");
+
+        // A key another host owns, and one past the graph.
+        for k in [2, 6] {
+            let mut bad = from0.clone();
+            bad.extend(triple(1, k, 0));
+            let err = install_triples(&own, 1, 2, &[bad, from1.clone()]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("re-shard from host 0: key {k} is not a master of host 1")
+            );
+        }
+        // The same key from two hosts.
+        let mut twice = from0.clone();
+        twice.extend(triple(0, 5, 50));
+        let err = install_triples(&own, 1, 2, &[twice, from1.clone()]).unwrap_err();
+        assert_eq!(err, "re-shard from host 1: key 5 of map 0 delivered twice");
+        // A master nobody sent.
+        let err = install_triples(&own, 1, 2, &[from0, triple(0, 3, 30)]).unwrap_err();
+        assert_eq!(err, "re-shard left a master of map 0 without a value");
+    }
+
+    #[test]
+    fn a_misplaced_reshard_key_is_a_protocol_violation() {
+        // What `reshard` does with the error: the receiving host fails
+        // with a typed protocol violation, not a panic.
+        let own = Ownership::blocked(4, 2);
+        let res = Cluster::new(2).try_run(|ctx| {
+            // Host 0 keeps its masters 0 and 1; host 1 keeps host 0's 0.
+            let mut out = vec![Vec::new(); 2];
+            out[ctx.host()] = [triple(0, 0, 7), triple(0, 1, 7)].concat();
+            if ctx.host() == 1 {
+                out[1].truncate(24);
+            }
+            let recv = ctx.exchange(out);
+            let installed = install_triples(&own, ctx.host(), 1, &recv);
+            installed.unwrap_or_else(|e| ctx.protocol_violation(e))
+        });
+        assert_eq!(res[0].as_ref().ok(), Some(&(vec![vec![7, 7]], 0)));
+        let err = res[1].as_ref().unwrap_err();
+        assert!(
+            err.message.contains("protocol violation")
+                && err.message.contains("key 0 is not a master of host 1"),
+            "host 1 reported: {}",
+            err.message
+        );
+    }
+
     #[test]
     fn malformed_reshard_payloads_are_typed_errors() {
-        let err = decode_triples(&[0u8; 23], 1).unwrap_err();
+        let own = Ownership::blocked(1, 1);
+        let err = install_triples(&own, 0, 1, &[vec![0u8; 23]]).unwrap_err();
         assert!(err.contains("23 bytes"), "{err}");
-        let mut triple = [0u8; 24];
-        triple[0] = 2;
-        let err = decode_triples(&triple, 2).unwrap_err();
+        let err = install_triples(&own, 0, 2, &[triple(2, 0, 0)]).unwrap_err();
         assert!(err.contains("map index 2"), "{err}");
-        assert_eq!(decode_triples(&triple, 3), Ok(vec![(2, 0, 0)]));
-        triple[8..16].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let err = decode_triples(&triple, 3).unwrap_err();
-        assert!(err.contains("key 4294967296"), "{err}");
+        let err = install_triples(&own, 0, 1, &[triple(0, 1 << 32, 0)]).unwrap_err();
+        assert!(err.contains("key 4294967296 is not a master"), "{err}");
     }
 
     /// The reference labels a fault-free run would produce.

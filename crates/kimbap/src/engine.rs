@@ -93,15 +93,20 @@ enum ActiveSet {
 /// Taken on every host at each reduce-sync boundary (end of a round, after
 /// the quiescence check). Master properties and scalar reducers are the
 /// whole durable state: remote caches are re-materialized by the replayed
-/// round's request phase, and pinned mirrors by re-pinning.
+/// round's request phase, and pinned mirrors by re-pinning. A re-shard
+/// ([`crate::elastic`]) builds one from the routed state, and a fresh
+/// engine on the new membership restores it like any other.
 #[derive(Debug, Clone)]
-struct Checkpoint {
-    maps: Vec<MapSnapshot<u64>>,
-    reducers: Vec<u64>,
-    rounds: u64,
+pub(crate) struct Checkpoint {
+    /// Per map: this host's master values, in master-offset order.
+    pub(crate) maps: Vec<MapSnapshot<u64>>,
+    /// Per scalar reducer: this host's local contribution.
+    pub(crate) reducers: Vec<u64>,
+    /// Round counter at the checkpoint.
+    pub(crate) rounds: u64,
     /// Activity records accumulated at checkpoint time; a restore
     /// truncates back to here so replayed rounds are not double-counted.
-    activity_len: usize,
+    pub(crate) activity_len: usize,
 }
 
 /// A checkpoint in partition-independent form: explicit master pairs per
@@ -117,21 +122,6 @@ pub struct DurableState {
     /// Per scalar reducer: the originating host's local contribution.
     pub reducers: Vec<u64>,
     /// Round counter at the checkpoint.
-    pub rounds: u64,
-}
-
-/// Re-sharded state a member installs before resuming on the changed
-/// membership: the union of surviving shards and adopted replicas, routed
-/// to this host's new masters.
-#[derive(Debug, Clone)]
-pub struct AdoptedState {
-    /// Per map: value for every master this host owns under the new
-    /// partition.
-    pub maps: Vec<std::collections::HashMap<NodeId, u64>>,
-    /// This host's scalar-reducer locals (the adopter's include the
-    /// departed predecessor's share).
-    pub reducers: Vec<u64>,
-    /// Round counter to resume from.
     pub rounds: u64,
 }
 
@@ -339,8 +329,8 @@ impl<'g> Engine<'g> {
     }
 
     /// Runs the program from `resume_at`: empty for a fresh run; a
-    /// [`MembershipSignal::resume_at`] after [`Engine::adopt`] installed
-    /// re-sharded state on a changed membership. Collective.
+    /// [`MembershipSignal::resume_at`] after a re-shard restored its
+    /// routed state on a changed membership. Collective.
     pub fn run_from(mut self, ctx: &HostCtx, resume_at: &[usize]) -> EngineOutput {
         let plan: &'g CompiledProgram = self.plan;
         self.exec_body(ctx, &plan.body, resume_at);
@@ -478,37 +468,11 @@ impl<'g> Engine<'g> {
         }))
     }
 
-    /// Installs re-sharded durable state: every map's masters from the
-    /// routed tables, the scalar-reducer locals, and the round counter.
-    /// The next executed loop pins mirrors and replays from this state
-    /// exactly as from a checkpoint restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the re-shard left one of this host's masters without a
-    /// value (the elastic driver's coverage check prevents this).
-    pub fn adopt(&mut self, state: &AdoptedState) {
-        assert_eq!(
-            state.maps.len(),
-            self.maps.len(),
-            "adopted state from a different program"
-        );
-        for (m, table) in self.maps.iter_mut().zip(&state.maps) {
-            m.init_masters(&|g| {
-                *table
-                    .get(&g)
-                    .unwrap_or_else(|| panic!("re-shard left master {g} without a value"))
-            });
-        }
-        for (r, &v) in self.reducers.iter().zip(&state.reducers) {
-            r.set(v);
-        }
-        self.rounds = state.rounds;
-    }
-
-    /// Rewinds the engine to `cp` (after [`HostCtx::recover_align`] has
-    /// healed the fabric).
-    fn restore(&mut self, cp: &Checkpoint) {
+    /// Rewinds the engine to `cp`: after [`HostCtx::recover_align`] has
+    /// healed the fabric, or, on a fresh engine, to the state a re-shard
+    /// routed to this host's masters. The next executed loop pins mirrors
+    /// and replays from it.
+    pub(crate) fn restore(&mut self, cp: &Checkpoint) {
         for (m, s) in self.maps.iter_mut().zip(&cp.maps) {
             m.restore(s);
         }

@@ -92,10 +92,10 @@ pub fn kill_victim(seed: u64, hosts: usize) -> Option<(usize, u64)> {
     }
 }
 
-/// Derives the fault plan an elastic (`--allow-shrink`) fuzz run injects
-/// for `seed`: the usual background frame noise plus, for the seeds
-/// [`kill_victim`] selects, a permanent host kill — so crash → shrink →
-/// re-converge interleavings are seed-fuzzable and replayable.
+/// Derives the fault plan a kill-family (`kimbap sim --faults kill`) fuzz
+/// run injects for `seed`: the usual background frame noise plus, for the
+/// seeds [`kill_victim`] selects, a permanent host kill — so crash →
+/// shrink → re-converge interleavings are seed-fuzzable and replayable.
 pub fn random_kill_plan(seed: u64, hosts: usize) -> FaultPlan {
     let mut z = seed ^ 0xe1a5_71c5;
     let mut rate = |hi: u64| (splitmix(&mut z) % hi) as f64 / 1000.0;
@@ -134,8 +134,8 @@ pub fn join_entry(seed: u64, hosts: usize) -> Option<(usize, u64)> {
     }
 }
 
-/// Derives the fault plan a churn (`--allow-shrink --allow-grow`) fuzz
-/// run injects for `seed`: the usual background frame noise, the
+/// Derives the fault plan a churn-family (`kimbap sim --faults churn`)
+/// fuzz run injects for `seed`: the usual background frame noise, the
 /// permanent kill [`kill_victim`] selects (~40% of seeds), and the live
 /// join [`join_entry`] selects (~50% of seeds). The two draws are
 /// independent, so the seed population covers join-only, kill-only,
@@ -150,12 +150,25 @@ pub fn random_churn_plan(seed: u64, hosts: usize) -> FaultPlan {
     plan
 }
 
+/// How a plan family derives its plan from `(seed, hosts)`.
+pub type DrawPlan = fn(u64, usize) -> FaultPlan;
+
+/// The seeded plan families `kimbap sim --faults` names, each with the
+/// plan it draws for a seed: frame noise with crashes and stalls
+/// (`random`, the default), noise with a permanent kill on some seeds
+/// (`kill`), and kills with live joins (`churn`).
+pub const PLAN_FAMILIES: [(&str, DrawPlan); 3] = [
+    ("random", random_fault_plan),
+    ("kill", random_kill_plan),
+    ("churn", random_churn_plan),
+];
+
 /// The algorithm pool serve fuzz job mixes draw from. Deliberately spans
 /// the execution paths the scheduler multiplexes: the compiled-plan
 /// engine on a loop certified for the host-local fixpoint (`cc-lp`) and
-/// on one with request phases (`cc-sv`), a round-free algorithm (`mis`,
-/// which never advances the job's round band), and the multi-level
-/// Louvain pipeline.
+/// on one with request phases (`cc-sv`), a hand-written loop of three
+/// one-round phases per step (`mis`), and the multi-level Louvain
+/// pipeline.
 const SERVE_ALGOS: [Algo; 4] = [Algo::CcLp, Algo::CcSv, Algo::Mis, Algo::Louvain];
 
 /// Derives the job mix a serve fuzz run submits for `seed`: 3–8 jobs,
@@ -261,8 +274,8 @@ pub fn sim_transport_config() -> TransportConfig {
     })
 }
 
-/// The exact CLI invocation that replays one simulated fuzz seed.
-#[allow(clippy::too_many_arguments)]
+/// The exact CLI invocation that replays one simulated fuzz seed drawn
+/// from the plan family `faults` ([`PLAN_FAMILIES`]).
 pub fn replay_command(
     algo: &str,
     seed: u64,
@@ -270,14 +283,11 @@ pub fn replay_command(
     threads: usize,
     scale: u32,
     ef: usize,
-    shrink: bool,
-    grow: bool,
+    faults: &str,
 ) -> String {
-    let shrink = if shrink { " --allow-shrink" } else { "" };
-    let grow = if grow { " --allow-grow" } else { "" };
     format!(
         "kimbap sim --algo {algo} --seed {seed} --hosts {hosts} --threads {threads} \
-         --scale {scale} --ef {ef}{shrink}{grow} --trace trace.jsonl"
+         --scale {scale} --ef {ef} --faults {faults} --trace trace.jsonl"
     )
 }
 

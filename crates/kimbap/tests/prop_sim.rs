@@ -185,7 +185,7 @@ proptest! {
     /// the printed `kimbap sim` command.
     #[test]
     fn cli_fuzz_seed_converges_or_surfaces(seed in 0u64..=u64::MAX) {
-        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, false, false);
+        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, "random");
         let g = gen::rmat(6, 4, seed);
         let plan = simfuzz::random_fault_plan(seed, HOSTS);
         match sim_cc_lp(&g, Policy::CartesianVertexCut, plan, seed) {
@@ -224,10 +224,10 @@ proptest! {
 
     /// The elastic CLI fuzz path: seed-derived kill-bearing plans
     /// (`random_kill_plan`) must shrink-and-converge or surface, and the
-    /// printed `kimbap sim --allow-shrink` command replays them exactly.
+    /// printed `kimbap sim --faults kill` command replays them exactly.
     #[test]
     fn cli_elastic_fuzz_seed_shrinks_or_surfaces(seed in 0u64..=u64::MAX) {
-        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, true, false);
+        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, "kill");
         let g = gen::rmat(6, 4, seed);
         let plan = simfuzz::random_kill_plan(seed, HOSTS);
         match sim_cc_lp_elastic(&g, plan, seed) {
@@ -245,11 +245,11 @@ proptest! {
     /// every membership interleaving — join-only, kill-only, both, or
     /// quiet — and the final merged labels must still equal the
     /// static-membership reference (or the run surfaces a clean
-    /// failure). The printed `kimbap sim --allow-shrink --allow-grow`
-    /// command replays the schedule exactly.
+    /// failure). The printed `kimbap sim --faults churn` command replays
+    /// the schedule exactly.
     #[test]
     fn cli_churn_fuzz_seed_grows_shrinks_or_surfaces(seed in 0u64..=u64::MAX) {
-        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, true, true);
+        let replay = simfuzz::replay_command("cc-lp", seed, HOSTS, 1, 6, 4, "churn");
         let g = gen::rmat(6, 4, seed);
         let plan = simfuzz::random_churn_plan(seed, HOSTS);
         match sim_cc_lp_churn(&g, plan, seed) {

@@ -58,13 +58,13 @@ echo "==> simulation fuzz smoke (seed-replayable; failures print a replay cmd)"
 echo "==> elastic fuzz smoke (kill-bearing plans; survivors must shrink+converge)"
 # The plan rows resume from re-sharded checkpoints (cc-sv inside its
 # do-while body); the hand-written rows restart on the survivors.
-./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink
-./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --allow-shrink
-./target/release/kimbap sim --algo cc-sclp --seeds 25 --hosts 4 --allow-shrink
+./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --faults kill
+./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --faults kill
+./target/release/kimbap sim --algo cc-sclp --seeds 25 --hosts 4 --faults kill
 
 echo "==> churn fuzz smoke (seeded join/kill plans; every interleaving must converge)"
-./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --allow-shrink --allow-grow
-./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --allow-shrink --allow-grow
+./target/release/kimbap sim --algo cc-lp --seeds 25 --hosts 4 --faults churn
+./target/release/kimbap sim --algo cc-sv --seeds 25 --hosts 4 --faults churn
 
 echo "==> serve scheduler fuzz smoke (seeded job mixes + banded faults; per-job diff vs serial)"
 ./target/release/kimbap serve-sim --seeds 25 --hosts 3
@@ -102,42 +102,54 @@ if ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --allow-shrnk \
     exit 1
 fi
 grep -q -- "--allow-shrnk" "$SMOKE_DIR/flag.err"
-# Hub splitting is gone; serve was the last place its knob reached cc-sv.
-status=0
-./target/release/kimbap serve "$SMOKE_DIR/g.kg" --job cc-sv --hub-threshold 8 \
-    2> "$SMOKE_DIR/flag.err" || status=$?
-if [ "$status" -ne 1 ] || ! grep -q -- "unknown flag '--hub-threshold'" "$SMOKE_DIR/flag.err"; then
-    echo "kimbap serve --hub-threshold: exit $status, stderr:" >&2
-    cat "$SMOKE_DIR/flag.err" >&2
-    exit 1
-fi
+# Removed options must fail the same way. Hub splitting is gone (serve was
+# the last place its knob reached cc-sv); the fault plan, not a switch,
+# decides whether the membership may change.
+removed() { # removed NAME KIMBAP-ARGS... (runs them with --NAME)
+    local flag="--$1" status=0
+    shift
+    ./target/release/kimbap "$@" "$flag" 2> "$SMOKE_DIR/flag.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q -- "unknown flag '$flag'" "$SMOKE_DIR/flag.err"; then
+        echo "kimbap $1 $flag: exit $status, stderr:" >&2
+        cat "$SMOKE_DIR/flag.err" >&2
+        exit 1
+    fi
+}
+removed hub-threshold serve "$SMOKE_DIR/g.kg" --job cc-sv
+for name in allow-shrink allow-grow; do
+    removed "$name" run cc-lp "$SMOKE_DIR/g.kg" --faults kill
+    removed "$name" sim --algo cc-lp
+done
 echo "    unknown flags rejected by name"
 
 echo "==> kill smoke (host 1 killed mid-run, in-proc and TCP; survivors' output diffed)"
-# Under --allow-shrink the plan rows (cc-sv, cc-lp) resume from re-sharded
-# checkpoints, and cc-sclp, a hand-written loop, restarts on the survivors.
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-    --out "$SMOKE_DIR/clean.txt"
+# A plan that kills a host runs elastic, with no switch: the plan rows
+# (cc-sv, cc-lp) resume from re-sharded checkpoints, and the hand-written
+# loops (cc-sclp; mis, whose phases each publish a round) restart on the
+# survivors. Each is diffed against its own fault-free output.
 port=26900
-for algo in cc-sv cc-lp cc-sclp; do
+for algo in cc-sv cc-lp cc-sclp mis; do
     ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-        --faults kill --allow-shrink --out "$SMOKE_DIR/killed-$algo.txt" \
+        --out "$SMOKE_DIR/clean-$algo.txt" > /dev/null
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
+        --faults kill --out "$SMOKE_DIR/killed-$algo.txt" \
         | tee "$SMOKE_DIR/killed-$algo.log"
     fired "$SMOKE_DIR/killed-$algo.log" "host 1 was killed"
-    diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/killed-$algo.txt"
+    diff "$SMOKE_DIR/clean-$algo.txt" "$SMOKE_DIR/killed-$algo.txt"
     ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 4 --threads 2 \
-        --transport tcp --port-base "$port" --faults kill --allow-shrink \
+        --transport tcp --port-base "$port" --faults kill \
         --out "$SMOKE_DIR/killed-tcp-$algo.txt" | tee "$SMOKE_DIR/killed-tcp-$algo.log"
     fired "$SMOKE_DIR/killed-tcp-$algo.log" "worker 1 was killed"
-    diff "$SMOKE_DIR/clean.txt" "$SMOKE_DIR/killed-tcp-$algo.txt"
+    diff "$SMOKE_DIR/clean-$algo.txt" "$SMOKE_DIR/killed-tcp-$algo.txt"
     port=$((port + 10))
 done
-echo "    degraded (3-host) and fault-free (4-host) labels identical, in-proc and TCP"
+echo "    degraded (3-host) and fault-free (4-host) outputs identical, in-proc and TCP"
 
 echo "==> 8-host smoke (every host, in-proc and each TCP worker, builds only its own part; output diffed)"
-# Fixed membership and fault-free --allow-shrink, in-proc and over TCP,
-# each against the 2-host in-proc output: eight parts, each built by its
-# own host, must compute what two do.
+# Fixed membership, and a kill that shrinks 8 hosts to 7 (each survivor
+# re-partitions per attempt), in-proc and over TCP, each against the
+# 2-host in-proc output: eight parts, each built by its own host, and the
+# seven re-built after the kill, must compute what two do.
 ./target/release/kimbap gen --kind rmat --scale 12 --ef 16 --seed 9 \
     --out "$SMOKE_DIR/r12.kg"
 port=28000
@@ -145,21 +157,22 @@ for algo in cc-lp cc-sv; do
     ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 2 --threads 1 \
         --out "$SMOKE_DIR/h2-$algo.txt" > /dev/null
     tcp_port=$port
-    for membership in fixed --allow-shrink; do
-        switch=()
-        [ "$membership" = fixed ] || switch=("$membership")
+    for faults in none kill; do
         ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 8 --threads 1 \
-            "${switch[@]}" --out "$SMOKE_DIR/h8-$algo-$membership.txt" > /dev/null
-        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-$algo-$membership.txt"
+            --faults "$faults" --out "$SMOKE_DIR/h8-$algo-$faults.txt" \
+            > "$SMOKE_DIR/h8-$algo-$faults.log"
+        [ "$faults" = none ] || fired "$SMOKE_DIR/h8-$algo-$faults.log" "host 1 was killed"
+        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-$algo-$faults.txt"
         ./target/release/kimbap run "$algo" "$SMOKE_DIR/r12.kg" --hosts 8 --threads 1 \
-            --transport tcp --port-base "$tcp_port" "${switch[@]}" \
-            --out "$SMOKE_DIR/h8-tcp-$algo-$membership.txt" > /dev/null
-        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-tcp-$algo-$membership.txt"
+            --transport tcp --port-base "$tcp_port" --faults "$faults" \
+            --out "$SMOKE_DIR/h8-tcp-$algo-$faults.txt" > "$SMOKE_DIR/h8-tcp-$algo-$faults.log"
+        [ "$faults" = none ] || fired "$SMOKE_DIR/h8-tcp-$algo-$faults.log" "worker 1 was killed"
+        diff "$SMOKE_DIR/h2-$algo.txt" "$SMOKE_DIR/h8-tcp-$algo-$faults.txt"
         tcp_port=$((tcp_port + 10))
     done
     port=$((port + 100))
 done
-echo "    8-host (fixed and --allow-shrink; in-proc and TCP) and 2-host outputs identical"
+echo "    8-host (fixed, and 8 -> 7 under a kill; in-proc and TCP) and 2-host outputs identical"
 
 echo "==> grow smoke (a joiner admitted mid-run, in-proc and a TCP worker process; output diffed)"
 # The grid is large enough that the members are still computing when the
@@ -172,12 +185,12 @@ echo "==> grow smoke (a joiner admitted mid-run, in-proc and a TCP worker proces
 port=27200
 for algo in cc-sv cc-lp; do
     ./target/release/kimbap run "$algo" "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
-        --faults join --allow-grow --out "$SMOKE_DIR/grown-$algo.txt" \
+        --faults join --out "$SMOKE_DIR/grown-$algo.txt" \
         | tee "$SMOKE_DIR/grown-$algo.log"
     fired "$SMOKE_DIR/grown-$algo.log" "host 3 was admitted mid-run"
     diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grown-$algo.txt"
     ./target/release/kimbap run "$algo" "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
-        --transport tcp --port-base "$port" --faults join --allow-grow \
+        --transport tcp --port-base "$port" --faults join \
         --out "$SMOKE_DIR/grown-tcp-$algo.txt" | tee "$SMOKE_DIR/grown-tcp-$algo.log"
     fired "$SMOKE_DIR/grown-tcp-$algo.log" "host 3 was admitted mid-run"
     diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grown-tcp-$algo.txt"
@@ -185,9 +198,9 @@ for algo in cc-sv cc-lp; do
 done
 echo "    grown (3 -> 4 host) and fault-free labels identical, in-proc and TCP"
 
-echo "==> churn smoke (TCP worker 1 exits under both switches; survivors re-shard its replica)"
+echo "==> churn smoke (TCP worker 1 exits on the grid; survivors re-shard its replica)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/grid.kg" --hosts 4 --threads 2 \
-    --transport tcp --port-base 27500 --faults kill --allow-shrink --allow-grow \
+    --transport tcp --port-base 27500 --faults kill \
     --out "$SMOKE_DIR/grid-killed.txt" | tee "$SMOKE_DIR/grid-killed.log"
 fired "$SMOKE_DIR/grid-killed.log" "worker 1 was killed"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-killed.txt"
