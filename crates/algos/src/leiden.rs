@@ -22,10 +22,11 @@
 //! the paper's "five node property maps for cluster and subcluster
 //! information".
 
-use crate::accum::{DecisionScratch, NeighborWeights};
+use crate::accum::{number_overflow, DecisionScratch, SlotWeights, NO_PROXY};
 use crate::builder::MapBuilder;
 use crate::louvain::{
-    aggregate, local_moving, modularity_of, CommunityResult, LouvainConfig,
+    aggregate, local_moving, modularity_of, par_each_mut, proxy_slot, CommunityResult,
+    LouvainConfig,
 };
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
@@ -122,38 +123,50 @@ pub fn leiden<B: MapBuilder>(
     result
 }
 
-/// What a merge decision reads: the level's graph, the pinned community
-/// and subcommunity maps, and the requested community totals.
-struct Refine<'a, C, S, T> {
+/// One local proxy as a round's merge decisions read it: its community,
+/// its subcommunity and the subcommunity's slot in the decision
+/// accumulator (both are named by node ids).
+#[derive(Debug, Clone, Copy, Default)]
+struct SubProxy {
+    comm: NodeId,
+    sub: NodeId,
+    slot: u32,
+}
+
+/// What a merge decision reads: the level's graph, the round's proxy
+/// table and the requested community totals.
+struct Refine<'a, T> {
     cur: &'a DistGraph,
-    comm: &'a C,
-    sub_map: &'a S,
+    proxies: &'a [SubProxy],
     comm_tot: &'a T,
     gamma: f64,
     m_total: f64,
 }
 
-impl<C: NodePropMap<u64>, S: NodePropMap<u64>, T: NodePropMap<i64>> Refine<'_, C, S, T> {
+impl<T: NodePropMap<i64>> Refine<'_, T> {
     /// The subcommunity the singleton master `lid` (community `my_comm`,
     /// weighted degree `k_u`) joins: the best-connected one with a smaller
     /// id inside its community, ties to the smallest id; `None` if it is
-    /// not well connected to the community or has no such neighbor.
+    /// not well connected to the community or has no such neighbor. Each
+    /// neighbor's community, subcommunity and slot come from the proxy
+    /// table, summed by slot in `w_to`.
     #[inline]
-    fn target(&self, lid: u32, my_comm: u64, k_u: u64, w_to: &mut NeighborWeights) -> Option<u64> {
+    fn target(&self, lid: u32, my_comm: u64, k_u: u64, w_to: &mut SlotWeights<()>) -> Option<u64> {
         let cur = self.cur;
         let g = cur.local_to_global(lid) as u64;
+        let proxies = self.proxies;
         let mut w_in_comm = 0u64;
         w_to.clear();
         cur.edges(lid).for_each(|(dst, w)| {
-            if dst != lid && self.comm.read_local(cur, dst) == my_comm {
+            let p = proxies[dst as usize];
+            if dst != lid && p.comm as u64 == my_comm {
                 w_in_comm += w;
-                let s = self.sub_map.read_local(cur, dst);
-                if s < g {
-                    w_to.add(s, w);
+                if (p.sub as u64) < g {
+                    w_to.add(p.slot, p.sub as u64, w, ());
                 }
             }
         });
-        self.choose(my_comm, k_u, w_in_comm, w_to.iter())
+        self.choose(my_comm, k_u, w_in_comm, w_to.iter().map(|(s, w, ())| (s, w)))
     }
 
     /// The well-connectedness gate, then the choice among `(subcommunity,
@@ -180,7 +193,14 @@ impl<C: NodePropMap<u64>, S: NodePropMap<u64>, T: NodePropMap<i64>> Refine<'_, C
     /// [`Refine::target`] as it was before the accumulator: a `HashMap`
     /// probe and two global-id reads per edge.
     #[cfg(test)]
-    fn target_reference(&self, lid: u32, my_comm: u64, k_u: u64) -> Option<u64> {
+    fn target_reference(
+        &self,
+        comm: &impl NodePropMap<u64>,
+        sub_map: &impl NodePropMap<u64>,
+        lid: u32,
+        my_comm: u64,
+        k_u: u64,
+    ) -> Option<u64> {
         let cur = self.cur;
         let g = cur.local_to_global(lid) as u64;
         let mut w_in_comm = 0u64;
@@ -190,9 +210,9 @@ impl<C: NodePropMap<u64>, S: NodePropMap<u64>, T: NodePropMap<i64>> Refine<'_, C
             if gv as u64 == g {
                 continue;
             }
-            if self.comm.read(gv) == my_comm {
+            if comm.read(gv) == my_comm {
                 w_in_comm += w;
-                let s = self.sub_map.read(gv);
+                let s = sub_map.read(gv);
                 if s < g {
                     *w_to.entry(s).or_default() += w;
                 }
@@ -258,7 +278,15 @@ fn run_level<B: MapBuilder>(
 
     let mut sub_size = b.build::<u64, Sum>(cur, ctx, Sum);
     let merges = SumReducer::new();
-    let mut scratch = DecisionScratch::per_thread(ctx.threads());
+    let mut scratch = DecisionScratch::<SlotWeights<()>>::per_thread(ctx.threads());
+    let num_local = cur.num_local_nodes();
+    let mut proxies = vec![
+        SubProxy {
+            slot: NO_PROXY,
+            ..SubProxy::default()
+        };
+        num_local
+    ];
 
     for _round in 0..MAX_REFINE_ROUNDS {
         // Subcommunity sizes (a singleton has size 1).
@@ -285,17 +313,42 @@ fn run_level<B: MapBuilder>(
         }
         comm_tot.request_sync(ctx);
 
+        // The round's proxy table: every local proxy's community,
+        // subcommunity and the subcommunity's slot, so the decisions read
+        // one entry per edge and no map.
+        {
+            let (cm, sm, sb) = (comm, &sub_map, &sub);
+            par_each_mut(ctx, &mut proxies, |l, p| {
+                let (c, s) = if l < masters {
+                    (cur_comm[l], sb[l])
+                } else {
+                    (cm.read_local(cur, l as u32), sm.read_local(cur, l as u32))
+                };
+                *p = SubProxy {
+                    comm: c as NodeId,
+                    sub: s as NodeId,
+                    slot: proxy_slot(cur, s, p.sub as u64, p.slot),
+                };
+            });
+        }
+        let slots =
+            number_overflow(num_local, proxies.iter_mut().map(|p| (p.sub as u64, &mut p.slot)));
+
         // Merge decisions.
         merges.set(0);
+        for s in &mut scratch {
+            s.get_mut().w_to.reset(slots);
+        }
         {
             let refine = Refine {
                 cur,
-                comm,
-                sub_map: &sub_map,
+                proxies: &proxies,
                 comm_tot: &comm_tot,
                 gamma: cfg.resolution,
                 m_total,
             };
+            #[cfg(test)]
+            let sm = &sub_map;
             let ss = &sub_size;
             let sb = &sub;
             let scratch = &scratch;
@@ -311,7 +364,7 @@ fn run_level<B: MapBuilder>(
                     }
                     #[cfg(test)]
                     let target = if cfg.reference_kernel {
-                        refine.target_reference(lid, cur_comm[m], k[m])
+                        refine.target_reference(comm, sm, lid, cur_comm[m], k[m])
                     } else {
                         refine.target(lid, cur_comm[m], k[m], w_to)
                     };

@@ -22,7 +22,7 @@
 //! uses the same edge-cut for Kimbap and Vite), so a master holds all of
 //! its node's edges and can decide moves locally.
 
-use crate::accum::{DecisionScratch, NeighborWeights};
+use crate::accum::{number_overflow, DecisionScratch, NeighborWeights, SlotWeights, NO_PROXY};
 use crate::builder::MapBuilder;
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
@@ -128,54 +128,101 @@ pub(crate) struct MovingOutcome<'g, B: MapBuilder + 'g> {
     pub(crate) k: Vec<u64>,
 }
 
-/// What a move decision reads: the level's graph, the pinned community
-/// map and the community totals requested for this round.
-struct Gain<'a, C, T> {
+/// One local proxy as a round's move decisions read it: its community,
+/// that community's total (requested this round) and the community's slot
+/// in the decision accumulator. Communities are node ids, so 16 bytes an
+/// entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Proxy {
+    comm: NodeId,
+    slot: u32,
+    tot: i64,
+}
+
+/// The accumulator slot of the community (or subcommunity) named by node
+/// `c`: the local id of `c`'s proxy on this host, or [`NO_PROXY`] until
+/// the round numbers its overflow slots. Every proxy of a round that names
+/// `c` gets the same slot. A proxy slot depends only on `c` and the level's
+/// partition, so a table entry that named `c` last round with `slot` keeps
+/// it; an overflow slot is renumbered every round.
+#[inline]
+pub(crate) fn proxy_slot(cur: &DistGraph, c: u64, was: u64, slot: u32) -> u32 {
+    if c == was && (slot as usize) < cur.num_local_nodes() {
+        return slot;
+    }
+    cur.global_to_local(c as NodeId).unwrap_or(NO_PROXY)
+}
+
+/// Runs `f(i, &mut items[i])` for every item, one contiguous chunk per
+/// pool thread.
+pub(crate) fn par_each_mut<T: Send>(
+    ctx: &HostCtx,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) + Sync,
+) {
+    let chunk = items.len().div_ceil(ctx.threads()).max(1);
+    let parts: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
+    ctx.pool().run(|tid| {
+        if let Some(part) = parts.get(tid) {
+            for (i, item) in part.lock().iter_mut().enumerate() {
+                f(tid * chunk + i, item);
+            }
+        }
+    });
+}
+
+/// What a move decision reads: the level's graph and the round's proxy
+/// table.
+struct Gain<'a> {
     cur: &'a DistGraph,
-    comm: &'a C,
-    comm_tot: &'a T,
+    proxies: &'a [Proxy],
     resolution: f64,
     m_total: f64,
 }
 
-impl<C: NodePropMap<u64>, T: NodePropMap<i64>> Gain<'_, C, T> {
-    /// The community master `lid` (now in `my_comm`, weighted degree `k_u`)
-    /// gains most by joining: ties go to the smallest community id, and
-    /// only a strict improvement beats staying. Neighbors' communities are
-    /// read by local id and summed in `w_to`; candidates are scored in the
-    /// order the edge list first names them.
+impl Gain<'_> {
+    /// The community master `lid` (weighted degree `k_u`) gains most by
+    /// joining: ties go to the smallest community id, and only a strict
+    /// improvement beats staying. Each neighbor's community, its total and
+    /// its slot come from the proxy table, summed by slot in `w_to`;
+    /// candidates are scored in the order the edge list first names them.
     #[inline]
-    fn best(&self, lid: u32, my_comm: u64, k_u: u64, w_to: &mut NeighborWeights) -> u64 {
+    fn best(&self, lid: u32, k_u: u64, w_to: &mut SlotWeights<i64>) -> u64 {
         w_to.clear();
+        let proxies = self.proxies;
         self.cur.edges(lid).for_each(|(dst, w)| {
             if dst != lid {
                 // self-loops stay internal anywhere
-                w_to.add(self.comm.read_local(self.cur, dst), w);
+                let p = proxies[dst as usize];
+                w_to.add(p.slot, p.comm as u64, w, p.tot);
             }
         });
-        self.pick(my_comm, k_u, w_to.get(my_comm), w_to.iter())
+        let me = proxies[lid as usize];
+        self.pick(me.comm as u64, k_u, w_to.get(me.slot), me.tot, w_to.iter())
     }
 
-    /// The decision rule over `(community, weight from u)` candidates.
+    /// The decision rule over `(community, weight from u, community
+    /// total)` candidates; `stay_tot` is `my_comm`'s total, u included.
     #[inline]
     fn pick(
         &self,
         my_comm: u64,
         k_u: u64,
         stay_w: u64,
-        candidates: impl Iterator<Item = (u64, u64)>,
+        stay_tot: i64,
+        candidates: impl Iterator<Item = (u64, u64, i64)>,
     ) -> u64 {
         let ku = k_u as f64;
         let penalty = |tot: f64| self.resolution * tot * ku / self.m_total;
         // Score of staying (community totals exclude u itself).
-        let stay_tot = (self.comm_tot.read(my_comm as NodeId) - k_u as i64) as f64;
+        let stay_tot = (stay_tot - k_u as i64) as f64;
         let mut best_score = stay_w as f64 - penalty(stay_tot);
         let mut best_comm = my_comm;
-        for (c, w_uc) in candidates {
+        for (c, w_uc, tot) in candidates {
             if c == my_comm {
                 continue;
             }
-            let score = w_uc as f64 - penalty(self.comm_tot.read(c as NodeId) as f64);
+            let score = w_uc as f64 - penalty(tot as f64);
             let eps = 1e-12;
             if score > best_score + eps || (score > best_score - eps && c < best_comm) {
                 best_score = score;
@@ -186,20 +233,37 @@ impl<C: NodePropMap<u64>, T: NodePropMap<i64>> Gain<'_, C, T> {
     }
 
     /// [`Gain::best`] as it was before the accumulator: a `HashMap` probe
-    /// and a global-id read per edge, candidates in the map's order.
+    /// and a global-id read per edge, a global-id total read per
+    /// candidate, candidates in the map's order.
     #[cfg(test)]
-    fn best_reference(&self, lid: u32, my_comm: u64, k_u: u64) -> u64 {
+    fn best_reference(
+        &self,
+        comm: &impl NodePropMap<u64>,
+        comm_tot: &impl NodePropMap<i64>,
+        lid: u32,
+        my_comm: u64,
+        k_u: u64,
+    ) -> u64 {
         let cur = self.cur;
         let mut w_to: HashMap<u64, u64> = HashMap::new();
         let gu = cur.local_to_global(lid);
         cur.edges(lid).for_each(|(dst, w)| {
             let gv = cur.local_to_global(dst);
             if gv != gu {
-                *w_to.entry(self.comm.read(gv)).or_default() += w;
+                *w_to.entry(comm.read(gv)).or_default() += w;
             }
         });
         let stay_w = *w_to.get(&my_comm).unwrap_or(&0);
-        self.pick(my_comm, k_u, stay_w, w_to.iter().map(|(&c, &w)| (c, w)))
+        let candidates = w_to
+            .iter()
+            .map(|(&c, &w)| (c, w, comm_tot.read(c as NodeId)));
+        self.pick(
+            my_comm,
+            k_u,
+            stay_w,
+            comm_tot.read(my_comm as NodeId),
+            candidates,
+        )
     }
 }
 
@@ -284,7 +348,15 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
 
     let mut comm_tot = b.build::<i64, Sum>(cur, ctx, Sum);
     let moves = SumReducer::new();
-    let mut scratch = DecisionScratch::per_thread(ctx.threads());
+    let mut scratch = DecisionScratch::<SlotWeights<i64>>::per_thread(ctx.threads());
+    let num_local = cur.num_local_nodes();
+    let mut proxies = vec![
+        Proxy {
+            slot: NO_PROXY,
+            ..Proxy::default()
+        };
+        num_local
+    ];
 
     for round in 0..cfg.max_rounds {
         // Publish the BSP round so fault plans can target it.
@@ -310,35 +382,54 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
         // Every neighbor is a local proxy, so one pass over the proxies
         // covers all communities any edge can reference — O(V_local)
         // requests instead of O(E) (the request bitset de-duplicates
-        // anyway; this skips the redundant per-edge reads).
+        // anyway; this skips the redundant per-edge reads). The same pass
+        // fills the round's proxy table: community and slot now, the
+        // total once it has arrived, so the decisions read one entry per
+        // edge and no map at all.
         {
             let (ct, cm) = (&comm_tot, &comm);
             let cc = &cur_comm;
-            ctx.par_for(0..cur.num_local_nodes(), |_tid, range| {
-                for l in range {
-                    let c = if l < masters {
-                        cc[l]
-                    } else {
-                        cm.read_local(cur, l as u32)
-                    };
-                    ct.request(c as NodeId);
-                }
+            par_each_mut(ctx, &mut proxies, |l, p| {
+                let c = if l < masters {
+                    cc[l]
+                } else {
+                    cm.read_local(cur, l as u32)
+                };
+                ct.request(c as NodeId);
+                p.slot = proxy_slot(cur, c, p.comm as u64, p.slot);
+                p.comm = c as NodeId;
             });
         }
+        let slots =
+            number_overflow(num_local, proxies.iter_mut().map(|p| (p.comm as u64, &mut p.slot)));
         comm_tot.request_sync(ctx);
+        {
+            let ct = &comm_tot;
+            par_each_mut(ctx, &mut proxies, |_, p| {
+                p.tot = if (p.slot as usize) < num_local {
+                    ct.read_local(cur, p.slot)
+                } else {
+                    ct.read(p.comm)
+                };
+            });
+        }
 
         // (3) Decide moves: best modularity gain, ties to the smallest
         // community id; strict improvement required. Masters decide, each
         // over its node's whole edge list.
         moves.set(0);
+        for s in &mut scratch {
+            s.get_mut().w_to.reset(slots);
+        }
         {
             let gain = Gain {
                 cur,
-                comm: &comm,
-                comm_tot: &comm_tot,
+                proxies: &proxies,
                 resolution: cfg.resolution,
                 m_total,
             };
+            #[cfg(test)]
+            let (cm, ct) = (&comm, &comm_tot);
             let cc = &cur_comm;
             let kk = &k;
             let scratch = &scratch;
@@ -363,12 +454,12 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
                     }
                     #[cfg(test)]
                     let best = if cfg.reference_kernel {
-                        gain.best_reference(lid, cc[m], kk[m])
+                        gain.best_reference(cm, ct, lid, cc[m], kk[m])
                     } else {
-                        gain.best(lid, cc[m], kk[m], w_to)
+                        gain.best(lid, kk[m], w_to)
                     };
                     #[cfg(not(test))]
-                    let best = gain.best(lid, cc[m], kk[m], w_to);
+                    let best = gain.best(lid, kk[m], w_to);
                     if best != cc[m] {
                         decided.push((m, best));
                         moves.reduce(1);

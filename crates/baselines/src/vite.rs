@@ -137,7 +137,7 @@ fn run_level(
         .collect();
     let mut stable = vec![0u8; masters];
     let mut any_move = false;
-    let mut scratch = DecisionScratch::per_thread(ctx.threads());
+    let mut scratch = <DecisionScratch>::per_thread(ctx.threads());
 
     for round in 0..cfg.max_rounds {
         // --- Inspection phase (§6.4): ONE thread walks the local graph

@@ -206,27 +206,19 @@ fired "$SMOKE_DIR/grid-killed.log" "worker 1 was killed"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-killed.txt"
 echo "    elastic survivors (4 -> 3 host) and fault-free labels identical over TCP"
 
-echo "==> compressed-vs-raw smoke (cc-lp + louvain, inproc and sim, diffed)"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --seed 1 --out "$SMOKE_DIR/cc-comp.txt"
-./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --seed 1 --raw --out "$SMOKE_DIR/cc-raw.txt"
-diff "$SMOKE_DIR/cc-comp.txt" "$SMOKE_DIR/cc-raw.txt"
-./target/release/kimbap run louvain "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --out "$SMOKE_DIR/lv-comp.txt"
-./target/release/kimbap run louvain "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
-    --raw --out "$SMOKE_DIR/lv-raw.txt"
-diff "$SMOKE_DIR/lv-comp.txt" "$SMOKE_DIR/lv-raw.txt"
-./target/release/kimbap sim --algo cc-lp --seed 5 --hosts 3 \
-    --out "$SMOKE_DIR/sim-cc-comp.txt"
-./target/release/kimbap sim --algo cc-lp --seed 5 --hosts 3 --raw \
-    --out "$SMOKE_DIR/sim-cc-raw.txt"
-diff "$SMOKE_DIR/sim-cc-comp.txt" "$SMOKE_DIR/sim-cc-raw.txt"
-./target/release/kimbap sim --algo louvain --seed 5 --hosts 3 \
-    --out "$SMOKE_DIR/sim-lv-comp.txt"
-./target/release/kimbap sim --algo louvain --seed 5 --hosts 3 --raw \
-    --out "$SMOKE_DIR/sim-lv-raw.txt"
-diff "$SMOKE_DIR/sim-lv-comp.txt" "$SMOKE_DIR/sim-lv-raw.txt"
+echo "==> compressed-vs-raw smoke (cc-lp + louvain + leiden, inproc and sim, diffed)"
+for algo in cc-lp louvain leiden; do
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
+        --seed 1 --out "$SMOKE_DIR/$algo-comp.txt"
+    ./target/release/kimbap run "$algo" "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
+        --seed 1 --raw --out "$SMOKE_DIR/$algo-raw.txt"
+    diff "$SMOKE_DIR/$algo-comp.txt" "$SMOKE_DIR/$algo-raw.txt"
+    ./target/release/kimbap sim --algo "$algo" --seed 5 --hosts 3 \
+        --out "$SMOKE_DIR/sim-$algo-comp.txt"
+    ./target/release/kimbap sim --algo "$algo" --seed 5 --hosts 3 --raw \
+        --out "$SMOKE_DIR/sim-$algo-raw.txt"
+    diff "$SMOKE_DIR/sim-$algo-comp.txt" "$SMOKE_DIR/sim-$algo-raw.txt"
+done
 echo "    compressed and raw storage tiers produce identical outputs"
 
 echo "==> louvain / leiden determinism (threads 1 vs 3, a repeat, hosts 1 vs 4: modularity, counts, labels diffed)"
