@@ -1,6 +1,8 @@
 //! The paper's seven graph algorithms (§6.1), written against the
 //! node-property map API exactly as the Kimbap compiler would emit them
-//! (compare [`cc::cc_sv`] with the paper's Fig. 8).
+//! (compare [`cc::cc_sv`] with the paper's Fig. 8). The crate ships these
+//! seven and nothing else: each is one row of the launchers' algorithm
+//! table (`kimbap::serve::TABLE`), which every launcher runs.
 //!
 //! Four graph problems are covered:
 //!
@@ -41,7 +43,6 @@
 pub mod accum;
 pub mod builder;
 pub mod cc;
-pub mod extra;
 #[cfg(test)]
 mod kernel_diff;
 pub mod leiden;
@@ -51,7 +52,6 @@ pub mod msf;
 pub mod refcheck;
 
 pub use builder::{MapBuilder, NpmBuilder, ShardedBuilder};
-pub use extra::{bfs, pagerank, sssp};
 pub use leiden::leiden;
 pub use louvain::{compose_labels, louvain, try_compose_labels, CommunityResult, LouvainConfig};
 pub use mis::mis;

@@ -5,7 +5,7 @@
 //! map (the product `Npm` and the sharded baseline's two rows), thread
 //! count and transport backend.
 
-use kimbap_algos::{bfs, cc, merge_master_values, sssp, MapBuilder, NpmBuilder, ShardedBuilder};
+use kimbap_algos::{cc, merge_master_values, MapBuilder, NpmBuilder, ShardedBuilder};
 use kimbap_comm::{Cluster, HostCtx};
 use kimbap_dist::{partition, DistGraph, Policy};
 use kimbap_graph::{gen, Graph, NodeId};
@@ -139,12 +139,10 @@ fn run(
 
 #[test]
 fn fused_tail_equals_three_call_tail_everywhere() {
-    let algos: [(&str, Algo); 5] = [
+    let algos: [(&str, Algo); 3] = [
         ("cc-lp", |dg, ctx, b| cc::cc_lp(dg, ctx, b)),
         ("cc-sv", |dg, ctx, b| cc::cc_sv(dg, ctx, b)),
         ("cc-sclp", |dg, ctx, b| cc::cc_sclp(dg, ctx, b)),
-        ("bfs", |dg, ctx, b| bfs(dg, ctx, b, 0)),
-        ("sssp", |dg, ctx, b| sssp(dg, ctx, b, 0)),
     ];
     // A weighted high-diameter grid under an edge cut (the pinned-GAR fast
     // path) and a skewed graph with several components under a vertex cut.

@@ -54,81 +54,133 @@ const MAX_ATTEMPTS: u32 = 4;
 /// is propagated unchanged.
 const MAX_RECOVERIES: u32 = 8;
 
-/// Per-host communication counters.
-///
-/// `comm_nanos` covers time spent inside collective calls (serialization,
-/// mailbox traffic, and waiting at the implied barriers); everything else a
-/// host does is computation. Bytes and messages count only *inter*-host
-/// traffic — a host delivering to itself models a local memcpy, which the
-/// paper's communication-volume numbers also exclude. Retransmissions
-/// triggered by injected faults count only in `retransmits`, keeping
-/// `messages`/`bytes` equal to the fault-free logical volume.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostStats {
+/// Declares every per-host counter once: its doc and its merge rule. The
+/// table expands to the public [`HostStats`] snapshot, its
+/// [`HostStats::merge`], and the private atomic [`StatCells`] with the
+/// snapshot and reset that [`HostCtx::stats`] and [`HostCtx::reset_stats`]
+/// use. A merge rule is `sum` (cluster-wide totals: traffic, work) or
+/// `max` (how long the cluster spent, or events every member counts once).
+macro_rules! host_stats {
+    ($($(#[$doc:meta])* $name:ident: $rule:ident,)*) => {
+        /// Per-host communication counters.
+        ///
+        /// `comm_nanos` covers time spent inside collective calls
+        /// (serialization, mailbox traffic, and waiting at the implied
+        /// barriers); everything else a host does is computation. Bytes and
+        /// messages count only *inter*-host traffic — a host delivering to
+        /// itself models a local memcpy, which the paper's
+        /// communication-volume numbers also exclude. Retransmissions
+        /// triggered by injected faults count only in `retransmits`, keeping
+        /// `messages`/`bytes` equal to the fault-free logical volume.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct HostStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl HostStats {
+            /// Adds another host's counters into this one (for
+            /// cluster-wide totals), each by its merge rule.
+            pub fn merge(&mut self, other: &HostStats) {
+                $(host_stats!(@$rule self.$name, other.$name);)*
+            }
+        }
+
+        /// Internal atomic counters backing [`HostStats`].
+        #[derive(Debug, Default)]
+        struct StatCells {
+            $($name: AtomicU64,)*
+        }
+
+        impl StatCells {
+            fn snapshot(&self) -> HostStats {
+                HostStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+
+            fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+        }
+    };
+    (@sum $a:expr, $b:expr) => { $a += $b };
+    (@max $a:expr, $b:expr) => { $a = $a.max($b) };
+}
+
+host_stats! {
+    // Traffic is a cluster-wide total: sum. Time answers "how long did the
+    // cluster spend here": the slowest host gates the barrier, so max.
     /// Messages sent to other hosts.
-    pub messages: u64,
+    messages: sum,
     /// Payload bytes sent to other hosts.
-    pub bytes: u64,
+    bytes: sum,
     /// Nanoseconds spent inside communication calls.
-    pub comm_nanos: u64,
+    comm_nanos: max,
     /// Frames re-sent after a receiver reported loss or corruption.
-    pub retransmits: u64,
+    retransmits: sum,
     /// Received frames rejected by length/CRC validation.
-    pub crc_rejects: u64,
+    crc_rejects: sum,
     /// Collectives this host aborted because the heartbeat detector
     /// flagged a silent peer ([`CommError::PeerDown`]).
-    pub heartbeat_suspicions: u64,
+    heartbeat_suspicions: sum,
     /// Collectives this host aborted on a phase deadline
     /// ([`CommError::Timeout`]).
-    pub timeout_aborts: u64,
+    timeout_aborts: sum,
+    // Phase times, like comm_nanos: max.
     /// Nanoseconds spent in the request-compute phase (engines report
     /// these via [`HostCtx::add_phase_nanos`]; zero if never reported).
-    pub request_compute_nanos: u64,
+    request_compute_nanos: max,
     /// Nanoseconds spent in request-sync collectives.
-    pub request_sync_nanos: u64,
+    request_sync_nanos: max,
     /// Nanoseconds spent in the reduce-compute (operator body) phase.
-    pub reduce_compute_nanos: u64,
+    reduce_compute_nanos: max,
     /// Nanoseconds spent in reduce-sync/broadcast-sync collectives.
-    pub reduce_sync_nanos: u64,
+    reduce_sync_nanos: max,
+    // Work counts are cluster-wide totals, like traffic: sum. Sparse rounds
+    // happen per host at the same round cadence, so max keeps the count in
+    // units of rounds.
     /// Nodes actually executed by reduce-compute `ParFor`s (engines report
     /// these via [`HostCtx::add_parfor_activity`]; zero if never reported).
-    pub active_nodes: u64,
+    active_nodes: sum,
     /// Nodes the same `ParFor`s would have executed densely — the
     /// denominator of the frontier density `active_nodes / parfor_nodes`.
-    pub parfor_nodes: u64,
+    parfor_nodes: sum,
     /// Rounds that iterated a sparse frontier instead of all nodes.
-    pub sparse_rounds: u64,
+    sparse_rounds: max,
+    // Membership changes and joins are cluster-wide events every member
+    // counts once, and degraded rounds run at the same cadence everywhere:
+    // max keeps them in units of events/rounds. Resharded keys are per-host
+    // transfer work, so they sum like traffic.
     /// Membership shrinks and grows this host agreed to at a shrink or
     /// grow gate (one per generation bump; see [`MembershipChange`]).
-    pub membership_changes: u64,
+    membership_changes: max,
     /// BSP rounds executed on a degraded (shrunk) membership.
-    pub degraded_rounds: u64,
+    degraded_rounds: max,
     /// Master keys this host received from other hosts while re-sharding
     /// onto a changed membership (engines report these via
     /// [`HostCtx::add_resharded_keys`]).
-    pub resharded_keys: u64,
+    resharded_keys: sum,
     /// Hosts admitted by grow agreements this host took part in (one per
     /// admitted host; see [`HostCtx::recover_grow`]).
-    pub joins: u64,
+    joins: max,
     /// Physical chunk frames sent to other hosts (data chunks, plus one
     /// header-only frame per destination whose payload is empty; first
     /// transmissions only — re-sends count in `chunk_retransmits`).
-    pub chunks_sent: u64,
+    chunks_sent: sum,
     /// Chunk frames re-sent after a receiver reported loss or corruption.
-    pub chunk_retransmits: u64,
-    /// Always 0 since PR 20 (nothing writes it); kept only because
-    /// `benchmark/` reads it — retire together with `comm.overlap_share`.
-    pub overlap_nanos: u64,
+    chunk_retransmits: sum,
+    /// Always 0: nothing writes it. Kept only because `benchmark/` reads
+    /// it; retire it together with `comm.overlap_share`.
+    overlap_nanos: max,
+    // Cache events are per-host work, like traffic: sum.
     /// Serve-layer result-cache lookups answered from the cache (schedulers
     /// report these via [`HostCtx::add_cache_events`]; zero if no serving
     /// layer runs).
-    pub cache_hits: u64,
+    cache_hits: sum,
     /// Serve-layer result-cache lookups that missed and forced a fresh
     /// computation.
-    pub cache_misses: u64,
+    cache_misses: sum,
     /// Serve-layer result-cache entries evicted (capacity pressure or a
     /// graph-epoch bump).
-    pub cache_evictions: u64,
+    cache_evictions: sum,
 }
 
 /// The four phases of one NPM BSP round (Fig. 6 of the paper), used to
@@ -144,47 +196,6 @@ pub enum SyncPhase {
     /// Combining partials and exchanging them (`reduce_sync` and any
     /// trailing `broadcast_sync`).
     ReduceSync,
-}
-
-impl HostStats {
-    /// Adds another host's counters into this one (for cluster-wide totals).
-    pub fn merge(&mut self, other: &HostStats) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.comm_nanos = self.comm_nanos.max(other.comm_nanos);
-        self.retransmits += other.retransmits;
-        self.crc_rejects += other.crc_rejects;
-        self.heartbeat_suspicions += other.heartbeat_suspicions;
-        self.timeout_aborts += other.timeout_aborts;
-        // Phase times, like comm_nanos, answer "how long did the cluster
-        // spend here" — the slowest host gates the barrier, so max.
-        self.request_compute_nanos = self.request_compute_nanos.max(other.request_compute_nanos);
-        self.request_sync_nanos = self.request_sync_nanos.max(other.request_sync_nanos);
-        self.reduce_compute_nanos = self.reduce_compute_nanos.max(other.reduce_compute_nanos);
-        self.reduce_sync_nanos = self.reduce_sync_nanos.max(other.reduce_sync_nanos);
-        // Work counts are cluster-wide totals, like traffic: sum. Sparse
-        // rounds happen per host at the same round cadence, so max keeps
-        // the count in units of rounds.
-        self.active_nodes += other.active_nodes;
-        self.parfor_nodes += other.parfor_nodes;
-        self.sparse_rounds = self.sparse_rounds.max(other.sparse_rounds);
-        // Membership changes and joins are cluster-wide events every
-        // member counts once, and degraded rounds run at the same cadence
-        // everywhere: max keeps them in units of events/rounds. Resharded
-        // keys are per-host transfer work, so they sum like traffic.
-        self.membership_changes = self.membership_changes.max(other.membership_changes);
-        self.degraded_rounds = self.degraded_rounds.max(other.degraded_rounds);
-        self.resharded_keys += other.resharded_keys;
-        self.joins = self.joins.max(other.joins);
-        // Chunk frames are traffic: sum.
-        self.chunks_sent += other.chunks_sent;
-        self.chunk_retransmits += other.chunk_retransmits;
-        self.overlap_nanos = self.overlap_nanos.max(other.overlap_nanos);
-        // Cache events are per-host work, like traffic: sum.
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-    }
 }
 
 /// A communication failure observed by a collective.
@@ -269,7 +280,7 @@ impl std::error::Error for CommError {}
 /// [`HostCtx::run_recovering`] catches exactly this type: injected crashes
 /// and communication failures escalated by the infallible collective
 /// wrappers. Any other panic (a real bug) propagates unchanged.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashSignal {
     /// A [`crate::FaultKind::CrashHost`] fault fired on this host.
     Injected {
@@ -313,6 +324,9 @@ pub struct HostError {
     pub host: usize,
     /// The panic message (or [`CrashSignal`] description).
     pub message: String,
+    /// The [`CrashSignal`] the host unwound with, or `None` for any other
+    /// panic (a bug rather than a communication-rooted failure).
+    pub signal: Option<CrashSignal>,
 }
 
 impl std::fmt::Display for HostError {
@@ -761,6 +775,7 @@ where
             Err(HostError {
                 host,
                 message: panic_message(&*payload),
+                signal: payload.downcast_ref::<CrashSignal>().cloned(),
             })
         }
     }
@@ -844,34 +859,6 @@ pub struct HostCtx<'a> {
     member_mask: AtomicU64,
     /// Membership generation: bumped once per agreed shrink or grow.
     generation: AtomicU64,
-}
-
-/// Internal atomic counters backing [`HostStats`].
-#[derive(Debug, Default)]
-struct StatCells {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    comm_nanos: AtomicU64,
-    retransmits: AtomicU64,
-    crc_rejects: AtomicU64,
-    heartbeat_suspicions: AtomicU64,
-    timeout_aborts: AtomicU64,
-    request_compute_nanos: AtomicU64,
-    request_sync_nanos: AtomicU64,
-    reduce_compute_nanos: AtomicU64,
-    reduce_sync_nanos: AtomicU64,
-    active_nodes: AtomicU64,
-    parfor_nodes: AtomicU64,
-    sparse_rounds: AtomicU64,
-    membership_changes: AtomicU64,
-    degraded_rounds: AtomicU64,
-    resharded_keys: AtomicU64,
-    joins: AtomicU64,
-    chunks_sent: AtomicU64,
-    chunk_retransmits: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
 }
 
 impl<'a> HostCtx<'a> {
@@ -1617,60 +1604,13 @@ impl<'a> HostCtx<'a> {
 
     /// Snapshot of this host's communication counters.
     pub fn stats(&self) -> HostStats {
-        HostStats {
-            messages: self.stats.messages.load(Ordering::Relaxed),
-            bytes: self.stats.bytes.load(Ordering::Relaxed),
-            comm_nanos: self.stats.comm_nanos.load(Ordering::Relaxed),
-            retransmits: self.stats.retransmits.load(Ordering::Relaxed),
-            crc_rejects: self.stats.crc_rejects.load(Ordering::Relaxed),
-            heartbeat_suspicions: self.stats.heartbeat_suspicions.load(Ordering::Relaxed),
-            timeout_aborts: self.stats.timeout_aborts.load(Ordering::Relaxed),
-            request_compute_nanos: self.stats.request_compute_nanos.load(Ordering::Relaxed),
-            request_sync_nanos: self.stats.request_sync_nanos.load(Ordering::Relaxed),
-            reduce_compute_nanos: self.stats.reduce_compute_nanos.load(Ordering::Relaxed),
-            reduce_sync_nanos: self.stats.reduce_sync_nanos.load(Ordering::Relaxed),
-            active_nodes: self.stats.active_nodes.load(Ordering::Relaxed),
-            parfor_nodes: self.stats.parfor_nodes.load(Ordering::Relaxed),
-            sparse_rounds: self.stats.sparse_rounds.load(Ordering::Relaxed),
-            membership_changes: self.stats.membership_changes.load(Ordering::Relaxed),
-            degraded_rounds: self.stats.degraded_rounds.load(Ordering::Relaxed),
-            resharded_keys: self.stats.resharded_keys.load(Ordering::Relaxed),
-            joins: self.stats.joins.load(Ordering::Relaxed),
-            chunks_sent: self.stats.chunks_sent.load(Ordering::Relaxed),
-            chunk_retransmits: self.stats.chunk_retransmits.load(Ordering::Relaxed),
-            overlap_nanos: 0,
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.stats.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.stats.cache_evictions.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Resets the communication counters (benchmarks call this after
     /// warm-up/partitioning, which the paper excludes from timing).
     pub fn reset_stats(&self) {
-        self.stats.messages.store(0, Ordering::Relaxed);
-        self.stats.bytes.store(0, Ordering::Relaxed);
-        self.stats.comm_nanos.store(0, Ordering::Relaxed);
-        self.stats.retransmits.store(0, Ordering::Relaxed);
-        self.stats.crc_rejects.store(0, Ordering::Relaxed);
-        self.stats.heartbeat_suspicions.store(0, Ordering::Relaxed);
-        self.stats.timeout_aborts.store(0, Ordering::Relaxed);
-        self.stats.request_compute_nanos.store(0, Ordering::Relaxed);
-        self.stats.request_sync_nanos.store(0, Ordering::Relaxed);
-        self.stats.reduce_compute_nanos.store(0, Ordering::Relaxed);
-        self.stats.reduce_sync_nanos.store(0, Ordering::Relaxed);
-        self.stats.active_nodes.store(0, Ordering::Relaxed);
-        self.stats.parfor_nodes.store(0, Ordering::Relaxed);
-        self.stats.sparse_rounds.store(0, Ordering::Relaxed);
-        self.stats.membership_changes.store(0, Ordering::Relaxed);
-        self.stats.degraded_rounds.store(0, Ordering::Relaxed);
-        self.stats.resharded_keys.store(0, Ordering::Relaxed);
-        self.stats.joins.store(0, Ordering::Relaxed);
-        self.stats.chunks_sent.store(0, Ordering::Relaxed);
-        self.stats.chunk_retransmits.store(0, Ordering::Relaxed);
-        self.stats.cache_hits.store(0, Ordering::Relaxed);
-        self.stats.cache_misses.store(0, Ordering::Relaxed);
-        self.stats.cache_evictions.store(0, Ordering::Relaxed);
+        self.stats.reset();
     }
 
     /// Attributes `nanos` of wall-clock time to one NPM round phase. Called
@@ -1824,6 +1764,26 @@ mod tests {
             assert_eq!(s.bytes, 16);
             assert_eq!(s.retransmits, 0);
             assert!(s.comm_nanos > 0);
+        }
+    }
+
+    #[test]
+    fn reset_stats_zeroes_every_counter() {
+        let c = Cluster::new(2);
+        let stats = c.run(|ctx| {
+            ctx.exchange((0..2).map(|_| vec![0u8; 16]).collect());
+            ctx.add_phase_nanos(SyncPhase::RequestCompute, 5);
+            ctx.add_phase_nanos(SyncPhase::ReduceSync, 5);
+            ctx.add_parfor_activity(3, 7, true);
+            ctx.add_resharded_keys(2);
+            ctx.add_cache_events(1, 1, 1);
+            let before = ctx.stats();
+            ctx.reset_stats();
+            (before, ctx.stats())
+        });
+        for (before, after) in stats {
+            assert_ne!(before, HostStats::default());
+            assert_eq!(after, HostStats::default());
         }
     }
 
@@ -2498,8 +2458,9 @@ mod tests {
             assert!(stats.degraded_rounds >= 1, "no degraded rounds counted");
         }
         let err = res[1].as_ref().unwrap_err();
+        assert_eq!(err.signal, Some(CrashSignal::Killed { host: 1, round: 2 }));
         assert!(
-            err.message.contains("permanent host loss"),
+            err.message.starts_with("permanent host loss"),
             "victim reported: {}",
             err.message
         );

@@ -51,34 +51,47 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if the arrays are inconsistent: `offsets` must be non-empty and
-    /// non-decreasing, its last element must equal `targets.len()`,
-    /// `weights.len()` must equal `targets.len()`, and every target must be a
-    /// valid node id.
+    /// Panics if the arrays are inconsistent (see [`Graph::try_from_csr`]).
     pub fn from_csr(offsets: Vec<u64>, targets: Vec<NodeId>, weights: Vec<Weight>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have at least one entry");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            targets.len() as u64,
-            "last offset must equal the number of edges"
-        );
-        assert_eq!(weights.len(), targets.len(), "one weight per edge");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be non-decreasing"
-        );
+        Self::try_from_csr(offsets, targets, weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a graph from CSR arrays, or says which rule they break.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the arrays are inconsistent: `offsets` must start at 0 and
+    /// never decrease, its last element must equal `targets.len()`,
+    /// `weights.len()` must equal `targets.len()`, and every target must be
+    /// a valid node id.
+    pub fn try_from_csr(
+        offsets: Vec<u64>,
+        targets: Vec<NodeId>,
+        weights: Vec<Weight>,
+    ) -> Result<Self, &'static str> {
+        if offsets.first() != Some(&0) {
+            return Err("offsets must start at 0");
+        }
+        if offsets.last() != Some(&(targets.len() as u64)) {
+            return Err("last offset must equal the number of edges");
+        }
+        if weights.len() != targets.len() {
+            return Err("one weight per edge");
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("offsets must be non-decreasing");
+        }
         let n = (offsets.len() - 1) as u64;
-        assert!(
-            targets.iter().all(|&t| (t as u64) < n),
-            "edge target out of range"
-        );
-        Graph {
+        if targets.iter().any(|&t| u64::from(t) >= n) {
+            return Err("edge target out of range");
+        }
+        Ok(Graph {
             store: GraphStore::Raw {
                 offsets,
                 targets,
                 weights,
             },
-        }
+        })
     }
 
     /// The backing store.
@@ -363,5 +376,19 @@ mod tests {
     #[should_panic(expected = "last offset")]
     fn inconsistent_offsets_panic() {
         Graph::from_csr(vec![0, 2], vec![0], vec![1]);
+    }
+
+    #[test]
+    fn try_from_csr_names_the_broken_rule() {
+        let bad = |o: &[u64], t: &[NodeId], w: &[Weight]| {
+            Graph::try_from_csr(o.to_vec(), t.to_vec(), w.to_vec()).unwrap_err()
+        };
+        let start = "offsets must start at 0";
+        assert_eq!(bad(&[], &[], &[]), start);
+        // Degrees sum to 1, not the 3 edges.
+        assert_eq!(bad(&[2, 2, 3], &[0, 1, 0], &[1; 3]), start);
+        let order = "offsets must be non-decreasing";
+        assert_eq!(bad(&[0, 5, 3, 5], &[0; 5], &[1; 5]), order);
+        assert_eq!(bad(&[0, 1], &[0], &[]), "one weight per edge");
     }
 }

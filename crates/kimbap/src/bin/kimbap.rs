@@ -35,7 +35,9 @@ use kimbap::serve::{
     self, Algo, AlgoRow, HostServer, JobOutput, JobReport, JobSpec, JobStatus, TABLE,
 };
 use kimbap::simfuzz;
-use kimbap_comm::{new_trace_sink, run_transport_host, HostError, TcpTransport, TransportConfig};
+use kimbap_comm::{
+    new_trace_sink, run_transport_host, CrashSignal, HostError, TcpTransport, TransportConfig,
+};
 use kimbap_compiler::{classify_program, compile, frontend, OptLevel};
 use kimbap_dist::{partition_cfg, PartitionCfg};
 use kimbap_graph::io;
@@ -139,13 +141,14 @@ compiled-plan rows (cc-sv, cc-lp) from their last checkpoint re-sharded
 over the survivors, the others by restarting, and the output must equal
 the fault-free one. --faults join (compiled-plan rows only) admits a
 live host mid-run: one spare host knocks ~50 ms in (on --transport tcp it
-is a worker process spawned late), the members stop at a round boundary,
-re-shard the master maps over the expanded ownership, and resume. Every
-other plan keeps the fixed membership. kimbap sim --faults picks the
-seeded plan family: random (frame noise, crashes, stalls; the default),
-kill (noise plus a permanent kill on ~40% of seeds) or churn (kills plus
-joins, compiled-plan rows only); kill and churn run every seed on the
-elastic path and check each interleaving converges.
+is its own worker process, 50 ms after that process starts), the members
+stop at a round boundary, re-shard the master maps over the expanded
+ownership, and resume. Every other plan keeps the fixed membership.
+kimbap sim --faults picks the seeded plan family: random (frame noise,
+crashes, stalls; the default), kill (noise plus a permanent kill on ~40%
+of seeds) or churn (kills plus joins, compiled-plan rows only); kill and
+churn run every seed on the elastic path and check each interleaving
+converges.
 
 runs are read-only over the graph, so each host stores its local CSR on
 the compressed tier (bit-packed delta neighbor blocks) by default; --raw
@@ -203,6 +206,15 @@ fn flag_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Re
     match flag(args, name) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
+    }
+}
+
+/// Reads a `--hosts` or `--threads` value, which must be at least 1: zero
+/// is a usage error, not an empty run or a panic further in.
+fn flag_count(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match flag_num(args, name, default)? {
+        0 => Err(format!("{name} must be at least 1")),
+        n => Ok(n),
     }
 }
 
@@ -420,12 +432,6 @@ fn run_tcp(args: &[String], plan: &FaultPlan, capacity: usize) -> CliResult {
     let forwarded: Vec<&String> = forwarded.map(|(_, a)| a).collect();
     let mut children = Vec::with_capacity(capacity);
     for h in 0..capacity {
-        // The join plan's latent slot is a genuinely late process: the
-        // members' workers are already running their first rounds when
-        // the joiner is spawned and knocks on the live cluster.
-        if plan.latent_hosts().contains(&h) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
         let child = std::process::Command::new(&exe)
             .arg("_worker")
             .args(&forwarded)
@@ -467,8 +473,8 @@ fn cmd_worker(args: &[String]) -> CliResult {
 fn launch(args: &[String], host: Option<usize>) -> CliResult {
     let row = parse_algo(args.first().ok_or("missing algorithm")?)?;
     let path = args.get(1).ok_or("missing FILE")?;
-    let hosts: usize = flag_num(args, "--hosts", 2)?;
-    let threads: usize = flag_num(args, "--threads", 2)?;
+    let hosts = flag_count(args, "--hosts", 2)?;
+    let threads = flag_count(args, "--threads", 2)?;
     let transport = flag(args, "--transport").unwrap_or_else(|| "inproc".into());
     let faults = flag(args, "--faults").unwrap_or_else(|| "none".into());
     let seed: u64 = flag_num(args, "--seed", 1)?;
@@ -508,9 +514,9 @@ fn launch(args: &[String], host: Option<usize>) -> CliResult {
             let config = TransportConfig::default();
             let transport = match TcpTransport::bind(host, capacity, port_base, config, &latent) {
                 Ok(t) => t,
-                // A late-spawned joiner that cannot reach any member (they
-                // finished and closed their listeners first) gives up
-                // benignly: the members' outputs already cover every node.
+                // A joiner that cannot reach any member (they finished
+                // and closed their listeners first) gives up benignly:
+                // the members' outputs already cover every node.
                 Err(e) if latent.contains(&host) => {
                     println!("joiner could not reach the cluster ({e}); giving up");
                     return Ok(());
@@ -565,17 +571,10 @@ fn host_values<R>(
             // casualty: it aborts with its own permanent-loss error while
             // the survivors shrink past it, so its result is skipped
             // rather than treated as the run's outcome.
-            Err(e) if elastic && e.message.starts_with("permanent host loss") => {
+            Err(HostError { signal: Some(CrashSignal::Killed { .. }), .. }) if elastic => {
                 println!("host {h} was killed; survivors shrank past it");
             }
-            Err(e)
-                if e.message.starts_with("communication failed")
-                    || e.message.starts_with("injected crash")
-                    || e.message.starts_with("permanent host loss")
-                    || e.message.contains("membership lost") =>
-            {
-                aborted = Some(e.to_string());
-            }
+            Err(e) if e.signal.is_some() => aborted = Some(e.to_string()),
             Err(e) => return Err(format!("non-communication host panic: {e}")),
         }
     }
@@ -724,11 +723,11 @@ fn cmd_sim(args: &[String]) -> CliResult {
         &["--raw"],
     )?;
     let row = parse_algo(flag(args, "--algo").as_deref().unwrap_or("cc-lp"))?;
-    let hosts: usize = flag_num(args, "--hosts", 3)?;
+    let hosts = flag_count(args, "--hosts", 3)?;
     // One worker thread per host by default: intra-host pools are real
     // threads even under simulation, and single-threaded hosts keep the
     // whole run (not just the schedule) bit-reproducible.
-    let threads: usize = flag_num(args, "--threads", 1)?;
+    let threads = flag_count(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
     let faults = flag(args, "--faults").unwrap_or_else(|| "random".into());
@@ -905,8 +904,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         &["--raw"],
     )?;
     let path = args.first().ok_or("missing FILE")?.clone();
-    let hosts: usize = flag_num(args, "--hosts", 2)?;
-    let threads: usize = flag_num(args, "--threads", 2)?;
+    let hosts = flag_count(args, "--hosts", 2)?;
+    let threads = flag_count(args, "--threads", 2)?;
     let capacity: usize = flag_num(args, "--cache-capacity", SERVE_CACHE_CAPACITY)?;
     let out_dir = flag(args, "--out-dir");
     let jobs = collect_jobs(args)?;
@@ -1077,8 +1076,8 @@ fn cmd_serve_sim(args: &[String]) -> CliResult {
         &["--seed", "--seeds", "--hosts", "--threads", "--scale", "--ef"],
         &["--raw"],
     )?;
-    let hosts: usize = flag_num(args, "--hosts", 3)?;
-    let threads: usize = flag_num(args, "--threads", 1)?;
+    let hosts = flag_count(args, "--hosts", 3)?;
+    let threads = flag_count(args, "--threads", 1)?;
     let scale: u32 = flag_num(args, "--scale", 6)?;
     let ef: usize = flag_num(args, "--ef", 4)?;
     // The resident partition of `serve` (see there).
@@ -1235,6 +1234,28 @@ mod tests {
         // A row with a plan gets past the check to the missing file.
         let join = args(&["cc-sv", "missing.kg", "--faults", "join"]);
         assert!(cmd_run(&join).unwrap_err().starts_with("open missing.kg"));
+    }
+
+    #[test]
+    fn zero_hosts_or_threads_is_a_usage_error() {
+        // Rejected before any I/O: the graph file does not exist.
+        for name in ["run", "_worker", "sim", "serve", "serve-sim"] {
+            let (_, cmd) = COMMANDS.iter().find(|(n, _)| *n == name).unwrap();
+            for flag in ["--hosts", "--threads"] {
+                let mut a = match name {
+                    "run" | "_worker" => args(&["cc-sv", "missing.kg"]),
+                    "serve" => args(&["missing.kg", "--job", "cc-sv"]),
+                    _ => Vec::new(),
+                };
+                a.extend(args(&[flag, "0"]));
+                let want = Err(format!("{flag} must be at least 1"));
+                assert_eq!(cmd(&a), want, "kimbap {name} {a:?}");
+                if name == "run" {
+                    a.extend(args(&["--transport", "tcp"]));
+                    assert_eq!(cmd(&a), want, "kimbap {name} {a:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! run on the final membership produces.
 
 use crate::engine::{Checkpoint, Engine, EngineOutput, MembershipCause, MembershipSignal};
-use kimbap_comm::{clock, Deadline, HostCtx, MembershipChange};
+use kimbap_comm::{clock, CommError, CrashSignal, Deadline, HostCtx, MembershipChange};
 use kimbap_compiler::transform::CompiledProgram;
 use kimbap_dist::{ownership_for, partition_host, DistGraph, Ownership, PartitionCfg};
 use kimbap_graph::{Graph, NodeId};
@@ -105,7 +105,13 @@ pub fn run_plan_elastic(
             MembershipCause::Shrink => ctx.recover_shrink(),
             MembershipCause::Grow => ctx.recover_grow(),
         }
-        .unwrap_or_else(|e| panic!("membership change failed: {e}"));
+        .unwrap_or_else(|e| match e {
+            // A host departed during the gate: a communication-rooted
+            // failure, unwound with the typed signal launchers sort by.
+            CommError::MembershipLost { .. } => resume_unwind(Box::new(CrashSignal::Comm(e))),
+            // Anything else (a gate timeout or protocol violation) is a bug.
+            _ => panic!("membership change failed: {e}"),
+        });
         resume = reshard(ctx, g, cfg, plan, Some(&sig), &change);
     }
 }

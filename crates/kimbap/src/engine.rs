@@ -1076,45 +1076,6 @@ impl<const LOCAL: bool> Exec<'_, '_, LOCAL> {
     }
 }
 
-/// One displayable line of a loop's execution profile: the plan's static
-/// shape (request phases per round) joined with what a round actually ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundSummary {
-    /// Request phases the loop executes each round.
-    pub request_phases: usize,
-    /// Nodes the round's reduce-compute phase ran the operator on.
-    pub active: u64,
-    /// Dense extent of the loop's iterator.
-    pub total: u64,
-    /// Whether the round iterated a sparse active set.
-    pub sparse: bool,
-}
-
-impl RoundSummary {
-    /// Summarizes one recorded round of `l`.
-    pub fn new(l: &CompiledLoop, a: &RoundActivity) -> Self {
-        RoundSummary {
-            request_phases: l.request_phases.len(),
-            active: a.active,
-            total: a.total,
-            sparse: a.sparse,
-        }
-    }
-}
-
-impl std::fmt::Display for RoundSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} request phase(s), {}/{} nodes ({})",
-            self.request_phases,
-            self.active,
-            self.total,
-            if self.sparse { "sparse" } else { "dense" }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1421,35 +1382,6 @@ mod tests {
         let outs = run_plan(&programs::cc_sv(), OptLevel::Full, &g, 2, 2, Policy::EdgeCutBlocked);
         assert!(outs.iter().all(|o| o.activity.iter().all(|a| !a.sparse)));
         assert!(outs.iter().all(|o| o.activity.len() as u64 == o.rounds));
-    }
-
-    #[test]
-    fn round_summary_reports_active_fraction() {
-        let g = gen::grid_road(7, 7, 3);
-        let plan = compile(&programs::cc_lp(), OptLevel::Full);
-        let l = plan
-            .body
-            .iter()
-            .find_map(|t| match t {
-                CompiledTop::Loop(l) => Some(l),
-                _ => None,
-            })
-            .expect("cc-lp has a propagation loop");
-        let parts = partition(&g, Policy::EdgeCutBlocked, 2);
-        let outs = Cluster::with_threads(2, 1)
-            .run(|ctx| Engine::new(&parts[ctx.host()], ctx, &plan).run(ctx));
-        let a = outs[0].activity.last().unwrap();
-        let s = RoundSummary::new(l, a);
-        assert_eq!(s.request_phases, 0);
-        assert_eq!(
-            s.to_string(),
-            format!(
-                "0 request phase(s), {}/{} nodes ({})",
-                a.active,
-                a.total,
-                if a.sparse { "sparse" } else { "dense" }
-            )
-        );
     }
 
     #[test]

@@ -500,10 +500,6 @@ impl ResultCache {
         self.entries.retain(|(k, _)| k.epoch >= epoch);
         (before - self.entries.len()) as u64
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// One host's long-lived serving state: the result cache and the graph
@@ -529,11 +525,6 @@ impl HostServer {
     /// The current graph epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Live entries in the result cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// Advances the graph epoch — the caller does this exactly when it
@@ -936,7 +927,7 @@ mod tests {
         assert_eq!(c.get(&key(2)), None, "LRU victim must be gone");
         assert_eq!(c.get(&key(1)), Some(out(1)));
         assert_eq!(c.get(&key(3)), Some(out(3)));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
     }
 
     #[test]
@@ -970,7 +961,7 @@ mod tests {
         );
         assert_eq!(c.purge_epochs_before(1), 1);
         assert_eq!(c.get(&key(1)), None, "epoch-0 entry must be purged");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
     }
 
     #[test]

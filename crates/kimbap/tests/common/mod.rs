@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 use kimbap_algos::{self as algos, cc::cc_lp, merge_master_values, msf, NpmBuilder};
-use kimbap_comm::{Cluster, FaultPlan, HostCtx};
+use kimbap_comm::{Cluster, CrashSignal, FaultPlan, HostCtx, HostError};
 use kimbap_dist::{partition, DistGraph, Policy};
 use kimbap_graph::Graph;
 use proptest::prelude::*;
@@ -106,26 +106,23 @@ pub fn run_elastic_survivors<R: Send>(
         .enumerate()
         .filter_map(|(h, r)| match r {
             Ok(v) => Some(v),
-            Err(e) if permanent_loss(&e.message) => None,
+            Err(e) if permanent_loss(&e) => None,
             Err(e) => panic!("host {h}: {e}"),
         })
         .collect()
 }
 
-/// True for the host-error messages rooted in communication failure —
-/// the set a faulted run may legitimately surface instead of converging.
-/// Anything else escaping a host is a bug.
-pub fn comm_rooted(msg: &str) -> bool {
-    msg.starts_with("communication failed")
-        || msg.starts_with("injected crash")
-        || msg.starts_with("permanent host loss")
-        || msg.contains("membership lost")
+/// True for host errors rooted in communication failure: every host that
+/// unwound with a [`CrashSignal`]. The set a faulted run may legitimately
+/// surface instead of converging; anything else escaping a host is a bug.
+pub fn comm_rooted(e: &HostError) -> bool {
+    e.signal.is_some()
 }
 
 /// True for a killed host's own abort — the *expected* casualty of an
 /// elastic run, skipped rather than surfaced.
-pub fn permanent_loss(msg: &str) -> bool {
-    msg.starts_with("permanent host loss")
+pub fn permanent_loss(e: &HostError) -> bool {
+    matches!(e.signal, Some(CrashSignal::Killed { .. }))
 }
 
 /// `Some(inner)` half the time, `None` the other half — the vendored

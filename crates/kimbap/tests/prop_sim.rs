@@ -72,7 +72,7 @@ fn sim_cc_lp(
     for r in res {
         match r {
             Ok(v) => vals.push(v),
-            Err(e) if comm_rooted(&e.message) => {
+            Err(e) if comm_rooted(&e) => {
                 return Ok(None);
             }
             Err(e) => return Err(format!("non-communication panic: {e}")),
@@ -106,8 +106,8 @@ fn sim_cc_lp_elastic(
     for r in res {
         match r {
             Ok(v) => vals.push(v),
-            Err(e) if permanent_loss(&e.message) => {}
-            Err(e) if comm_rooted(&e.message) => {
+            Err(e) if permanent_loss(&e) => {}
+            Err(e) if comm_rooted(&e) => {
                 surfaced = true;
             }
             Err(e) => return Err(format!("non-communication panic: {e}")),
@@ -143,8 +143,8 @@ fn sim_cc_lp_churn(
         match r {
             Ok(Some(out)) => vals.push(out.map_values.into_iter().next().unwrap_or_default()),
             Ok(None) => {} // joiner gave up cleanly — no masters to merge
-            Err(e) if permanent_loss(&e.message) => {}
-            Err(e) if comm_rooted(&e.message) => {
+            Err(e) if permanent_loss(&e) => {}
+            Err(e) if comm_rooted(&e) => {
                 surfaced = true;
             }
             Err(e) => return Err(format!("non-communication panic: {e}")),

@@ -6,7 +6,7 @@
 
 use kimbap::simfuzz;
 use kimbap_algos::{cc::cc_lp, merge_master_values, refcheck, NpmBuilder};
-use kimbap_comm::{new_trace_sink, Cluster, FaultPlan, TraceEvent};
+use kimbap_comm::{new_trace_sink, Cluster, CrashSignal, FaultPlan, TraceEvent};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::gen;
 
@@ -104,7 +104,7 @@ fn join_during_recovery_replays_byte_identical_trace() {
             match r {
                 Ok(Some(out)) => vals.push(out.map_values.into_iter().next().unwrap_or_default()),
                 Ok(None) => {} // joiner gave up cleanly
-                Err(e) if e.message.starts_with("permanent host loss") => {
+                Err(e) if matches!(e.signal, Some(CrashSignal::Killed { .. })) => {
                     assert_eq!(h, 1, "only the planned victim may die");
                 }
                 Err(e) => panic!("host {h}: {e}"),

@@ -250,7 +250,7 @@ fn elastic_cc_lp(g: &kimbap_graph::Graph, cluster: &Cluster, plan: FaultPlan) ->
                 values.push(v);
                 agreed.push(a);
             }
-            Err(e) if common::permanent_loss(&e.message) => {}
+            Err(e) if common::permanent_loss(&e) => {}
             Err(e) => panic!("host {h}: {e}"),
         }
     }

@@ -40,6 +40,9 @@ if [ "$unsafe_lines" -gt "$UNSAFE_MAX" ]; then
     exit 1
 fi
 
+echo "==> non-test lines under crates/ (information, not a gate)"
+scripts/loc.sh
+
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench -q --workspace --no-run
 
