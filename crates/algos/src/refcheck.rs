@@ -89,13 +89,13 @@ pub fn check_mis(g: &Graph, in_set: &[bool]) -> Result<(), String> {
     assert_eq!(in_set.len(), g.num_nodes());
     for u in g.nodes() {
         if in_set[u as usize] {
-            for v in g.neighbors(u).iter() {
-                if *v != u && in_set[*v as usize] {
+            for v in g.targets(u) {
+                if v != u && in_set[v as usize] {
                     return Err(format!("adjacent nodes {u} and {v} both in set"));
                 }
             }
         } else {
-            let covered = g.neighbors(u).iter().any(|&v| in_set[v as usize]);
+            let covered = g.targets(u).any(|v| in_set[v as usize]);
             if !covered && g.degree(u) > 0 {
                 return Err(format!("node {u} is not in the set and has no set neighbor"));
             }

@@ -26,7 +26,7 @@ pub fn cc_lp(g: &Graph, threads: usize) -> Vec<u64> {
         pool.par_for(0..g.num_nodes(), |_tid, range| {
             for u in range {
                 let my = labels[u].load(Ordering::Relaxed);
-                for &v in g.neighbors(u as NodeId).iter() {
+                for v in g.targets(u as NodeId) {
                     let old = labels[v as usize].fetch_min(my, Ordering::Relaxed);
                     if my < old {
                         changed.store(true, Ordering::Relaxed);
@@ -50,7 +50,7 @@ pub fn cc_sv(g: &Graph, threads: usize) -> Vec<u64> {
         pool.par_for(0..g.num_nodes(), |_tid, range| {
             for u in range {
                 let pu = load(u);
-                for &v in g.neighbors(u as NodeId).iter() {
+                for v in g.targets(u as NodeId) {
                     let pv = load(v as usize);
                     if pu > pv {
                         let old = parent[pu as usize].fetch_min(pv, Ordering::Relaxed);
@@ -176,8 +176,11 @@ pub fn mis(g: &Graph, threads: usize) -> Vec<bool> {
                 }
                 let u = u as NodeId;
                 let my = prio(u);
-                let beaten = g.neighbors(u).iter().any(|&v| {
-                    state[v as usize].load(Ordering::Relaxed) == 0 && prio(v) > my
+                // A neighbor already in the set blocks `u` too: its pass
+                // excluding its neighbors may not have reached `u` yet.
+                let beaten = g.targets(u).any(|v| {
+                    let s = state[v as usize].load(Ordering::Relaxed);
+                    s == 1 || (s == 0 && prio(v) > my)
                 });
                 if beaten {
                     undecided.store(true, Ordering::Relaxed);
@@ -189,7 +192,7 @@ pub fn mis(g: &Graph, threads: usize) -> Vec<bool> {
                     .compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
-                    for &v in g.neighbors(u).iter() {
+                    for v in g.targets(u) {
                         let _ = state[v as usize].compare_exchange(
                             0,
                             2,
@@ -327,6 +330,7 @@ mod tests {
     use super::*;
     use kimbap_algos::refcheck;
     use kimbap_graph::gen;
+    use kimbap_graph::stats::approx_diameter;
 
     #[test]
     fn cc_variants_match_reference() {
@@ -360,6 +364,35 @@ mod tests {
         refcheck::check_mis(&g, &mis(&g, 4)).unwrap();
         let g = gen::rmat(8, 6, 47);
         refcheck::check_mis(&g, &mis(&g, 4)).unwrap();
+        // Repeated 4-thread runs catch a node joining beside a neighbor
+        // that has joined but not yet excluded it.
+        for seed in 0..8 {
+            let g = gen::rmat(10, 8, seed);
+            for _ in 0..25 {
+                refcheck::check_mis(&g, &mis(&g, 4)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn adjacency_readers_agree_across_storage_tiers() {
+        // Each reader walks `targets()`; on the compressed tier that is the
+        // streaming decoder, which must answer as the raw slices do.
+        for g in [gen::rmat(8, 6, 47), gen::grid_road(12, 12, 5)] {
+            let c = g.compress();
+            assert_eq!(approx_diameter(&c, 0), approx_diameter(&g, 0));
+            assert_eq!(gen::with_unit_weights(&c), gen::with_unit_weights(&g));
+            assert_eq!(cc_lp(&c, 2), cc_lp(&g, 2));
+            assert_eq!(cc_sv(&c, 2), cc_sv(&g, 2));
+            let set = mis(&g, 1);
+            assert_eq!(mis(&c, 1), set);
+            // A valid set, one no longer maximal, one with adjacent members.
+            let mut unmaximal = set.clone();
+            unmaximal[set.iter().position(|&x| x).unwrap()] = false;
+            for s in [set, unmaximal, vec![true; g.num_nodes()]] {
+                assert_eq!(refcheck::check_mis(&c, &s), refcheck::check_mis(&g, &s));
+            }
+        }
     }
 
     #[test]

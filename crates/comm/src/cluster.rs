@@ -602,104 +602,45 @@ impl Cluster {
         // in-proc fabric and the TCP loopback mesh.
         let latent = plan.latent_hosts();
         let faults = Arc::new(FaultState::new(plan));
+        let (num_hosts, threads) = (self.num_hosts, self.threads_per_host);
+        let cfg = &self.transport_cfg;
+        let host_body =
+            |transport: &dyn Transport| run_host(transport, threads, faults.clone(), &f);
         match self.backend {
             Backend::InProc => {
-                let fabric = Arc::new(InProcFabric::new(
-                    self.num_hosts,
-                    self.transport_cfg.clone(),
-                    &latent,
-                ));
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(self.num_hosts);
-                    for host in 0..self.num_hosts {
-                        let fabric = fabric.clone();
-                        let faults = faults.clone();
-                        let f = &f;
-                        let threads = self.threads_per_host;
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("kimbap-host-{host}"))
-                                .spawn_scoped(scope, move || {
-                                    let transport = InProcTransport::new(fabric, host);
-                                    run_host(&transport, threads, faults, |ctx| f(ctx))
-                                })
-                                .expect("failed to spawn host thread"),
-                        );
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("failed to join host thread"))
-                        .collect()
+                let fabric = Arc::new(InProcFabric::new(num_hosts, cfg.clone(), &latent));
+                spawn_hosts(vec![(); num_hosts], |host, ()| {
+                    host_body(&InProcTransport::new(fabric.clone(), host))
                 })
             }
             Backend::TcpLoopback => {
-                let (listeners, ports) = TcpTransport::loopback_listeners(self.num_hosts)
+                let (listeners, ports) = TcpTransport::loopback_listeners(num_hosts)
                     .expect("failed to bind loopback listeners");
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(self.num_hosts);
-                    for (host, listener) in listeners.into_iter().enumerate() {
-                        let faults = faults.clone();
-                        let ports = ports.clone();
-                        let cfg = self.transport_cfg.clone();
-                        let f = &f;
-                        let threads = self.threads_per_host;
-                        let num_hosts = self.num_hosts;
-                        let latent = latent.clone();
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("kimbap-host-{host}"))
-                                .spawn_scoped(scope, move || {
-                                    let transport = TcpTransport::with_listener(
-                                        host, num_hosts, listener, &ports, cfg, &latent,
-                                    )
-                                    .expect("failed to build tcp loopback mesh");
-                                    run_host(&transport, threads, faults, |ctx| f(ctx))
-                                })
-                                .expect("failed to spawn host thread"),
-                        );
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("failed to join host thread"))
-                        .collect()
+                spawn_hosts(listeners, |host, listener| {
+                    let transport = TcpTransport::with_listener(
+                        host,
+                        num_hosts,
+                        listener,
+                        &ports,
+                        cfg.clone(),
+                        &latent,
+                    )
+                    .expect("failed to build tcp loopback mesh");
+                    host_body(&transport)
                 })
             }
             Backend::Sim { seed } => {
-                let fabric = Arc::new(SimFabric::new(
-                    self.num_hosts,
-                    self.transport_cfg.clone(),
-                    seed,
-                    &latent,
-                ));
-                let results = std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(self.num_hosts);
-                    for host in 0..self.num_hosts {
-                        let fabric = fabric.clone();
-                        let faults = faults.clone();
-                        let f = &f;
-                        let threads = self.threads_per_host;
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("kimbap-host-{host}"))
-                                .spawn_scoped(scope, move || {
-                                    let transport = SimTransport::new(fabric.clone(), host);
-                                    // The whole host stack — deadlines,
-                                    // backoff, stalls, phase timers — runs
-                                    // on this host's virtual clock.
-                                    clock::with_clock(transport.clock(), || {
-                                        fabric.register(host);
-                                        let r = run_host(&transport, threads, faults, |ctx| f(ctx));
-                                        fabric.finish(host);
-                                        r
-                                    })
-                                })
-                                .expect("failed to spawn host thread"),
-                        );
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("failed to join host thread"))
-                        .collect()
+                let fabric = Arc::new(SimFabric::new(num_hosts, cfg.clone(), seed, &latent));
+                let results = spawn_hosts(vec![(); num_hosts], |host, ()| {
+                    let transport = SimTransport::new(fabric.clone(), host);
+                    // The whole host stack — deadlines, backoff, stalls,
+                    // phase timers — runs on this host's virtual clock.
+                    clock::with_clock(transport.clock(), || {
+                        fabric.register(host);
+                        let r = host_body(&transport);
+                        fabric.finish(host);
+                        r
+                    })
                 });
                 if let Some(sink) = &self.trace_sink {
                     *sink.lock() = fabric.take_trace();
@@ -708,6 +649,33 @@ impl Cluster {
             }
         }
     }
+}
+
+/// Runs `body(host, input)` for each host's input on its own named,
+/// scoped thread and returns the results in host order.
+fn spawn_hosts<I, R, B>(inputs: Vec<I>, body: B) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    B: Fn(usize, I) -> R + Sync,
+{
+    std::thread::scope(|scope| {
+        let body = &body;
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(host, input)| {
+                std::thread::Builder::new()
+                    .name(format!("kimbap-host-{host}"))
+                    .spawn_scoped(scope, move || body(host, input))
+                    .expect("failed to spawn host thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("failed to join host thread"))
+            .collect()
+    })
 }
 
 /// Runs one host closure over an already-connected transport, with the
@@ -1507,31 +1475,13 @@ impl<'a> HostCtx<'a> {
         T: Wire,
         F: Fn(T, T) -> T,
     {
-        let me = self.host();
-        let buf = encode_slice(&[value]);
-        let outgoing = (0..self.num_hosts())
-            .map(|h| if h == me { Vec::new() } else { buf.clone() })
-            .collect();
-        let received = self.try_exchange(outgoing)?;
-        let mut acc = value;
-        for (h, buf) in received.iter().enumerate() {
-            if h == me {
-                continue;
-            }
-            if buf.len() != T::SIZE {
-                return Err(CommError::Protocol {
-                    detail: format!(
-                        "all_reduce expected {} bytes from host {h}, got {}",
-                        T::SIZE,
-                        buf.len()
-                    ),
-                });
-            }
-            let v = T::read(buf);
-            // Fold in host order relative to our own position.
-            acc = if h < me { combine(v, acc) } else { combine(acc, v) };
-        }
-        Ok(acc)
+        // Every host folds the same host-ordered list, so all of them
+        // return the same value even for a non-associative `combine`.
+        let all = self.try_all_gather(value)?;
+        Ok(all
+            .into_iter()
+            .reduce(combine)
+            .expect("the gather holds this host's own value"))
     }
 
     /// All-reduce specialized to `u64`.
@@ -1740,6 +1690,16 @@ mod tests {
             (sum, any, none)
         });
         assert!(res.iter().all(|&(s, a, n)| s == 10 && a && !n));
+    }
+
+    #[test]
+    fn all_reduce_folds_in_rank_order_on_every_host() {
+        // `a * 31 + b` is not associative: a host that folded its own
+        // value in first would disagree with rank 0.
+        let res = Cluster::new(3).run(|ctx| {
+            ctx.all_reduce_u64(ctx.host() as u64 + 1, |a, b| a * 31 + b)
+        });
+        assert_eq!(res, vec![1026; 3]);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!    removes more communication for multi-map operators.)
 //!
 //! Slicing uses the statement tree, whose prefix-paths coincide with CFG
-//! dominance for this structured IR; [`crate::dom`] computes the general
-//! dominator/post-dominator trees and the tests cross-check the slices
-//! against them.
+//! dominance for this structured IR; no CFG is built here. [`crate::dom`]
+//! computes the general dominator/post-dominator trees as a standalone
+//! analysis, and one test checks a single dominance fact the CC-SV
+//! shortcut slice relies on.
 
 use crate::classify::{classify_map_reads, ReadDep};
 use crate::ir::{

@@ -4,7 +4,7 @@ use crate::ownership::Ownership;
 use crate::policy::Policy;
 use kimbap_comm::wire::{encode_slice, iter_decoded};
 use kimbap_comm::HostCtx;
-use kimbap_graph::store::{EdgeIter, GraphStore, NeighborsRef, TargetIter};
+use kimbap_graph::store::{EdgeIter, GraphStore, TargetIter};
 use kimbap_graph::{Graph, NodeId, Weight};
 use std::fmt;
 
@@ -190,17 +190,6 @@ impl DistGraph {
         self.store.degree(l)
     }
 
-    /// Local out-neighbors of proxy `l` — borrowed on the raw tier,
-    /// decoded into a per-thread scratch buffer on the compressed tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    #[inline]
-    pub fn neighbors(&self, l: LocalId) -> NeighborsRef<'_> {
-        self.store.neighbors(l)
-    }
-
     /// Iterates `(local_neighbor, weight)` of proxy `l`'s out-edges.
     ///
     /// # Panics
@@ -220,17 +209,6 @@ impl DistGraph {
     #[inline]
     pub fn targets(&self, l: LocalId) -> TargetIter<'_> {
         self.store.targets(l)
-    }
-
-    /// In-degree of local proxy `l` (edges of the local CSR ending at `l`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    #[inline]
-    pub fn in_degree(&self, l: LocalId) -> usize {
-        let l = l as usize;
-        (self.in_offsets[l + 1] - self.in_offsets[l]) as usize
     }
 
     /// Local in-neighbors of proxy `l`: every proxy with a local out-edge
@@ -935,7 +913,7 @@ mod tests {
                 let mut expected: Vec<Vec<LocalId>> =
                     vec![Vec::new(); p.num_local_nodes()];
                 for s in p.local_nodes() {
-                    for &d in p.neighbors(s).iter() {
+                    for d in p.targets(s) {
                         expected[d as usize].push(s);
                     }
                 }
@@ -946,10 +924,9 @@ mod tests {
                         expected[d as usize].as_slice(),
                         "in-edges of local {d} diverge from transpose"
                     );
-                    assert_eq!(p.in_degree(d), expected[d as usize].len());
                 }
                 let total_in: usize =
-                    p.local_nodes().map(|l| p.in_degree(l)).sum();
+                    p.local_nodes().map(|l| p.in_neighbors(l).len()).sum();
                 assert_eq!(total_in, p.num_local_edges());
             }
         }
@@ -1025,7 +1002,7 @@ mod tests {
                 assert_eq!(r.num_local_edges(), c.num_local_edges());
                 for l in r.local_nodes() {
                     assert_eq!(r.degree(l), c.degree(l));
-                    assert_eq!(&r.neighbors(l)[..], &c.neighbors(l)[..]);
+                    assert!(r.targets(l).eq(c.targets(l)));
                     assert_eq!(
                         r.edges(l).collect::<Vec<_>>(),
                         c.edges(l).collect::<Vec<_>>()

@@ -2,24 +2,13 @@
 
 use crate::csr::{Graph, NodeId, Weight};
 
-/// How parallel edges (same source and destination) are merged by
-/// [`GraphBuilder::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergePolicy {
-    /// Sum the weights. This is the right semantics for community detection,
-    /// where coarsening aggregates all inter-community edges into one.
-    #[default]
-    SumWeights,
-    /// Keep the minimum weight. This is the right semantics for minimum
-    /// spanning forest inputs.
-    MinWeight,
-}
-
 /// Incrementally collects edges and produces a normalized [`Graph`].
 ///
-/// Normalization sorts edges by `(src, dst)`, merges parallel edges
-/// according to a [`MergePolicy`], and optionally symmetrizes the graph by
-/// adding the reverse of every edge (the paper symmetrizes all inputs).
+/// Normalization sorts edges by `(src, dst)`, merges parallel edges into
+/// one whose weight is their sum (coarsening in community detection
+/// aggregates inter-community edges the same way), and optionally
+/// symmetrizes the graph by adding the reverse of every edge (the paper
+/// symmetrizes all inputs).
 ///
 /// # Example
 ///
@@ -28,18 +17,17 @@ pub enum MergePolicy {
 ///
 /// let mut b = GraphBuilder::new();
 /// b.add_edge(0, 1, 3);
-/// b.add_edge(0, 1, 4); // parallel edge: merged (weights summed by default)
+/// b.add_edge(0, 1, 4); // parallel edge: merged, weights summed
 /// let g = b.symmetric(true).build();
 /// assert_eq!(g.num_edges(), 2);
-/// assert_eq!(g.edge_weights(0), &[7]);
-/// assert_eq!(g.edge_weights(1), &[7]);
+/// assert!(g.edges(0).eq([(1, 7)]));
+/// assert!(g.edges(1).eq([(0, 7)]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     edges: Vec<(NodeId, NodeId, Weight)>,
     min_nodes: usize,
     symmetric: bool,
-    merge: MergePolicy,
 }
 
 impl GraphBuilder {
@@ -76,13 +64,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Sets how parallel edges are merged. Defaults to
-    /// [`MergePolicy::SumWeights`].
-    pub fn merge_policy(&mut self, policy: MergePolicy) -> &mut Self {
-        self.merge = policy;
-        self
-    }
-
     /// Number of edges currently collected (before merging).
     pub fn len(&self) -> usize {
         self.edges.len()
@@ -115,12 +96,7 @@ impl GraphBuilder {
         let mut merged: Vec<(NodeId, NodeId, Weight)> = Vec::with_capacity(edges.len());
         for (s, d, w) in edges {
             match merged.last_mut() {
-                Some(last) if last.0 == s && last.1 == d => {
-                    last.2 = match self.merge {
-                        MergePolicy::SumWeights => last.2 + w,
-                        MergePolicy::MinWeight => last.2.min(w),
-                    };
-                }
+                Some(last) if last.0 == s && last.1 == d => last.2 += w,
                 _ => merged.push((s, d, w)),
             }
         }
@@ -183,22 +159,15 @@ mod tests {
         let g = from_edges([(0, 1, 2), (2, 0, 3)]);
         assert!(g.is_symmetric());
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.edge_weights(0), &[2, 3]);
+        assert!(g.edges(0).eq([(1, 2), (2, 3)]));
     }
 
     #[test]
-    fn merge_sum_and_min() {
+    fn parallel_edges_sum_their_weights() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 5).add_edge(0, 1, 3);
         let g = b.build();
-        assert_eq!(g.edge_weights(0), &[8]);
-
-        let mut b = GraphBuilder::new();
-        b.add_edge(0, 1, 5).add_edge(0, 1, 3);
-        b.merge_policy(MergePolicy::MinWeight);
-        let g = b.build();
-        assert_eq!(g.edge_weights(0), &[3]);
+        assert!(g.edges(0).eq([(1, 8)]));
     }
 
     #[test]
@@ -206,7 +175,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(1, 1, 4);
         let g = b.build();
-        assert_eq!(g.neighbors(1), &[1]);
+        assert!(g.targets(1).eq([1]));
         assert_eq!(g.weighted_degree(1), 4);
     }
 
@@ -218,7 +187,7 @@ mod tests {
         b.add_edge(0, 1, 1).add_edge(1, 0, 1);
         let g = b.symmetric(true).build();
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.edge_weights(0), &[2]);
+        assert!(g.edges(0).eq([(1, 2)]));
     }
 
     #[test]
@@ -226,6 +195,6 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 3, 1).add_edge(0, 1, 1).add_edge(0, 2, 1);
         let g = b.build();
-        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert!(g.targets(0).eq([1, 2, 3]));
     }
 }

@@ -367,21 +367,6 @@ impl CompressedGraph {
         self.open(u).0
     }
 
-    /// Decodes `u`'s neighbors (and weights, if `weights` is `Some`) into
-    /// reusable buffers, replacing their contents.
-    pub fn decode_into(&self, u: NodeId, targets: &mut Vec<NodeId>, weights: Option<&mut Vec<Weight>>) {
-        targets.clear();
-        match weights {
-            Some(ws) => {
-                ws.clear();
-                for (t, w) in self.edges(u) {
-                    targets.push(t);
-                    ws.push(w);
-                }
-            }
-            None => targets.extend(self.targets(u)),
-        }
-    }
 }
 
 impl std::fmt::Debug for CompressedGraph {
@@ -571,7 +556,6 @@ mod tests {
         assert_eq!(c.num_nodes(), offsets.len() - 1);
         assert_eq!(c.num_edges(), targets.len());
         assert_eq!(c.total_weight(), weights.iter().sum::<u64>());
-        let (mut ts, mut ws) = (Vec::new(), Vec::new());
         for u in 0..c.num_nodes() as NodeId {
             let (s, e) = (
                 offsets[u as usize] as usize,
@@ -584,7 +568,6 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             let expected_targets: Vec<NodeId> = expected.iter().map(|&(t, _)| t).collect();
-            let expected_weights: Vec<Weight> = expected.iter().map(|&(_, w)| w).collect();
             assert_eq!(c.degree(u), expected.len(), "node {u}");
             assert_eq!(c.edges(u).len(), expected.len(), "node {u}");
             assert_eq!(c.edges(u).collect::<Vec<_>>(), expected, "node {u}");
@@ -593,14 +576,6 @@ mod tests {
                 expected_targets,
                 "node {u}"
             );
-            c.decode_into(u, &mut ts, Some(&mut ws));
-            assert_eq!(
-                (&ts, &ws),
-                (&expected_targets, &expected_weights),
-                "node {u}"
-            );
-            c.decode_into(u, &mut ts, None);
-            assert_eq!(ts, expected_targets, "node {u}");
             // `next()` for a prefix, then `fold` over the rest.
             for k in 0..=expected.len().min(3) {
                 let mut it = c.edges(u);

@@ -1,6 +1,6 @@
 //! Compressed-sparse-row graph representation.
 
-use crate::store::{EdgeIter, GraphStore, NeighborsRef, SizeBreakdown, WeightsRef};
+use crate::store::{EdgeIter, GraphStore, SizeBreakdown, TargetIter};
 use std::fmt;
 
 /// Identifier of a node in a graph. Node ids are dense: a graph with `n`
@@ -37,7 +37,7 @@ pub type Weight = u64;
 /// let g = b.symmetric(true).build();
 /// assert_eq!(g.num_nodes(), 3);
 /// assert_eq!(g.num_edges(), 4); // both directions
-/// assert_eq!(g.neighbors(1), &[0, 2]);
+/// assert!(g.targets(1).eq([0, 2]));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
@@ -108,13 +108,6 @@ impl Graph {
         }
     }
 
-    /// This graph re-materialized on the raw tier.
-    pub fn decompress(&self) -> Graph {
-        Graph {
-            store: self.store.decompressed(),
-        }
-    }
-
     /// `true` if backed by the compressed tier.
     pub fn is_compressed(&self) -> bool {
         self.store.is_compressed()
@@ -140,23 +133,14 @@ impl Graph {
         self.store.degree(u)
     }
 
-    /// Neighbors of `u`, sorted ascending. Borrowed on the raw tier;
-    /// decoded into a per-thread scratch buffer on the compressed tier.
+    /// Iterates the targets of `u`'s out-edges, without their weights
+    /// (see [`GraphStore::targets`]).
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn neighbors(&self, u: NodeId) -> NeighborsRef<'_> {
-        self.store.neighbors(u)
-    }
-
-    /// Weights of `u`'s out-edges, parallel to [`Graph::neighbors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn edge_weights(&self, u: NodeId) -> WeightsRef<'_> {
-        self.store.edge_weights(u)
+    pub fn targets(&self, u: NodeId) -> TargetIter<'_> {
+        self.store.targets(u)
     }
 
     /// Iterates `(neighbor, weight)` pairs of `u`'s out-edges.
@@ -266,7 +250,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 6);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.neighbors(2), &[0, 1]);
+        assert!(g.targets(2).eq([0, 1]));
         assert_eq!(g.weighted_degree(0), 2);
         assert_eq!(g.total_weight(), 6);
         assert_eq!(g.max_degree(), 2);
@@ -280,10 +264,9 @@ mod tests {
         assert!(c.is_compressed());
         assert_eq!(g.num_edges(), c.num_edges());
         for u in g.nodes() {
-            assert_eq!(&g.neighbors(u)[..], &c.neighbors(u)[..]);
-            assert_eq!(&g.edge_weights(u)[..], &c.edge_weights(u)[..]);
+            assert!(g.targets(u).eq(c.targets(u)));
+            assert!(g.edges(u).eq(c.edges(u)));
         }
-        assert_eq!(c.decompress(), g);
         assert!(c.size_bytes() < g.size_bytes());
     }
 

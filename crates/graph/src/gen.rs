@@ -202,7 +202,7 @@ pub fn with_unit_weights(g: &Graph) -> Graph {
     offsets.push(0u64);
     let mut targets = Vec::with_capacity(g.num_edges());
     for u in g.nodes() {
-        targets.extend_from_slice(&g.neighbors(u));
+        targets.extend(g.targets(u));
         offsets.push(targets.len() as u64);
     }
     let weights = vec![1; targets.len()];

@@ -95,12 +95,12 @@ pub fn write_binary<W: Write>(g: &Graph, mut w: W) -> io::Result<()> {
         w.write_all(&off.to_le_bytes())?;
     }
     for u in g.nodes() {
-        for &t in g.neighbors(u).iter() {
+        for t in g.targets(u) {
             w.write_all(&t.to_le_bytes())?;
         }
     }
     for u in g.nodes() {
-        for &wt in g.edge_weights(u).iter() {
+        for (_, wt) in g.edges(u) {
             w.write_all(&wt.to_le_bytes())?;
         }
     }

@@ -166,7 +166,7 @@ pub fn approx_diameter(g: &Graph, start: crate::NodeId) -> usize {
         let mut q = std::collections::VecDeque::from([s]);
         let (mut far, mut far_d) = (s, 0);
         while let Some(u) = q.pop_front() {
-            for &v in g.neighbors(u).iter() {
+            for v in g.targets(u) {
                 if dist[v as usize] == usize::MAX {
                     dist[v as usize] = dist[u as usize] + 1;
                     if dist[v as usize] > far_d {

@@ -2,16 +2,13 @@
 //!
 //! Both [`crate::Graph`] and the distributed per-host local CSR hold their
 //! adjacency through this enum, so every algorithm runs unchanged on
-//! either tier: `Raw` keeps the classic offset/target/weight arrays and
-//! hands out borrowed slices; `Compressed` wraps a
-//! [`CompressedGraph`] and decodes neighbor lists into per-thread
-//! reusable scratch buffers (or streams them edge-by-edge through
-//! [`GraphStore::edges`], which allocates nothing).
+//! either tier: `Raw` keeps the classic offset/target/weight arrays;
+//! `Compressed` wraps a [`CompressedGraph`]. A node's adjacency is read
+//! one edge at a time through [`GraphStore::targets`] or
+//! [`GraphStore::edges`], which allocate nothing on either tier.
 
 use crate::compressed::{CompressedEdges, CompressedGraph, CompressedTargets};
 use crate::csr::{NodeId, Weight};
-use std::cell::RefCell;
-use std::ops::Deref;
 
 /// Storage backing one CSR adjacency structure.
 #[derive(Clone, PartialEq, Eq)]
@@ -52,116 +49,6 @@ impl SizeBreakdown {
     /// Sum of every component.
     pub fn total(&self) -> usize {
         self.offsets + self.targets + self.weights + self.struct_bytes
-    }
-}
-
-// Per-thread scratch pools the decode guards borrow from, so hot loops
-// calling `neighbors`/`edge_weights` on a compressed store reuse a
-// handful of buffers instead of allocating per call.
-thread_local! {
-    static TARGET_SCRATCH: RefCell<Vec<Vec<NodeId>>> = const { RefCell::new(Vec::new()) };
-    static WEIGHT_SCRATCH: RefCell<Vec<Vec<Weight>>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_target_buf() -> Vec<NodeId> {
-    TARGET_SCRATCH.with(|p| p.borrow_mut().pop().unwrap_or_default())
-}
-
-fn take_weight_buf() -> Vec<Weight> {
-    WEIGHT_SCRATCH.with(|p| p.borrow_mut().pop().unwrap_or_default())
-}
-
-/// A node's neighbor list: either a borrowed raw slice or a scratch
-/// buffer holding the decoded block. Derefs to `[NodeId]`.
-pub struct NeighborsRef<'a>(NbRepr<'a>);
-
-enum NbRepr<'a> {
-    Slice(&'a [NodeId]),
-    Scratch(Vec<NodeId>),
-}
-
-impl Deref for NeighborsRef<'_> {
-    type Target = [NodeId];
-
-    fn deref(&self) -> &[NodeId] {
-        match &self.0 {
-            NbRepr::Slice(s) => s,
-            NbRepr::Scratch(v) => v,
-        }
-    }
-}
-
-impl Drop for NeighborsRef<'_> {
-    fn drop(&mut self) {
-        if let NbRepr::Scratch(v) = &mut self.0 {
-            let v = std::mem::take(v);
-            TARGET_SCRATCH.with(|p| p.borrow_mut().push(v));
-        }
-    }
-}
-
-impl std::fmt::Debug for NeighborsRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl PartialEq<&[NodeId]> for NeighborsRef<'_> {
-    fn eq(&self, other: &&[NodeId]) -> bool {
-        &**self == *other
-    }
-}
-
-impl<const N: usize> PartialEq<&[NodeId; N]> for NeighborsRef<'_> {
-    fn eq(&self, other: &&[NodeId; N]) -> bool {
-        **self == other[..]
-    }
-}
-
-/// A node's weight list: a borrowed slice, a decoded scratch buffer, or
-/// materialized `1`s on the unit-weight fast path. Derefs to `[Weight]`.
-pub struct WeightsRef<'a>(WtRepr<'a>);
-
-enum WtRepr<'a> {
-    Slice(&'a [Weight]),
-    Scratch(Vec<Weight>),
-}
-
-impl Deref for WeightsRef<'_> {
-    type Target = [Weight];
-
-    fn deref(&self) -> &[Weight] {
-        match &self.0 {
-            WtRepr::Slice(s) => s,
-            WtRepr::Scratch(v) => v,
-        }
-    }
-}
-
-impl Drop for WeightsRef<'_> {
-    fn drop(&mut self) {
-        if let WtRepr::Scratch(v) = &mut self.0 {
-            let v = std::mem::take(v);
-            WEIGHT_SCRATCH.with(|p| p.borrow_mut().push(v));
-        }
-    }
-}
-
-impl std::fmt::Debug for WeightsRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-impl PartialEq<&[Weight]> for WeightsRef<'_> {
-    fn eq(&self, other: &&[Weight]) -> bool {
-        &**self == *other
-    }
-}
-
-impl<const N: usize> PartialEq<&[Weight; N]> for WeightsRef<'_> {
-    fn eq(&self, other: &&[Weight; N]) -> bool {
-        **self == other[..]
     }
 }
 
@@ -308,48 +195,6 @@ impl GraphStore {
         }
     }
 
-    /// Neighbors of `u`, sorted ascending — a borrowed slice (raw) or a
-    /// per-thread scratch decode (compressed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn neighbors(&self, u: NodeId) -> NeighborsRef<'_> {
-        match self {
-            GraphStore::Raw { offsets, targets, .. } => {
-                let (s, e) = self.edge_range(offsets, u);
-                NeighborsRef(NbRepr::Slice(&targets[s..e]))
-            }
-            GraphStore::Compressed(c) => {
-                let mut buf = take_target_buf();
-                c.decode_into(u, &mut buf, None);
-                NeighborsRef(NbRepr::Scratch(buf))
-            }
-        }
-    }
-
-    /// Weights of `u`'s out-edges, parallel to [`GraphStore::neighbors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[inline]
-    pub fn edge_weights(&self, u: NodeId) -> WeightsRef<'_> {
-        match self {
-            GraphStore::Raw { offsets, weights, .. } => {
-                let (s, e) = self.edge_range(offsets, u);
-                WeightsRef(WtRepr::Slice(&weights[s..e]))
-            }
-            GraphStore::Compressed(c) => {
-                let mut buf = take_weight_buf();
-                buf.clear();
-                buf.extend(c.edges(u).map(|(_, w)| w));
-                WeightsRef(WtRepr::Scratch(buf))
-            }
-        }
-    }
-
     /// Iterates `(target, weight)` pairs of `u`'s out-edges.
     ///
     /// # Panics
@@ -431,33 +276,6 @@ impl GraphStore {
         }
     }
 
-    /// This store re-materialized on the raw tier (a clone if already
-    /// raw). Compressed blocks decode in sorted order.
-    pub fn decompressed(&self) -> GraphStore {
-        match self {
-            GraphStore::Raw { offsets, targets, weights } => GraphStore::Raw {
-                offsets: offsets.clone(),
-                targets: targets.clone(),
-                weights: weights.clone(),
-            },
-            GraphStore::Compressed(c) => {
-                let n = c.num_nodes();
-                let mut offsets = Vec::with_capacity(n + 1);
-                let mut targets = Vec::with_capacity(c.num_edges());
-                let mut weights = Vec::with_capacity(c.num_edges());
-                offsets.push(0u64);
-                for u in 0..n as NodeId {
-                    for (t, w) in c.edges(u) {
-                        targets.push(t);
-                        weights.push(w);
-                    }
-                    offsets.push(targets.len() as u64);
-                }
-                GraphStore::Raw { offsets, targets, weights }
-            }
-        }
-    }
-
     /// Per-component heap bytes (see [`SizeBreakdown`]). Uses vector
     /// *capacities*, so over-allocation is visible, and includes the
     /// store's own in-struct bytes.
@@ -517,28 +335,13 @@ mod tests {
         assert_eq!(raw.total_weight(), comp.total_weight());
         for u in 0..3 {
             assert_eq!(raw.degree(u), comp.degree(u));
-            assert_eq!(&raw.neighbors(u)[..], &comp.neighbors(u)[..]);
-            assert_eq!(&raw.edge_weights(u)[..], &comp.edge_weights(u)[..]);
+            assert!(raw.targets(u).eq(comp.targets(u)));
             assert_eq!(
                 raw.edges(u).collect::<Vec<_>>(),
                 comp.edges(u).collect::<Vec<_>>()
             );
             assert_eq!(raw.weighted_degree(u), comp.weighted_degree(u));
         }
-        assert_eq!(comp.decompressed(), raw);
-    }
-
-    #[test]
-    fn scratch_guards_nest() {
-        let comp = raw_triangle().compressed();
-        let a = comp.neighbors(0);
-        let b = comp.neighbors(1);
-        assert_eq!(a, &[1, 2]);
-        assert_eq!(b, &[0, 2]);
-        drop(a);
-        let c = comp.neighbors(2);
-        assert_eq!(c, &[0, 1]);
-        assert_eq!(b, &[0, 2]); // untouched by the pool reuse
     }
 
     #[test]
