@@ -1,10 +1,13 @@
 //! Differential tests of the community-detection kernels: Louvain's move
 //! decisions and Leiden's merge decisions through the round's proxy table
-//! and the slot-indexed accumulator must be indistinguishable from the
-//! `HashMap` + global-id reference kernels they replaced
-//! (`LouvainConfig::reference_kernel`) — the same per-level mappings, the
-//! same modularity bits, the same level and round counts — on every input
-//! shape, host and thread count and storage tier.
+//! and the slot-indexed accumulator, community totals kept by per-move
+//! deltas, and aggregation over proxy slots must be indistinguishable from
+//! the reference kernels they replaced (`LouvainConfig::reference_kernel`:
+//! `HashMap` + global-id decisions, totals rebuilt from zero every round,
+//! per-edge global-id coarse reads summed in a `BTreeMap`) — the same
+//! per-level coarse edge lists and mappings, the same modularity bits, the
+//! same level and round counts — on every input shape, host and thread
+//! count and storage tier.
 
 use crate::builder::NpmBuilder;
 use crate::louvain::{compose_labels, local_moving, louvain, CommunityResult, LouvainConfig};
@@ -158,6 +161,9 @@ proptest! {
             for (h, ((new, new_rounds), (old, old_rounds))) in
                 new.iter().zip(&reference).enumerate()
             {
+                prop_assert_eq!(
+                    &new.coarse_edges, &old.coarse_edges, "{}: host {} coarse edges", what, h
+                );
                 prop_assert_eq!(&new.mappings, &old.mappings, "{}: host {} mappings", what, h);
                 prop_assert_eq!(
                     new.modularity.to_bits(), old.modularity.to_bits(),
@@ -167,9 +173,9 @@ proptest! {
                 prop_assert_eq!(new.final_nodes, old.final_nodes, "{}: host {} final nodes", what, h);
                 prop_assert_eq!(new_rounds, old_rounds, "{}: host {} rounds", what, h);
             }
-            // Aggregation and the modularity pass are shared by both
-            // kernels; pin them to the single-machine definition (Leiden
-            // reports its communities' score before refinement).
+            // The modularity pass is shared by both kernels; pin it to the
+            // single-machine definition (Leiden reports its communities'
+            // score before refinement).
             if name == "louvain" {
                 let results: Vec<CommunityResult> = new.into_iter().map(|(r, _)| r).collect();
                 let q = refcheck::modularity(&g, &compose_labels(g.num_nodes(), &results));

@@ -26,7 +26,7 @@ use crate::accum::{number_overflow, DecisionScratch, SlotWeights, NO_PROXY};
 use crate::builder::MapBuilder;
 use crate::louvain::{
     aggregate, local_moving, modularity_of, par_each_mut, proxy_slot, CommunityResult,
-    LouvainConfig,
+    LouvainConfig, MovingOutcome,
 };
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
@@ -65,6 +65,8 @@ pub fn leiden<B: MapBuilder>(
         result.levels += 1;
         result.final_nodes = n_coarse;
         result.mappings.push(mapping);
+        #[cfg(test)]
+        result.coarse_edges.push(coarse_edges.clone());
 
         let prev_n = owned
             .as_ref()
@@ -244,26 +246,16 @@ fn run_level<B: MapBuilder>(
 ) {
     let masters = cur.num_masters();
 
-    // Phase 1: local moving (maps 1 and 2: comm, comm_tot).
-    let moving = local_moving(cur, ctx, b, cfg, m_total, init_comm);
-    let modularity = modularity_of(cur, ctx, b, &moving.cur_comm, &moving.comm, &moving.k, m_total);
-    let comm = &moving.comm;
-    let cur_comm = &moving.cur_comm;
-    let k = &moving.k;
-
-    // Community totals for the well-connectedness gate.
-    let mut comm_tot = b.build::<i64, Sum>(cur, ctx, Sum);
-    {
-        let ct = &comm_tot;
-        ctx.par_for(0..masters, |tid, range| {
-            for m in range {
-                if k[m] > 0 {
-                    ct.reduce(tid, cur_comm[m] as NodeId, k[m] as i64);
-                }
-            }
-        });
-    }
-    comm_tot.reduce_sync(ctx);
+    // Phase 1: local moving (maps 1 and 2: comm, comm_tot). Its totals
+    // serve the modularity and the well-connectedness gate.
+    let MovingOutcome {
+        cur_comm,
+        comm,
+        k,
+        mut comm_tot,
+    } = local_moving(cur, ctx, b, cfg, m_total, init_comm);
+    let (comm, cur_comm, k) = (&comm, &cur_comm, &k);
+    let modularity = modularity_of(cur, ctx, b, cur_comm, comm, &comm_tot, m_total);
 
     // Phase 2: refinement into subcommunities (maps 3-4: subcomm,
     // subcomm size/total).
@@ -393,8 +385,14 @@ fn run_level<B: MapBuilder>(
 
     // Phase 3: aggregate by subcommunity (map 5: the coarse-id map inside
     // `aggregate`).
-    let (mapping, coarse_edges, n_coarse, _sub_improved) =
-        aggregate(cur, ctx, b, &sub, &sub_map);
+    #[cfg(test)]
+    let (mapping, coarse_edges, n_coarse, _sub_improved) = if cfg.reference_kernel {
+        crate::louvain::aggregate_reference(cur, ctx, b, &sub, &sub_map)
+    } else {
+        aggregate(cur, ctx, b, &sub, &sub_map)
+    };
+    #[cfg(not(test))]
+    let (mapping, coarse_edges, n_coarse, _sub_improved) = aggregate(cur, ctx, b, &sub, &sub_map);
 
     // Project communities to coarse space: community label = smallest
     // coarse id of any member subcommunity (`mapping[m].1` is master

@@ -11,8 +11,13 @@
 //! trans-vertex access that adjacent-vertex frameworks cannot express.
 //! Per refinement round:
 //!
-//! 1. rebuild the community-total map (`Sum` reductions keyed by community
-//!    representative);
+//! 1. bring the community-total map up to date: a level's first round
+//!    reduces every node's weighted degree into its community
+//!    representative (`Sum`, trans-vertex writes); every later round
+//!    reduce-syncs only the last round's moves, `−k` into the community a
+//!    node left and `+k` into the one it joined — exact `i64` sums, so the
+//!    totals equal a rebuild's, and the level's modularity (and Leiden's
+//!    well-connectedness gate) reads the same map after one more sync;
 //! 2. request the totals of the active node's own and neighboring
 //!    communities (request-compute / request-sync);
 //! 3. compute modularity gains, pick the best move (ties to the smallest
@@ -22,7 +27,7 @@
 //! uses the same edge-cut for Kimbap and Vite), so a master holds all of
 //! its node's edges and can decide moves locally.
 
-use crate::accum::{number_overflow, DecisionScratch, NeighborWeights, SlotWeights, NO_PROXY};
+use crate::accum::{number_overflow, DecisionScratch, SlotWeights, NO_PROXY};
 use crate::builder::MapBuilder;
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
@@ -42,8 +47,11 @@ pub struct LouvainConfig {
     pub min_move_fraction: f64,
     /// Resolution parameter γ of the modularity objective.
     pub resolution: f64,
-    /// Decide moves and merges with the `HashMap` + global-id reference
-    /// kernels the differential tests compare the product ones against.
+    /// Run the reference kernels the differential tests compare the
+    /// product ones against: moves and merges decided through a `HashMap`
+    /// and global-id reads; community totals rebuilt from zero every round
+    /// and once more after the last, for the modularity and Leiden's gate;
+    /// coarse edges read by global id per edge and summed in a `BTreeMap`.
     #[cfg(test)]
     pub(crate) reference_kernel: bool,
 }
@@ -74,6 +82,9 @@ pub struct CommunityResult {
     pub levels: usize,
     /// Node count of the final coarse graph.
     pub final_nodes: usize,
+    /// For each level: the coarse edges this host produced, in wire order.
+    #[cfg(test)]
+    pub(crate) coarse_edges: Vec<Vec<(NodeId, NodeId, Weight)>>,
 }
 
 /// [`try_compose_labels`], panicking on what it rejects.
@@ -126,6 +137,9 @@ pub(crate) struct MovingOutcome<'g, B: MapBuilder + 'g> {
     pub(crate) comm: B::Map<'g, u64, Min>,
     /// Weighted degree of each master.
     pub(crate) k: Vec<u64>,
+    /// Every community's total weighted degree, reduce-synced after the
+    /// last round: what the level's modularity and Leiden's gate read.
+    pub(crate) comm_tot: B::Map<'g, i64, Sum>,
 }
 
 /// One local proxy as a round's move decisions read it: its community,
@@ -294,6 +308,8 @@ pub fn louvain<B: MapBuilder>(
         result.levels += 1;
         result.final_nodes = outcome.n_coarse;
         result.mappings.push(outcome.mapping);
+        #[cfg(test)]
+        result.coarse_edges.push(outcome.coarse_edges.clone());
         let prev_n = owned
             .as_ref()
             .map(|d| d.num_global_nodes())
@@ -346,7 +362,9 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
     }
     comm.pin_mirrors(ctx);
 
+    // The first round's totals; later rounds add the moves' deltas.
     let mut comm_tot = b.build::<i64, Sum>(cur, ctx, Sum);
+    add_totals(&comm_tot, ctx, &cur_comm, &k);
     let moves = SumReducer::new();
     let mut scratch = DecisionScratch::<SlotWeights<i64>>::per_thread(ctx.threads());
     let num_local = cur.num_local_nodes();
@@ -361,20 +379,11 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
     for round in 0..cfg.max_rounds {
         // Publish the BSP round so fault plans can target it.
         ctx.set_round(ctx.current_round() + 1);
-        // (1) Rebuild community totals from scratch (Sum reductions keyed
-        // by community representative — trans-vertex writes).
-        comm_tot.reset_values(ctx);
-        {
-            let ct = &comm_tot;
-            let cc = &cur_comm;
-            let kk = &k;
-            ctx.par_for(0..masters, |tid, range| {
-                for m in range {
-                    if kk[m] > 0 {
-                        ct.reduce(tid, cc[m] as NodeId, kk[m] as i64);
-                    }
-                }
-            });
+        // (1) Bring the totals up to date: the build above in round 0,
+        // the last round's moves after that.
+        #[cfg(test)]
+        if cfg.reference_kernel {
+            rebuild_totals(&mut comm_tot, ctx, &cur_comm, &k);
         }
         comm_tot.reduce_sync(ctx);
 
@@ -416,7 +425,8 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
 
         // (3) Decide moves: best modularity gain, ties to the smallest
         // community id; strict improvement required. Masters decide, each
-        // over its node's whole edge list.
+        // over its node's whole edge list, and a move reduces its delta
+        // into the totals: BSP, so no read sees it before the next sync.
         moves.set(0);
         for s in &mut scratch {
             s.get_mut().w_to.reset(slots);
@@ -429,7 +439,8 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
                 m_total,
             };
             #[cfg(test)]
-            let (cm, ct) = (&comm, &comm_tot);
+            let cm = &comm;
+            let ct = &comm_tot;
             let cc = &cur_comm;
             let kk = &k;
             let scratch = &scratch;
@@ -463,6 +474,8 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
                     if best != cc[m] {
                         decided.push((m, best));
                         moves.reduce(1);
+                        ct.reduce(tid, cc[m] as NodeId, -(kk[m] as i64));
+                        ct.reduce(tid, best as NodeId, kk[m] as i64);
                     }
                 }
             });
@@ -483,37 +496,59 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
             break;
         }
     }
+    // The last round's moves.
+    #[cfg(test)]
+    if cfg.reference_kernel {
+        rebuild_totals(&mut comm_tot, ctx, &cur_comm, &k);
+    }
+    comm_tot.reduce_sync(ctx);
 
-    MovingOutcome { cur_comm, comm, k }
+    MovingOutcome {
+        cur_comm,
+        comm,
+        k,
+        comm_tot,
+    }
+}
+
+/// Reduces every master's weighted degree into its community's total.
+fn add_totals(comm_tot: &impl NodePropMap<i64>, ctx: &HostCtx, cur_comm: &[u64], k: &[u64]) {
+    ctx.par_for(0..cur_comm.len(), |tid, range| {
+        for m in range {
+            if k[m] > 0 {
+                comm_tot.reduce(tid, cur_comm[m] as NodeId, k[m] as i64);
+            }
+        }
+    });
+}
+
+/// The reference kernels' totals: reset to zero and rebuilt from
+/// `cur_comm` (pending move deltas are dropped); visible after the next
+/// reduce-sync.
+#[cfg(test)]
+fn rebuild_totals(
+    comm_tot: &mut impl NodePropMap<i64>,
+    ctx: &HostCtx,
+    cur_comm: &[u64],
+    k: &[u64],
+) {
+    comm_tot.reset_values(ctx);
+    add_totals(comm_tot, ctx, cur_comm, k);
 }
 
 /// Modularity `Q = Σ_C [ in_C/M − (tot_C/M)² ]` of the partition described
-/// by `cur_comm` / `comm`. Collective.
+/// by `cur_comm` / `comm`, whose community totals `comm_tot` holds.
+/// Collective.
 pub(crate) fn modularity_of<B: MapBuilder>(
     cur: &DistGraph,
     ctx: &HostCtx,
     b: &B,
     cur_comm: &[u64],
     comm: &impl NodePropMap<u64>,
-    k: &[u64],
+    comm_tot: &impl NodePropMap<i64>,
     m_total: f64,
 ) -> f64 {
     let masters = cur.num_masters();
-
-    // Community totals.
-    let mut comm_tot = b.build::<i64, Sum>(cur, ctx, Sum);
-    {
-        let ct = &comm_tot;
-        let cc = &cur_comm;
-        ctx.par_for(0..masters, |tid, range| {
-            for m in range {
-                if k[m] > 0 {
-                    ct.reduce(tid, cc[m] as NodeId, k[m] as i64);
-                }
-            }
-        });
-    }
-    comm_tot.reduce_sync(ctx);
 
     // Internal weight per community (for modularity). Under the edge-cut
     // every local edge is stored at its source's master, so summing over
@@ -569,10 +604,23 @@ pub(crate) fn refine_and_aggregate<B: MapBuilder>(
     m_total: f64,
     init_comm: Option<&[u64]>,
 ) -> LevelOutcome {
-    let moving = local_moving(cur, ctx, b, cfg, m_total, init_comm);
-    let modularity = modularity_of(cur, ctx, b, &moving.cur_comm, &moving.comm, &moving.k, m_total);
-    let (mapping, coarse_edges, n_coarse, improved) =
-        aggregate(cur, ctx, b, &moving.cur_comm, &moving.comm);
+    let MovingOutcome {
+        cur_comm,
+        comm,
+        comm_tot,
+        ..
+    } = local_moving(cur, ctx, b, cfg, m_total, init_comm);
+    let modularity = modularity_of(cur, ctx, b, &cur_comm, &comm, &comm_tot, m_total);
+    // Aggregation's maps need not share the peak with the totals.
+    drop(comm_tot);
+    #[cfg(test)]
+    let (mapping, coarse_edges, n_coarse, improved) = if cfg.reference_kernel {
+        aggregate_reference(cur, ctx, b, &cur_comm, &comm)
+    } else {
+        aggregate(cur, ctx, b, &cur_comm, &comm)
+    };
+    #[cfg(not(test))]
+    let (mapping, coarse_edges, n_coarse, improved) = aggregate(cur, ctx, b, &cur_comm, &comm);
 
     LevelOutcome {
         mapping,
@@ -592,9 +640,26 @@ pub(crate) type AggregateOutcome = (
     bool,
 );
 
+/// One local proxy as aggregation reads it: its community, the
+/// community's slot (as in the move decisions) and the community's coarse
+/// id.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoarseProxy {
+    comm: NodeId,
+    slot: u32,
+    coarse: NodeId,
+}
+
 /// Collapses communities into coarse nodes: assigns dense coarse ids to
 /// used communities, maps every master to its coarse id, and aggregates
 /// local edges by coarse endpoint pair.
+///
+/// Every edge's endpoints are local proxies, so one pass over the proxies
+/// requests and reads every coarse id an edge can name, and the edge pass
+/// reads one table entry per edge. The masters are grouped by their
+/// community's slot, so one group holds all of a coarse node's edges on
+/// this host: a pool thread takes whole groups and sums each one's pairs in
+/// a [`SlotWeights`] over the proxy slots, with no pair met twice.
 pub(crate) fn aggregate<B: MapBuilder>(
     cur: &DistGraph,
     ctx: &HostCtx,
@@ -603,15 +668,125 @@ pub(crate) fn aggregate<B: MapBuilder>(
     comm: &impl NodePropMap<u64>,
 ) -> AggregateOutcome {
     let masters = cur.num_masters();
+    let num_local = cur.num_local_nodes();
+    let (mut newid, n_coarse) = coarse_ids(cur, ctx, b, cur_comm);
+
+    // Every proxy's community and slot; request its coarse id.
+    let mut proxies = vec![CoarseProxy::default(); num_local];
+    {
+        let ni = &newid;
+        par_each_mut(ctx, &mut proxies, |l, p| {
+            let c = if l < masters {
+                cur_comm[l]
+            } else {
+                comm.read_local(cur, l as u32)
+            };
+            ni.request(c as NodeId);
+            p.comm = c as NodeId;
+            p.slot = cur.global_to_local(p.comm).unwrap_or(NO_PROXY);
+        });
+    }
+    let slots = number_overflow(
+        num_local,
+        proxies.iter_mut().map(|p| (p.comm as u64, &mut p.slot)),
+    );
+    newid.request_sync(ctx);
+    {
+        let ni = &newid;
+        par_each_mut(ctx, &mut proxies, |_, p| {
+            p.coarse = if (p.slot as usize) < num_local {
+                ni.read_local(cur, p.slot)
+            } else {
+                ni.read(p.comm)
+            } as NodeId;
+        });
+    }
+    let mapping: Vec<(NodeId, NodeId)> = proxies[..masters]
+        .iter()
+        .enumerate()
+        .map(|(m, p)| (cur.local_to_global(m as u32), p.coarse))
+        .collect();
+
+    // Masters grouped by their community's slot (a counting sort).
+    let mut start = vec![0usize; slots + 1];
+    for p in &proxies[..masters] {
+        start[p.slot as usize + 1] += 1;
+    }
+    for s in 0..slots {
+        start[s + 1] += start[s];
+    }
+    let groups: Vec<(usize, usize)> = start
+        .windows(2)
+        .filter(|w| w[0] < w[1])
+        .map(|w| (w[0], w[1]))
+        .collect();
+    let mut members = vec![0u32; masters];
+    for (m, p) in proxies[..masters].iter().enumerate() {
+        let next = &mut start[p.slot as usize];
+        members[*next] = m as u32;
+        *next += 1;
+    }
+
+    // Each group's coarse pairs, summed by the neighbor community's slot.
+    type Scratch = (SlotWeights<()>, Vec<(NodeId, NodeId, Weight)>);
+    let per_thread: Vec<Mutex<Scratch>> = (0..ctx.threads())
+        .map(|_| {
+            let mut w_to = SlotWeights::new();
+            w_to.reset(slots);
+            Mutex::new((w_to, Vec::new()))
+        })
+        .collect();
+    {
+        let (proxies, members, groups) = (&proxies, &members, &groups);
+        let per_thread = &per_thread;
+        ctx.par_for(0..groups.len(), |tid, range| {
+            let (w_to, out) = &mut *per_thread[tid].lock();
+            for &(lo, hi) in &groups[range] {
+                for &m in &members[lo..hi] {
+                    cur.edges(m).for_each(|(dst, w)| {
+                        let p = proxies[dst as usize];
+                        w_to.add(p.slot, p.coarse as u64, w, ());
+                    });
+                }
+                let cu = proxies[members[lo] as usize].coarse;
+                out.extend(w_to.iter().map(|(cv, w, ())| (cu, cv as NodeId, w)));
+                w_to.clear();
+            }
+        });
+    }
+    // The edges go over the wire, so their order must not depend on which
+    // thread took which group.
+    let mut coarse_edges: Vec<(NodeId, NodeId, Weight)> = Vec::new();
+    for scratch in per_thread {
+        coarse_edges.append(&mut scratch.into_inner().1);
+    }
+    coarse_edges.sort_unstable_by_key(|&(cu, cv, _)| (cu, cv));
+
+    // Improvement check: did anyone leave its singleton?
+    let moved_local = mapping_changes_anything(cur, cur_comm);
+    let improved = ctx.all_reduce_or(moved_local);
+
+    (mapping, coarse_edges, n_coarse, improved)
+}
+
+/// The coarse-id map of a level: every used community (one that some
+/// master belongs to) numbered densely, by owner host and then by id, at
+/// its representative's master. Returns it with the coarse node count.
+fn coarse_ids<'g, B: MapBuilder>(
+    cur: &'g DistGraph,
+    ctx: &HostCtx,
+    b: &'g B,
+    cur_comm: &[u64],
+) -> (B::Map<'g, u64, Min>, usize) {
+    let masters = cur.num_masters();
 
     // Mark used community representatives.
     let mut used = b.build::<u64, Max>(cur, ctx, Max);
     {
         let u = &used;
-        let cc = cur_comm;
         ctx.par_for(0..masters, |tid, range| {
             for m in range {
-                u.reduce(tid, cc[m] as NodeId, 1);
+                u.reduce(tid, cur_comm[m] as NodeId, 1);
             }
         });
     }
@@ -631,83 +806,48 @@ pub(crate) fn aggregate<B: MapBuilder>(
     for (rank, &g) in my_used.iter().enumerate() {
         newid.set(g, offset + rank as u64);
     }
+    (newid, n_coarse as usize)
+}
 
-    // Every master needs the coarse id of its own community and of each
-    // neighbor's community (under the edge-cut only masters carry edges).
-    {
-        let (ni, cm) = (&newid, comm);
-        let cc = cur_comm;
-        ctx.par_for(0..masters, |_tid, range| {
-            for m in range {
-                let lid = m as u32;
-                ni.request(cc[m] as NodeId);
-                cur.targets(lid)
-                    .for_each(|dst| ni.request(cm.read_local(cur, dst) as NodeId));
-            }
-        });
+/// [`aggregate`] as it was before the proxy table, as the reference: per
+/// edge a request and a coarse-id read by global id, the pairs summed in a
+/// `BTreeMap`.
+#[cfg(test)]
+pub(crate) fn aggregate_reference<B: MapBuilder>(
+    cur: &DistGraph,
+    ctx: &HostCtx,
+    b: &B,
+    cur_comm: &[u64],
+    comm: &impl NodePropMap<u64>,
+) -> AggregateOutcome {
+    let (mut newid, n_coarse) = coarse_ids(cur, ctx, b, cur_comm);
+    for (lid, &c) in (0..).zip(cur_comm) {
+        newid.request(c as NodeId);
+        cur.targets(lid)
+            .for_each(|dst| newid.request(comm.read_local(cur, dst) as NodeId));
     }
     newid.request_sync(ctx);
-
-    // Emit mapping + aggregated coarse edges.
-    let mapping: Vec<(NodeId, NodeId)> = (0..masters)
-        .map(|m| {
-            (
-                cur.local_to_global(m as u32),
-                newid.read(cur_comm[m] as NodeId) as NodeId,
-            )
-        })
+    let mapping: Vec<(NodeId, NodeId)> = (0..)
+        .zip(cur_comm)
+        .map(|(lid, &c)| (cur.local_to_global(lid), newid.read(c as NodeId) as NodeId))
         .collect();
-
-    // Each thread sums its own coarse pairs, keyed `cu << 32 | cv` so one
-    // word hashes and the key order is the `(cu, cv)` order.
-    let per_thread: Vec<Mutex<NeighborWeights>> =
-        (0..ctx.threads()).map(|_| Mutex::default()).collect();
-    {
-        let (ni, cm) = (&newid, comm);
-        let cc = cur_comm;
-        let per_thread = &per_thread;
-        ctx.par_for(0..masters, |tid, range| {
-            let mut local = per_thread[tid].lock();
-            for m in range {
-                let lid = m as u32;
-                let cu_comm = cc[m];
-                let cu = ni.read(cu_comm as NodeId);
-                cur.edges(lid).for_each(|(dst, w)| {
-                    let cv_comm = if dst == lid {
-                        cu_comm
-                    } else {
-                        cm.read_local(cur, dst)
-                    };
-                    local.add(cu << 32 | ni.read(cv_comm as NodeId), w);
-                });
-            }
-        });
-    }
-    // The edges go over the wire, so their order must not depend on which
-    // thread met which pair: concatenate, sort, and sum the pairs two
-    // threads both saw.
-    let mut pairs: Vec<(u64, Weight)> = Vec::new();
-    for local in per_thread {
-        pairs.extend(local.into_inner().iter());
-    }
-    pairs.sort_unstable_by_key(|&(pair, _)| pair);
-    pairs.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += next.1;
+    let mut pairs: std::collections::BTreeMap<(NodeId, NodeId), Weight> = Default::default();
+    for (lid, &cu_comm) in (0..).zip(cur_comm) {
+        let cu = newid.read(cu_comm as NodeId) as NodeId;
+        for (dst, w) in cur.edges(lid) {
+            let cv_comm = if dst == lid {
+                cu_comm
+            } else {
+                comm.read_local(cur, dst)
+            };
+            *pairs
+                .entry((cu, newid.read(cv_comm as NodeId) as NodeId))
+                .or_default() += w;
         }
-        same
-    });
-    let coarse_edges: Vec<(NodeId, NodeId, Weight)> = pairs
-        .into_iter()
-        .map(|(pair, w)| ((pair >> 32) as NodeId, pair as NodeId, w))
-        .collect();
-
-    // Improvement check: did anyone leave its singleton?
-    let moved_local = mapping_changes_anything(cur, cur_comm);
-    let improved = ctx.all_reduce_or(moved_local);
-
-    (mapping, coarse_edges, n_coarse as usize, improved)
+    }
+    let coarse_edges = pairs.into_iter().map(|((cu, cv), w)| (cu, cv, w)).collect();
+    let improved = ctx.all_reduce_or(mapping_changes_anything(cur, cur_comm));
+    (mapping, coarse_edges, n_coarse, improved)
 }
 
 /// Deterministic per-round move gate: nodes whose hash parity mismatches

@@ -7,7 +7,8 @@
 //! * [`vite`] — Vite-style hand-optimized distributed Louvain: SGR
 //!   batching, but a single-threaded inspection phase building a shared
 //!   map that all threads then update with contended atomic reductions
-//!   (§6.2, §6.4).
+//!   (§6.2, §6.4). Its move decisions sum neighbour weights in a
+//!   [`neighbor_weights::NeighborWeights`].
 //! * [`gluon`] — a Gluon-style adjacent-vertex framework: dense
 //!   master+mirror property arrays updated with atomics during compute,
 //!   reduce/broadcast synchronization of changed values only (§2.2), and
@@ -18,4 +19,5 @@
 pub mod galois;
 pub mod gluon;
 pub mod mckv;
+pub mod neighbor_weights;
 pub mod vite;

@@ -17,6 +17,7 @@
 //! termination* heuristic (§6.2): a node stable for 4 consecutive rounds
 //! is skipped with 75% probability (deterministic hash here).
 
+use crate::neighbor_weights::NeighborWeights;
 use kimbap_algos::accum::{DecisionScratch, MulHashMap};
 use kimbap_comm::wire::{encode_slice, iter_decoded};
 use kimbap_comm::HostCtx;
@@ -137,7 +138,7 @@ fn run_level(
         .collect();
     let mut stable = vec![0u8; masters];
     let mut any_move = false;
-    let mut scratch = <DecisionScratch>::per_thread(ctx.threads());
+    let mut scratch = DecisionScratch::<NeighborWeights>::per_thread(ctx.threads());
 
     for round in 0..cfg.max_rounds {
         // --- Inspection phase (§6.4): ONE thread walks the local graph
@@ -263,8 +264,8 @@ fn run_level(
                     }
                     let my_comm = cl[m];
                     let ku = kk[m] as f64;
-                    // The same accumulator as Kimbap's Louvain, so the
-                    // comparison measures the runtimes, not the hash.
+                    // Vite keeps no per-round proxy table, so it sums
+                    // neighbour weights by hashed community id.
                     w_to.clear();
                     cur.edges(lid).for_each(|(dst, w)| {
                         if dst != lid {
