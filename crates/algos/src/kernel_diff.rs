@@ -2,7 +2,7 @@
 //! decisions and Leiden's merge decisions through the round's proxy table
 //! and the slot-indexed accumulator, community totals kept by per-move
 //! deltas, and aggregation over proxy slots must be indistinguishable from
-//! the reference kernels they replaced (`LouvainConfig::reference_kernel`:
+//! the reference kernels they replaced (`Knobs::reference_kernel`:
 //! `HashMap` + global-id decisions, totals rebuilt from zero every round,
 //! per-edge global-id coarse reads summed in a `BTreeMap`) — the same
 //! per-level coarse edge lists and mappings, the same modularity bits, the
@@ -10,8 +10,9 @@
 //! count and storage tier.
 
 use crate::builder::NpmBuilder;
-use crate::louvain::{compose_labels, local_moving, louvain, CommunityResult, LouvainConfig};
-use crate::{leiden, refcheck};
+use crate::leiden::leiden_with;
+use crate::louvain::{compose_labels, local_moving, louvain_with, CommunityResult, Knobs};
+use crate::refcheck;
 use kimbap_comm::{Cluster, HostCtx};
 use kimbap_dist::{partition_cfg, DistGraph, PartitionCfg, Policy};
 use kimbap_graph::{builder::from_edges, gen, Graph, NodeId};
@@ -109,7 +110,7 @@ fn input(kind: u8, seed: u64) -> Graph {
     }
 }
 
-type Algo = fn(&DistGraph, &HostCtx, &NpmBuilder, &LouvainConfig) -> CommunityResult;
+type Algo = fn(&DistGraph, &HostCtx, &NpmBuilder, &Knobs) -> CommunityResult;
 
 /// Every host's result and BSP round count for one kernel.
 fn run(
@@ -120,10 +121,10 @@ fn run(
     reference_kernel: bool,
 ) -> Vec<(CommunityResult, u64)> {
     let b = NpmBuilder;
-    let cfg = LouvainConfig {
+    let cfg = Knobs {
         resolution,
         reference_kernel,
-        ..LouvainConfig::default()
+        ..Knobs::PRODUCT
     };
     Cluster::with_threads(parts.len(), threads).run(|ctx| {
         let result = algo(&parts[ctx.host()], ctx, &b, &cfg);
@@ -150,7 +151,7 @@ proptest! {
         let mut pcfg = PartitionCfg::new(Policy::EdgeCutBlocked, hosts);
         pcfg.compressed = compressed;
         let parts = partition_cfg(&g, &pcfg);
-        let algos: [(&str, Algo); 2] = [("louvain", louvain), ("leiden", leiden)];
+        let algos: [(&str, Algo); 2] = [("louvain", louvain_with), ("leiden", leiden_with)];
         for (name, algo) in algos {
             let what = format!(
                 "{name} kind {kind} seed {seed} {hosts}x{threads} compressed={compressed} \
@@ -208,9 +209,9 @@ fn hub_inputs_outgrow_the_first_table() {
 fn band_inputs_need_overflow_slots() {
     let g = input(5, 0);
     let (b, m_total) = (NpmBuilder, g.total_weight() as f64);
-    let five = LouvainConfig {
+    let five = Knobs {
         max_rounds: 5,
-        ..LouvainConfig::default()
+        ..Knobs::PRODUCT
     };
     for hosts in 2..5 {
         let parts = partition_cfg(&g, &PartitionCfg::new(Policy::EdgeCutBlocked, hosts));
@@ -224,7 +225,7 @@ fn band_inputs_need_overflow_slots() {
                 })
                 .count();
             let before = ctx.current_round();
-            local_moving(cur, ctx, &b, &LouvainConfig::default(), m_total, None);
+            local_moving(cur, ctx, &b, &Knobs::PRODUCT, m_total, None);
             (orphans, ctx.current_round() - before)
         });
         let orphans: usize = per_host.iter().map(|&(o, _)| o).sum();

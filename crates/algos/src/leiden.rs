@@ -25,8 +25,8 @@
 use crate::accum::{number_overflow, DecisionScratch, SlotWeights, NO_PROXY};
 use crate::builder::MapBuilder;
 use crate::louvain::{
-    aggregate, local_moving, modularity_of, par_each_mut, proxy_slot, CommunityResult,
-    LouvainConfig, MovingOutcome,
+    aggregate, local_moving, modularity_of, par_each_mut, proxy_slot, CommunityResult, Knobs,
+    MovingOutcome, MAX_LEVELS,
 };
 use kimbap_comm::HostCtx;
 use kimbap_dist::{assemble_dist_graph, DistGraph, Policy};
@@ -38,11 +38,16 @@ const MAX_REFINE_ROUNDS: usize = 10;
 
 /// Runs deterministic distributed Leiden; returns this host's
 /// [`CommunityResult`]. Collective.
-pub fn leiden<B: MapBuilder>(
+pub fn leiden<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> CommunityResult {
+    leiden_with(dg, ctx, b, &Knobs::PRODUCT)
+}
+
+/// [`leiden`] under `cfg`.
+pub(crate) fn leiden_with<B: MapBuilder>(
     dg: &DistGraph,
     ctx: &HostCtx,
     b: &B,
-    cfg: &LouvainConfig,
+    cfg: &Knobs,
 ) -> CommunityResult {
     let mut result = CommunityResult::default();
     let mut owned: Option<DistGraph> = None;
@@ -56,7 +61,7 @@ pub fn leiden<B: MapBuilder>(
         .sum();
     let m_total = ctx.all_reduce_u64(local_w, |a, b| a + b) as f64;
 
-    for _level in 0..cfg.max_levels {
+    for _level in 0..MAX_LEVELS {
         let (mapping, coarse_edges, n_coarse, modularity, improved, init_pairs) = {
             let cur = owned.as_ref().unwrap_or(dg);
             run_level(cur, ctx, b, cfg, m_total, init_comm.as_deref())
@@ -233,7 +238,7 @@ fn run_level<B: MapBuilder>(
     cur: &DistGraph,
     ctx: &HostCtx,
     b: &B,
-    cfg: &LouvainConfig,
+    cfg: &Knobs,
     m_total: f64,
     init_comm: Option<&[u64]>,
 ) -> (
@@ -280,6 +285,18 @@ fn run_level<B: MapBuilder>(
         num_local
     ];
 
+    // The community totals the gate reads: neither `cur_comm` nor the
+    // totals change during refinement, so one request serves every round.
+    {
+        let ct = &comm_tot;
+        ctx.par_for(0..masters, |_tid, range| {
+            for m in range {
+                ct.request(cur_comm[m] as NodeId);
+            }
+        });
+    }
+    comm_tot.request_sync(ctx);
+
     for _round in 0..MAX_REFINE_ROUNDS {
         // Subcommunity sizes (a singleton has size 1).
         sub_size.reset_values(ctx);
@@ -293,17 +310,6 @@ fn run_level<B: MapBuilder>(
             });
         }
         sub_size.reduce_sync(ctx);
-
-        // Request the community totals for the gate.
-        {
-            let ct = &comm_tot;
-            ctx.par_for(0..masters, |_tid, range| {
-                for m in range {
-                    ct.request(cur_comm[m] as NodeId);
-                }
-            });
-        }
-        comm_tot.request_sync(ctx);
 
         // The round's proxy table: every local proxy's community,
         // subcommunity and the subcommunity's slot, so the decisions read
@@ -448,9 +454,8 @@ mod tests {
     fn run_leiden(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
         let parts = partition(g, Policy::EdgeCutBlocked, hosts);
         let b = NpmBuilder;
-        let cfg = LouvainConfig::default();
-        let results = Cluster::with_threads(hosts, threads)
-            .run(|ctx| leiden(&parts[ctx.host()], ctx, &b, &cfg));
+        let results =
+            Cluster::with_threads(hosts, threads).run(|ctx| leiden(&parts[ctx.host()], ctx, &b));
         let q = results[0].modularity;
         let labels = compose_labels(g.num_nodes(), &results);
         (labels, q)
@@ -487,9 +492,7 @@ mod tests {
         let (ld_labels, _) = run_leiden(&g, 2, 2);
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
         let b = NpmBuilder;
-        let cfg = LouvainConfig::default();
-        let lv = Cluster::with_threads(2, 2)
-            .run(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg));
+        let lv = Cluster::with_threads(2, 2).run(|ctx| louvain(&parts[ctx.host()], ctx, &b));
         let lv_labels = compose_labels(g.num_nodes(), &lv);
         let q_ld = refcheck::modularity(&g, &ld_labels);
         let q_lv = refcheck::modularity(&g, &lv_labels);

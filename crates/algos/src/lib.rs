@@ -1,8 +1,15 @@
-//! The paper's seven graph algorithms (§6.1), written against the
-//! node-property map API exactly as the Kimbap compiler would emit them
-//! (compare [`cc::cc_sv`] with the paper's Fig. 8). The crate ships these
-//! seven and nothing else: each is one row of the launchers' algorithm
-//! table (`kimbap::serve::TABLE`), which every launcher runs.
+//! The paper's seven graph algorithms (§6.1), hand-written against the
+//! node-property map API in the shape the Kimbap compiler emits (compare
+//! [`cc::cc_sv`] with the paper's Fig. 8). The crate ships these seven and
+//! nothing else.
+//!
+//! Five of them are rows of the launchers' algorithm table
+//! (`kimbap::serve::TABLE`, which every launcher runs): [`cc::cc_sclp`],
+//! [`fn@mis`], [`fn@msf`], [`fn@louvain`] and [`fn@leiden`]. The table's
+//! `cc-sv` and `cc-lp` rows run the compiler's plans on the engine
+//! instead; [`cc::cc_sv`] and [`cc::cc_lp`] are their hand-written twins,
+//! which Fig. 11's map rows, the baselines, the benches and the
+//! communication-layer tests run.
 //!
 //! Four graph problems are covered:
 //!
@@ -53,7 +60,7 @@ pub mod refcheck;
 
 pub use builder::{MapBuilder, NpmBuilder, ShardedBuilder};
 pub use leiden::leiden;
-pub use louvain::{compose_labels, louvain, try_compose_labels, CommunityResult, LouvainConfig};
+pub use louvain::{compose_labels, louvain, try_compose_labels, CommunityResult};
 pub use mis::mis;
 pub use msf::msf;
 

@@ -36,17 +36,21 @@ use kimbap_npm::{Max, Min, NodePropMap, Sum, SumReducer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Tuning knobs for Louvain/Leiden.
+/// Maximum coarsening levels of Louvain and Leiden.
+pub(crate) const MAX_LEVELS: usize = 12;
+
+/// A level's local moving stops once a round moves fewer than this
+/// fraction of its nodes.
+const MIN_MOVE_FRACTION: f64 = 0.005;
+
+/// What the differential tests vary; [`Knobs::PRODUCT`] is what
+/// [`louvain`] and [`fn@crate::leiden`] run.
 #[derive(Debug, Clone, Copy)]
-pub struct LouvainConfig {
-    /// Maximum coarsening levels.
-    pub max_levels: usize,
-    /// Maximum refinement rounds per level.
-    pub max_rounds: usize,
-    /// Stop refining a level once fewer than this fraction of nodes moved.
-    pub min_move_fraction: f64,
+pub(crate) struct Knobs {
     /// Resolution parameter γ of the modularity objective.
-    pub resolution: f64,
+    pub(crate) resolution: f64,
+    /// Maximum local-moving rounds per level.
+    pub(crate) max_rounds: usize,
     /// Run the reference kernels the differential tests compare the
     /// product ones against: moves and merges decided through a `HashMap`
     /// and global-id reads; community totals rebuilt from zero every round
@@ -56,17 +60,14 @@ pub struct LouvainConfig {
     pub(crate) reference_kernel: bool,
 }
 
-impl Default for LouvainConfig {
-    fn default() -> Self {
-        LouvainConfig {
-            max_levels: 12,
-            max_rounds: 48,
-            min_move_fraction: 0.005,
-            resolution: 1.0,
-            #[cfg(test)]
-            reference_kernel: false,
-        }
-    }
+impl Knobs {
+    /// The product path's knobs: γ = 1, at most 48 rounds a level.
+    pub(crate) const PRODUCT: Knobs = Knobs {
+        resolution: 1.0,
+        max_rounds: 48,
+        #[cfg(test)]
+        reference_kernel: false,
+    };
 }
 
 /// Per-host output of [`louvain`] / [`fn@crate::leiden`].
@@ -283,11 +284,16 @@ impl Gain<'_> {
 
 /// Runs deterministic Louvain; returns this host's [`CommunityResult`].
 /// Collective.
-pub fn louvain<B: MapBuilder>(
+pub fn louvain<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> CommunityResult {
+    louvain_with(dg, ctx, b, &Knobs::PRODUCT)
+}
+
+/// [`louvain`] under `cfg`.
+pub(crate) fn louvain_with<B: MapBuilder>(
     dg: &DistGraph,
     ctx: &HostCtx,
     b: &B,
-    cfg: &LouvainConfig,
+    cfg: &Knobs,
 ) -> CommunityResult {
     let mut result = CommunityResult::default();
     let mut owned: Option<DistGraph> = None;
@@ -299,7 +305,7 @@ pub fn louvain<B: MapBuilder>(
         .sum();
     let m_total = ctx.all_reduce_u64(local_w, |a, b| a + b) as f64;
 
-    for _level in 0..cfg.max_levels {
+    for _level in 0..MAX_LEVELS {
         let outcome = {
             let cur = owned.as_ref().unwrap_or(dg);
             refine_and_aggregate(cur, ctx, b, cfg, m_total, None)
@@ -336,7 +342,7 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
     cur: &'g DistGraph,
     ctx: &HostCtx,
     b: &'g B,
-    cfg: &LouvainConfig,
+    cfg: &Knobs,
     m_total: f64,
     init_comm: Option<&[u64]>,
 ) -> MovingOutcome<'g, B> {
@@ -492,7 +498,7 @@ pub(crate) fn local_moving<'g, B: MapBuilder>(
         comm.broadcast_sync(ctx);
 
         let total_moves = moves.read(ctx);
-        if (total_moves as f64) < cfg.min_move_fraction * n as f64 {
+        if (total_moves as f64) < MIN_MOVE_FRACTION * n as f64 {
             break;
         }
     }
@@ -600,7 +606,7 @@ pub(crate) fn refine_and_aggregate<B: MapBuilder>(
     cur: &DistGraph,
     ctx: &HostCtx,
     b: &B,
-    cfg: &LouvainConfig,
+    cfg: &Knobs,
     m_total: f64,
     init_comm: Option<&[u64]>,
 ) -> LevelOutcome {
@@ -881,9 +887,8 @@ mod tests {
     fn run_louvain(g: &Graph, hosts: usize, threads: usize) -> (Vec<NodeId>, f64) {
         let parts = partition(g, Policy::EdgeCutBlocked, hosts);
         let b = NpmBuilder;
-        let cfg = LouvainConfig::default();
-        let results = Cluster::with_threads(hosts, threads)
-            .run(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg));
+        let results =
+            Cluster::with_threads(hosts, threads).run(|ctx| louvain(&parts[ctx.host()], ctx, &b));
         let q = results[0].modularity;
         let labels = compose_labels(g.num_nodes(), &results);
         (labels, q)
@@ -956,11 +961,11 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        type Algo = fn(&DistGraph, &HostCtx, &NpmBuilder, &LouvainConfig) -> CommunityResult;
+        type Algo = fn(&DistGraph, &HostCtx, &NpmBuilder) -> CommunityResult;
         let algos: [(&str, Algo); 2] = [("louvain", louvain), ("leiden", crate::leiden)];
         let unit = gen::with_unit_weights(&gen::rmat(7, 4, 13));
         let weighted = gen::with_random_weights(&unit, 9, 13);
-        let (b, cfg) = (NpmBuilder, LouvainConfig::default());
+        let b = NpmBuilder;
         for (name, algo) in algos {
             for g in [&unit, &weighted] {
                 let mut first: Option<(Vec<NodeId>, f64)> = None;
@@ -972,7 +977,7 @@ mod tests {
                         };
                         let parts = partition_cfg(g, &pcfg);
                         let results = Cluster::with_threads(hosts, 2)
-                            .run(|ctx| algo(&parts[ctx.host()], ctx, &b, &cfg));
+                            .run(|ctx| algo(&parts[ctx.host()], ctx, &b));
                         let labels = canon(&compose_labels(g.num_nodes(), &results));
                         let q = results[0].modularity;
                         let (l1, q1) = first.get_or_insert_with(|| (labels.clone(), q));

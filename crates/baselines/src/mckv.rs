@@ -475,15 +475,14 @@ mod tests {
     #[test]
     fn community_detection_agrees_across_backends() {
         use kimbap_algos::{
-            leiden, louvain, CommunityResult, LouvainConfig, MapBuilder, NpmBuilder, ShardedBuilder,
+            leiden, louvain, CommunityResult, MapBuilder, NpmBuilder, ShardedBuilder,
         };
         use kimbap_dist::{partition_cfg, DistGraph, PartitionCfg};
 
         fn run<B: MapBuilder>(parts: &[DistGraph], b: &B) -> Vec<(CommunityResult, CommunityResult, u64)> {
-            let cfg = LouvainConfig::default();
             Cluster::with_threads(parts.len(), 2).run(|ctx| {
                 let dg = &parts[ctx.host()];
-                (louvain(dg, ctx, b, &cfg), leiden(dg, ctx, b, &cfg), ctx.current_round())
+                (louvain(dg, ctx, b), leiden(dg, ctx, b), ctx.current_round())
             })
         }
         let hosts = 3;

@@ -508,9 +508,8 @@ mod tests {
         let vite_q = run(&g, 2, 2, false).modularity;
         let parts = partition(&g, Policy::EdgeCutBlocked, 2);
         let b = kimbap_algos::NpmBuilder;
-        let cfg = kimbap_algos::LouvainConfig::default();
         let kimbap = Cluster::with_threads(2, 2)
-            .run(|ctx| kimbap_algos::louvain(&parts[ctx.host()], ctx, &b, &cfg));
+            .run(|ctx| kimbap_algos::louvain(&parts[ctx.host()], ctx, &b));
         let kimbap_q = kimbap[0].modularity;
         assert!(
             (vite_q - kimbap_q).abs() < 0.15,

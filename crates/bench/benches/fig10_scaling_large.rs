@@ -6,7 +6,7 @@
 //! baseline no longer finishes.
 
 use kimbap_algos as algos;
-use kimbap_algos::{LouvainConfig, NpmBuilder};
+use kimbap_algos::NpmBuilder;
 use kimbap_bench::{print_row, print_title, run_timed, threads_per_host, Inputs};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::Graph;
@@ -31,7 +31,6 @@ fn fmt(secs: f64) -> String {
 fn bench_graph(name: &str, g: &Graph, hosts_list: &[usize], run_ld: bool) {
     let threads = threads_per_host();
     let b = NpmBuilder;
-    let cfg = LouvainConfig::default();
     let weighted = Inputs::weighted(g);
 
     for &hosts in hosts_list {
@@ -39,12 +38,12 @@ fn bench_graph(name: &str, g: &Graph, hosts_list: &[usize], run_ld: bool) {
         let cvc = partition(g, Policy::CartesianVertexCut, hosts);
         let cvc_w = partition(&weighted, Policy::CartesianVertexCut, hosts);
 
-        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b, &cfg));
+        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b));
         print_row(&[name.into(), "LV/kimbap".into(), hosts.to_string(), fmt(s.secs)]);
         if run_ld {
             // The paper's LD runs out of memory on wdc12 — we keep it to
             // clueweb12's analog as well.
-            let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b, &cfg));
+            let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b));
             print_row(&[name.into(), "LD/kimbap".into(), hosts.to_string(), fmt(s.secs)]);
         }
         let (_, s) = run_timed(&cvc, threads, |dg, ctx| algos::cc::cc_lp(dg, ctx, &b));

@@ -9,7 +9,7 @@
 //! inspection).
 
 use kimbap_algos as algos;
-use kimbap_algos::{LouvainConfig, MapBuilder, NpmBuilder, ShardedBuilder};
+use kimbap_algos::{MapBuilder, NpmBuilder, ShardedBuilder};
 use kimbap_baselines::{mckv::McBuilder, vite};
 use kimbap_bench::{json, print_row, print_title, run_timed, threads_per_host, Inputs};
 use kimbap_comm::HostCtx;
@@ -34,7 +34,7 @@ fn smoke() -> bool {
 fn run_app<B: MapBuilder>(app: &str, dg: &DistGraph, ctx: &HostCtx, b: &B) {
     match app {
         "LV" => {
-            algos::louvain(dg, ctx, b, &LouvainConfig::default());
+            algos::louvain(dg, ctx, b);
         }
         _ => {
             algos::cc::cc_sv(dg, ctx, b);

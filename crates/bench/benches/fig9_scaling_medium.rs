@@ -6,7 +6,7 @@
 //! graph; all Kimbap applications scale with host count.
 
 use kimbap_algos as algos;
-use kimbap_algos::{LouvainConfig, NpmBuilder};
+use kimbap_algos::NpmBuilder;
 use kimbap_baselines::{gluon, vite};
 use kimbap_bench::{print_row, print_title, run_timed, threads_per_host, Inputs};
 use kimbap_dist::{partition, Policy};
@@ -15,7 +15,6 @@ use kimbap_graph::Graph;
 fn bench_graph(name: &str, g: &Graph, weighted: &Graph, hosts_list: &[usize]) {
     let threads = threads_per_host();
     let b = NpmBuilder;
-    let cfg = LouvainConfig::default();
     let vcfg = vite::ViteConfig::default();
 
     for &hosts in hosts_list {
@@ -24,13 +23,13 @@ fn bench_graph(name: &str, g: &Graph, weighted: &Graph, hosts_list: &[usize]) {
         let cvc_w = partition(weighted, Policy::CartesianVertexCut, hosts);
 
         // (a) LV: Kimbap vs Vite (both on the edge-cut, like the paper).
-        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b, &cfg));
+        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b));
         print_row(&[name.into(), "LV/kimbap".into(), hosts.to_string(), fmt(s.secs)]);
         let (_, s) = run_timed(&ec, threads, |dg, ctx| vite::louvain(dg, ctx, &vcfg));
         print_row(&[name.into(), "LV/vite".into(), hosts.to_string(), fmt(s.secs)]);
 
         // (b) LD.
-        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b, &cfg));
+        let (_, s) = run_timed(&ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b));
         print_row(&[name.into(), "LD/kimbap".into(), hosts.to_string(), fmt(s.secs)]);
 
         // (c) CC: four systems on the Cartesian vertex-cut.

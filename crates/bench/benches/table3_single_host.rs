@@ -7,7 +7,7 @@
 //! multi-host Kimbap column beats both on the bigger inputs.
 
 use kimbap_algos as algos;
-use kimbap_algos::{LouvainConfig, NpmBuilder};
+use kimbap_algos::NpmBuilder;
 use kimbap_baselines::galois;
 use kimbap_bench::{json, print_row, print_title, run_timed, threads_per_host, Inputs, RunStats};
 use kimbap_dist::{partition, Policy};
@@ -29,7 +29,6 @@ fn bench_graph(name: &str, g: &Graph, cluster_hosts: usize) {
     // Galois gets all the machine parallelism one host would have.
     let galois_threads = threads * cluster_hosts;
     let b = NpmBuilder;
-    let cfg = LouvainConfig::default();
     let weighted = Inputs::weighted(g);
 
     let one_ec = partition(g, Policy::EdgeCutBlocked, 1);
@@ -56,16 +55,16 @@ fn bench_graph(name: &str, g: &Graph, cluster_hosts: usize) {
     let ga = galois_time(|| {
         galois::louvain(g, galois_threads, 48);
     });
-    let (_, k1) = run_timed(&one_ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b, &cfg));
-    let (_, kn) = run_timed(&many_ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b, &cfg));
+    let (_, k1) = run_timed(&one_ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b));
+    let (_, kn) = run_timed(&many_ec, threads, |dg, ctx| algos::louvain(dg, ctx, &b));
     row("LV", ga, &k1, &kn);
 
     // LD.
     let ga = galois_time(|| {
         galois::leiden(g, galois_threads, 48);
     });
-    let (_, k1) = run_timed(&one_ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b, &cfg));
-    let (_, kn) = run_timed(&many_ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b, &cfg));
+    let (_, k1) = run_timed(&one_ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b));
+    let (_, kn) = run_timed(&many_ec, threads, |dg, ctx| algos::leiden(dg, ctx, &b));
     row("LD", ga, &k1, &kn);
 
     // MSF.

@@ -50,8 +50,10 @@ use std::sync::Arc;
 /// [`CommError::FrameLoss`].
 const MAX_ATTEMPTS: u32 = 4;
 
-/// Crash recoveries per [`HostCtx::run_recovering`] call before the panic
-/// is propagated unchanged.
+/// Crash recoveries per recovery loop ([`HostCtx::run_recovering`] call
+/// or compiled engine loop, both triaged by [`HostCtx::recover_crash`])
+/// before the panic is propagated unchanged; also the shrinks one
+/// [`HostCtx::run_elastic`] call survives.
 const MAX_RECOVERIES: u32 = 8;
 
 /// Declares every per-host counter once: its doc and its merge rule. The
@@ -2085,6 +2087,44 @@ mod tests {
         let recovered = Cluster::new(3)
             .run_with_faults(plan, |ctx| ctx.run_recovering(work));
         assert_eq!(recovered, baseline);
+    }
+
+    #[test]
+    fn run_recovering_recovers_eight_times_and_only_from_crashes() {
+        // How often `run_recovering` runs a closure that unwinds with
+        // `raise`'s payload on every attempt before the payload propagates,
+        // and whether what propagates is still a `CrashSignal`.
+        fn attempts(raise: fn(&HostCtx)) -> Vec<(u32, bool)> {
+            Cluster::new(2).run(|ctx| {
+                let mut n = 0;
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    ctx.run_recovering(|ctx| {
+                        n += 1;
+                        raise(ctx)
+                    })
+                }));
+                (n, out.unwrap_err().is::<CrashSignal>())
+            })
+        }
+        // A recoverable crash: the first attempt and 8 recoveries.
+        let crash = |ctx: &HostCtx| {
+            ctx.fail_with(CrashSignal::Injected {
+                host: ctx.host(),
+                round: 0,
+            })
+        };
+        assert_eq!(attempts(crash), vec![(9, true); 2]);
+        // A killed host departs on the first attempt...
+        let kill = |ctx: &HostCtx| {
+            std::panic::resume_unwind(Box::new(CrashSignal::Killed {
+                host: ctx.host(),
+                round: 0,
+            }))
+        };
+        assert_eq!(attempts(kill), vec![(1, true); 2]);
+        // ... and a real bug is never retried.
+        let bug = |_: &HostCtx| std::panic::resume_unwind(Box::new("a bug"));
+        assert_eq!(attempts(bug), vec![(1, false); 2]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use super::{in_mask, CommError, CrashSignal, HostCtx, MembershipChange, MAX_RECOVERIES};
 use crate::transport::{membership, Backoff, Deadline, Transport};
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
@@ -33,6 +34,34 @@ impl HostCtx<'_> {
         membership::heal(self.transport, &unbounded)
     }
 
+    /// The crash triage of every recovery loop (this module's
+    /// [`HostCtx::run_recovering`] and the engine's compiled loops),
+    /// applied to the `payload` a failed attempt unwound with. A
+    /// non-[`CrashSignal`] panic (a real bug), [`CrashSignal::Killed`] (a
+    /// killed host must depart, not rejoin the recovery gate) and any
+    /// failure past the budget of 8 recoveries resume unwinding unchanged.
+    /// Otherwise the recovery is counted in `recoveries` and the live hosts
+    /// realign ([`HostCtx::recover_align`]): `Ok` means the caller may
+    /// retry; `Err` hands the payload back when realignment failed, for the
+    /// caller to decide what that means.
+    ///
+    /// Must be called by **every** live host, like `recover_align`.
+    pub fn recover_crash(
+        &self,
+        payload: Box<dyn Any + Send>,
+        recoveries: &mut u32,
+    ) -> Result<(), Box<dyn Any + Send>> {
+        let recoverable = matches!(
+            payload.downcast_ref::<CrashSignal>(),
+            Some(signal) if !matches!(signal, CrashSignal::Killed { .. })
+        );
+        if !recoverable || *recoveries >= MAX_RECOVERIES {
+            resume_unwind(payload);
+        }
+        *recoveries += 1;
+        self.recover_align().map_err(|_| payload)
+    }
+
     /// Runs `f`, restarting it after recoverable host failures (injected
     /// crashes, detector- or deadline-triggered aborts, and the
     /// communication failures they cause on sibling hosts).
@@ -47,7 +76,7 @@ impl HostCtx<'_> {
     /// # Panics
     ///
     /// Propagates non-[`CrashSignal`] panics (real bugs) unchanged, and
-    /// gives up after `MAX_RECOVERIES` restarts.
+    /// gives up after 8 restarts ([`HostCtx::recover_crash`]).
     pub fn run_recovering<F, R>(&self, mut f: F) -> R
     where
         F: FnMut(&HostCtx) -> R,
@@ -57,19 +86,7 @@ impl HostCtx<'_> {
             match catch_unwind(AssertUnwindSafe(|| f(self))) {
                 Ok(v) => return v,
                 Err(payload) => {
-                    if recoveries >= MAX_RECOVERIES || !payload.is::<CrashSignal>() {
-                        resume_unwind(payload);
-                    }
-                    if matches!(
-                        payload.downcast_ref::<CrashSignal>(),
-                        Some(CrashSignal::Killed { .. })
-                    ) {
-                        // This host was permanently killed: it must die,
-                        // not rejoin the recovery gate.
-                        resume_unwind(payload);
-                    }
-                    recoveries += 1;
-                    if self.recover_align().is_err() {
+                    if let Err(payload) = self.recover_crash(payload, &mut recoveries) {
                         let departed = membership::departed_hosts(self.transport);
                         if !departed.is_empty() {
                             // A host departed for good: surface the typed

@@ -11,8 +11,10 @@
 //!   active node / edge endpoints are served by pinned mirrors and
 //!   broadcast instead of request/response.
 //!
-//! The underlying control-flow machinery (statement-level CFG, dominator
-//! and post-dominator trees, §2.3) lives in [`mod@cfg`] and [`dom`];
+//! Placement needs no CFG: the IR is structured (no jumps), so the
+//! statement tree is the compiler's one control-flow representation — a
+//! statement's dominators are its prefix path, and a `ParFor`'s immediate
+//! post-dominator is the statement after it (see [`transform`]).
 //! [`classify`] reproduces Table 2's adjacent/trans-vertex classification;
 //! [`programs`] contains the paper's applications as source text in the
 //! [`frontend`]'s surface syntax, parsed into the IR on first use. Every
@@ -35,9 +37,7 @@
 //! assert_eq!(shortcut.request_phases.len(), 1);
 //! ```
 
-pub mod cfg;
 pub mod classify;
-pub mod dom;
 pub mod frontend;
 pub mod ir;
 pub mod lower;

@@ -23,11 +23,12 @@
 //!    paper's rule for single-map operators like CC-SV and strictly
 //!    removes more communication for multi-map operators.)
 //!
-//! Slicing uses the statement tree, whose prefix-paths coincide with CFG
-//! dominance for this structured IR; no CFG is built here. [`crate::dom`]
-//! computes the general dominator/post-dominator trees as a standalone
-//! analysis, and one test checks a single dominance fact the CC-SV
-//! shortcut slice relies on.
+//! The paper places requests and syncs with a statement-level CFG and its
+//! dominator / post-dominator trees. This IR has no jumps, so the
+//! statement tree already answers both questions: a statement's
+//! dominators are the statements on its prefix path, and a `ParFor`'s
+//! immediate post-dominator is the next top-level statement. Slicing and
+//! sync placement therefore walk the tree, and no CFG is built.
 
 use crate::classify::{classify_map_reads, ReadDep};
 use crate::ir::{
@@ -738,9 +739,7 @@ fn compile_while(w: &KimbapWhile, maps: &[MapDecl], opt: OptLevel, repeat: bool)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{Cfg, NodeKind};
     use crate::ir::BinOp;
-    use crate::dom::DomTree;
     use crate::programs;
 
     fn sv_loops(opt: OptLevel) -> (CompiledLoop, CompiledLoop) {
@@ -886,25 +885,6 @@ mod tests {
         ];
         let facts = gather_facts(&body);
         assert_eq!(facts.read_levels[&vec![1, 0]], 1);
-    }
-
-    #[test]
-    fn sliced_requests_respect_dominance() {
-        // Cross-check the tree slicing against the CFG dominator relation:
-        // every statement kept in a request phase corresponds to a CFG node
-        // that dominates the Read it serves (for the straight-line
-        // shortcut operator the phase is exactly the dominating prefix).
-        let p = programs::cc_sv();
-        let shortcut = &p.loops()[1].body;
-        let cfg = Cfg::build(shortcut);
-        let dom = DomTree::dominators(&cfg);
-        let reads = cfg.nodes_of_kind(NodeKind::Read);
-        // parent(node) dominates parent(parent(node)).
-        assert!(dom.dominates(reads[0], reads[1]));
-        // The generated phase contains exactly the dominating read + the
-        // request derived from the dominated read.
-        let (_, sc) = sv_loops(OptLevel::Full);
-        assert_eq!(sc.request_phases[0].body.len(), 2);
     }
 
     fn loops_of(body: &[CompiledTop]) -> Vec<&CompiledLoop> {

@@ -288,10 +288,9 @@ impl PartitionCfg {
 const NODE_WEIGHT: u64 = 8;
 
 /// The node-ownership map [`partition_cfg`] builds `graph`'s partitions
-/// over, without building them. Blocked policies cut the id space where
+/// over, without building them: both policies cut the id space where
 /// the prefix sum of `degree(u) + NODE_WEIGHT` crosses each host's equal
-/// share, so hosts own equal *work*, not equal node counts; the hashed
-/// policy needs no table.
+/// share, so hosts own equal *work*, not equal node counts.
 ///
 /// A pure function of the graph's degrees and `hosts` — the storage tier
 /// plays no part — so every host, every TCP worker and every shrink / grow
@@ -300,17 +299,12 @@ const NODE_WEIGHT: u64 = 8;
 /// # Panics
 ///
 /// Panics if `hosts == 0`.
-pub fn ownership_for(graph: &Graph, policy: Policy, hosts: usize) -> Ownership {
-    match policy {
-        Policy::EdgeCutHashed => Ownership::hashed(graph.num_nodes(), hosts),
-        Policy::EdgeCutBlocked | Policy::EdgeCutIncoming | Policy::CartesianVertexCut => {
-            let weights: Vec<u64> = graph
-                .nodes()
-                .map(|u| graph.degree(u) as u64 + NODE_WEIGHT)
-                .collect();
-            Ownership::blocked_by_weight(&weights, hosts)
-        }
-    }
+pub fn ownership_for(graph: &Graph, hosts: usize) -> Ownership {
+    let weights: Vec<u64> = graph
+        .nodes()
+        .map(|u| graph.degree(u) as u64 + NODE_WEIGHT)
+        .collect();
+    Ownership::blocked_by_weight(&weights, hosts)
 }
 
 /// Partitions `graph` across `num_hosts` hosts under `policy`, producing one
@@ -348,7 +342,7 @@ pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
 ///
 /// Panics if `host >= cfg.hosts`.
 pub fn partition_host(graph: &Graph, cfg: &PartitionCfg, host: usize) -> DistGraph {
-    let (policy, own) = (cfg.policy, &ownership_for(graph, cfg.policy, cfg.hosts));
+    let (policy, own) = (cfg.policy, &ownership_for(graph, cfg.hosts));
     let (_, cols) = Policy::grid(cfg.hosts);
     let n = graph.num_nodes();
     let (mut degree, mut is_target) = (vec![0u32; n], vec![false; n]);
@@ -486,7 +480,7 @@ pub fn assemble_dist_graph(
 ) -> DistGraph {
     let num_hosts = ctx.num_hosts();
     let host = ctx.host();
-    let own = policy.ownership(n_global, num_hosts);
+    let own = Ownership::blocked(n_global, num_hosts);
     let (_, cols) = Policy::grid(num_hosts);
 
     // Route each produced edge to its assigned host.
@@ -711,12 +705,7 @@ mod tests {
         assert_eq!(a.mirror_slot_of, b.mirror_slot_of, "{what}: mirror_slot_of");
     }
 
-    const POLICIES: [Policy; 4] = [
-        Policy::EdgeCutBlocked,
-        Policy::EdgeCutIncoming,
-        Policy::EdgeCutHashed,
-        Policy::CartesianVertexCut,
-    ];
+    const POLICIES: [Policy; 2] = [Policy::EdgeCutBlocked, Policy::CartesianVertexCut];
 
     proptest::proptest! {
         #[test]
@@ -724,7 +713,7 @@ mod tests {
             kind in 0u8..3,
             size in 2usize..9,
             seed in 0u64..1_000,
-            policy in 0usize..4,
+            policy in 0usize..2,
             hosts in 1usize..=8,
             compressed in 0u8..2,
         ) {
@@ -744,7 +733,7 @@ mod tests {
                 compressed: compressed == 1,
                 ..PartitionCfg::new(POLICIES[policy], hosts)
             };
-            let own = ownership_for(&g, cfg.policy, hosts);
+            let own = ownership_for(&g, hosts);
             let reference = reference_parts(&g, &own, cfg.policy, cfg.compressed);
             for (h, r) in reference.iter().enumerate() {
                 let what = format!("{} x{hosts} host {h} ({cfg:?})", g.num_nodes());
@@ -807,14 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_cut_hashed_partitions() {
-        let g = gen::rmat(7, 4, 2);
-        for hosts in [1, 2, 5] {
-            check_partition(&g, Policy::EdgeCutHashed, hosts);
-        }
-    }
-
-    #[test]
     fn cvc_partitions() {
         let g = gen::rmat(7, 4, 3);
         for hosts in [1, 2, 4, 6] {
@@ -827,15 +808,11 @@ mod tests {
         // What the node-property map's local-id accessors and the engine's
         // frontier build index by: a master's local id is its offset in
         // the ownership's dense master range, and mirror slot `s` is local
-        // id `num_masters + s` — under blocked and hashed ownership, on
-        // either storage tier.
+        // id `num_masters + s` — under either policy, on either storage
+        // tier.
         let g = gen::rmat(7, 4, 6);
         let mut partitions = Vec::new();
-        for policy in [
-            Policy::EdgeCutBlocked,
-            Policy::EdgeCutHashed,
-            Policy::CartesianVertexCut,
-        ] {
+        for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
             for hosts in [1, 3, 4] {
                 partitions.push(partition(&g, policy, hosts));
             }
@@ -844,7 +821,7 @@ mod tests {
             &g,
             &PartitionCfg {
                 compressed: true,
-                ..PartitionCfg::new(Policy::EdgeCutHashed, 3)
+                ..PartitionCfg::new(Policy::CartesianVertexCut, 3)
             },
         ));
         for parts in &partitions {
@@ -867,36 +844,18 @@ mod tests {
     }
 
     #[test]
-    fn iec_mirrors_have_no_in_edges() {
-        let g = gen::rmat(7, 4, 4);
-        for p in partition(&g, Policy::EdgeCutIncoming, 4) {
-            let mut has_in = vec![false; p.num_local_nodes()];
-            for l in p.local_nodes() {
-                for (t, _) in p.edges(l) {
-                    has_in[t as usize] = true;
-                }
-            }
-            for m in p.mirror_nodes() {
-                assert!(!has_in[m as usize], "IEC mirror with in-edges");
-            }
-        }
-    }
-
-    #[test]
     fn oec_mirrors_have_no_out_edges() {
         // Unconditional: nothing scatters a node's out-edges off its owner.
         let g = gen::rmat(7, 4, 4);
-        for policy in [Policy::EdgeCutBlocked, Policy::EdgeCutHashed] {
-            for hosts in 1..=4 {
-                for compressed in [false, true] {
-                    let cfg = PartitionCfg {
-                        compressed,
-                        ..PartitionCfg::new(policy, hosts)
-                    };
-                    for p in partition_cfg(&g, &cfg) {
-                        for m in p.mirror_nodes() {
-                            assert_eq!(p.degree(m), 0, "{policy} x{hosts}: mirror with out-edges");
-                        }
+        for hosts in 1..=4 {
+            for compressed in [false, true] {
+                let cfg = PartitionCfg {
+                    compressed,
+                    ..PartitionCfg::new(Policy::EdgeCutBlocked, hosts)
+                };
+                for p in partition_cfg(&g, &cfg) {
+                    for m in p.mirror_nodes() {
+                        assert_eq!(p.degree(m), 0, "x{hosts}: mirror with out-edges");
                     }
                 }
             }
@@ -949,7 +908,7 @@ mod tests {
         let g = gen::rmat(6, 4, 11);
         let hosts = 3;
         for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
-            let own = policy.ownership(g.num_nodes(), hosts);
+            let own = Ownership::blocked(g.num_nodes(), hosts);
             let reference = reference_parts(&g, &own, policy, false);
             let assembled = kimbap_comm::Cluster::new(hosts).run(|ctx| {
                 // Host h contributes every third edge, offset by h.
@@ -1023,7 +982,7 @@ mod tests {
         for scale in [14, 15] {
             let g = gen::rmat(scale, 16, 42);
             for hosts in [2, 4] {
-                let own = ownership_for(&g, Policy::EdgeCutBlocked, hosts);
+                let own = ownership_for(&g, hosts);
                 let parts = partition(&g, Policy::EdgeCutBlocked, hosts);
                 let loads: Vec<u64> = parts.iter().map(|p| p.load_weight()).collect();
                 let max = *loads.iter().max().unwrap() as f64;
@@ -1044,15 +1003,13 @@ mod tests {
         // A grid's degrees are symmetric about its middle row, so the
         // weighted cut falls exactly where the node-count cut does.
         let g = gen::grid_road(120, 120, 42);
-        for policy in [Policy::EdgeCutBlocked, Policy::CartesianVertexCut] {
-            assert_eq!(ownership_for(&g, policy, 2), Ownership::blocked(14_400, 2));
-        }
+        assert_eq!(ownership_for(&g, 2), Ownership::blocked(14_400, 2));
     }
 
     #[test]
     fn ownership_ignores_storage_tier() {
         let g = gen::rmat(8, 8, 4);
-        let plain = ownership_for(&g, Policy::EdgeCutBlocked, 3);
+        let plain = ownership_for(&g, 3);
         let cfg = PartitionCfg {
             compressed: true,
             ..PartitionCfg::new(Policy::EdgeCutBlocked, 3)

@@ -9,15 +9,17 @@
 //! This crate provides:
 //!
 //! * [`Ownership`] — the node → owning-host map: contiguous blocks behind a
-//!   `hosts + 1` boundary table, or a modulus. A global node id resolves to
-//!   its owner and to its dense *master offset* on that owner without any
-//!   per-node table, which is what makes the node-property map's
-//!   graph-partition-aware representation (GAR) cheap. [`ownership_for`]
-//!   picks a graph's block boundaries so that hosts carry equal work
-//!   (edges plus a per-node term), not equal node counts.
-//! * [`Policy`] — edge-assignment policies: outgoing edge-cut (blocked or
-//!   hashed) and the 2-D Cartesian vertex-cut used by the paper for CC,
-//!   MSF, and MIS.
+//!   `hosts + 1` boundary table (partitions), or a modulus (the hashed
+//!   keys of `kimbap_npm::ShardedMap`, Fig. 11's SGR rows). A global node
+//!   id resolves to its owner and to its dense *master offset* on that
+//!   owner without any per-node table, which is what makes the
+//!   node-property map's graph-partition-aware representation (GAR)
+//!   cheap. [`ownership_for`] picks a graph's block boundaries so that
+//!   hosts carry equal work (edges plus a per-node term), not equal node
+//!   counts.
+//! * [`Policy`] — the paper's two edge-assignment policies: outgoing
+//!   edge-cut (Louvain, Leiden) and the 2-D Cartesian vertex-cut (CC,
+//!   MSF, MIS).
 //! * [`DistGraph`] — one host's partition: a local CSR whose local ids put
 //!   all masters first (ordered by global id) followed by mirrors, plus the
 //!   mirror lists each host needs to broadcast master values.

@@ -4,15 +4,15 @@ use crate::ownership::Ownership;
 use kimbap_graph::NodeId;
 use std::fmt;
 
-/// How edges are assigned to hosts.
+/// How edges are assigned to hosts: the paper's two policies.
 ///
-/// Node *ownership* (where the master proxy lives) is blocked for every
-/// policy except [`Policy::EdgeCutHashed`]; policies differ in where each
-/// directed edge `(u, v)` is stored:
+/// Node *ownership* (where the master proxy lives) is blocked under both;
+/// they differ in where each directed edge `(u, v)` is stored:
 ///
 /// * **Edge-cut (OEC)** — at `owner(u)`: every node's outgoing edges are on
 ///   one host, so mirrors have no outgoing edges (the structural invariant
-///   Gluon's broadcast elision exploits).
+///   Gluon's broadcast elision exploits). The paper's policy for Louvain
+///   and Leiden, and the one `serve` partitions with.
 /// * **Cartesian vertex-cut (CVC)** — hosts form a `pr x pc` grid; edge
 ///   `(u, v)` goes to the host at `(row(owner(u)), col(owner(v)))` (Boman
 ///   et al., the policy the paper uses for CC, MSF, and MIS).
@@ -20,10 +20,10 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use kimbap_dist::Policy;
+/// use kimbap_dist::{Ownership, Policy};
 ///
 /// let p = Policy::CartesianVertexCut;
-/// let own = p.ownership(100, 4); // 2x2 host grid
+/// let own = Ownership::blocked(100, 4); // 2x2 host grid
 /// assert_eq!(p.assign(&own, 0, 99), 1); // row(owner 0)=0, col(owner 99)=1
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,32 +31,11 @@ pub enum Policy {
     /// Outgoing edge-cut with blocked node ownership.
     #[default]
     EdgeCutBlocked,
-    /// Incoming edge-cut with blocked node ownership: edge `(u, v)` lives
-    /// at `owner(v)`, so mirrors have no *incoming* edges (the structural
-    /// invariant pull-style operators exploit).
-    EdgeCutIncoming,
-    /// Outgoing edge-cut with modulo-hashed node ownership (used by the
-    /// SGR-only / memcached runtime variants).
-    EdgeCutHashed,
     /// 2-D Cartesian vertex-cut with blocked node ownership.
     CartesianVertexCut,
 }
 
 impl Policy {
-    /// The node-ownership map this policy uses for `n` nodes on `hosts`
-    /// hosts when no degree sequence is at hand: uniform blocks (or the
-    /// modulus). `assemble_dist_graph` builds coarse graphs over it;
-    /// partitioning a whole graph cuts the blocks by weight instead (see
-    /// [`ownership_for`](crate::ownership_for)).
-    pub fn ownership(&self, n: usize, hosts: usize) -> Ownership {
-        match self {
-            Policy::EdgeCutBlocked | Policy::EdgeCutIncoming | Policy::CartesianVertexCut => {
-                Ownership::blocked(n, hosts)
-            }
-            Policy::EdgeCutHashed => Ownership::hashed(n, hosts),
-        }
-    }
-
     /// Host grid `(rows, cols)` for the Cartesian vertex-cut: the most
     /// square factorization of `hosts` with `rows <= cols`.
     pub fn grid(hosts: usize) -> (usize, usize) {
@@ -81,8 +60,7 @@ impl Policy {
     /// and target, on a host grid `cols` wide (`Policy::grid(hosts).1`).
     pub(crate) fn assign_owned(&self, cols: usize, ou: usize, ov: usize) -> usize {
         match self {
-            Policy::EdgeCutBlocked | Policy::EdgeCutHashed => ou,
-            Policy::EdgeCutIncoming => ov,
+            Policy::EdgeCutBlocked => ou,
             Policy::CartesianVertexCut => ou / cols * cols + ov % cols,
         }
     }
@@ -92,8 +70,6 @@ impl fmt::Display for Policy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Policy::EdgeCutBlocked => "edge-cut (blocked)",
-            Policy::EdgeCutIncoming => "incoming edge-cut",
-            Policy::EdgeCutHashed => "edge-cut (hashed)",
             Policy::CartesianVertexCut => "cartesian vertex-cut",
         };
         f.write_str(name)
@@ -117,23 +93,15 @@ mod tests {
     #[test]
     fn edge_cut_assigns_to_source_owner() {
         let p = Policy::EdgeCutBlocked;
-        let own = p.ownership(8, 2);
+        let own = Ownership::blocked(8, 2);
         assert_eq!(p.assign(&own, 1, 7), 0);
         assert_eq!(p.assign(&own, 7, 1), 1);
     }
 
     #[test]
-    fn incoming_edge_cut_assigns_to_dest_owner() {
-        let p = Policy::EdgeCutIncoming;
-        let own = p.ownership(8, 2);
-        assert_eq!(p.assign(&own, 1, 7), 1);
-        assert_eq!(p.assign(&own, 7, 1), 0);
-    }
-
-    #[test]
     fn cvc_assigns_within_grid() {
         let p = Policy::CartesianVertexCut;
-        let own = p.ownership(16, 4); // grid 2x2; blocks of 4
+        let own = Ownership::blocked(16, 4); // grid 2x2; blocks of 4
         for u in 0..16u32 {
             for v in 0..16u32 {
                 let h = p.assign(&own, u, v);
@@ -149,7 +117,7 @@ mod tests {
     #[test]
     fn cvc_on_one_host_is_trivial() {
         let p = Policy::CartesianVertexCut;
-        let own = p.ownership(10, 1);
+        let own = Ownership::blocked(10, 1);
         assert_eq!(p.assign(&own, 3, 9), 0);
     }
 

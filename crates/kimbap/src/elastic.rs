@@ -74,7 +74,7 @@ pub fn run_plan_elastic(
         // A give-up is a typed timeout: the members never stopped at a
         // grow gate (the run may have finished, or growth is disabled).
         let change = ctx.join_cluster(&Deadline::after("join", JOIN_DEADLINE)).ok()?;
-        resume = reshard(ctx, g, cfg, plan, None, &change);
+        resume = reshard(ctx, g, plan, None, &change);
     }
     let mut changes = 0u32;
     loop {
@@ -112,7 +112,7 @@ pub fn run_plan_elastic(
             // Anything else (a gate timeout or protocol violation) is a bug.
             _ => panic!("membership change failed: {e}"),
         });
-        resume = reshard(ctx, g, cfg, plan, Some(&sig), &change);
+        resume = reshard(ctx, g, plan, Some(&sig), &change);
     }
 }
 
@@ -132,7 +132,6 @@ pub fn live_part(g: &Graph, cfg: PartitionCfg, ctx: &HostCtx) -> DistGraph {
 fn reshard(
     ctx: &HostCtx,
     g: &Graph,
-    cfg: PartitionCfg,
     plan: &CompiledProgram,
     member: Option<&MembershipSignal>,
     change: &MembershipChange,
@@ -183,7 +182,7 @@ fn reshard(
 
     // Route every contributed pair to its owner under the re-partitioned
     // graph. Pairs are `(map, key, value)` triples of little-endian u64s.
-    let own = ownership_for(g, cfg.policy, new_n);
+    let own = ownership_for(g, new_n);
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); new_n];
     for state in member.map(|s| &s.state).into_iter().chain(replica) {
         for (m, pairs) in state.maps.iter().enumerate() {
@@ -298,8 +297,8 @@ mod tests {
     /// same boundary table, the one `ownership_for` derives from the graph
     /// and the new host count alone: host `rank`'s output lists exactly
     /// that table's masters for `rank`.
-    fn assert_final_ownership(g: &Graph, policy: Policy, outs: &[&EngineOutput]) {
-        let own = ownership_for(g, policy, outs.len());
+    fn assert_final_ownership(g: &Graph, outs: &[&EngineOutput]) {
+        let own = ownership_for(g, outs.len());
         for (rank, out) in outs.iter().enumerate() {
             let keys: Vec<NodeId> = out.map_values[0].iter().map(|&(k, _)| k).collect();
             assert_eq!(
@@ -353,7 +352,7 @@ mod tests {
             free_baseline(&g),
             "elastic output diverged from the fault-free labels"
         );
-        assert_final_ownership(&g, cfg.policy, &outs);
+        assert_final_ownership(&g, &outs);
         assert!(
             hosts.iter().any(|(_, s)| s.resharded_keys > 0),
             "no keys were re-sharded"

@@ -10,7 +10,7 @@
 //! hand-written algorithms in `kimbap-algos` (whose outputs they are
 //! tested to match).
 
-use kimbap_comm::{clock, CrashSignal, Deadline, HostCtx, SyncPhase};
+use kimbap_comm::{clock, Deadline, HostCtx, SyncPhase};
 use kimbap_compiler::ir::NodeIterator;
 use kimbap_compiler::lower::{apply_bin, Code, Op, Test};
 use kimbap_compiler::transform::{CompiledLoop, CompiledProgram, CompiledTop};
@@ -23,9 +23,6 @@ use std::time::Duration;
 
 #[cfg(test)]
 mod reference;
-
-/// Crash recoveries per compiled loop before the failure is propagated.
-const MAX_RECOVERIES: u32 = 8;
 
 /// Execution options for [`Engine`], orthogonal to the compiled plan.
 #[derive(Debug, Clone, Copy)]
@@ -520,20 +517,9 @@ impl<'g> Engine<'g> {
                 }
                 Err(payload) => {
                     // Only recoverable host failures are handled; real bugs
-                    // (assertion failures etc.) propagate unchanged, as does
-                    // anything beyond the recovery budget.
-                    if recoveries >= MAX_RECOVERIES || !payload.is::<CrashSignal>() {
-                        resume_unwind(payload);
-                    }
-                    // A killed host must depart, not recover.
-                    if matches!(
-                        payload.downcast_ref::<CrashSignal>(),
-                        Some(CrashSignal::Killed { .. })
-                    ) {
-                        resume_unwind(payload);
-                    }
-                    recoveries += 1;
-                    if ctx.recover_align().is_err() {
+                    // (assertion failures etc.), killed hosts and anything
+                    // beyond the recovery budget propagate unchanged.
+                    if let Err(payload) = ctx.recover_crash(payload, &mut recoveries) {
                         if self.elastic && !ctx.pending_departures().is_empty() {
                             self.raise(MembershipCause::Shrink, &cp);
                         }

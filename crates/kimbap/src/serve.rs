@@ -47,7 +47,7 @@ use kimbap_algos::louvain::CommunityResult;
 use kimbap_algos::msf::MsfHostResult;
 use kimbap_algos::{
     cc, leiden, louvain, mis, msf, refcheck, try_compose_labels, try_merge_master_values,
-    LouvainConfig, NpmBuilder,
+    NpmBuilder,
 };
 use kimbap_comm::wire::{encode_slice, try_decode_slice};
 use kimbap_comm::{Cluster, Deadline, HostCtx, Wire, JOB_ROUND_STRIDE};
@@ -194,14 +194,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "louvain",
         id: 5,
         policy: Policy::EdgeCutBlocked,
-        run: |dg, ctx, _| {
-            JobOutput::Communities(louvain(
-                dg,
-                ctx,
-                &NpmBuilder,
-                &LouvainConfig::default(),
-            ))
-        },
+        run: |dg, ctx, _| JobOutput::Communities(louvain(dg, ctx, &NpmBuilder)),
         check: check_communities,
         describe: describe_communities,
         weighted: false,
@@ -212,14 +205,7 @@ pub const TABLE: [AlgoRow; 7] = [
         name: "leiden",
         id: 6,
         policy: Policy::EdgeCutBlocked,
-        run: |dg, ctx, _| {
-            JobOutput::Communities(leiden(
-                dg,
-                ctx,
-                &NpmBuilder,
-                &LouvainConfig::default(),
-            ))
-        },
+        run: |dg, ctx, _| JobOutput::Communities(leiden(dg, ctx, &NpmBuilder)),
         check: check_communities,
         describe: describe_communities,
         weighted: false,

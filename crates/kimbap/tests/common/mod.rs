@@ -53,9 +53,8 @@ pub fn cc_lp_labels(
 pub fn louvain_result(g: &Graph, cluster: &Cluster, plan: FaultPlan) -> (Vec<u32>, u64) {
     let parts = partition(g, Policy::EdgeCutBlocked, HOSTS);
     let b = NpmBuilder;
-    let cfg = algos::LouvainConfig::default();
     let results = cluster.run_with_faults(plan, |ctx| {
-        ctx.run_recovering(|ctx| algos::louvain(&parts[ctx.host()], ctx, &b, &cfg))
+        ctx.run_recovering(|ctx| algos::louvain(&parts[ctx.host()], ctx, &b))
     });
     let modularity = results[0].modularity;
     let labels = algos::compose_labels(g.num_nodes(), &results);

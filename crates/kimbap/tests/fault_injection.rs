@@ -21,7 +21,7 @@ use common::{cc_lp_labels, inproc, louvain_result, mis_set, msf_forest, run_elas
 use kimbap::engine::Engine;
 use kimbap::serve::{merge_job_outputs, JobOutput, TABLE};
 use kimbap_algos::{self as algos, cc::cc_lp, merge_master_values, msf, NpmBuilder};
-use kimbap_comm::{new_trace_sink, Cluster, FaultPlan};
+use kimbap_comm::{new_trace_sink, Cluster, CrashSignal, FaultPlan};
 use kimbap_compiler::{compile, programs, OptLevel};
 use kimbap_dist::{partition, Policy};
 use kimbap_graph::gen;
@@ -111,6 +111,32 @@ fn engine_checkpoint_replay_matches_fault_free() {
         // Replayed rounds are not double-counted.
         assert_eq!(replayed_rounds, rounds);
     }
+}
+
+#[test]
+fn engine_loop_recovers_eight_times_then_propagates() {
+    // A compiled loop spends `run_recovering`'s budget: eight crashes of
+    // one round each replay it from its checkpoint; the ninth propagates
+    // from the crashed host as the `CrashSignal` it unwound with.
+    let g = gen::grid_road(7, 7, 3);
+    let plan = compile(&programs::cc_lp(), OptLevel::Full);
+    let parts = partition(&g, Policy::EdgeCutBlocked, HOSTS);
+    let crashes = |n: usize| (0..n).fold(FaultPlan::new(), |p, _| p.crash_host(1, 2));
+    let run = |faults: FaultPlan| {
+        Cluster::new(HOSTS).try_run_with_faults(faults, |ctx| {
+            Engine::new(&parts[ctx.host()], ctx, &plan).run(ctx).rounds
+        })
+    };
+    let rounds = |faults| -> Vec<Option<u64>> { run(faults).into_iter().map(Result::ok).collect() };
+    let baseline = rounds(FaultPlan::new());
+    assert!(baseline.iter().all(Option::is_some));
+    assert_eq!(rounds(crashes(8)), baseline, "after 8 crashes");
+    let ninth = run(crashes(9));
+    assert!(
+        matches!(&ninth[1], Err(e) if matches!(e.signal, Some(CrashSignal::Injected { host: 1, round: 2 }))),
+        "host 1 after 9 crashes: {:?}",
+        ninth[1]
+    );
 }
 
 #[test]
@@ -207,13 +233,12 @@ fn shrink_matrix_smoke() {
         "mis diverged after shrink"
     );
 
-    let cfg = algos::LouvainConfig::default();
     let parts2 = partition(&g, Policy::EdgeCutBlocked, HOSTS - 1);
-    let base2 = Cluster::with_threads(HOSTS - 1, 2)
-        .run(|ctx| algos::louvain(&parts2[ctx.host()], ctx, &b, &cfg));
+    let base2 =
+        Cluster::with_threads(HOSTS - 1, 2).run(|ctx| algos::louvain(&parts2[ctx.host()], ctx, &b));
     let expected = algos::compose_labels(n, &base2);
     let ph = run_elastic_survivors(&g, &sim(), kill(), Policy::EdgeCutBlocked, |dg, ctx| {
-        algos::louvain(dg, ctx, &b, &cfg)
+        algos::louvain(dg, ctx, &b)
     });
     assert_eq!(
         algos::compose_labels(n, &ph),

@@ -21,8 +21,6 @@ use proptest::prelude::*;
 fn policies() -> impl Strategy<Value = Policy> {
     prop_oneof![
         Just(Policy::EdgeCutBlocked),
-        Just(Policy::EdgeCutIncoming),
-        Just(Policy::EdgeCutHashed),
         Just(Policy::CartesianVertexCut),
     ]
 }

@@ -52,19 +52,18 @@ fn same_seed_replays_byte_identical_trace_and_labels() {
 /// the algorithm with the most serialization surface.
 #[test]
 fn louvain_replays_byte_identical_trace() {
-    use kimbap_algos::louvain::{compose_labels, louvain, LouvainConfig};
+    use kimbap_algos::louvain::{compose_labels, louvain};
     let g = gen::rmat(6, 4, 9);
     let run = || {
         let parts = partition(&g, Policy::EdgeCutBlocked, HOSTS);
         let b = NpmBuilder;
-        let cfg = LouvainConfig::default();
         let sink = new_trace_sink();
         let cluster = Cluster::with_threads(HOSTS, 1)
             .sim(17)
             .with_transport_config(simfuzz::sim_transport_config())
             .with_trace_sink(sink.clone());
         let per_host = cluster.run_with_faults(simfuzz::random_fault_plan(17, HOSTS), |ctx| {
-            ctx.run_recovering(|ctx| louvain(&parts[ctx.host()], ctx, &b, &cfg))
+            ctx.run_recovering(|ctx| louvain(&parts[ctx.host()], ctx, &b))
         });
         let labels = compose_labels(g.num_nodes(), &per_host);
         let trace = std::mem::take(&mut *sink.lock());

@@ -149,10 +149,7 @@ fn every_host_derives_the_same_block_boundaries() {
             let Ownership::Blocked { bounds } = dg.ownership() else {
                 panic!("edge-cut (blocked) must use blocked ownership");
             };
-            assert_eq!(
-                dg.ownership(),
-                &ownership_for(&g, Policy::EdgeCutBlocked, ctx.num_hosts())
-            );
+            assert_eq!(dg.ownership(), &ownership_for(&g, ctx.num_hosts()));
             let mine = encode_slice(&bounds[..]);
             for (peer, theirs) in ctx.exchange(vec![mine.clone(); HOSTS]).iter().enumerate() {
                 assert_eq!(theirs, &mine, "host {peer} cut different blocks on {name}");

@@ -165,9 +165,7 @@ proptest! {
         edges in edge_list(),
         loads in workload(),
     ) {
-        // `EdgeCutHashed` keeps the product map's modulo-ownership paths
-        // (`FastOwn::Mod`) covered.
-        let policies = [Policy::EdgeCutBlocked, Policy::CartesianVertexCut, Policy::EdgeCutHashed];
+        let policies = [Policy::EdgeCutBlocked, Policy::CartesianVertexCut];
         for policy in policies {
             for (row, make, resident) in ROWS {
                 for pinned in [true, false] {

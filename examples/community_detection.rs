@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use kimbap::prelude::*;
-use kimbap_algos::{compose_labels, leiden, louvain, refcheck, LouvainConfig, NpmBuilder};
+use kimbap_algos::{compose_labels, leiden, louvain, refcheck, NpmBuilder};
 use kimbap_baselines::vite;
 
 fn main() {
@@ -20,10 +20,9 @@ fn main() {
 
     // Kimbap Louvain.
     let builder = NpmBuilder;
-    let cfg = LouvainConfig::default();
     let t = Instant::now();
     let results =
-        Cluster::with_threads(hosts, 2).run(|ctx| louvain(&parts[ctx.host()], ctx, &builder, &cfg));
+        Cluster::with_threads(hosts, 2).run(|ctx| louvain(&parts[ctx.host()], ctx, &builder));
     let lv_time = t.elapsed();
     let labels = compose_labels(g.num_nodes(), &results);
     let communities = {
@@ -42,8 +41,7 @@ fn main() {
 
     // Kimbap Leiden (the paper's first distributed implementation).
     let t = Instant::now();
-    let ld = Cluster::with_threads(hosts, 2)
-        .run(|ctx| leiden(&parts[ctx.host()], ctx, &builder, &cfg));
+    let ld = Cluster::with_threads(hosts, 2).run(|ctx| leiden(&parts[ctx.host()], ctx, &builder));
     println!(
         "kimbap LD : q={:.4} ({} levels) in {:.2?}",
         ld[0].modularity,

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Prints the non-test line count of the Rust sources under crates/: every
 # `.rs` file outside a `tests/` directory, each counted up to its trailing
-# `#[cfg(test)] mod tests` block (the whole file when it has none). Files
-# that a parent declares as `#[cfg(test)] mod name;` are test-only and do
-# not count.
+# `#[cfg(test)] mod tests` block of any visibility (the whole file when it
+# has none). Files that a parent declares as `#[cfg(test)] mod name;` are
+# test-only and do not count.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT, a checkout, defaults to this one)
 set -euo pipefail
@@ -23,7 +23,7 @@ test_only=$(awk 'FNR == 1 { last = "" }
     { last = $0 }' $files)
 for f in $files; do
     grep -qxF "$f" <<<"$test_only" && continue
-    awk 'last ~ /^#\[cfg\(test\)\]$/ && /^mod tests/ { cut = NR - 2 }
+    awk 'last ~ /^#\[cfg\(test\)\]$/ && /^(pub(\([a-z]+\))? )?mod tests/ { cut = NR - 2 }
          { last = $0 }
          END { print (cut == "" ? NR : cut) }' "$f"
 done | awk '{ total += $1 } END { print total " non-test lines under crates/" }'
